@@ -347,7 +347,9 @@ def run_rep_check(cfg: dict, threads: int = 1) -> RunReport:
         report.records.append(_record("cocycle_identity", coc))
         report.timings["cocycle"] = time.perf_counter() - t0
     radius = cfg["degree_radius"] if cfg["degree_radius"] > 0 else 2.0 * n
+    t0 = time.perf_counter()
     est = reps.estimate_formal_degree(rep, g, radius)
+    report.timings["formal_degree"] = time.perf_counter() - t0
     dev = abs(est - 1.0 / n)
     report.records.append(_record("formal_degree", passed=dev <= 1e-10,
                                   estimate=est, expected=1.0 / n, deviation=dev))
@@ -361,7 +363,8 @@ def run_rep_check(cfg: dict, threads: int = 1) -> RunReport:
 
 def run_frame(cfg: dict, threads: int = 1) -> RunReport:
     report = RunReport("frame", cfg)
-    if cfg["model"] == "finite":
+    finite = cfg["model"] == "finite"
+    if finite:
         n = cfg["n"]
         rep = reps.finite_weyl_heisenberg(n)
         rng = np.random.default_rng(cfg["seed"])
@@ -375,54 +378,53 @@ def run_frame(cfg: dict, threads: int = 1) -> RunReport:
                                            for l in range(n)])
         else:
             lam = frames.finite_subset(n, [(k, 0) for k in range(n)])
-        fb = frames.frame_operator_spectrum(rep, g, lam)
-        rb = frames.riesz_bounds(rep, g, lam)
-        q = groups.ball(groups.word_metric(rep.group), None, cfg["q_radius"])
-        bessel = frames.bessel_separation_bound(rep, g, lam, q,
-                                                bessel_bound=fb.upper)
-        amalgam = frames.amalgam_check(rep, g, lam, q, cfg["k_radius"])
-        if cfg["dump_matrices"]:
-            report.matrices["synthesis.csv"] = np.column_stack(
-                [reps.apply_rep(rep, x, g) for x in lam.points])
-        report.records.append(_record("frame_bounds", fb.to_json(), passed=True))
-        report.records.append(_record("riesz_bounds", rb.to_json(), passed=True))
-        if fb.kind == "frame":
-            dual = frames.canonical_dual(rep, g, lam, seed=cfg["seed"])
-            report.records.append(_record(
-                "canonical_dual", passed=dual.passed,
-                reconstruction_error=dual.reconstruction_error,
-                dual_bounds=dual.dual_bounds.to_json()))
+        metric = groups.word_metric(rep.group)
+        section, restriction = {}, {}
     else:
         rep = reps.gabor_gaussian()
         g = reps.gaussian_window()
         lam = frames.lattice(cfg["lattice_a"], cfg["lattice_b"])
-        fb = frames.frame_operator_spectrum(rep, g, lam,
-                                            section_radius=cfg["section_radius"],
-                                            margin=cfg["margin"])
-        rb = frames.riesz_bounds(rep, g, lam,
-                                 restriction_radius=cfg["restriction_radius"])
-        q = groups.ball(groups.euclidean_metric(dim=2), None, cfg["q_radius"])
-        bessel = frames.bessel_separation_bound(rep, g, lam, q,
-                                                bessel_bound=fb.upper)
-        amalgam = frames.amalgam_check(rep, g, lam, q, cfg["k_radius"])
-        if cfg["dump_matrices"]:
-            pts = lam.restrict(groups.ball(
-                groups.euclidean_metric(dim=2), None, cfg["restriction_radius"]))
-            gram = np.array([[frames.gabor_gram_entry(mu, nu) for nu in pts]
-                             for mu in pts])
-            report.matrices["gram.csv"] = gram
-        report.records.append(_record("frame_bounds", fb.to_json(), passed=True))
-        report.records.append(_record("riesz_bounds", rb.to_json(), passed=True))
+        metric = groups.euclidean_metric(dim=2)
+        section = {"section_radius": cfg["section_radius"], "margin": cfg["margin"]}
+        restriction = {"restriction_radius": cfg["restriction_radius"]}
+    t0 = time.perf_counter()
+    fb = frames.frame_operator_spectrum(rep, g, lam, **section)
+    rb = frames.riesz_bounds(rep, g, lam, **restriction)
+    report.timings["bounds"] = time.perf_counter() - t0
+    report.records.append(_record("frame_bounds", fb.to_json(), passed=True))
+    report.records.append(_record("riesz_bounds", rb.to_json(), passed=True))
+    if finite and fb.kind == "frame":
+        t0 = time.perf_counter()
+        dual = frames.canonical_dual(rep, g, lam, seed=cfg["seed"])
+        report.records.append(_record(
+            "canonical_dual", passed=dual.passed,
+            reconstruction_error=dual.reconstruction_error,
+            dual_bounds=dual.dual_bounds.to_json()))
+        report.timings["dual"] = time.perf_counter() - t0
+    q = groups.ball(metric, None, cfg["q_radius"])
+    t0 = time.perf_counter()
+    bessel = frames.bessel_separation_bound(rep, g, lam, q, bessel_bound=fb.upper)
+    report.timings["bessel"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    amalgam = frames.amalgam_check(rep, g, lam, q, cfg["k_radius"])
+    report.timings["amalgam"] = time.perf_counter() - t0
+    if cfg["dump_matrices"]:
+        if finite:
+            report.matrices["synthesis.csv"] = np.column_stack(
+                [reps.apply_rep(rep, x, g) for x in lam.points])
+        else:
+            pts = lam.restrict(groups.ball(metric, None, cfg["restriction_radius"]))
+            report.matrices["gram.csv"] = np.array(
+                [[frames.gabor_gram_entry(mu, nu) for nu in pts] for mu in pts])
     report.records.append(_record("bessel_separation", bessel,
                                   passed=bessel["passed"] and bessel["scale_invariant"]))
     report.records.append(_record("amalgam", amalgam))
     report.csv_header = ("experiment", "n", "check", "lhs", "rhs", "passed")
-    rows = [
+    report.csv_rows = [
         ("frame", 0, "bessel_separation", bessel["rel_sep"], bessel["bound"],
          bessel["passed"]),
         ("frame", 1, "amalgam", amalgam["lhs"], amalgam["rhs"], amalgam["passed"]),
     ]
-    report.csv_rows = rows
     return report
 
 
@@ -452,12 +454,14 @@ def run_density(cfg: dict, threads: int = 1) -> RunReport:
         list(enumerate(exhaustion)), threads)
     report.timings["integrals"] = time.perf_counter() - t0
     t0 = time.perf_counter()
+    dens = density.beurling_density(lam, em, exhaustion, spacing)
+    report.timings["density"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     checker = (density.check_frame_counting if side == "frame"
                else density.check_riesz_counting)
     checks = checker(rep, g, lam, exhaustion, q, bounds, integrals=integrals,
-                     center_grid_spacing=spacing, diagnostic=cfg["diagnostic"])
-    report.timings["counting"] = time.perf_counter() - t0
-    dens = density.beurling_density(lam, em, exhaustion, spacing)
+                     diagnostic=cfg["diagnostic"], estimate=dens)
+    report.timings["checks"] = time.perf_counter() - t0
     report.records.append(_record("bounds", bounds.to_json(), passed=True))
     for chk in checks:
         report.records.append(_record(chk.theorem, chk.to_json()))

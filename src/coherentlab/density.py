@@ -116,7 +116,11 @@ class DensityEstimate:
 
 
 def count_points(lam: PointSet, center, k) -> int:
-    """Exact #(Lambda intersect centerK) by enumerating the restriction."""
+    """Exact #(Lambda intersect centerK).
+
+    A closed ball on a plain lattice is counted in closed form, column by
+    column; every other case counts the points of the restriction.
+    """
     if isinstance(k, groups.Box):
         box = k.translate(center) if center is not None else k
         if lam.is_lattice:
@@ -128,6 +132,9 @@ def count_points(lam: PointSet, center, k) -> int:
     if not isinstance(k, groups.Ball):
         raise ValueError("K must be a Ball or a Box")
     ball = k.translate(center) if center is not None else k
+    if lam.kind == frames.LATTICE and ball.closed:
+        cx, cy = ball.center
+        return lam.lattice_count_near(float(cx), float(cy), ball.radius)
     return len(lam.restrict(ball))
 
 
@@ -164,12 +171,10 @@ def beurling_density(lam: PointSet, metric: groups.PeriodicMetric,
             centers = [(float(x), float(y)) for x in xs for y in ys]
         else:
             centers = [(0.0, 0.0)]
-    if lam.kind != frames.FINITE_SUBSET and lam.is_lattice:
+    if lam.is_lattice:
         q = groups.ball(groups.euclidean_metric(dim=2), None,
                         min(lam.a, lam.b) / 2.0)
         rel = frames.relative_separation(lam, q).rel_sep
-    elif lam.kind == frames.FINITE_SUBSET:
-        rel = 1 if lam.points else 0
     else:
         rel = 1 if lam.points else 0
     records = []
@@ -377,11 +382,14 @@ def _counting_checks(rep: RepModel, g, lam: PointSet,
                      bounds: FrameBounds, side: str,
                      integrals: Sequence[ErrorIntegralRecord] | None,
                      center_grid_spacing: float | None, tol: float,
-                     diagnostic: bool) -> list:
+                     diagnostic: bool, estimate: DensityEstimate | None) -> list:
     if bounds.lower <= 0.0:
         raise ValueError("counting checks need a positive lower bound A > 0")
-    metric = exhaustion[0].metric
-    dens = beurling_density(lam, metric, exhaustion, center_grid_spacing)
+    if estimate is None:
+        estimate = beurling_density(lam, exhaustion[0].metric, exhaustion,
+                                    center_grid_spacing)
+    elif [rec.radius for rec in estimate.records] != [k.radius for k in exhaustion]:
+        raise ValueError("density estimate records do not match the exhaustion")
     kind = "I" if side == "inf" else "J"
     if integrals is None:
         integrals = [_error_integral(rep, g, q, k, kind, 1e-8, i)
@@ -396,7 +404,7 @@ def _counting_checks(rep: RepModel, g, lam: PointSet,
     d_pi = rep.formal_degree
     checks = []
     theorem = "T3.3" if side == "inf" else "T3.5"
-    for rec, integ in zip(dens.records, integrals):
+    for rec, integ in zip(estimate.records, integrals):
         inputs = {"radius": rec.radius, "measure": rec.measure,
                   "inf_count": rec.inf_count, "sup_count": rec.sup_count,
                   "integral": integ.value, "integral_kind": kind,
@@ -413,7 +421,7 @@ def _counting_checks(rep: RepModel, g, lam: PointSet,
         checks.append(TheoremCheck(theorem, lhs, rhs, margin,
                                    margin >= -tol, const["C"], diagnostic, inputs))
     if side == "inf":
-        last, integ = dens.records[-1], integrals[-1]
+        last, integ = estimate.records[-1], integrals[-1]
         eps = d_pi * const["C"] * integ.value / last.measure
         lhs = last.inf_count / last.measure
         rhs = d_pi - eps
@@ -429,13 +437,19 @@ def check_frame_counting(rep: RepModel, g, lam: PointSet,
                          bounds: FrameBounds,
                          integrals: Sequence[ErrorIntegralRecord] | None = None,
                          center_grid_spacing: float | None = None,
-                         tol: float = 1e-9, diagnostic: bool = False) -> list:
+                         tol: float = 1e-9, diagnostic: bool = False,
+                         estimate: DensityEstimate | None = None) -> list:
     """Per n: inf_x #(Lambda in xK_n) >= d_pi (mu(K_n) - C I_n), plus the
-    density consequence at the largest n."""
+    density consequence at the largest n.
+
+    ``estimate`` is a beurling_density result for the same exhaustion; when
+    given, the counts are taken from it instead of being computed again.
+    """
     if bounds.kind != "frame":
         raise ValueError("frame counting needs bounds of kind=frame (A > 0)")
     return _counting_checks(rep, g, lam, exhaustion, q, bounds, "inf",
-                            integrals, center_grid_spacing, tol, diagnostic)
+                            integrals, center_grid_spacing, tol, diagnostic,
+                            estimate)
 
 
 def check_riesz_counting(rep: RepModel, g, lam: PointSet,
@@ -443,12 +457,17 @@ def check_riesz_counting(rep: RepModel, g, lam: PointSet,
                          bounds: FrameBounds,
                          integrals: Sequence[ErrorIntegralRecord] | None = None,
                          center_grid_spacing: float | None = None,
-                         tol: float = 1e-9, diagnostic: bool = False) -> list:
-    """Per n: sup_x #(Lambda in xK_n) <= d_pi (mu(K_n) + C J_n)."""
+                         tol: float = 1e-9, diagnostic: bool = False,
+                         estimate: DensityEstimate | None = None) -> list:
+    """Per n: sup_x #(Lambda in xK_n) <= d_pi (mu(K_n) + C J_n).
+
+    ``estimate`` is used as in check_frame_counting.
+    """
     if bounds.kind != "riesz":
         raise ValueError("riesz counting needs bounds of kind=riesz (A > 0)")
     return _counting_checks(rep, g, lam, exhaustion, q, bounds, "sup",
-                            integrals, center_grid_spacing, tol, diagnostic)
+                            integrals, center_grid_spacing, tol, diagnostic,
+                            estimate)
 
 
 def check_polynomial_error_exponent(count_records: Sequence[CountingRecord],

@@ -65,21 +65,27 @@ class PointSet:
                 return True
         return False
 
-    def lattice_points_near(self, cx: float, cy: float, radius: float,
-                            closed: bool = True) -> list:
-        """Lattice points within `radius` of (cx, cy), holes removed."""
+    def _index_box(self, cx: float, cy: float, radius: float) -> tuple:
+        """Column and row index ranges scanned around a disk, budget-checked."""
         if not self.is_lattice:
             raise ValueError("lattice enumeration needs a lattice kind")
         est = (2.0 * radius / self.a + 2.0) * (2.0 * radius / self.b + 2.0)
         if est > groups.ball_budget():
             raise groups.BudgetExceededError(
                 f"lattice restriction would enumerate ~{est:.3g} points")
+        return (range(math.floor((cx - radius) / self.a) - 1,
+                      math.ceil((cx + radius) / self.a) + 2),
+                range(math.floor((cy - radius) / self.b) - 1,
+                      math.ceil((cy + radius) / self.b) + 2))
+
+    def lattice_points_near(self, cx: float, cy: float, radius: float,
+                            closed: bool = True) -> list:
+        """Lattice points within `radius` of (cx, cy), holes removed."""
+        cols, rows = self._index_box(cx, cy, radius)
         out = []
-        for k in range(math.floor((cx - radius) / self.a) - 1,
-                       math.ceil((cx + radius) / self.a) + 2):
+        for k in cols:
             x = k * self.a
-            for l in range(math.floor((cy - radius) / self.b) - 1,
-                           math.ceil((cy + radius) / self.b) + 2):
+            for l in rows:
                 y = l * self.b
                 dsq = (x - cx) ** 2 + (y - cy) ** 2
                 inside = (_closed_disk(x - cx, y - cy, radius) if closed
@@ -88,14 +94,43 @@ class PointSet:
                     out.append((x, y))
         return out
 
+    def lattice_count_near(self, cx: float, cy: float, radius: float) -> int:
+        """len(lattice_points_near(cx, cy, radius, closed=True)) on a plain
+        lattice, counted column by column without building the points.
+
+        Each column's row range comes from the chord half-width
+        sqrt(thr - dx^2), widened at each end by more rows than its rounding
+        error spans (at most sqrt(2^-53 thr) plus a few ulps of cy); the ends
+        then move inward until they pass _closed_disk's own test, so points
+        on the circle count exactly as the enumeration counts them.
+        """
+        if self.kind != LATTICE:
+            raise ValueError("closed-form counting needs a plain lattice")
+        cols, rows = self._index_box(cx, cy, radius)
+        thr = radius * radius * (1.0 + _TIE) + _TIE
+        dx = np.arange(cols.start, cols.stop) * self.a - cx
+        dx_sq = dx * dx
+        half = np.sqrt(np.maximum(thr - dx_sq, 0.0))
+        pad = 1 + int((2e-8 * math.sqrt(thr) + 1e-15 * abs(cy)) / self.b)
+        lo = np.maximum(np.ceil((cy - half) / self.b) - pad, rows.start).astype(np.int64)
+        hi = np.minimum(np.floor((cy + half) / self.b) + pad, rows.stop - 1).astype(np.int64)
+
+        def inside(l):
+            dy = l * self.b - cy
+            return dx_sq + dy * dy <= thr
+
+        while (shrink := (lo <= hi) & ~inside(lo)).any():
+            lo += shrink
+        while (shrink := (hi >= lo) & ~inside(hi)).any():
+            hi -= shrink
+        return int(np.maximum(hi - lo + 1, 0).sum())
+
     def restrict(self, b: groups.Ball) -> tuple:
         """Exactly the elements of Lambda inside the ball."""
         if self.is_lattice:
             cx, cy = b.center
             pts = self.lattice_points_near(float(cx), float(cy), b.radius, b.closed)
             return tuple(sorted(pts))
-        if self.kind == FINITE_SUBSET:
-            return tuple(sorted(p for p in self.points if b.contains(p)))
         return tuple(sorted(p for p in self.points if b.contains(p)))
 
     def translate(self, z: tuple) -> "PointSet":

@@ -147,13 +147,17 @@ def test_density_csv_shape_and_meta(tmp_path):
         assert row[10] == "true"
 
 
-def test_frame_matrix_dumps(tmp_path):
+def test_frame_matrix_dumps(tmp_path, capsys):
     finite = write_ini(tmp_path, "ff.ini", "frame",
                        {"model": "finite", "n": 6, "subset": "full",
                         "dump_matrices": "true"})
     assert cli.main(["frame", "--config", finite,
                      "--out", str(tmp_path / "fin")]) == 0
     assert (tmp_path / "fin" / "synthesis.csv").exists()
+    out = capsys.readouterr().out
+    for stage in ("bounds", "dual", "bessel", "amalgam"):
+        assert f"time[{stage}]" in out
+    assert "timings" not in json.loads((tmp_path / "fin" / "report.json").read_text())
     gaussian = write_ini(tmp_path, "fg.ini", "frame",
                          {"model": "gaussian", "lattice_a": 0.5,
                           "lattice_b": 0.5, "restriction_radius": 2,

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from coherentlab import density, frames, groups, reps
+from coherentlab import cli, density, frames, groups, reps
 from coherentlab.frames import explicit_points, full_torus, lattice
 
 
@@ -193,6 +193,44 @@ def test_counting_checks_validate_bounds_kind_and_records():
     with pytest.raises(ValueError):
         density.check_frame_counting(rep, g, lam, exhaustion, q, frame_bounds,
                                      integrals=wrong_n)
+
+
+@pytest.mark.parametrize("side, a, b", [("frame", 0.5, 0.5), ("riesz", 2.0, 1.0)])
+def test_run_density_computes_the_density_once(monkeypatch, tmp_path, side, a, b):
+    calls = []
+    original = density.beurling_density
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(density, "beurling_density", counted)
+    ini = tmp_path / "density.ini"
+    ini.write_text(f"[density]\nside = {side}\nlattice_a = {a}\nlattice_b = {b}\n"
+                   "radii = 6,10\n")
+    report = cli.run_density(cli.load_config(str(ini), "density"))
+    assert len(calls) == 1
+    assert report.overall_pass
+    assert {"density", "checks"} <= set(report.timings)
+
+
+def test_counting_checks_reuse_a_precomputed_estimate():
+    rep = reps.gabor_gaussian()
+    g = reps.gaussian_window()
+    em = groups.euclidean_metric(dim=2)
+    q = euclid_ball(1.0)
+    for checker, lam, bounds in (
+            (density.check_frame_counting, lattice(0.5, 0.5),
+             frames.frame_operator_spectrum(rep, g, lattice(0.5, 0.5))),
+            (density.check_riesz_counting, lattice(2.0, 1.0),
+             frames.riesz_bounds(rep, g, lattice(2.0, 1.0), restriction_radius=8.0))):
+        exhaustion = [euclid_ball(r) for r in (6.0, 10.0)]
+        est = density.beurling_density(lam, em, exhaustion)
+        fresh = checker(rep, g, lam, exhaustion, q, bounds)
+        assert checker(rep, g, lam, exhaustion, q, bounds, estimate=est) == fresh
+        # an estimate for another exhaustion is refused
+        with pytest.raises(ValueError, match="exhaustion"):
+            checker(rep, g, lam, exhaustion[:1], q, bounds, estimate=est)
 
 
 def test_check_frame_counting_finite_full_torus():

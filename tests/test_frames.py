@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from coherentlab import frames, groups, reps
+from coherentlab import density, frames, groups, reps
 from coherentlab.frames import (
     GAUSSIAN_HALF_LEVEL_RADIUS,
     FrameBounds,
@@ -428,3 +428,59 @@ def test_point_set_geometry_helpers():
         lattice_with_holes(1.0, 1.0, [(0.0, 0.0, -1.0)])
     with pytest.raises(ValueError):
         finite_subset(1, [(0, 0)])
+
+
+def test_lattice_count_near_matches_enumeration():
+    rng = np.random.default_rng(20240717)
+    spacings = [(0.5, 0.5), (1.0, 1.0), (0.25, 0.25), (0.5, 1.0),
+                (0.4807, 0.25 / 0.4807), (0.5193, 0.25 / 0.5193), (0.37, 1.3)]
+    cases = []
+    for a, b in spacings:
+        lam = lattice(a, b)
+        for _ in range(40):
+            r = float(rng.choice([0.0, 6.0, 10.0, 28.0, rng.uniform(0.0, 15.0),
+                                  rng.uniform(0.0, 0.7)]))
+            which = rng.integers(3)
+            if which == 0:  # the a/8 centre grid of beurling_density
+                cx, cy = rng.integers(-16, 17) * a / 8.0, rng.integers(-16, 17) * b / 8.0
+            elif which == 1:
+                cx, cy = rng.uniform(-30.0, 30.0), rng.uniform(-30.0, 30.0)
+            else:
+                cx, cy = -rng.uniform(0.0, 5.0), -rng.uniform(0.0, 5.0)
+            cases.append((lam, float(cx), float(cy), r))
+            # a radius through a lattice point: the tie slack decides it
+            k, l = rng.integers(-40, 41, size=2)
+            cases.append((lam, float(cx), float(cy),
+                           math.hypot(k * a - float(cx), l * b - float(cy))))
+    half = lattice(0.5, 0.5)
+    # (6, 8) and (8, 6) lie on the radius-10 circle about the origin, and the
+    # origin lies on the radius-10 circles about them
+    cases += [(half, 0.0, 0.0, 10.0), (half, 6.0, 8.0, 10.0), (half, 8.0, 6.0, 10.0),
+              (half, -6.0, -8.0, 10.0), (half, 0.0, 0.0, 5.0)]
+    for lam, cx, cy, r in cases:
+        want = len(lam.lattice_points_near(cx, cy, r, closed=True))
+        assert lam.lattice_count_near(cx, cy, r) == want, (lam.a, lam.b, cx, cy, r)
+    # 12 points sit on that circle: (+-6, +-8), (+-8, +-6), (+-10, 0), (0, +-10)
+    assert half.lattice_count_near(0.0, 0.0, 10.0) \
+        == 12 + len(half.lattice_points_near(0.0, 0.0, 10.0 - 1e-9))
+    # only plain lattices with closed balls take the closed form
+    with pytest.raises(ValueError):
+        lattice_with_holes(0.5, 0.5, [(0.0, 0.0, 2.0)]).lattice_count_near(0.0, 0.0, 6.0)
+    with pytest.raises(ValueError):
+        explicit_points([(0.0, 0.0)]).lattice_count_near(0.0, 0.0, 1.0)
+
+
+def test_count_points_on_holes_and_open_balls_matches_enumeration():
+    em = groups.euclidean_metric(dim=2)
+    holey = lattice_with_holes(0.5, 0.5, [(0.0, 0.0, 2.0), (3.0, 1.0, 1.0)])
+    for lam in (holey, lattice(0.5, 0.5)):
+        for closed in (True, False):
+            for center in ((0.0, 0.0), (1.5, 0.5), (0.3125, -0.25)):
+                ball = groups.ball(em, None, 5.0, closed=closed).translate(center)
+                want = len(lam.lattice_points_near(*center, 5.0, closed=closed))
+                assert density.count_points(lam, None, ball) == want
+    # the closed ball counts the 12 on-circle points, the open ball does not
+    plain = lattice(0.5, 0.5)
+    closed_n = density.count_points(plain, None, groups.ball(em, None, 10.0, closed=True))
+    open_n = density.count_points(plain, None, groups.ball(em, None, 10.0, closed=False))
+    assert closed_n - open_n == 12
