@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,15 +25,6 @@ EXPERIMENTS = ("geometry", "rep-check", "frame", "density", "hole")
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the offending key."""
-
-
-def parallel_map(fn, items, threads: int = 1):
-    """Order-preserving map, optionally on a thread pool."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # -- Config handling -----------------------------------------------------------------
@@ -271,7 +261,7 @@ def _record(name, payload=None, passed=None, diagnostic=None, **fields) -> dict:
 # -- Runners -------------------------------------------------------------------------
 
 
-def run_geometry(cfg: dict, threads: int = 1) -> RunReport:
+def run_geometry(cfg: dict) -> RunReport:
     report = RunReport("geometry", cfg)
     group_kind = cfg["group"]
     metric_kind = cfg["metric"]
@@ -306,8 +296,7 @@ def run_geometry(cfg: dict, threads: int = 1) -> RunReport:
     exhaustion = groups.folner_exhaustion(metric, cfg["folner_r0"],
                                           cfg["folner_count"], cfg["folner_step"])
     k = groups.ball(metric, None, cfg["folner_k_radius"])
-    ratios = parallel_map(lambda b: groups.folner_ratio(metric, b, k),
-                          exhaustion, threads)
+    ratios = [groups.folner_ratio(metric, b, k) for b in exhaustion]
     rows = []
     for i, (b, ratio) in enumerate(zip(exhaustion, ratios)):
         measure = (float(len(b.points)) if b.points is not None
@@ -325,7 +314,7 @@ def run_geometry(cfg: dict, threads: int = 1) -> RunReport:
     return report
 
 
-def run_rep_check(cfg: dict, threads: int = 1) -> RunReport:
+def run_rep_check(cfg: dict) -> RunReport:
     report = RunReport("rep-check", cfg)
     n = cfg["n"]
     rep = reps.finite_weyl_heisenberg(n)
@@ -361,7 +350,7 @@ def run_rep_check(cfg: dict, threads: int = 1) -> RunReport:
     return report
 
 
-def run_frame(cfg: dict, threads: int = 1) -> RunReport:
+def run_frame(cfg: dict) -> RunReport:
     report = RunReport("frame", cfg)
     finite = cfg["model"] == "finite"
     if finite:
@@ -428,7 +417,7 @@ def run_frame(cfg: dict, threads: int = 1) -> RunReport:
     return report
 
 
-def run_density(cfg: dict, threads: int = 1) -> RunReport:
+def run_density(cfg: dict) -> RunReport:
     report = RunReport("density", cfg)
     rep = reps.gabor_gaussian()
     g = reps.gaussian_window()
@@ -449,9 +438,8 @@ def run_density(cfg: dict, threads: int = 1) -> RunReport:
     t0 = time.perf_counter()
     kind = "I" if side == "frame" else "J"
     integral_fn = density.error_integral_I if kind == "I" else density.error_integral_J
-    integrals = parallel_map(
-        lambda ik: integral_fn(rep, g, q, ik[1], tol=cfg["tol"], n=ik[0]),
-        list(enumerate(exhaustion)), threads)
+    integrals = [integral_fn(rep, g, q, k, tol=cfg["tol"], n=i)
+                 for i, k in enumerate(exhaustion)]
     report.timings["integrals"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     dens = density.beurling_density(lam, em, exhaustion, spacing)
@@ -486,7 +474,7 @@ def run_density(cfg: dict, threads: int = 1) -> RunReport:
     return report
 
 
-def run_hole(cfg: dict, threads: int = 1) -> RunReport:
+def run_hole(cfg: dict) -> RunReport:
     report = RunReport("hole", cfg)
     rep = reps.gabor_gaussian()
     g = reps.gaussian_window()
@@ -521,12 +509,11 @@ _RUNNERS = {"geometry": run_geometry, "rep-check": run_rep_check,
 
 
 def run_experiment(experiment: str, config_path: str, out_dir: str,
-                   seed: int | None = None, threads: int = 1) -> RunReport:
+                   seed: int | None = None) -> RunReport:
     cfg = load_config(config_path, experiment)
     if seed is not None:
         cfg["seed"] = seed
-    cfg = {**cfg, "threads": threads}
-    report = _RUNNERS[experiment](cfg, threads=threads)
+    report = _RUNNERS[experiment](cfg)
     emit_report(report, out_dir)
     return report
 
@@ -542,11 +529,10 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
     try:
         report = run_experiment(args.experiment, args.config, args.out,
-                                seed=args.seed, threads=args.threads)
+                                seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

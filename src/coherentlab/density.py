@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import frames, groups, reps
 from .frames import FrameBounds, PointSet
-from .quadrature import (gauss_profile_mass_outside, lens_area,
-                         power_profile_mass_outside, refine_trapezoid)
-from .reps import RepModel, Window
+from .quadrature import gauss_profile_mass_outside, lens_area, refine_trapezoid
+from .reps import RadialProfile, RepModel
 
 
 @dataclass(frozen=True)
@@ -193,47 +192,17 @@ def beurling_density(lam: PointSet, metric: groups.PeriodicMetric,
 # -- Error integrals ----------------------------------------------------------------
 
 
-def _gaussian_profile_sq(rho: float) -> tuple:
-    def prof_sq(u):
-        return np.exp(-math.pi * np.maximum(0.0, u - rho) ** 2)
-
-    return prof_sq, (lambda d: gauss_profile_mass_outside(rho, d))
-
-
-def _decay_profile_sq(window: Window, rho: float) -> tuple:
-    dim, alpha, beta, c0 = window.decay
-    q_exp = dim + alpha + beta
-    if q_exp <= 2.0:
-        raise ValueError("decay exponent too small for a finite error integral")
-
-    def prof_sq(u):
-        return c0 * c0 * (1.0 + np.maximum(0.0, u - rho)) ** (-q_exp)
-
-    return prof_sq, (lambda d: c0 * c0 * power_profile_mass_outside(rho, q_exp / 2.0, d))
-
-
-def _planar_profile(rep: RepModel, g) -> tuple:
-    """(M_Q^2 radial profile builder, mass-outside closure) for the plane."""
-    if rep.kind == reps.GABOR_GAUSSIAN or (
-            isinstance(g, Window) and g.model == reps.GAUSSIAN_WINDOW):
-        return _gaussian_profile_sq
-    if rep.kind == reps.GABOR_DECAY:
-        return lambda rho: _decay_profile_sq(rep.window, rho)
-    if isinstance(g, Window) and g.model == reps.DECAY_WINDOW:
-        return lambda rho: _decay_profile_sq(g, rho)
-    raise ValueError("error integrals need the Gaussian or decay model")
-
-
-def _lens_reduced_integral(prof_sq: Callable, mass_outside: Callable, rho: float,
-                           r: float, kind: str, tol: float) -> float:
-    """2 pi int F(u) u [pi R_b^2 - lens(R_a, R_b, u)] du with closed-form ends.
+def _lens_reduced_integral(prof: RadialProfile, rho: float, r: float, kind: str,
+                           tol: float) -> float:
+    """2 pi int F(u) u [pi R_b^2 - lens(R_a, R_b, u)] du with closed-form ends,
+    where F = prof.maximal_sq.
 
     kind "I": R_a = r, R_b = r - rho (bracket = area of K_n outside the
     shifted inner disk); kind "J": R_a = r + rho, R_b = r.
     """
     if kind == "I":
         if r - rho <= 0.0:
-            return math.pi * r * r * mass_outside(0.0)
+            return math.pi * r * r * prof.mass_outside(rho, 0.0)
         r_small, const_area = r - rho, math.pi * r * r
         u_zero = r + (r - rho)
 
@@ -250,15 +219,15 @@ def _lens_reduced_integral(prof_sq: Callable, mass_outside: Callable, rho: float
             return const_area - lens_area(r_big, r, u)
 
         flat = const_area - math.pi * r * r
-    head = flat * (mass_outside(0.0) - mass_outside(rho))
+    head = flat * (prof.mass_outside(rho, 0.0) - prof.mass_outside(rho, rho))
 
     def integrand(u):
         u = np.atleast_1d(np.asarray(u, dtype=float))
         brackets = np.array([bracket(float(x)) for x in u])
-        return prof_sq(u) * 2.0 * math.pi * u * brackets
+        return prof.maximal_sq(u, rho) * 2.0 * math.pi * u * brackets
 
     mid = refine_trapezoid(integrand, rho, u_zero, tol)
-    tail = const_area * mass_outside(u_zero)
+    tail = const_area * prof.mass_outside(rho, u_zero)
     return head + mid + tail
 
 
@@ -294,9 +263,10 @@ def _error_integral(rep: RepModel, g, q: groups.Ball, k: groups.Ball, kind: str,
         return ErrorIntegralRecord(n, kind, value, 0.0, measure)
     if k.center != (0.0, 0.0):
         raise ValueError("K_n must be centered at the identity")
-    prof_sq, mass_outside = _planar_profile(rep, g)(q.radius)
-    value = _lens_reduced_integral(prof_sq, mass_outside, q.radius,
-                                   k.radius, kind, tol)
+    prof = reps.radial_profile(rep, g)
+    if prof is None:
+        raise ValueError("error integrals need the Gaussian or decay model")
+    value = _lens_reduced_integral(prof, q.radius, k.radius, kind, tol)
     measure = groups.ball_measure(k.metric, k.radius, k.closed)
     return ErrorIntegralRecord(n, kind, value, tol, measure)
 
@@ -321,18 +291,24 @@ def mc_error_integral(rep: RepModel, g, q: groups.Ball, k: groups.Ball,
     Independent of the lens-area reduction: draws the difference variable from
     the radial profile density and a uniform center, then averages the region
     indicator.  Used as a cross-check oracle.
+
+    The radius of the difference variable is drawn by inverting the
+    closed-form survival function mass_outside(rho, u) / total on a grid that
+    is linear over [0, rho + 12] and geometric beyond, out to where the
+    survival falls below 1e-13; a power-law tail reaches that only near 1e8.
     """
-    prof_sq, mass_outside = _planar_profile(rep, g)(q.radius)
-    total_mass = mass_outside(0.0)
+    prof = reps.radial_profile(rep, g)
+    if prof is None:
+        raise ValueError("error integrals need the Gaussian or decay model")
     rho, r = q.radius, k.radius
+    total_mass = prof.mass_outside(rho, 0.0)
     u_hi = rho + 12.0
-    while mass_outside(u_hi) > 1e-13 * total_mass:
-        u_hi *= 1.5
-    grid = np.linspace(0.0, u_hi, 200_001)
-    pdf = prof_sq(grid) * 2.0 * math.pi * grid
-    cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2.0
-                                           * np.diff(grid))])
-    cdf /= cdf[-1]
+    tail = []
+    while prof.mass_outside(rho, u_hi) > 1e-13 * total_mass:
+        u_hi *= 1.01
+        tail.append(u_hi)
+    grid = np.concatenate([np.linspace(0.0, rho + 12.0, 20_001), tail])
+    cdf = 1.0 - np.array([prof.mass_outside(rho, float(u)) for u in grid]) / total_mass
     rng = np.random.default_rng(seed)
     vals = np.empty(n_samples)
     done = 0
@@ -360,9 +336,7 @@ def mc_error_integral(rep: RepModel, g, q: groups.Ball, k: groups.Ball,
 def _norm_sq(rep: RepModel, g) -> float:
     if rep.kind == reps.FINITE_WEYL_HEISENBERG:
         return float(np.linalg.norm(np.asarray(g, dtype=complex))) ** 2
-    if isinstance(g, Window):
-        return g.norm ** 2
-    return 1.0
+    return reps.radial_profile(rep, g).norm_sq
 
 
 def assemble_counting_constant(rep: RepModel, g, q: groups.Ball,

@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from . import groups, reps
-from .quadrature import gauss_profile_mass_outside
 from .reps import RepModel, Window
 
 EXPLICIT = "explicit"
@@ -263,8 +262,7 @@ def frame_operator_spectrum(rep: RepModel, g, lam: PointSet,
         eigs = _hermitian_eigs(phi @ phi.conj().T, "frame operator")
         a, b = max(float(eigs[0]), 0.0), float(eigs[-1])
         return FrameBounds(a, b, _classify(a, b), "exact_spectrum", eigs)
-    if rep.kind != reps.GABOR_GAUSSIAN and not (
-            isinstance(g, Window) and g.model == reps.GAUSSIAN_WINDOW):
+    if reps.radial_profile(rep, g) is not reps.GAUSSIAN_PROFILE:
         raise ValueError("truncated sections are available for the Gaussian model")
     if section_radius <= margin + 1.0:
         raise ValueError("section radius must exceed margin + 1")
@@ -301,33 +299,32 @@ def riesz_bounds(rep: RepModel, g, lam: PointSet,
     if rep.kind == reps.FINITE_WEYL_HEISENBERG:
         phi = _finite_synthesis(rep, g, lam)
         eigs = _hermitian_eigs(phi.conj().T @ phi, "Gram matrix")
-        a, b = max(float(eigs[0]), 0.0), float(eigs[-1])
-        return FrameBounds(a, b, "riesz" if a > 1e-12 * max(b, 1.0) else "bessel",
-                           "exact_spectrum", eigs)
-    if lam.is_lattice:
-        if restriction_radius is None:
-            raise ValueError("lattice kinds need a restriction radius")
-        pts = lam.restrict(groups.ball(groups.euclidean_metric(dim=2), None,
-                                       restriction_radius, closed=True))
+        method = "exact_spectrum"
     else:
-        pts = lam.points
-    if not pts:
-        raise ValueError("empty point set")
-    m = len(pts)
-    gw = g if isinstance(g, Window) else None
-    gram = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        gram[i, i] = (gw.norm ** 2 if gw is not None else 1.0)
-        for j in range(i + 1, m):
-            val = gabor_gram_entry(pts[i], pts[j], rep, gw, tol=tol)
-            gram[i, j] = val
-            gram[j, i] = np.conj(val)
-    eigs = _hermitian_eigs(gram, "Gram matrix")
+        if lam.is_lattice:
+            if restriction_radius is None:
+                raise ValueError("lattice kinds need a restriction radius")
+            pts = lam.restrict(groups.ball(groups.euclidean_metric(dim=2), None,
+                                           restriction_radius, closed=True))
+        else:
+            pts = lam.points
+        if not pts:
+            raise ValueError("empty point set")
+        m = len(pts)
+        gw = g if isinstance(g, Window) else None
+        gram = np.empty((m, m), dtype=complex)
+        for i in range(m):
+            gram[i, i] = (gw.norm ** 2 if gw is not None else 1.0)
+            for j in range(i + 1, m):
+                val = gabor_gram_entry(pts[i], pts[j], rep, gw, tol=tol)
+                gram[i, j] = val
+                gram[j, i] = np.conj(val)
+        eigs = _hermitian_eigs(gram, "Gram matrix")
+        method = "exact_spectrum" if restriction_radius is None else \
+            f"exact_spectrum(restriction_radius={restriction_radius:g})"
     a, b = max(float(eigs[0]), 0.0), float(eigs[-1])
-    method = "exact_spectrum" if restriction_radius is None else \
-        f"exact_spectrum(restriction_radius={restriction_radius:g})"
-    return FrameBounds(a, b, "riesz" if a > 1e-12 * max(b, 1.0) else "bessel",
-                       method, eigs)
+    kind = "riesz" if _classify(a, b) == "frame" else "bessel"
+    return FrameBounds(a, b, kind, method, eigs)
 
 
 # -- Relative separation ---------------------------------------------------------------
@@ -542,16 +539,14 @@ def lemma_cover_constant(rep: RepModel, g, q: groups.Ball) -> CoverReport:
             targets.difference_update(best_cov)
         return CoverReport(len(chosen), 4.0 * len(chosen), level, None,
                            tuple(chosen), True, 0.0)
-    fld = reps.coefficient_field(rep, g if isinstance(g, Window) else None,
-                                 g if isinstance(g, Window) else None)
-    if fld.radial_profile is None:
+    prof = reps.radial_profile(rep, g)
+    if prof is None:
         raise ValueError("cover construction needs a radial coefficient profile")
-    norm_sq = fld.norms[0] * fld.norms[1]
-    u = _radial_level_radius(fld.radial_profile, norm_sq)
+    u = _radial_level_radius(prof.profile, prof.norm_sq)
     if u <= 0.0:
         raise ValueError("no level set found: |V_g g| drops below ||g||^2/2 at once")
     centers, cell = _greedy_cover_disk(q.radius, u)
-    return CoverReport(len(centers), 4.0 * len(centers), norm_sq / 2.0, u,
+    return CoverReport(len(centers), 4.0 * len(centers), prof.norm_sq / 2.0, u,
                        tuple(centers), True, cell)
 
 
@@ -570,7 +565,7 @@ def bessel_separation_bound(rep: RepModel, g, lam: PointSet, q: groups.Ball,
         cover2 = lemma_cover_constant(rep, 2.0 * np.asarray(g, dtype=complex), q)
         bound2 = cover2.constant * (4.0 * bessel_bound) / (4.0 * norm_sq)
     else:
-        norm_sq = g.norm ** 2 if isinstance(g, Window) else 1.0
+        norm_sq = reps.radial_profile(rep, g).norm_sq
         # |V_{2g} 2g| = 4 |V_g g| and the level 4||g||^2/2 scale together: same U
         bound2 = cover.constant * (4.0 * bessel_bound) / (4.0 * norm_sq)
     bound = cover.constant * bessel_bound / norm_sq
@@ -668,24 +663,14 @@ def amalgam_check(rep: RepModel, g, lam: PointSet, q: groups.Ball,
         rhs = sep.rel_sep / len(q.points) * float(sum(m[p] ** 2 for p in kq))
         mu_q = float(len(q.points))
     else:
-        fld = reps.coefficient_field(rep, g if isinstance(g, Window) else None,
-                                     g if isinstance(g, Window) else None)
-        if fld.radial_profile is None:
+        prof = reps.radial_profile(rep, g)
+        if prof is None:
             raise ValueError("amalgam check needs a radial coefficient profile")
         pts = lam.restrict(groups.ball(groups.euclidean_metric(dim=2), None,
                                        k_radius, closed=True))
-        lhs = float(sum(fld.radial_profile(math.hypot(*p)) ** 2 for p in pts))
+        lhs = float(sum(prof.profile(math.hypot(*p)) ** 2 for p in pts))
         rho = q.radius
-        norm_sq = fld.norms[0] * fld.norms[1]
-        if rep.kind == reps.GABOR_GAUSSIAN and abs(norm_sq - 1.0) < 1e-12:
-            total = gauss_profile_mass_outside(rho, 0.0)
-            integral = total - gauss_profile_mass_outside(rho, k_radius + rho)
-        else:
-            from .quadrature import refine_trapezoid
-            prof = fld.radial_profile
-            integral = refine_trapezoid(
-                lambda r: prof(np.maximum(0.0, r - rho)) ** 2 * 2.0 * math.pi * r,
-                0.0, k_radius + rho, 1e-10)
+        integral = prof.mass_outside(rho, 0.0) - prof.mass_outside(rho, k_radius + rho)
         mu_q = math.pi * rho * rho
         rhs = sep.rel_sep / mu_q * integral
     return {"lhs": lhs, "rhs": rhs, "margin": rhs - lhs, "rel_sep": sep.rel_sep,

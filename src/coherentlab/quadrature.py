@@ -9,17 +9,13 @@ Closed-form Gaussian and power-law tail masses provide certified remainders.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 
 class QuadratureError(RuntimeError):
     """Raised when refinement fails to meet the requested tolerance."""
-
-
-# numpy renamed trapz -> trapezoid in 2.0
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def refine_trapezoid(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -43,7 +39,7 @@ def refine_trapezoid(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     n = 8
     v = np.linspace(0.0, 1.0, n + 1)
     vals = eval_at(v)
-    t_prev = _trapezoid(vals, dx=1.0 / n)
+    t_prev = np.trapezoid(vals, dx=1.0 / n)
     r_prev = t_prev
     for level in range(1, max_doublings + 1):
         mid = (v[:-1] + v[1:]) / 2.0
@@ -64,30 +60,6 @@ def refine_trapezoid(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     raise QuadratureError(f"no convergence to tol={tol} after {max_doublings} doublings")
 
 
-def integrate(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-              tol: float = 1e-8, breakpoints: Sequence[float] = ()) -> float:
-    """Piecewise refine_trapezoid with the tolerance split across pieces."""
-    cuts = sorted({a, b, *[c for c in breakpoints if a < c < b]})
-    per = tol / max(1, len(cuts) - 1)
-    return sum(refine_trapezoid(fn, lo, hi, per) for lo, hi in zip(cuts[:-1], cuts[1:]))
-
-
-def trapezoid_2d(fn, x0, x1, y0, y1, n0=32, tol=1e-6, max_doublings=8):
-    """Richardson-halved 2D trapezoid for the few genuinely 2D integrands."""
-    prev = None
-    n = n0
-    for _ in range(max_doublings + 1):
-        xs = np.linspace(x0, x1, n + 1)
-        ys = np.linspace(y0, y1, n + 1)
-        grid = fn(xs[:, None], ys[None, :])
-        val = float(_trapezoid(_trapezoid(grid, ys, axis=1), xs))
-        if prev is not None and abs(val - prev) < tol:
-            return val + (val - prev) / 3.0
-        prev = val
-        n *= 2
-    raise QuadratureError(f"2D trapezoid did not reach tol={tol}")
-
-
 # -- Disk geometry --------------------------------------------------------------
 
 
@@ -104,34 +76,6 @@ def lens_area(r1: float, r2: float, d: float) -> float:
     a2 = math.acos(max(-1.0, min(1.0, (d * d + r2 * r2 - r1 * r1) / (2.0 * d * r2))))
     sq = (-d + r1 + r2) * (d + r1 - r2) * (d - r1 + r2) * (d + r1 + r2)
     return r1 * r1 * a1 + r2 * r2 * a2 - 0.5 * math.sqrt(max(sq, 0.0))
-
-
-def disk_overlap_angle(u: float, s: float, t: float) -> float:
-    """Angular measure of the circle of radius u about a center at distance s
-    that lies inside the disk of radius t about the origin."""
-    if u <= 0.0:
-        return 2.0 * math.pi if s <= t else 0.0
-    if s + u <= t:
-        return 2.0 * math.pi
-    if abs(s - u) >= t:
-        return 0.0
-    c = (s * s + u * u - t * t) / (2.0 * s * u)
-    return 2.0 * math.acos(max(-1.0, min(1.0, c)))
-
-
-def integrate_radial_over_disk(profile: Callable[[np.ndarray], np.ndarray], s: float,
-                               t: float, tol: float = 1e-9) -> float:
-    """Integral of profile(|z - y|) over the disk |z| <= t, with |y| = s."""
-    if t <= 0.0:
-        return 0.0
-
-    def fn(u):
-        ang = np.array([disk_overlap_angle(float(x), s, t) for x in np.atleast_1d(u)])
-        return profile(np.atleast_1d(u)) * ang * np.atleast_1d(u)
-
-    hi = s + t
-    cuts = [abs(s - t)] if 0.0 < abs(s - t) < hi else []
-    return integrate(fn, 0.0, hi, tol, breakpoints=cuts)
 
 
 # -- Certified tails -------------------------------------------------------------

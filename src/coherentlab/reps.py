@@ -19,7 +19,7 @@ import numpy as np
 
 from . import groups
 from .groups import Ball, GroupModel, PeriodicMetric
-from .quadrature import (QuadratureError, _trapezoid, gauss_profile_mass_outside,
+from .quadrature import (QuadratureError, gauss_profile_mass_outside,
                          power_profile_mass_outside, refine_trapezoid)
 
 FINITE_WEYL_HEISENBERG = "finite_weyl_heisenberg"
@@ -31,7 +31,8 @@ GAUSSIAN_WINDOW = "gaussian_unit_norm"
 DECAY_WINDOW = "decay_profile"
 SAMPLE_WINDOW = "sample_vector"
 
-# peak slope of exp(-pi r^2 / 2), certifies grid sups for the Gaussian field
+# peak slope of exp(-pi r^2 / 2): a grid sup of the Gaussian field plus this
+# constant times the grid's half-diagonal bounds the true sup
 GAUSSIAN_AMBIGUITY_LIPSCHITZ = math.sqrt(math.pi) * math.exp(-0.5)
 
 
@@ -82,7 +83,7 @@ def sampled_window(times: Sequence[float], values: Sequence[complex]) -> Window:
     dt = np.diff(t)
     if np.any(dt <= 0) or abs(dt.max() - dt.min()) > 1e-9 * dt.mean():
         raise ValueError("time grid must be uniform and increasing")
-    n = math.sqrt(float(_trapezoid(np.abs(v) ** 2, t)))
+    n = math.sqrt(float(np.trapezoid(np.abs(v) ** 2, t)))
     if n == 0.0:
         raise ValueError("window samples must be nonzero")
     return Window(model=SAMPLE_WINDOW, vector=v, times=t, norm=n)
@@ -277,6 +278,113 @@ def matrix_coefficient(rep: RepModel, f, g, x: tuple, tol: float = 1e-8) -> comp
     return complex(re, im)
 
 
+# -- Radial profiles ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RadialProfile:
+    """|V_g g|(x) = profile(|x|) on the plane, with closed-form masses and tails.
+
+    ``decay`` is None for the unit Gaussian, whose profile is exp(-pi r^2 / 2);
+    otherwise it holds the (growth_dim, alpha, beta, c0) of a decay window,
+    whose profile is c0 (1 + r)^(-q/2) with q = growth_dim + alpha + beta.
+    Both profiles are nonincreasing, so for Q of radius rho the local maximal
+    function M_Q V_g g at distance u is the profile at max(0, u - rho).
+    """
+
+    decay: tuple | None = None
+
+    @property
+    def norm_sq(self) -> float:
+        """||g||^2, which equals profile(0)."""
+        return 1.0 if self.decay is None else self.decay[3]
+
+    @property
+    def _q(self) -> float:
+        dim, alpha, beta, _ = self.decay
+        return dim + alpha + beta
+
+    def profile(self, r: float) -> float:
+        if self.decay is None:
+            return math.exp(-math.pi * r * r / 2.0)
+        return self.decay[3] * (1.0 + r) ** (-self._q / 2.0)
+
+    def maximal_sq(self, u, rho: float):
+        """(M_Q V_g g)^2 at the distances u (an array) for Q of radius rho."""
+        if self.decay is None:
+            return np.exp(-math.pi * np.maximum(0.0, u - rho) ** 2)
+        c0 = self.decay[3]
+        return c0 * c0 * (1.0 + np.maximum(0.0, u - rho)) ** (-self._q)
+
+    def mass_outside(self, rho: float, d: float) -> float:
+        """Integral of maximal_sq(|x|, rho) over |x| >= d in R^2, in closed form."""
+        if self.decay is None:
+            return gauss_profile_mass_outside(rho, d)
+        c0 = self.decay[3]
+        return c0 * c0 * power_profile_mass_outside(rho, self._q / 2.0, d)
+
+    def weighted_tail(self, rho: float, alpha: float, delta: float, tol: float) -> tuple:
+        """(r_max, tail): tail bounds the integral of maximal_sq(|x|, rho)
+        (1 + |x|)^alpha over |x| >= r_max and is below tol / 2.
+
+        A decay profile outside the weight class raises NotInWeightClassError
+        (the divergence threshold is alpha >= alpha_profile + beta + delta - 1
+        on the plane).
+        """
+        if self.decay is None:
+            r_max = rho + 4.0
+            while True:
+                # (1+r)^a * 2 pi r <= (1+R)^a * 2 pi R * exp(c (r-R)) beyond R
+                c = max(alpha, 0.0) / (1.0 + r_max) + 1.0 / r_max
+                gap = 2.0 * math.pi * (r_max - rho) - c
+                if gap > 0:
+                    tail = (2.0 * math.pi * (1.0 + r_max) ** max(alpha, 0.0) * r_max
+                            * math.exp(-math.pi * (r_max - rho) ** 2) / gap)
+                    if tail < tol / 2.0:
+                        return r_max, tail
+                r_max *= 2.0
+                if r_max > 1e6:
+                    raise QuadratureError("gaussian tail failed to certify")
+        _, a_p, beta, c0 = self.decay
+        q_exp = self._q
+        if alpha >= a_p + beta + delta - 1.0 or q_exp - alpha - 2.0 <= 0.0:
+            raise NotInWeightClassError(
+                f"weight alpha={alpha} not integrable against decay "
+                f"(alpha_profile={a_p}, beta={beta}, delta={delta}); window not in class")
+        r_max = rho + 8.0
+        while True:
+            w = 1.0 + r_max - rho
+            tail = (2.0 * math.pi * c0 * c0 * (1.0 + rho) ** (max(alpha, 0.0) + 1.0)
+                    * w ** (alpha - q_exp + 2.0) / (q_exp - alpha - 2.0))
+            if tail < tol / 2.0 or r_max > 1e9:
+                break
+            r_max *= 2.0
+        if tail >= tol / 2.0:
+            raise QuadratureError("decay tail failed to certify")
+        return r_max, tail
+
+
+GAUSSIAN_PROFILE = RadialProfile()
+
+
+def radial_profile(rep: RepModel, g=None) -> RadialProfile | None:
+    """The radial profile of |V_g g|, or None where there is none.
+
+    The window decides: g when it is a Window, else the model's default
+    window.  A decay window gives its decay profile and the Gaussian window
+    GAUSSIAN_PROFILE; finite vectors and sampled windows give None.
+    """
+    if not isinstance(g, Window):
+        if rep.kind == FINITE_WEYL_HEISENBERG:
+            return None
+        g = rep.default_window()
+    if g.model == DECAY_WINDOW:
+        return RadialProfile(g.decay)
+    if g.model == GAUSSIAN_WINDOW:
+        return GAUSSIAN_PROFILE
+    return None
+
+
 # -- Coefficient fields ---------------------------------------------------------------
 
 
@@ -285,8 +393,7 @@ class CoefficientField:
     """Evaluator bundle for x -> V_g f(x) with optional radial structure.
 
     ``radial_profile`` is set only when |F| is a nonincreasing function of the
-    metric length, which makes local sups exact.  ``lipschitz`` certifies grid
-    sups otherwise; ``l2_mass`` is the full-group integral of |F|^2.
+    metric length, which makes local sups exact.
     """
 
     domain: GroupModel
@@ -294,13 +401,13 @@ class CoefficientField:
     magnitude: Callable[[tuple], float]
     norms: tuple
     radial_profile: Callable[[float], float] | None = None
-    lipschitz: float | None = None
-    l2_mass: float | None = None
-    table: np.ndarray | None = None
 
 
 def coefficient_field(rep: RepModel, f=None, g=None, tol: float = 1e-8) -> CoefficientField:
-    """Field for V_g f; defaults to f = g = the model's window."""
+    """Field for V_g f; defaults to f = g = the model's window.
+
+    The field is radial when g has a radial profile and f is of g's model.
+    """
     if rep.kind == FINITE_WEYL_HEISENBERG:
         fv = np.asarray(f, dtype=complex)
         gv = np.asarray(g, dtype=complex)
@@ -312,30 +419,21 @@ def coefficient_field(rep: RepModel, f=None, g=None, tol: float = 1e-8) -> Coeff
 
         return CoefficientField(
             domain=rep.group, evaluate=ev, magnitude=lambda x: abs(ev(x)),
-            norms=(float(np.linalg.norm(fv)), float(np.linalg.norm(gv))),
-            l2_mass=float(np.sum(np.abs(table) ** 2)), table=table)
+            norms=(float(np.linalg.norm(fv)), float(np.linalg.norm(gv))))
     f = f if f is not None else rep.default_window()
     g = g if g is not None else rep.default_window()
-    if rep.kind == GABOR_DECAY or (isinstance(g, Window) and g.model == DECAY_WINDOW):
-        dim, alpha, beta, c0 = g.decay if isinstance(g, Window) and g.decay else rep.window.decay
-        q = dim + alpha + beta
-
-        def prof(r, _c=c0, _q=q):
-            return _c * (1.0 + r) ** (-_q / 2.0)
-
-        mass = power_profile_mass_outside(0.0, q / 2.0, 0.0) * c0 * c0 if q > 2 else None
+    prof = radial_profile(rep, g)
+    if prof is not None and f.model == g.model:
+        if prof is GAUSSIAN_PROFILE:
+            return CoefficientField(
+                domain=rep.group,
+                evaluate=lambda x: gaussian_ambiguity(float(x[0]), float(x[1])),
+                magnitude=lambda x: math.exp(-math.pi * (x[0] ** 2 + x[1] ** 2) / 2.0),
+                norms=(1.0, 1.0), radial_profile=prof.profile)
         return CoefficientField(
-            domain=rep.group, evaluate=lambda x: complex(prof(math.hypot(*x)), 0.0),
-            magnitude=lambda x: prof(math.hypot(*x)), norms=(math.sqrt(c0), math.sqrt(c0)),
-            radial_profile=prof, lipschitz=c0 * q / 2.0, l2_mass=mass)
-    if f.model == GAUSSIAN_WINDOW and g.model == GAUSSIAN_WINDOW:
-        return CoefficientField(
-            domain=rep.group,
-            evaluate=lambda x: gaussian_ambiguity(float(x[0]), float(x[1])),
-            magnitude=lambda x: math.exp(-math.pi * (x[0] ** 2 + x[1] ** 2) / 2.0),
-            norms=(1.0, 1.0),
-            radial_profile=lambda r: math.exp(-math.pi * r * r / 2.0),
-            lipschitz=GAUSSIAN_AMBIGUITY_LIPSCHITZ, l2_mass=1.0)
+            domain=rep.group, evaluate=lambda x: complex(prof.profile(math.hypot(*x)), 0.0),
+            magnitude=lambda x: prof.profile(math.hypot(*x)), norms=(g.norm, g.norm),
+            radial_profile=prof.profile)
 
     def ev(x):
         return matrix_coefficient(rep, f, g, x, tol=tol)
@@ -347,11 +445,11 @@ def coefficient_field(rep: RepModel, f=None, g=None, tol: float = 1e-8) -> Coeff
 # -- Local maximal function ------------------------------------------------------------
 
 
-def local_maximal(fld: CoefficientField, q: Ball, x: tuple, certified: bool = False) -> float:
+def local_maximal(fld: CoefficientField, q: Ball, x: tuple) -> float:
     """M_Q F(x) = sup over z in Q of |F(x z)|.
 
     Exact for enumerated Q and for radially nonincreasing fields; otherwise a
-    grid sup with spacing radius/32, plus a Lipschitz slack when certified.
+    grid sup with spacing radius/32, which can fall below the true sup.
     """
     group = q.metric.group
     if q.center != group.identity():
@@ -361,8 +459,6 @@ def local_maximal(fld: CoefficientField, q: Ball, x: tuple, certified: bool = Fa
     if fld.radial_profile is not None:
         r = math.hypot(*x)
         return fld.radial_profile(max(0.0, r - q.radius))
-    if certified and fld.lipschitz is None:
-        raise ValueError("certified sup requested but the field has no modulus bound")
     h = q.radius / 32.0
     best = 0.0
     steps = np.arange(-q.radius, q.radius + h / 2, h)
@@ -370,8 +466,6 @@ def local_maximal(fld: CoefficientField, q: Ball, x: tuple, certified: bool = Fa
         for dy in steps:
             if dx * dx + dy * dy <= q.radius ** 2:
                 best = max(best, fld.magnitude((x[0] + dx, x[1] + dy)))
-    if certified:
-        best += fld.lipschitz * h / math.sqrt(2.0)
     return best
 
 
@@ -391,10 +485,10 @@ def weighted_maximal_norm(rep: RepModel, g, q: Ball, alpha: float, tol: float = 
                           delta: float = 1.0, envelope: tuple | None = None) -> float:
     """Integral over the group of |M_Q V_g g|^2 (1 + |x|)^alpha.
 
-    Finite kind: exact sum with word length.  Gaussian and decay models reduce
-    to radial integrals with certified tails.  Decay profiles outside the
-    weight class raise NotInWeightClassError (the divergence threshold is
-    alpha >= alpha_profile + beta + delta - 1 on the plane).
+    Finite kind: exact sum with word length.  Windows with a radial profile
+    reduce to radial integrals with certified tails; decay profiles outside
+    the weight class raise NotInWeightClassError (see
+    RadialProfile.weighted_tail).
     """
     if alpha < 0:
         raise ValueError("weight exponent must be nonnegative")
@@ -409,54 +503,15 @@ def weighted_maximal_norm(rep: RepModel, g, q: Ball, alpha: float, tol: float = 
         weight = (1.0 + wl[:, None] + wl[None, :]) ** alpha
         return float(np.sum(m * m * weight))
     rho = q.radius
-    if rep.kind == GABOR_GAUSSIAN or (isinstance(g, Window) and g.model == GAUSSIAN_WINDOW):
-        def m_sq(r):
-            return np.exp(-math.pi * np.maximum(0.0, r - rho) ** 2)
+    prof = radial_profile(rep, g)
+    if prof is not None:
+        r_max, tail = prof.weighted_tail(rho, alpha, delta, tol)
 
-        r_max = rho + 4.0
-        while True:
-            # (1+r)^a * 2 pi r <= (1+R)^a * 2 pi R * exp(c (r-R)) beyond R
-            c = max(alpha, 0.0) / (1.0 + r_max) + 1.0 / r_max
-            gap = 2.0 * math.pi * (r_max - rho) - c
-            if gap > 0:
-                tail = (2.0 * math.pi * (1.0 + r_max) ** max(alpha, 0.0) * r_max
-                        * math.exp(-math.pi * (r_max - rho) ** 2) / gap)
-                if tail < tol / 2.0:
-                    break
-            r_max *= 2.0
-            if r_max > 1e6:
-                raise QuadratureError("gaussian tail failed to certify")
-        val = refine_trapezoid(
-            lambda r: m_sq(r) * (1.0 + r) ** alpha * 2.0 * math.pi * r, 0.0, rho, tol / 4.0)
-        val += refine_trapezoid(
-            lambda r: m_sq(r) * (1.0 + r) ** alpha * 2.0 * math.pi * r, rho, r_max, tol / 4.0)
-        return val + tail
-    if rep.kind == GABOR_DECAY or (isinstance(g, Window) and g.model == DECAY_WINDOW):
-        dim, a_p, beta, c0 = (g.decay if isinstance(g, Window) and g.decay
-                              else rep.window.decay)
-        q_exp = dim + a_p + beta
-        if alpha >= a_p + beta + delta - 1.0 or q_exp - alpha - 2.0 <= 0.0:
-            raise NotInWeightClassError(
-                f"weight alpha={alpha} not integrable against decay "
-                f"(alpha_profile={a_p}, beta={beta}, delta={delta}); window not in class")
+        def integrand(r):
+            return prof.maximal_sq(r, rho) * (1.0 + r) ** alpha * 2.0 * math.pi * r
 
-        def m_sq(r):
-            return c0 * c0 * (1.0 + np.maximum(0.0, r - rho)) ** (-q_exp)
-
-        r_max = rho + 8.0
-        while True:
-            w = 1.0 + r_max - rho
-            tail = (2.0 * math.pi * c0 * c0 * (1.0 + rho) ** (max(alpha, 0.0) + 1.0)
-                    * w ** (alpha - q_exp + 2.0) / (q_exp - alpha - 2.0))
-            if tail < tol / 2.0 or r_max > 1e9:
-                break
-            r_max *= 2.0
-        if tail >= tol / 2.0:
-            raise QuadratureError("decay tail failed to certify")
-        val = refine_trapezoid(
-            lambda r: m_sq(r) * (1.0 + r) ** alpha * 2.0 * math.pi * r, 0.0, rho, tol / 4.0)
-        val += refine_trapezoid(
-            lambda r: m_sq(r) * (1.0 + r) ** alpha * 2.0 * math.pi * r, rho, r_max, tol / 4.0)
+        val = refine_trapezoid(integrand, 0.0, rho, tol / 4.0)
+        val += refine_trapezoid(integrand, rho, r_max, tol / 4.0)
         return val + tail
     if rep.kind == GABOR_NUMERIC:
         return _numeric_weighted_norm(rep, q, alpha, envelope)
@@ -539,18 +594,11 @@ def estimate_formal_degree(rep: RepModel, g, truncation_radius: float,
         mask = (wl[:, None] + wl[None, :]) <= truncation_radius
         denom = float(np.sum(table[mask]))
         return nrm ** 4 / denom
-    if rep.kind == GABOR_GAUSSIAN or (isinstance(g, Window) and g.model == GAUSSIAN_WINDOW):
+    prof = radial_profile(rep, g)
+    if prof is not None:
         denom = refine_trapezoid(
-            lambda r: np.exp(-math.pi * r * r) * 2.0 * math.pi * r,
-            0.0, truncation_radius, tol)
-        return 1.0 / denom
-    if rep.kind == GABOR_DECAY:
-        dim, alpha, beta, c0 = rep.window.decay
-        q_exp = dim + alpha + beta
-        denom = refine_trapezoid(
-            lambda r: c0 * c0 * (1.0 + r) ** (-q_exp) * 2.0 * math.pi * r,
-            0.0, truncation_radius, tol)
-        return c0 * c0 / denom
+            lambda r: prof.maximal_sq(r, 0.0) * 2.0 * math.pi * r, 0.0, truncation_radius, tol)
+        return prof.norm_sq ** 2 / denom
     if rep.kind == GABOR_NUMERIC:
         x_grid, w_grid, mags = _ambiguity_grid(rep.window)
         dx = x_grid[1] - x_grid[0]
@@ -685,18 +733,3 @@ def hermite_gabor_coefficients(n_max: int, points: np.ndarray) -> np.ndarray:
     logmag = np.where((r[None, :] == 0) & (ns[:, None] > 0), -math.inf, logmag)
     phase = -math.pi * x * w + ns[:, None] * theta[None, :]
     return np.exp(logmag) * np.exp(1j * phase)
-
-
-# -- Exports ----------------------------------------------------------------------------
-
-
-def export_field_csv(fld: CoefficientField, extent: float, spacing: float, path: str) -> None:
-    """Gridded |F| dump with rows (x, w, magnitude), lexicographically sorted."""
-    xs = np.arange(-extent, extent + spacing / 2, spacing)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "w", "magnitude"])
-        for xv in xs:
-            for wv in xs:
-                writer.writerow([f"{xv:.12g}", f"{wv:.12g}",
-                                 f"{fld.magnitude((float(xv), float(wv))):.12g}"])

@@ -169,14 +169,6 @@ def test_frame_matrix_dumps(tmp_path, capsys):
     assert len(gram) > 1
 
 
-def test_parallel_map_preserves_order_and_results():
-    items = list(range(17))
-    fn = lambda x: x * x - 3
-    assert cli.parallel_map(fn, items, threads=1) == [fn(x) for x in items]
-    assert cli.parallel_map(fn, items, threads=4) == [fn(x) for x in items]
-    assert cli.parallel_map(fn, [], threads=4) == []
-
-
 def test_run_report_overall_pass_ignores_diagnostics():
     rep = cli.RunReport(experiment="density", config={}, records=[
         {"name": "a", "passed": True},

@@ -358,6 +358,30 @@ def test_amalgam_check_finite_and_gaussian():
     prof_sq = np.exp(-math.pi * np.maximum(0.0, mids - 0.6) ** 2)
     integral = float(np.sum(prof_sq * 2.0 * math.pi * mids) * (r_edges[1] - r_edges[0]))
     assert gout["rhs"] == pytest.approx(6.0 / (math.pi * 0.36) * integral, rel=1e-4)
+    # decay window |V_g g| = (1 + r)^(-3.5/2): the same oracle with its profile
+    drep = reps.gabor_decay(2.0, 1.0, 0.5, 1.0)
+    dout = frames.amalgam_check(drep, drep.window, lattice(0.5, 0.5), euclid_ball(0.6),
+                                k_radius=4.0)
+    assert dout["passed"] and dout["rel_sep"] == 6
+    prof_sq = (1.0 + np.maximum(0.0, mids - 0.6)) ** -3.5
+    integral = float(np.sum(prof_sq * 2.0 * math.pi * mids) * (r_edges[1] - r_edges[0]))
+    assert dout["rhs"] == pytest.approx(6.0 / (math.pi * 0.36) * integral, rel=1e-4)
+
+
+def test_decay_window_decides_cover_amalgam_and_section():
+    window = reps.decay_window(2.0, 1.0, 0.5, 1.0)
+    gauss_rep = reps.gabor_gaussian()
+    decay_rep = reps.gabor_decay(2.0, 1.0, 0.5, 1.0)
+    q = euclid_ball(0.6)
+    cover = frames.lemma_cover_constant(gauss_rep, window, q)
+    assert cover == frames.lemma_cover_constant(decay_rep, decay_rep.window, q)
+    assert cover.u_radius != pytest.approx(GAUSSIAN_HALF_LEVEL_RADIUS, rel=1e-3)
+    lam = lattice(0.5, 0.5)
+    assert (frames.amalgam_check(gauss_rep, window, lam, q, k_radius=4.0)
+            == frames.amalgam_check(decay_rep, decay_rep.window, lam, q, k_radius=4.0))
+    # the truncated Hermite section is the Gaussian's alone
+    with pytest.raises(ValueError):
+        frames.frame_operator_spectrum(gauss_rep, window, lam)
 
 
 def test_frame_bounds_validation_and_errors():

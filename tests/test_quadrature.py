@@ -7,15 +7,11 @@ import pytest
 
 from coherentlab.quadrature import (
     QuadratureError,
-    disk_overlap_angle,
     erfc_integral,
     gauss_profile_mass_outside,
-    integrate,
-    integrate_radial_over_disk,
     lens_area,
     power_profile_mass_outside,
     refine_trapezoid,
-    trapezoid_2d,
 )
 
 
@@ -33,6 +29,14 @@ def lens_area_grid_oracle(r1, r2, d, n=2400):
     return float(np.sum(inside)) * dx * dy
 
 
+def refine_split_at(fn, a, b, cut, tol):
+    """refine_trapezoid over [a, b], split at the kink when it lies inside,
+    with the tolerance halved per piece."""
+    if a < cut < b:
+        return refine_trapezoid(fn, a, cut, tol / 2.0) + refine_trapezoid(fn, cut, b, tol / 2.0)
+    return refine_trapezoid(fn, a, b, tol)
+
+
 def test_refine_trapezoid_known_integrals():
     assert refine_trapezoid(np.sin, 0.0, math.pi, 1e-12) == pytest.approx(2.0, abs=1e-11)
     assert refine_trapezoid(np.exp, 0.0, 1.0, 1e-12) == pytest.approx(math.e - 1.0, abs=1e-11)
@@ -47,22 +51,6 @@ def test_refine_trapezoid_degenerate_and_failure():
     with pytest.raises(QuadratureError):
         refine_trapezoid(lambda t: np.cos(300.0 * math.pi * t), 0.0, 1.0,
                          1e-14, max_doublings=3)
-
-
-def test_integrate_with_breakpoints_handles_kinks():
-    val = integrate(lambda t: np.abs(t - 0.5), 0.0, 1.0, 1e-12, breakpoints=[0.5])
-    assert val == pytest.approx(0.25, abs=1e-10)
-    # breakpoints outside the interval are ignored
-    val = integrate(np.sin, 0.0, math.pi, 1e-12, breakpoints=[-1.0, 7.0])
-    assert val == pytest.approx(2.0, abs=1e-10)
-
-
-def test_trapezoid_2d_product_integrand():
-    val = trapezoid_2d(lambda x, y: x * y, 0.0, 1.0, 0.0, 1.0, tol=1e-10)
-    assert val == pytest.approx(0.25, abs=1e-9)
-    val = trapezoid_2d(lambda x, y: np.exp(-(x ** 2 + y ** 2)), -4.0, 4.0, -4.0, 4.0,
-                       n0=64, tol=1e-9)
-    assert val == pytest.approx(math.pi * math.erf(4.0) ** 2, abs=1e-7)
 
 
 def test_lens_area_limit_cases():
@@ -82,28 +70,6 @@ def test_lens_area_against_grid_oracle():
     assert lens_area(2.0, 1.5, 2.2) == pytest.approx(lens_area(1.5, 2.0, 2.2), rel=1e-12)
 
 
-def test_disk_overlap_angle_against_angular_sampling():
-    rng = np.random.default_rng(11)
-    for _ in range(40):
-        u = float(rng.uniform(0.05, 3.0))
-        s = float(rng.uniform(0.0, 3.0))
-        t = float(rng.uniform(0.1, 3.0))
-        th = np.linspace(0.0, 2.0 * math.pi, 20000, endpoint=False)
-        inside = (s * s + u * u + 2.0 * s * u * np.cos(th)) <= t * t
-        sampled = 2.0 * math.pi * float(np.mean(inside))
-        assert disk_overlap_angle(u, s, t) == pytest.approx(sampled, abs=5e-3)
-    assert disk_overlap_angle(0.0, 0.5, 1.0) == pytest.approx(2.0 * math.pi)
-    assert disk_overlap_angle(0.0, 2.0, 1.0) == 0.0
-
-
-def test_integrate_radial_over_disk_constant_profile():
-    # profile == 1 integrates to the overlap area of the two disks
-    val = integrate_radial_over_disk(lambda u: np.ones_like(u), 1.0, 2.0)
-    assert val == pytest.approx(lens_area(2.0, 1e9, 1.0), abs=1e-6) or True
-    # the center at distance s sweeps |z| <= t: area pi t^2 when profile = 1
-    assert val == pytest.approx(math.pi * 4.0, abs=1e-7)
-
-
 def test_erfc_integral_matches_quadrature():
     for a in (0.0, 0.3, 1.0, 2.5):
         direct = refine_trapezoid(lambda v: np.exp(-math.pi * v * v), a, a + 12.0, 1e-13)
@@ -120,7 +86,7 @@ def test_gauss_profile_mass_closed_form():
         def integrand(r, _rho=rho):
             return np.exp(-math.pi * np.maximum(0.0, r - _rho) ** 2) * 2.0 * math.pi * r
 
-        direct = integrate(integrand, d, d + rho + 14.0, 1e-11, breakpoints=[rho])
+        direct = refine_split_at(integrand, d, d + rho + 14.0, rho, 1e-11)
         assert gauss_profile_mass_outside(rho, d) == pytest.approx(direct, abs=1e-9)
     # monotone nonincreasing in d
     ds = np.linspace(0.0, 5.0, 21)
@@ -134,7 +100,7 @@ def test_power_profile_mass_closed_form():
             return (1.0 + np.maximum(0.0, r - _rho)) ** (-2.0 * _p) * 2.0 * math.pi * r
 
         hi = d + rho + 4000.0
-        direct = integrate(integrand, d, hi, 1e-9, breakpoints=[rho])
+        direct = refine_split_at(integrand, d, hi, rho, 1e-9)
         # remaining analytic tail of the oracle beyond hi
         w = 1.0 + hi - rho
         direct += 2.0 * math.pi * (w ** (2.0 - 2.0 * p) / (2.0 * p - 2.0)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from coherentlab import groups, reps
+from coherentlab import density, groups, reps
 from coherentlab.reps import (
     GAUSSIAN_AMBIGUITY_LIPSCHITZ,
     NotInWeightClassError,
@@ -223,6 +223,28 @@ def test_weighted_maximal_norm_decay_window_and_weight_class():
     assert reps.weighted_maximal_norm(rep, rep.window, q, 0.5, tol=1e-4) > val
     with pytest.raises(NotInWeightClassError):
         reps.weighted_maximal_norm(rep, rep.window, q, 1.49, delta=0.9)
+
+
+def test_radial_profile_follows_the_window():
+    gauss_rep = reps.gabor_gaussian()
+    decay_rep = reps.gabor_decay(2.0, 1.0, 0.5, 1.0)
+    assert reps.radial_profile(gauss_rep) is reps.GAUSSIAN_PROFILE
+    assert reps.radial_profile(decay_rep) == reps.RadialProfile((2.0, 1.0, 0.5, 1.0))
+    assert reps.radial_profile(decay_rep, reps.gaussian_window()) is reps.GAUSSIAN_PROFILE
+    assert reps.radial_profile(reps.finite_weyl_heisenberg(4), np.ones(4)) is None
+    t = np.linspace(-1.0, 1.0, 65)
+    sampled = reps.gabor_numeric(reps.sampled_window(t, np.cos(t)))
+    assert reps.radial_profile(sampled) is None
+    # a decay window on the Gaussian model gives the decay model everywhere
+    window = reps.decay_window(2.0, 1.0, 0.5, 1.0)
+    q = groups.ball(groups.euclidean_metric(dim=2), None, 1.0)
+    k = groups.ball(groups.euclidean_metric(dim=2), None, 4.0, closed=True)
+    for value in (
+            lambda rep, g: reps.weighted_maximal_norm(rep, g, q, 0.5, tol=1e-6),
+            lambda rep, g: density.error_integral_I(rep, g, q, k).value,
+            lambda rep, g: density.error_integral_J(rep, g, q, k).value,
+            lambda rep, g: reps.estimate_formal_degree(rep, g, 6.0)):
+        assert value(gauss_rep, window) == value(decay_rep, decay_rep.window)
 
 
 def test_formal_degree_estimates():
