@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import os
 import sys
 import time
@@ -288,7 +287,9 @@ def run_geometry(cfg: dict) -> RunReport:
     radii = cfg["annular_radii"]
     fresh = sorted({*radii, *((r1 + r2) / 2.0 for r1, r2 in zip(radii, radii[1:]))})
     violations = groups.annular_violations(ad, metric, fresh, cfg["annular_fracs"])
-    report.records.append(_record("annular_decay", ad.to_json(), passed=violations == 0,
+    # c_hat > c_max: no grid delta met c_max and the fit fell back
+    report.records.append(_record("annular_decay", ad.to_json(),
+                                  passed=violations == 0 and ad.c_hat <= ad.c_max,
                                   violations_recheck=violations))
     report.timings["annular"] = time.perf_counter() - t0
 

@@ -333,19 +333,13 @@ def mc_error_integral(rep: RepModel, g, q: groups.Ball, k: groups.Ball,
 # -- Theorem checks --------------------------------------------------------------------
 
 
-def _norm_sq(rep: RepModel, g) -> float:
-    if rep.kind == reps.FINITE_WEYL_HEISENBERG:
-        return float(np.linalg.norm(np.asarray(g, dtype=complex))) ** 2
-    return reps.radial_profile(rep, g).norm_sq
-
-
 def assemble_counting_constant(rep: RepModel, g, q: groups.Ball,
                                bounds: FrameBounds) -> dict:
     """C = (B / (A ||g||^4)) * (C(g, Q) / mu(Q)) from the proof's assembly."""
     cover = frames.lemma_cover_constant(rep, g, q)
     mu_q = (float(len(q.points)) if q.points is not None
             else math.pi * q.radius ** 2)
-    norm4 = _norm_sq(rep, g) ** 2
+    norm4 = reps.norm_sq(rep, g) ** 2
     c = (bounds.upper / (bounds.lower * norm4)) * (cover.constant / mu_q)
     return {"C": c, "cover_constant": cover.constant, "n_cover": cover.n_cover,
             "mu_q": mu_q, "norm4": norm4}
@@ -543,7 +537,7 @@ def run_hole_falsification(rep: RepModel, g, lattice_a: float, lattice_b: float,
     cover = frames.lemma_cover_constant(rep, g, q)
     mu_q = math.pi * r0 * r0
     c_prime = cover.constant / mu_q
-    norm4 = _norm_sq(rep, g) ** 2
+    norm4 = reps.norm_sq(rep, g) ** 2
     c_dprime, c_dprime_arg = fit_tail_constant(r0, alpha, delta, c0, norm4)
     c_total = c_prime * c_dprime
     out = []

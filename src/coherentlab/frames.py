@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -283,11 +283,13 @@ def frame_operator_spectrum(rep: RepModel, g, lam: PointSet,
 def gabor_gram_entry(mu: tuple, nu: tuple, rep: RepModel | None = None,
                      g: Window | None = None, tol: float = 1e-10) -> complex:
     """<pi(nu)g, pi(mu)g> via the covariance identity
-    <pi(x',w')g, pi(x,w)g> = e^{2 pi i (w'-w) x'} V_g g(x-x', w-w')."""
+    <pi(x',w')g, pi(x,w)g> = e^{2 pi i (w'-w) x'} V_g g(x-x', w-w').
+
+    g defaults to the Gaussian window, whose closed form is taken directly."""
     x, w = float(mu[0]), float(mu[1])
     xp, wp = float(nu[0]), float(nu[1])
     phase = np.exp(2j * math.pi * (wp - w) * xp)
-    if rep is None or rep.kind == reps.GABOR_GAUSSIAN:
+    if g is None or reps.radial_profile(rep, g) is reps.GAUSSIAN_PROFILE:
         return complex(phase * reps.gaussian_ambiguity(x - xp, w - wp))
     return complex(phase * reps.matrix_coefficient(rep, g, g, (x - xp, w - wp), tol=tol))
 
@@ -295,7 +297,9 @@ def gabor_gram_entry(mu: tuple, nu: tuple, rep: RepModel | None = None,
 def riesz_bounds(rep: RepModel, g, lam: PointSet,
                  restriction_radius: float | None = None,
                  tol: float = 1e-10) -> FrameBounds:
-    """Extreme eigenvalues of the Gram matrix G[i, j] = <pi(lam_j)g, pi(lam_i)g>."""
+    """Extreme eigenvalues of the Gram matrix G[i, j] = <pi(lam_j)g, pi(lam_i)g>.
+
+    On the continuous kind g = None means the model's window."""
     if rep.kind == reps.FINITE_WEYL_HEISENBERG:
         phi = _finite_synthesis(rep, g, lam)
         eigs = _hermitian_eigs(phi.conj().T @ phi, "Gram matrix")
@@ -311,12 +315,12 @@ def riesz_bounds(rep: RepModel, g, lam: PointSet,
         if not pts:
             raise ValueError("empty point set")
         m = len(pts)
-        gw = g if isinstance(g, Window) else None
+        g = g if g is not None else rep.window
         gram = np.empty((m, m), dtype=complex)
         for i in range(m):
-            gram[i, i] = (gw.norm ** 2 if gw is not None else 1.0)
+            gram[i, i] = g.norm ** 2
             for j in range(i + 1, m):
-                val = gabor_gram_entry(pts[i], pts[j], rep, gw, tol=tol)
+                val = gabor_gram_entry(pts[i], pts[j], rep, g, tol=tol)
                 gram[i, j] = val
                 gram[j, i] = np.conj(val)
         eigs = _hermitian_eigs(gram, "Gram matrix")
@@ -374,8 +378,7 @@ def _disk_candidates(pts: list, rho: float) -> list:
 
 def _count_disk(lam: PointSet, cx: float, cy: float, rho: float) -> int:
     if lam.is_lattice:
-        base = PointSet(kind=LATTICE, a=lam.a, b=lam.b)
-        return len(base.lattice_points_near(cx, cy, rho, closed=True))
+        return PointSet(kind=LATTICE, a=lam.a, b=lam.b).lattice_count_near(cx, cy, rho)
     return sum(1 for p in lam.points if _closed_disk(p[0] - cx, p[1] - cy, rho))
 
 
@@ -560,14 +563,12 @@ def bessel_separation_bound(rep: RepModel, g, lam: PointSet, q: groups.Ball,
             rep, g, lam, section_radius=section_radius, margin=margin).upper
     sep = relative_separation(lam, q)
     cover = lemma_cover_constant(rep, g, q)
+    norm_sq = reps.norm_sq(rep, g)
     if rep.kind == reps.FINITE_WEYL_HEISENBERG:
-        norm_sq = float(np.linalg.norm(np.asarray(g, dtype=complex))) ** 2
         cover2 = lemma_cover_constant(rep, 2.0 * np.asarray(g, dtype=complex), q)
-        bound2 = cover2.constant * (4.0 * bessel_bound) / (4.0 * norm_sq)
     else:
-        norm_sq = reps.radial_profile(rep, g).norm_sq
-        # |V_{2g} 2g| = 4 |V_g g| and the level 4||g||^2/2 scale together: same U
-        bound2 = cover.constant * (4.0 * bessel_bound) / (4.0 * norm_sq)
+        cover2 = cover  # |V_{2g} 2g| = 4 |V_g g| and the level 4||g||^2/2 scale together
+    bound2 = cover2.constant * (4.0 * bessel_bound) / (4.0 * norm_sq)
     bound = cover.constant * bessel_bound / norm_sq
     return {"rel_sep": sep.rel_sep, "n_cover": cover.n_cover,
             "cover_constant": cover.constant, "bessel_bound": bessel_bound,

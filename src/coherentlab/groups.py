@@ -12,9 +12,8 @@ from __future__ import annotations
 import csv
 import math
 import os
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 

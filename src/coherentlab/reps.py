@@ -3,8 +3,11 @@
 Two concrete models: the finite Weyl-Heisenberg family on C^N indexed by
 Z_N x Z_N (translation then modulation), and the time-frequency family on
 L^2(R) indexed by R^2, with Gaussian, synthetic power-decay, and sampled
-windows.  Matrix coefficients V_g f(x) = <f, pi(x) g> feed the maximal
-function, weight-class, and formal-degree diagnostics.
+windows.  The window, not the representation, decides the continuous model:
+a Gaussian or decay window has a radial profile of |V_g g| with closed forms,
+and only those windows feed the maximal function, weight-class, and
+formal-degree diagnostics.  Sampled windows give matrix coefficients by
+adaptive quadrature only; the estimators raise ValueError on them.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,9 +26,7 @@ from .quadrature import (QuadratureError, gauss_profile_mass_outside,
                          power_profile_mass_outside, refine_trapezoid)
 
 FINITE_WEYL_HEISENBERG = "finite_weyl_heisenberg"
-GABOR_GAUSSIAN = "gabor_gaussian"
-GABOR_DECAY = "gabor_decay"
-GABOR_NUMERIC = "gabor_numeric"
+TIME_FREQUENCY = "time_frequency"
 
 GAUSSIAN_WINDOW = "gaussian_unit_norm"
 DECAY_WINDOW = "decay_profile"
@@ -121,20 +122,16 @@ def sampled_window_from_csv(path: str, t0: float, dt: float) -> Window:
 
 @dataclass(frozen=True, eq=False)
 class RepModel:
-    """Projective representation model with its base group and formal degree."""
+    """Projective representation model with its base group and formal degree.
+
+    The time-frequency kind always carries its window; the finite kind none.
+    """
 
     kind: str
     group: GroupModel
     n: int = 0
     formal_degree: float = float("nan")
     window: Window | None = None
-
-    def default_window(self) -> Window:
-        if self.window is not None:
-            return self.window
-        if self.kind == GABOR_GAUSSIAN:
-            return gaussian_window()
-        raise ValueError(f"{self.kind} has no default window")
 
 
 def finite_weyl_heisenberg(n: int) -> RepModel:
@@ -143,18 +140,19 @@ def finite_weyl_heisenberg(n: int) -> RepModel:
 
 
 def gabor_gaussian() -> RepModel:
-    return RepModel(kind=GABOR_GAUSSIAN, group=groups.euclidean(2), formal_degree=1.0)
+    return RepModel(kind=TIME_FREQUENCY, group=groups.euclidean(2), formal_degree=1.0,
+                    window=gaussian_window())
 
 
 def gabor_decay(growth_dim: float, alpha: float, beta: float, c0: float) -> RepModel:
-    return RepModel(kind=GABOR_DECAY, group=groups.euclidean(2),
+    return RepModel(kind=TIME_FREQUENCY, group=groups.euclidean(2),
                     window=decay_window(growth_dim, alpha, beta, c0))
 
 
 def gabor_numeric(window: Window) -> RepModel:
     if window.times is None:
         raise ValueError("gabor_numeric needs a sampled window on a time grid")
-    return RepModel(kind=GABOR_NUMERIC, group=groups.euclidean(2), window=window)
+    return RepModel(kind=TIME_FREQUENCY, group=groups.euclidean(2), window=window)
 
 
 # -- Finite Weyl-Heisenberg machinery ----------------------------------------------
@@ -222,12 +220,6 @@ def gaussian_ambiguity(x: float, w: float) -> complex:
     return cmath.exp(-1j * math.pi * x * w - math.pi * (x * x + w * w) / 2.0)
 
 
-def _sampled_eval(window: Window, t: np.ndarray) -> np.ndarray:
-    re = np.interp(t, window.times, window.vector.real, left=0.0, right=0.0)
-    im = np.interp(t, window.times, window.vector.imag, left=0.0, right=0.0)
-    return re + 1j * im
-
-
 def _window_support(window: Window) -> tuple:
     if window.model == GAUSSIAN_WINDOW:
         return (-7.0, 7.0)  # |g| < 1.3e-67 outside
@@ -237,37 +229,41 @@ def _window_support(window: Window) -> tuple:
 def _window_eval(window: Window, t: np.ndarray) -> np.ndarray:
     if window.model == GAUSSIAN_WINDOW:
         return 2.0 ** 0.25 * np.exp(-math.pi * t * t) + 0j
-    return _sampled_eval(window, t)
+    re = np.interp(t, window.times, window.vector.real, left=0.0, right=0.0)
+    im = np.interp(t, window.times, window.vector.imag, left=0.0, right=0.0)
+    return re + 1j * im
 
 
 def matrix_coefficient(rep: RepModel, f, g, x: tuple, tol: float = 1e-8) -> complex:
     """V_g f(x) = <f, pi(x) g>.
 
-    Finite kind is an exact inner product; the Gaussian pair has a closed
-    form; sampled windows are integrated adaptively and raise QuadratureError
-    if the tolerance is not reached.
+    Finite kind is an exact inner product.  When f is of g's model and g has
+    a radial profile, the closed form comes from that profile (the Gaussian
+    with its phase).  A decay window models |V_g g| only, so pairing it with
+    another model raises ValueError.  Other pairs of Gaussian and sampled
+    windows are integrated adaptively and raise QuadratureError if the
+    tolerance is not reached.
     """
     if rep.kind == FINITE_WEYL_HEISENBERG:
         return inner(np.asarray(f, dtype=complex), apply_rep(rep, x, np.asarray(g, dtype=complex)))
-    if rep.kind == GABOR_DECAY:
-        dim, alpha, beta, c0 = rep.window.decay
-        r = math.hypot(x[0], x[1])
-        return complex(c0 * (1.0 + r) ** (-(dim + alpha + beta) / 2.0), 0.0)
-    fw = f if isinstance(f, Window) else None
-    gw = g if isinstance(g, Window) else None
-    if fw is None or gw is None:
+    if not (isinstance(f, Window) and isinstance(g, Window)):
         raise ValueError("continuous kinds take Window operands")
     xs, ws = float(x[0]), float(x[1])
-    if fw.model == GAUSSIAN_WINDOW and gw.model == GAUSSIAN_WINDOW:
-        return gaussian_ambiguity(xs, ws)
-    lo_f, hi_f = _window_support(fw)
-    lo_g, hi_g = _window_support(gw)
+    prof = radial_profile(rep, g)
+    if prof is not None and f.model == g.model:
+        if prof is GAUSSIAN_PROFILE:
+            return gaussian_ambiguity(xs, ws)
+        return complex(prof.profile(math.hypot(xs, ws)), 0.0)
+    if DECAY_WINDOW in (f.model, g.model):
+        raise ValueError(f"V_g f needs f of g's model; got {f.model} and {g.model}")
+    lo_f, hi_f = _window_support(f)
+    lo_g, hi_g = _window_support(g)
     lo, hi = max(lo_f, lo_g + xs), min(hi_f, hi_g + xs)
     if hi <= lo:
         return 0.0
 
     def integrand(t, part):
-        val = _window_eval(fw, t) * np.conj(_window_eval(gw, t - xs)) \
+        val = _window_eval(f, t) * np.conj(_window_eval(g, t - xs)) \
             * np.exp(-2j * math.pi * ws * t)
         return val.real if part == "re" else val.imag
 
@@ -370,19 +366,26 @@ GAUSSIAN_PROFILE = RadialProfile()
 def radial_profile(rep: RepModel, g=None) -> RadialProfile | None:
     """The radial profile of |V_g g|, or None where there is none.
 
-    The window decides: g when it is a Window, else the model's default
-    window.  A decay window gives its decay profile and the Gaussian window
+    The window decides: g when it is a Window, else the model's window.  A
+    decay window gives its decay profile and the Gaussian window
     GAUSSIAN_PROFILE; finite vectors and sampled windows give None.
     """
     if not isinstance(g, Window):
         if rep.kind == FINITE_WEYL_HEISENBERG:
             return None
-        g = rep.default_window()
+        g = rep.window
     if g.model == DECAY_WINDOW:
         return RadialProfile(g.decay)
     if g.model == GAUSSIAN_WINDOW:
         return GAUSSIAN_PROFILE
     return None
+
+
+def norm_sq(rep: RepModel, g) -> float:
+    """||g||^2: of the vector on the finite kind, else profile(0) of g's model."""
+    if rep.kind == FINITE_WEYL_HEISENBERG:
+        return float(np.linalg.norm(np.asarray(g, dtype=complex))) ** 2
+    return radial_profile(rep, g).norm_sq
 
 
 # -- Coefficient fields ---------------------------------------------------------------
@@ -403,10 +406,11 @@ class CoefficientField:
     radial_profile: Callable[[float], float] | None = None
 
 
-def coefficient_field(rep: RepModel, f=None, g=None, tol: float = 1e-8) -> CoefficientField:
+def coefficient_field(rep: RepModel, f=None, g=None) -> CoefficientField:
     """Field for V_g f; defaults to f = g = the model's window.
 
-    The field is radial when g has a radial profile and f is of g's model.
+    On the continuous kind g must be a Gaussian or decay window and f of its
+    model, so the field is radial; anything else raises ValueError.
     """
     if rep.kind == FINITE_WEYL_HEISENBERG:
         fv = np.asarray(f, dtype=complex)
@@ -420,26 +424,16 @@ def coefficient_field(rep: RepModel, f=None, g=None, tol: float = 1e-8) -> Coeff
         return CoefficientField(
             domain=rep.group, evaluate=ev, magnitude=lambda x: abs(ev(x)),
             norms=(float(np.linalg.norm(fv)), float(np.linalg.norm(gv))))
-    f = f if f is not None else rep.default_window()
-    g = g if g is not None else rep.default_window()
+    f = f if f is not None else rep.window
+    g = g if g is not None else rep.window
     prof = radial_profile(rep, g)
-    if prof is not None and f.model == g.model:
-        if prof is GAUSSIAN_PROFILE:
-            return CoefficientField(
-                domain=rep.group,
-                evaluate=lambda x: gaussian_ambiguity(float(x[0]), float(x[1])),
-                magnitude=lambda x: math.exp(-math.pi * (x[0] ** 2 + x[1] ** 2) / 2.0),
-                norms=(1.0, 1.0), radial_profile=prof.profile)
-        return CoefficientField(
-            domain=rep.group, evaluate=lambda x: complex(prof.profile(math.hypot(*x)), 0.0),
-            magnitude=lambda x: prof.profile(math.hypot(*x)), norms=(g.norm, g.norm),
-            radial_profile=prof.profile)
-
-    def ev(x):
-        return matrix_coefficient(rep, f, g, x, tol=tol)
-
-    return CoefficientField(domain=rep.group, evaluate=ev, magnitude=lambda x: abs(ev(x)),
-                            norms=(f.norm, g.norm))
+    if prof is None or not isinstance(f, Window) or f.model != g.model:
+        raise ValueError("coefficient fields need a Gaussian or decay window g "
+                         "and f of its model")
+    return CoefficientField(
+        domain=rep.group, evaluate=lambda x: matrix_coefficient(rep, f, g, x),
+        magnitude=lambda x: prof.profile(math.hypot(*x)), norms=(g.norm, g.norm),
+        radial_profile=prof.profile)
 
 
 # -- Local maximal function ------------------------------------------------------------
@@ -448,25 +442,17 @@ def coefficient_field(rep: RepModel, f=None, g=None, tol: float = 1e-8) -> Coeff
 def local_maximal(fld: CoefficientField, q: Ball, x: tuple) -> float:
     """M_Q F(x) = sup over z in Q of |F(x z)|.
 
-    Exact for enumerated Q and for radially nonincreasing fields; otherwise a
-    grid sup with spacing radius/32, which can fall below the true sup.
+    Exact for enumerated Q and for radially nonincreasing fields; a
+    continuous field without a radial profile raises ValueError.
     """
     group = q.metric.group
     if q.center != group.identity():
         raise ValueError("Q must be centered at the identity")
     if q.points is not None:
         return max(fld.magnitude(group.multiply(x, z)) for z in q.points)
-    if fld.radial_profile is not None:
-        r = math.hypot(*x)
-        return fld.radial_profile(max(0.0, r - q.radius))
-    h = q.radius / 32.0
-    best = 0.0
-    steps = np.arange(-q.radius, q.radius + h / 2, h)
-    for dx in steps:
-        for dy in steps:
-            if dx * dx + dy * dy <= q.radius ** 2:
-                best = max(best, fld.magnitude((x[0] + dx, x[1] + dy)))
-    return best
+    if fld.radial_profile is None:
+        raise ValueError("continuous maximal functions need a radial field")
+    return fld.radial_profile(max(0.0, math.hypot(*x) - q.radius))
 
 
 # -- Weighted maximal norms --------------------------------------------------------------
@@ -482,13 +468,13 @@ def _finite_maximal_table(rep: RepModel, g: np.ndarray, q: Ball) -> np.ndarray:
 
 
 def weighted_maximal_norm(rep: RepModel, g, q: Ball, alpha: float, tol: float = 1e-8,
-                          delta: float = 1.0, envelope: tuple | None = None) -> float:
+                          delta: float = 1.0) -> float:
     """Integral over the group of |M_Q V_g g|^2 (1 + |x|)^alpha.
 
-    Finite kind: exact sum with word length.  Windows with a radial profile
+    Finite kind: exact sum with word length.  Gaussian and decay windows
     reduce to radial integrals with certified tails; decay profiles outside
     the weight class raise NotInWeightClassError (see
-    RadialProfile.weighted_tail).
+    RadialProfile.weighted_tail), and sampled windows raise ValueError.
     """
     if alpha < 0:
         raise ValueError("weight exponent must be nonnegative")
@@ -504,73 +490,15 @@ def weighted_maximal_norm(rep: RepModel, g, q: Ball, alpha: float, tol: float = 
         return float(np.sum(m * m * weight))
     rho = q.radius
     prof = radial_profile(rep, g)
-    if prof is not None:
-        r_max, tail = prof.weighted_tail(rho, alpha, delta, tol)
+    if prof is None:
+        raise ValueError("weighted maximal norms need a Gaussian or decay window")
+    r_max, tail = prof.weighted_tail(rho, alpha, delta, tol)
 
-        def integrand(r):
-            return prof.maximal_sq(r, rho) * (1.0 + r) ** alpha * 2.0 * math.pi * r
+    def integrand(r):
+        return prof.maximal_sq(r, rho) * (1.0 + r) ** alpha * 2.0 * math.pi * r
 
-        val = refine_trapezoid(integrand, 0.0, rho, tol / 4.0)
-        val += refine_trapezoid(integrand, rho, r_max, tol / 4.0)
-        return val + tail
-    if rep.kind == GABOR_NUMERIC:
-        return _numeric_weighted_norm(rep, q, alpha, envelope)
-    raise ValueError(f"unsupported rep kind {rep.kind}")
-
-
-def _ambiguity_grid(window: Window, pad_factor: int = 4):
-    """|V_g g| sampled on a shift/frequency grid via FFTs; magnitude only."""
-    t = window.times
-    v = window.vector
-    dt = float(t[1] - t[0])
-    n = len(t)
-    nfft = 1
-    while nfft < pad_factor * n:
-        nfft *= 2
-    shifts = np.arange(-(n - 1), n)
-    mags = np.empty((len(shifts), nfft))
-    for i, s in enumerate(shifts):
-        shifted = np.zeros(n, dtype=complex)
-        if s >= 0:
-            shifted[s:] = v[: n - s]
-        else:
-            shifted[: n + s] = v[-s:]
-        c = v * np.conj(shifted)
-        mags[i] = np.abs(np.fft.fft(c, nfft)) * dt
-    x_grid = shifts * dt
-    w_grid = np.fft.fftfreq(nfft, d=dt)
-    order = np.argsort(w_grid)
-    return x_grid, w_grid[order], mags[:, order]
-
-
-def _numeric_weighted_norm(rep: RepModel, q: Ball, alpha: float,
-                           envelope: tuple | None) -> float:
-    window = rep.window
-    env = envelope or (window.decay and (window.norm ** 2 * window.decay[3],
-                                         (window.decay[0] + window.decay[1] + window.decay[2]) / 2))
-    if not env:
-        raise ValueError("numeric kind needs a decay envelope (c0, exponent) for the tail")
-    c0, exponent = env
-    if 2.0 * exponent - alpha - 2.0 <= 0.0:
-        raise NotInWeightClassError("envelope exponent too small for this weight")
-    x_grid, w_grid, mags = _ambiguity_grid(window)
-    dx = x_grid[1] - x_grid[0]
-    dw = w_grid[1] - w_grid[0]
-    rho = q.radius
-    # dilate by the Q footprint, then sum cells (documented grid-sup estimate)
-    ix = int(math.ceil(rho / dx))
-    iw = int(math.ceil(rho / dw))
-    m = np.zeros_like(mags)
-    for a in range(-ix, ix + 1):
-        for b in range(-iw, iw + 1):
-            if (a * dx) ** 2 + (b * dw) ** 2 <= rho * rho:
-                m = np.maximum(m, np.roll(np.roll(mags, a, axis=0), b, axis=1))
-    rr = np.hypot(x_grid[:, None], w_grid[None, :])
-    r_edge = min(abs(x_grid[0]), abs(x_grid[-1]), abs(w_grid[0]), abs(w_grid[-1])) - rho
-    val = float(np.sum((m * m * (1.0 + rr) ** alpha)[rr <= r_edge]) * dx * dw)
-    w_tail = 1.0 + max(r_edge - rho, 0.0)
-    tail = (2.0 * math.pi * c0 * c0 * (1.0 + rho) ** (max(alpha, 0.0) + 1.0)
-            * w_tail ** (alpha - 2.0 * exponent + 2.0) / (2.0 * exponent - alpha - 2.0))
+    val = refine_trapezoid(integrand, 0.0, rho, tol / 4.0)
+    val += refine_trapezoid(integrand, rho, r_max, tol / 4.0)
     return val + tail
 
 
@@ -579,7 +507,8 @@ def _numeric_weighted_norm(rep: RepModel, q: Ball, alpha: float,
 
 def estimate_formal_degree(rep: RepModel, g, truncation_radius: float,
                            tol: float = 1e-10) -> float:
-    """||g||^4 / integral over B_R of |V_g g|^2; exact on the finite kind."""
+    """||g||^4 / integral over B_R of |V_g g|^2; exact on the finite kind.
+    The continuous kind needs a Gaussian or decay window."""
     if truncation_radius <= 0:
         raise ValueError("truncation radius must be positive")
     if rep.kind == FINITE_WEYL_HEISENBERG:
@@ -595,18 +524,11 @@ def estimate_formal_degree(rep: RepModel, g, truncation_radius: float,
         denom = float(np.sum(table[mask]))
         return nrm ** 4 / denom
     prof = radial_profile(rep, g)
-    if prof is not None:
-        denom = refine_trapezoid(
-            lambda r: prof.maximal_sq(r, 0.0) * 2.0 * math.pi * r, 0.0, truncation_radius, tol)
-        return prof.norm_sq ** 2 / denom
-    if rep.kind == GABOR_NUMERIC:
-        x_grid, w_grid, mags = _ambiguity_grid(rep.window)
-        dx = x_grid[1] - x_grid[0]
-        dw = w_grid[1] - w_grid[0]
-        rr = np.hypot(x_grid[:, None], w_grid[None, :])
-        denom = float(np.sum((mags ** 2)[rr <= truncation_radius]) * dx * dw)
-        return rep.window.norm ** 4 / denom
-    raise ValueError(f"unsupported rep kind {rep.kind}")
+    if prof is None:
+        raise ValueError("formal-degree estimates need a Gaussian or decay window")
+    denom = refine_trapezoid(
+        lambda r: prof.maximal_sq(r, 0.0) * 2.0 * math.pi * r, 0.0, truncation_radius, tol)
+    return prof.norm_sq ** 2 / denom
 
 
 def formal_degree_converged(rep: RepModel, g, truncation_radius: float,
@@ -623,7 +545,7 @@ def formal_degree_converged(rep: RepModel, g, truncation_radius: float,
 def decay_envelope_check(rep: RepModel, g, metric: PeriodicMetric, c0: float,
                          exponent: float, sample_radius: float,
                          fld: CoefficientField | None = None,
-                         n_radii: int = 400, n_angles: int = 64) -> dict:
+                         n_radii: int = 400) -> dict:
     """Sample |V_g g| / ||g||^2 on shells against c0 (1 + |x|)^(-exponent).
 
     Reports the maximal ratio |V_g g(x)| (1+|x|)^exponent / (c0 ||g||^2); pass
@@ -632,11 +554,8 @@ def decay_envelope_check(rep: RepModel, g, metric: PeriodicMetric, c0: float,
     if c0 <= 0 or sample_radius <= 0:
         raise ValueError("c0 and sample_radius must be positive")
     if fld is None:
-        if rep.kind == FINITE_WEYL_HEISENBERG:
-            fld = coefficient_field(rep, g, g)
-        else:
-            fld = coefficient_field(rep, g if isinstance(g, Window) else None,
-                                    g if isinstance(g, Window) else None)
+        w = g if rep.kind == FINITE_WEYL_HEISENBERG or isinstance(g, Window) else None
+        fld = coefficient_field(rep, w, w)
     norm_sq = fld.norms[0] * fld.norms[1]
     worst = 0.0
     argmax = None
@@ -648,23 +567,15 @@ def decay_envelope_check(rep: RepModel, g, metric: PeriodicMetric, c0: float,
             count += 1
             if ratio > worst:
                 worst, argmax = ratio, p
-    elif fld.radial_profile is not None:
+    elif fld.radial_profile is None:
+        raise ValueError("continuous envelope checks need a radial field")
+    else:
         radii = np.linspace(0.0, sample_radius, max(n_radii, 2) * 4)
         for r in radii:
             ratio = fld.radial_profile(float(r)) * (1.0 + r) ** exponent / (c0 * norm_sq)
             count += 1
             if ratio > worst:
                 worst, argmax = float(ratio), (float(r), 0.0)
-    else:
-        radii = np.linspace(0.0, sample_radius, max(n_radii, 2))
-        angles = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
-        for r in radii:
-            for th in angles:
-                x = (r * math.cos(th), r * math.sin(th))
-                ratio = fld.magnitude(x) * (1.0 + r) ** exponent / (c0 * norm_sq)
-                count += 1
-                if ratio > worst:
-                    worst, argmax = ratio, x
     return {"max_ratio": worst, "passed": worst <= 1.0 + 1e-12, "c0": c0,
             "exponent": exponent, "sample_radius": sample_radius,
             "samples": count, "argmax": argmax}

@@ -13,7 +13,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from coherentlab import groups
+from coherentlab import cli, groups
 
 
 def z2_ball_size(r):
@@ -141,7 +141,7 @@ def test_growth_fit_input_validation():
         groups.fit_growth_exponent(metric, [0.5, 4, 5, 6])
 
 
-def test_euclidean_annular_decay_certificate():
+def test_euclidean_annular_decay_certificate(tmp_path):
     metric = groups.euclidean_metric(dim=2)
     fit = groups.estimate_annular_decay(metric, [2, 4, 8, 16], [0.25, 0.5])
     assert fit.delta_hat == pytest.approx(1.0)
@@ -156,6 +156,18 @@ def test_euclidean_annular_decay_certificate():
     # the constant is minimal on the fitted samples: a strictly smaller
     # fraction needs c = 2 - f > 1.75 and must be reported as a violation
     assert groups.annular_violations(fit, metric, [4], [0.1]) == 1
+    # with c_max = 0.5 no grid delta is certified: the fit falls back to
+    # c_hat > c_max, and the geometry run must fail the record even though
+    # the fallback certificate has no violations on the fresh radii
+    tight = groups.estimate_annular_decay(metric, [2, 4, 8], [0.01, 0.5], c_max=0.5)
+    assert tight.c_hat == pytest.approx(0.7764, abs=1e-4)
+    ini = tmp_path / "tight.ini"
+    ini.write_text("[geometry]\ngroup = euclidean\nannular_radii = 2,4,8\n"
+                   "annular_fracs = 0.01,0.5\nannular_c_max = 0.5\n")
+    report = cli.run_geometry(cli.load_config(str(ini), "geometry"))
+    rec = next(r for r in report.records if r["name"] == "annular_decay")
+    assert rec["c_hat"] == tight.c_hat and rec["violations_recheck"] == 0
+    assert rec["passed"] is False and not report.overall_pass
 
 
 def test_discrete_annular_decay_certificate():

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from coherentlab import density, groups, reps
+from coherentlab import density, frames, groups, reps
 from coherentlab.reps import (
     GAUSSIAN_AMBIGUITY_LIPSCHITZ,
     NotInWeightClassError,
@@ -235,16 +235,71 @@ def test_radial_profile_follows_the_window():
     t = np.linspace(-1.0, 1.0, 65)
     sampled = reps.gabor_numeric(reps.sampled_window(t, np.cos(t)))
     assert reps.radial_profile(sampled) is None
-    # a decay window on the Gaussian model gives the decay model everywhere
+    # the window decides the model everywhere: a decay window on the Gaussian
+    # model gives the decay values, a Gaussian window on the decay model the
+    # Gaussian ones
     window = reps.decay_window(2.0, 1.0, 0.5, 1.0)
     q = groups.ball(groups.euclidean_metric(dim=2), None, 1.0)
     k = groups.ball(groups.euclidean_metric(dim=2), None, 4.0, closed=True)
-    for value in (
-            lambda rep, g: reps.weighted_maximal_norm(rep, g, q, 0.5, tol=1e-6),
-            lambda rep, g: density.error_integral_I(rep, g, q, k).value,
-            lambda rep, g: density.error_integral_J(rep, g, q, k).value,
-            lambda rep, g: reps.estimate_formal_degree(rep, g, 6.0)):
+    square = frames.explicit_points([(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)])
+
+    def riesz(rep, g):
+        rb = frames.riesz_bounds(rep, g, square)
+        return rb.lower, rb.upper
+
+    values = (
+        lambda rep, g: reps.weighted_maximal_norm(rep, g, q, 0.5, tol=1e-6),
+        lambda rep, g: density.error_integral_I(rep, g, q, k).value,
+        lambda rep, g: density.error_integral_J(rep, g, q, k).value,
+        lambda rep, g: reps.estimate_formal_degree(rep, g, 6.0),
+        riesz,
+        lambda rep, g: reps.matrix_coefficient(rep, g, g, (1.0, 0.5)))
+    for value in values:
         assert value(gauss_rep, window) == value(decay_rep, decay_rep.window)
+        assert value(decay_rep, reps.gaussian_window()) \
+            == value(gauss_rep, gauss_rep.window)
+    # g = None takes the model's window
+    assert riesz(decay_rep, None) == riesz(gauss_rep, window)
+    # Gram oracle: G[i, j] = e^{2 pi i (w_j - w_i) x_j} profile(|lam_i - lam_j|)
+    # with the decay profile (1 + r)^(-7/4), built from scratch
+    pts = np.array(square.points)
+    dist = np.hypot(*(pts[:, None, :] - pts[None, :, :]).transpose(2, 0, 1))
+    phase = np.exp(2j * math.pi * (pts[None, :, 1] - pts[:, None, 1]) * pts[None, :, 0])
+    eigs = np.linalg.eigvalsh(phase * (1.0 + dist) ** -1.75)
+    assert riesz(gauss_rep, window) == pytest.approx((eigs[0], eigs[-1]), abs=1e-12)
+    assert riesz(gauss_rep, window) == pytest.approx((0.13522, 2.24029), abs=1e-5)
+    assert reps.matrix_coefficient(decay_rep, reps.gaussian_window(),
+                                   reps.gaussian_window(), (1.0, 0.0)) \
+        == pytest.approx(math.exp(-math.pi / 2.0), rel=1e-14)
+
+
+def test_sampled_and_mixed_windows_raise_value_error():
+    gauss_rep = reps.gabor_gaussian()
+    gw = reps.gaussian_window()
+    dw = reps.decay_window(2.0, 1.0, 0.5, 1.0)
+    t = np.linspace(-1.0, 1.0, 65)
+    sw = reps.sampled_window(t, np.cos(t))
+    # a decay window models |V_g g| only: it pairs with no other model
+    for f, g in ((gw, dw), (dw, gw), (sw, dw), (dw, sw)):
+        with pytest.raises(ValueError, match="of g's model"):
+            reps.matrix_coefficient(gauss_rep, f, g, (1.0, 0.0))
+        with pytest.raises(ValueError, match="of its model"):
+            reps.coefficient_field(gauss_rep, f, g)
+    # the estimators need a radial profile; a sampled window has none
+    sampled = reps.gabor_numeric(sw)
+    em = groups.euclidean_metric(dim=2)
+    q = groups.ball(em, None, 1.0)
+    for call in (lambda: reps.weighted_maximal_norm(sampled, sw, q, 0.5),
+                 lambda: reps.estimate_formal_degree(sampled, sw, 6.0),
+                 lambda: reps.coefficient_field(sampled),
+                 lambda: reps.coefficient_field(gauss_rep, gw, sw),
+                 lambda: reps.decay_envelope_check(sampled, sw, em, 1.0, 2.0, 4.0)):
+        with pytest.raises(ValueError, match="Gaussian or decay window"):
+            call()
+    non_radial = reps.CoefficientField(domain=sampled.group, evaluate=lambda x: 0j,
+                                       magnitude=lambda x: 0.0, norms=(1.0, 1.0))
+    with pytest.raises(ValueError, match="radial"):
+        reps.local_maximal(non_radial, q, (0.0, 0.0))
 
 
 def test_formal_degree_estimates():
