@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 import time
@@ -28,73 +29,89 @@ class ConfigError(ValueError):
 
 # -- Config handling -----------------------------------------------------------------
 
+# Numeric domains: (what the message says, test), applied to every value of a
+# key.  A numeric key without one takes any finite number.
+_POSITIVE = ("> 0", lambda v: v > 0)
+_NONNEG = (">= 0", lambda v: v >= 0)
+_AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+_AT_LEAST_2 = (">= 2", lambda v: v >= 2)
+_FRACTION = ("in (0, 1]", lambda v: 0 < v <= 1)
+
+# key -> (type, default, choices of a str key or domain of a numeric one)
 _SCHEMAS = {
     "geometry": {
         "group": ("str", "integer_lattice", ("integer_lattice",
                                              "discrete_heisenberg", "euclidean")),
         "metric": ("str", "", ("", "word", "euclidean", "heisenberg_gauge")),
-        "growth_radii": ("floats", "4,5,6,7,8,9,10,11,12", None),
-        "folner_r0": ("float", "1", None),
-        "folner_count": ("int", "3", None),
-        "folner_step": ("float", "10", None),
-        "folner_k_radius": ("float", "1", None),
-        "annular_radii": ("floats", "2,4,8,16", None),
-        "annular_fracs": ("floats", "0.25,0.5", None),
-        "annular_c_max": ("float", "8", None),
-        "seed": ("int", "0", None),
+        "growth_radii": ("floats", "4,5,6,7,8,9,10,11,12", _AT_LEAST_1),
+        "folner_r0": ("float", "1", _POSITIVE),
+        "folner_count": ("int", "3", _AT_LEAST_1),
+        "folner_step": ("float", "10", _POSITIVE),
+        "folner_k_radius": ("float", "1", _NONNEG),
+        "annular_radii": ("floats", "2,4,8,16", _POSITIVE),
+        "annular_fracs": ("floats", "0.25,0.5", _FRACTION),
+        "annular_c_max": ("float", "8", _POSITIVE),
+        "seed": ("int", "0", _NONNEG),
     },
     "rep-check": {
-        "n": ("int", "8", None),
-        "trials": ("int", "20", None),
-        "tol": ("float", "1e-10", None),
+        "n": ("int", "8", _AT_LEAST_2),
+        "trials": ("int", "20", _AT_LEAST_1),
+        "tol": ("float", "1e-10", _POSITIVE),
         "window": ("str", "random_unit", ("random_unit", "delta")),
-        "degree_radius": ("float", "-1", None),
-        "seed": ("int", "0", None),
+        "degree_radius": ("float", "-1", None),  # <= 0: 2 n
+        "seed": ("int", "0", _NONNEG),
     },
     "frame": {
         "model": ("str", "gaussian", ("gaussian", "finite")),
-        "n": ("int", "8", None),
+        "n": ("int", "8", _AT_LEAST_2),
         "subset": ("str", "full", ("full", "even_shifts", "single_row")),
-        "lattice_a": ("float", "0.5", None),
-        "lattice_b": ("float", "0.5", None),
-        "section_radius": ("float", "12", None),
-        "margin": ("float", "3", None),
-        "restriction_radius": ("float", "6", None),
-        "q_radius": ("float", "0.6", None),
-        "k_radius": ("float", "4", None),
+        "lattice_a": ("float", "0.5", _POSITIVE),
+        "lattice_b": ("float", "0.5", _POSITIVE),
+        "section_radius": ("float", "12", _POSITIVE),
+        "margin": ("float", "3", _NONNEG),
+        "restriction_radius": ("float", "6", _POSITIVE),
+        "q_radius": ("float", "0.6", _POSITIVE),
+        "k_radius": ("float", "4", _NONNEG),
         "dump_matrices": ("bool", "false", None),
-        "seed": ("int", "0", None),
+        "seed": ("int", "0", _NONNEG),
     },
     "density": {
         "side": ("str", "frame", ("frame", "riesz")),
-        "lattice_a": ("float", "0.5", None),
-        "lattice_b": ("float", "0.5", None),
-        "radii": ("floats", "6,10,14", None),
-        "q_radius": ("float", "1", None),
-        "section_radius": ("float", "12", None),
-        "margin": ("float", "3", None),
-        "restriction_radius": ("float", "8", None),
-        "grid_spacing": ("float", "-1", None),
-        "tol": ("float", "1e-8", None),
+        "lattice_a": ("float", "0.5", _POSITIVE),
+        "lattice_b": ("float", "0.5", _POSITIVE),
+        "radii": ("floats", "6,10,14", _POSITIVE),
+        "q_radius": ("float", "1", _POSITIVE),
+        "section_radius": ("float", "12", _POSITIVE),
+        "margin": ("float", "3", _NONNEG),
+        "restriction_radius": ("float", "8", _POSITIVE),
+        "grid_spacing": ("float", "-1", None),  # <= 0: min(a, b) / 8
+        "tol": ("float", "1e-8", _POSITIVE),
         "fit_exponent": ("bool", "false", None),
-        "alpha": ("float", "2", None),
-        "delta": ("float", "1", None),
+        "alpha": ("float", "2", _NONNEG),
+        "delta": ("float", "1", _POSITIVE),
         "diagnostic": ("bool", "false", None),
-        "seed": ("int", "0", None),
+        "seed": ("int", "0", _NONNEG),
     },
     "hole": {
-        "lattice_a": ("float", "0.5", None),
-        "lattice_b": ("float", "0.5", None),
-        "hole_radii": ("floats", "0,1,2,4", None),
-        "section_radius": ("float", "12", None),
-        "margin": ("float", "3", None),
-        "r0": ("float", "1.25", None),
-        "alpha": ("float", "2", None),
-        "delta": ("float", "1", None),
-        "calibration_radius": ("float", "8", None),
-        "seed": ("int", "0", None),
+        "lattice_a": ("float", "0.5", _POSITIVE),
+        "lattice_b": ("float", "0.5", _POSITIVE),
+        "hole_radii": ("floats", "0,1,2,4", _NONNEG),
+        "section_radius": ("float", "12", _POSITIVE),
+        "margin": ("float", "3", _NONNEG),
+        "r0": ("float", "1.25", _AT_LEAST_1),
+        "alpha": ("float", "2", _NONNEG),
+        "delta": ("float", "1", _POSITIVE),
+        "calibration_radius": ("float", "8", _POSITIVE),
+        "seed": ("int", "0", _NONNEG),
     },
 }
+
+
+def _finite(raw: str) -> float:
+    val = float(raw)
+    if not math.isfinite(val):
+        raise ValueError(raw)
+    return val
 
 
 def _parse_value(key: str, raw: str, typ: str):
@@ -102,7 +119,7 @@ def _parse_value(key: str, raw: str, typ: str):
         if typ == "int":
             return int(raw)
         if typ == "float":
-            return float(raw)
+            return _finite(raw)
         if typ == "bool":
             if raw.lower() in ("true", "1", "yes"):
                 return True
@@ -110,7 +127,7 @@ def _parse_value(key: str, raw: str, typ: str):
                 return False
             raise ValueError(raw)
         if typ == "floats":
-            return tuple(float(v) for v in raw.replace(" ", "").split(",") if v)
+            return tuple(_finite(v) for v in raw.replace(" ", "").split(",") if v)
         return raw
     except ValueError as exc:
         raise ConfigError(f"invalid value for '{key}': {raw!r}") from exc
@@ -125,12 +142,17 @@ def load_config(path: str, experiment: str) -> dict:
     if not parser.has_section(experiment):
         raise ConfigError(f"config is missing the [{experiment}] section")
     cfg = {}
-    for key, (typ, default, choices) in schema.items():
+    for key, (typ, default, allowed) in schema.items():
         raw = parser.get(experiment, key, fallback=default)
         val = _parse_value(key, raw, typ)
-        if choices and val not in choices:
-            raise ConfigError(f"invalid value for '{key}': {val!r} "
-                              f"(choose from {', '.join(c or '<auto>' for c in choices)})")
+        if typ == "str":
+            if val not in allowed:
+                raise ConfigError(f"invalid value for '{key}': {val!r} (choose from "
+                                  f"{', '.join(c or '<auto>' for c in allowed)})")
+        elif allowed is not None:
+            text, ok = allowed
+            if not all(ok(v) for v in (val if typ == "floats" else (val,))):
+                raise ConfigError(f"invalid value for '{key}': {raw!r} (must be {text})")
         cfg[key] = val
     for key in parser.options(experiment):
         if key not in schema:
@@ -140,35 +162,36 @@ def load_config(path: str, experiment: str) -> dict:
 
 
 def _validate(experiment: str, cfg: dict) -> None:
+    """Rules that tie keys together; single-key domains live in _SCHEMAS."""
+    sectioned = (experiment == "hole" or cfg.get("model") == "gaussian"
+                 or cfg.get("side") == "frame")
+    if sectioned and cfg["section_radius"] <= cfg["margin"] + 1.0:
+        raise ConfigError("section_radius must exceed margin + 1")
     if experiment == "geometry":
+        radii = cfg["growth_radii"]
+        if len(radii) < 4 or any(r1 <= r0 for r0, r1 in zip(radii, radii[1:])):
+            raise ConfigError("growth_radii must hold at least 4 strictly "
+                              "increasing values")
         if cfg["folner_step"] <= cfg["folner_r0"]:
             raise ConfigError(
-                f"step must exceed r0 (got step={cfg['folner_step']:g}, "
+                f"folner_step must exceed folner_r0 (got step={cfg['folner_step']:g}, "
                 f"r0={cfg['folner_r0']:g})")
+        if cfg["group"] != "euclidean" and cfg["folner_r0"] < 1.0:
+            raise ConfigError("folner_r0 must be at least 1 on a discrete group")
         dim = 3 if cfg["group"] == "discrete_heisenberg" else 2
-        top = max([*cfg["growth_radii"],
-                   cfg["folner_r0"] + cfg["folner_step"] * cfg["folner_count"]])
+        top = max([*radii, cfg["folner_r0"] + cfg["folner_step"] * cfg["folner_count"]])
         if (2.0 * top + 1.0) ** dim > groups.ball_budget():
             raise ConfigError(f"growth_radii exceed the enumeration budget "
                               f"({groups.BUDGET_ENV_VAR}={groups.ball_budget()})")
     elif experiment == "rep-check":
-        if not 2 <= cfg["n"] <= 64:
+        if cfg["n"] > 64:
             raise ConfigError("n must be between 2 and 64 for exhaustive checks")
-        if cfg["trials"] < 1:
-            raise ConfigError("trials must be positive")
     elif experiment == "frame":
-        if cfg["model"] == "finite" and not 2 <= cfg["n"] <= 64:
+        if cfg["model"] == "finite" and cfg["n"] > 64:
             raise ConfigError("n must be between 2 and 64 for exhaustive checks")
-        if cfg["model"] == "gaussian":
-            if cfg["section_radius"] <= cfg["margin"] + 1.0:
-                raise ConfigError("section_radius must exceed margin + 1")
-            if cfg["lattice_a"] <= 0 or cfg["lattice_b"] <= 0:
-                raise ConfigError("lattice_a and lattice_b must be positive")
     elif experiment == "density":
         if not cfg["radii"]:
             raise ConfigError("radii must be a nonempty list")
-        if any(r <= 0 for r in cfg["radii"]):
-            raise ConfigError("radii must be positive")
         if cfg["fit_exponent"]:
             if len(cfg["radii"]) < 4 or max(cfg["radii"]) < 4.0 * min(cfg["radii"]):
                 raise ConfigError("fit_exponent needs radii: >= 4 values "
@@ -182,8 +205,6 @@ def _validate(experiment: str, cfg: dict) -> None:
         if cfg["hole_radii"] and cfg["section_radius"] < 2.0 * max(cfg["hole_radii"]):
             raise ConfigError("section_radius too small relative to the "
                               "largest hole_radii entry")
-        if cfg["r0"] < 1.0:
-            raise ConfigError("r0 must be at least 1")
         if cfg["alpha"] + cfg["delta"] <= 1.0:
             raise ConfigError("alpha + delta must exceed 1")
 
@@ -436,6 +457,9 @@ def run_density(cfg: dict) -> RunReport:
         bounds = frames.riesz_bounds(
             rep, g, lam, restriction_radius=cfg["restriction_radius"])
     report.timings["bounds"] = time.perf_counter() - t0
+    if bounds.kind != side:  # A = 0: the counting theorem's hypothesis fails
+        raise ConfigError(f"lattice_a = {cfg['lattice_a']:g}, lattice_b = "
+                          f"{cfg['lattice_b']:g} give no {side} bounds (A = 0)")
     t0 = time.perf_counter()
     kind = "I" if side == "frame" else "J"
     integral_fn = density.error_integral_I if kind == "I" else density.error_integral_J

@@ -194,37 +194,25 @@ def beurling_density(lam: PointSet, metric: groups.PeriodicMetric,
 
 def _lens_reduced_integral(prof: RadialProfile, rho: float, r: float, kind: str,
                            tol: float) -> float:
-    """2 pi int F(u) u [pi R_b^2 - lens(R_a, R_b, u)] du with closed-form ends,
+    """2 pi int F(u) u [pi R_a^2 - lens(R_a, R_b, u)] du with closed-form ends,
     where F = prof.maximal_sq.
 
     kind "I": R_a = r, R_b = r - rho (bracket = area of K_n outside the
-    shifted inner disk); kind "J": R_a = r + rho, R_b = r.
+    shifted inner disk); kind "J": R_a = r + rho, R_b = r.  The bracket is
+    flat below u = rho and vanishes from u = R_a + R_b on.
     """
-    if kind == "I":
-        if r - rho <= 0.0:
-            return math.pi * r * r * prof.mass_outside(rho, 0.0)
-        r_small, const_area = r - rho, math.pi * r * r
-        u_zero = r + (r - rho)
-
-        def bracket(u):
-            return math.pi * r * r - lens_area(r, r_small, u)
-
-        flat = math.pi * r * r - math.pi * r_small * r_small
-    else:
-        r_big = r + rho
-        const_area = math.pi * r_big * r_big
-        u_zero = r_big + r
-
-        def bracket(u):
-            return const_area - lens_area(r_big, r, u)
-
-        flat = const_area - math.pi * r * r
+    if kind == "I" and r - rho <= 0.0:
+        return math.pi * r * r * prof.mass_outside(rho, 0.0)
+    r_a, r_b = (r, r - rho) if kind == "I" else (r + rho, r)
+    const_area = math.pi * r_a * r_a
+    u_zero = r_a + r_b
+    flat = const_area - math.pi * r_b * r_b
     head = flat * (prof.mass_outside(rho, 0.0) - prof.mass_outside(rho, rho))
 
     def integrand(u):
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        brackets = np.array([bracket(float(x)) for x in u])
-        return prof.maximal_sq(u, rho) * 2.0 * math.pi * u * brackets
+        bracket = const_area - lens_area(r_a, r_b, u)
+        return prof.maximal_sq(u, rho) * 2.0 * math.pi * u * bracket
 
     mid = refine_trapezoid(integrand, rho, u_zero, tol)
     tail = const_area * prof.mass_outside(rho, u_zero)

@@ -28,6 +28,8 @@ GAUSSIAN_HALF_LEVEL_RADIUS = math.sqrt(2.0 * math.log(2.0) / math.pi)
 
 _TIE = 1e-12  # closed-ball membership slack on squared distances
 
+SECTION_MODE_CAP = 512  # highest Hermite index a truncated section keeps
+
 
 def _closed_disk(dx: float, dy: float, radius: float) -> bool:
     return dx * dx + dy * dy <= radius * radius * (1.0 + _TIE) + _TIE
@@ -58,70 +60,68 @@ class PointSet:
     def is_lattice(self) -> bool:
         return self.kind in (LATTICE, LATTICE_WITH_HOLES)
 
-    def _in_holes(self, x: float, y: float) -> bool:
-        for (cx, cy, r) in self.holes:
-            if (x - cx) ** 2 + (y - cy) ** 2 < r * r:
-                return True
-        return False
+    def _columns(self, cx: float, cy: float, radius: float, closed: bool) -> tuple:
+        """(k, lo, hi): the lattice points (k a, l b) of the disk about (cx, cy)
+        are those with lo <= l <= hi in column k; an empty column has lo > hi.
 
-    def _index_box(self, cx: float, cy: float, radius: float) -> tuple:
-        """Column and row index ranges scanned around a disk, budget-checked."""
+        A closed disk uses _closed_disk's test, an open one |d|^2 < radius^2.
+        Each column's row range comes from the chord half-width
+        sqrt(thr - dx^2), widened at each end by more rows than its rounding
+        error spans (at most sqrt(2^-53 thr) plus a few ulps of cy); the ends
+        then move inward until they pass the membership test itself, so
+        points on the circle count exactly as a point-by-point scan counts
+        them.  The column and row ranges are budget-checked.
+        """
         if not self.is_lattice:
             raise ValueError("lattice enumeration needs a lattice kind")
         est = (2.0 * radius / self.a + 2.0) * (2.0 * radius / self.b + 2.0)
         if est > groups.ball_budget():
             raise groups.BudgetExceededError(
                 f"lattice restriction would enumerate ~{est:.3g} points")
-        return (range(math.floor((cx - radius) / self.a) - 1,
-                      math.ceil((cx + radius) / self.a) + 2),
-                range(math.floor((cy - radius) / self.b) - 1,
-                      math.ceil((cy + radius) / self.b) + 2))
-
-    def lattice_points_near(self, cx: float, cy: float, radius: float,
-                            closed: bool = True) -> list:
-        """Lattice points within `radius` of (cx, cy), holes removed."""
-        cols, rows = self._index_box(cx, cy, radius)
-        out = []
-        for k in cols:
-            x = k * self.a
-            for l in rows:
-                y = l * self.b
-                dsq = (x - cx) ** 2 + (y - cy) ** 2
-                inside = (_closed_disk(x - cx, y - cy, radius) if closed
-                          else dsq < radius * radius)
-                if inside and not self._in_holes(x, y):
-                    out.append((x, y))
-        return out
-
-    def lattice_count_near(self, cx: float, cy: float, radius: float) -> int:
-        """len(lattice_points_near(cx, cy, radius, closed=True)) on a plain
-        lattice, counted column by column without building the points.
-
-        Each column's row range comes from the chord half-width
-        sqrt(thr - dx^2), widened at each end by more rows than its rounding
-        error spans (at most sqrt(2^-53 thr) plus a few ulps of cy); the ends
-        then move inward until they pass _closed_disk's own test, so points
-        on the circle count exactly as the enumeration counts them.
-        """
-        if self.kind != LATTICE:
-            raise ValueError("closed-form counting needs a plain lattice")
-        cols, rows = self._index_box(cx, cy, radius)
-        thr = radius * radius * (1.0 + _TIE) + _TIE
-        dx = np.arange(cols.start, cols.stop) * self.a - cx
+        k = np.arange(math.floor((cx - radius) / self.a) - 1,
+                      math.ceil((cx + radius) / self.a) + 2)
+        row_lo = math.floor((cy - radius) / self.b) - 1
+        row_hi = math.ceil((cy + radius) / self.b) + 1
+        thr = radius * radius * (1.0 + _TIE) + _TIE if closed else radius * radius
+        dx = k * self.a - cx
         dx_sq = dx * dx
         half = np.sqrt(np.maximum(thr - dx_sq, 0.0))
         pad = 1 + int((2e-8 * math.sqrt(thr) + 1e-15 * abs(cy)) / self.b)
-        lo = np.maximum(np.ceil((cy - half) / self.b) - pad, rows.start).astype(np.int64)
-        hi = np.minimum(np.floor((cy + half) / self.b) + pad, rows.stop - 1).astype(np.int64)
+        lo = np.maximum(np.ceil((cy - half) / self.b) - pad, row_lo).astype(np.int64)
+        hi = np.minimum(np.floor((cy + half) / self.b) + pad, row_hi).astype(np.int64)
 
         def inside(l):
             dy = l * self.b - cy
-            return dx_sq + dy * dy <= thr
+            d_sq = dx_sq + dy * dy
+            return d_sq <= thr if closed else d_sq < thr
 
         while (shrink := (lo <= hi) & ~inside(lo)).any():
             lo += shrink
         while (shrink := (hi >= lo) & ~inside(hi)).any():
             hi -= shrink
+        return k, lo, hi
+
+    def lattice_points_near(self, cx: float, cy: float, radius: float,
+                            closed: bool = True) -> list:
+        """Lattice points within `radius` of (cx, cy), holes removed, column
+        by column in increasing k and then l."""
+        k, lo, hi = self._columns(cx, cy, radius, closed)
+        per_col = np.maximum(hi - lo + 1, 0)
+        starts = np.cumsum(per_col) - per_col
+        rows = np.arange(int(per_col.sum())) - np.repeat(starts - lo, per_col)
+        x = np.repeat(k, per_col) * self.a
+        y = rows * self.b
+        keep = np.ones(x.shape, dtype=bool)
+        for (hx, hy, r) in self.holes:  # removal is strict
+            keep &= (x - hx) ** 2 + (y - hy) ** 2 >= r * r
+        return list(zip(x[keep].tolist(), y[keep].tolist()))
+
+    def lattice_count_near(self, cx: float, cy: float, radius: float) -> int:
+        """len(lattice_points_near(cx, cy, radius, closed=True)) on a plain
+        lattice, summed over the column ranges without building the points."""
+        if self.kind != LATTICE:
+            raise ValueError("closed-form counting needs a plain lattice")
+        _, lo, hi = self._columns(cx, cy, radius, closed=True)
         return int(np.maximum(hi - lo + 1, 0).sum())
 
     def restrict(self, b: groups.Ball) -> tuple:
@@ -243,19 +243,21 @@ def _finite_synthesis(rep: RepModel, g, lam: PointSet) -> np.ndarray:
     return np.column_stack([reps.apply_rep(rep, x, gv) for x in lam.points])
 
 
-def section_mode_count(section_radius: float, margin: float, cap: int = 512) -> int:
-    """Highest Hermite index kept by the truncated section."""
-    return min(cap, int(math.floor(math.pi * (section_radius - margin) ** 2)))
+def section_mode_count(section_radius: float, margin: float) -> int:
+    """Highest Hermite index kept by the truncated section: the pi (R - margin)^2
+    modes resolved inside the truncation ball, cut at SECTION_MODE_CAP."""
+    return min(SECTION_MODE_CAP, int(math.floor(math.pi * (section_radius - margin) ** 2)))
 
 
 def frame_operator_spectrum(rep: RepModel, g, lam: PointSet,
-                            section_radius: float = 12.0, margin: float = 3.0,
-                            mode_cap: int = 512) -> FrameBounds:
+                            section_radius: float = 12.0,
+                            margin: float = 3.0) -> FrameBounds:
     """Extreme eigenvalues of S = sum_lambda <., pi(lambda)g> pi(lambda)g.
 
     Exact on the finite kind.  The Gaussian model compresses S onto the
     Hermite modes resolved inside the truncation ball (radius minus margin);
-    the result is an estimate labeled method=truncated_section.
+    the result is an estimate labeled method=truncated_section, which also
+    names the kept and resolved mode counts when the cap cuts them.
     """
     if rep.kind == reps.FINITE_WEYL_HEISENBERG:
         phi = _finite_synthesis(rep, g, lam)
@@ -272,11 +274,13 @@ def frame_operator_spectrum(rep: RepModel, g, lam: PointSet,
     pts = [p for p in pts if p[0] ** 2 + p[1] ** 2 <= section_radius ** 2 * (1 + _TIE) + _TIE]
     if not pts:
         raise ValueError("empty point set after restriction")
-    n_modes = section_mode_count(section_radius, margin, mode_cap)
+    n_modes = section_mode_count(section_radius, margin)
     coeff = reps.hermite_gabor_coefficients(n_modes, np.asarray(pts, dtype=float))
     eigs = _hermitian_eigs(coeff @ coeff.conj().T, "section operator")
     a, b = max(float(eigs[0]), 0.0), float(eigs[-1])
-    method = f"truncated_section(R={section_radius:g}, margin={margin:g})"
+    resolved = int(math.floor(math.pi * (section_radius - margin) ** 2))
+    cut = f", modes={n_modes}/{resolved}" if n_modes < resolved else ""
+    method = f"truncated_section(R={section_radius:g}, margin={margin:g}{cut})"
     return FrameBounds(a, b, _classify(a, b), method, eigs)
 
 
@@ -316,9 +320,11 @@ def riesz_bounds(rep: RepModel, g, lam: PointSet,
             raise ValueError("empty point set")
         m = len(pts)
         g = g if g is not None else rep.window
+        # V_g g(0), from the same discretisation as the off-diagonal entries
+        diag = reps.matrix_coefficient(rep, g, g, (0.0, 0.0), tol=tol).real
         gram = np.empty((m, m), dtype=complex)
         for i in range(m):
-            gram[i, i] = g.norm ** 2
+            gram[i, i] = diag
             for j in range(i + 1, m):
                 val = gabor_gram_entry(pts[i], pts[j], rep, g, tol=tol)
                 gram[i, j] = val
@@ -475,6 +481,21 @@ def _radial_level_radius(profile, norm_sq: float, hi: float = 64.0) -> float:
     return lo
 
 
+def _greedy_cover(covers: np.ndarray) -> list:
+    """Greedy set cover on a boolean candidate x target matrix: each step picks
+    the first row that covers the most uncovered targets.  Returns the rows."""
+    uncovered = np.ones(covers.shape[1], dtype=bool)
+    chosen = []
+    while uncovered.any():
+        gains = np.count_nonzero(covers & uncovered, axis=1)
+        best = int(np.argmax(gains))
+        if gains[best] == 0:
+            raise ValueError("greedy cover stalled: no candidate covers what is left")
+        chosen.append(best)
+        uncovered &= ~covers[best]
+    return chosen
+
+
 def _greedy_cover_disk(rho: float, u: float) -> tuple:
     """Cover the closed disk of radius rho by open disks of radius u centered
     on a grid of spacing u/2; conservative cell certification."""
@@ -493,20 +514,10 @@ def _greedy_cover_disk(rho: float, u: float) -> tuple:
                   for j in range(-n_grid, n_grid + 1)
                   if math.hypot(i * u / 2.0, j * u / 2.0) <= rho + u)
     reach = u - half_diag - 1e-9  # strict: cell square inside the open disk
-    uncovered = set(range(len(cells)))
-    chosen = []
-    while uncovered:
-        best_gain, best_c, best_cov = -1, None, None
-        for c in cand:
-            cov = [k for k in uncovered
-                   if math.hypot(cells[k][0] - c[0], cells[k][1] - c[1]) <= reach]
-            if len(cov) > best_gain:
-                best_gain, best_c, best_cov = len(cov), c, cov
-        if best_gain <= 0:
-            raise ValueError("greedy cover stalled: U too small for the grid")
-        chosen.append(best_c)
-        uncovered.difference_update(best_cov)
-    return chosen, cell
+    cx, cy = np.array(cells).T
+    gx, gy = np.array(cand).T
+    covers = np.hypot(cx[None, :] - gx[:, None], cy[None, :] - gy[:, None]) <= reach
+    return [cand[i] for i in _greedy_cover(covers)], cell
 
 
 def lemma_cover_constant(rep: RepModel, g, q: groups.Ball) -> CoverReport:
@@ -526,20 +537,11 @@ def lemma_cover_constant(rep: RepModel, g, q: groups.Ball) -> CoverReport:
         if not u_set:
             raise ValueError("no level set found: |V_g g| never exceeds ||g||^2/2")
         group = rep.group
-        targets = set(q.points)
+        targets = sorted(set(q.points))
         cand = sorted(group.elements())
-        chosen = []
-        while targets:
-            best_gain, best_x, best_cov = -1, None, None
-            for x in cand:
-                xinv = group.inverse(x)
-                cov = [t for t in targets if group.multiply(xinv, t) in u_set]
-                if len(cov) > best_gain:
-                    best_gain, best_x, best_cov = len(cov), x, cov
-            if best_gain <= 0:
-                raise ValueError("greedy cover stalled on the torus")
-            chosen.append(best_x)
-            targets.difference_update(best_cov)
+        covers = np.array([[group.multiply(group.inverse(x), t) in u_set for t in targets]
+                           for x in cand], dtype=bool)
+        chosen = [cand[i] for i in _greedy_cover(covers)]
         return CoverReport(len(chosen), 4.0 * len(chosen), level, None,
                            tuple(chosen), True, 0.0)
     prof = reps.radial_profile(rep, g)

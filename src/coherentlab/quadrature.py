@@ -63,19 +63,28 @@ def refine_trapezoid(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 # -- Disk geometry --------------------------------------------------------------
 
 
-def lens_area(r1: float, r2: float, d: float) -> float:
-    """Area of the intersection of two disks with radii r1, r2 at center distance d."""
-    if r1 <= 0.0 or r2 <= 0.0:
-        return 0.0
-    if d >= r1 + r2:
-        return 0.0
-    if d <= abs(r1 - r2):
+def _acos(x: np.ndarray) -> np.ndarray:
+    # math.acos, not np.arccos: numpy's SIMD arccos is not correctly rounded
+    # on every CPU, which would make the error integrals built on lens areas,
+    # and so the report digits, depend on the machine
+    return np.fromiter(map(math.acos, x.tolist()), dtype=float, count=x.size)
+
+
+def lens_area(r1: float, r2: float, d):
+    """Area of the intersection of two disks with radii r1, r2 at center
+    distance d; an array of distances gives an array of areas."""
+    d = np.asarray(d, dtype=float)
+    out = np.zeros(d.shape)
+    if r1 > 0.0 and r2 > 0.0:
         rm = min(r1, r2)
-        return math.pi * rm * rm
-    a1 = math.acos(max(-1.0, min(1.0, (d * d + r1 * r1 - r2 * r2) / (2.0 * d * r1))))
-    a2 = math.acos(max(-1.0, min(1.0, (d * d + r2 * r2 - r1 * r1) / (2.0 * d * r2))))
-    sq = (-d + r1 + r2) * (d + r1 - r2) * (d - r1 + r2) * (d + r1 + r2)
-    return r1 * r1 * a1 + r2 * r2 * a2 - 0.5 * math.sqrt(max(sq, 0.0))
+        out[d <= abs(r1 - r2)] = math.pi * rm * rm
+        part = (d > abs(r1 - r2)) & (d < r1 + r2)
+        dp = d[part]
+        a1 = _acos(np.clip((dp * dp + r1 * r1 - r2 * r2) / (2.0 * dp * r1), -1.0, 1.0))
+        a2 = _acos(np.clip((dp * dp + r2 * r2 - r1 * r1) / (2.0 * dp * r2), -1.0, 1.0))
+        sq = (-dp + r1 + r2) * (dp + r1 - r2) * (dp - r1 + r2) * (dp + r1 + r2)
+        out[part] = r1 * r1 * a1 + r2 * r2 * a2 - 0.5 * np.sqrt(np.maximum(sq, 0.0))
+    return out if out.ndim else float(out)
 
 
 # -- Certified tails -------------------------------------------------------------

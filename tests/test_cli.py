@@ -3,6 +3,7 @@ report emission, exit codes, console summary lines, and audit-matrix dumps."""
 
 import json
 import os
+import re
 
 import pytest
 
@@ -206,3 +207,54 @@ def test_json_reports_are_sorted_and_newline_terminated(tmp_path):
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
     assert json.loads(text) == {"b": 1.0, "a": {"z": 2.0, "y": 3.0}}
+
+
+# small configs, one per experiment (and model/side), that run in well under a second
+SWEEP_BASES = [
+    ("geometry", {"growth_radii": "1,2,3,4", "folner_count": 1, "folner_step": 2,
+                  "annular_radii": "2,4", "annular_fracs": "0.5"}),
+    ("rep-check", {"n": 4, "trials": 2}),
+    ("frame", {"model": "gaussian", "lattice_a": 1.0, "lattice_b": 1.0,
+               "section_radius": 6, "restriction_radius": 2, "k_radius": 2}),
+    ("frame", {"model": "finite", "n": 4, "q_radius": 1, "k_radius": 1}),
+    ("density", {"side": "frame", "radii": "2,3", "section_radius": 6}),
+    ("density", {"side": "riesz", "lattice_a": 2.0, "lattice_b": 1.0, "radii": "2,3",
+                 "restriction_radius": 2}),
+    ("hole", {"hole_radii": "0,1", "section_radius": 6, "calibration_radius": 2}),
+]
+
+
+def _numeric_keys(experiment):
+    return [key for key, (typ, *_) in cli._SCHEMAS[experiment].items()
+            if typ in ("int", "float", "floats")]
+
+
+def test_bad_numeric_values_exit_2_naming_the_key(tmp_path, capsys):
+    rejected = 0
+    for i, (experiment, base) in enumerate(SWEEP_BASES):
+        for key in _numeric_keys(experiment):
+            for value in ("0", "-1"):
+                path = write_ini(tmp_path, f"{i}-{key}{value}.ini", experiment,
+                                 {**base, key: value})
+                code = cli.main([experiment, "--config", path,
+                                 "--out", str(tmp_path / "out")])
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2), (experiment, key, value)
+                if code == 2:
+                    rejected += 1
+                    message = err.split(": ", 1)[1]
+                    assert re.search(rf"\b{key}\b", message), (experiment, key, value, err)
+            # non-finite numbers never reach a runner
+            for value in ("nan", "inf", "-inf"):
+                path = write_ini(tmp_path, f"{i}-{key}{value}.ini", experiment,
+                                 {**base, key: value})
+                with pytest.raises(cli.ConfigError, match=f"'{key}'"):
+                    cli.load_config(path, experiment)
+    assert rejected >= 60
+    # a section that finds no frame (A = 0) fails the counting checks'
+    # hypothesis: exit 2, not a traceback
+    path = write_ini(tmp_path, "critical.ini", "density",
+                     {**SWEEP_BASES[4][1], "lattice_a": 1.0, "lattice_b": 1.0,
+                      "margin": 0})
+    assert cli.main(["density", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "lattice_a" in capsys.readouterr().err

@@ -38,6 +38,25 @@ def svd_bounds_oracle(n, g, points):
     return float(s[-1] ** 2 if len(points) >= 1 else 0.0), float(s[0] ** 2)
 
 
+def scan_lattice_points(lam, cx, cy, r, closed=True):
+    """Point-by-point scan of the index box around the disk, with strict hole
+    removal: an oracle independent of the column ranges of PointSet."""
+    thr = r * r * (1.0 + 1e-12) + 1e-12 if closed else r * r
+    out = []
+    for k in range(math.floor((cx - r) / lam.a) - 1, math.ceil((cx + r) / lam.a) + 2):
+        x = k * lam.a
+        for l in range(math.floor((cy - r) / lam.b) - 1, math.ceil((cy + r) / lam.b) + 2):
+            y = l * lam.b
+            d_sq = (x - cx) * (x - cx) + (y - cy) * (y - cy)
+            if not (d_sq <= thr if closed else d_sq < thr):
+                continue
+            if any((x - hx) * (x - hx) + (y - hy) * (y - hy) < hr * hr
+                   for (hx, hy, hr) in lam.holes):
+                continue
+            out.append((x, y))
+    return out
+
+
 def euclid_ball(radius):
     return groups.ball(groups.euclidean_metric(dim=2), None, radius, closed=True)
 
@@ -158,6 +177,18 @@ def test_section_mode_count():
     assert frames.section_mode_count(30.0, 3.0) == 512
 
 
+def test_section_method_names_the_mode_cap_when_it_cuts():
+    rep = reps.gabor_gaussian()
+    g = reps.gaussian_window()
+    lam = lattice(3.0, 3.0)  # few points: the cost is in the Hermite modes
+    # pi 9^2 = 254 modes fit under the cap: the label is unchanged
+    fb = frames.frame_operator_spectrum(rep, g, lam, section_radius=12.0, margin=3.0)
+    assert fb.method == "truncated_section(R=12, margin=3)"
+    # pi 13^2 = 530.9: 512 of 530 resolved modes are kept
+    fb = frames.frame_operator_spectrum(rep, g, lam, section_radius=16.0, margin=3.0)
+    assert fb.method == "truncated_section(R=16, margin=3, modes=512/530)"
+
+
 def test_relative_separation_exact_lattice_values():
     assert frames.relative_separation(lattice(0.5, 0.5), euclid_ball(0.6)).rel_sep == 6
     assert frames.relative_separation(lattice(1.0, 1.0), euclid_ball(0.4)).rel_sep == 1
@@ -213,7 +244,7 @@ def test_relative_separation_explicit_and_finite():
 def test_lemma_cover_constant_gaussian_frozen_counts():
     rep = reps.gabor_gaussian()
     g = reps.gaussian_window()
-    for rho, expect in ((0.6, 3), (1.0, 9), (1.25, 9)):
+    for rho, expect in ((0.6, 3), (1.0, 9), (1.25, 9), (2.0, 25), (3.0, 57)):
         cover = frames.lemma_cover_constant(rep, g, euclid_ball(rho))
         assert cover.n_cover == expect
         assert cover.constant == pytest.approx(4.0 * expect)
@@ -223,15 +254,34 @@ def test_lemma_cover_constant_gaussian_frozen_counts():
         # disk lies strictly inside some chosen level-set disk
         u = cover.u_radius
         xs = np.linspace(-rho, rho, 161)
-        for x in xs:
-            for y in xs:
-                if x * x + y * y > rho * rho:
-                    continue
-                assert min(math.hypot(x - c[0], y - c[1])
-                           for c in cover.centers) < u
+        xx, yy = np.meshgrid(xs, xs)
+        disk = xx * xx + yy * yy <= rho * rho
+        nearest = np.full(xx.shape, np.inf)
+        for cx, cy in cover.centers:
+            nearest = np.minimum(nearest, np.hypot(xx - cx, yy - cy))
+        assert np.all(nearest[disk] < u)
     with pytest.raises(ValueError):
         frames.lemma_cover_constant(rep, g, groups.ball(
             groups.euclidean_metric(dim=2), (1.0, 0.0), 1.0))
+
+
+def test_greedy_cover_takes_the_first_row_of_largest_gain():
+    # reference: a set-based loop in which the first row with the most
+    # uncovered targets wins; small 0/1 matrices make ties frequent
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        covers = rng.random((rng.integers(1, 12), rng.integers(1, 30))) < 0.3
+        covers[rng.integers(len(covers), size=covers.shape[1]),
+               np.arange(covers.shape[1])] = True  # every target coverable
+        rows = [set(np.flatnonzero(row)) for row in covers]
+        uncovered, want = set(range(covers.shape[1])), []
+        while uncovered:
+            gains = [len(uncovered & row) for row in rows]
+            want.append(gains.index(max(gains)))
+            uncovered -= rows[want[-1]]
+        assert frames._greedy_cover(covers) == want
+    with pytest.raises(ValueError, match="stalled"):
+        frames._greedy_cover(np.array([[True, False], [True, False]]))
 
 
 def test_lemma_cover_constant_finite_property():
@@ -409,6 +459,26 @@ def test_frame_bounds_validation_and_errors():
         frames.lemma_cover_constant(reps.gabor_numeric(ws), ws, euclid_ball(1.0))
 
 
+def test_riesz_gram_diagonal_is_the_coefficient_at_zero():
+    # a sampled window: the diagonal comes from the same quadrature as the
+    # off-diagonal entries, so the Gram equals the one gabor_gram_entry builds
+    t = np.linspace(-1.0, 1.0, 65)
+    sw = reps.sampled_window(t, np.cos(t))
+    rep = reps.gabor_numeric(sw)
+    pts = [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)]
+    gram = np.array([[frames.gabor_gram_entry(mu, nu, rep, sw) for nu in pts]
+                     for mu in pts])
+    eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
+    rb = frames.riesz_bounds(rep, sw, explicit_points(pts))
+    assert rb.lower == pytest.approx(eigs[0], rel=1e-9)
+    assert rb.upper == pytest.approx(eigs[-1], rel=1e-9)
+    # one point: the Gram is V_g g(0) = ||g||^2, exactly c0 for a decay window
+    one = explicit_points([(0.0, 0.0)])
+    decay = reps.gabor_decay(2.0, 1.0, 0.5, 2.0)
+    assert frames.riesz_bounds(decay, None, one).upper == 2.0
+    assert frames.riesz_bounds(reps.gabor_gaussian(), None, one).upper == 1.0
+
+
 def test_riesz_bounds_on_sparse_lattice_restriction():
     rep = reps.gabor_gaussian()
     g = reps.gaussian_window()
@@ -482,11 +552,12 @@ def test_lattice_count_near_matches_enumeration():
     cases += [(half, 0.0, 0.0, 10.0), (half, 6.0, 8.0, 10.0), (half, 8.0, 6.0, 10.0),
               (half, -6.0, -8.0, 10.0), (half, 0.0, 0.0, 5.0)]
     for lam, cx, cy, r in cases:
-        want = len(lam.lattice_points_near(cx, cy, r, closed=True))
-        assert lam.lattice_count_near(cx, cy, r) == want, (lam.a, lam.b, cx, cy, r)
+        want = scan_lattice_points(lam, cx, cy, r)
+        assert lam.lattice_count_near(cx, cy, r) == len(want), (lam.a, lam.b, cx, cy, r)
+        assert lam.lattice_points_near(cx, cy, r) == want, (lam.a, lam.b, cx, cy, r)
     # 12 points sit on that circle: (+-6, +-8), (+-8, +-6), (+-10, 0), (0, +-10)
     assert half.lattice_count_near(0.0, 0.0, 10.0) \
-        == 12 + len(half.lattice_points_near(0.0, 0.0, 10.0 - 1e-9))
+        == 12 + len(scan_lattice_points(half, 0.0, 0.0, 10.0 - 1e-9))
     # only plain lattices with closed balls take the closed form
     with pytest.raises(ValueError):
         lattice_with_holes(0.5, 0.5, [(0.0, 0.0, 2.0)]).lattice_count_near(0.0, 0.0, 6.0)
@@ -501,8 +572,21 @@ def test_count_points_on_holes_and_open_balls_matches_enumeration():
         for closed in (True, False):
             for center in ((0.0, 0.0), (1.5, 0.5), (0.3125, -0.25)):
                 ball = groups.ball(em, None, 5.0, closed=closed).translate(center)
-                want = len(lam.lattice_points_near(*center, 5.0, closed=closed))
+                want = len(scan_lattice_points(lam, *center, 5.0, closed=closed))
                 assert density.count_points(lam, None, ball) == want
+    # random holes, centres and radii, some through a lattice point, both kinds
+    rng = np.random.default_rng(11)
+    for _ in range(150):
+        a, b = float(rng.uniform(0.3, 1.2)), float(rng.uniform(0.3, 1.2))
+        holes = [(float(rng.integers(-6, 7) * a), float(rng.uniform(-3.0, 3.0)),
+                  float(rng.uniform(0.0, 3.0))) for _ in range(rng.integers(1, 3))]
+        lam = lattice_with_holes(a, b, holes)
+        cx, cy = float(rng.uniform(-4.0, 4.0)), float(rng.integers(-16, 17) * b / 8.0)
+        k, l = rng.integers(-8, 9, size=2)
+        r = float(rng.choice([rng.uniform(0.0, 8.0), math.hypot(k * a - cx, l * b - cy)]))
+        for closed in (True, False):
+            assert lam.lattice_points_near(cx, cy, r, closed) \
+                == scan_lattice_points(lam, cx, cy, r, closed), (a, b, holes, cx, cy, r)
     # the closed ball counts the 12 on-circle points, the open ball does not
     plain = lattice(0.5, 0.5)
     closed_n = density.count_points(plain, None, groups.ball(em, None, 10.0, closed=True))

@@ -29,6 +29,19 @@ def lens_area_grid_oracle(r1, r2, d, n=2400):
     return float(np.sum(inside)) * dx * dy
 
 
+def lens_area_scalar_reference(r1, r2, d):
+    """The branch-by-branch scalar formula, one distance at a time."""
+    if r1 <= 0.0 or r2 <= 0.0 or d >= r1 + r2:
+        return 0.0
+    if d <= abs(r1 - r2):
+        rm = min(r1, r2)
+        return math.pi * rm * rm
+    a1 = math.acos(max(-1.0, min(1.0, (d * d + r1 * r1 - r2 * r2) / (2.0 * d * r1))))
+    a2 = math.acos(max(-1.0, min(1.0, (d * d + r2 * r2 - r1 * r1) / (2.0 * d * r2))))
+    sq = (-d + r1 + r2) * (d + r1 - r2) * (d - r1 + r2) * (d + r1 + r2)
+    return r1 * r1 * a1 + r2 * r2 * a2 - 0.5 * math.sqrt(max(sq, 0.0))
+
+
 def refine_split_at(fn, a, b, cut, tol):
     """refine_trapezoid over [a, b], split at the kink when it lies inside,
     with the tolerance halved per piece."""
@@ -59,6 +72,15 @@ def test_lens_area_limit_cases():
     assert lens_area(2.0, 1.0, 0.5) == pytest.approx(math.pi, rel=1e-12)
     assert lens_area(1.0, 3.0, 0.0) == pytest.approx(math.pi, rel=1e-12)
     assert lens_area(0.0, 1.0, 0.5) == 0.0
+    # an array of distances gives, entry by entry, the scalar calls and the
+    # scalar formula to the last bit
+    d = np.concatenate([[0.0, 0.5, 1.0, 1.7, 2.0, 2.5, 5.0, 8.0, 11.0, 12.0],
+                        np.random.default_rng(3).uniform(0.0, 12.0, 200)])
+    for r1, r2 in ((1.0, 1.0), (2.0, 1.0), (1.0, 3.0), (0.0, 1.0), (6.0, 5.0), (7.3, 6.3)):
+        areas = lens_area(r1, r2, d)
+        assert areas.shape == d.shape
+        assert areas.tolist() == [lens_area(r1, r2, float(x)) for x in d]
+        assert areas.tolist() == [lens_area_scalar_reference(r1, r2, float(x)) for x in d]
 
 
 def test_lens_area_against_grid_oracle():
