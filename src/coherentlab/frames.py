@@ -281,6 +281,12 @@ def frame_operator_spectrum(rep: RepModel, g, lam: PointSet,
     resolved = int(math.floor(math.pi * (section_radius - margin) ** 2))
     cut = f", modes={n_modes}/{resolved}" if n_modes < resolved else ""
     method = f"truncated_section(R={section_radius:g}, margin={margin:g}{cut})"
+    if lam.is_lattice and lam.covolume >= 1.0:
+        # Lyubarskii; Seip-Wallsten: Gaussian Gabor systems on aZ x bZ are
+        # frames iff ab < 1, and removing points keeps a non-frame a non-frame
+        return FrameBounds(0.0, b, "bessel",
+                           f"{method}; A=0: ab={lam.covolume:g} >= 1 admits no Gaussian frame",
+                           eigs)
     return FrameBounds(a, b, _classify(a, b), method, eigs)
 
 

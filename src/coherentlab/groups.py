@@ -9,7 +9,6 @@ annular-decay diagnostics, and Folner machinery built from metric balls.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass, field
@@ -87,6 +86,15 @@ class GroupModel:
             return ((-a[0]) % n, (-a[1]) % n)
         return tuple(-x for x in a)
 
+    def multiply_array(self, pts: np.ndarray, b: tuple) -> np.ndarray:
+        """Right products p * b for the rows p of an (n, dim) int64 array."""
+        out = pts + np.asarray(b, dtype=np.int64)
+        if self.kind == DISCRETE_HEISENBERG:
+            out[:, 2] += pts[:, 0] * b[1]
+        elif self.kind == FINITE_CYCLIC_SQ:
+            out %= self.modulus
+        return out
+
     def elements(self) -> list:
         """All elements; finite kind only."""
         if self.kind != FINITE_CYCLIC_SQ:
@@ -105,21 +113,10 @@ def _validate_generators(group: GroupModel) -> None:
         raise ValueError("generating set must not contain the identity")
     # two BFS layers must strictly grow for the infinite kinds
     if group.kind in (INTEGER_LATTICE, DISCRETE_HEISENBERG):
-        seen = {group.identity()}
-        frontier = [group.identity()]
-        sizes = []
-        for _ in range(2):
-            nxt = []
-            for el in frontier:
-                for g in gens:
-                    q = group.multiply(el, g)
-                    if q not in seen:
-                        seen.add(q)
-                        nxt.append(q)
-            sizes.append(len(nxt))
-            frontier = nxt
-        if sizes[0] == 0 or sizes[1] == 0:
-            raise ValueError("generators do not generate two growing layers")
+        try:
+            word_metric(group)._grow_layers(2)
+        except ValueError as exc:
+            raise ValueError("generators do not generate two growing layers") from exc
 
 
 def euclidean(dim: int) -> GroupModel:
@@ -164,6 +161,52 @@ def finite_cyclic_sq(n: int) -> GroupModel:
     return GroupModel(kind=FINITE_CYCLIC_SQ, dim=2, modulus=n, generators=tuple(set(gens)))
 
 
+# -- Element keys -------------------------------------------------------------
+
+
+def _keys(group: GroupModel, pts: np.ndarray) -> np.ndarray:
+    """Pack the rows of an (n, dim) int64 array into one int64 key each.
+
+    Every coordinate is offset into [0, 2^bits) with bits = 63 // dim, so the
+    integer order of the keys is the lexicographic order of the tuples.  A
+    coordinate outside [-2^(bits-1), 2^(bits-1)) raises: int64 overflow in
+    numpy wraps silently.
+    """
+    bits = 63 // group.dim
+    offset = 1 << (bits - 1)
+    if pts.size and (pts.min() < -offset or pts.max() >= offset):
+        raise OverflowError(f"group element coordinate outside the key range "
+                            f"[-2^{bits - 1}, 2^{bits - 1})")
+    keys = np.zeros(len(pts), dtype=np.int64)
+    for col in (pts + offset).T:
+        keys = (keys << bits) | col
+    return keys
+
+
+def _coords(group: GroupModel, keys: np.ndarray) -> np.ndarray:
+    """Inverse of ``_keys``: the (n, dim) int64 array of the packed elements."""
+    bits = 63 // group.dim
+    shifts = bits * np.arange(group.dim - 1, -1, -1, dtype=np.int64)
+    return ((keys[:, None] >> shifts) & ((1 << bits) - 1)) - (1 << (bits - 1))
+
+
+def _unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys.  numpy 2.4's np.unique (and so np.isin) hashes
+    int64 input, which is about 30x slower than this sort on 5e5 keys."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def _in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Membership of each key in a sorted key array, by binary search."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool)
+    idx = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[idx] == keys
+
+
 # -- Metrics ------------------------------------------------------------------
 
 
@@ -190,14 +233,14 @@ class PeriodicMetric:
     """Left-invariant metric on one of the group models.
 
     Kinds: ``euclidean_norm`` on R^d, ``word_metric`` on any discrete kind,
-    ``homogeneous_heisenberg`` (Cygan gauge) on H3(Z).  Word-metric layers are
-    cached on the instance and grown incrementally under the element budget.
+    ``homogeneous_heisenberg`` (Cygan gauge) on H3(Z).  Word-metric spheres
+    are cached on the instance as sorted key arrays and grown incrementally
+    under the element budget.
     """
 
     kind: str
     group: GroupModel
     _layers: list = field(default_factory=list, repr=False)
-    _dist_cache: dict = field(default_factory=dict, repr=False)
     _gauge_cache: dict = field(default_factory=dict, repr=False)
 
     def length(self, el: tuple) -> float:
@@ -218,36 +261,39 @@ class PeriodicMetric:
         if group.kind == FINITE_CYCLIC_SQ:
             n = group.modulus
             return int(sum(min(x % n, (-x) % n) for x in el))
-        if el in self._dist_cache:
-            return self._dist_cache[el]
-        radius = len(self._layers)
-        while el not in self._dist_cache:
+        key = _keys(group, np.array([el], dtype=np.int64))
+        radius = 0
+        while True:
             self._grow_layers(radius)
+            if _in_sorted(self._layers[radius], key)[0]:
+                return radius
             radius += 1
-        return self._dist_cache[el]
 
     def _grow_layers(self, up_to: int) -> None:
-        """Extend cached BFS spheres out to word length ``up_to``."""
+        """Extend the cached BFS spheres out to word length ``up_to``.
+
+        The generators are symmetric, so every neighbour of sphere r lies in
+        sphere r - 1, r or r + 1: new candidates are checked against the last
+        two spheres only.
+        """
+        group = self.group
         if not self._layers:
-            e = self.group.identity()
-            self._layers.append((e,))
-            self._dist_cache[e] = 0
+            self._layers.append(_keys(group, np.array([group.identity()], dtype=np.int64)))
         budget = ball_budget()
+        total = sum(len(layer) for layer in self._layers)
         while len(self._layers) <= up_to:
-            frontier = self._layers[-1]
-            nxt = []
-            for el in frontier:
-                for g in self.group.generators:
-                    q = self.group.multiply(el, g)
-                    if q not in self._dist_cache:
-                        self._dist_cache[q] = len(self._layers)
-                        nxt.append(q)
-            if len(self._dist_cache) > budget:
+            frontier = _coords(group, self._layers[-1])
+            nxt = _unique(np.concatenate(
+                [_keys(group, group.multiply_array(frontier, g)) for g in group.generators]))
+            for seen in self._layers[-2:]:
+                nxt = nxt[~_in_sorted(seen, nxt)]
+            total += len(nxt)
+            if total > budget:
                 raise BudgetExceededError(
                     f"word ball enumeration exceeded budget {budget} at radius {len(self._layers)}"
                 )
-            self._layers.append(tuple(nxt))
-            if not nxt and self.group.kind != FINITE_CYCLIC_SQ:
+            self._layers.append(nxt)
+            if not len(nxt) and group.kind != FINITE_CYCLIC_SQ:
                 raise ValueError("BFS frontier died out on an infinite kind")
 
 
@@ -330,14 +376,20 @@ class Box:
         return float(np.prod([2.0 * w for w in self.half_widths]))
 
 
-def _word_ball_points(metric: PeriodicMetric, int_radius: int) -> tuple:
+def _word_spheres(metric: PeriodicMetric, int_radius: int) -> list:
+    """Sorted key arrays of the word spheres of radius 0, ..., int_radius."""
     if int_radius < 0:
-        return ()
+        return []
     metric._grow_layers(int_radius)
-    pts: list = []
-    for layer in metric._layers[: int_radius + 1]:
-        pts.extend(layer)
-    return tuple(sorted(pts))
+    return metric._layers[: int_radius + 1]
+
+
+def _word_ball_points(metric: PeriodicMetric, int_radius: int) -> tuple:
+    spheres = _word_spheres(metric, int_radius)
+    if not spheres:
+        return ()
+    keys = np.sort(np.concatenate(spheres))
+    return tuple(map(tuple, _coords(metric.group, keys).tolist()))
 
 
 def _gauge_ball_points(metric: PeriodicMetric, radius: float, closed: bool) -> tuple:
@@ -392,6 +444,9 @@ def ball_measure(metric: PeriodicMetric, radius: float, closed: bool = True) -> 
     """Haar measure of the ball: volume if continuous, point count if discrete."""
     if metric.kind == EUCLIDEAN_NORM:
         return _unit_ball_volume(metric.group.dim) * radius ** metric.group.dim
+    if metric.kind == WORD_METRIC:
+        spheres = _word_spheres(metric, _effective_word_radius(radius, closed))
+        return float(sum(len(sphere) for sphere in spheres))
     return ball(metric, None, radius, closed).measure
 
 
@@ -513,8 +568,9 @@ def folner_ratio(metric: PeriodicMetric, k_n: Ball, k: Ball) -> float:
     """mu(K_n K intersect K_n^c K) / mu(K_n) for balls K_n and K.
 
     K must be centered at the identity.  Discrete kinds are computed by exact
-    set algebra on the enumerated balls; the euclidean kind has the closed
-    annulus form.
+    set algebra on the keys of the enumerated balls: an element of K_n K lies
+    in K_n^c K when one of its right translates by K leaves K_n.  The
+    euclidean kind has the closed annulus form.
     """
     group = metric.group
     if k.center != group.identity():
@@ -530,18 +586,17 @@ def folner_ratio(metric: PeriodicMetric, k_n: Ball, k: Ball) -> float:
         raise ValueError("discrete Folner ratio needs enumerated balls")
     if len(k_n.points) * len(k.points) > ball_budget():
         raise BudgetExceededError("Folner product set exceeds budget")
-    kn_set = k_n.point_set()
-    prod = set()
-    for p in k_n.points:
-        for q in k.points:
-            prod.add(group.multiply(p, q))
-    boundary = 0
-    for el in prod:
-        for q in k.points:
-            if group.multiply(el, q) not in kn_set:
-                boundary += 1
-                break
-    return boundary / len(k_n.points)
+    if not k.points:
+        return 0.0  # K_n K is empty
+    kn = np.asarray(k_n.points, dtype=np.int64).reshape(-1, group.dim)
+    kn_keys = np.sort(_keys(group, kn))
+    prod = _unique(np.concatenate(
+        [_keys(group, group.multiply_array(kn, q)) for q in k.points]))
+    prod_pts = _coords(group, prod)
+    boundary = np.zeros(len(prod), dtype=bool)
+    for q in k.points:
+        boundary |= ~_in_sorted(kn_keys, _keys(group, group.multiply_array(prod_pts, q)))
+    return int(np.count_nonzero(boundary)) / len(k_n.points)
 
 
 def folner_exhaustion(metric: PeriodicMetric, r0: float, count: int, step: float) -> list:
@@ -556,18 +611,3 @@ def folner_exhaustion(metric: PeriodicMetric, r0: float, count: int, step: float
         raise ValueError("count must be >= 1")
     r1 = max(r0 + 1.0, float(step))
     return [ball(metric, None, r1 + i * step, closed=True) for i in range(count)]
-
-
-# -- Exports -------------------------------------------------------------------
-
-
-def export_ball_csv(b: Ball, path: str) -> None:
-    """One element per row: coordinates, then distance to the center."""
-    if b.points is None:
-        raise ValueError("continuous balls have no point rows to export")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        dim = len(b.center)
-        writer.writerow([f"x{i}" for i in range(dim)] + ["distance"])
-        for p in b.points:
-            writer.writerow(list(p) + [f"{b.metric.distance(b.center, p):.12g}"])

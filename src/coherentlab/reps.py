@@ -531,14 +531,6 @@ def estimate_formal_degree(rep: RepModel, g, truncation_radius: float,
     return prof.norm_sq ** 2 / denom
 
 
-def formal_degree_converged(rep: RepModel, g, truncation_radius: float,
-                            rel_change: float = 1e-6) -> tuple:
-    """(estimate at R, True if doubling R moves it by less than rel_change)."""
-    est = estimate_formal_degree(rep, g, truncation_radius)
-    est2 = estimate_formal_degree(rep, g, 2.0 * truncation_radius)
-    return est2, abs(est2 - est) <= rel_change * abs(est2)
-
-
 # -- Decay envelopes ---------------------------------------------------------------------
 
 

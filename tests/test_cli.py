@@ -258,3 +258,16 @@ def test_bad_numeric_values_exit_2_naming_the_key(tmp_path, capsys):
                       "margin": 0})
     assert cli.main(["density", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert "lattice_a" in capsys.readouterr().err
+
+
+def test_density_frame_side_rejects_gaussian_lattices_with_ab_at_least_one(tmp_path, capsys):
+    # ab = 1 and ab = 1.1 admit no Gaussian frame (Lyubarskii; Seip-Wallsten),
+    # though a truncated section finds A > 0 on both: exit 2 naming the keys
+    for a in (1.0, 1.0488):
+        path = write_ini(tmp_path, f"critical{a:g}.ini", "density",
+                         {"side": "frame", "lattice_a": a, "lattice_b": a,
+                          "radii": "6,10,14", "q_radius": 1})
+        code = cli.main(["density", "--config", path, "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert code == 2 and "overall" not in out
+        assert "lattice_a" in err and "lattice_b" in err

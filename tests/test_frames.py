@@ -172,6 +172,21 @@ def test_gaussian_section_bounds_on_half_integer_lattice():
                                        section_radius=3.0, margin=3.0)
 
 
+def test_gaussian_lattice_with_ab_at_least_one_is_no_frame():
+    # Lyubarskii; Seip-Wallsten: the Gaussian is a frame on aZ x bZ iff ab < 1.
+    # The truncated section alone sees A = 0.0188 on Z^2 at R = 12.
+    rep = reps.gabor_gaussian()
+    g = reps.gaussian_window()
+    for lam in (lattice(1.0, 1.0), lattice(1.0488, 1.0488),
+                lattice_with_holes(1.0, 1.0, [(0.0, 0.0, 2.0)])):
+        fb = frames.frame_operator_spectrum(rep, g, lam)
+        assert fb.kind == "bessel" and fb.lower == 0.0
+        assert "admits no Gaussian frame" in fb.method
+        # B stays the section's largest eigenvalue
+        assert fb.upper == float(fb.spectrum[-1])
+    assert frames.frame_operator_spectrum(rep, g, lattice(0.99, 1.0)).kind == "frame"
+
+
 def test_section_mode_count():
     assert frames.section_mode_count(12.0, 3.0) == min(512, int(math.pi * 81))
     assert frames.section_mode_count(30.0, 3.0) == 512
@@ -181,12 +196,14 @@ def test_section_method_names_the_mode_cap_when_it_cuts():
     rep = reps.gabor_gaussian()
     g = reps.gaussian_window()
     lam = lattice(3.0, 3.0)  # few points: the cost is in the Hermite modes
-    # pi 9^2 = 254 modes fit under the cap: the label is unchanged
+    # ab = 9 >= 1 is no Gaussian frame, and the label says why A = 0
+    no_frame = "; A=0: ab=9 >= 1 admits no Gaussian frame"
+    # pi 9^2 = 254 modes fit under the cap: the section label is unchanged
     fb = frames.frame_operator_spectrum(rep, g, lam, section_radius=12.0, margin=3.0)
-    assert fb.method == "truncated_section(R=12, margin=3)"
+    assert fb.method == "truncated_section(R=12, margin=3)" + no_frame
     # pi 13^2 = 530.9: 512 of 530 resolved modes are kept
     fb = frames.frame_operator_spectrum(rep, g, lam, section_radius=16.0, margin=3.0)
-    assert fb.method == "truncated_section(R=16, margin=3, modes=512/530)"
+    assert fb.method == "truncated_section(R=16, margin=3, modes=512/530)" + no_frame
 
 
 def test_relative_separation_exact_lattice_values():

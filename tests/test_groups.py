@@ -1,13 +1,14 @@
 """Group models, metrics, balls, growth fits, and Folner machinery.
 
 The discrete oracles here are independent re-derivations: an ell^1 closed form
-for Z^2 word balls, a from-scratch BFS for the Heisenberg group in normal form
-(x, y, z), (x', y', z') -> (x + x', y + y', z + z' + x y'), and the telescoping
-Folner ratio formula for nested ell^1 balls.
+for Z^2 word balls and an ell^1 box scan for Z^d, a from-scratch BFS for the
+Heisenberg group in normal form (x, y, z), (x', y', z') -> (x + x', y + y',
+z + z' + x y'), the telescoping Folner ratio formula for nested ell^1 balls,
+and a set-algebra Folner ratio on tuples.
 """
 
+import itertools
 import math
-import os
 from collections import deque
 
 import numpy as np
@@ -21,28 +22,52 @@ def z2_ball_size(r):
     return 2 * r * r + 2 * r + 1
 
 
-def heisenberg_bfs_oracle(max_radius):
-    """Sphere sizes of H3(Z) by plain BFS on the four standard generators."""
-    gens = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
+def heisenberg_mul(a, b):
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
 
-    def mul(a, b):
-        return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
 
+HEISENBERG_GENS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
+
+
+def heisenberg_bfs_distances(max_radius):
+    """Word length of every element of H3(Z) of length <= max_radius, by plain
+    BFS on the four standard generators."""
     dist = {(0, 0, 0): 0}
     queue = deque([(0, 0, 0)])
-    sizes = [1] + [0] * max_radius
     while queue:
         el = queue.popleft()
         d = dist[el]
         if d == max_radius:
             continue
-        for g in gens:
-            q = mul(el, g)
+        for g in HEISENBERG_GENS:
+            q = heisenberg_mul(el, g)
             if q not in dist:
                 dist[q] = d + 1
-                sizes[d + 1] += 1
                 queue.append(q)
+    return dist
+
+
+def heisenberg_bfs_oracle(max_radius):
+    """Sphere sizes of H3(Z) by plain BFS on the four standard generators."""
+    sizes = [0] * (max_radius + 1)
+    for d in heisenberg_bfs_distances(max_radius).values():
+        sizes[d] += 1
     return sizes
+
+
+def folner_ratio_reference(mul, kn_points, k_points):
+    """|K_n K minus the elements whose translates by K all stay in K_n| / |K_n|,
+    by set algebra on tuples."""
+    kn = set(kn_points)
+    prod = {mul(p, q) for p in kn_points for q in k_points}
+    boundary = sum(1 for el in prod if any(mul(el, q) not in kn for q in k_points))
+    return boundary / len(kn_points)
+
+
+def ell1_ball(dim, r):
+    """Sorted points of Z^dim with |x_1| + ... + |x_dim| <= r, by a box scan."""
+    return sorted(p for p in itertools.product(range(-r, r + 1), repeat=dim)
+                  if sum(map(abs, p)) <= r)
 
 
 def z2_folner_ratio_oracle(r):
@@ -272,14 +297,96 @@ def test_metric_factory_kind_guards():
         groups.integer_lattice(2, generators=((1, 0), (0, 1)))  # not symmetric
 
 
-def test_export_ball_csv(tmp_path):
-    metric = groups.word_metric(groups.integer_lattice(2))
-    b = groups.ball(metric, None, 2.0)
-    path = os.path.join(tmp_path, "ball.csv")
-    groups.export_ball_csv(b, path)
-    lines = open(path).read().strip().splitlines()
-    assert lines[0] == "x0,x1,distance"
-    assert len(lines) == 1 + z2_ball_size(2)
-    euclid = groups.ball(groups.euclidean_metric(dim=2), None, 1.0)
-    with pytest.raises(ValueError):
-        groups.export_ball_csv(euclid, path)
+def test_heisenberg_word_length_matches_bfs_distances():
+    dist = heisenberg_bfs_distances(6)
+    far = max(dist, key=dist.get)
+    # a fresh metric grows its spheres on demand from the first lookup
+    assert groups.word_metric(groups.discrete_heisenberg()).length(far) == dist[far] == 6
+    metric = groups.word_metric(groups.discrete_heisenberg())
+    for el, d in dist.items():
+        assert metric.length(el) == d
+    # neighbours of the 6-sphere outside the oracle's ball have length 7
+    outside = {heisenberg_mul(el, g) for el, d in dist.items() if d == 6
+               for g in HEISENBERG_GENS} - set(dist)
+    assert outside and all(metric.length(el) == 7 for el in outside)
+
+
+def test_word_length_bfs_on_non_standard_lattice_generators():
+    # Z^2 with the extra generators +-(1, 1): |(x, y)| = max(|x|, |y|) when x
+    # and y share a sign, |x| + |y| otherwise
+    gens = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
+    metric = groups.word_metric(groups.integer_lattice(2, generators=gens))
+    for x in range(-4, 5):
+        for y in range(-4, 5):
+            expect = max(abs(x), abs(y)) if x * y >= 0 else abs(x) + abs(y)
+            assert metric.length((x, y)) == expect
+
+
+@pytest.mark.parametrize("k_radius", [1, 2])
+def test_folner_ratio_heisenberg_matches_set_reference(k_radius):
+    metric = groups.word_metric(groups.discrete_heisenberg())
+    k = groups.ball(metric, None, float(k_radius))
+    for r in range(3, 9):
+        kn = groups.ball(metric, None, float(r))
+        assert groups.folner_ratio(metric, kn, k) == folner_ratio_reference(
+            heisenberg_mul, kn.points, k.points)
+    # a translated K_n: the ratio is left-invariant
+    kn = groups.ball(metric, (2, -1, 3), 4.0)
+    ratio = groups.folner_ratio(metric, kn, k)
+    assert ratio == folner_ratio_reference(heisenberg_mul, kn.points, k.points)
+    assert ratio == groups.folner_ratio(metric, groups.ball(metric, None, 4.0), k)
+
+
+@pytest.mark.parametrize("dim, radii", [(1, range(0, 12)), (4, range(0, 6))])
+def test_integer_lattice_word_balls_match_ell1_count(dim, radii):
+    metric = groups.word_metric(groups.integer_lattice(dim))
+    for r in radii:
+        expect = ell1_ball(dim, r)
+        b = groups.ball(metric, None, float(r))
+        # same points, in lexicographic order, as Python ints
+        assert list(b.points) == expect
+        assert all(type(x) is int for p in b.points for x in p)
+        assert groups.ball_measure(metric, float(r)) == len(expect)
+        assert groups.ball_measure(metric, r + 0.5, closed=False) == len(expect)
+
+
+def test_finite_torus_ball_past_the_diameter_is_the_group():
+    group = groups.finite_cyclic_sq(5)
+    metric = groups.word_metric(group)
+    assert groups.ball_measure(metric, 2.0) == 13
+    for r in (4.0, 6.0, 11.0):
+        b = groups.ball(metric, None, r)
+        assert list(b.points) == group.elements()
+        assert groups.ball_measure(metric, r) == 25
+
+
+def test_ball_budget_fires_at_the_exact_element_count(monkeypatch):
+    r = 5
+    size = sum(heisenberg_bfs_oracle(r + 1)[: r + 1])
+    monkeypatch.setenv(groups.BUDGET_ENV_VAR, str(size))
+    assert len(groups.ball(groups.word_metric(groups.discrete_heisenberg()),
+                           None, float(r)).points) == size
+    with pytest.raises(groups.BudgetExceededError):
+        groups.ball(groups.word_metric(groups.discrete_heisenberg()), None, r + 1.0)
+    with pytest.raises(groups.BudgetExceededError):
+        groups.ball_measure(groups.word_metric(groups.discrete_heisenberg()), r + 1.0)
+
+
+def test_coordinates_outside_the_key_range_raise():
+    # H3 packs 63 // 3 = 21 bits per coordinate: [-2^20, 2^20)
+    metric = groups.word_metric(groups.discrete_heisenberg())
+    with pytest.raises(OverflowError):
+        metric.length((1 << 20, 0, 0))
+    k = groups.ball(metric, None, 1.0)
+    # left translation along y moves no z coordinate; K_n K K stays in range
+    edge = groups.ball(metric, (0, (1 << 20) - 4, 0), 1.0)
+    assert groups.folner_ratio(metric, edge, k) == groups.folner_ratio(
+        metric, groups.ball(metric, None, 1.0), k)
+    with pytest.raises(OverflowError):
+        groups.folner_ratio(metric, groups.ball(metric, (0, (1 << 20) - 1, 0), 1.0), k)
+    # Z^4: 15 bits per coordinate, [-2^14, 2^14)
+    m4 = groups.word_metric(groups.integer_lattice(4))
+    k4 = groups.ball(m4, None, 1.0)
+    with pytest.raises(OverflowError):
+        groups.folner_ratio(m4, groups.ball(m4, (0, 0, 0, -(1 << 14)), 1.0), k4)
+

@@ -316,8 +316,6 @@ def test_formal_degree_estimates():
     grep = reps.gabor_gaussian()
     gw = reps.gaussian_window()
     assert reps.estimate_formal_degree(grep, gw, 6.0) == pytest.approx(1.0, abs=1e-6)
-    value, converged = reps.formal_degree_converged(grep, gw, 4.0)
-    assert converged and value == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(ValueError):
         reps.estimate_formal_degree(rep, g, 0.0)
 
