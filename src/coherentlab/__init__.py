@@ -28,29 +28,22 @@ from .quadrature import (
     QuadratureError,
     gauss_profile_mass_outside,
     lens_area,
-    power_profile_mass_outside,
     refine_trapezoid,
 )
 from .reps import (
     GAUSSIAN_AMBIGUITY_LIPSCHITZ,
-    NotInWeightClassError,
     RepModel,
     Window,
     coefficient_field,
     coefficient_table,
     decay_envelope_check,
-    decay_window,
     estimate_formal_degree,
     finite_weyl_heisenberg,
-    gabor_decay,
     gabor_gaussian,
-    gabor_numeric,
     gaussian_ambiguity,
     gaussian_window,
     local_maximal,
     matrix_coefficient,
-    sampled_window,
-    vector_window,
     verify_cocycle_identity,
     verify_orthogonality,
     weighted_maximal_norm,

@@ -3,8 +3,8 @@
 The two error integrals couple a ball K_n with the thickened complement
 (resp. thickened ball) of its index set through the local maximal function of
 |V_g g|.  On the plane both reduce exactly to one-dimensional integrals of the
-radial profile against two-disk lens areas, with closed-form tails; the finite
-model evaluates them as exhaustive double sums.
+Gaussian's radial profile against two-disk lens areas, with closed-form tails;
+the finite model evaluates them as exhaustive double sums.
 """
 
 from __future__ import annotations
@@ -252,8 +252,6 @@ def _error_integral(rep: RepModel, g, q: groups.Ball, k: groups.Ball, kind: str,
     if k.center != (0.0, 0.0):
         raise ValueError("K_n must be centered at the identity")
     prof = reps.radial_profile(rep, g)
-    if prof is None:
-        raise ValueError("error integrals need the Gaussian or decay model")
     value = _lens_reduced_integral(prof, q.radius, k.radius, kind, tol)
     measure = groups.ball_measure(k.metric, k.radius, k.closed)
     return ErrorIntegralRecord(n, kind, value, tol, measure)
@@ -281,21 +279,16 @@ def mc_error_integral(rep: RepModel, g, q: groups.Ball, k: groups.Ball,
     indicator.  Used as a cross-check oracle.
 
     The radius of the difference variable is drawn by inverting the
-    closed-form survival function mass_outside(rho, u) / total on a grid that
-    is linear over [0, rho + 12] and geometric beyond, out to where the
-    survival falls below 1e-13; a power-law tail reaches that only near 1e8.
+    closed-form survival function mass_outside(rho, u) / total on a linear
+    grid over [0, rho + 12]; beyond it the Gaussian survival is about
+    e^(-144 pi).
     """
     prof = reps.radial_profile(rep, g)
     if prof is None:
-        raise ValueError("error integrals need the Gaussian or decay model")
+        raise ValueError("Monte Carlo error integrals need the Gaussian window")
     rho, r = q.radius, k.radius
     total_mass = prof.mass_outside(rho, 0.0)
-    u_hi = rho + 12.0
-    tail = []
-    while prof.mass_outside(rho, u_hi) > 1e-13 * total_mass:
-        u_hi *= 1.01
-        tail.append(u_hi)
-    grid = np.concatenate([np.linspace(0.0, rho + 12.0, 20_001), tail])
+    grid = np.linspace(0.0, rho + 12.0, 20_001)
     cdf = 1.0 - np.array([prof.mass_outside(rho, float(u)) for u in grid]) / total_mass
     rng = np.random.default_rng(seed)
     vals = np.empty(n_samples)

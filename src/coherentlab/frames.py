@@ -1,9 +1,10 @@
 """Frame, Riesz, and Bessel analysis of coherent systems pi(Lambda)g.
 
 Point sets (finite subsets, planar lattices, lattices with holes), exact
-finite-dimensional spectra, truncated-section estimates for the Gaussian
-model, relative separation, cover-based Bessel bounds, canonical duals, and
-the amalgam inequality check.
+finite-dimensional spectra, truncated-section and Gram estimates for the
+Gaussian window (the only window of the time-frequency kind), relative
+separation, cover-based Bessel bounds, canonical duals, and the amalgam
+inequality check.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import groups, reps
-from .reps import RepModel, Window
+from .reps import RepModel
 
 EXPLICIT = "explicit"
 LATTICE = "lattice"
@@ -264,8 +265,7 @@ def frame_operator_spectrum(rep: RepModel, g, lam: PointSet,
         eigs = _hermitian_eigs(phi @ phi.conj().T, "frame operator")
         a, b = max(float(eigs[0]), 0.0), float(eigs[-1])
         return FrameBounds(a, b, _classify(a, b), "exact_spectrum", eigs)
-    if reps.radial_profile(rep, g) is not reps.GAUSSIAN_PROFILE:
-        raise ValueError("truncated sections are available for the Gaussian model")
+    reps.radial_profile(rep, g)  # raises unless g is the Gaussian window
     if section_radius <= margin + 1.0:
         raise ValueError("section radius must exceed margin + 1")
     pts = lam.restrict(groups.ball(groups.euclidean_metric(dim=2), None,
@@ -290,26 +290,20 @@ def frame_operator_spectrum(rep: RepModel, g, lam: PointSet,
     return FrameBounds(a, b, _classify(a, b), method, eigs)
 
 
-def gabor_gram_entry(mu: tuple, nu: tuple, rep: RepModel | None = None,
-                     g: Window | None = None, tol: float = 1e-10) -> complex:
-    """<pi(nu)g, pi(mu)g> via the covariance identity
-    <pi(x',w')g, pi(x,w)g> = e^{2 pi i (w'-w) x'} V_g g(x-x', w-w').
-
-    g defaults to the Gaussian window, whose closed form is taken directly."""
+def gabor_gram_entry(mu: tuple, nu: tuple) -> complex:
+    """<pi(nu)g, pi(mu)g> for the Gaussian window g via the covariance identity
+    <pi(x',w')g, pi(x,w)g> = e^{2 pi i (w'-w) x'} V_g g(x-x', w-w')."""
     x, w = float(mu[0]), float(mu[1])
     xp, wp = float(nu[0]), float(nu[1])
     phase = np.exp(2j * math.pi * (wp - w) * xp)
-    if g is None or reps.radial_profile(rep, g) is reps.GAUSSIAN_PROFILE:
-        return complex(phase * reps.gaussian_ambiguity(x - xp, w - wp))
-    return complex(phase * reps.matrix_coefficient(rep, g, g, (x - xp, w - wp), tol=tol))
+    return complex(phase * reps.gaussian_ambiguity(x - xp, w - wp))
 
 
 def riesz_bounds(rep: RepModel, g, lam: PointSet,
-                 restriction_radius: float | None = None,
-                 tol: float = 1e-10) -> FrameBounds:
+                 restriction_radius: float | None = None) -> FrameBounds:
     """Extreme eigenvalues of the Gram matrix G[i, j] = <pi(lam_j)g, pi(lam_i)g>.
 
-    On the continuous kind g = None means the model's window."""
+    On the continuous kind g is the Gaussian window (or None for it)."""
     if rep.kind == reps.FINITE_WEYL_HEISENBERG:
         phi = _finite_synthesis(rep, g, lam)
         eigs = _hermitian_eigs(phi.conj().T @ phi, "Gram matrix")
@@ -325,14 +319,12 @@ def riesz_bounds(rep: RepModel, g, lam: PointSet,
         if not pts:
             raise ValueError("empty point set")
         m = len(pts)
-        g = g if g is not None else rep.window
-        # V_g g(0), from the same discretisation as the off-diagonal entries
-        diag = reps.matrix_coefficient(rep, g, g, (0.0, 0.0), tol=tol).real
+        diag = reps.norm_sq(rep, g)  # V_g g(0) = ||g||^2
         gram = np.empty((m, m), dtype=complex)
         for i in range(m):
             gram[i, i] = diag
             for j in range(i + 1, m):
-                val = gabor_gram_entry(pts[i], pts[j], rep, g, tol=tol)
+                val = gabor_gram_entry(pts[i], pts[j])
                 gram[i, j] = val
                 gram[j, i] = np.conj(val)
         eigs = _hermitian_eigs(gram, "Gram matrix")
@@ -529,7 +521,7 @@ def _greedy_cover_disk(rho: float, u: float) -> tuple:
 def lemma_cover_constant(rep: RepModel, g, q: groups.Ball) -> CoverReport:
     """Cover count n and constant C(g, Q) = 4n with U = {|V_g g| > ||g||^2/2}.
 
-    Finite kind: exhaustive greedy over the torus.  Radial continuous models:
+    Finite kind: exhaustive greedy over the torus.  Gaussian window:
     certified cover of the disk Q by metric translates of the level-set disk.
     """
     if q.center != q.metric.group.identity():
@@ -551,11 +543,7 @@ def lemma_cover_constant(rep: RepModel, g, q: groups.Ball) -> CoverReport:
         return CoverReport(len(chosen), 4.0 * len(chosen), level, None,
                            tuple(chosen), True, 0.0)
     prof = reps.radial_profile(rep, g)
-    if prof is None:
-        raise ValueError("cover construction needs a radial coefficient profile")
     u = _radial_level_radius(prof.profile, prof.norm_sq)
-    if u <= 0.0:
-        raise ValueError("no level set found: |V_g g| drops below ||g||^2/2 at once")
     centers, cell = _greedy_cover_disk(q.radius, u)
     return CoverReport(len(centers), 4.0 * len(centers), prof.norm_sq / 2.0, u,
                        tuple(centers), True, cell)
@@ -673,8 +661,6 @@ def amalgam_check(rep: RepModel, g, lam: PointSet, q: groups.Ball,
         mu_q = float(len(q.points))
     else:
         prof = reps.radial_profile(rep, g)
-        if prof is None:
-            raise ValueError("amalgam check needs a radial coefficient profile")
         pts = lam.restrict(groups.ball(groups.euclidean_metric(dim=2), None,
                                        k_radius, closed=True))
         lhs = float(sum(prof.profile(math.hypot(*p)) ** 2 for p in pts))

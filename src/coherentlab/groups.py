@@ -9,6 +9,7 @@ annular-decay diagnostics, and Folner machinery built from metric balls.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -103,6 +104,24 @@ class GroupModel:
         return [(k, l) for k in range(n) for l in range(n)]
 
 
+def _int_det(rows: Sequence[tuple]) -> int:
+    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
+    m = [[int(v) for v in row] for row in rows]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
 def _validate_generators(group: GroupModel) -> None:
     gens = set(group.generators)
     if not gens:
@@ -111,6 +130,20 @@ def _validate_generators(group: GroupModel) -> None:
         raise ValueError("generating set is not symmetric")
     if group.identity() in gens:
         raise ValueError("generating set must not contain the identity")
+    if any(len(g) != group.dim for g in gens):
+        raise ValueError(f"generators {sorted(gens)} need {group.dim} coordinates each")
+    if group.kind == INTEGER_LATTICE:
+        # the generators span Z^d iff their d x d minors have gcd 1
+        # (rank < d makes every minor 0)
+        index = 0
+        for rows in itertools.combinations(sorted(gens), group.dim):
+            index = math.gcd(index, _int_det(rows))
+            if index == 1:
+                break
+        if index != 1:
+            raise ValueError(f"generators {sorted(gens)} span a proper subgroup of "
+                             f"Z^{group.dim} (gcd of the {group.dim}x{group.dim} "
+                             f"minors is {index})")
     # two BFS layers must strictly grow for the infinite kinds
     if group.kind in (INTEGER_LATTICE, DISCRETE_HEISENBERG):
         try:

@@ -3,7 +3,7 @@
 The workhorse is a trapezoid rule with Richardson halving applied after a
 cosine change of variables; the substitution clusters nodes at the endpoints,
 so the inverse-trig kinks showing up in disk-overlap integrands stay cheap.
-Closed-form Gaussian and power-law tail masses provide certified remainders.
+Closed-form Gaussian tail masses provide certified remainders.
 """
 
 from __future__ import annotations
@@ -107,19 +107,4 @@ def gauss_profile_mass_outside(rho: float, d: float) -> float:
     m = max(d, rho)
     a = m - rho
     outer = math.exp(-math.pi * a * a) + 2.0 * math.pi * rho * erfc_integral(a)
-    return inner + outer
-
-
-def power_profile_mass_outside(rho: float, p: float, d: float) -> float:
-    """Integral over |x| >= d in R^2 of (1 + max(0, |x| - rho))^(-2p); needs p > 1."""
-    if p <= 1.0:
-        raise ValueError("power tail mass requires p > 1")
-    d = max(d, 0.0)
-    inner = 0.0
-    if d < rho:
-        inner = math.pi * (rho * rho - d * d)
-    w = 1.0 + max(d, rho) - rho
-    # 2*pi * int_W^inf w^(-2p) (w - 1 + rho) dw
-    outer = 2.0 * math.pi * (w ** (2.0 - 2.0 * p) / (2.0 * p - 2.0)
-                             + (rho - 1.0) * w ** (1.0 - 2.0 * p) / (2.0 * p - 1.0))
     return inner + outer

@@ -2,43 +2,35 @@
 
 Two concrete models: the finite Weyl-Heisenberg family on C^N indexed by
 Z_N x Z_N (translation then modulation), and the time-frequency family on
-L^2(R) indexed by R^2, with Gaussian, synthetic power-decay, and sampled
-windows.  The window, not the representation, decides the continuous model:
-a Gaussian or decay window has a radial profile of |V_g g| with closed forms,
-and only those windows feed the maximal function, weight-class, and
-formal-degree diagnostics.  Sampled windows give matrix coefficients by
-adaptive quadrature only; the estimators raise ValueError on them.
+L^2(R) indexed by R^2 with the unit Gaussian window.  The Gaussian's
+ambiguity function |V_g g| is the radial profile exp(-pi |x|^2 / 2), whose
+closed forms feed the matrix coefficients, maximal functions, weighted norms,
+and formal-degree estimates.  radial_profile is the one place that checks the
+window: on the time-frequency kind anything but the Gaussian raises
+ValueError.
 """
 
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import groups
 from .groups import Ball, GroupModel, PeriodicMetric
-from .quadrature import (QuadratureError, gauss_profile_mass_outside,
-                         power_profile_mass_outside, refine_trapezoid)
+from .quadrature import QuadratureError, gauss_profile_mass_outside, refine_trapezoid
 
 FINITE_WEYL_HEISENBERG = "finite_weyl_heisenberg"
 TIME_FREQUENCY = "time_frequency"
 
 GAUSSIAN_WINDOW = "gaussian_unit_norm"
-DECAY_WINDOW = "decay_profile"
-SAMPLE_WINDOW = "sample_vector"
 
 # peak slope of exp(-pi r^2 / 2): a grid sup of the Gaussian field plus this
 # constant times the grid's half-diagonal bounds the true sup
 GAUSSIAN_AMBIGUITY_LIPSCHITZ = math.sqrt(math.pi) * math.exp(-0.5)
-
-
-class NotInWeightClassError(RuntimeError):
-    """Weighted maximal norm diverges for the given weight and decay profile."""
 
 
 def inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -51,70 +43,13 @@ def inner(a: np.ndarray, b: np.ndarray) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class Window:
-    """Analyzing vector: finite vector, L^2(R) Gaussian, sampled, or a decay model.
-
-    ``decay`` holds (growth_dim, alpha, beta, c0) for the synthetic profile
-    whose modulus envelope stands in for |V_g g|.
-    """
+    """Analyzing vector of the time-frequency kind, named by its model."""
 
     model: str
-    vector: np.ndarray | None = None
-    times: np.ndarray | None = None
-    decay: tuple | None = None
-    norm: float = 1.0
 
 
 def gaussian_window() -> Window:
-    return Window(model=GAUSSIAN_WINDOW, norm=1.0)
-
-
-def vector_window(values: Sequence[complex]) -> Window:
-    v = np.asarray(values, dtype=complex)
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        raise ValueError("window vector must be nonzero")
-    return Window(model=SAMPLE_WINDOW, vector=v, norm=n)
-
-
-def sampled_window(times: Sequence[float], values: Sequence[complex]) -> Window:
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=complex)
-    if t.ndim != 1 or t.shape != v.shape or len(t) < 2:
-        raise ValueError("need matching 1D time and value arrays")
-    dt = np.diff(t)
-    if np.any(dt <= 0) or abs(dt.max() - dt.min()) > 1e-9 * dt.mean():
-        raise ValueError("time grid must be uniform and increasing")
-    n = math.sqrt(float(np.trapezoid(np.abs(v) ** 2, t)))
-    if n == 0.0:
-        raise ValueError("window samples must be nonzero")
-    return Window(model=SAMPLE_WINDOW, vector=v, times=t, norm=n)
-
-
-def decay_window(growth_dim: float, alpha: float, beta: float, c0: float) -> Window:
-    if c0 <= 0:
-        raise ValueError("c0 must be positive")
-    return Window(model=DECAY_WINDOW, decay=(growth_dim, alpha, beta, c0),
-                  norm=math.sqrt(c0))
-
-
-def window_from_csv(path: str) -> Window:
-    """Finite window from rows (index, real, imaginary)."""
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().lower() == "index":
-                continue
-            rows.append((int(row[0]), float(row[1]), float(row[2])))
-    rows.sort()
-    if [i for i, _, _ in rows] != list(range(len(rows))):
-        raise ValueError("window CSV indices must be 0..N-1 without gaps")
-    return vector_window([complex(re, im) for _, re, im in rows])
-
-
-def sampled_window_from_csv(path: str, t0: float, dt: float) -> Window:
-    w = window_from_csv(path)
-    times = t0 + dt * np.arange(len(w.vector))
-    return sampled_window(times, w.vector)
+    return Window(model=GAUSSIAN_WINDOW)
 
 
 # -- Representation models --------------------------------------------------------
@@ -122,16 +57,12 @@ def sampled_window_from_csv(path: str, t0: float, dt: float) -> Window:
 
 @dataclass(frozen=True, eq=False)
 class RepModel:
-    """Projective representation model with its base group and formal degree.
-
-    The time-frequency kind always carries its window; the finite kind none.
-    """
+    """Projective representation model with its base group and formal degree."""
 
     kind: str
     group: GroupModel
     n: int = 0
     formal_degree: float = float("nan")
-    window: Window | None = None
 
 
 def finite_weyl_heisenberg(n: int) -> RepModel:
@@ -140,19 +71,7 @@ def finite_weyl_heisenberg(n: int) -> RepModel:
 
 
 def gabor_gaussian() -> RepModel:
-    return RepModel(kind=TIME_FREQUENCY, group=groups.euclidean(2), formal_degree=1.0,
-                    window=gaussian_window())
-
-
-def gabor_decay(growth_dim: float, alpha: float, beta: float, c0: float) -> RepModel:
-    return RepModel(kind=TIME_FREQUENCY, group=groups.euclidean(2),
-                    window=decay_window(growth_dim, alpha, beta, c0))
-
-
-def gabor_numeric(window: Window) -> RepModel:
-    if window.times is None:
-        raise ValueError("gabor_numeric needs a sampled window on a time grid")
-    return RepModel(kind=TIME_FREQUENCY, group=groups.euclidean(2), window=window)
+    return RepModel(kind=TIME_FREQUENCY, group=groups.euclidean(2), formal_degree=1.0)
 
 
 # -- Finite Weyl-Heisenberg machinery ----------------------------------------------
@@ -220,169 +139,81 @@ def gaussian_ambiguity(x: float, w: float) -> complex:
     return cmath.exp(-1j * math.pi * x * w - math.pi * (x * x + w * w) / 2.0)
 
 
-def _window_support(window: Window) -> tuple:
-    if window.model == GAUSSIAN_WINDOW:
-        return (-7.0, 7.0)  # |g| < 1.3e-67 outside
-    return (float(window.times[0]), float(window.times[-1]))
-
-
-def _window_eval(window: Window, t: np.ndarray) -> np.ndarray:
-    if window.model == GAUSSIAN_WINDOW:
-        return 2.0 ** 0.25 * np.exp(-math.pi * t * t) + 0j
-    re = np.interp(t, window.times, window.vector.real, left=0.0, right=0.0)
-    im = np.interp(t, window.times, window.vector.imag, left=0.0, right=0.0)
-    return re + 1j * im
-
-
-def matrix_coefficient(rep: RepModel, f, g, x: tuple, tol: float = 1e-8) -> complex:
+def matrix_coefficient(rep: RepModel, f, g, x: tuple) -> complex:
     """V_g f(x) = <f, pi(x) g>.
 
-    Finite kind is an exact inner product.  When f is of g's model and g has
-    a radial profile, the closed form comes from that profile (the Gaussian
-    with its phase).  A decay window models |V_g g| only, so pairing it with
-    another model raises ValueError.  Other pairs of Gaussian and sampled
-    windows are integrated adaptively and raise QuadratureError if the
-    tolerance is not reached.
+    Finite kind: an exact inner product.  Time-frequency kind: f and g must be
+    the Gaussian window, whose ambiguity function has a closed form.
     """
     if rep.kind == FINITE_WEYL_HEISENBERG:
         return inner(np.asarray(f, dtype=complex), apply_rep(rep, x, np.asarray(g, dtype=complex)))
-    if not (isinstance(f, Window) and isinstance(g, Window)):
-        raise ValueError("continuous kinds take Window operands")
-    xs, ws = float(x[0]), float(x[1])
-    prof = radial_profile(rep, g)
-    if prof is not None and f.model == g.model:
-        if prof is GAUSSIAN_PROFILE:
-            return gaussian_ambiguity(xs, ws)
-        return complex(prof.profile(math.hypot(xs, ws)), 0.0)
-    if DECAY_WINDOW in (f.model, g.model):
-        raise ValueError(f"V_g f needs f of g's model; got {f.model} and {g.model}")
-    lo_f, hi_f = _window_support(f)
-    lo_g, hi_g = _window_support(g)
-    lo, hi = max(lo_f, lo_g + xs), min(hi_f, hi_g + xs)
-    if hi <= lo:
-        return 0.0
-
-    def integrand(t, part):
-        val = _window_eval(f, t) * np.conj(_window_eval(g, t - xs)) \
-            * np.exp(-2j * math.pi * ws * t)
-        return val.real if part == "re" else val.imag
-
-    # resolve the modulation before trusting Richardson agreement
-    min_d = max(4, int(math.ceil(math.log2(max(16.0, 4.0 * (1 + abs(ws)) * (hi - lo)) / 8.0))))
-    re = refine_trapezoid(lambda t: integrand(t, "re"), lo, hi, tol, min_doublings=min_d)
-    im = refine_trapezoid(lambda t: integrand(t, "im"), lo, hi, tol, min_doublings=min_d)
-    return complex(re, im)
+    radial_profile(rep, f)  # each raises unless its window is the Gaussian
+    radial_profile(rep, g)
+    return gaussian_ambiguity(float(x[0]), float(x[1]))
 
 
 # -- Radial profiles ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RadialProfile:
-    """|V_g g|(x) = profile(|x|) on the plane, with closed-form masses and tails.
+    """|V_g g|(x) = profile(|x|) = exp(-pi |x|^2 / 2) for the unit Gaussian g,
+    with closed-form masses and tails.
 
-    ``decay`` is None for the unit Gaussian, whose profile is exp(-pi r^2 / 2);
-    otherwise it holds the (growth_dim, alpha, beta, c0) of a decay window,
-    whose profile is c0 (1 + r)^(-q/2) with q = growth_dim + alpha + beta.
-    Both profiles are nonincreasing, so for Q of radius rho the local maximal
+    The profile is nonincreasing, so for Q of radius rho the local maximal
     function M_Q V_g g at distance u is the profile at max(0, u - rho).
     """
 
-    decay: tuple | None = None
-
-    @property
-    def norm_sq(self) -> float:
-        """||g||^2, which equals profile(0)."""
-        return 1.0 if self.decay is None else self.decay[3]
-
-    @property
-    def _q(self) -> float:
-        dim, alpha, beta, _ = self.decay
-        return dim + alpha + beta
+    norm_sq = 1.0  # ||g||^2, which equals profile(0)
 
     def profile(self, r: float) -> float:
-        if self.decay is None:
-            return math.exp(-math.pi * r * r / 2.0)
-        return self.decay[3] * (1.0 + r) ** (-self._q / 2.0)
+        return math.exp(-math.pi * r * r / 2.0)
 
     def maximal_sq(self, u, rho: float):
         """(M_Q V_g g)^2 at the distances u (an array) for Q of radius rho."""
-        if self.decay is None:
-            return np.exp(-math.pi * np.maximum(0.0, u - rho) ** 2)
-        c0 = self.decay[3]
-        return c0 * c0 * (1.0 + np.maximum(0.0, u - rho)) ** (-self._q)
+        return np.exp(-math.pi * np.maximum(0.0, u - rho) ** 2)
 
     def mass_outside(self, rho: float, d: float) -> float:
         """Integral of maximal_sq(|x|, rho) over |x| >= d in R^2, in closed form."""
-        if self.decay is None:
-            return gauss_profile_mass_outside(rho, d)
-        c0 = self.decay[3]
-        return c0 * c0 * power_profile_mass_outside(rho, self._q / 2.0, d)
+        return gauss_profile_mass_outside(rho, d)
 
-    def weighted_tail(self, rho: float, alpha: float, delta: float, tol: float) -> tuple:
+    def weighted_tail(self, rho: float, alpha: float, tol: float) -> tuple:
         """(r_max, tail): tail bounds the integral of maximal_sq(|x|, rho)
-        (1 + |x|)^alpha over |x| >= r_max and is below tol / 2.
-
-        A decay profile outside the weight class raises NotInWeightClassError
-        (the divergence threshold is alpha >= alpha_profile + beta + delta - 1
-        on the plane).
-        """
-        if self.decay is None:
-            r_max = rho + 4.0
-            while True:
-                # (1+r)^a * 2 pi r <= (1+R)^a * 2 pi R * exp(c (r-R)) beyond R
-                c = max(alpha, 0.0) / (1.0 + r_max) + 1.0 / r_max
-                gap = 2.0 * math.pi * (r_max - rho) - c
-                if gap > 0:
-                    tail = (2.0 * math.pi * (1.0 + r_max) ** max(alpha, 0.0) * r_max
-                            * math.exp(-math.pi * (r_max - rho) ** 2) / gap)
-                    if tail < tol / 2.0:
-                        return r_max, tail
-                r_max *= 2.0
-                if r_max > 1e6:
-                    raise QuadratureError("gaussian tail failed to certify")
-        _, a_p, beta, c0 = self.decay
-        q_exp = self._q
-        if alpha >= a_p + beta + delta - 1.0 or q_exp - alpha - 2.0 <= 0.0:
-            raise NotInWeightClassError(
-                f"weight alpha={alpha} not integrable against decay "
-                f"(alpha_profile={a_p}, beta={beta}, delta={delta}); window not in class")
-        r_max = rho + 8.0
+        (1 + |x|)^alpha over |x| >= r_max and is below tol / 2."""
+        r_max = rho + 4.0
         while True:
-            w = 1.0 + r_max - rho
-            tail = (2.0 * math.pi * c0 * c0 * (1.0 + rho) ** (max(alpha, 0.0) + 1.0)
-                    * w ** (alpha - q_exp + 2.0) / (q_exp - alpha - 2.0))
-            if tail < tol / 2.0 or r_max > 1e9:
-                break
+            # (1+r)^a * 2 pi r <= (1+R)^a * 2 pi R * exp(c (r-R)) beyond R
+            c = max(alpha, 0.0) / (1.0 + r_max) + 1.0 / r_max
+            gap = 2.0 * math.pi * (r_max - rho) - c
+            if gap > 0:
+                tail = (2.0 * math.pi * (1.0 + r_max) ** max(alpha, 0.0) * r_max
+                        * math.exp(-math.pi * (r_max - rho) ** 2) / gap)
+                if tail < tol / 2.0:
+                    return r_max, tail
             r_max *= 2.0
-        if tail >= tol / 2.0:
-            raise QuadratureError("decay tail failed to certify")
-        return r_max, tail
+            if r_max > 1e6:
+                raise QuadratureError("gaussian tail failed to certify")
 
 
 GAUSSIAN_PROFILE = RadialProfile()
 
 
 def radial_profile(rep: RepModel, g=None) -> RadialProfile | None:
-    """The radial profile of |V_g g|, or None where there is none.
+    """The radial profile of |V_g g|: None on the finite kind, GAUSSIAN_PROFILE
+    on the time-frequency kind when g is None or the Gaussian window.
 
-    The window decides: g when it is a Window, else the model's window.  A
-    decay window gives its decay profile and the Gaussian window
-    GAUSSIAN_PROFILE; finite vectors and sampled windows give None.
+    Any other g on the time-frequency kind raises ValueError; every
+    continuous estimator takes its window through this check.
     """
-    if not isinstance(g, Window):
-        if rep.kind == FINITE_WEYL_HEISENBERG:
-            return None
-        g = rep.window
-    if g.model == DECAY_WINDOW:
-        return RadialProfile(g.decay)
-    if g.model == GAUSSIAN_WINDOW:
+    if rep.kind == FINITE_WEYL_HEISENBERG:
+        return None
+    if g is None or (isinstance(g, Window) and g.model == GAUSSIAN_WINDOW):
         return GAUSSIAN_PROFILE
-    return None
+    model = g.model if isinstance(g, Window) else type(g).__name__
+    raise ValueError(f"the time-frequency kind needs the Gaussian window; got {model}")
 
 
 def norm_sq(rep: RepModel, g) -> float:
-    """||g||^2: of the vector on the finite kind, else profile(0) of g's model."""
+    """||g||^2: of the vector on the finite kind, else the Gaussian's profile(0)."""
     if rep.kind == FINITE_WEYL_HEISENBERG:
         return float(np.linalg.norm(np.asarray(g, dtype=complex))) ** 2
     return radial_profile(rep, g).norm_sq
@@ -407,11 +238,8 @@ class CoefficientField:
 
 
 def coefficient_field(rep: RepModel, f=None, g=None) -> CoefficientField:
-    """Field for V_g f; defaults to f = g = the model's window.
-
-    On the continuous kind g must be a Gaussian or decay window and f of its
-    model, so the field is radial; anything else raises ValueError.
-    """
+    """Field for V_g f; on the time-frequency kind f and g default to the
+    Gaussian window, the only one it takes, so the field is radial."""
     if rep.kind == FINITE_WEYL_HEISENBERG:
         fv = np.asarray(f, dtype=complex)
         gv = np.asarray(g, dtype=complex)
@@ -424,15 +252,11 @@ def coefficient_field(rep: RepModel, f=None, g=None) -> CoefficientField:
         return CoefficientField(
             domain=rep.group, evaluate=ev, magnitude=lambda x: abs(ev(x)),
             norms=(float(np.linalg.norm(fv)), float(np.linalg.norm(gv))))
-    f = f if f is not None else rep.window
-    g = g if g is not None else rep.window
     prof = radial_profile(rep, g)
-    if prof is None or not isinstance(f, Window) or f.model != g.model:
-        raise ValueError("coefficient fields need a Gaussian or decay window g "
-                         "and f of its model")
+    radial_profile(rep, f)  # raises unless f is the Gaussian too
     return CoefficientField(
         domain=rep.group, evaluate=lambda x: matrix_coefficient(rep, f, g, x),
-        magnitude=lambda x: prof.profile(math.hypot(*x)), norms=(g.norm, g.norm),
+        magnitude=lambda x: prof.profile(math.hypot(*x)), norms=(1.0, 1.0),
         radial_profile=prof.profile)
 
 
@@ -467,14 +291,12 @@ def _finite_maximal_table(rep: RepModel, g: np.ndarray, q: Ball) -> np.ndarray:
     return out
 
 
-def weighted_maximal_norm(rep: RepModel, g, q: Ball, alpha: float, tol: float = 1e-8,
-                          delta: float = 1.0) -> float:
+def weighted_maximal_norm(rep: RepModel, g, q: Ball, alpha: float,
+                          tol: float = 1e-8) -> float:
     """Integral over the group of |M_Q V_g g|^2 (1 + |x|)^alpha.
 
-    Finite kind: exact sum with word length.  Gaussian and decay windows
-    reduce to radial integrals with certified tails; decay profiles outside
-    the weight class raise NotInWeightClassError (see
-    RadialProfile.weighted_tail), and sampled windows raise ValueError.
+    Finite kind: exact sum with word length.  The Gaussian reduces to a
+    radial integral with a certified tail.
     """
     if alpha < 0:
         raise ValueError("weight exponent must be nonnegative")
@@ -490,9 +312,7 @@ def weighted_maximal_norm(rep: RepModel, g, q: Ball, alpha: float, tol: float = 
         return float(np.sum(m * m * weight))
     rho = q.radius
     prof = radial_profile(rep, g)
-    if prof is None:
-        raise ValueError("weighted maximal norms need a Gaussian or decay window")
-    r_max, tail = prof.weighted_tail(rho, alpha, delta, tol)
+    r_max, tail = prof.weighted_tail(rho, alpha, tol)
 
     def integrand(r):
         return prof.maximal_sq(r, rho) * (1.0 + r) ** alpha * 2.0 * math.pi * r
@@ -507,8 +327,7 @@ def weighted_maximal_norm(rep: RepModel, g, q: Ball, alpha: float, tol: float = 
 
 def estimate_formal_degree(rep: RepModel, g, truncation_radius: float,
                            tol: float = 1e-10) -> float:
-    """||g||^4 / integral over B_R of |V_g g|^2; exact on the finite kind.
-    The continuous kind needs a Gaussian or decay window."""
+    """||g||^4 / integral over B_R of |V_g g|^2; exact on the finite kind."""
     if truncation_radius <= 0:
         raise ValueError("truncation radius must be positive")
     if rep.kind == FINITE_WEYL_HEISENBERG:
@@ -524,8 +343,6 @@ def estimate_formal_degree(rep: RepModel, g, truncation_radius: float,
         denom = float(np.sum(table[mask]))
         return nrm ** 4 / denom
     prof = radial_profile(rep, g)
-    if prof is None:
-        raise ValueError("formal-degree estimates need a Gaussian or decay window")
     denom = refine_trapezoid(
         lambda r: prof.maximal_sq(r, 0.0) * 2.0 * math.pi * r, 0.0, truncation_radius, tol)
     return prof.norm_sq ** 2 / denom
@@ -546,8 +363,7 @@ def decay_envelope_check(rep: RepModel, g, metric: PeriodicMetric, c0: float,
     if c0 <= 0 or sample_radius <= 0:
         raise ValueError("c0 and sample_radius must be positive")
     if fld is None:
-        w = g if rep.kind == FINITE_WEYL_HEISENBERG or isinstance(g, Window) else None
-        fld = coefficient_field(rep, w, w)
+        fld = coefficient_field(rep, g, g)
     norm_sq = fld.norms[0] * fld.norms[1]
     worst = 0.0
     argmax = None

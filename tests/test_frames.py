@@ -425,30 +425,6 @@ def test_amalgam_check_finite_and_gaussian():
     prof_sq = np.exp(-math.pi * np.maximum(0.0, mids - 0.6) ** 2)
     integral = float(np.sum(prof_sq * 2.0 * math.pi * mids) * (r_edges[1] - r_edges[0]))
     assert gout["rhs"] == pytest.approx(6.0 / (math.pi * 0.36) * integral, rel=1e-4)
-    # decay window |V_g g| = (1 + r)^(-3.5/2): the same oracle with its profile
-    drep = reps.gabor_decay(2.0, 1.0, 0.5, 1.0)
-    dout = frames.amalgam_check(drep, drep.window, lattice(0.5, 0.5), euclid_ball(0.6),
-                                k_radius=4.0)
-    assert dout["passed"] and dout["rel_sep"] == 6
-    prof_sq = (1.0 + np.maximum(0.0, mids - 0.6)) ** -3.5
-    integral = float(np.sum(prof_sq * 2.0 * math.pi * mids) * (r_edges[1] - r_edges[0]))
-    assert dout["rhs"] == pytest.approx(6.0 / (math.pi * 0.36) * integral, rel=1e-4)
-
-
-def test_decay_window_decides_cover_amalgam_and_section():
-    window = reps.decay_window(2.0, 1.0, 0.5, 1.0)
-    gauss_rep = reps.gabor_gaussian()
-    decay_rep = reps.gabor_decay(2.0, 1.0, 0.5, 1.0)
-    q = euclid_ball(0.6)
-    cover = frames.lemma_cover_constant(gauss_rep, window, q)
-    assert cover == frames.lemma_cover_constant(decay_rep, decay_rep.window, q)
-    assert cover.u_radius != pytest.approx(GAUSSIAN_HALF_LEVEL_RADIUS, rel=1e-3)
-    lam = lattice(0.5, 0.5)
-    assert (frames.amalgam_check(gauss_rep, window, lam, q, k_radius=4.0)
-            == frames.amalgam_check(decay_rep, decay_rep.window, lam, q, k_radius=4.0))
-    # the truncated Hermite section is the Gaussian's alone
-    with pytest.raises(ValueError):
-        frames.frame_operator_spectrum(gauss_rep, window, lam)
 
 
 def test_frame_bounds_validation_and_errors():
@@ -469,31 +445,22 @@ def test_frame_bounds_validation_and_errors():
         frames.frame_operator_spectrum(frep, np.ones(4), full_torus(n))
     with pytest.raises(ValueError):
         frames.frame_operator_spectrum(frep, np.ones(n), full_torus(4))
-    # sampled numeric windows expose no radial profile, so no certified cover
-    t = np.linspace(-4.0, 4.0, 2049)
-    ws = reps.sampled_window(t, np.exp(-t * t))
-    with pytest.raises(ValueError):
-        frames.lemma_cover_constant(reps.gabor_numeric(ws), ws, euclid_ball(1.0))
 
 
 def test_riesz_gram_diagonal_is_the_coefficient_at_zero():
-    # a sampled window: the diagonal comes from the same quadrature as the
-    # off-diagonal entries, so the Gram equals the one gabor_gram_entry builds
-    t = np.linspace(-1.0, 1.0, 65)
-    sw = reps.sampled_window(t, np.cos(t))
-    rep = reps.gabor_numeric(sw)
-    pts = [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)]
-    gram = np.array([[frames.gabor_gram_entry(mu, nu, rep, sw) for nu in pts]
-                     for mu in pts])
+    # the diagonal ||g||^2 is gabor_gram_entry at a zero shift, so the Gram
+    # equals the one gabor_gram_entry builds entry by entry
+    rep = reps.gabor_gaussian()
+    pts = [(0.0, 0.0), (0.5, 0.0), (1.0, 0.25)]
+    gram = np.array([[frames.gabor_gram_entry(mu, nu) for nu in pts] for mu in pts])
+    assert np.all(np.diag(gram) == 1.0)
     eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
-    rb = frames.riesz_bounds(rep, sw, explicit_points(pts))
-    assert rb.lower == pytest.approx(eigs[0], rel=1e-9)
-    assert rb.upper == pytest.approx(eigs[-1], rel=1e-9)
-    # one point: the Gram is V_g g(0) = ||g||^2, exactly c0 for a decay window
+    rb = frames.riesz_bounds(rep, reps.gaussian_window(), explicit_points(pts))
+    assert rb.lower == pytest.approx(eigs[0], rel=1e-12)
+    assert rb.upper == pytest.approx(eigs[-1], rel=1e-12)
+    # one point: the Gram is V_g g(0) = ||g||^2 = 1
     one = explicit_points([(0.0, 0.0)])
-    decay = reps.gabor_decay(2.0, 1.0, 0.5, 2.0)
-    assert frames.riesz_bounds(decay, None, one).upper == 2.0
-    assert frames.riesz_bounds(reps.gabor_gaussian(), None, one).upper == 1.0
+    assert frames.riesz_bounds(rep, None, one).upper == 1.0
 
 
 def test_riesz_bounds_on_sparse_lattice_restriction():

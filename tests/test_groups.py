@@ -322,6 +322,26 @@ def test_word_length_bfs_on_non_standard_lattice_generators():
             assert metric.length((x, y)) == expect
 
 
+def test_lattice_generators_must_span_the_whole_lattice():
+    # +-(2, 0), +-(0, 1) span 2Z x Z: (1, 0) has no word, so the BFS would
+    # run into the element budget instead of naming the generators
+    for gens, index in ((((2, 0), (-2, 0), (0, 1), (0, -1)), 2),
+                        (((1, 0), (-1, 0)), 0),  # rank 1 < 2
+                        (((1, 1), (-1, -1), (1, -1), (-1, 1)), 2)):
+        with pytest.raises(ValueError, match=rf"proper subgroup of Z\^2 .*minors is {index}\)"):
+            groups.integer_lattice(2, generators=gens)
+    with pytest.raises(ValueError, match=r"\(2, 0, 0\)"):
+        groups.integer_lattice(3, generators=((2, 0, 0), (-2, 0, 0), (0, 1, 0),
+                                              (0, -1, 0), (0, 0, 1), (0, 0, -1)))
+    with pytest.raises(ValueError, match="coordinates"):
+        groups.integer_lattice(2, generators=((1, 0, 0), (-1, 0, 0)))
+    # generators whose minors are coprime span Z^2 even without a unit vector
+    gens = ((2, 0), (-2, 0), (3, 0), (-3, 0), (0, 1), (0, -1))
+    assert groups.word_metric(groups.integer_lattice(2, generators=gens)).length((1, 0)) == 2
+    assert groups.word_metric(groups.integer_lattice(3)).length((1, 1, 1)) == 3
+    assert groups.word_metric(groups.discrete_heisenberg()).length((0, 0, 1)) == 4
+
+
 @pytest.mark.parametrize("k_radius", [1, 2])
 def test_folner_ratio_heisenberg_matches_set_reference(k_radius):
     metric = groups.word_metric(groups.discrete_heisenberg())

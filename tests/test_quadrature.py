@@ -10,7 +10,6 @@ from coherentlab.quadrature import (
     erfc_integral,
     gauss_profile_mass_outside,
     lens_area,
-    power_profile_mass_outside,
     refine_trapezoid,
 )
 
@@ -114,19 +113,3 @@ def test_gauss_profile_mass_closed_form():
     ds = np.linspace(0.0, 5.0, 21)
     masses = [gauss_profile_mass_outside(1.0, float(d)) for d in ds]
     assert all(m2 <= m1 + 1e-14 for m1, m2 in zip(masses, masses[1:]))
-
-
-def test_power_profile_mass_closed_form():
-    for rho, p, d in ((1.0, 1.75, 0.0), (0.5, 2.0, 2.0), (1.0, 3.0, 0.4)):
-        def integrand(r, _rho=rho, _p=p):
-            return (1.0 + np.maximum(0.0, r - _rho)) ** (-2.0 * _p) * 2.0 * math.pi * r
-
-        hi = d + rho + 4000.0
-        direct = refine_split_at(integrand, d, hi, rho, 1e-9)
-        # remaining analytic tail of the oracle beyond hi
-        w = 1.0 + hi - rho
-        direct += 2.0 * math.pi * (w ** (2.0 - 2.0 * p) / (2.0 * p - 2.0)
-                                   + (rho - 1.0) * w ** (1.0 - 2.0 * p) / (2.0 * p - 1.0))
-        assert power_profile_mass_outside(rho, p, d) == pytest.approx(direct, rel=1e-7)
-    with pytest.raises(ValueError):
-        power_profile_mass_outside(1.0, 1.0, 0.0)

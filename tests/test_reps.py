@@ -3,8 +3,8 @@ norms, formal degrees, and decay envelopes.
 
 The continuous oracle is a dense direct trapezoid of
 V_g f(x, w) = integral f(t) conj(g(t - x)) e^{-2 pi i w t} dt
-computed with raw numpy, independent of the adaptive quadrature in the
-package.  Finite-kind oracles are plain loops over the group.
+computed with raw numpy, independent of the package's closed forms.
+Finite-kind oracles are plain loops over the group.
 """
 
 import math
@@ -13,11 +13,7 @@ import numpy as np
 import pytest
 
 from coherentlab import density, frames, groups, reps
-from coherentlab.reps import (
-    GAUSSIAN_AMBIGUITY_LIPSCHITZ,
-    NotInWeightClassError,
-    Window,
-)
+from coherentlab.reps import GAUSSIAN_AMBIGUITY_LIPSCHITZ, Window
 
 
 def gauss(t):
@@ -59,19 +55,12 @@ def test_gaussian_ambiguity_matches_dense_quadrature():
 def test_matrix_coefficient_gaussian_and_sampled_paths():
     rep = reps.gabor_gaussian()
     g = reps.gaussian_window()
-    assert reps.matrix_coefficient(rep, g, g, (0.7, -0.4)) == pytest.approx(
-        stft_gauss_oracle(0.7, -0.4), abs=1e-10)
-    # a sampled copy of the same window goes through adaptive quadrature
-    t = np.arange(-7.0, 7.0 + 1e-12, 1.0 / 1024.0)
-    ws = reps.sampled_window(t, gauss(t))
-    nrep = reps.gabor_numeric(ws)
-    for x, w in ((0.5, 0.25), (1.2, -0.8), (0.0, 2.0)):
-        closed = reps.gaussian_ambiguity(x, w)
-        val = reps.matrix_coefficient(nrep, ws, ws, (x, w), tol=1e-9)
-        assert val == pytest.approx(closed, abs=5e-6)
-    # disjoint supports give exactly zero
-    far = reps.matrix_coefficient(nrep, ws, ws, (20.0, 0.0))
-    assert far == 0.0
+    for x, w in ((0.7, -0.4), (0.5, 0.25), (1.2, -0.8), (0.0, 2.0)):
+        assert reps.matrix_coefficient(rep, g, g, (x, w)) == pytest.approx(
+            stft_gauss_oracle(x, w), abs=1e-10)
+    # g = None is the Gaussian window too
+    assert reps.matrix_coefficient(rep, None, None, (0.7, -0.4)) \
+        == reps.matrix_coefficient(rep, g, g, (0.7, -0.4))
 
 
 def test_finite_coefficient_table_matches_loop_oracle():
@@ -202,43 +191,13 @@ def test_weighted_maximal_norm_finite_matches_loop():
     assert reps.weighted_maximal_norm(rep, g, q, 2.0) == pytest.approx(total, rel=1e-12)
 
 
-def test_weighted_maximal_norm_decay_window_and_weight_class():
-    rep = reps.gabor_decay(2.0, 1.0, 0.5, 1.0)
-    em = groups.euclidean_metric(dim=2)
-    q = groups.ball(em, None, 1.0)
-    val = reps.weighted_maximal_norm(rep, rep.window, q, 0.0, tol=1e-9)
-    # oracle: dense radial trapezoid of (1 + max(0, r - 1))^{-3.5} * 2 pi r on
-    # [0, R] plus the exact tail: with w = 1 + r - 1 = r,
-    # int_R^inf w^{-3.5} 2 pi w dw = 2 pi R^{-3/2} / 1.5
-    hi = 256.0
-    r = np.linspace(0.0, hi, 4_000_001)
-    m_sq = (1.0 + np.maximum(0.0, r - 1.0)) ** (-3.5)
-    cur = float(np.trapezoid(m_sq * 2.0 * math.pi * r, r))
-    cur += 2.0 * math.pi * hi ** -1.5 / 1.5
-    assert val == pytest.approx(cur, abs=1e-5)
-    # alpha at the divergence threshold alpha_p + beta + delta - 1 = 1.5
-    with pytest.raises(NotInWeightClassError):
-        reps.weighted_maximal_norm(rep, rep.window, q, 1.5)
-    # below threshold the integral is finite, and the threshold moves with delta
-    assert reps.weighted_maximal_norm(rep, rep.window, q, 0.5, tol=1e-4) > val
-    with pytest.raises(NotInWeightClassError):
-        reps.weighted_maximal_norm(rep, rep.window, q, 1.49, delta=0.9)
-
-
 def test_radial_profile_follows_the_window():
     gauss_rep = reps.gabor_gaussian()
-    decay_rep = reps.gabor_decay(2.0, 1.0, 0.5, 1.0)
+    gw = reps.gaussian_window()
     assert reps.radial_profile(gauss_rep) is reps.GAUSSIAN_PROFILE
-    assert reps.radial_profile(decay_rep) == reps.RadialProfile((2.0, 1.0, 0.5, 1.0))
-    assert reps.radial_profile(decay_rep, reps.gaussian_window()) is reps.GAUSSIAN_PROFILE
+    assert reps.radial_profile(gauss_rep, gw) is reps.GAUSSIAN_PROFILE
     assert reps.radial_profile(reps.finite_weyl_heisenberg(4), np.ones(4)) is None
-    t = np.linspace(-1.0, 1.0, 65)
-    sampled = reps.gabor_numeric(reps.sampled_window(t, np.cos(t)))
-    assert reps.radial_profile(sampled) is None
-    # the window decides the model everywhere: a decay window on the Gaussian
-    # model gives the decay values, a Gaussian window on the decay model the
-    # Gaussian ones
-    window = reps.decay_window(2.0, 1.0, 0.5, 1.0)
+    # g = None takes the Gaussian window in every estimator
     q = groups.ball(groups.euclidean_metric(dim=2), None, 1.0)
     k = groups.ball(groups.euclidean_metric(dim=2), None, 4.0, closed=True)
     square = frames.explicit_points([(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)])
@@ -255,51 +214,65 @@ def test_radial_profile_follows_the_window():
         riesz,
         lambda rep, g: reps.matrix_coefficient(rep, g, g, (1.0, 0.5)))
     for value in values:
-        assert value(gauss_rep, window) == value(decay_rep, decay_rep.window)
-        assert value(decay_rep, reps.gaussian_window()) \
-            == value(gauss_rep, gauss_rep.window)
-    # g = None takes the model's window
-    assert riesz(decay_rep, None) == riesz(gauss_rep, window)
-    # Gram oracle: G[i, j] = e^{2 pi i (w_j - w_i) x_j} profile(|lam_i - lam_j|)
-    # with the decay profile (1 + r)^(-7/4), built from scratch
-    pts = np.array(square.points)
-    dist = np.hypot(*(pts[:, None, :] - pts[None, :, :]).transpose(2, 0, 1))
-    phase = np.exp(2j * math.pi * (pts[None, :, 1] - pts[:, None, 1]) * pts[None, :, 0])
-    eigs = np.linalg.eigvalsh(phase * (1.0 + dist) ** -1.75)
-    assert riesz(gauss_rep, window) == pytest.approx((eigs[0], eigs[-1]), abs=1e-12)
-    assert riesz(gauss_rep, window) == pytest.approx((0.13522, 2.24029), abs=1e-5)
-    assert reps.matrix_coefficient(decay_rep, reps.gaussian_window(),
-                                   reps.gaussian_window(), (1.0, 0.0)) \
+        assert value(gauss_rep, None) == value(gauss_rep, gw)
+    assert reps.matrix_coefficient(gauss_rep, gw, gw, (1.0, 0.0)) \
         == pytest.approx(math.exp(-math.pi / 2.0), rel=1e-14)
 
 
 def test_sampled_and_mixed_windows_raise_value_error():
     gauss_rep = reps.gabor_gaussian()
     gw = reps.gaussian_window()
-    dw = reps.decay_window(2.0, 1.0, 0.5, 1.0)
-    t = np.linspace(-1.0, 1.0, 65)
-    sw = reps.sampled_window(t, np.cos(t))
-    # a decay window models |V_g g| only: it pairs with no other model
-    for f, g in ((gw, dw), (dw, gw), (sw, dw), (dw, sw)):
-        with pytest.raises(ValueError, match="of g's model"):
+    dw = Window(model="decay_profile")
+    sw = Window(model="sample_vector")
+    # the time-frequency kind has one window: no other window pairs with it
+    for f, g in ((gw, dw), (dw, gw), (sw, dw), (dw, sw), (gw, sw), (sw, gw)):
+        with pytest.raises(ValueError, match="needs the Gaussian window"):
             reps.matrix_coefficient(gauss_rep, f, g, (1.0, 0.0))
-        with pytest.raises(ValueError, match="of its model"):
+        with pytest.raises(ValueError, match="needs the Gaussian window"):
             reps.coefficient_field(gauss_rep, f, g)
-    # the estimators need a radial profile; a sampled window has none
-    sampled = reps.gabor_numeric(sw)
+    # vectors belong to the finite kind
+    with pytest.raises(ValueError, match="needs the Gaussian window; got ndarray"):
+        reps.matrix_coefficient(gauss_rep, np.ones(4), np.ones(4), (1.0, 0.0))
     em = groups.euclidean_metric(dim=2)
     q = groups.ball(em, None, 1.0)
-    for call in (lambda: reps.weighted_maximal_norm(sampled, sw, q, 0.5),
-                 lambda: reps.estimate_formal_degree(sampled, sw, 6.0),
-                 lambda: reps.coefficient_field(sampled),
+    for call in (lambda: reps.weighted_maximal_norm(gauss_rep, sw, q, 0.5),
+                 lambda: reps.estimate_formal_degree(gauss_rep, sw, 6.0),
                  lambda: reps.coefficient_field(gauss_rep, gw, sw),
-                 lambda: reps.decay_envelope_check(sampled, sw, em, 1.0, 2.0, 4.0)):
-        with pytest.raises(ValueError, match="Gaussian or decay window"):
+                 lambda: reps.decay_envelope_check(gauss_rep, sw, em, 1.0, 2.0, 4.0)):
+        with pytest.raises(ValueError, match="needs the Gaussian window"):
             call()
-    non_radial = reps.CoefficientField(domain=sampled.group, evaluate=lambda x: 0j,
+    non_radial = reps.CoefficientField(domain=gauss_rep.group, evaluate=lambda x: 0j,
                                        magnitude=lambda x: 0.0, norms=(1.0, 1.0))
     with pytest.raises(ValueError, match="radial"):
         reps.local_maximal(non_radial, q, (0.0, 0.0))
+
+
+def test_every_time_frequency_estimator_checks_the_window_in_radial_profile():
+    rep = reps.gabor_gaussian()
+    bad = Window(model="decay_profile")
+    em = groups.euclidean_metric(dim=2)
+    q = groups.ball(em, None, 1.0)
+    k = groups.ball(em, None, 4.0, closed=True)
+    lam = frames.lattice(0.5, 0.5)
+    calls = {
+        "matrix_coefficient": lambda: reps.matrix_coefficient(rep, bad, bad, (0.5, 0.5)),
+        "coefficient_field": lambda: reps.coefficient_field(rep, bad, bad),
+        "weighted_maximal_norm": lambda: reps.weighted_maximal_norm(rep, bad, q, 0.5),
+        "estimate_formal_degree": lambda: reps.estimate_formal_degree(rep, bad, 6.0),
+        "error_integral_I": lambda: density.error_integral_I(rep, bad, q, k),
+        "error_integral_J": lambda: density.error_integral_J(rep, bad, q, k),
+        "mc_error_integral": lambda: density.mc_error_integral(rep, bad, q, k,
+                                                               n_samples=10),
+        "lemma_cover_constant": lambda: frames.lemma_cover_constant(rep, bad, q),
+        "amalgam_check": lambda: frames.amalgam_check(rep, bad, lam, q, 4.0),
+        "frame_operator_spectrum": lambda: frames.frame_operator_spectrum(rep, bad, lam),
+        "riesz_bounds": lambda: frames.riesz_bounds(rep, bad, lam, restriction_radius=3.0),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="time-frequency kind needs the Gaussian "
+                                             "window; got decay_profile"):
+            call()
+            pytest.fail(f"{name} accepted a non-Gaussian window")
 
 
 def test_formal_degree_estimates():
@@ -383,33 +356,3 @@ def test_ambiguity_lipschitz_constant_certifies_radial_slope():
     assert float(np.max(slopes)) <= GAUSSIAN_AMBIGUITY_LIPSCHITZ + 1e-12
     assert float(np.max(slopes)) == pytest.approx(GAUSSIAN_AMBIGUITY_LIPSCHITZ,
                                                   rel=1e-6)
-
-
-def test_window_constructors_and_csv_roundtrip(tmp_path):
-    w = reps.vector_window([1.0, 2.0, 2.0])
-    assert w.norm == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        reps.gabor_numeric(w)  # no time grid
-    t = np.linspace(-1.0, 1.0, 513)
-    s = reps.sampled_window(t, np.cos(t))
-    assert s.times is not None and s.norm > 0
-    path = tmp_path / "win.csv"
-    with open(path, "w") as fh:
-        fh.write("index,re,im\n")
-        for i, v in enumerate((1.0, 0.5, -0.25)):
-            fh.write(f"{i},{v},0.0\n")
-    loaded = reps.window_from_csv(str(path))
-    assert loaded.vector.shape == (3,)
-    assert loaded.norm == pytest.approx(math.sqrt(1.0 + 0.25 + 0.0625))
-    gap = tmp_path / "gap.csv"
-    with open(gap, "w") as fh:
-        fh.write("index,re,im\n0,1.0,0.0\n2,1.0,0.0\n")
-    with pytest.raises(ValueError):
-        reps.window_from_csv(str(gap))
-    spath = tmp_path / "samples.csv"
-    with open(spath, "w") as fh:
-        fh.write("index,re,im\n")
-        for i, v in enumerate(np.cos(t)):
-            fh.write(f"{i},{v},0.0\n")
-    sloaded = reps.sampled_window_from_csv(str(spath), t0=-1.0, dt=t[1] - t[0])
-    assert sloaded.norm == pytest.approx(s.norm, rel=1e-12)
