@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .groups import (
     Ball,
-    Box,
     BudgetExceededError,
     GroupModel,
     PeriodicMetric,
@@ -56,7 +55,6 @@ from .frames import (
     bessel_separation_bound,
     canonical_dual,
     dimension_lemma_check,
-    explicit_points,
     finite_subset,
     frame_operator_spectrum,
     full_torus,

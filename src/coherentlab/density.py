@@ -120,16 +120,8 @@ def count_points(lam: PointSet, center, k) -> int:
     A closed ball on a plain lattice is counted in closed form, column by
     column; every other case counts the points of the restriction.
     """
-    if isinstance(k, groups.Box):
-        box = k.translate(center) if center is not None else k
-        if lam.is_lattice:
-            cx, cy = box.center
-            hx, hy = box.half_widths
-            pts = lam.lattice_points_near(cx, cy, math.hypot(hx, hy) + 1e-12)
-            return sum(1 for p in pts if box.contains(p))
-        return sum(1 for p in lam.points if box.contains(p))
     if not isinstance(k, groups.Ball):
-        raise ValueError("K must be a Ball or a Box")
+        raise ValueError("K must be a Ball")
     ball = k.translate(center) if center is not None else k
     if lam.kind == frames.LATTICE and ball.closed:
         cx, cy = ball.center
@@ -146,36 +138,22 @@ def beurling_density(lam: PointSet, metric: groups.PeriodicMetric,
     fundamental cell (lattices are periodic, so this is exhaustive up to the
     recorded spacing); the finite kind enumerates every center.  The true
     densities are n -> infinity limits; the full sequence is recorded.
+    ``rel_sep`` is Rel_Q(Lambda) for the ball Q in ``metric`` of radius half
+    the spacing: min(a, b) / 2 on lattices, 1/2 (the word ball {e}) on Z_N^2.
     """
     if not exhaustion:
         raise ValueError("empty exhaustion")
     if lam.kind == frames.FINITE_SUBSET:
-        group = groups.finite_cyclic_sq(lam.modulus)
-        centers = group.elements()
+        centers = groups.finite_cyclic_sq(lam.modulus).elements()
         spacing = 1.0
-    elif lam.is_lattice:
+        q_radius = 0.5
+    else:
         spacing = center_grid_spacing or min(lam.a, lam.b) / 8.0
         xs = np.arange(0.0, lam.a - 1e-12, spacing)
         ys = np.arange(0.0, lam.b - 1e-12, spacing)
         centers = [(float(x), float(y)) for x in xs for y in ys]
-    else:
-        spacing = center_grid_spacing or 0.5
-        if lam.points:
-            lo_x = min(p[0] for p in lam.points)
-            hi_x = max(p[0] for p in lam.points)
-            lo_y = min(p[1] for p in lam.points)
-            hi_y = max(p[1] for p in lam.points)
-            xs = np.arange(lo_x, hi_x + spacing, spacing)
-            ys = np.arange(lo_y, hi_y + spacing, spacing)
-            centers = [(float(x), float(y)) for x in xs for y in ys]
-        else:
-            centers = [(0.0, 0.0)]
-    if lam.is_lattice:
-        q = groups.ball(groups.euclidean_metric(dim=2), None,
-                        min(lam.a, lam.b) / 2.0)
-        rel = frames.relative_separation(lam, q).rel_sep
-    else:
-        rel = 1 if lam.points else 0
+        q_radius = min(lam.a, lam.b) / 2.0
+    rel = frames.relative_separation(lam, groups.ball(metric, None, q_radius)).rel_sep
     records = []
     for idx, k in enumerate(exhaustion):
         counts = [count_points(lam, c, k) for c in centers]

@@ -19,7 +19,6 @@ import numpy as np
 from . import groups, reps
 from .reps import RepModel
 
-EXPLICIT = "explicit"
 LATTICE = "lattice"
 LATTICE_WITH_HOLES = "lattice_with_holes"
 FINITE_SUBSET = "finite_subset"
@@ -32,17 +31,13 @@ _TIE = 1e-12  # closed-ball membership slack on squared distances
 SECTION_MODE_CAP = 512  # highest Hermite index a truncated section keeps
 
 
-def _closed_disk(dx: float, dy: float, radius: float) -> bool:
-    return dx * dx + dy * dy <= radius * radius * (1.0 + _TIE) + _TIE
-
-
 # -- Point sets -----------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """Discrete index set Lambda: explicit points, a planar lattice a Z x b Z,
-    the same lattice with open holes removed, or a subset of Z_N x Z_N."""
+    """Discrete index set Lambda: a planar lattice a Z x b Z, the same lattice
+    with open holes removed, or a subset of Z_N x Z_N (its points)."""
 
     kind: str
     points: tuple = ()
@@ -65,7 +60,8 @@ class PointSet:
         """(k, lo, hi): the lattice points (k a, l b) of the disk about (cx, cy)
         are those with lo <= l <= hi in column k; an empty column has lo > hi.
 
-        A closed disk uses _closed_disk's test, an open one |d|^2 < radius^2.
+        A closed disk tests |d|^2 <= radius^2 (1 + _TIE) + _TIE, an open one
+        |d|^2 < radius^2.
         Each column's row range comes from the chord half-width
         sqrt(thr - dx^2), widened at each end by more rows than its rounding
         error spans (at most sqrt(2^-53 thr) plus a few ulps of cy); the ends
@@ -126,39 +122,21 @@ class PointSet:
         return int(np.maximum(hi - lo + 1, 0).sum())
 
     def restrict(self, b: groups.Ball) -> tuple:
-        """Exactly the elements of Lambda inside the ball."""
+        """Exactly the elements of Lambda inside the ball.  A continuous ball
+        lives in the time-frequency plane, so it restricts lattice kinds only."""
         if self.is_lattice:
             cx, cy = b.center
             pts = self.lattice_points_near(float(cx), float(cy), b.radius, b.closed)
             return tuple(sorted(pts))
+        if b.points is None:
+            raise ValueError(f"a continuous ball restricts lattice kinds only, "
+                             f"not {self.kind}")
         return tuple(sorted(p for p in self.points if b.contains(p)))
-
-    def translate(self, z: tuple) -> "PointSet":
-        """Left-translated copy z Lambda (finite subsets and explicit sets)."""
-        if self.kind == FINITE_SUBSET:
-            n = self.modulus
-            pts = tuple(sorted(((z[0] + p[0]) % n, (z[1] + p[1]) % n)
-                               for p in self.points))
-            return PointSet(kind=FINITE_SUBSET, points=pts, modulus=n)
-        if self.kind == EXPLICIT:
-            pts = tuple(sorted((z[0] + p[0], z[1] + p[1]) for p in self.points))
-            return PointSet(kind=EXPLICIT, points=pts)
-        raise ValueError("translate is defined for explicit and finite kinds")
 
 
 def _check_duplicates(pts: Sequence[tuple]) -> None:
     if len(set(pts)) != len(pts):
         raise ValueError("point set contains duplicate elements")
-
-
-def explicit_points(pts: Sequence[tuple]) -> PointSet:
-    pts = tuple((float(x), float(y)) for (x, y) in pts)
-    _check_duplicates(pts)
-    for i, p in enumerate(pts):
-        for q in pts[i + 1:]:
-            if (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 < 1e-18:
-                raise ValueError("point set contains (numerically) duplicate elements")
-    return PointSet(kind=EXPLICIT, points=tuple(sorted(pts)))
 
 
 def lattice(a: float, b: float) -> PointSet:
@@ -269,9 +247,7 @@ def frame_operator_spectrum(rep: RepModel, g, lam: PointSet,
     if section_radius <= margin + 1.0:
         raise ValueError("section radius must exceed margin + 1")
     pts = lam.restrict(groups.ball(groups.euclidean_metric(dim=2), None,
-                                   section_radius, closed=True)) \
-        if lam.is_lattice else lam.points
-    pts = [p for p in pts if p[0] ** 2 + p[1] ** 2 <= section_radius ** 2 * (1 + _TIE) + _TIE]
+                                   section_radius, closed=True))
     if not pts:
         raise ValueError("empty point set after restriction")
     n_modes = section_mode_count(section_radius, margin)
@@ -281,7 +257,7 @@ def frame_operator_spectrum(rep: RepModel, g, lam: PointSet,
     resolved = int(math.floor(math.pi * (section_radius - margin) ** 2))
     cut = f", modes={n_modes}/{resolved}" if n_modes < resolved else ""
     method = f"truncated_section(R={section_radius:g}, margin={margin:g}{cut})"
-    if lam.is_lattice and lam.covolume >= 1.0:
+    if lam.covolume >= 1.0:
         # Lyubarskii; Seip-Wallsten: Gaussian Gabor systems on aZ x bZ are
         # frames iff ab < 1, and removing points keeps a non-frame a non-frame
         return FrameBounds(0.0, b, "bessel",
@@ -303,19 +279,17 @@ def riesz_bounds(rep: RepModel, g, lam: PointSet,
                  restriction_radius: float | None = None) -> FrameBounds:
     """Extreme eigenvalues of the Gram matrix G[i, j] = <pi(lam_j)g, pi(lam_i)g>.
 
-    On the continuous kind g is the Gaussian window (or None for it)."""
+    On the continuous kind g is the Gaussian window (or None for it) and the
+    lattice is restricted to the closed disk of radius restriction_radius."""
     if rep.kind == reps.FINITE_WEYL_HEISENBERG:
         phi = _finite_synthesis(rep, g, lam)
         eigs = _hermitian_eigs(phi.conj().T @ phi, "Gram matrix")
         method = "exact_spectrum"
     else:
-        if lam.is_lattice:
-            if restriction_radius is None:
-                raise ValueError("lattice kinds need a restriction radius")
-            pts = lam.restrict(groups.ball(groups.euclidean_metric(dim=2), None,
-                                           restriction_radius, closed=True))
-        else:
-            pts = lam.points
+        if restriction_radius is None:
+            raise ValueError("the time-frequency Gram needs a restriction radius")
+        pts = lam.restrict(groups.ball(groups.euclidean_metric(dim=2), None,
+                                       restriction_radius, closed=True))
         if not pts:
             raise ValueError("empty point set")
         m = len(pts)
@@ -328,8 +302,7 @@ def riesz_bounds(rep: RepModel, g, lam: PointSet,
                 gram[i, j] = val
                 gram[j, i] = np.conj(val)
         eigs = _hermitian_eigs(gram, "Gram matrix")
-        method = "exact_spectrum" if restriction_radius is None else \
-            f"exact_spectrum(restriction_radius={restriction_radius:g})"
+        method = f"exact_spectrum(restriction_radius={restriction_radius:g})"
     a, b = max(float(eigs[0]), 0.0), float(eigs[-1])
     kind = "riesz" if _classify(a, b) == "frame" else "bessel"
     return FrameBounds(a, b, kind, method, eigs)
@@ -380,35 +353,9 @@ def _disk_candidates(pts: list, rho: float) -> list:
     return cands
 
 
-def _count_disk(lam: PointSet, cx: float, cy: float, rho: float) -> int:
-    if lam.is_lattice:
-        return PointSet(kind=LATTICE, a=lam.a, b=lam.b).lattice_count_near(cx, cy, rho)
-    return sum(1 for p in lam.points if _closed_disk(p[0] - cx, p[1] - cy, rho))
-
-
-def relative_separation(lam: PointSet, q) -> SeparationReport:
-    """Exact Rel_Q for lattices (hole removal never lowers the sup, so the
-    full-lattice value is reported), explicit sets, and finite subsets."""
-    if isinstance(q, groups.Box):
-        if lam.is_lattice:
-            hx, hy = q.half_widths
-            nx = int(math.floor(2.0 * hx / lam.a + _TIE)) + 1
-            ny = int(math.floor(2.0 * hy / lam.b + _TIE)) + 1
-            return SeparationReport(nx * ny, max(hx, hy), "box", 0.0, (0.0, 0.0), 1)
-        best, witness, cands = 0, (0.0, 0.0), 0
-        xs = sorted({p[0] + q.half_widths[0] for p in lam.points})
-        ys = sorted({p[1] + q.half_widths[1] for p in lam.points})
-        for cx in xs:
-            for cy in ys:
-                cands += 1
-                c = sum(1 for p in lam.points
-                        if abs(p[0] - cx) <= q.half_widths[0] + _TIE
-                        and abs(p[1] - cy) <= q.half_widths[1] + _TIE)
-                if c > best:
-                    best, witness = c, (cx, cy)
-        return SeparationReport(best, max(q.half_widths), "box", 0.0, witness, cands)
-    if not isinstance(q, groups.Ball):
-        raise ValueError("Q must be a Ball or a Box")
+def relative_separation(lam: PointSet, q: groups.Ball) -> SeparationReport:
+    """Exact Rel_Q for finite subsets and lattices (hole removal never lowers
+    the sup, so the full-lattice value is reported)."""
     if lam.kind == FINITE_SUBSET:
         if q.points is None:
             raise ValueError("finite separation needs an enumerated Q")
@@ -424,20 +371,15 @@ def relative_separation(lam: PointSet, q) -> SeparationReport:
         return SeparationReport(best, q.radius, "word_ball", 0.0, witness,
                                 lam.modulus ** 2)
     rho = q.radius
-    if lam.is_lattice:
-        base = PointSet(kind=LATTICE, a=lam.a, b=lam.b)
-        window = base.lattice_points_near(lam.a / 2.0, lam.b / 2.0,
-                                          rho + math.hypot(lam.a, lam.b))
-        cands = _disk_candidates(window, rho)
-        cands = [c for c in cands if -lam.a <= c[0] <= 2 * lam.a
-                 and -lam.b <= c[1] <= 2 * lam.b] or window
-    else:
-        if not lam.points:
-            return SeparationReport(0, rho, "euclidean_ball", 0.0, (0.0, 0.0), 0)
-        cands = _disk_candidates(list(lam.points), rho)
+    base = PointSet(kind=LATTICE, a=lam.a, b=lam.b)
+    window = base.lattice_points_near(lam.a / 2.0, lam.b / 2.0,
+                                      rho + math.hypot(lam.a, lam.b))
+    cands = _disk_candidates(window, rho)
+    cands = [c for c in cands if -lam.a <= c[0] <= 2 * lam.a
+             and -lam.b <= c[1] <= 2 * lam.b] or window
     best, witness = 0, cands[0]
     for (cx, cy) in cands:
-        c = _count_disk(lam, cx, cy, rho)
+        c = base.lattice_count_near(cx, cy, rho)
         if c > best:
             best, witness = c, (cx, cy)
     return SeparationReport(best, rho, "euclidean_ball", 0.0, witness, len(cands))
@@ -499,8 +441,6 @@ def _greedy_cover_disk(rho: float, u: float) -> tuple:
     on a grid of spacing u/2; conservative cell certification."""
     cell = u / 8.0
     half_diag = cell * math.sqrt(2.0) / 2.0
-    if u <= half_diag:
-        raise ValueError("level-set radius below grid resolution; no usable U found")
     n_cells = int(math.ceil((rho + cell) / cell))
     cells = [(i * cell, j * cell)
              for i in range(-n_cells, n_cells + 1)

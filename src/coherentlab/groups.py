@@ -9,7 +9,6 @@ annular-decay diagnostics, and Folner machinery built from metric balls.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -104,54 +103,6 @@ class GroupModel:
         return [(k, l) for k in range(n) for l in range(n)]
 
 
-def _int_det(rows: Sequence[tuple]) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    m = [[int(v) for v in row] for row in rows]
-    sign, prev = 1, 1
-    for k in range(len(m) - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, len(m)):
-            for j in range(k + 1, len(m)):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
-def _validate_generators(group: GroupModel) -> None:
-    gens = set(group.generators)
-    if not gens:
-        raise ValueError("generating set is empty")
-    if {group.inverse(g) for g in gens} != gens:
-        raise ValueError("generating set is not symmetric")
-    if group.identity() in gens:
-        raise ValueError("generating set must not contain the identity")
-    if any(len(g) != group.dim for g in gens):
-        raise ValueError(f"generators {sorted(gens)} need {group.dim} coordinates each")
-    if group.kind == INTEGER_LATTICE:
-        # the generators span Z^d iff their d x d minors have gcd 1
-        # (rank < d makes every minor 0)
-        index = 0
-        for rows in itertools.combinations(sorted(gens), group.dim):
-            index = math.gcd(index, _int_det(rows))
-            if index == 1:
-                break
-        if index != 1:
-            raise ValueError(f"generators {sorted(gens)} span a proper subgroup of "
-                             f"Z^{group.dim} (gcd of the {group.dim}x{group.dim} "
-                             f"minors is {index})")
-    # two BFS layers must strictly grow for the infinite kinds
-    if group.kind in (INTEGER_LATTICE, DISCRETE_HEISENBERG):
-        try:
-            word_metric(group)._grow_layers(2)
-        except ValueError as exc:
-            raise ValueError("generators do not generate two growing layers") from exc
-
-
 def euclidean(dim: int) -> GroupModel:
     """R^d with vector addition and Lebesgue measure."""
     if dim < 1:
@@ -159,31 +110,23 @@ def euclidean(dim: int) -> GroupModel:
     return GroupModel(kind=EUCLIDEAN, dim=dim, measure="lebesgue")
 
 
-def integer_lattice(dim: int, generators: tuple = ()) -> GroupModel:
-    """Z^d with the standard generator star by default."""
+def integer_lattice(dim: int) -> GroupModel:
+    """Z^d with the standard generator star +-e_1, ..., +-e_d."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if not generators:
-        gens = []
-        for i in range(dim):
+    gens = []
+    for i in range(dim):
+        for sign in (1, -1):
             e = [0] * dim
-            e[i] = 1
+            e[i] = sign
             gens.append(tuple(e))
-            e2 = list(e)
-            e2[i] = -1
-            gens.append(tuple(e2))
-        generators = tuple(gens)
-    group = GroupModel(kind=INTEGER_LATTICE, dim=dim, generators=generators)
-    _validate_generators(group)
-    return group
+    return GroupModel(kind=INTEGER_LATTICE, dim=dim, generators=tuple(gens))
 
 
 def discrete_heisenberg() -> GroupModel:
     """H3(Z) in normal form with generators a^(+-1), b^(+-1)."""
     gens = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
-    group = GroupModel(kind=DISCRETE_HEISENBERG, dim=3, generators=gens)
-    _validate_generators(group)
-    return group
+    return GroupModel(kind=DISCRETE_HEISENBERG, dim=3, generators=gens)
 
 
 def finite_cyclic_sq(n: int) -> GroupModel:
@@ -243,17 +186,6 @@ def _in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
 # -- Metrics ------------------------------------------------------------------
 
 
-def _std_lattice_generators(group: GroupModel) -> bool:
-    expected = set()
-    for i in range(group.dim):
-        e = [0] * group.dim
-        e[i] = 1
-        expected.add(tuple(e))
-        e[i] = -1
-        expected.add(tuple(e))
-    return set(group.generators) == expected
-
-
 def _cygan_gauge(el: tuple) -> float:
     # polarized -> symmetric coordinates, then the Cygan gauge
     x, y, z = el
@@ -289,7 +221,7 @@ class PeriodicMetric:
 
     def _word_length(self, el: tuple) -> int:
         group = self.group
-        if group.kind == INTEGER_LATTICE and _std_lattice_generators(group):
+        if group.kind == INTEGER_LATTICE:
             return int(sum(abs(x) for x in el))
         if group.kind == FINITE_CYCLIC_SQ:
             n = group.modulus
@@ -375,11 +307,7 @@ class Ball:
         return self._pset
 
     def contains(self, el: tuple) -> bool:
-        if self.points is not None:
-            return el in self.point_set()
-        d2 = sum((x - y) ** 2 for x, y in zip(el, self.center))
-        r2 = self.radius * self.radius
-        return d2 <= r2 if self.closed else d2 < r2
+        return el in self.point_set()
 
     def translate(self, x: tuple) -> "Ball":
         """Left translate x * B (same radius, points moved along)."""
@@ -389,24 +317,6 @@ class Ball:
         if self.points is not None:
             pts = tuple(group.multiply(x, p) for p in self.points)
         return Ball(self.metric, center, self.radius, self.closed, pts, self.measure)
-
-
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box region in R^d, usable wherever a counting region is."""
-
-    center: tuple
-    half_widths: tuple
-
-    def contains(self, el: tuple) -> bool:
-        return all(abs(x - c) <= w for x, c, w in zip(el, self.center, self.half_widths))
-
-    def translate(self, x: tuple) -> "Box":
-        return Box(tuple(c + dx for c, dx in zip(self.center, x)), self.half_widths)
-
-    @property
-    def measure(self) -> float:
-        return float(np.prod([2.0 * w for w in self.half_widths]))
 
 
 def _word_spheres(metric: PeriodicMetric, int_radius: int) -> list:

@@ -15,7 +15,6 @@ from coherentlab import density, frames, groups, reps
 from coherentlab.frames import (
     GAUSSIAN_HALF_LEVEL_RADIUS,
     FrameBounds,
-    explicit_points,
     finite_subset,
     full_torus,
     lattice,
@@ -133,15 +132,16 @@ def test_gram_and_frame_operator_share_nonzero_spectrum():
 
 
 def test_riesz_bounds_translation_covariance_on_explicit_sets():
-    rep = reps.gabor_gaussian()
-    g = reps.gaussian_window()
+    def gram_eigs(pts):
+        gram = np.array([[frames.gabor_gram_entry(mu, nu) for nu in pts] for mu in pts])
+        return np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
+
     base = [(0.0, 0.0), (0.7, 0.3), (1.4, -0.5), (-0.9, 1.1)]
-    rb = frames.riesz_bounds(rep, g, explicit_points(base))
-    shifted = explicit_points([(x + 2.25, y - 1.5) for (x, y) in base])
-    rb2 = frames.riesz_bounds(rep, g, shifted)
+    eigs = gram_eigs(base)
+    eigs2 = gram_eigs([(x + 2.25, y - 1.5) for (x, y) in base])
     # Gram matrices differ by a diagonal unitary: identical spectra
-    assert rb2.lower == pytest.approx(rb.lower, rel=1e-10)
-    assert rb2.upper == pytest.approx(rb.upper, rel=1e-10)
+    assert eigs2[0] == pytest.approx(eigs[0], rel=1e-10)
+    assert eigs2[-1] == pytest.approx(eigs[-1], rel=1e-10)
 
 
 def test_gabor_gram_entry_matches_dense_quadrature():
@@ -229,33 +229,13 @@ def test_relative_separation_holes_report_full_lattice_sup():
     assert rep.rel_sep == 5  # sup over all centers is away from the hole
 
 
-def test_relative_separation_box_closed_form_and_brute():
-    box = groups.Box((0.0, 0.0), (1.0, 0.5))
-    assert frames.relative_separation(lattice(1.0, 1.0), box).rel_sep == 6
-    pts = explicit_points([(0.0, 0.0), (0.4, 0.1), (3.0, 3.0), (0.9, 0.4)])
-    rep = frames.relative_separation(pts, groups.Box((0.0, 0.0), (0.5, 0.25)))
-    best = 0
-    for cx in np.linspace(-1.0, 4.0, 501):
-        for cy in np.linspace(-1.0, 4.0, 501):
-            best = max(best, sum(1 for p in pts.points
-                                 if abs(p[0] - cx) <= 0.5 and abs(p[1] - cy) <= 0.25))
-    assert rep.rel_sep == best == 3
-
-
 def test_relative_separation_explicit_and_finite():
-    pts = explicit_points([(0.0, 0.0), (0.2, 0.0), (0.0, 0.2)])
-    assert frames.relative_separation(pts, euclid_ball(5.0)).rel_sep == 3
-    assert frames.relative_separation(pts, euclid_ball(0.05)).rel_sep == 1
-    empty = frames.PointSet(kind="explicit", points=())
-    assert frames.relative_separation(empty, euclid_ball(1.0)).rel_sep == 0
     n = 8
     rep = reps.finite_weyl_heisenberg(n)
     wq = groups.ball(groups.word_metric(rep.group), None, 1.0)
     lam = finite_subset(n, [(0, 0), (1, 0), (0, 1), (4, 4)])
     sep = frames.relative_separation(lam, wq)
     assert sep.rel_sep == 3  # identity ball of radius 1 catches the cluster
-    with pytest.raises(ValueError):
-        explicit_points([(0.0, 0.0), (0.0, 0.0)])
 
 
 def test_lemma_cover_constant_gaussian_frozen_counts():
@@ -437,8 +417,9 @@ def test_frame_bounds_validation_and_errors():
     g = reps.gaussian_window()
     with pytest.raises(ValueError):
         frames.riesz_bounds(rep, g, lattice(1.0, 1.0))  # needs restriction radius
-    with pytest.raises(ValueError):
-        frames.riesz_bounds(rep, g, explicit_points([]))
+    with pytest.raises(ValueError):  # the hole swallows the whole restriction
+        frames.riesz_bounds(rep, g, lattice_with_holes(1.0, 1.0, [(0.0, 0.0, 5.0)]),
+                            restriction_radius=3.0)
     n = 8
     frep = reps.finite_weyl_heisenberg(n)
     with pytest.raises(ValueError):
@@ -451,16 +432,37 @@ def test_riesz_gram_diagonal_is_the_coefficient_at_zero():
     # the diagonal ||g||^2 is gabor_gram_entry at a zero shift, so the Gram
     # equals the one gabor_gram_entry builds entry by entry
     rep = reps.gabor_gaussian()
-    pts = [(0.0, 0.0), (0.5, 0.0), (1.0, 0.25)]
+    lam = lattice(1.0, 0.5)
+    pts = lam.restrict(euclid_ball(1.0))
+    assert len(pts) == 7
     gram = np.array([[frames.gabor_gram_entry(mu, nu) for nu in pts] for mu in pts])
     assert np.all(np.diag(gram) == 1.0)
     eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
-    rb = frames.riesz_bounds(rep, reps.gaussian_window(), explicit_points(pts))
+    rb = frames.riesz_bounds(rep, reps.gaussian_window(), lam, restriction_radius=1.0)
     assert rb.lower == pytest.approx(eigs[0], rel=1e-12)
     assert rb.upper == pytest.approx(eigs[-1], rel=1e-12)
     # one point: the Gram is V_g g(0) = ||g||^2 = 1
-    one = explicit_points([(0.0, 0.0)])
-    assert frames.riesz_bounds(rep, None, one).upper == 1.0
+    one = lattice(1.0, 1.0)
+    assert frames.riesz_bounds(rep, None, one, restriction_radius=0.5).upper == 1.0
+
+
+def test_continuous_ball_restricts_lattice_kinds_only():
+    # Z_N^2 indices are not time-frequency points: reading them as such gave
+    # the Gaussian a Riesz sequence on full_torus(4)
+    rep = reps.gabor_gaussian()
+    g = reps.gaussian_window()
+    torus = full_torus(4)
+    with pytest.raises(ValueError, match="finite_subset"):
+        torus.restrict(euclid_ball(2.0))
+    with pytest.raises(ValueError, match="finite_subset"):
+        frames.riesz_bounds(rep, g, torus, restriction_radius=6.0)
+    with pytest.raises(ValueError, match="finite_subset"):
+        frames.frame_operator_spectrum(rep, g, torus)
+    with pytest.raises(ValueError):
+        frames.riesz_bounds(rep, g, torus)
+    # a word ball still restricts a torus subset
+    wq = groups.ball(groups.word_metric(groups.finite_cyclic_sq(4)), None, 1.0)
+    assert torus.restrict(wq) == ((0, 0), (0, 1), (0, 3), (1, 0), (3, 0))
 
 
 def test_riesz_bounds_on_sparse_lattice_restriction():
@@ -498,8 +500,6 @@ def test_point_set_geometry_helpers():
     pts = holey.restrict(euclid_ball(3.0))
     assert (0.0, 0.0) not in pts and (1.0, 0.0) not in pts
     assert (2.0, 0.0) in pts
-    moved = explicit_points([(0.0, 0.0), (1.0, 1.0)]).translate((0.25, -0.5))
-    assert moved.points == ((0.25, -0.5), (1.25, 0.5))
     with pytest.raises(ValueError):
         lattice(0.0, 1.0)
     with pytest.raises(ValueError):
@@ -546,7 +546,7 @@ def test_lattice_count_near_matches_enumeration():
     with pytest.raises(ValueError):
         lattice_with_holes(0.5, 0.5, [(0.0, 0.0, 2.0)]).lattice_count_near(0.0, 0.0, 6.0)
     with pytest.raises(ValueError):
-        explicit_points([(0.0, 0.0)]).lattice_count_near(0.0, 0.0, 1.0)
+        finite_subset(4, [(0, 0)]).lattice_count_near(0.0, 0.0, 1.0)
 
 
 def test_count_points_on_holes_and_open_balls_matches_enumeration():

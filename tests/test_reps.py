@@ -200,10 +200,10 @@ def test_radial_profile_follows_the_window():
     # g = None takes the Gaussian window in every estimator
     q = groups.ball(groups.euclidean_metric(dim=2), None, 1.0)
     k = groups.ball(groups.euclidean_metric(dim=2), None, 4.0, closed=True)
-    square = frames.explicit_points([(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)])
+    square = frames.lattice(0.5, 0.5)
 
     def riesz(rep, g):
-        rb = frames.riesz_bounds(rep, g, square)
+        rb = frames.riesz_bounds(rep, g, square, restriction_radius=0.75)
         return rb.lower, rb.upper
 
     values = (
