@@ -319,11 +319,8 @@ def run_geometry(cfg: dict) -> RunReport:
                                           cfg["folner_count"], cfg["folner_step"])
     k = groups.ball(metric, None, cfg["folner_k_radius"])
     ratios = [groups.folner_ratio(metric, b, k) for b in exhaustion]
-    rows = []
-    for i, (b, ratio) in enumerate(zip(exhaustion, ratios)):
-        measure = (float(len(b.points)) if b.points is not None
-                   else groups.ball_measure(metric, b.radius, b.closed))
-        rows.append((i, b.radius, measure, ratio))
+    rows = [(i, b.radius, b.measure, ratio)
+            for i, (b, ratio) in enumerate(zip(exhaustion, ratios))]
     monotone = all(ratios[i + 1] <= ratios[i] + 1e-12
                    for i in range(len(ratios) - 1))
     report.records.append(_record("folner_table", passed=monotone,

@@ -157,10 +157,8 @@ def beurling_density(lam: PointSet, metric: groups.PeriodicMetric,
     records = []
     for idx, k in enumerate(exhaustion):
         counts = [count_points(lam, c, k) for c in centers]
-        measure = (float(len(k.points)) if k.points is not None
-                   else groups.ball_measure(k.metric, k.radius, k.closed))
         records.append(CountingRecord(idx, k.radius, min(counts), max(counts),
-                                      measure, spacing, len(centers)))
+                                      k.measure, spacing, len(centers)))
     last = records[-1]
     return DensityEstimate(last.inf_count / last.measure,
                            last.sup_count / last.measure,
@@ -225,14 +223,12 @@ def _error_integral(rep: RepModel, g, q: groups.Ball, k: groups.Ball, kind: str,
         raise ValueError("Q must be centered at the identity")
     if rep.kind == reps.FINITE_WEYL_HEISENBERG:
         value = _finite_error_integral(rep, g, q, k, kind)
-        measure = float(len(k.points))
-        return ErrorIntegralRecord(n, kind, value, 0.0, measure)
+        return ErrorIntegralRecord(n, kind, value, 0.0, k.measure)
     if k.center != (0.0, 0.0):
         raise ValueError("K_n must be centered at the identity")
     prof = reps.radial_profile(rep, g)
     value = _lens_reduced_integral(prof, q.radius, k.radius, kind, tol)
-    measure = groups.ball_measure(k.metric, k.radius, k.closed)
-    return ErrorIntegralRecord(n, kind, value, tol, measure)
+    return ErrorIntegralRecord(n, kind, value, tol, k.measure)
 
 
 def error_integral_I(rep: RepModel, g, q: groups.Ball, k: groups.Ball,
@@ -296,8 +292,7 @@ def assemble_counting_constant(rep: RepModel, g, q: groups.Ball,
                                bounds: FrameBounds) -> dict:
     """C = (B / (A ||g||^4)) * (C(g, Q) / mu(Q)) from the proof's assembly."""
     cover = frames.lemma_cover_constant(rep, g, q)
-    mu_q = (float(len(q.points)) if q.points is not None
-            else math.pi * q.radius ** 2)
+    mu_q = q.measure
     norm4 = reps.norm_sq(rep, g) ** 2
     c = (bounds.upper / (bounds.lower * norm4)) * (cover.constant / mu_q)
     return {"C": c, "cover_constant": cover.constant, "n_cover": cover.n_cover,

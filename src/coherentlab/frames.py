@@ -597,8 +597,8 @@ def amalgam_check(rep: RepModel, g, lam: PointSet, q: groups.Ball,
             for z in q.points:
                 kq.add(group.multiply(y, z))
         m = reps._finite_maximal_table(rep, gv, q)
-        rhs = sep.rel_sep / len(q.points) * float(sum(m[p] ** 2 for p in kq))
-        mu_q = float(len(q.points))
+        rhs = sep.rel_sep / q.measure * float(sum(m[p] ** 2 for p in kq))
+        mu_q = q.measure
     else:
         prof = reps.radial_profile(rep, g)
         pts = lam.restrict(groups.ball(groups.euclidean_metric(dim=2), None,

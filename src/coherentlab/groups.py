@@ -86,11 +86,14 @@ class GroupModel:
             return ((-a[0]) % n, (-a[1]) % n)
         return tuple(-x for x in a)
 
-    def multiply_array(self, pts: np.ndarray, b: tuple) -> np.ndarray:
-        """Right products p * b for the rows p of an (n, dim) int64 array."""
-        out = pts + np.asarray(b, dtype=np.int64)
+    def multiply_array(self, a, b) -> np.ndarray:
+        """Products a * b row by row; each side is an (n, dim) int64 array or
+        one element, which is broadcast against the other side's rows."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        out = a + b
         if self.kind == DISCRETE_HEISENBERG:
-            out[:, 2] += pts[:, 0] * b[1]
+            out[..., 2] += a[..., 0] * b[..., 1]
         elif self.kind == FINITE_CYCLIC_SQ:
             out %= self.modulus
         return out
@@ -258,8 +261,6 @@ class PeriodicMetric:
                     f"word ball enumeration exceeded budget {budget} at radius {len(self._layers)}"
                 )
             self._layers.append(nxt)
-            if not len(nxt) and group.kind != FINITE_CYCLIC_SQ:
-                raise ValueError("BFS frontier died out on an infinite kind")
 
 
 def euclidean_metric(group: GroupModel | None = None, dim: int = 2) -> PeriodicMetric:
@@ -289,34 +290,45 @@ def _unit_ball_volume(dim: int) -> float:
 
 @dataclass(eq=False)
 class Ball:
-    """Metric ball descriptor; discrete kinds carry their enumerated points."""
+    """Metric ball descriptor.
+
+    A discrete ball carries its elements as a sorted int64 key array (see
+    ``_keys``); ``points`` decodes them into tuples, in key order, on first
+    use.  A continuous ball has neither.
+    """
 
     metric: PeriodicMetric
     center: tuple
     radius: float
     closed: bool
-    points: tuple | None
+    keys: np.ndarray | None
     measure: float
-    _pset: frozenset | None = field(default=None, repr=False)
+    _points: tuple | None = field(default=None, init=False, repr=False)
 
-    def point_set(self) -> frozenset:
-        if self.points is None:
-            raise ValueError("continuous ball has no point enumeration")
-        if self._pset is None:
-            self._pset = frozenset(self.points)
-        return self._pset
+    @property
+    def points(self) -> tuple | None:
+        if self.keys is not None and self._points is None:
+            self._points = tuple(map(tuple, _coords(self.metric.group, self.keys).tolist()))
+        return self._points
 
     def contains(self, el: tuple) -> bool:
-        return el in self.point_set()
+        if self.keys is None:
+            raise ValueError("continuous ball has no point enumeration")
+        try:
+            key = _keys(self.metric.group, np.array([el], dtype=np.int64))
+        except OverflowError:
+            return False  # no enumerated ball reaches outside the key range
+        return bool(_in_sorted(self.keys, key)[0])
 
     def translate(self, x: tuple) -> "Ball":
-        """Left translate x * B (same radius, points moved along)."""
+        """Left translate x * B (same radius, elements moved along)."""
         group = self.metric.group
         center = group.multiply(x, self.center)
-        pts = None
-        if self.points is not None:
-            pts = tuple(group.multiply(x, p) for p in self.points)
-        return Ball(self.metric, center, self.radius, self.closed, pts, self.measure)
+        keys = None
+        if self.keys is not None:
+            moved = group.multiply_array(x, _coords(group, self.keys))
+            keys = np.sort(_keys(group, moved))
+        return Ball(self.metric, center, self.radius, self.closed, keys, self.measure)
 
 
 def _word_spheres(metric: PeriodicMetric, int_radius: int) -> list:
@@ -327,15 +339,7 @@ def _word_spheres(metric: PeriodicMetric, int_radius: int) -> list:
     return metric._layers[: int_radius + 1]
 
 
-def _word_ball_points(metric: PeriodicMetric, int_radius: int) -> tuple:
-    spheres = _word_spheres(metric, int_radius)
-    if not spheres:
-        return ()
-    keys = np.sort(np.concatenate(spheres))
-    return tuple(map(tuple, _coords(metric.group, keys).tolist()))
-
-
-def _gauge_ball_points(metric: PeriodicMetric, radius: float, closed: bool) -> tuple:
+def _gauge_ball_keys(metric: PeriodicMetric, radius: float, closed: bool) -> np.ndarray:
     key = (round(radius, 12), closed)
     if key in metric._gauge_cache:
         return metric._gauge_cache[key]
@@ -354,7 +358,7 @@ def _gauge_ball_points(metric: PeriodicMetric, radius: float, closed: bool) -> t
                 g = _cygan_gauge((x, y, z))
                 if (g <= radius) if closed else (g < radius):
                     pts.append((x, y, z))
-    out = tuple(sorted(pts))
+    out = np.sort(_keys(metric.group, np.array(pts, dtype=np.int64).reshape(-1, 3)))
     metric._gauge_cache[key] = out
     return out
 
@@ -375,12 +379,12 @@ def ball(metric: PeriodicMetric, center: tuple | None = None, radius: float = 1.
         vol = _unit_ball_volume(group.dim) * radius ** group.dim
         return Ball(metric, center, radius, closed, None, vol)
     if metric.kind == HOMOGENEOUS_HEISENBERG:
-        pts = _gauge_ball_points(metric, radius, closed)
+        keys = _gauge_ball_keys(metric, radius, closed)
     else:
-        pts = _word_ball_points(metric, _effective_word_radius(radius, closed))
-    if center != group.identity():
-        pts = tuple(group.multiply(center, p) for p in pts)
-    return Ball(metric, center, radius, closed, pts, float(len(pts)))
+        spheres = _word_spheres(metric, _effective_word_radius(radius, closed))
+        keys = np.sort(np.concatenate(spheres)) if spheres else np.zeros(0, dtype=np.int64)
+    b = Ball(metric, group.identity(), radius, closed, keys, float(len(keys)))
+    return b if center == group.identity() else b.translate(center)
 
 
 def ball_measure(metric: PeriodicMetric, radius: float, closed: bool = True) -> float:
@@ -525,21 +529,21 @@ def folner_ratio(metric: PeriodicMetric, k_n: Ball, k: Ball) -> float:
         outer = vd * (rn + rk) ** d
         inner = vd * max(rn - rk, 0.0) ** d
         return (outer - inner) / (vd * rn ** d)
-    if k_n.points is None or k.points is None:
+    if k_n.keys is None or k.keys is None:
         raise ValueError("discrete Folner ratio needs enumerated balls")
-    if len(k_n.points) * len(k.points) > ball_budget():
+    if k_n.measure * k.measure > ball_budget():
         raise BudgetExceededError("Folner product set exceeds budget")
-    if not k.points:
+    if not k.measure:
         return 0.0  # K_n K is empty
-    kn = np.asarray(k_n.points, dtype=np.int64).reshape(-1, group.dim)
-    kn_keys = np.sort(_keys(group, kn))
+    kn = _coords(group, k_n.keys)
+    k_rows = _coords(group, k.keys)
     prod = _unique(np.concatenate(
-        [_keys(group, group.multiply_array(kn, q)) for q in k.points]))
+        [_keys(group, group.multiply_array(kn, q)) for q in k_rows]))
     prod_pts = _coords(group, prod)
     boundary = np.zeros(len(prod), dtype=bool)
-    for q in k.points:
-        boundary |= ~_in_sorted(kn_keys, _keys(group, group.multiply_array(prod_pts, q)))
-    return int(np.count_nonzero(boundary)) / len(k_n.points)
+    for q in k_rows:
+        boundary |= ~_in_sorted(k_n.keys, _keys(group, group.multiply_array(prod_pts, q)))
+    return int(np.count_nonzero(boundary)) / k_n.measure
 
 
 def folner_exhaustion(metric: PeriodicMetric, r0: float, count: int, step: float) -> list:

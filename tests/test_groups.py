@@ -9,6 +9,7 @@ and a set-algebra Folner ratio on tuples.
 
 import itertools
 import math
+import os
 from collections import deque
 
 import numpy as np
@@ -312,6 +313,68 @@ def test_folner_ratio_heisenberg_matches_set_reference(k_radius):
     ratio = groups.folner_ratio(metric, kn, k)
     assert ratio == folner_ratio_reference(heisenberg_mul, kn.points, k.points)
     assert ratio == groups.folner_ratio(metric, groups.ball(metric, None, 4.0), k)
+
+
+def test_folner_ratio_torus_matches_set_reference():
+    # right translates wrap around Z_7 x Z_7; from radius 6 on K_n is the group
+    n = 7
+    metric = groups.word_metric(groups.finite_cyclic_sq(n))
+
+    def torus_mul(a, b):
+        return ((a[0] + b[0]) % n, (a[1] + b[1]) % n)
+
+    for k_radius in (1.0, 2.0):
+        k = groups.ball(metric, None, k_radius)
+        for r in range(1, 8):
+            kn = groups.ball(metric, None, float(r))
+            assert groups.folner_ratio(metric, kn, k) == folner_ratio_reference(
+                torus_mul, kn.points, k.points)
+    assert groups.folner_ratio(metric, groups.ball(metric, None, 6.0),
+                               groups.ball(metric, None, 1.0)) == 0.0
+
+
+@pytest.mark.parametrize("k_radius", [1.0, 2.0])
+def test_folner_ratio_heisenberg_gauge_matches_set_reference(k_radius):
+    metric = groups.heisenberg_gauge_metric()
+    k = groups.ball(metric, None, k_radius)
+    for r in (2.0, 3.0, 4.5):
+        kn = groups.ball(metric, None, r)
+        assert groups.folner_ratio(metric, kn, k) == folner_ratio_reference(
+            heisenberg_mul, kn.points, k.points)
+    kn = groups.ball(metric, (1, -2, 5), 3.0)
+    assert groups.folner_ratio(metric, kn, k) == folner_ratio_reference(
+        heisenberg_mul, kn.points, k.points)
+
+
+def test_ball_contains_searches_the_keys():
+    metric = groups.word_metric(groups.discrete_heisenberg())
+    for b in (groups.ball(metric, None, 2.0), groups.ball(metric, (1, 2, -1), 2.0)):
+        inside = set(b.points)
+        for el in itertools.product(range(-4, 5), repeat=3):
+            assert b.contains(el) == (el in inside)
+    b = groups.ball(metric, None, 2.0)
+    # H3 keys hold [-2^20, 2^20) per coordinate; past that (and past int64)
+    # an element is outside every enumerated ball
+    for el in ((1 << 20, 0, 0), (0, -(1 << 20) - 1, 0), (0, 0, 1 << 40), (1 << 70, 0, 0)):
+        assert b.contains(el) is False
+    with pytest.raises(ValueError):
+        groups.ball(groups.euclidean_metric(dim=2), None, 1.0).contains((0.0, 0.0))
+
+
+def test_geometry_run_never_decodes_ball_points(tmp_path, monkeypatch):
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                          "geometry_heisenberg.ini")
+    cli.run_experiment("geometry", config, str(tmp_path / "decoded"))
+
+    def no_decode(self):
+        raise AssertionError("a geometry run decoded Ball.points")
+
+    monkeypatch.setattr(groups.Ball, "points", property(no_decode))
+    report = cli.run_experiment("geometry", config, str(tmp_path / "keys"))
+    assert report.overall_pass
+    for name in ("report.json", "rows.csv"):
+        assert ((tmp_path / "keys" / name).read_bytes()
+                == (tmp_path / "decoded" / name).read_bytes())
 
 
 @pytest.mark.parametrize("dim, radii", [(1, range(0, 12)), (4, range(0, 6))])
