@@ -163,6 +163,10 @@ def load_config(path: str, experiment: str) -> dict:
 
 def _validate(experiment: str, cfg: dict) -> None:
     """Rules that tie keys together; single-key domains live in _SCHEMAS."""
+    try:
+        budget = groups.ball_budget()
+    except ValueError as exc:  # a malformed budget in the environment
+        raise ConfigError(str(exc)) from exc
     sectioned = (experiment == "hole" or cfg.get("model") == "gaussian"
                  or cfg.get("side") == "frame")
     if sectioned and cfg["section_radius"] <= cfg["margin"] + 1.0:
@@ -180,9 +184,9 @@ def _validate(experiment: str, cfg: dict) -> None:
             raise ConfigError("folner_r0 must be at least 1 on a discrete group")
         dim = 3 if cfg["group"] == "discrete_heisenberg" else 2
         top = max([*radii, cfg["folner_r0"] + cfg["folner_step"] * cfg["folner_count"]])
-        if (2.0 * top + 1.0) ** dim > groups.ball_budget():
+        if (2.0 * top + 1.0) ** dim > budget:
             raise ConfigError(f"growth_radii exceed the enumeration budget "
-                              f"({groups.BUDGET_ENV_VAR}={groups.ball_budget()})")
+                              f"({groups.BUDGET_ENV_VAR}={budget})")
     elif experiment == "rep-check":
         if cfg["n"] > 64:
             raise ConfigError("n must be between 2 and 64 for exhaustive checks")
@@ -196,8 +200,7 @@ def _validate(experiment: str, cfg: dict) -> None:
             if len(cfg["radii"]) < 4 or max(cfg["radii"]) < 4.0 * min(cfg["radii"]):
                 raise ConfigError("fit_exponent needs radii: >= 4 values "
                                   "spanning a factor of 4")
-        if (2.0 * max(cfg["radii"]) / min(cfg["lattice_a"], cfg["lattice_b"])) ** 2 \
-                > groups.ball_budget():
+        if (2.0 * max(cfg["radii"]) / min(cfg["lattice_a"], cfg["lattice_b"])) ** 2 > budget:
             raise ConfigError("radii exceed the enumeration budget for this lattice")
     elif experiment == "hole":
         if cfg["lattice_a"] * cfg["lattice_b"] >= 1.0:

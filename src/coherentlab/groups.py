@@ -34,9 +34,21 @@ class BudgetExceededError(RuntimeError):
 
 
 def ball_budget() -> int:
-    """Element budget for ball enumeration, overridable via the environment."""
-    raw = os.environ.get(BUDGET_ENV_VAR, "")
-    return int(raw) if raw.strip() else DEFAULT_BALL_BUDGET
+    """Element budget for ball enumeration, overridable via the environment.
+
+    A blank value means the default; anything but a positive integer raises
+    ``ValueError`` naming the variable.
+    """
+    raw = os.environ.get(BUDGET_ENV_VAR, "").strip()
+    if not raw:
+        return DEFAULT_BALL_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}")
+    return budget
 
 
 # -- Group models -------------------------------------------------------------
@@ -143,6 +155,11 @@ def finite_cyclic_sq(n: int) -> GroupModel:
 # -- Element keys -------------------------------------------------------------
 
 
+def _key_range_error(bits: int) -> OverflowError:
+    return OverflowError(f"group element coordinate outside the key range "
+                         f"[-2^{bits - 1}, 2^{bits - 1})")
+
+
 def _keys(group: GroupModel, pts: np.ndarray) -> np.ndarray:
     """Pack the rows of an (n, dim) int64 array into one int64 key each.
 
@@ -154,8 +171,7 @@ def _keys(group: GroupModel, pts: np.ndarray) -> np.ndarray:
     bits = 63 // group.dim
     offset = 1 << (bits - 1)
     if pts.size and (pts.min() < -offset or pts.max() >= offset):
-        raise OverflowError(f"group element coordinate outside the key range "
-                            f"[-2^{bits - 1}, 2^{bits - 1})")
+        raise _key_range_error(bits)
     keys = np.zeros(len(pts), dtype=np.int64)
     for col in (pts + offset).T:
         keys = (keys << bits) | col
@@ -169,10 +185,55 @@ def _coords(group: GroupModel, keys: np.ndarray) -> np.ndarray:
     return ((keys[:, None] >> shifts) & ((1 << bits) - 1)) - (1 << (bits - 1))
 
 
+def _right_translates(group: GroupModel, keys: np.ndarray, qs) -> list:
+    """Keys of p * q for every packed p, one array per q in ``qs``.
+
+    Each array is in the order of ``keys``; every q must lie in the key
+    range.  On Z^d and H3 every field of p * q is the field of p plus a
+    shift: q's coordinate, and on H3 also x * b in the z field, with x read
+    from p's top field and b = q[1].  So the keys move by the packed shifts
+    once every shifted field is checked to stay in [0, 2^bits): a constant
+    shift against the field's extremes over ``keys``, the z shift x * b + c
+    element by element.  Z_N x Z_N wraps, so it decodes and multiplies.
+    """
+    qs = [tuple(int(c) for c in q) for q in qs]
+    if group.kind == FINITE_CYCLIC_SQ:
+        pts = _coords(group, keys)
+        return [_keys(group, group.multiply_array(pts, q)) for q in qs]
+    bits = 63 // group.dim
+    offset = 1 << (bits - 1)
+    if any(not -offset <= c < offset for q in qs for c in q):
+        raise _key_range_error(bits)
+    if not keys.size:
+        return [keys.copy() for _ in qs]
+    mask = (1 << bits) - 1
+    shifts = [bits * (group.dim - 1 - i) for i in range(group.dim)]
+    fields = [(keys >> s) & mask for s in shifts]
+    lo = [int(f.min()) for f in fields]
+    hi = [int(f.max()) for f in fields]
+    out = []
+    for q in qs:
+        moved = keys + sum(c << s for c, s in zip(q, shifts))
+        constant = list(enumerate(q))
+        if group.kind == DISCRETE_HEISENBERG and q[1]:
+            constant = constant[:2]
+            xb = (fields[0] - offset) * q[1]
+            moved += xb
+            z = fields[2] + xb + q[2]
+            if z.min() < 0 or z.max() > mask:
+                raise _key_range_error(bits)
+        if any(lo[i] + c < 0 or hi[i] + c > mask for i, c in constant):
+            raise _key_range_error(bits)
+        out.append(moved)
+    return out
+
+
 def _unique(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct keys.  numpy 2.4's np.unique (and so np.isin) hashes
-    int64 input, which is about 30x slower than this sort on 5e5 keys."""
-    keys = np.sort(keys)
+    int64 input, which is about 30x slower than this sort on 5e5 keys.  The
+    input is mostly a few sorted runs (right translates of sorted keys keep
+    their order on Z^d and H3), which the stable sort merges ~3x faster."""
+    keys = np.sort(keys, kind="stable")
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     return keys[first]
@@ -250,11 +311,14 @@ class PeriodicMetric:
         budget = ball_budget()
         total = sum(len(layer) for layer in self._layers)
         while len(self._layers) <= up_to:
-            frontier = _coords(group, self._layers[-1])
             nxt = _unique(np.concatenate(
-                [_keys(group, group.multiply_array(frontier, g)) for g in group.generators]))
-            for seen in self._layers[-2:]:
-                nxt = nxt[~_in_sorted(seen, nxt)]
+                _right_translates(group, self._layers[-1], group.generators)))
+            if len(nxt):  # empty once a finite group is exhausted
+                new = np.ones(len(nxt), dtype=bool)
+                for seen in self._layers[-2:]:
+                    at = np.minimum(np.searchsorted(nxt, seen), len(nxt) - 1)
+                    new[at[nxt[at] == seen]] = False
+                nxt = nxt[new]
             total += len(nxt)
             if total > budget:
                 raise BudgetExceededError(
@@ -515,8 +579,11 @@ def folner_ratio(metric: PeriodicMetric, k_n: Ball, k: Ball) -> float:
     """mu(K_n K intersect K_n^c K) / mu(K_n) for balls K_n and K.
 
     K must be centered at the identity.  Discrete kinds are computed by exact
-    set algebra on the keys of the enumerated balls: an element of K_n K lies
-    in K_n^c K when one of its right translates by K leaves K_n.  The
+    set algebra on the keys of the enumerated balls.  An element x of K_n K
+    lies outside K_n^c K when x q^-1 is in K_n for every q in K; K is
+    symmetric, so that is when x lies in all |K| right translates K_n q.  One
+    sort of the translates' keys counts both: its distinct keys are K_n K,
+    and the keys that occur |K| times are the ones outside K_n^c K.  The
     euclidean kind has the closed annulus form.
     """
     group = metric.group
@@ -535,15 +602,11 @@ def folner_ratio(metric: PeriodicMetric, k_n: Ball, k: Ball) -> float:
         raise BudgetExceededError("Folner product set exceeds budget")
     if not k.measure:
         return 0.0  # K_n K is empty
-    kn = _coords(group, k_n.keys)
-    k_rows = _coords(group, k.keys)
-    prod = _unique(np.concatenate(
-        [_keys(group, group.multiply_array(kn, q)) for q in k_rows]))
-    prod_pts = _coords(group, prod)
-    boundary = np.zeros(len(prod), dtype=bool)
-    for q in k_rows:
-        boundary |= ~_in_sorted(k_n.keys, _keys(group, group.multiply_array(prod_pts, q)))
-    return int(np.count_nonzero(boundary)) / k_n.measure
+    merged = np.sort(np.concatenate(
+        _right_translates(group, k_n.keys, _coords(group, k.keys).tolist())), kind="stable")
+    starts = np.flatnonzero(np.r_[True, merged[1:] != merged[:-1]])
+    counts = np.diff(np.r_[starts, len(merged)])
+    return int(np.count_nonzero(counts < len(k.keys))) / k_n.measure
 
 
 def folner_exhaustion(metric: PeriodicMetric, r0: float, count: int, step: float) -> list:

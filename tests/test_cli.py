@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from coherentlab import cli, reporting
+from coherentlab import cli, groups, reporting
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -168,6 +168,19 @@ def test_frame_matrix_dumps(tmp_path, capsys):
     gram = (tmp_path / "gau" / "gram.csv").read_text().splitlines()
     assert gram[0] == "row,col,real,imag"
     assert len(gram) > 1
+
+
+def test_malformed_budget_variable_exits_2_naming_it(tmp_path, monkeypatch, capsys):
+    configs = [("geometry", "geometry_heisenberg.ini"), ("frame", "frame_finite.ini")]
+    for experiment, name in configs:
+        args = [experiment, "--config", os.path.join(CONFIG_DIR, name),
+                "--out", str(tmp_path / experiment)]
+        for value in ("abc", "2.5", "0", "-1"):
+            monkeypatch.setenv(groups.BUDGET_ENV_VAR, value)
+            assert cli.main(args) == 2, (experiment, value)
+            assert groups.BUDGET_ENV_VAR in capsys.readouterr().err
+        monkeypatch.setenv(groups.BUDGET_ENV_VAR, "")  # blank: the default
+        assert cli.main(args) == 0
 
 
 def test_run_report_overall_pass_ignores_diagnostics():

@@ -430,3 +430,64 @@ def test_coordinates_outside_the_key_range_raise():
     with pytest.raises(OverflowError):
         groups.folner_ratio(m4, groups.ball(m4, (0, 0, 0, -(1 << 14)), 1.0), k4)
 
+
+@pytest.mark.parametrize("group, center", [
+    (groups.integer_lattice(2), (3, -2)),
+    (groups.integer_lattice(3), (3, -2, 5)),
+    (groups.discrete_heisenberg(), (3, -2, 5)),
+    (groups.finite_cyclic_sq(7), (3, 5)),
+], ids=["Z2", "Z3", "H3", "Z7^2"])
+def test_right_translates_match_the_decode_path(group, center):
+    metric = groups.word_metric(group)
+    for kn in (groups.ball(metric, None, 3.0), groups.ball(metric, center, 3.0)):
+        pts = groups._coords(group, kn.keys)
+        qs = groups.ball(metric, None, 2.0).points
+        for q, got in zip(qs, groups._right_translates(group, kn.keys, qs), strict=True):
+            want = groups._keys(group, group.multiply_array(pts, q))
+            assert got.dtype == np.int64 and np.array_equal(got, want), q
+
+
+@pytest.mark.parametrize("group", [groups.integer_lattice(2), groups.discrete_heisenberg()],
+                         ids=["Z2", "H3"])
+def test_bfs_and_folner_ratio_never_decode_spheres_or_balls(group, monkeypatch):
+    metric = groups.word_metric(group)
+    decoded = []
+    coords = groups._coords
+
+    def counted(g, keys):
+        decoded.append(len(keys))
+        return coords(g, keys)
+
+    def no_multiply(self, a, b):
+        raise AssertionError("multiply_array called on Z^d or H3")
+
+    monkeypatch.setattr(groups, "_coords", counted)
+    monkeypatch.setattr(groups.GroupModel, "multiply_array", no_multiply)
+    k = groups.ball(metric, None, 2.0)
+    kn = groups.ball(metric, None, 6.0)
+    assert groups.folner_ratio(metric, kn, k) > 0
+    assert decoded == [k.measure]  # only the rows of K
+
+
+def test_right_translates_raise_when_a_product_field_leaves_the_key_range():
+    # H3: 21 bits per field, coordinates in [-2^20, 2^20)
+    h3 = groups.discrete_heisenberg()
+    top = (1 << 20) - 1
+
+    def translate(p, q):
+        [moved] = groups._right_translates(h3, groups._keys(h3, np.array([p])), [q])
+        return moved
+
+    for p, q in (((top, 0, 0), (1, 0, 0)),            # x by a
+                 ((-top - 1, 5, 0), (-1, 0, 0)),
+                 ((0, top, 0), (0, 1, 0)),            # y by b
+                 ((1 << 10, 0, top - (1 << 10) + 1), (0, 1, 0)),  # z by x * b
+                 ((-(1 << 10), 3, -(1 << 20) + (1 << 11) - 1), (0, 2, 0))):
+        with pytest.raises(OverflowError):
+            translate(p, q)
+        with pytest.raises(OverflowError):  # the decode path agrees
+            groups._keys(h3, h3.multiply_array(np.array([p]), q))
+    # one step inside the range is exact
+    p, q = (1 << 10, 0, top - (1 << 10)), (0, 1, 0)
+    assert groups._coords(h3, translate(p, q)).tolist() == [[1 << 10, 1, top]]
+
