@@ -30,10 +30,8 @@ from .quadrature import (
     refine_trapezoid,
 )
 from .reps import (
-    GAUSSIAN_AMBIGUITY_LIPSCHITZ,
     RepModel,
     Window,
-    coefficient_field,
     coefficient_table,
     decay_envelope_check,
     estimate_formal_degree,
@@ -41,14 +39,10 @@ from .reps import (
     gabor_gaussian,
     gaussian_ambiguity,
     gaussian_window,
-    local_maximal,
-    matrix_coefficient,
     verify_cocycle_identity,
     verify_orthogonality,
-    weighted_maximal_norm,
 )
 from .frames import (
-    GAUSSIAN_HALF_LEVEL_RADIUS,
     FrameBounds,
     PointSet,
     amalgam_check,

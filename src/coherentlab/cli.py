@@ -37,6 +37,11 @@ _AT_LEAST_1 = (">= 1", lambda v: v >= 1)
 _AT_LEAST_2 = (">= 2", lambda v: v >= 2)
 _FRACTION = ("in (0, 1]", lambda v: 0 < v <= 1)
 
+# geometry group -> the metrics it takes; the first is the default
+_GROUP_METRICS = {"integer_lattice": ("word",),
+                  "discrete_heisenberg": ("word", "heisenberg_gauge"),
+                  "euclidean": ("euclidean",)}
+
 # key -> (type, default, choices of a str key or domain of a numeric one)
 _SCHEMAS = {
     "geometry": {
@@ -149,6 +154,9 @@ def load_config(path: str, experiment: str) -> dict:
             if val not in allowed:
                 raise ConfigError(f"invalid value for '{key}': {val!r} (choose from "
                                   f"{', '.join(c or '<auto>' for c in allowed)})")
+        elif typ == "floats" and not val:
+            raise ConfigError(f"invalid value for '{key}': {raw!r} (must be a "
+                              "nonempty list)")
         elif allowed is not None:
             text, ok = allowed
             if not all(ok(v) for v in (val if typ == "floats" else (val,))):
@@ -172,6 +180,10 @@ def _validate(experiment: str, cfg: dict) -> None:
     if sectioned and cfg["section_radius"] <= cfg["margin"] + 1.0:
         raise ConfigError("section_radius must exceed margin + 1")
     if experiment == "geometry":
+        metrics = _GROUP_METRICS[cfg["group"]]
+        if cfg["metric"] not in ("", *metrics):
+            raise ConfigError(f"metric {cfg['metric']!r} does not belong to group "
+                              f"{cfg['group']!r} (choose from {', '.join(metrics)})")
         radii = cfg["growth_radii"]
         if len(radii) < 4 or any(r1 <= r0 for r0, r1 in zip(radii, radii[1:])):
             raise ConfigError("growth_radii must hold at least 4 strictly "
@@ -194,8 +206,6 @@ def _validate(experiment: str, cfg: dict) -> None:
         if cfg["model"] == "finite" and cfg["n"] > 64:
             raise ConfigError("n must be between 2 and 64 for exhaustive checks")
     elif experiment == "density":
-        if not cfg["radii"]:
-            raise ConfigError("radii must be a nonempty list")
         if cfg["fit_exponent"]:
             if len(cfg["radii"]) < 4 or max(cfg["radii"]) < 4.0 * min(cfg["radii"]):
                 raise ConfigError("fit_exponent needs radii: >= 4 values "
@@ -205,7 +215,7 @@ def _validate(experiment: str, cfg: dict) -> None:
     elif experiment == "hole":
         if cfg["lattice_a"] * cfg["lattice_b"] >= 1.0:
             raise ConfigError("lattice_a * lattice_b must be < 1 (frame regime)")
-        if cfg["hole_radii"] and cfg["section_radius"] < 2.0 * max(cfg["hole_radii"]):
+        if cfg["section_radius"] < 2.0 * max(cfg["hole_radii"]):
             raise ConfigError("section_radius too small relative to the "
                               "largest hole_radii entry")
         if cfg["alpha"] + cfg["delta"] <= 1.0:
@@ -287,18 +297,15 @@ def _record(name, payload=None, passed=None, diagnostic=None, **fields) -> dict:
 def run_geometry(cfg: dict) -> RunReport:
     report = RunReport("geometry", cfg)
     group_kind = cfg["group"]
-    metric_kind = cfg["metric"]
+    metric_kind = cfg["metric"] or _GROUP_METRICS[group_kind][0]
     if group_kind == "euclidean":
         metric = groups.euclidean_metric(dim=2)
-        metric_kind = metric_kind or "euclidean"
     elif group_kind == "discrete_heisenberg":
         g = groups.discrete_heisenberg()
         metric = (groups.heisenberg_gauge_metric(g)
                   if metric_kind == "heisenberg_gauge" else groups.word_metric(g))
-        metric_kind = metric_kind or "word"
     else:
         metric = groups.word_metric(groups.integer_lattice(2))
-        metric_kind = metric_kind or "word"
     t0 = time.perf_counter()
     fit = groups.fit_growth_exponent(metric, cfg["growth_radii"])
     report.records.append(_record("growth_fit", fit.to_json()))

@@ -482,11 +482,9 @@ def run_hole_falsification(rep: RepModel, g, lattice_a: float, lattice_b: float,
     radii = sorted(float(r) for r in hole_radii)
     if radii and section_radius < 2.0 * radii[-1]:
         raise ValueError("section radius too small relative to the largest hole")
-    metric = groups.euclidean_metric(dim=2)
-    q = groups.ball(metric, None, r0)
+    q = groups.ball(groups.euclidean_metric(dim=2), None, r0)
     exponent = (2.0 + alpha) / 2.0
-    cal = reps.decay_envelope_check(rep, g, metric, 1.0, exponent,
-                                    calibration_radius)
+    cal = reps.decay_envelope_check(rep, g, 1.0, exponent, calibration_radius)
     c0 = cal["max_ratio"]
     cover = frames.lemma_cover_constant(rep, g, q)
     mu_q = math.pi * r0 * r0

@@ -23,9 +23,6 @@ LATTICE = "lattice"
 LATTICE_WITH_HOLES = "lattice_with_holes"
 FINITE_SUBSET = "finite_subset"
 
-# half-width of the level set {|V_g g| > ||g||^2 / 2} for the Gaussian window
-GAUSSIAN_HALF_LEVEL_RADIUS = math.sqrt(2.0 * math.log(2.0) / math.pi)
-
 _TIE = 1e-12  # closed-ball membership slack on squared distances
 
 SECTION_MODE_CAP = 512  # highest Hermite index a truncated section keeps

@@ -2,12 +2,12 @@
 
 Two concrete models: the finite Weyl-Heisenberg family on C^N indexed by
 Z_N x Z_N (translation then modulation), and the time-frequency family on
-L^2(R) indexed by R^2 with the unit Gaussian window.  The Gaussian's
-ambiguity function |V_g g| is the radial profile exp(-pi |x|^2 / 2), whose
-closed forms feed the matrix coefficients, maximal functions, weighted norms,
-and formal-degree estimates.  radial_profile is the one place that checks the
-window: on the time-frequency kind anything but the Gaussian raises
-ValueError.
+L^2(R) indexed by R^2 with the unit Gaussian window.  The finite kind's
+coefficients come from coefficient_table; the Gaussian's ambiguity function
+|V_g g| is the radial profile exp(-pi |x|^2 / 2), whose closed forms feed the
+local maximal function, the formal-degree estimate and the decay envelope.
+radial_profile is the one place that checks the window: on the
+time-frequency kind anything but the Gaussian raises ValueError.
 """
 
 from __future__ import annotations
@@ -15,22 +15,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import groups
-from .groups import Ball, GroupModel, PeriodicMetric
-from .quadrature import QuadratureError, gauss_profile_mass_outside, refine_trapezoid
+from .groups import Ball, GroupModel
+from .quadrature import gauss_profile_mass_outside, refine_trapezoid
 
 FINITE_WEYL_HEISENBERG = "finite_weyl_heisenberg"
 TIME_FREQUENCY = "time_frequency"
 
 GAUSSIAN_WINDOW = "gaussian_unit_norm"
-
-# peak slope of exp(-pi r^2 / 2): a grid sup of the Gaussian field plus this
-# constant times the grid's half-diagonal bounds the true sup
-GAUSSIAN_AMBIGUITY_LIPSCHITZ = math.sqrt(math.pi) * math.exp(-0.5)
 
 
 def inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -139,19 +134,6 @@ def gaussian_ambiguity(x: float, w: float) -> complex:
     return cmath.exp(-1j * math.pi * x * w - math.pi * (x * x + w * w) / 2.0)
 
 
-def matrix_coefficient(rep: RepModel, f, g, x: tuple) -> complex:
-    """V_g f(x) = <f, pi(x) g>.
-
-    Finite kind: an exact inner product.  Time-frequency kind: f and g must be
-    the Gaussian window, whose ambiguity function has a closed form.
-    """
-    if rep.kind == FINITE_WEYL_HEISENBERG:
-        return inner(np.asarray(f, dtype=complex), apply_rep(rep, x, np.asarray(g, dtype=complex)))
-    radial_profile(rep, f)  # each raises unless its window is the Gaussian
-    radial_profile(rep, g)
-    return gaussian_ambiguity(float(x[0]), float(x[1]))
-
-
 # -- Radial profiles ------------------------------------------------------------------
 
 
@@ -175,23 +157,6 @@ class RadialProfile:
     def mass_outside(self, rho: float, d: float) -> float:
         """Integral of maximal_sq(|x|, rho) over |x| >= d in R^2, in closed form."""
         return gauss_profile_mass_outside(rho, d)
-
-    def weighted_tail(self, rho: float, alpha: float, tol: float) -> tuple:
-        """(r_max, tail): tail bounds the integral of maximal_sq(|x|, rho)
-        (1 + |x|)^alpha over |x| >= r_max and is below tol / 2."""
-        r_max = rho + 4.0
-        while True:
-            # (1+r)^a * 2 pi r <= (1+R)^a * 2 pi R * exp(c (r-R)) beyond R
-            c = max(alpha, 0.0) / (1.0 + r_max) + 1.0 / r_max
-            gap = 2.0 * math.pi * (r_max - rho) - c
-            if gap > 0:
-                tail = (2.0 * math.pi * (1.0 + r_max) ** max(alpha, 0.0) * r_max
-                        * math.exp(-math.pi * (r_max - rho) ** 2) / gap)
-                if tail < tol / 2.0:
-                    return r_max, tail
-            r_max *= 2.0
-            if r_max > 1e6:
-                raise QuadratureError("gaussian tail failed to certify")
 
 
 GAUSSIAN_PROFILE = RadialProfile()
@@ -219,67 +184,7 @@ def norm_sq(rep: RepModel, g) -> float:
     return radial_profile(rep, g).norm_sq
 
 
-# -- Coefficient fields ---------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class CoefficientField:
-    """Evaluator bundle for x -> V_g f(x) with optional radial structure.
-
-    ``radial_profile`` is set only when |F| is a nonincreasing function of the
-    metric length, which makes local sups exact.
-    """
-
-    domain: GroupModel
-    evaluate: Callable[[tuple], complex]
-    magnitude: Callable[[tuple], float]
-    norms: tuple
-    radial_profile: Callable[[float], float] | None = None
-
-
-def coefficient_field(rep: RepModel, f=None, g=None) -> CoefficientField:
-    """Field for V_g f; on the time-frequency kind f and g default to the
-    Gaussian window, the only one it takes, so the field is radial."""
-    if rep.kind == FINITE_WEYL_HEISENBERG:
-        fv = np.asarray(f, dtype=complex)
-        gv = np.asarray(g, dtype=complex)
-        table = coefficient_table(rep, fv, gv)
-        n = rep.n
-
-        def ev(x, _t=table, _n=n):
-            return complex(_t[x[0] % _n, x[1] % _n])
-
-        return CoefficientField(
-            domain=rep.group, evaluate=ev, magnitude=lambda x: abs(ev(x)),
-            norms=(float(np.linalg.norm(fv)), float(np.linalg.norm(gv))))
-    prof = radial_profile(rep, g)
-    radial_profile(rep, f)  # raises unless f is the Gaussian too
-    return CoefficientField(
-        domain=rep.group, evaluate=lambda x: matrix_coefficient(rep, f, g, x),
-        magnitude=lambda x: prof.profile(math.hypot(*x)), norms=(1.0, 1.0),
-        radial_profile=prof.profile)
-
-
-# -- Local maximal function ------------------------------------------------------------
-
-
-def local_maximal(fld: CoefficientField, q: Ball, x: tuple) -> float:
-    """M_Q F(x) = sup over z in Q of |F(x z)|.
-
-    Exact for enumerated Q and for radially nonincreasing fields; a
-    continuous field without a radial profile raises ValueError.
-    """
-    group = q.metric.group
-    if q.center != group.identity():
-        raise ValueError("Q must be centered at the identity")
-    if q.points is not None:
-        return max(fld.magnitude(group.multiply(x, z)) for z in q.points)
-    if fld.radial_profile is None:
-        raise ValueError("continuous maximal functions need a radial field")
-    return fld.radial_profile(max(0.0, math.hypot(*x) - q.radius))
-
-
-# -- Weighted maximal norms --------------------------------------------------------------
+# -- Local maximal function on the finite kind ---------------------------------
 
 
 def _finite_maximal_table(rep: RepModel, g: np.ndarray, q: Ball) -> np.ndarray:
@@ -289,37 +194,6 @@ def _finite_maximal_table(rep: RepModel, g: np.ndarray, q: Ball) -> np.ndarray:
     for (dk, dl) in q.points:
         out = np.maximum(out, np.roll(table, (-dk % n, -dl % n), axis=(0, 1)))
     return out
-
-
-def weighted_maximal_norm(rep: RepModel, g, q: Ball, alpha: float,
-                          tol: float = 1e-8) -> float:
-    """Integral over the group of |M_Q V_g g|^2 (1 + |x|)^alpha.
-
-    Finite kind: exact sum with word length.  The Gaussian reduces to a
-    radial integral with a certified tail.
-    """
-    if alpha < 0:
-        raise ValueError("weight exponent must be nonnegative")
-    if q.center != q.metric.group.identity():
-        raise ValueError("Q must be centered at the identity")
-    if rep.kind == FINITE_WEYL_HEISENBERG:
-        gv = np.asarray(g, dtype=complex)
-        m = _finite_maximal_table(rep, gv, q)
-        n = rep.n
-        k = np.arange(n)
-        wl = np.minimum(k, n - k)
-        weight = (1.0 + wl[:, None] + wl[None, :]) ** alpha
-        return float(np.sum(m * m * weight))
-    rho = q.radius
-    prof = radial_profile(rep, g)
-    r_max, tail = prof.weighted_tail(rho, alpha, tol)
-
-    def integrand(r):
-        return prof.maximal_sq(r, rho) * (1.0 + r) ** alpha * 2.0 * math.pi * r
-
-    val = refine_trapezoid(integrand, 0.0, rho, tol / 4.0)
-    val += refine_trapezoid(integrand, rho, r_max, tol / 4.0)
-    return val + tail
 
 
 # -- Formal degree ---------------------------------------------------------------------
@@ -351,42 +225,31 @@ def estimate_formal_degree(rep: RepModel, g, truncation_radius: float,
 # -- Decay envelopes ---------------------------------------------------------------------
 
 
-def decay_envelope_check(rep: RepModel, g, metric: PeriodicMetric, c0: float,
-                         exponent: float, sample_radius: float,
-                         fld: CoefficientField | None = None,
-                         n_radii: int = 400) -> dict:
-    """Sample |V_g g| / ||g||^2 on shells against c0 (1 + |x|)^(-exponent).
+def decay_envelope_check(rep: RepModel, g, c0: float, exponent: float,
+                         sample_radius: float) -> dict:
+    """Sample the Gaussian's |V_g g| / ||g||^2 on 1600 radii against
+    c0 (1 + |x|)^(-exponent).
 
     Reports the maximal ratio |V_g g(x)| (1+|x|)^exponent / (c0 ||g||^2); pass
     iff it stays <= 1.  Calling with c0 = 1 calibrates the envelope constant.
+    The finite kind has no radial profile and raises ValueError.
     """
     if c0 <= 0 or sample_radius <= 0:
         raise ValueError("c0 and sample_radius must be positive")
-    if fld is None:
-        fld = coefficient_field(rep, g, g)
-    norm_sq = fld.norms[0] * fld.norms[1]
+    prof = radial_profile(rep, g)
+    if prof is None:
+        raise ValueError("decay envelope checks need the time-frequency kind")
+    norm_sq = prof.norm_sq
     worst = 0.0
     argmax = None
-    count = 0
-    if fld.domain.is_discrete:
-        b = groups.ball(metric, None, sample_radius, closed=True)
-        for p in b.points:
-            ratio = fld.magnitude(p) * (1.0 + metric.length(p)) ** exponent / (c0 * norm_sq)
-            count += 1
-            if ratio > worst:
-                worst, argmax = ratio, p
-    elif fld.radial_profile is None:
-        raise ValueError("continuous envelope checks need a radial field")
-    else:
-        radii = np.linspace(0.0, sample_radius, max(n_radii, 2) * 4)
-        for r in radii:
-            ratio = fld.radial_profile(float(r)) * (1.0 + r) ** exponent / (c0 * norm_sq)
-            count += 1
-            if ratio > worst:
-                worst, argmax = float(ratio), (float(r), 0.0)
+    radii = np.linspace(0.0, sample_radius, 1600)
+    for r in radii:
+        ratio = prof.profile(float(r)) * (1.0 + r) ** exponent / (c0 * norm_sq)
+        if ratio > worst:
+            worst, argmax = float(ratio), (float(r), 0.0)
     return {"max_ratio": worst, "passed": worst <= 1.0 + 1e-12, "c0": c0,
             "exponent": exponent, "sample_radius": sample_radius,
-            "samples": count, "argmax": argmax}
+            "samples": len(radii), "argmax": argmax}
 
 
 # -- Orthogonality relations ---------------------------------------------------------------

@@ -4,6 +4,8 @@ report emission, exit codes, console summary lines, and audit-matrix dumps."""
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -284,3 +286,68 @@ def test_density_frame_side_rejects_gaussian_lattices_with_ab_at_least_one(tmp_p
         out, err = capsys.readouterr()
         assert code == 2 and "overall" not in out
         assert "lattice_a" in err and "lattice_b" in err
+
+
+def test_geometry_metric_must_belong_to_its_group(tmp_path, capsys):
+    base = SWEEP_BASES[0][1]
+    for group, metrics in cli._GROUP_METRICS.items():
+        for metric in ("word", "euclidean", "heisenberg_gauge"):
+            path = write_ini(tmp_path, f"{group}-{metric}.ini", "geometry",
+                             {**base, "group": group, "metric": metric})
+            out = tmp_path / "out" / f"{group}-{metric}"
+            code = cli.main(["geometry", "--config", path, "--out", str(out)])
+            stdout, err = capsys.readouterr()
+            if metric in metrics:
+                assert code == 0, (group, metric, err)
+                report = json.loads((out / "report.json").read_text())
+                assert report["config"]["metric"] == metric
+            else:
+                assert code == 2 and "overall" not in stdout, (group, metric)
+                assert re.search(r"\bmetric\b", err.split(": ", 1)[1]), err
+        # a blank metric takes the group's default, and the report names it
+        path = write_ini(tmp_path, f"{group}-auto.ini", "geometry", {**base, "group": group})
+        out = tmp_path / "out" / f"{group}-auto"
+        assert cli.main(["geometry", "--config", path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["metric"] == metrics[0]
+
+
+def test_empty_float_lists_exit_2_naming_the_key(tmp_path, capsys):
+    checked = 0
+    for i, (experiment, base) in enumerate(SWEEP_BASES):
+        for key, (typ, *_) in cli._SCHEMAS[experiment].items():
+            if typ != "floats":
+                continue
+            for value in ("", ","):
+                path = write_ini(tmp_path, f"{i}-{key}-empty.ini", experiment,
+                                 {**base, key: value})
+                code = cli.main([experiment, "--config", path,
+                                 "--out", str(tmp_path / "out")])
+                out, err = capsys.readouterr()
+                assert code == 2 and "overall" not in out, (experiment, key, value)
+                assert re.search(rf"'{key}'.*nonempty", err), (experiment, key, err)
+                checked += 1
+    # growth_radii, annular_radii, annular_fracs, radii (both sides), hole_radii
+    assert checked == 2 * 6
+
+
+def test_python_dash_m_coherentlab_matches_the_in_process_run(tmp_path):
+    config = os.path.join(CONFIG_DIR, "geometry_lattice.ini")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "coherentlab", "geometry", "--config", config,
+         "--out", str(tmp_path / "module")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "overall: PASS" in proc.stdout
+    assert cli.main(["geometry", "--config", config,
+                     "--out", str(tmp_path / "inproc")]) == 0
+    names = sorted(os.listdir(tmp_path / "inproc"))
+    assert names == sorted(os.listdir(tmp_path / "module"))
+    for name in names:
+        assert ((tmp_path / "module" / name).read_bytes()
+                == (tmp_path / "inproc" / name).read_bytes()), name

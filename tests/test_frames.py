@@ -13,7 +13,6 @@ import pytest
 
 from coherentlab import density, frames, groups, reps
 from coherentlab.frames import (
-    GAUSSIAN_HALF_LEVEL_RADIUS,
     FrameBounds,
     finite_subset,
     full_torus,
@@ -246,7 +245,9 @@ def test_lemma_cover_constant_gaussian_frozen_counts():
         assert cover.n_cover == expect
         assert cover.constant == pytest.approx(4.0 * expect)
         assert cover.certified
-        assert cover.u_radius == pytest.approx(GAUSSIAN_HALF_LEVEL_RADIUS, abs=1e-9)
+        # half-width of the level set {|V_g g| > ||g||^2 / 2}
+        assert cover.u_radius == pytest.approx(
+            math.sqrt(2.0 * math.log(2.0) / math.pi), abs=1e-9)
         # independent cover-property audit: every point of a fine grid of the
         # disk lies strictly inside some chosen level-set disk
         u = cover.u_radius

@@ -1,5 +1,5 @@
-"""Representation models: matrix coefficients, maximal functions, weighted
-norms, formal degrees, and decay envelopes.
+"""Representation models: matrix coefficients, the window check, formal
+degrees, and decay envelopes.
 
 The continuous oracle is a dense direct trapezoid of
 V_g f(x, w) = integral f(t) conj(g(t - x)) e^{-2 pi i w t} dt
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from coherentlab import density, frames, groups, reps
-from coherentlab.reps import GAUSSIAN_AMBIGUITY_LIPSCHITZ, Window
+from coherentlab.reps import Window
 
 
 def gauss(t):
@@ -50,17 +50,6 @@ def test_gaussian_ambiguity_matches_dense_quadrature():
         assert abs(reps.gaussian_ambiguity(x, w)) == pytest.approx(
             math.exp(-math.pi * (x * x + w * w) / 2.0), rel=1e-13)
     assert reps.gaussian_ambiguity(0.0, 0.0) == pytest.approx(1.0)
-
-
-def test_matrix_coefficient_gaussian_and_sampled_paths():
-    rep = reps.gabor_gaussian()
-    g = reps.gaussian_window()
-    for x, w in ((0.7, -0.4), (0.5, 0.25), (1.2, -0.8), (0.0, 2.0)):
-        assert reps.matrix_coefficient(rep, g, g, (x, w)) == pytest.approx(
-            stft_gauss_oracle(x, w), abs=1e-10)
-    # g = None is the Gaussian window too
-    assert reps.matrix_coefficient(rep, None, None, (0.7, -0.4)) \
-        == reps.matrix_coefficient(rep, g, g, (0.7, -0.4))
 
 
 def test_finite_coefficient_table_matches_loop_oracle():
@@ -112,85 +101,6 @@ def test_orthogonality_relations_exhaustive():
         assert report["formal_degree"] == pytest.approx(1.0 / n)
 
 
-def test_local_maximal_radial_formula_and_finite_exactness():
-    rep = reps.gabor_gaussian()
-    fld = reps.coefficient_field(rep)
-    em = groups.euclidean_metric(dim=2)
-    q = groups.ball(em, None, 1.0)
-    # sup over the disk around x of a radial nonincreasing profile
-    assert reps.local_maximal(fld, q, (3.0, 0.0)) == pytest.approx(
-        math.exp(-math.pi * 4.0 / 2.0), rel=1e-12)
-    assert reps.local_maximal(fld, q, (0.5, 0.0)) == pytest.approx(1.0)
-    # brute grid oracle at an off-axis point
-    x = (1.7, -2.2)
-    r = math.hypot(*x)
-    grid = []
-    for a in np.linspace(-1.0, 1.0, 401):
-        for b in np.linspace(-1.0, 1.0, 401):
-            if a * a + b * b <= 1.0:
-                grid.append(fld.magnitude((x[0] + a, x[1] + b)))
-    assert reps.local_maximal(fld, q, x) == pytest.approx(max(grid), abs=1e-5)
-    # finite kind: exact max over the enumerated neighborhood
-    n = 8
-    frep = reps.finite_weyl_heisenberg(n)
-    rng = np.random.default_rng(2)
-    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    ffld = reps.coefficient_field(frep, g, g)
-    wq = groups.ball(groups.word_metric(frep.group), None, 1.0)
-    x0 = (3, 5)
-    expected = max(ffld.magnitude(frep.group.multiply(x0, z)) for z in wq.points)
-    assert reps.local_maximal(ffld, wq, x0) == pytest.approx(expected, rel=1e-14)
-    off_center = groups.ball(groups.euclidean_metric(dim=2), (1.0, 0.0), 1.0)
-    with pytest.raises(ValueError):
-        reps.local_maximal(fld, off_center, (0.0, 0.0))
-
-
-def cartesian_trapezoid_2d(f, lo, hi, n):
-    xs = np.linspace(lo, hi, n)
-    rows = np.empty(n)
-    for i, y in enumerate(xs):
-        rows[i] = np.trapezoid(f(xs, y), xs)
-    return float(np.trapezoid(rows, xs))
-
-
-def test_weighted_maximal_norm_gaussian_matches_2d_brute():
-    rep = reps.gabor_gaussian()
-    g = reps.gaussian_window()
-    em = groups.euclidean_metric(dim=2)
-    q = groups.ball(em, None, 1.0)
-    for alpha in (0.0, 2.0):
-        def integrand(x, y, _a=alpha):
-            r = np.hypot(x, y)
-            m_sq = np.exp(-math.pi * np.maximum(0.0, r - 1.0) ** 2)
-            return m_sq * (1.0 + r) ** _a
-
-        # Richardson-extrapolated Cartesian trapezoid; the integrand is below
-        # 1e-30 outside [-8, 8]^2 so truncation is negligible
-        coarse = cartesian_trapezoid_2d(integrand, -8.0, 8.0, 2001)
-        fine = cartesian_trapezoid_2d(integrand, -8.0, 8.0, 4001)
-        brute = (4.0 * fine - coarse) / 3.0
-        val = reps.weighted_maximal_norm(rep, g, q, alpha, tol=1e-9)
-        assert val == pytest.approx(brute, abs=1e-6)
-    with pytest.raises(ValueError):
-        reps.weighted_maximal_norm(rep, g, q, -1.0)
-
-
-def test_weighted_maximal_norm_finite_matches_loop():
-    n = 6
-    rep = reps.finite_weyl_heisenberg(n)
-    rng = np.random.default_rng(9)
-    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    q = groups.ball(groups.word_metric(rep.group), None, 1.0)
-    table = np.abs(reps.coefficient_table(rep, g, g))
-    total = 0.0
-    for k in range(n):
-        for l in range(n):
-            m = max(table[(k + dk) % n, (l + dl) % n] for (dk, dl) in q.points)
-            wl = min(k, n - k) + min(l, n - l)
-            total += m * m * (1.0 + wl) ** 2
-    assert reps.weighted_maximal_norm(rep, g, q, 2.0) == pytest.approx(total, rel=1e-12)
-
-
 def test_radial_profile_follows_the_window():
     gauss_rep = reps.gabor_gaussian()
     gw = reps.gaussian_window()
@@ -207,44 +117,27 @@ def test_radial_profile_follows_the_window():
         return rb.lower, rb.upper
 
     values = (
-        lambda rep, g: reps.weighted_maximal_norm(rep, g, q, 0.5, tol=1e-6),
         lambda rep, g: density.error_integral_I(rep, g, q, k).value,
         lambda rep, g: density.error_integral_J(rep, g, q, k).value,
         lambda rep, g: reps.estimate_formal_degree(rep, g, 6.0),
-        riesz,
-        lambda rep, g: reps.matrix_coefficient(rep, g, g, (1.0, 0.5)))
+        lambda rep, g: reps.decay_envelope_check(rep, g, 1.0, 2.0, 4.0),
+        riesz)
     for value in values:
         assert value(gauss_rep, None) == value(gauss_rep, gw)
-    assert reps.matrix_coefficient(gauss_rep, gw, gw, (1.0, 0.0)) \
-        == pytest.approx(math.exp(-math.pi / 2.0), rel=1e-14)
 
 
 def test_sampled_and_mixed_windows_raise_value_error():
     gauss_rep = reps.gabor_gaussian()
-    gw = reps.gaussian_window()
     dw = Window(model="decay_profile")
     sw = Window(model="sample_vector")
-    # the time-frequency kind has one window: no other window pairs with it
-    for f, g in ((gw, dw), (dw, gw), (sw, dw), (dw, sw), (gw, sw), (sw, gw)):
-        with pytest.raises(ValueError, match="needs the Gaussian window"):
-            reps.matrix_coefficient(gauss_rep, f, g, (1.0, 0.0))
-        with pytest.raises(ValueError, match="needs the Gaussian window"):
-            reps.coefficient_field(gauss_rep, f, g)
-    # vectors belong to the finite kind
-    with pytest.raises(ValueError, match="needs the Gaussian window; got ndarray"):
-        reps.matrix_coefficient(gauss_rep, np.ones(4), np.ones(4), (1.0, 0.0))
-    em = groups.euclidean_metric(dim=2)
-    q = groups.ball(em, None, 1.0)
-    for call in (lambda: reps.weighted_maximal_norm(gauss_rep, sw, q, 0.5),
-                 lambda: reps.estimate_formal_degree(gauss_rep, sw, 6.0),
-                 lambda: reps.coefficient_field(gauss_rep, gw, sw),
-                 lambda: reps.decay_envelope_check(gauss_rep, sw, em, 1.0, 2.0, 4.0)):
+    # the time-frequency kind has one window, and vectors belong to the finite kind
+    for w, model in ((dw, "decay_profile"), (sw, "sample_vector"), (np.ones(4), "ndarray")):
+        with pytest.raises(ValueError, match=f"needs the Gaussian window; got {model}"):
+            reps.radial_profile(gauss_rep, w)
+    for call in (lambda: reps.estimate_formal_degree(gauss_rep, sw, 6.0),
+                 lambda: reps.decay_envelope_check(gauss_rep, sw, 1.0, 2.0, 4.0)):
         with pytest.raises(ValueError, match="needs the Gaussian window"):
             call()
-    non_radial = reps.CoefficientField(domain=gauss_rep.group, evaluate=lambda x: 0j,
-                                       magnitude=lambda x: 0.0, norms=(1.0, 1.0))
-    with pytest.raises(ValueError, match="radial"):
-        reps.local_maximal(non_radial, q, (0.0, 0.0))
 
 
 def test_every_time_frequency_estimator_checks_the_window_in_radial_profile():
@@ -255,10 +148,8 @@ def test_every_time_frequency_estimator_checks_the_window_in_radial_profile():
     k = groups.ball(em, None, 4.0, closed=True)
     lam = frames.lattice(0.5, 0.5)
     calls = {
-        "matrix_coefficient": lambda: reps.matrix_coefficient(rep, bad, bad, (0.5, 0.5)),
-        "coefficient_field": lambda: reps.coefficient_field(rep, bad, bad),
-        "weighted_maximal_norm": lambda: reps.weighted_maximal_norm(rep, bad, q, 0.5),
         "estimate_formal_degree": lambda: reps.estimate_formal_degree(rep, bad, 6.0),
+        "decay_envelope_check": lambda: reps.decay_envelope_check(rep, bad, 1.0, 2.0, 4.0),
         "error_integral_I": lambda: density.error_integral_I(rep, bad, q, k),
         "error_integral_J": lambda: density.error_integral_J(rep, bad, q, k),
         "mc_error_integral": lambda: density.mc_error_integral(rep, bad, q, k,
@@ -296,32 +187,22 @@ def test_formal_degree_estimates():
 def test_decay_envelope_check_calibration_and_failure():
     rep = reps.gabor_gaussian()
     g = reps.gaussian_window()
-    em = groups.euclidean_metric(dim=2)
-    cal = reps.decay_envelope_check(rep, g, em, 1.0, 2.0, 8.0)
+    cal = reps.decay_envelope_check(rep, g, 1.0, 2.0, 8.0)
     assert not cal["passed"]  # c0 = 1 is too optimistic for exponent 2
     assert cal["max_ratio"] > 1.0
-    honest = reps.decay_envelope_check(rep, g, em, cal["max_ratio"] * (1 + 1e-9),
+    honest = reps.decay_envelope_check(rep, g, cal["max_ratio"] * (1 + 1e-9),
                                        2.0, 8.0)
     assert honest["passed"]
     # the Gaussian beats any polynomial envelope eventually but not with a
     # synthetic tiny constant
-    bogus = reps.decay_envelope_check(rep, g, em, 0.01, 4.0, 8.0)
+    bogus = reps.decay_envelope_check(rep, g, 0.01, 4.0, 8.0)
     assert not bogus["passed"]
     with pytest.raises(ValueError):
-        reps.decay_envelope_check(rep, g, em, 0.0, 2.0, 8.0)
-
-
-def test_decay_envelope_check_finite_kind():
-    n = 8
-    rep = reps.finite_weyl_heisenberg(n)
-    rng = np.random.default_rng(4)
-    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    g = g / np.linalg.norm(g)
-    wm = groups.word_metric(rep.group)
-    cal = reps.decay_envelope_check(rep, g, wm, 1.0, 0.0, float(n))
-    # exponent 0: the envelope is c0 ||g||^2 and |V_g g(0)| = ||g||^2 saturates it
-    assert cal["max_ratio"] == pytest.approx(1.0, rel=1e-10)
-    assert cal["passed"]
+        reps.decay_envelope_check(rep, g, 0.0, 2.0, 8.0)
+    # the finite kind has no radial profile to sample
+    frep = reps.finite_weyl_heisenberg(8)
+    with pytest.raises(ValueError, match="time-frequency kind"):
+        reps.decay_envelope_check(frep, np.ones(8), 1.0, 0.0, 8.0)
 
 
 def test_hermite_gabor_coefficients_match_quadrature():
@@ -347,12 +228,3 @@ def test_hermite_functions_are_orthonormal():
     h = reps.hermite_functions(5, t)
     gram = np.trapezoid(h[:, None, :] * h[None, :, :], t, axis=2)
     assert np.allclose(gram, np.eye(6), atol=1e-9)
-
-
-def test_ambiguity_lipschitz_constant_certifies_radial_slope():
-    # |d/dr e^{-pi r^2/2}| = pi r e^{-pi r^2/2}, maximized at r = 1/sqrt(pi)
-    rs = np.linspace(0.0, 4.0, 4001)
-    slopes = math.pi * rs * np.exp(-math.pi * rs * rs / 2.0)
-    assert float(np.max(slopes)) <= GAUSSIAN_AMBIGUITY_LIPSCHITZ + 1e-12
-    assert float(np.max(slopes)) == pytest.approx(GAUSSIAN_AMBIGUITY_LIPSCHITZ,
-                                                  rel=1e-6)
