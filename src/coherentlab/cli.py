@@ -212,6 +212,14 @@ def _validate(experiment: str, cfg: dict) -> None:
                                   "spanning a factor of 4")
         if (2.0 * max(cfg["radii"]) / min(cfg["lattice_a"], cfg["lattice_b"])) ** 2 > budget:
             raise ConfigError("radii exceed the enumeration budget for this lattice")
+        spacing = cfg["grid_spacing"]
+        if spacing > 0:
+            n_centers = (math.ceil(cfg["lattice_a"] / spacing)
+                         * math.ceil(cfg["lattice_b"] / spacing))
+            if n_centers > budget:
+                raise ConfigError(f"grid_spacing = {spacing:g} gives ~{n_centers:.3g} "
+                                  f"centres, over the enumeration budget "
+                                  f"({groups.BUDGET_ENV_VAR}={budget})")
     elif experiment == "hole":
         if cfg["lattice_a"] * cfg["lattice_b"] >= 1.0:
             raise ConfigError("lattice_a * lattice_b must be < 1 (frame regime)")

@@ -151,14 +151,19 @@ def beurling_density(lam: PointSet, metric: groups.PeriodicMetric,
         spacing = center_grid_spacing or min(lam.a, lam.b) / 8.0
         xs = np.arange(0.0, lam.a - 1e-12, spacing)
         ys = np.arange(0.0, lam.b - 1e-12, spacing)
-        centers = [(float(x), float(y)) for x in xs for y in ys]
+        centers = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
         q_radius = min(lam.a, lam.b) / 2.0
     rel = frames.relative_separation(lam, groups.ball(metric, None, q_radius)).rel_sep
     records = []
     for idx, k in enumerate(exhaustion):
-        counts = [count_points(lam, c, k) for c in centers]
-        records.append(CountingRecord(idx, k.radius, min(counts), max(counts),
-                                      k.measure, spacing, len(centers)))
+        if lam.kind == frames.LATTICE and k.closed:  # the whole grid in one call
+            counts = lam.lattice_count_near(centers[:, 0] + k.center[0],
+                                            centers[:, 1] + k.center[1], k.radius)
+        else:
+            counts = [count_points(lam, c, k) for c in centers]
+        records.append(CountingRecord(idx, k.radius, int(np.min(counts)),
+                                      int(np.max(counts)), k.measure, spacing,
+                                      len(centers)))
     last = records[-1]
     return DensityEstimate(last.inf_count / last.measure,
                            last.sup_count / last.measure,

@@ -27,6 +27,8 @@ _TIE = 1e-12  # closed-ball membership slack on squared distances
 
 SECTION_MODE_CAP = 512  # highest Hermite index a truncated section keeps
 
+_BLOCK_CELLS = 1 << 20  # (centre, column) cells per block of a batched count
+
 
 # -- Point sets -----------------------------------------------------------------
 
@@ -53,9 +55,12 @@ class PointSet:
     def is_lattice(self) -> bool:
         return self.kind in (LATTICE, LATTICE_WITH_HOLES)
 
-    def _columns(self, cx: float, cy: float, radius: float, closed: bool) -> tuple:
-        """(k, lo, hi): the lattice points (k a, l b) of the disk about (cx, cy)
-        are those with lo <= l <= hi in column k; an empty column has lo > hi.
+    def _columns(self, cx, cy, radius: float, closed: bool) -> tuple:
+        """(k, lo, hi) for equal-length arrays of centres (cx, cy): the lattice
+        points (k[j] a, l b) of the disk about centre i are those with
+        lo[i, j] <= l <= hi[i, j]; an empty column has lo > hi.  The columns k
+        are shared by all centres, and columns outside a centre's own range
+        are empty for it.
 
         A closed disk tests |d|^2 <= radius^2 (1 + _TIE) + _TIE, an open one
         |d|^2 < radius^2.
@@ -72,17 +77,21 @@ class PointSet:
         if est > groups.ball_budget():
             raise groups.BudgetExceededError(
                 f"lattice restriction would enumerate ~{est:.3g} points")
-        k = np.arange(math.floor((cx - radius) / self.a) - 1,
-                      math.ceil((cx + radius) / self.a) + 2)
-        row_lo = math.floor((cy - radius) / self.b) - 1
-        row_hi = math.ceil((cy + radius) / self.b) + 1
+        cx = np.asarray(cx, dtype=float)[:, None]
+        cy = np.asarray(cy, dtype=float)[:, None]
+        k_first = np.floor((cx - radius) / self.a) - 1
+        k_last = np.ceil((cx + radius) / self.a) + 1
+        k = np.arange(int(k_first.min()), int(k_last.max()) + 1)
+        row_lo = np.floor((cy - radius) / self.b) - 1
+        row_hi = np.ceil((cy + radius) / self.b) + 1
         thr = radius * radius * (1.0 + _TIE) + _TIE if closed else radius * radius
         dx = k * self.a - cx
         dx_sq = dx * dx
         half = np.sqrt(np.maximum(thr - dx_sq, 0.0))
-        pad = 1 + int((2e-8 * math.sqrt(thr) + 1e-15 * abs(cy)) / self.b)
+        pad = 1 + ((2e-8 * math.sqrt(thr) + 1e-15 * np.abs(cy)) / self.b).astype(np.int64)
         lo = np.maximum(np.ceil((cy - half) / self.b) - pad, row_lo).astype(np.int64)
         hi = np.minimum(np.floor((cy + half) / self.b) + pad, row_hi).astype(np.int64)
+        hi = np.where((k >= k_first) & (k <= k_last), hi, lo - 1)
 
         def inside(l):
             dy = l * self.b - cy
@@ -99,7 +108,8 @@ class PointSet:
                             closed: bool = True) -> list:
         """Lattice points within `radius` of (cx, cy), holes removed, column
         by column in increasing k and then l."""
-        k, lo, hi = self._columns(cx, cy, radius, closed)
+        k, lo, hi = self._columns([cx], [cy], radius, closed)
+        lo, hi = lo[0], hi[0]
         per_col = np.maximum(hi - lo + 1, 0)
         starts = np.cumsum(per_col) - per_col
         rows = np.arange(int(per_col.sum())) - np.repeat(starts - lo, per_col)
@@ -110,13 +120,28 @@ class PointSet:
             keep &= (x - hx) ** 2 + (y - hy) ** 2 >= r * r
         return list(zip(x[keep].tolist(), y[keep].tolist()))
 
-    def lattice_count_near(self, cx: float, cy: float, radius: float) -> int:
+    def lattice_count_near(self, cx, cy, radius: float):
         """len(lattice_points_near(cx, cy, radius, closed=True)) on a plain
-        lattice, summed over the column ranges without building the points."""
+        lattice, summed over the column ranges without building the points.
+
+        A scalar centre gives an int; equal-length arrays of centres give an
+        int64 array, counted in blocks of at most about _BLOCK_CELLS
+        (centre, column) cells.
+        """
         if self.kind != LATTICE:
             raise ValueError("closed-form counting needs a plain lattice")
-        _, lo, hi = self._columns(cx, cy, radius, closed=True)
-        return int(np.maximum(hi - lo + 1, 0).sum())
+        xs = np.atleast_1d(np.asarray(cx, dtype=float))
+        ys = np.atleast_1d(np.asarray(cy, dtype=float))
+        counts = np.zeros(xs.size, dtype=np.int64)
+        if xs.size:
+            # a block's shared columns number at most (x spread + 2 radius) / a + 5
+            n_cols = (float(xs.max() - xs.min()) + 2.0 * radius) / self.a + 5.0
+            step = max(1, int(_BLOCK_CELLS // n_cols))
+            for s in range(0, xs.size, step):
+                _, lo, hi = self._columns(xs[s:s + step], ys[s:s + step], radius,
+                                          closed=True)
+                counts[s:s + step] = np.maximum(hi - lo + 1, 0).sum(axis=1)
+        return int(counts[0]) if np.ndim(cx) == 0 else counts
 
     def restrict(self, b: groups.Ball) -> tuple:
         """Exactly the elements of Lambda inside the ball.  A continuous ball
@@ -374,12 +399,11 @@ def relative_separation(lam: PointSet, q: groups.Ball) -> SeparationReport:
     cands = _disk_candidates(window, rho)
     cands = [c for c in cands if -lam.a <= c[0] <= 2 * lam.a
              and -lam.b <= c[1] <= 2 * lam.b] or window
-    best, witness = 0, cands[0]
-    for (cx, cy) in cands:
-        c = base.lattice_count_near(cx, cy, rho)
-        if c > best:
-            best, witness = c, (cx, cy)
-    return SeparationReport(best, rho, "euclidean_ball", 0.0, witness, len(cands))
+    cx, cy = np.array(cands, dtype=float).T
+    counts = base.lattice_count_near(cx, cy, rho)
+    best = int(np.argmax(counts))  # the first maximum, as a strict > scan finds it
+    return SeparationReport(int(counts[best]), rho, "euclidean_ball", 0.0,
+                            cands[best], len(cands))
 
 
 # -- Cover constant of the Bessel separation lemma ----------------------------------------

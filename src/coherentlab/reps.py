@@ -300,18 +300,24 @@ def hermite_gabor_coefficients(n_max: int, points: np.ndarray) -> np.ndarray:
     """Matrix C[n, j] = <h_n, pi(x_j, w_j) g> for the Gaussian window, closed form.
 
     C[n, z] = exp(-i pi x w) exp(-pi |z|^2 / 2) pi^(n/2) (x - i w)^n / sqrt(n!).
-    Computed in log-magnitude/phase form so large n stays stable.
+    The magnitude is computed in log form so large n stays stable; the phase
+    exp(-i pi x w) e^(i n theta), theta = arg(x - i w), is a running product
+    down the mode axis, one complex multiply per entry (rounding ~ n eps).
     """
     pts = np.asarray(points, dtype=float)
     x, w = pts[:, 0], pts[:, 1]
     rsq = x * x + w * w
     r = np.sqrt(rsq)
-    theta = np.arctan2(-w, x)
     ns = np.arange(n_max + 1, dtype=float)
     lgam = np.array([math.lgamma(n + 1.0) for n in ns])
     logr = np.where(r > 0, np.log(np.maximum(r, 1e-300)), 0.0)
     logmag = (ns[:, None] * (0.5 * math.log(math.pi) + logr[None, :])
               - 0.5 * lgam[:, None] - math.pi * rsq[None, :] / 2.0)
     logmag = np.where((r[None, :] == 0) & (ns[:, None] > 0), -math.inf, logmag)
-    phase = -math.pi * x * w + ns[:, None] * theta[None, :]
-    return np.exp(logmag) * np.exp(1j * phase)
+    step = np.exp(1j * np.arctan2(-w, x))
+    phase = np.empty(logmag.shape, dtype=complex)
+    phase[0] = np.exp(1j * (-math.pi * x * w))
+    for n in range(1, n_max + 1):
+        np.multiply(phase[n - 1], step, out=phase[n])
+    phase *= np.exp(logmag)
+    return phase

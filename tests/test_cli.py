@@ -80,6 +80,26 @@ def test_validate_hole_and_density_budgets(tmp_path):
         cli.load_config(huge, "density")
 
 
+def test_tiny_grid_spacing_exits_2_naming_the_key(tmp_path, monkeypatch, capsys):
+    # 1e-4 on 0.5Z^2 asks for 25M centres: rejected while the config loads,
+    # before any centre is built
+    path = write_ini(tmp_path, "d.ini", "density", {"grid_spacing": 1e-4})
+    assert cli.main(["density", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert "overall" not in out
+    assert re.search(r"\bgrid_spacing\b", err.split(": ", 1)[1]), err
+    assert not (tmp_path / "out").exists()
+    # the bound is the enumeration budget: 25 x 25 centres fit in 1000, 50 x 50 do not
+    monkeypatch.setenv(groups.BUDGET_ENV_VAR, "1000")
+    fits = write_ini(tmp_path, "fits.ini", "density",
+                     {"radii": "1,2,3", "grid_spacing": 0.02})
+    assert cli.load_config(fits, "density")["grid_spacing"] == 0.02
+    over = write_ini(tmp_path, "over.ini", "density",
+                     {"radii": "1,2,3", "grid_spacing": 0.01})
+    with pytest.raises(cli.ConfigError, match="grid_spacing.*budget"):
+        cli.load_config(over, "density")
+
+
 def test_main_exit_codes_and_console_lines(tmp_path, capsys):
     rc = write_ini(tmp_path, "rc.ini", "rep-check", {"n": 6, "trials": 4})
     code = cli.main(["rep-check", "--config", rc,

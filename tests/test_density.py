@@ -80,6 +80,26 @@ def test_beurling_density_unit_lattice_brackets_one():
     assert rec.inf_count <= min(brute) and rec.sup_count >= max(brute)
 
 
+def test_beurling_density_counts_match_a_per_centre_loop():
+    # one batched count per closed ball on a plain lattice; holes and open
+    # balls go centre by centre: both against count_points at every centre
+    em = groups.euclidean_metric(dim=2)
+    a, b = 0.4807, 0.25 / 0.4807
+    exhaustion = [euclid_ball(3.0), groups.ball(em, (0.1, -0.3), 6.2),
+                  groups.ball(em, None, 5.0, closed=False)]
+    for lam in (lattice(a, b), frames.lattice_with_holes(a, b, [(0.0, 0.0, 1.0)])):
+        for spacing in (None, 0.07):
+            est = density.beurling_density(lam, em, exhaustion, spacing)
+            step = spacing or min(a, b) / 8.0
+            centres = [(float(x), float(y)) for x in np.arange(0.0, a - 1e-12, step)
+                       for y in np.arange(0.0, b - 1e-12, step)]
+            for rec, k in zip(est.records, exhaustion):
+                counts = [density.count_points(lam, c, k) for c in centres]
+                assert (rec.inf_count, rec.sup_count) == (min(counts), max(counts))
+                assert type(rec.inf_count) is int and type(rec.sup_count) is int
+                assert rec.centers_sampled == len(centres)
+
+
 def test_beurling_density_finite_full_torus_is_exactly_one():
     n = 8
     lam = full_torus(n)

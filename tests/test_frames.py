@@ -550,6 +550,49 @@ def test_lattice_count_near_matches_enumeration():
         finite_subset(4, [(0, 0)]).lattice_count_near(0.0, 0.0, 1.0)
 
 
+def test_lattice_count_near_on_arrays_matches_scalar_and_scan(monkeypatch):
+    rng = np.random.default_rng(5)
+    # a != b, random centres in one cell, radii that put lattice points on
+    # the circle; on Z^2 the 3-4-5 points lie on the radius-5 circle about
+    # every lattice point
+    cases = [(lattice(0.4807, 0.25 / 0.4807), 6.0), (lattice(0.37, 1.3), 4.25),
+             (lattice(1.0, 1.0), 5.0)]
+    for lam, r in cases:
+        cx = rng.uniform(0.0, lam.a, 40)
+        cy = rng.uniform(0.0, lam.b, 40)
+        if lam.a == 1.0:
+            cx[:8], cy[:8] = [0, 3, 4, -3, 1, 0, 2, 5], [0, 4, 3, 4, 2, 1, 0, 5]
+        want = [len(scan_lattice_points(lam, x, y, r)) for x, y in zip(cx, cy)]
+        scalar = [lam.lattice_count_near(float(x), float(y), r) for x, y in zip(cx, cy)]
+        assert all(isinstance(c, int) for c in scalar)
+        assert scalar == want, (lam.a, lam.b, r)
+        got = lam.lattice_count_near(cx, cy, r)
+        assert got.dtype == np.int64 and got.tolist() == want, (lam.a, lam.b, r)
+        # 64 cells hold a handful of centres: many blocks and a partial last one
+        with monkeypatch.context() as m:
+            m.setattr(frames, "_BLOCK_CELLS", 64)
+            assert lam.lattice_count_near(cx, cy, r).tolist() == want, (lam.a, lam.b, r)
+    z2 = lattice(1.0, 1.0)
+    # the 12 points (+-3, +-4), (+-4, +-3), (+-5, 0), (0, +-5) sit on the circle
+    assert z2.lattice_count_near(np.zeros(3), np.zeros(3), 5.0).tolist() == [81] * 3
+    assert z2.lattice_count_near(np.zeros(0), np.zeros(0), 5.0).tolist() == []
+
+
+def test_relative_separation_matches_a_per_candidate_loop():
+    lam = lattice(0.5, 0.5)
+    for rho in (1.0, 2.0):
+        sep = frames.relative_separation(lam, euclid_ball(rho))
+        window = lam.lattice_points_near(0.25, 0.25, rho + math.hypot(0.5, 0.5))
+        cands = [c for c in frames._disk_candidates(window, rho)
+                 if -0.5 <= c[0] <= 1.0 and -0.5 <= c[1] <= 1.0]
+        best, witness = 0, cands[0]
+        for c in cands:
+            n = len(scan_lattice_points(lam, c[0], c[1], rho))
+            if n > best:
+                best, witness = n, c
+        assert (sep.rel_sep, sep.witness, sep.n_candidates) == (best, witness, len(cands))
+
+
 def test_count_points_on_holes_and_open_balls_matches_enumeration():
     em = groups.euclidean_metric(dim=2)
     holey = lattice_with_holes(0.5, 0.5, [(0.0, 0.0, 2.0), (3.0, 1.0, 1.0)])

@@ -7,6 +7,7 @@ computed with raw numpy, independent of the package's closed forms.
 Finite-kind oracles are plain loops over the group.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -221,6 +222,33 @@ def test_hermite_gabor_coefficients_match_quadrature():
     big = reps.hermite_gabor_coefficients(64, pts)
     energies = np.sum(np.abs(big) ** 2, axis=0)
     assert np.allclose(energies, 1.0, atol=1e-10)
+
+
+def test_hermite_gabor_coefficients_at_high_order():
+    # the phases are running products down 513 modes: compare every entry
+    # with the closed form evaluated by cmath, one entry at a time
+    rng = np.random.default_rng(11)
+    radius = 16.0 * np.sqrt(rng.uniform(0.0, 1.0, 40))
+    angle = rng.uniform(-math.pi, math.pi, 40)
+    pts = np.vstack([np.column_stack([radius * np.cos(angle), radius * np.sin(angle)]),
+                     [[0.0, 0.0], [16.0, 0.0], [0.0, -16.0], [-11.3, 11.3]]])
+    coeff = reps.hermite_gabor_coefficients(512, pts)
+    assert coeff.shape == (513, len(pts))
+    for j, (x, w) in enumerate(pts):
+        for n in range(513):
+            if x == 0.0 and w == 0.0:
+                want = 1.0 if n == 0 else 0.0
+            else:
+                want = cmath.exp(-1j * math.pi * x * w - math.pi * (x * x + w * w) / 2.0
+                                 + n * (0.5 * math.log(math.pi) + cmath.log(x - 1j * w))
+                                 - 0.5 * math.lgamma(n + 1.0))
+            assert abs(coeff[n, j] - want) <= 1e-12, (n, x, w)
+    # Bessel: the modes are orthonormal, so no column carries more than
+    # ||pi(z) g||^2 = 1; with pi |z|^2 well below 512 the rest is negligible
+    energy = np.sum(np.abs(coeff) ** 2, axis=0)
+    assert np.all(energy <= 1.0 + 1e-12)
+    inner = np.hypot(pts[:, 0], pts[:, 1]) <= 8.0
+    assert inner.sum() >= 10 and np.all(energy[inner] >= 1.0 - 1e-10)
 
 
 def test_hermite_functions_are_orthonormal():
