@@ -177,8 +177,23 @@ def _validate(experiment: str, cfg: dict) -> None:
         raise ConfigError(str(exc)) from exc
     sectioned = (experiment == "hole" or cfg.get("model") == "gaussian"
                  or cfg.get("side") == "frame")
-    if sectioned and cfg["section_radius"] <= cfg["margin"] + 1.0:
-        raise ConfigError("section_radius must exceed margin + 1")
+    if sectioned:
+        radius = cfg["section_radius"]
+        if radius <= cfg["margin"] + 1.0:
+            raise ConfigError("section_radius must exceed margin + 1")
+        entries = ((frames.section_mode_count(radius, cfg["margin"]) + 1)
+                   * frames.disk_point_estimate(radius, cfg["lattice_a"], cfg["lattice_b"]))
+        if entries > budget:
+            raise ConfigError(f"section_radius = {radius:g} gives a ~{entries:.3g}-entry "
+                              f"Hermite section, over the enumeration budget "
+                              f"({groups.BUDGET_ENV_VAR}={budget})")
+    if cfg.get("model") == "gaussian" or cfg.get("side") == "riesz":
+        radius = cfg["restriction_radius"]
+        entries = frames.disk_point_estimate(radius, cfg["lattice_a"], cfg["lattice_b"]) ** 2
+        if entries > budget:
+            raise ConfigError(f"restriction_radius = {radius:g} gives a ~{entries:.3g}-entry "
+                              f"Gram matrix, over the enumeration budget "
+                              f"({groups.BUDGET_ENV_VAR}={budget})")
     if experiment == "geometry":
         metrics = _GROUP_METRICS[cfg["group"]]
         if cfg["metric"] not in ("", *metrics):

@@ -73,7 +73,7 @@ class PointSet:
         """
         if not self.is_lattice:
             raise ValueError("lattice enumeration needs a lattice kind")
-        est = (2.0 * radius / self.a + 2.0) * (2.0 * radius / self.b + 2.0)
+        est = disk_point_estimate(radius, self.a, self.b)
         if est > groups.ball_budget():
             raise groups.BudgetExceededError(
                 f"lattice restriction would enumerate ~{est:.3g} points")
@@ -156,6 +156,12 @@ class PointSet:
         return tuple(sorted(p for p in self.points if b.contains(p)))
 
 
+def disk_point_estimate(radius: float, a: float, b: float) -> float:
+    """(2r/a + 2)(2r/b + 2): the lattice points of a Z x b Z whose columns and
+    rows a disk of radius r can reach, the size a restriction is budgeted at."""
+    return (2.0 * radius / a + 2.0) * (2.0 * radius / b + 2.0)
+
+
 def _check_duplicates(pts: Sequence[tuple]) -> None:
     if len(set(pts)) != len(pts):
         raise ValueError("point set contains duplicate elements")
@@ -226,11 +232,12 @@ def _classify(a: float, b: float) -> str:
 
 
 def _hermitian_eigs(mat: np.ndarray, what: str) -> np.ndarray:
-    asym = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
+    adj = mat.conj().T
+    asym = float(np.max(np.abs(mat - adj))) if mat.size else 0.0
     scale = max(float(np.max(np.abs(mat))), 1.0) if mat.size else 1.0
     if asym > 1e-10 * scale:
         raise ValueError(f"{what} assembly is not Hermitian (deviation {asym:.3g})")
-    return np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
+    return np.linalg.eigvalsh((mat + adj) / 2.0)
 
 
 def _finite_synthesis(rep: RepModel, g, lam: PointSet) -> np.ndarray:
@@ -259,6 +266,12 @@ def frame_operator_spectrum(rep: RepModel, g, lam: PointSet,
     Hermite modes resolved inside the truncation ball (radius minus margin);
     the result is an estimate labeled method=truncated_section, which also
     names the kept and resolved mode counts when the cap cuts them.
+
+    C[n, z] = e^{-i pi x w} rho_n(|z|) e^{i n theta_z}, so the section
+    S_mn = sum_z rho_m rho_n e^{i (m - n) theta_z}.  When the restricted points
+    are invariant under z -> -z (theta + pi: entries with m - n odd cancel)
+    and z -> conj(z) (theta -> -theta: S is real), S is two real symmetric
+    blocks, the even and the odd modes; any other set takes one complex block.
     """
     if rep.kind == reps.FINITE_WEYL_HEISENBERG:
         phi = _finite_synthesis(rep, g, lam)
@@ -273,8 +286,18 @@ def frame_operator_spectrum(rep: RepModel, g, lam: PointSet,
     if not pts:
         raise ValueError("empty point set after restriction")
     n_modes = section_mode_count(section_radius, margin)
-    coeff = reps.hermite_gabor_coefficients(n_modes, np.asarray(pts, dtype=float))
-    eigs = _hermitian_eigs(coeff @ coeff.conj().T, "section operator")
+    p = np.asarray(pts, dtype=float)  # lexsorted, as restrict returns it
+    coeff = reps.hermite_gabor_coefficients(n_modes, p)
+    conj = p * (1.0, -1.0)
+    if (np.array_equal(p, -p[::-1])
+            and np.array_equal(p, conj[np.lexsort((conj[:, 1], conj[:, 0]))])):
+        # a complex row viewed as floats interleaves Re and Im, so for a block
+        # c of rows, d = c.view(float) gives d d^T = Re(c c^H) without a copy
+        blocks = [d @ d.T for d in (coeff[0::2].view(float), coeff[1::2].view(float))]
+    else:
+        blocks = [coeff @ coeff.conj().T]
+    eigs = np.sort(np.concatenate([_hermitian_eigs(s, "section operator")
+                                   for s in blocks]))
     a, b = max(float(eigs[0]), 0.0), float(eigs[-1])
     resolved = int(math.floor(math.pi * (section_radius - margin) ** 2))
     cut = f", modes={n_modes}/{resolved}" if n_modes < resolved else ""

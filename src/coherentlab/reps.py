@@ -311,13 +311,14 @@ def hermite_gabor_coefficients(n_max: int, points: np.ndarray) -> np.ndarray:
     ns = np.arange(n_max + 1, dtype=float)
     lgam = np.array([math.lgamma(n + 1.0) for n in ns])
     logr = np.where(r > 0, np.log(np.maximum(r, 1e-300)), 0.0)
-    logmag = (ns[:, None] * (0.5 * math.log(math.pi) + logr[None, :])
-              - 0.5 * lgam[:, None] - math.pi * rsq[None, :] / 2.0)
-    logmag = np.where((r[None, :] == 0) & (ns[:, None] > 0), -math.inf, logmag)
+    logmag = ns[:, None] * (0.5 * math.log(math.pi) + logr[None, :])
+    logmag -= 0.5 * lgam[:, None]
+    logmag -= math.pi * rsq[None, :] / 2.0
+    logmag[1:, r == 0] = -math.inf
     step = np.exp(1j * np.arctan2(-w, x))
     phase = np.empty(logmag.shape, dtype=complex)
     phase[0] = np.exp(1j * (-math.pi * x * w))
     for n in range(1, n_max + 1):
         np.multiply(phase[n - 1], step, out=phase[n])
-    phase *= np.exp(logmag)
+    phase *= np.exp(logmag, out=logmag)
     return phase

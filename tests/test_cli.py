@@ -80,6 +80,43 @@ def test_validate_hole_and_density_budgets(tmp_path):
         cli.load_config(huge, "density")
 
 
+def test_section_and_gram_budgets_name_the_radius(tmp_path, capsys):
+    # checked while the config loads, before any coefficient or Gram entry exists
+    cases = [
+        # 513 modes x ~5e5 points on 0.5Z^2: ~2.6e8 section entries
+        ("density", {"section_radius": 200}, "section_radius"),
+        ("hole", {"section_radius": 200, "hole_radii": "0,1"}, "section_radius"),
+        ("frame", {"section_radius": 200}, "section_radius"),
+        # ~4.5e4 points on 0.5Z^2: a ~2e9-entry Gram
+        ("frame", {"restriction_radius": 60}, "restriction_radius"),
+        ("density", {"side": "riesz", "lattice_a": 2, "lattice_b": 1,
+                     "restriction_radius": 500}, "restriction_radius"),
+    ]
+    for i, (experiment, body, key) in enumerate(cases):
+        path = write_ini(tmp_path, f"{i}.ini", experiment, body)
+        with pytest.raises(cli.ConfigError, match=rf"\b{key}\b.*budget"):
+            cli.load_config(path, experiment)
+        assert cli.main([experiment, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+    # unused radii are not checked: the finite model has no Gram restriction,
+    # the riesz side no section
+    finite = write_ini(tmp_path, "ff.ini", "frame", {"model": "finite",
+                                                     "section_radius": 200,
+                                                     "restriction_radius": 60})
+    assert cli.load_config(finite, "frame")["model"] == "finite"
+    riesz = write_ini(tmp_path, "dr.ini", "density", {"side": "riesz", "lattice_a": 2,
+                                                      "lattice_b": 1,
+                                                      "section_radius": 200})
+    assert cli.load_config(riesz, "density")["section_radius"] == 200
+    # the largest section in use (R = 16, 513 modes on a 0.48 x 0.52 lattice,
+    # ~2.2e6 entries) and a 7-radius Gram load under the default budget
+    big = write_ini(tmp_path, "big.ini", "frame", {
+        "lattice_a": 0.48, "lattice_b": 0.520833, "section_radius": 16,
+        "restriction_radius": 7})
+    assert cli.load_config(big, "frame")["section_radius"] == 16
+
+
 def test_tiny_grid_spacing_exits_2_naming_the_key(tmp_path, monkeypatch, capsys):
     # 1e-4 on 0.5Z^2 asks for 25M centres: rejected while the config loads,
     # before any centre is built
@@ -90,12 +127,12 @@ def test_tiny_grid_spacing_exits_2_naming_the_key(tmp_path, monkeypatch, capsys)
     assert re.search(r"\bgrid_spacing\b", err.split(": ", 1)[1]), err
     assert not (tmp_path / "out").exists()
     # the bound is the enumeration budget: 25 x 25 centres fit in 1000, 50 x 50 do not
+    # (the riesz side with a 16 x 16 Gram keeps the spectral part under 1000 too)
     monkeypatch.setenv(groups.BUDGET_ENV_VAR, "1000")
-    fits = write_ini(tmp_path, "fits.ini", "density",
-                     {"radii": "1,2,3", "grid_spacing": 0.02})
+    small = {"radii": "1,2,3", "side": "riesz", "restriction_radius": 0.5}
+    fits = write_ini(tmp_path, "fits.ini", "density", {**small, "grid_spacing": 0.02})
     assert cli.load_config(fits, "density")["grid_spacing"] == 0.02
-    over = write_ini(tmp_path, "over.ini", "density",
-                     {"radii": "1,2,3", "grid_spacing": 0.01})
+    over = write_ini(tmp_path, "over.ini", "density", {**small, "grid_spacing": 0.01})
     with pytest.raises(cli.ConfigError, match="grid_spacing.*budget"):
         cli.load_config(over, "density")
 

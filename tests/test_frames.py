@@ -205,6 +205,39 @@ def test_section_method_names_the_mode_cap_when_it_cuts():
     assert fb.method == "truncated_section(R=16, margin=3, modes=512/530)" + no_frame
 
 
+@pytest.mark.parametrize("a, b, holes, parity", [
+    (0.45, 0.6, (), True),
+    (0.6, 0.4, ((0.0, 0.0, 2.0),), True),
+    (0.5, 0.5, ((2.5, 0.0, 1.2), (-2.5, 0.0, 1.2)), True),
+    (0.5, 0.5, ((2.5, 1.0, 1.2), (-2.5, -1.0, 1.2)), False),  # not under conj
+    (0.5, 0.45, ((3.0, 1.0, 1.0),), False),
+])
+def test_section_spectrum_matches_one_complex_product(monkeypatch, a, b, holes, parity):
+    # a set symmetric under z -> -z and z -> conj(z) takes two real blocks
+    # (even and odd modes); any other set one complex product
+    lam = frames.lattice_with_holes(a, b, holes) if holes else frames.lattice(a, b)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(mat):
+        calls.append(mat.dtype.kind)
+        return eigvalsh(mat)
+
+    monkeypatch.setattr(frames.np.linalg, "eigvalsh", spy)
+    fb = frames.frame_operator_spectrum(reps.gabor_gaussian(), reps.gaussian_window(),
+                                        lam, section_radius=7.0, margin=3.0)
+    monkeypatch.undo()
+    assert calls == (["f", "f"] if parity else ["c"])
+    pts = lam.restrict(groups.ball(groups.euclidean_metric(dim=2), None, 7.0, closed=True))
+    coeff = reps.hermite_gabor_coefficients(frames.section_mode_count(7.0, 3.0),
+                                            np.asarray(pts, dtype=float))
+    want = np.linalg.eigvalsh(coeff @ coeff.conj().T)
+    assert fb.spectrum.shape == want.shape
+    assert np.all(np.diff(fb.spectrum) >= 0.0)
+    assert np.max(np.abs(fb.spectrum - want)) <= 1e-12 * fb.upper
+    assert fb.upper == fb.spectrum[-1]
+
+
 def test_relative_separation_exact_lattice_values():
     assert frames.relative_separation(lattice(0.5, 0.5), euclid_ball(0.6)).rel_sep == 6
     assert frames.relative_separation(lattice(1.0, 1.0), euclid_ball(0.4)).rel_sep == 1

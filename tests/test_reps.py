@@ -251,6 +251,37 @@ def test_hermite_gabor_coefficients_at_high_order():
     assert inner.sum() >= 10 and np.all(energy[inner] >= 1.0 - 1e-10)
 
 
+def _hermite_coefficients_reference(n_max, points):
+    """hermite_gabor_coefficients as first written: full-size temporaries for
+    the log-magnitude, np.where for the r = 0 column, a separate exp array."""
+    pts = np.asarray(points, dtype=float)
+    x, w = pts[:, 0], pts[:, 1]
+    rsq = x * x + w * w
+    r = np.sqrt(rsq)
+    ns = np.arange(n_max + 1, dtype=float)
+    lgam = np.array([math.lgamma(n + 1.0) for n in ns])
+    logr = np.where(r > 0, np.log(np.maximum(r, 1e-300)), 0.0)
+    logmag = (ns[:, None] * (0.5 * math.log(math.pi) + logr[None, :])
+              - 0.5 * lgam[:, None] - math.pi * rsq[None, :] / 2.0)
+    logmag = np.where((r[None, :] == 0) & (ns[:, None] > 0), -math.inf, logmag)
+    step = np.exp(1j * np.arctan2(-w, x))
+    phase = np.empty(logmag.shape, dtype=complex)
+    phase[0] = np.exp(1j * (-math.pi * x * w))
+    for n in range(1, n_max + 1):
+        np.multiply(phase[n - 1], step, out=phase[n])
+    phase *= np.exp(logmag)
+    return phase
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 254, 512])
+def test_hermite_gabor_coefficients_bytes_match_the_reference(n_max):
+    rng = np.random.default_rng(n_max)
+    pts = np.vstack([[[0.0, 0.0]], rng.uniform(-17.0, 17.0, (300, 2)),
+                     [[0.0, 3.5], [-2.25, 0.0]]])
+    got = reps.hermite_gabor_coefficients(n_max, pts)
+    assert got.tobytes() == _hermite_coefficients_reference(n_max, pts).tobytes()
+
+
 def test_hermite_functions_are_orthonormal():
     t = np.linspace(-10.0, 10.0, 20001)
     h = reps.hermite_functions(5, t)
