@@ -138,17 +138,38 @@ def _parse_value(key: str, raw: str, typ: str):
         raise ConfigError(f"invalid value for '{key}': {raw!r}") from exc
 
 
+def _syntax_error(exc: configparser.Error) -> str:
+    """One line naming the key or the line an INI syntax error is about."""
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"key '{exc.option}' repeats in [{exc.section}] (line {exc.lineno})"
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"section [{exc.section}] repeats (line {exc.lineno})"
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"line {exc.lineno} {exc.line.strip()!r} comes before any [section] header"
+    if isinstance(exc, configparser.ParsingError):
+        return "; ".join(f"line {n} is not 'key = value': {line}" for n, line in exc.errors)
+    return " ".join(str(exc).split())
+
+
 def load_config(path: str, experiment: str) -> dict:
     """Parse and validate the INI section for the experiment kind."""
     schema = _SCHEMAS[experiment]
     parser = configparser.ConfigParser()
-    if not parser.read(path):
+    try:
+        found = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path!r}: "
+                          f"{_syntax_error(exc)}") from exc
+    if not found:
         raise ConfigError(f"cannot read config file {path!r}")
     if not parser.has_section(experiment):
         raise ConfigError(f"config is missing the [{experiment}] section")
     cfg = {}
     for key, (typ, default, allowed) in schema.items():
-        raw = parser.get(experiment, key, fallback=default)
+        try:
+            raw = parser.get(experiment, key, fallback=default)
+        except configparser.Error as exc:  # a stray '%' fails interpolation
+            raise ConfigError(f"invalid value for '{key}': {exc}") from exc
         val = _parse_value(key, raw, typ)
         if typ == "str":
             if val not in allowed:
@@ -169,31 +190,21 @@ def load_config(path: str, experiment: str) -> dict:
     return cfg
 
 
+def _size(fn) -> float:
+    """fn() as a float, or inf where the float arithmetic overflows; budget
+    estimates for huge radii compare as inf instead of raising."""
+    try:
+        return float(fn())
+    except OverflowError:
+        return math.inf
+
+
 def _validate(experiment: str, cfg: dict) -> None:
     """Rules that tie keys together; single-key domains live in _SCHEMAS."""
     try:
         budget = groups.ball_budget()
     except ValueError as exc:  # a malformed budget in the environment
         raise ConfigError(str(exc)) from exc
-    sectioned = (experiment == "hole" or cfg.get("model") == "gaussian"
-                 or cfg.get("side") == "frame")
-    if sectioned:
-        radius = cfg["section_radius"]
-        if radius <= cfg["margin"] + 1.0:
-            raise ConfigError("section_radius must exceed margin + 1")
-        entries = ((frames.section_mode_count(radius, cfg["margin"]) + 1)
-                   * frames.disk_point_estimate(radius, cfg["lattice_a"], cfg["lattice_b"]))
-        if entries > budget:
-            raise ConfigError(f"section_radius = {radius:g} gives a ~{entries:.3g}-entry "
-                              f"Hermite section, over the enumeration budget "
-                              f"({groups.BUDGET_ENV_VAR}={budget})")
-    if cfg.get("model") == "gaussian" or cfg.get("side") == "riesz":
-        radius = cfg["restriction_radius"]
-        entries = frames.disk_point_estimate(radius, cfg["lattice_a"], cfg["lattice_b"]) ** 2
-        if entries > budget:
-            raise ConfigError(f"restriction_radius = {radius:g} gives a ~{entries:.3g}-entry "
-                              f"Gram matrix, over the enumeration budget "
-                              f"({groups.BUDGET_ENV_VAR}={budget})")
     if experiment == "geometry":
         metrics = _GROUP_METRICS[cfg["group"]]
         if cfg["metric"] not in ("", *metrics):
@@ -209,11 +220,6 @@ def _validate(experiment: str, cfg: dict) -> None:
                 f"r0={cfg['folner_r0']:g})")
         if cfg["group"] != "euclidean" and cfg["folner_r0"] < 1.0:
             raise ConfigError("folner_r0 must be at least 1 on a discrete group")
-        dim = 3 if cfg["group"] == "discrete_heisenberg" else 2
-        top = max([*radii, cfg["folner_r0"] + cfg["folner_step"] * cfg["folner_count"]])
-        if (2.0 * top + 1.0) ** dim > budget:
-            raise ConfigError(f"growth_radii exceed the enumeration budget "
-                              f"({groups.BUDGET_ENV_VAR}={budget})")
     elif experiment == "rep-check":
         if cfg["n"] > 64:
             raise ConfigError("n must be between 2 and 64 for exhaustive checks")
@@ -221,20 +227,13 @@ def _validate(experiment: str, cfg: dict) -> None:
         if cfg["model"] == "finite" and cfg["n"] > 64:
             raise ConfigError("n must be between 2 and 64 for exhaustive checks")
     elif experiment == "density":
+        radii = cfg["radii"]
+        if any(r1 <= r0 for r0, r1 in zip(radii, radii[1:])):
+            raise ConfigError("radii must be strictly increasing")
         if cfg["fit_exponent"]:
-            if len(cfg["radii"]) < 4 or max(cfg["radii"]) < 4.0 * min(cfg["radii"]):
+            if len(radii) < 4 or radii[-1] < 4.0 * radii[0]:
                 raise ConfigError("fit_exponent needs radii: >= 4 values "
                                   "spanning a factor of 4")
-        if (2.0 * max(cfg["radii"]) / min(cfg["lattice_a"], cfg["lattice_b"])) ** 2 > budget:
-            raise ConfigError("radii exceed the enumeration budget for this lattice")
-        spacing = cfg["grid_spacing"]
-        if spacing > 0:
-            n_centers = (math.ceil(cfg["lattice_a"] / spacing)
-                         * math.ceil(cfg["lattice_b"] / spacing))
-            if n_centers > budget:
-                raise ConfigError(f"grid_spacing = {spacing:g} gives ~{n_centers:.3g} "
-                                  f"centres, over the enumeration budget "
-                                  f"({groups.BUDGET_ENV_VAR}={budget})")
     elif experiment == "hole":
         if cfg["lattice_a"] * cfg["lattice_b"] >= 1.0:
             raise ConfigError("lattice_a * lattice_b must be < 1 (frame regime)")
@@ -243,6 +242,57 @@ def _validate(experiment: str, cfg: dict) -> None:
                               "largest hole_radii entry")
         if cfg["alpha"] + cfg["delta"] <= 1.0:
             raise ConfigError("alpha + delta must exceed 1")
+    _check_sizes(experiment, cfg, budget)
+
+
+def _check_sizes(experiment: str, cfg: dict, budget: int) -> None:
+    """Reject a config whose largest enumeration or matrix would exceed the
+    budget, naming the key that sets its size, before anything is built."""
+    a, b = cfg.get("lattice_a"), cfg.get("lattice_b")
+    sizes = []  # (key, what is counted, its size as a thunk)
+    if experiment == "hole" or cfg.get("model") == "gaussian" or cfg.get("side") == "frame":
+        radius, margin = cfg["section_radius"], cfg["margin"]
+        if radius <= margin + 1.0:
+            raise ConfigError("section_radius must exceed margin + 1")
+        sizes.append(("section_radius", "Hermite section entries",
+                      lambda: (frames.section_mode_count(radius, margin) + 1)
+                      * frames.disk_point_estimate(radius, a, b)))
+    if cfg.get("model") == "gaussian" or cfg.get("side") == "riesz":
+        sizes.append(("restriction_radius", "Gram matrix entries",
+                      lambda: frames.disk_point_estimate(cfg["restriction_radius"], a, b) ** 2))
+    if experiment in ("density", "hole") or cfg.get("model") == "gaussian":
+        # the cover of Q by level-set disks grows like the fourth power of its radius
+        q_key = "r0" if experiment == "hole" else "q_radius"
+        if math.pi * cfg[q_key] * cfg[q_key] == 0.0:
+            raise ConfigError(f"{q_key} = {cfg[q_key]:g} gives Q zero measure")
+        sizes.append((q_key, "cover matrix entries",
+                      lambda: frames.cover_matrix_estimate(cfg[q_key])))
+    if cfg.get("model") == "gaussian":
+        sizes.append(("q_radius", "point pairs in the separation search",
+                      lambda: frames.separation_pair_estimate(cfg["q_radius"], a, b)))
+        sizes.append(("k_radius", "amalgam points",
+                      lambda: frames.disk_point_estimate(cfg["k_radius"], a, b)))
+    if experiment == "density":
+        spacing = cfg["grid_spacing"] if cfg["grid_spacing"] > 0 else min(a, b) / 8.0
+        sizes.append(("radii", "points in the largest ball",
+                      lambda: (2.0 * cfg["radii"][-1] / min(a, b)) ** 2))
+        sizes.append(("grid_spacing", "centres",
+                      lambda: math.ceil(a / spacing) * math.ceil(b / spacing)))
+    if experiment == "geometry":
+        dim = 3 if cfg["group"] == "discrete_heisenberg" else 2
+        top = max([*cfg["growth_radii"],
+                   cfg["folner_r0"] + cfg["folner_step"] * cfg["folner_count"]])
+        sizes.append(("growth_radii", "elements in the largest ball",
+                      lambda: (2.0 * top + 1.0) ** dim))
+    on = f" on lattice_a = {a:g}, lattice_b = {b:g}" if a is not None else ""
+    for key, what, size in sizes:
+        n = _size(size)
+        if n > budget:
+            value = cfg[key]
+            value = (",".join(f"{v:g}" for v in value) if isinstance(value, tuple)
+                     else f"{value:g}")
+            raise ConfigError(f"{key} = {value}{on} gives ~{n:.3g} {what}, over the "
+                              f"enumeration budget ({groups.BUDGET_ENV_VAR}={budget})")
 
 
 # -- Run report ----------------------------------------------------------------------
@@ -454,9 +504,7 @@ def run_frame(cfg: dict) -> RunReport:
             report.matrices["synthesis.csv"] = np.column_stack(
                 [reps.apply_rep(rep, x, g) for x in lam.points])
         else:
-            pts = lam.restrict(groups.ball(metric, None, cfg["restriction_radius"]))
-            report.matrices["gram.csv"] = np.array(
-                [[frames.gabor_gram_entry(mu, nu) for nu in pts] for mu in pts])
+            report.matrices["gram.csv"] = rb.gram
     report.records.append(_record("bessel_separation", bessel,
                                   passed=bessel["passed"] and bessel["scale_invariant"]))
     report.records.append(_record("amalgam", amalgam))

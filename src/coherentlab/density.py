@@ -154,13 +154,20 @@ def beurling_density(lam: PointSet, metric: groups.PeriodicMetric,
         centers = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
         q_radius = min(lam.a, lam.b) / 2.0
     rel = frames.relative_separation(lam, groups.ball(metric, None, q_radius)).rel_sep
+    # closed balls on a plain lattice: every (radius, centre) row in one count
+    balls = {i: k for i, k in enumerate(exhaustion)
+             if lam.kind == frames.LATTICE and k.closed}
+    stacked = {}
+    if balls:
+        rows = lam.lattice_count_near(
+            np.concatenate([centers[:, 0] + k.center[0] for k in balls.values()]),
+            np.concatenate([centers[:, 1] + k.center[1] for k in balls.values()]),
+            np.repeat([k.radius for k in balls.values()], len(centers)))
+        stacked = dict(zip(balls, rows.reshape(len(balls), len(centers))))
     records = []
     for idx, k in enumerate(exhaustion):
-        if lam.kind == frames.LATTICE and k.closed:  # the whole grid in one call
-            counts = lam.lattice_count_near(centers[:, 0] + k.center[0],
-                                            centers[:, 1] + k.center[1], k.radius)
-        else:
-            counts = [count_points(lam, c, k) for c in centers]
+        counts = (stacked[idx] if idx in stacked
+                  else [count_points(lam, c, k) for c in centers])
         records.append(CountingRecord(idx, k.radius, int(np.min(counts)),
                                       int(np.max(counts)), k.measure, spacing,
                                       len(centers)))
@@ -191,9 +198,15 @@ def _lens_reduced_integral(prof: RadialProfile, rho: float, r: float, kind: str,
     head = flat * (prof.mass_outside(rho, 0.0) - prof.mass_outside(rho, rho))
 
     def integrand(u):
+        # F underflows to exactly 0 far out, where the product is +0.0 whatever
+        # the bracket: lens areas are taken at the live nodes only
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        bracket = const_area - lens_area(r_a, r_b, u)
-        return prof.maximal_sq(u, rho) * 2.0 * math.pi * u * bracket
+        out = prof.maximal_sq(u, rho)
+        live = out != 0.0
+        ul = u[live]
+        bracket = const_area - lens_area(r_a, r_b, ul)
+        out[live] = out[live] * 2.0 * math.pi * ul * bracket
+        return out
 
     mid = refine_trapezoid(integrand, rho, u_zero, tol)
     tail = const_area * prof.mass_outside(rho, u_zero)

@@ -29,6 +29,8 @@ SECTION_MODE_CAP = 512  # highest Hermite index a truncated section keeps
 
 _BLOCK_CELLS = 1 << 20  # (centre, column) cells per block of a batched count
 
+_CONTINUOUS_BALL_KINDS = "a continuous ball restricts lattice kinds only, not {}"
+
 
 # -- Point sets -----------------------------------------------------------------
 
@@ -104,10 +106,11 @@ class PointSet:
             hi -= shrink
         return k, lo, hi
 
-    def lattice_points_near(self, cx: float, cy: float, radius: float,
-                            closed: bool = True) -> list:
-        """Lattice points within `radius` of (cx, cy), holes removed, column
-        by column in increasing k and then l."""
+    def _points_near(self, cx: float, cy: float, radius: float,
+                     closed: bool) -> tuple:
+        """(x, y) arrays of the lattice points within `radius` of (cx, cy),
+        holes removed, column by column in increasing k and then l; that is
+        lexicographic order."""
         k, lo, hi = self._columns([cx], [cy], radius, closed)
         lo, hi = lo[0], hi[0]
         per_col = np.maximum(hi - lo + 1, 0)
@@ -115,33 +118,46 @@ class PointSet:
         rows = np.arange(int(per_col.sum())) - np.repeat(starts - lo, per_col)
         x = np.repeat(k, per_col) * self.a
         y = rows * self.b
+        if not self.holes:
+            return x, y
         keep = np.ones(x.shape, dtype=bool)
         for (hx, hy, r) in self.holes:  # removal is strict
             keep &= (x - hx) ** 2 + (y - hy) ** 2 >= r * r
-        return list(zip(x[keep].tolist(), y[keep].tolist()))
+        return x[keep], y[keep]
 
-    def lattice_count_near(self, cx, cy, radius: float):
+    def lattice_points_near(self, cx: float, cy: float, radius: float,
+                            closed: bool = True) -> list:
+        """Lattice points within `radius` of (cx, cy), holes removed, column
+        by column in increasing k and then l."""
+        x, y = self._points_near(cx, cy, radius, closed)
+        return list(zip(x.tolist(), y.tolist()))
+
+    def lattice_count_near(self, cx, cy, radius):
         """len(lattice_points_near(cx, cy, radius, closed=True)) on a plain
         lattice, summed over the column ranges without building the points.
 
-        A scalar centre gives an int; equal-length arrays of centres give an
-        int64 array, counted in blocks of at most about _BLOCK_CELLS
-        (centre, column) cells.
+        Scalars give an int.  Arrays of centres, with one radius or one per
+        centre (broadcast like cx and cy), give an int64 array; the centres of
+        each radius are counted together, in blocks of at most about
+        _BLOCK_CELLS (centre, column) cells.
         """
         if self.kind != LATTICE:
             raise ValueError("closed-form counting needs a plain lattice")
-        xs = np.atleast_1d(np.asarray(cx, dtype=float))
-        ys = np.atleast_1d(np.asarray(cy, dtype=float))
+        xs, ys, rs = (np.ravel(v) for v in np.broadcast_arrays(
+            np.asarray(cx, dtype=float), np.asarray(cy, dtype=float),
+            np.asarray(radius, dtype=float)))
         counts = np.zeros(xs.size, dtype=np.int64)
-        if xs.size:
+        for r in np.unique(rs):  # centres of one radius share their columns
+            rows = np.flatnonzero(rs == r)
             # a block's shared columns number at most (x spread + 2 radius) / a + 5
-            n_cols = (float(xs.max() - xs.min()) + 2.0 * radius) / self.a + 5.0
+            n_cols = (float(xs[rows].max() - xs[rows].min()) + 2.0 * r) / self.a + 5.0
             step = max(1, int(_BLOCK_CELLS // n_cols))
-            for s in range(0, xs.size, step):
-                _, lo, hi = self._columns(xs[s:s + step], ys[s:s + step], radius,
-                                          closed=True)
-                counts[s:s + step] = np.maximum(hi - lo + 1, 0).sum(axis=1)
-        return int(counts[0]) if np.ndim(cx) == 0 else counts
+            for s in range(0, rows.size, step):
+                block = rows[s:s + step]
+                _, lo, hi = self._columns(xs[block], ys[block], r, closed=True)
+                counts[block] = np.maximum(hi - lo + 1, 0).sum(axis=1)
+        scalar = np.ndim(cx) == np.ndim(cy) == np.ndim(radius) == 0
+        return int(counts[0]) if scalar else counts
 
     def restrict(self, b: groups.Ball) -> tuple:
         """Exactly the elements of Lambda inside the ball.  A continuous ball
@@ -151,8 +167,7 @@ class PointSet:
             pts = self.lattice_points_near(float(cx), float(cy), b.radius, b.closed)
             return tuple(sorted(pts))
         if b.points is None:
-            raise ValueError(f"a continuous ball restricts lattice kinds only, "
-                             f"not {self.kind}")
+            raise ValueError(_CONTINUOUS_BALL_KINDS.format(self.kind))
         return tuple(sorted(p for p in self.points if b.contains(p)))
 
 
@@ -202,8 +217,9 @@ class FrameBounds:
     """Extremal spectral bounds of a coherent system.
 
     ``method`` records provenance: exact spectra are certificates, truncated
-    sections are estimates.  ``spectrum`` is kept for diagnostics and is not
-    part of the serialized form.
+    sections are estimates.  ``spectrum``, and ``gram`` (the Gram matrix
+    riesz_bounds diagonalised), are kept for diagnostics and audit dumps and
+    are not part of the serialized form.
     """
 
     lower: float
@@ -211,6 +227,7 @@ class FrameBounds:
     kind: str  # frame | riesz | bessel
     method: str
     spectrum: np.ndarray | None = None
+    gram: np.ndarray | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.lower <= self.upper + 1e-15):
@@ -281,12 +298,13 @@ def frame_operator_spectrum(rep: RepModel, g, lam: PointSet,
     reps.radial_profile(rep, g)  # raises unless g is the Gaussian window
     if section_radius <= margin + 1.0:
         raise ValueError("section radius must exceed margin + 1")
-    pts = lam.restrict(groups.ball(groups.euclidean_metric(dim=2), None,
-                                   section_radius, closed=True))
-    if not pts:
+    if not lam.is_lattice:
+        raise ValueError(_CONTINUOUS_BALL_KINDS.format(lam.kind))
+    # lexicographic, as _points_near enumerates them
+    p = np.column_stack(lam._points_near(0.0, 0.0, section_radius, closed=True))
+    if not p.size:
         raise ValueError("empty point set after restriction")
     n_modes = section_mode_count(section_radius, margin)
-    p = np.asarray(pts, dtype=float)  # lexsorted, as restrict returns it
     coeff = reps.hermite_gabor_coefficients(n_modes, p)
     conj = p * (1.0, -1.0)
     if (np.array_equal(p, -p[::-1])
@@ -328,7 +346,8 @@ def riesz_bounds(rep: RepModel, g, lam: PointSet,
     lattice is restricted to the closed disk of radius restriction_radius."""
     if rep.kind == reps.FINITE_WEYL_HEISENBERG:
         phi = _finite_synthesis(rep, g, lam)
-        eigs = _hermitian_eigs(phi.conj().T @ phi, "Gram matrix")
+        gram = phi.conj().T @ phi
+        eigs = _hermitian_eigs(gram, "Gram matrix")
         method = "exact_spectrum"
     else:
         if restriction_radius is None:
@@ -350,7 +369,7 @@ def riesz_bounds(rep: RepModel, g, lam: PointSet,
         method = f"exact_spectrum(restriction_radius={restriction_radius:g})"
     a, b = max(float(eigs[0]), 0.0), float(eigs[-1])
     kind = "riesz" if _classify(a, b) == "frame" else "bessel"
-    return FrameBounds(a, b, kind, method, eigs)
+    return FrameBounds(a, b, kind, method, eigs, gram)
 
 
 # -- Relative separation ---------------------------------------------------------------
@@ -500,6 +519,31 @@ def _greedy_cover_disk(rho: float, u: float) -> tuple:
     gx, gy = np.array(cand).T
     covers = np.hypot(cx[None, :] - gx[:, None], cy[None, :] - gy[:, None]) <= reach
     return [cand[i] for i in _greedy_cover(covers)], cell
+
+
+def cover_matrix_estimate(rho: float) -> float:
+    """Upper bound on the (candidate, cell) entries that the Gaussian window's
+    cover of the disk of radius rho allocates.
+
+    The N points of a square grid of spacing s within distance R of a point
+    own disjoint cells inside the disk of radius R + s sqrt(2)/2, so
+    N <= pi (R/s + sqrt(2)/2)^2; the cells lie within rho + u/8 and the
+    candidates within rho + u.
+    """
+    prof = reps.GAUSSIAN_PROFILE
+    u = _radial_level_radius(prof.profile, prof.norm_sq)
+    bound = 1.0
+    for radius, spacing in ((rho + u / 8.0, u / 8.0), (rho + u, u / 2.0)):
+        side = radius / spacing + math.sqrt(0.5)
+        bound *= math.pi * side * side
+    return bound
+
+
+def separation_pair_estimate(rho: float, a: float, b: float) -> float:
+    """Point pairs that relative_separation on a Z x b Z scans for the disk
+    of radius rho, at the budgeted size of its window."""
+    w = disk_point_estimate(rho + math.hypot(a, b), a, b)
+    return w * (w - 1.0) / 2.0
 
 
 def lemma_cover_constant(rep: RepModel, g, q: groups.Ball) -> CoverReport:

@@ -303,22 +303,22 @@ class PeriodicMetric:
 
         The generators are symmetric, so every neighbour of sphere r lies in
         sphere r - 1, r or r + 1: new candidates are checked against the last
-        two spheres only.
+        two spheres only.  A finite group stops growing at its first empty
+        sphere: every later one is empty too.
         """
         group = self.group
         if not self._layers:
             self._layers.append(_keys(group, np.array([group.identity()], dtype=np.int64)))
         budget = ball_budget()
         total = sum(len(layer) for layer in self._layers)
-        while len(self._layers) <= up_to:
+        while len(self._layers) <= up_to and len(self._layers[-1]):
             nxt = _unique(np.concatenate(
                 _right_translates(group, self._layers[-1], group.generators)))
-            if len(nxt):  # empty once a finite group is exhausted
-                new = np.ones(len(nxt), dtype=bool)
-                for seen in self._layers[-2:]:
-                    at = np.minimum(np.searchsorted(nxt, seen), len(nxt) - 1)
-                    new[at[nxt[at] == seen]] = False
-                nxt = nxt[new]
+            new = np.ones(len(nxt), dtype=bool)
+            for seen in self._layers[-2:]:
+                at = np.minimum(np.searchsorted(nxt, seen), len(nxt) - 1)
+                new[at[nxt[at] == seen]] = False
+            nxt = nxt[new]
             total += len(nxt)
             if total > budget:
                 raise BudgetExceededError(

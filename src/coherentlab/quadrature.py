@@ -80,8 +80,11 @@ def lens_area(r1: float, r2: float, d):
         out[d <= abs(r1 - r2)] = math.pi * rm * rm
         part = (d > abs(r1 - r2)) & (d < r1 + r2)
         dp = d[part]
-        a1 = _acos(np.clip((dp * dp + r1 * r1 - r2 * r2) / (2.0 * dp * r1), -1.0, 1.0))
-        a2 = _acos(np.clip((dp * dp + r2 * r2 - r1 * r1) / (2.0 * dp * r2), -1.0, 1.0))
+        dsq = dp * dp
+        cosines = np.concatenate([(dsq + r1 * r1 - r2 * r2) / (2.0 * dp * r1),
+                                  (dsq + r2 * r2 - r1 * r1) / (2.0 * dp * r2)])
+        angles = _acos(np.minimum(np.maximum(cosines, -1.0), 1.0))
+        a1, a2 = angles[:dp.size], angles[dp.size:]
         sq = (-dp + r1 + r2) * (dp + r1 - r2) * (dp - r1 + r2) * (dp + r1 + r2)
         out[part] = r1 * r1 * a1 + r2 * r2 * a2 - 0.5 * np.sqrt(np.maximum(sq, 0.0))
     return out if out.ndim else float(out)

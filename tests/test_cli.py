@@ -1,15 +1,19 @@
 """Command-line interface: config parsing and validation, deterministic
 report emission, exit codes, console summary lines, and audit-matrix dumps."""
 
+import configparser
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 
 import pytest
 
-from coherentlab import cli, groups, reporting
+import numpy as np
+
+from coherentlab import cli, frames, groups, reporting
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -127,9 +131,11 @@ def test_tiny_grid_spacing_exits_2_naming_the_key(tmp_path, monkeypatch, capsys)
     assert re.search(r"\bgrid_spacing\b", err.split(": ", 1)[1]), err
     assert not (tmp_path / "out").exists()
     # the bound is the enumeration budget: 25 x 25 centres fit in 1000, 50 x 50 do not
-    # (the riesz side with a 16 x 16 Gram keeps the spectral part under 1000 too)
+    # (the riesz side with a 16 x 16 Gram keeps the spectral part under 1000 too,
+    # and Q of radius 0.1 the cover matrix)
     monkeypatch.setenv(groups.BUDGET_ENV_VAR, "1000")
-    small = {"radii": "1,2,3", "side": "riesz", "restriction_radius": 0.5}
+    small = {"radii": "1,2,3", "side": "riesz", "restriction_radius": 0.5,
+             "q_radius": 0.1}
     fits = write_ini(tmp_path, "fits.ini", "density", {**small, "grid_spacing": 0.02})
     assert cli.load_config(fits, "density")["grid_spacing"] == 0.02
     over = write_ini(tmp_path, "over.ini", "density", {**small, "grid_spacing": 0.01})
@@ -408,3 +414,157 @@ def test_python_dash_m_coherentlab_matches_the_in_process_run(tmp_path):
     for name in names:
         assert ((tmp_path / "module" / name).read_bytes()
                 == (tmp_path / "inproc" / name).read_bytes()), name
+
+
+def test_ini_syntax_errors_exit_2_naming_the_key_or_line(tmp_path, capsys):
+    cases = [
+        ("[density]\nradii = 6,10\nradii = 6,12\n", r"key 'radii' repeats.*line 3"),
+        ("[density]\nradii = 6,10\n[density]\n", r"section \[density\] repeats.*line 3"),
+        ("radii = 6,10\n[density]\n", r"line 1 'radii = 6,10' comes before"),
+        ("[density]\nradii = 6,10\nradii six\n", r"line 3 is not 'key = value'.*radii six"),
+        ("[density]\nradii = 6,10%\n", r"'radii'.*%"),
+    ]
+    for i, (text, pattern) in enumerate(cases):
+        path = tmp_path / f"{i}.ini"
+        path.write_text(text)
+        with pytest.raises(cli.ConfigError, match=pattern):
+            cli.load_config(str(path), "density")
+        assert cli.main(["density", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert "overall" not in out and "Traceback" not in err
+        assert re.search(pattern, err), (text, err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_density_radii_must_increase_strictly(tmp_path, capsys):
+    for radii in ("28,14,6", "6,6,14", "6,14,10"):
+        path = write_ini(tmp_path, "d.ini", "density", {"radii": radii})
+        assert cli.main(["density", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert "overall" not in out
+        assert re.search(r"\bradii\b.*increasing", err), (radii, err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_huge_and_tiny_values_exit_2_naming_the_key(tmp_path, capsys):
+    # float powers that overflow used to escape as OverflowError (exit 1)
+    cases = [
+        ("frame", {"section_radius": 1e300}, "section_radius"),
+        ("frame", {"restriction_radius": 1e100}, "restriction_radius"),
+        ("hole", {"section_radius": 1e300}, "section_radius"),
+        ("density", {"radii": "6,1e300"}, "radii"),
+        ("density", {"grid_spacing": 5e-324}, "grid_spacing"),
+        ("geometry", {"growth_radii": "2,4,8,1e300"}, "growth_radii"),
+        ("geometry", {"growth_radii": "2,4,8,1e120",
+                      "group": "discrete_heisenberg"}, "growth_radii"),
+    ]
+    for i, (experiment, body, key) in enumerate(cases):
+        path = write_ini(tmp_path, f"{i}.ini", experiment, body)
+        assert cli.main([experiment, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert "overall" not in out
+        assert re.search(rf"\b{key}\b", err.split(": ", 1)[1]), (experiment, key, err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_q_radius_budget_is_checked_before_anything_is_allocated(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("allocated while the config loads")
+
+    monkeypatch.setattr(frames, "_greedy_cover_disk", refuse)
+    monkeypatch.setattr(frames, "_disk_candidates", refuse)
+    # q_radius = 30 asked for a 26,789 x 411,601 distance matrix (82 GiB)
+    cases = [("density", {"q_radius": 30}, "q_radius", "cover"),
+             ("density", {"side": "riesz", "lattice_a": 2, "lattice_b": 1,
+                          "q_radius": 30}, "q_radius", "cover"),
+             ("frame", {"q_radius": 30}, "q_radius", "cover"),
+             ("hole", {"r0": 30}, "r0", "cover")]
+    for i, (experiment, body, key, what) in enumerate(cases):
+        path = write_ini(tmp_path, f"{i}.ini", experiment, body)
+        with pytest.raises(cli.ConfigError, match=rf"\b{key}\b.*{what}.*budget"):
+            cli.load_config(path, experiment)
+    # the pair loop of the exact separation search on a fine lattice
+    monkeypatch.setenv(groups.BUDGET_ENV_VAR, "20000")
+    fine = write_ini(tmp_path, "fine.ini", "frame", {
+        "lattice_a": 0.05, "lattice_b": 0.05, "q_radius": 0.3, "section_radius": 1.1,
+        "margin": 0, "restriction_radius": 0.1, "k_radius": 1})
+    with pytest.raises(cli.ConfigError, match=r"\bq_radius\b.*pairs.*budget"):
+        cli.load_config(fine, "frame")
+    monkeypatch.delenv(groups.BUDGET_ENV_VAR)
+    # the finite model covers a word ball: no disk to budget
+    finite = write_ini(tmp_path, "ff.ini", "frame", {"model": "finite", "q_radius": 30})
+    assert cli.load_config(finite, "frame")["q_radius"] == 30
+    # frame-bessel's q_radius = 2 on its 0.5 lattice, and every shipped config, load
+    bessel = write_ini(tmp_path, "fb.ini", "frame", {
+        "lattice_a": 0.5, "lattice_b": 0.5, "section_radius": 16, "restriction_radius": 7,
+        "q_radius": 2, "k_radius": 8})
+    assert cli.load_config(bessel, "frame")["q_radius"] == 2
+    for name in sorted(os.listdir(CONFIG_DIR)):
+        parser = configparser.ConfigParser()
+        parser.read(os.path.join(CONFIG_DIR, name))
+        (experiment,) = parser.sections()
+        cli.load_config(os.path.join(CONFIG_DIR, name), experiment)
+
+
+def test_gram_dump_is_the_diagonalised_gram(tmp_path, monkeypatch):
+    # gram.csv writes the matrix riesz_bounds built: m (m - 1) / 2 entry calls,
+    # not m^2 more, and a lower triangle that conjugates the upper one exactly
+    calls = []
+    entry = frames.gabor_gram_entry
+
+    def spy(mu, nu):
+        calls.append(1)
+        return entry(mu, nu)
+
+    monkeypatch.setattr(frames, "gabor_gram_entry", spy)
+    path = write_ini(tmp_path, "fg.ini", "frame",
+                     {"model": "gaussian", "lattice_a": 0.5, "lattice_b": 0.5,
+                      "restriction_radius": 2, "dump_matrices": "true"})
+    report = cli.run_experiment("frame", path, str(tmp_path / "out"))
+    rb = next(r for r in report.records if r["name"] == "riesz_bounds")
+    gram = report.matrices["gram.csv"]
+    m = gram.shape[0]
+    assert gram.shape == (m, m) and m == 49
+    assert len(calls) == m * (m - 1) // 2
+    assert np.array_equal(gram, gram.conj().T)
+    assert np.linalg.eigvalsh(gram)[0] == pytest.approx(rb["A"], abs=1e-12)
+    rows = (tmp_path / "out" / "gram.csv").read_text().splitlines()
+    assert len(rows) == 1 + m * m
+
+
+def _mutations(key, typ, default, rng):
+    """INI lines that mutate one key: wrong types, huge and tiny values
+    (fixed and seeded), duplicates, and reordered lists."""
+    wrong = {"int": ["abc", "2.5", "1,2"], "float": ["abc", "1,2", "--1"],
+             "floats": ["abc", "1;2", "1,,x"], "bool": ["maybe", "2"],
+             "str": ["bogus", "1e300"]}[typ]
+    values = list(wrong)
+    seeded = [f"{rng.choice('+-')}{rng.random():.3f}e{rng.randint(-330, 310)}"
+              for _ in range(4)]
+    if typ in ("int", "float"):
+        values += ["1e300", "-1e300", "1e100", "5e-324", "1" + "0" * 30, *seeded]
+    if typ == "floats":
+        values += ["6,1e300", "1e300", "5e-324,1", "28,14,6", "6,6,14", "6,14,10",
+                   ",".join(seeded), ",".join(sorted(seeded, key=float))]
+    out = [[f"{key} = {v}"] for v in values]
+    out.append([f"{key} = {default}", f"{key} = {default}"])
+    return out
+
+
+@pytest.mark.parametrize("experiment, base", [b for b in SWEEP_BASES
+                                               if b[0] in ("density", "frame")])
+def test_seeded_ini_mutation_sweep_never_raises(tmp_path, capsys, experiment, base):
+    # every mutation of every key exits 0, 1 or 2, never with a traceback,
+    # and an exit 2 names the mutated key
+    rng = random.Random(14)
+    cases = [(key, lines) for key, (typ, default, _) in cli._SCHEMAS[experiment].items()
+             for lines in _mutations(key, typ, default, rng)]
+    for i, (key, lines) in enumerate(cases):
+        body = [f"{k} = {v}" for k, v in base.items() if k != key]
+        path = tmp_path / f"{i}.ini"
+        path.write_text("\n".join([f"[{experiment}]", *body, *lines]) + "\n")
+        code = cli.main([experiment, "--config", str(path), "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), (key, lines, code)
+        if code == 2:
+            assert re.search(rf"\b{key}\b", err), (key, lines, err)

@@ -13,6 +13,7 @@ import pytest
 
 from coherentlab import cli, density, frames, groups, reps
 from coherentlab.frames import full_torus, lattice
+from coherentlab.quadrature import refine_trapezoid
 
 
 def euclid_ball(radius):
@@ -81,7 +82,7 @@ def test_beurling_density_unit_lattice_brackets_one():
 
 
 def test_beurling_density_counts_match_a_per_centre_loop():
-    # one batched count per closed ball on a plain lattice; holes and open
+    # one batched count over the closed balls on a plain lattice; holes and open
     # balls go centre by centre: both against count_points at every centre
     em = groups.euclidean_metric(dim=2)
     a, b = 0.4807, 0.25 / 0.4807
@@ -373,3 +374,108 @@ def test_run_hole_falsification_validation():
                                        alpha=0.4, delta=0.5)
     with pytest.raises(ValueError):
         density.run_hole_falsification(rep, g, 0.5, 0.5, [0.0, 8.0], 12.0)
+
+
+def _scalar_lens_area(r1, r2, d):
+    """Two-disk intersection area, one distance at a time."""
+    if d >= r1 + r2:
+        return 0.0
+    if d <= abs(r1 - r2):
+        rm = min(r1, r2)
+        return math.pi * rm * rm
+    a1 = math.acos(max(-1.0, min(1.0, (d * d + r1 * r1 - r2 * r2) / (2.0 * d * r1))))
+    a2 = math.acos(max(-1.0, min(1.0, (d * d + r2 * r2 - r1 * r1) / (2.0 * d * r2))))
+    sq = (-d + r1 + r2) * (d + r1 - r2) * (d - r1 + r2) * (d + r1 + r2)
+    return r1 * r1 * a1 + r2 * r2 * a2 - 0.5 * math.sqrt(max(sq, 0.0))
+
+
+def _full_node_integral(prof, rho, r, kind, tol):
+    """The lens-reduced error integral with a lens area at every node, also
+    where the Gaussian weight is exactly 0."""
+    if kind == "I" and r - rho <= 0.0:
+        return math.pi * r * r * prof.mass_outside(rho, 0.0)
+    r_a, r_b = (r, r - rho) if kind == "I" else (r + rho, r)
+    const_area = math.pi * r_a * r_a
+    u_zero = r_a + r_b
+    flat = const_area - math.pi * r_b * r_b
+    head = flat * (prof.mass_outside(rho, 0.0) - prof.mass_outside(rho, rho))
+
+    def integrand(u):
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        bracket = const_area - np.array([_scalar_lens_area(r_a, r_b, x) for x in u.tolist()])
+        return prof.maximal_sq(u, rho) * 2.0 * math.pi * u * bracket
+
+    mid = refine_trapezoid(integrand, rho, u_zero, tol)
+    return head + mid + const_area * prof.mass_outside(rho, u_zero)
+
+
+@pytest.mark.parametrize("kind, rho, r", [
+    ("I", 1.0, 6.0), ("J", 1.0, 6.0),
+    ("I", 1.0, 28.0), ("J", 1.25, 28.3),  # most nodes have weight exactly 0
+    ("I", 2.0, 2.0), ("I", 2.0, 1.5),     # r - rho <= 0: closed form, no nodes
+])
+def test_error_integrals_take_lens_areas_at_live_nodes_only(monkeypatch, kind, rho, r):
+    rep, g = reps.gabor_gaussian(), reps.gaussian_window()
+    prof = reps.radial_profile(rep, g)
+    nodes, lens_nodes = [], []
+    lens_area, refine = density.lens_area, density.refine_trapezoid
+
+    def lens_spy(r1, r2, d):
+        lens_nodes.append(np.array(d))
+        return lens_area(r1, r2, d)
+
+    def refine_spy(fn, a, b, tol):
+        def counted(u):
+            nodes.append(np.array(u))
+            return fn(u)
+        return refine(counted, a, b, tol)
+
+    monkeypatch.setattr(density, "lens_area", lens_spy)
+    monkeypatch.setattr(density, "refine_trapezoid", refine_spy)
+    integral = density.error_integral_I if kind == "I" else density.error_integral_J
+    got = integral(rep, g, euclid_ball(rho), euclid_ball(r), tol=1e-8).value
+    monkeypatch.undo()
+    assert got.hex() == _full_node_integral(prof, rho, r, kind, 1e-8).hex()
+    if kind == "I" and r <= rho:
+        assert not nodes and not lens_nodes
+        return
+    assert len(lens_nodes) == len(nodes)
+    for d in lens_nodes:
+        assert np.all(prof.maximal_sq(d, rho) != 0.0)
+    weights = prof.maximal_sq(np.concatenate(nodes), rho)
+    assert sum(d.size for d in lens_nodes) == np.count_nonzero(weights)
+    if r > 20.0:
+        assert np.mean(weights == 0.0) > 0.5
+
+
+def test_beurling_density_counts_every_radius_in_one_call(monkeypatch):
+    # a plain lattice with closed balls, some off the origin: one count over
+    # the stacked (radius, centre) rows, equal to one count per radius, also
+    # in blocks of a few centres
+    em = groups.euclidean_metric(dim=2)
+    a, b = 0.4807, 0.25 / 0.4807
+    lam = lattice(a, b)
+    exhaustion = [euclid_ball(2.0), groups.ball(em, (0.1, -0.3), 3.7),
+                  groups.ball(em, (-1.25, 2.0), 6.2), euclid_ball(9.0)]
+    step = min(a, b) / 8.0
+    xs, ys = np.meshgrid(np.arange(0.0, a - 1e-12, step),
+                         np.arange(0.0, b - 1e-12, step), indexing="ij")
+    want = [lam.lattice_count_near(xs.ravel() + k.center[0], ys.ravel() + k.center[1],
+                                   k.radius) for k in exhaustion]
+    calls = []
+    count = frames.PointSet.lattice_count_near
+
+    def spy(self, cx, cy, radius):
+        calls.append(np.size(cx))
+        return count(self, cx, cy, radius)
+
+    for cells in (frames._BLOCK_CELLS, 64):
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(frames, "_BLOCK_CELLS", cells)
+            m.setattr(frames.PointSet, "lattice_count_near", spy)
+            est = density.beurling_density(lam, em, exhaustion)
+        # the relative separation search counts once; the densities once
+        assert calls[-1] == len(exhaustion) * xs.size and len(calls) == 2
+        for rec, counts in zip(est.records, want):
+            assert (rec.inf_count, rec.sup_count) == (int(counts.min()), int(counts.max()))

@@ -653,3 +653,63 @@ def test_count_points_on_holes_and_open_balls_matches_enumeration():
     closed_n = density.count_points(plain, None, groups.ball(em, None, 10.0, closed=True))
     open_n = density.count_points(plain, None, groups.ball(em, None, 10.0, closed=False))
     assert closed_n - open_n == 12
+
+
+@pytest.mark.parametrize("lam", [
+    frames.lattice(0.5, 0.5),
+    frames.lattice(0.45, 0.6),
+    frames.lattice_with_holes(0.6, 0.4, [(0.0, 0.0, 2.0)]),
+    frames.lattice_with_holes(0.5, 0.45, [(3.0, 1.0, 1.0)]),
+], ids=["plain", "a!=b", "holed-symmetric", "holed"])
+def test_section_takes_the_restriction_as_an_array(monkeypatch, lam):
+    # the section enumerates its disk as arrays; they hold the restriction's
+    # points in its (lexicographic) order, so the bounds match a section built
+    # from np.asarray(restrict(...)) to the last bit
+    rep, g = reps.gabor_gaussian(), reps.gaussian_window()
+    ball = euclid_ball(7.0)
+    pts = lam.restrict(ball)
+    assert tuple(lam.lattice_points_near(0.0, 0.0, 7.0)) == pts
+    want = np.asarray(pts, dtype=float)
+    seen = []
+    hermite = reps.hermite_gabor_coefficients
+
+    def spy(n_max, points):
+        seen.append(points)
+        return hermite(n_max, points)
+
+    monkeypatch.setattr(reps, "hermite_gabor_coefficients", spy)
+    got = frames.frame_operator_spectrum(rep, g, lam, section_radius=7.0, margin=3.0)
+    assert seen[0].dtype == want.dtype and seen[0].shape == want.shape
+    assert seen[0].tobytes() == want.tobytes()
+    monkeypatch.setattr(frames.PointSet, "_points_near",
+                        lambda self, *args, **kwargs: (want[:, 0].copy(), want[:, 1].copy()))
+    ref = frames.frame_operator_spectrum(rep, g, lam, section_radius=7.0, margin=3.0)
+    assert (got.lower, got.upper, got.kind, got.method) == \
+        (ref.lower, ref.upper, ref.kind, ref.method)
+    assert got.spectrum.tobytes() == ref.spectrum.tobytes()
+
+
+def test_lattice_count_near_with_a_radius_per_centre(monkeypatch):
+    # stacked (radius, centre) rows, in any order and in blocks of a few
+    # centres, count as one call per radius does; centres lie off the origin
+    rng = np.random.default_rng(14)
+    radii = [0.0, 1.5, 4.25, 5.0, 6.0]
+    for lam in (lattice(0.4807, 0.25 / 0.4807), lattice(0.37, 1.3), lattice(1.0, 1.0)):
+        cx = rng.uniform(-3.0, 3.0, 30)
+        cy = rng.uniform(-3.0, 3.0, 30)
+        if lam.a == 1.0:
+            cx[:4], cy[:4] = [0, 3, 4, -3], [0, 4, 3, 4]  # points on the r = 5 circle
+        want = np.concatenate([lam.lattice_count_near(cx, cy, r) for r in radii])
+        xs, ys = np.tile(cx, len(radii)), np.tile(cy, len(radii))
+        rs = np.repeat(radii, cx.size)
+        got = lam.lattice_count_near(xs, ys, rs)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+        perm = rng.permutation(xs.size)
+        with monkeypatch.context() as m:
+            m.setattr(frames, "_BLOCK_CELLS", 64)
+            assert lam.lattice_count_near(xs[perm], ys[perm], rs[perm]).tolist() \
+                == want[perm].tolist()
+        # one centre with many radii broadcasts; all scalars give an int
+        fan = lam.lattice_count_near(0.3, -0.2, np.array(radii))
+        assert fan.tolist() == [lam.lattice_count_near(0.3, -0.2, r) for r in radii]
+        assert type(lam.lattice_count_near(0.3, -0.2, 4.25)) is int

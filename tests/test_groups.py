@@ -491,3 +491,13 @@ def test_right_translates_raise_when_a_product_field_leaves_the_key_range():
     p, q = (1 << 10, 0, top - (1 << 10)), (0, 1, 0)
     assert groups._coords(h3, translate(p, q)).tolist() == [[1 << 10, 1, top]]
 
+
+
+def test_word_balls_of_any_radius_on_a_finite_torus():
+    # the BFS stops at the first empty sphere: a radius far past the diameter
+    # gives the whole torus without growing one sphere per unit of radius
+    metric = groups.word_metric(groups.finite_cyclic_sq(4))
+    for radius in (4.0, 1e6, 1e300):
+        assert groups.ball(metric, None, radius).measure == 16.0
+        assert groups.ball_measure(metric, radius) == 16.0
+    assert len(metric._layers) == 6  # spheres of radius 0..4, then the empty one
