@@ -63,7 +63,6 @@ from .density import (
     check_frame_counting,
     check_polynomial_error_exponent,
     check_riesz_counting,
-    count_points,
     error_integral_I,
     error_integral_J,
     hole_radius_bound,

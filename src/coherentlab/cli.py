@@ -220,6 +220,9 @@ def _validate(experiment: str, cfg: dict) -> None:
                 f"r0={cfg['folner_r0']:g})")
         if cfg["group"] != "euclidean" and cfg["folner_r0"] < 1.0:
             raise ConfigError("folner_r0 must be at least 1 on a discrete group")
+        if min(cfg["annular_radii"]) * min(cfg["annular_fracs"]) == 0.0:
+            raise ConfigError("the smallest annular_radii entry times the smallest "
+                              "annular_fracs entry rounds to an annulus of width 0")
     elif experiment == "rep-check":
         if cfg["n"] > 64:
             raise ConfigError("n must be between 2 and 64 for exhaustive checks")
@@ -240,8 +243,16 @@ def _validate(experiment: str, cfg: dict) -> None:
         if cfg["section_radius"] < 2.0 * max(cfg["hole_radii"]):
             raise ConfigError("section_radius too small relative to the "
                               "largest hole_radii entry")
-        if cfg["alpha"] + cfg["delta"] <= 1.0:
+        alpha, delta, cal = cfg["alpha"], cfg["delta"], cfg["calibration_radius"]
+        if alpha + delta <= 1.0:
             raise ConfigError("alpha + delta must exceed 1")
+        # the powers of the tail fit and of the calibration envelope stay finite
+        if math.isinf(_size(lambda: density.TAIL_FIT_RADIUS ** (alpha + delta - 1.0))):
+            raise ConfigError(f"alpha + delta = {alpha + delta:g} overflows the tail "
+                              "fit's r^(alpha + delta - 1)")
+        if math.isinf(_size(lambda: (1.0 + cal) ** ((2.0 + alpha) / 2.0))):
+            raise ConfigError(f"calibration_radius = {cal:g} with alpha = {alpha:g} "
+                              "overflows the envelope (1 + r)^((2 + alpha) / 2)")
     _check_sizes(experiment, cfg, budget)
 
 
@@ -278,12 +289,22 @@ def _check_sizes(experiment: str, cfg: dict, budget: int) -> None:
                       lambda: (2.0 * cfg["radii"][-1] / min(a, b)) ** 2))
         sizes.append(("grid_spacing", "centres",
                       lambda: math.ceil(a / spacing) * math.ceil(b / spacing)))
+    if experiment == "rep-check":
+        sizes.append(("trials", "coefficient entries",
+                      lambda: cfg["trials"] * cfg["n"] ** 2))
     if experiment == "geometry":
+        # a word ball of radius r holds at most (2 r + 1)^dim elements
         dim = 3 if cfg["group"] == "discrete_heisenberg" else 2
-        top = max([*cfg["growth_radii"],
-                   cfg["folner_r0"] + cfg["folner_step"] * cfg["folner_count"]])
-        sizes.append(("growth_radii", "elements in the largest ball",
-                      lambda: (2.0 * top + 1.0) ** dim))
+        first = max(cfg["folner_r0"] + 1.0, cfg["folner_step"])  # K_1 of the exhaustion
+        last = _size(lambda: first + (cfg["folner_count"] - 1) * cfg["folner_step"])
+        for key, which, radius in (
+                ("growth_radii", "largest growth", cfg["growth_radii"][-1]),
+                ("annular_radii", "largest annular", max(cfg["annular_radii"])),
+                ("folner_step", "first Folner", first),
+                ("folner_count", "largest Folner", last),
+                ("folner_k_radius", "Folner K", cfg["folner_k_radius"])):
+            sizes.append((key, f"elements in the {which} ball",
+                          lambda r=radius: (2.0 * r + 1.0) ** dim))
     on = f" on lattice_a = {a:g}, lattice_b = {b:g}" if a is not None else ""
     for key, what, size in sizes:
         n = _size(size)
@@ -550,8 +571,8 @@ def run_density(cfg: dict) -> RunReport:
     t0 = time.perf_counter()
     checker = (density.check_frame_counting if side == "frame"
                else density.check_riesz_counting)
-    checks = checker(rep, g, lam, exhaustion, q, bounds, integrals=integrals,
-                     diagnostic=cfg["diagnostic"], estimate=dens)
+    checks = checker(rep, g, exhaustion, q, bounds, integrals=integrals,
+                     estimate=dens, diagnostic=cfg["diagnostic"])
     report.timings["checks"] = time.perf_counter() - t0
     report.records.append(_record("bounds", bounds.to_json(), passed=True))
     for chk in checks:

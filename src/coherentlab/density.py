@@ -3,8 +3,8 @@
 The two error integrals couple a ball K_n with the thickened complement
 (resp. thickened ball) of its index set through the local maximal function of
 |V_g g|.  On the plane both reduce exactly to one-dimensional integrals of the
-Gaussian's radial profile against two-disk lens areas, with closed-form tails;
-the finite model evaluates them as exhaustive double sums.
+Gaussian's radial profile against two-disk lens areas, with closed-form tails.
+Counting takes a plain lattice a Z x b Z and closed discs K_n.
 """
 
 from __future__ import annotations
@@ -33,12 +33,6 @@ class CountingRecord:
     grid_spacing: float
     centers_sampled: int
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "radius": self.radius, "inf_count": self.inf_count,
-                "sup_count": self.sup_count, "measure": self.measure,
-                "grid_spacing": self.grid_spacing,
-                "centers_sampled": self.centers_sampled}
-
 
 @dataclass(frozen=True)
 class ErrorIntegralRecord:
@@ -51,11 +45,6 @@ class ErrorIntegralRecord:
     @property
     def normalized(self) -> float:
         return self.value / self.measure
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "kind": self.kind, "value": self.value,
-                "tol": self.tol, "measure": self.measure,
-                "normalized": self.normalized}
 
 
 @dataclass(frozen=True)
@@ -100,33 +89,15 @@ class HoleExperiment:
 
 @dataclass(frozen=True)
 class DensityEstimate:
-    """Largest-n density proxies; iterating yields (lower, upper)."""
+    """Largest-n density proxies and the per-n counting records."""
 
     lower: float
     upper: float
     records: tuple
     rel_sep: int
 
-    def __iter__(self):
-        return iter((self.lower, self.upper))
-
 
 # -- Counting --------------------------------------------------------------------
-
-
-def count_points(lam: PointSet, center, k) -> int:
-    """Exact #(Lambda intersect centerK).
-
-    A closed ball on a plain lattice is counted in closed form, column by
-    column; every other case counts the points of the restriction.
-    """
-    if not isinstance(k, groups.Ball):
-        raise ValueError("K must be a Ball")
-    ball = k.translate(center) if center is not None else k
-    if lam.kind == frames.LATTICE and ball.closed:
-        cx, cy = ball.center
-        return lam.lattice_count_near(float(cx), float(cy), ball.radius)
-    return len(lam.restrict(ball))
 
 
 def beurling_density(lam: PointSet, metric: groups.PeriodicMetric,
@@ -134,47 +105,37 @@ def beurling_density(lam: PointSet, metric: groups.PeriodicMetric,
                      center_grid_spacing: float | None = None) -> DensityEstimate:
     """Lower/upper density proxies inf/sup #(Lambda in xK_n) / mu(K_n).
 
-    The inf/sup over the group is replaced by a center grid covering one
-    fundamental cell (lattices are periodic, so this is exhaustive up to the
-    recorded spacing); the finite kind enumerates every center.  The true
-    densities are n -> infinity limits; the full sequence is recorded.
-    ``rel_sep`` is Rel_Q(Lambda) for the ball Q in ``metric`` of radius half
-    the spacing: min(a, b) / 2 on lattices, 1/2 (the word ball {e}) on Z_N^2.
+    Lambda is a plain lattice and each K_n a closed disk.  The inf/sup over
+    the plane is replaced by a center grid covering one fundamental cell (the
+    lattice is periodic, so this is exhaustive up to the recorded spacing),
+    and every (K_n, center) row is counted in one call.  The true densities
+    are n -> infinity limits; the full sequence is recorded.  ``rel_sep`` is
+    Rel_Q(Lambda) for the disk Q in ``metric`` of radius min(a, b) / 2.
     """
     if not exhaustion:
         raise ValueError("empty exhaustion")
-    if lam.kind == frames.FINITE_SUBSET:
-        centers = groups.finite_cyclic_sq(lam.modulus).elements()
-        spacing = 1.0
-        q_radius = 0.5
-    else:
-        spacing = center_grid_spacing or min(lam.a, lam.b) / 8.0
-        xs = np.arange(0.0, lam.a - 1e-12, spacing)
-        ys = np.arange(0.0, lam.b - 1e-12, spacing)
-        centers = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-        q_radius = min(lam.a, lam.b) / 2.0
-    rel = frames.relative_separation(lam, groups.ball(metric, None, q_radius)).rel_sep
-    # closed balls on a plain lattice: every (radius, centre) row in one count
-    balls = {i: k for i, k in enumerate(exhaustion)
-             if lam.kind == frames.LATTICE and k.closed}
-    stacked = {}
-    if balls:
-        rows = lam.lattice_count_near(
-            np.concatenate([centers[:, 0] + k.center[0] for k in balls.values()]),
-            np.concatenate([centers[:, 1] + k.center[1] for k in balls.values()]),
-            np.repeat([k.radius for k in balls.values()], len(centers)))
-        stacked = dict(zip(balls, rows.reshape(len(balls), len(centers))))
-    records = []
-    for idx, k in enumerate(exhaustion):
-        counts = (stacked[idx] if idx in stacked
-                  else [count_points(lam, c, k) for c in centers])
-        records.append(CountingRecord(idx, k.radius, int(np.min(counts)),
-                                      int(np.max(counts)), k.measure, spacing,
-                                      len(centers)))
+    if lam.kind != frames.LATTICE:
+        raise ValueError(f"Beurling density counts a plain lattice, not {lam.kind}")
+    if not all(k.closed for k in exhaustion):
+        raise ValueError("Beurling density counts closed balls K_n, not open ones")
+    spacing = center_grid_spacing or min(lam.a, lam.b) / 8.0
+    xs = np.arange(0.0, lam.a - 1e-12, spacing)
+    ys = np.arange(0.0, lam.b - 1e-12, spacing)
+    centers = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    q = groups.ball(metric, None, min(lam.a, lam.b) / 2.0)
+    rel = frames.relative_separation(lam, q).rel_sep
+    rows = lam.lattice_count_near(
+        np.concatenate([centers[:, 0] + k.center[0] for k in exhaustion]),
+        np.concatenate([centers[:, 1] + k.center[1] for k in exhaustion]),
+        np.repeat([k.radius for k in exhaustion], len(centers)))
+    records = tuple(
+        CountingRecord(idx, k.radius, int(counts.min()), int(counts.max()),
+                       k.measure, spacing, len(centers))
+        for idx, (k, counts) in enumerate(zip(exhaustion,
+                                              rows.reshape(len(exhaustion), -1))))
     last = records[-1]
     return DensityEstimate(last.inf_count / last.measure,
-                           last.sup_count / last.measure,
-                           tuple(records), rel)
+                           last.sup_count / last.measure, records, rel)
 
 
 # -- Error integrals ----------------------------------------------------------------
@@ -213,38 +174,15 @@ def _lens_reduced_integral(prof: RadialProfile, rho: float, r: float, kind: str,
     return head + mid + tail
 
 
-def _finite_error_integral(rep: RepModel, g, q: groups.Ball, k: groups.Ball,
-                           kind: str) -> float:
-    group = rep.group
-    gv = np.asarray(g, dtype=complex)
-    m_table = reps._finite_maximal_table(rep, gv, q)
-    k_set = set(k.points)
-    complement = [x for x in group.elements() if x not in k_set]
-    if kind == "I":
-        outer = {group.multiply(c, z) for c in complement for z in q.points}
-        total = 0.0
-        for y in k.points:
-            yinv = group.inverse(y)
-            total += sum(m_table[group.multiply(yinv, z)] ** 2 for z in outer)
-        return float(total)
-    inner_set = {group.multiply(c, z) for c in k.points for z in q.points}
-    total = 0.0
-    for y in complement:
-        yinv = group.inverse(y)
-        total += sum(m_table[group.multiply(yinv, z)] ** 2 for z in inner_set)
-    return float(total)
-
-
 def _error_integral(rep: RepModel, g, q: groups.Ball, k: groups.Ball, kind: str,
                     tol: float, n: int) -> ErrorIntegralRecord:
+    prof = reps.radial_profile(rep, g)
+    if prof is None:
+        raise ValueError(f"error integrals need the Gaussian window, not the {rep.kind} model")
     if q.center != q.metric.group.identity():
         raise ValueError("Q must be centered at the identity")
-    if rep.kind == reps.FINITE_WEYL_HEISENBERG:
-        value = _finite_error_integral(rep, g, q, k, kind)
-        return ErrorIntegralRecord(n, kind, value, 0.0, k.measure)
     if k.center != (0.0, 0.0):
         raise ValueError("K_n must be centered at the identity")
-    prof = reps.radial_profile(rep, g)
     value = _lens_reduced_integral(prof, q.radius, k.radius, kind, tol)
     return ErrorIntegralRecord(n, kind, value, tol, k.measure)
 
@@ -317,29 +255,21 @@ def assemble_counting_constant(rep: RepModel, g, q: groups.Ball,
             "mu_q": mu_q, "norm4": norm4}
 
 
-def _counting_checks(rep: RepModel, g, lam: PointSet,
-                     exhaustion: Sequence[groups.Ball], q: groups.Ball,
-                     bounds: FrameBounds, side: str,
-                     integrals: Sequence[ErrorIntegralRecord] | None,
-                     center_grid_spacing: float | None, tol: float,
-                     diagnostic: bool, estimate: DensityEstimate | None) -> list:
+def _counting_checks(rep: RepModel, g, exhaustion: Sequence[groups.Ball],
+                     q: groups.Ball, bounds: FrameBounds, side: str,
+                     integrals: Sequence[ErrorIntegralRecord],
+                     estimate: DensityEstimate, tol: float,
+                     diagnostic: bool) -> list:
     if bounds.lower <= 0.0:
         raise ValueError("counting checks need a positive lower bound A > 0")
-    if estimate is None:
-        estimate = beurling_density(lam, exhaustion[0].metric, exhaustion,
-                                    center_grid_spacing)
-    elif [rec.radius for rec in estimate.records] != [k.radius for k in exhaustion]:
+    radii = [k.radius for k in exhaustion]
+    if [rec.radius for rec in estimate.records] != radii:
         raise ValueError("density estimate records do not match the exhaustion")
     kind = "I" if side == "inf" else "J"
-    if integrals is None:
-        integrals = [_error_integral(rep, g, q, k, kind, 1e-8, i)
-                     for i, k in enumerate(exhaustion)]
-    else:
-        radii = [k.radius for k in exhaustion]
-        got = {rec.n: rec for rec in integrals if rec.kind == kind}
-        if sorted(got) != list(range(len(radii))):
-            raise ValueError(f"missing {kind}_n records for the exhaustion")
-        integrals = [got[i] for i in range(len(radii))]
+    got = {rec.n: rec for rec in integrals if rec.kind == kind}
+    if sorted(got) != list(range(len(radii))):
+        raise ValueError(f"missing {kind}_n records for the exhaustion")
+    integrals = [got[i] for i in range(len(radii))]
     const = assemble_counting_constant(rep, g, q, bounds)
     d_pi = rep.formal_degree
     checks = []
@@ -372,42 +302,35 @@ def _counting_checks(rep: RepModel, g, lam: PointSet,
     return checks
 
 
-def check_frame_counting(rep: RepModel, g, lam: PointSet,
-                         exhaustion: Sequence[groups.Ball], q: groups.Ball,
-                         bounds: FrameBounds,
-                         integrals: Sequence[ErrorIntegralRecord] | None = None,
-                         center_grid_spacing: float | None = None,
-                         tol: float = 1e-9, diagnostic: bool = False,
-                         estimate: DensityEstimate | None = None) -> list:
+def check_frame_counting(rep: RepModel, g, exhaustion: Sequence[groups.Ball],
+                         q: groups.Ball, bounds: FrameBounds, *,
+                         integrals: Sequence[ErrorIntegralRecord],
+                         estimate: DensityEstimate, tol: float = 1e-9,
+                         diagnostic: bool = False) -> list:
     """Per n: inf_x #(Lambda in xK_n) >= d_pi (mu(K_n) - C I_n), plus the
     density consequence at the largest n.
 
-    ``estimate`` is a beurling_density result for the same exhaustion; when
-    given, the counts are taken from it instead of being computed again.
+    ``estimate`` is the beurling_density result and ``integrals`` the I_n
+    records (n = 0, 1, ...) for the same exhaustion.
     """
     if bounds.kind != "frame":
         raise ValueError("frame counting needs bounds of kind=frame (A > 0)")
-    return _counting_checks(rep, g, lam, exhaustion, q, bounds, "inf",
-                            integrals, center_grid_spacing, tol, diagnostic,
-                            estimate)
+    return _counting_checks(rep, g, exhaustion, q, bounds, "inf", integrals,
+                            estimate, tol, diagnostic)
 
 
-def check_riesz_counting(rep: RepModel, g, lam: PointSet,
-                         exhaustion: Sequence[groups.Ball], q: groups.Ball,
-                         bounds: FrameBounds,
-                         integrals: Sequence[ErrorIntegralRecord] | None = None,
-                         center_grid_spacing: float | None = None,
-                         tol: float = 1e-9, diagnostic: bool = False,
-                         estimate: DensityEstimate | None = None) -> list:
-    """Per n: sup_x #(Lambda in xK_n) <= d_pi (mu(K_n) + C J_n).
-
-    ``estimate`` is used as in check_frame_counting.
+def check_riesz_counting(rep: RepModel, g, exhaustion: Sequence[groups.Ball],
+                         q: groups.Ball, bounds: FrameBounds, *,
+                         integrals: Sequence[ErrorIntegralRecord],
+                         estimate: DensityEstimate, tol: float = 1e-9,
+                         diagnostic: bool = False) -> list:
+    """Per n: sup_x #(Lambda in xK_n) <= d_pi (mu(K_n) + C J_n), with
+    ``estimate`` and the J_n ``integrals`` as in check_frame_counting.
     """
     if bounds.kind != "riesz":
         raise ValueError("riesz counting needs bounds of kind=riesz (A > 0)")
-    return _counting_checks(rep, g, lam, exhaustion, q, bounds, "sup",
-                            integrals, center_grid_spacing, tol, diagnostic,
-                            estimate)
+    return _counting_checks(rep, g, exhaustion, q, bounds, "sup", integrals,
+                            estimate, tol, diagnostic)
 
 
 def check_polynomial_error_exponent(count_records: Sequence[CountingRecord],
@@ -460,8 +383,11 @@ def hole_radius_bound(c0: float, alpha: float, delta: float, c: float,
     return (c0 * c0 * c * b / a) ** (1.0 / (alpha + delta - 1.0))
 
 
+TAIL_FIT_RADIUS = 6.0  # the tail constant is fitted on r0 < r <= this
+
+
 def fit_tail_constant(r0: float, alpha: float, delta: float, c0: float,
-                      norm4: float = 1.0, r_max: float = 6.0,
+                      norm4: float = 1.0, r_max: float = TAIL_FIT_RADIUS,
                       step: float = 0.25) -> tuple:
     """Smallest C'' with tail(r) <= C0^2 ||g||^4 C'' r^{1-delta-alpha} on the
     fitted grid; tail(r) is the mass of M_Q^2 outside the radius-(r - r0) ball."""

@@ -160,15 +160,13 @@ class PointSet:
         return int(counts[0]) if scalar else counts
 
     def restrict(self, b: groups.Ball) -> tuple:
-        """Exactly the elements of Lambda inside the ball.  A continuous ball
+        """Exactly the points of Lambda inside the disk b, sorted.  A disk
         lives in the time-frequency plane, so it restricts lattice kinds only."""
-        if self.is_lattice:
-            cx, cy = b.center
-            pts = self.lattice_points_near(float(cx), float(cy), b.radius, b.closed)
-            return tuple(sorted(pts))
-        if b.points is None:
+        if not self.is_lattice:
             raise ValueError(_CONTINUOUS_BALL_KINDS.format(self.kind))
-        return tuple(sorted(p for p in self.points if b.contains(p)))
+        cx, cy = b.center
+        return tuple(sorted(self.lattice_points_near(float(cx), float(cy),
+                                                     b.radius, b.closed)))
 
 
 def disk_point_estimate(radius: float, a: float, b: float) -> float:

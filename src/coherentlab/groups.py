@@ -375,15 +375,6 @@ class Ball:
             self._points = tuple(map(tuple, _coords(self.metric.group, self.keys).tolist()))
         return self._points
 
-    def contains(self, el: tuple) -> bool:
-        if self.keys is None:
-            raise ValueError("continuous ball has no point enumeration")
-        try:
-            key = _keys(self.metric.group, np.array([el], dtype=np.int64))
-        except OverflowError:
-            return False  # no enumerated ball reaches outside the key range
-        return bool(_in_sorted(self.keys, key)[0])
-
     def translate(self, x: tuple) -> "Ball":
         """Left translate x * B (same radius, elements moved along)."""
         group = self.metric.group

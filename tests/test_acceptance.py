@@ -138,9 +138,9 @@ def test_acceptance_5_frame_counting_bound():
                                             margin=3.0)
     integrals = [density.error_integral_I(rep, g, q, k, tol=1e-8, n=i)
                  for i, k in enumerate(exhaustion)]
-    checks = density.check_frame_counting(rep, g, lam, exhaustion, q, bounds,
-                                          integrals=integrals)
     est = density.beurling_density(lam, em, exhaustion)
+    checks = density.check_frame_counting(rep, g, exhaustion, q, bounds,
+                                          integrals=integrals, estimate=est)
     inf_ratio = est.records[-1].inf_count / est.records[-1].measure
     normalized = [rec.normalized for rec in integrals]
     slope = float(np.polyfit(np.log(radii), np.log(normalized), 1)[0])
@@ -167,9 +167,9 @@ def test_acceptance_6_riesz_counting_bound():
     bounds = frames.riesz_bounds(rep, g, lam, restriction_radius=8.0)
     integrals = [density.error_integral_J(rep, g, q, k, tol=1e-8, n=i)
                  for i, k in enumerate(exhaustion)]
-    checks = density.check_riesz_counting(rep, g, lam, exhaustion, q, bounds,
-                                          integrals=integrals)
     est = density.beurling_density(lam, em, exhaustion)
+    checks = density.check_riesz_counting(rep, g, exhaustion, q, bounds,
+                                          integrals=integrals, estimate=est)
     sup_ratio = est.records[-1].sup_count / est.records[-1].measure
     normalized = [rec.normalized for rec in integrals]
     elapsed = time.perf_counter() - t0

@@ -289,15 +289,15 @@ def test_json_reports_are_sorted_and_newline_terminated(tmp_path):
 
 # small configs, one per experiment (and model/side), that run in well under a second
 SWEEP_BASES = [
-    ("geometry", {"growth_radii": "1,2,3,4", "folner_count": 1, "folner_step": 2,
-                  "annular_radii": "2,4", "annular_fracs": "0.5"}),
-    ("rep-check", {"n": 4, "trials": 2}),
     ("frame", {"model": "gaussian", "lattice_a": 1.0, "lattice_b": 1.0,
                "section_radius": 6, "restriction_radius": 2, "k_radius": 2}),
     ("frame", {"model": "finite", "n": 4, "q_radius": 1, "k_radius": 1}),
     ("density", {"side": "frame", "radii": "2,3", "section_radius": 6}),
     ("density", {"side": "riesz", "lattice_a": 2.0, "lattice_b": 1.0, "radii": "2,3",
                  "restriction_radius": 2}),
+    ("geometry", {"growth_radii": "1,2,3,4", "folner_count": 1, "folner_step": 2,
+                  "annular_radii": "2,4", "annular_fracs": "0.5"}),
+    ("rep-check", {"n": 4, "trials": 2}),
     ("hole", {"hole_radii": "0,1", "section_radius": 6, "calibration_radius": 2}),
 ]
 
@@ -332,7 +332,7 @@ def test_bad_numeric_values_exit_2_naming_the_key(tmp_path, capsys):
     # a section that finds no frame (A = 0) fails the counting checks'
     # hypothesis: exit 2, not a traceback
     path = write_ini(tmp_path, "critical.ini", "density",
-                     {**SWEEP_BASES[4][1], "lattice_a": 1.0, "lattice_b": 1.0,
+                     {**SWEEP_BASES[2][1], "lattice_a": 1.0, "lattice_b": 1.0,
                       "margin": 0})
     assert cli.main(["density", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert "lattice_a" in capsys.readouterr().err
@@ -352,7 +352,7 @@ def test_density_frame_side_rejects_gaussian_lattices_with_ab_at_least_one(tmp_p
 
 
 def test_geometry_metric_must_belong_to_its_group(tmp_path, capsys):
-    base = SWEEP_BASES[0][1]
+    base = SWEEP_BASES[4][1]
     for group, metrics in cli._GROUP_METRICS.items():
         for metric in ("word", "euclidean", "heisenberg_gauge"):
             path = write_ini(tmp_path, f"{group}-{metric}.ini", "geometry",
@@ -457,6 +457,18 @@ def test_huge_and_tiny_values_exit_2_naming_the_key(tmp_path, capsys):
         ("geometry", {"growth_radii": "2,4,8,1e300"}, "growth_radii"),
         ("geometry", {"growth_radii": "2,4,8,1e120",
                       "group": "discrete_heisenberg"}, "growth_radii"),
+        # each geometry radius names its own key
+        ("geometry", {"folner_count": 10 ** 30}, "folner_count"),
+        ("geometry", {"folner_step": 1e100}, "folner_step"),
+        ("geometry", {"folner_k_radius": 1e100}, "folner_k_radius"),
+        ("geometry", {"annular_radii": "6,1e300"}, "annular_radii"),
+        ("geometry", {"annular_radii": "5e-324,1"}, "annular_radii"),
+        # trials x n^2 coefficient entries; 10^30 trials never finished
+        ("rep-check", {"trials": 10 ** 30}, "trials"),
+        # powers in the tail fit and the calibration envelope
+        ("hole", {"alpha": "+0.628e150"}, "alpha"),
+        ("hole", {"delta": 1e100}, "delta"),
+        ("hole", {"calibration_radius": 1e300}, "calibration_radius"),
     ]
     for i, (experiment, body, key) in enumerate(cases):
         path = write_ini(tmp_path, f"{i}.ini", experiment, body)
@@ -551,8 +563,7 @@ def _mutations(key, typ, default, rng):
     return out
 
 
-@pytest.mark.parametrize("experiment, base", [b for b in SWEEP_BASES
-                                               if b[0] in ("density", "frame")])
+@pytest.mark.parametrize("experiment, base", SWEEP_BASES)
 def test_seeded_ini_mutation_sweep_never_raises(tmp_path, capsys, experiment, base):
     # every mutation of every key exits 0, 1 or 2, never with a traceback,
     # and an exit 2 names the mutated key

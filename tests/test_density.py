@@ -31,20 +31,29 @@ def brute_disk_count(a, b, cx, cy, r):
     return total
 
 
+def counting_inputs(rep, g, lam, exhaustion, q, kind):
+    """The density estimate and the I_n (or J_n) records a counting checker takes."""
+    integral = density.error_integral_I if kind == "I" else density.error_integral_J
+    return {"estimate": density.beurling_density(lam, groups.euclidean_metric(dim=2),
+                                                 exhaustion),
+            "integrals": [integral(rep, g, q, k, n=i) for i, k in enumerate(exhaustion)]}
+
+
 def test_count_points_box_ball_and_translation():
     lam = lattice(1.0, 1.0)
-    assert density.count_points(lam, None, euclid_ball(2.0)) == 13
-    assert density.count_points(lam, (0.5, 0.5), euclid_ball(0.4)) == 0
+    assert lam.lattice_count_near(0.0, 0.0, 2.0) == 13
+    assert lam.lattice_count_near(0.5, 0.5, 0.4) == 0
     # lattice translation invariance and monotonicity in the radius
     for r in (1.0, 2.5, 4.0):
-        assert density.count_points(lam, (3.0, -7.0), euclid_ball(r)) \
-            == density.count_points(lam, None, euclid_ball(r)) \
+        assert lam.lattice_count_near(3.0, -7.0, r) \
+            == lam.lattice_count_near(0.0, 0.0, r) \
             == brute_disk_count(1.0, 1.0, 0.0, 0.0, r)
-    counts = [density.count_points(lam, (0.3, 0.1), euclid_ball(r))
-              for r in (1.0, 2.0, 4.0, 8.0)]
+    counts = [lam.lattice_count_near(0.3, 0.1, r) for r in (1.0, 2.0, 4.0, 8.0)]
     assert counts == sorted(counts)
-    with pytest.raises(ValueError):
-        density.count_points(lam, None, "not a region")
+    # closed-form counting takes a plain lattice only
+    with pytest.raises(ValueError, match="plain lattice"):
+        frames.lattice_with_holes(1.0, 1.0, [(0.0, 0.0, 1.0)]).lattice_count_near(
+            0.0, 0.0, 2.0)
 
 
 def test_beurling_density_half_integer_lattice_frozen_counts():
@@ -57,7 +66,7 @@ def test_beurling_density_half_integer_lattice_frozen_counts():
         == [(441, 454), (1248, 1264), (2453, 2472)]
     assert [r.measure for r in recs] == pytest.approx(
         [math.pi * 36.0, math.pi * 100.0, math.pi * 196.0], rel=1e-12)
-    lower, upper = est
+    lower, upper = est.lower, est.upper
     assert lower == pytest.approx(2453 / (math.pi * 196.0), rel=1e-12)
     assert upper == pytest.approx(2472 / (math.pi * 196.0), rel=1e-12)
     # the covolume density 1/(ab) = 4 sits between the proxies
@@ -82,32 +91,44 @@ def test_beurling_density_unit_lattice_brackets_one():
 
 
 def test_beurling_density_counts_match_a_per_centre_loop():
-    # one batched count over the closed balls on a plain lattice; holes and open
-    # balls go centre by centre: both against count_points at every centre
+    # one batched count over the closed balls on a plain lattice, against an
+    # enumeration of each ball at every centre
     em = groups.euclidean_metric(dim=2)
     a, b = 0.4807, 0.25 / 0.4807
-    exhaustion = [euclid_ball(3.0), groups.ball(em, (0.1, -0.3), 6.2),
-                  groups.ball(em, None, 5.0, closed=False)]
-    for lam in (lattice(a, b), frames.lattice_with_holes(a, b, [(0.0, 0.0, 1.0)])):
-        for spacing in (None, 0.07):
-            est = density.beurling_density(lam, em, exhaustion, spacing)
-            step = spacing or min(a, b) / 8.0
-            centres = [(float(x), float(y)) for x in np.arange(0.0, a - 1e-12, step)
-                       for y in np.arange(0.0, b - 1e-12, step)]
-            for rec, k in zip(est.records, exhaustion):
-                counts = [density.count_points(lam, c, k) for c in centres]
-                assert (rec.inf_count, rec.sup_count) == (min(counts), max(counts))
-                assert type(rec.inf_count) is int and type(rec.sup_count) is int
-                assert rec.centers_sampled == len(centres)
+    exhaustion = [euclid_ball(3.0), groups.ball(em, (0.1, -0.3), 6.2)]
+    lam = lattice(a, b)
+    for spacing in (None, 0.07):
+        est = density.beurling_density(lam, em, exhaustion, spacing)
+        step = spacing or min(a, b) / 8.0
+        centres = [(float(x), float(y)) for x in np.arange(0.0, a - 1e-12, step)
+                   for y in np.arange(0.0, b - 1e-12, step)]
+        for rec, k in zip(est.records, exhaustion):
+            counts = [len(lam.lattice_points_near(cx + k.center[0], cy + k.center[1],
+                                                  k.radius)) for cx, cy in centres]
+            assert (rec.inf_count, rec.sup_count) == (min(counts), max(counts))
+            assert type(rec.inf_count) is int and type(rec.sup_count) is int
+            assert rec.centers_sampled == len(centres)
 
 
-def test_beurling_density_finite_full_torus_is_exactly_one():
-    n = 8
-    lam = full_torus(n)
-    group = groups.finite_cyclic_sq(n)
-    wm = groups.word_metric(group)
-    est = density.beurling_density(lam, wm, [groups.ball(wm, None, 2.0)])
-    assert est.lower == est.upper == 1.0
+def test_density_rejects_the_inputs_it_does_not_count():
+    # density counts a plain lattice in closed discs and integrates the
+    # Gaussian; a holed lattice, a torus subset, an open K_n and the finite
+    # model raise ValueError naming what they are
+    em = groups.euclidean_metric(dim=2)
+    exhaustion = [euclid_ball(3.0)]
+    holed = frames.lattice_with_holes(0.5, 0.5, [(0.0, 0.0, 1.0)])
+    for lam in (holed, full_torus(4)):
+        with pytest.raises(ValueError, match=lam.kind):
+            density.beurling_density(lam, em, exhaustion)
+    with pytest.raises(ValueError, match="open"):
+        density.beurling_density(lattice(0.5, 0.5), em,
+                                 [euclid_ball(2.0), groups.ball(em, None, 3.0, closed=False)])
+    rep = reps.finite_weyl_heisenberg(4)
+    wm = groups.word_metric(rep.group)
+    q, k = groups.ball(wm, None, 1.0), groups.ball(wm, None, 2.0)
+    for integral in (density.error_integral_I, density.error_integral_J):
+        with pytest.raises(ValueError, match=rep.kind):
+            integral(rep, np.ones(4), q, k)
 
 
 def test_error_integrals_frozen_values_and_normalized_decay():
@@ -139,21 +160,6 @@ def test_error_integral_quadrature_matches_monte_carlo():
         assert abs(quad - mc) <= 3.0 * se
 
 
-def test_error_integral_finite_full_group_vanishes():
-    n = 8
-    rep = reps.finite_weyl_heisenberg(n)
-    rng = np.random.default_rng(3)
-    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    wm = groups.word_metric(rep.group)
-    q = groups.ball(wm, None, 1.0)
-    whole = groups.ball(wm, None, float(n))  # covers the torus
-    assert len(whole.points) == n * n
-    rec = density.error_integral_I(rep, g, q, whole)
-    assert rec.value == pytest.approx(0.0, abs=1e-12)
-    rec_j = density.error_integral_J(rep, g, q, whole)
-    assert rec_j.value >= 0.0
-
-
 def test_check_frame_counting_passes_with_assembled_constant():
     rep = reps.gabor_gaussian()
     g = reps.gaussian_window()
@@ -162,7 +168,8 @@ def test_check_frame_counting_passes_with_assembled_constant():
     q = euclid_ball(1.0)
     bounds = frames.frame_operator_spectrum(rep, g, lam, section_radius=12.0,
                                             margin=3.0)
-    checks = density.check_frame_counting(rep, g, lam, exhaustion, q, bounds)
+    checks = density.check_frame_counting(
+        rep, g, exhaustion, q, bounds, **counting_inputs(rep, g, lam, exhaustion, q, "I"))
     assert len(checks) == 4  # one per radius plus the density consequence
     assert all(c.passed for c in checks)
     assert {c.theorem for c in checks} == {"T3.3", "T3.6"}
@@ -184,7 +191,8 @@ def test_check_riesz_counting_sparse_lattice():
     exhaustion = [euclid_ball(r) for r in (6.0, 10.0, 14.0)]
     q = euclid_ball(1.0)
     bounds = frames.riesz_bounds(rep, g, lam, restriction_radius=8.0)
-    checks = density.check_riesz_counting(rep, g, lam, exhaustion, q, bounds)
+    checks = density.check_riesz_counting(
+        rep, g, exhaustion, q, bounds, **counting_inputs(rep, g, lam, exhaustion, q, "J"))
     assert len(checks) == 3
     assert all(c.passed for c in checks)
     assert all(c.theorem == "T3.5" for c in checks)
@@ -200,15 +208,22 @@ def test_counting_checks_validate_bounds_kind_and_records():
     q = euclid_ball(1.0)
     frame_bounds = frames.frame_operator_spectrum(rep, g, lam)
     riesz = frames.riesz_bounds(rep, g, lattice(2.0, 1.0), restriction_radius=6.0)
+    inputs = counting_inputs(rep, g, lam, exhaustion, q, "I")
     with pytest.raises(ValueError):
-        density.check_frame_counting(rep, g, lam, exhaustion, q, riesz)
+        density.check_frame_counting(rep, g, exhaustion, q, riesz, **inputs)
     with pytest.raises(ValueError):
-        density.check_riesz_counting(rep, g, lattice(2.0, 1.0), exhaustion, q,
-                                     frame_bounds)
+        density.check_riesz_counting(
+            rep, g, exhaustion, q, frame_bounds,
+            **counting_inputs(rep, g, lattice(2.0, 1.0), exhaustion, q, "J"))
     wrong_n = [density.error_integral_I(rep, g, q, euclid_ball(6.0), n=5)]
-    with pytest.raises(ValueError):
-        density.check_frame_counting(rep, g, lam, exhaustion, q, frame_bounds,
-                                     integrals=wrong_n)
+    with pytest.raises(ValueError, match="I_n"):
+        density.check_frame_counting(rep, g, exhaustion, q, frame_bounds,
+                                     integrals=wrong_n, estimate=inputs["estimate"])
+    # J_n records do not stand in for I_n ones
+    j_recs = counting_inputs(rep, g, lam, exhaustion, q, "J")["integrals"]
+    with pytest.raises(ValueError, match="I_n"):
+        density.check_frame_counting(rep, g, exhaustion, q, frame_bounds,
+                                     integrals=j_recs, estimate=inputs["estimate"])
 
 
 @pytest.mark.parametrize("side, a, b", [("frame", 0.5, 0.5), ("riesz", 2.0, 1.0)])
@@ -230,37 +245,33 @@ def test_run_density_computes_the_density_once(monkeypatch, tmp_path, side, a, b
     assert {"density", "checks"} <= set(report.timings)
 
 
-def test_counting_checks_reuse_a_precomputed_estimate():
+def test_counting_checks_reuse_a_precomputed_estimate(monkeypatch):
     rep = reps.gabor_gaussian()
     g = reps.gaussian_window()
-    em = groups.euclidean_metric(dim=2)
     q = euclid_ball(1.0)
-    for checker, lam, bounds in (
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checker recomputed its inputs")
+
+    for checker, lam, bounds, kind in (
             (density.check_frame_counting, lattice(0.5, 0.5),
-             frames.frame_operator_spectrum(rep, g, lattice(0.5, 0.5))),
+             frames.frame_operator_spectrum(rep, g, lattice(0.5, 0.5)), "I"),
             (density.check_riesz_counting, lattice(2.0, 1.0),
-             frames.riesz_bounds(rep, g, lattice(2.0, 1.0), restriction_radius=8.0))):
+             frames.riesz_bounds(rep, g, lattice(2.0, 1.0), restriction_radius=8.0), "J")):
         exhaustion = [euclid_ball(r) for r in (6.0, 10.0)]
-        est = density.beurling_density(lam, em, exhaustion)
-        fresh = checker(rep, g, lam, exhaustion, q, bounds)
-        assert checker(rep, g, lam, exhaustion, q, bounds, estimate=est) == fresh
+        inputs = counting_inputs(rep, g, lam, exhaustion, q, kind)
+        with monkeypatch.context() as m:
+            m.setattr(density, "beurling_density", refuse)
+            m.setattr(density, "_error_integral", refuse)
+            checks = checker(rep, g, exhaustion, q, bounds, **inputs)
+        # the per-n checks read the estimate's counts and the given integrals
+        for chk, rec, integ in zip(checks, inputs["estimate"].records, inputs["integrals"]):
+            count = rec.inf_count if kind == "I" else rec.sup_count
+            assert chk.lhs == count and chk.inputs["integral"] == integ.value
         # an estimate for another exhaustion is refused
         with pytest.raises(ValueError, match="exhaustion"):
-            checker(rep, g, lam, exhaustion[:1], q, bounds, estimate=est)
-
-
-def test_check_frame_counting_finite_full_torus():
-    n = 8
-    rep = reps.finite_weyl_heisenberg(n)
-    rng = np.random.default_rng(6)
-    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    lam = full_torus(n)
-    wm = groups.word_metric(rep.group)
-    exhaustion = [groups.ball(wm, None, 1.0), groups.ball(wm, None, 2.0)]
-    q = groups.ball(wm, None, 1.0)
-    bounds = frames.frame_operator_spectrum(rep, g, lam)
-    checks = density.check_frame_counting(rep, g, lam, exhaustion, q, bounds)
-    assert all(c.passed for c in checks)
+            checker(rep, g, exhaustion[:1], q, bounds, integrals=inputs["integrals"][:1],
+                    estimate=inputs["estimate"])
 
 
 def test_polynomial_error_exponent_fit():

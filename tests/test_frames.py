@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from coherentlab import density, frames, groups, reps
+from coherentlab import frames, groups, reps
 from coherentlab.frames import (
     FrameBounds,
     finite_subset,
@@ -494,9 +494,11 @@ def test_continuous_ball_restricts_lattice_kinds_only():
         frames.frame_operator_spectrum(rep, g, torus)
     with pytest.raises(ValueError):
         frames.riesz_bounds(rep, g, torus)
-    # a word ball still restricts a torus subset
+    # restrict is the lattice kinds' disk enumeration: a word ball on the
+    # torus is refused too
     wq = groups.ball(groups.word_metric(groups.finite_cyclic_sq(4)), None, 1.0)
-    assert torus.restrict(wq) == ((0, 0), (0, 1), (0, 3), (1, 0), (3, 0))
+    with pytest.raises(ValueError, match="finite_subset"):
+        torus.restrict(wq)
 
 
 def test_riesz_bounds_on_sparse_lattice_restriction():
@@ -633,8 +635,10 @@ def test_count_points_on_holes_and_open_balls_matches_enumeration():
         for closed in (True, False):
             for center in ((0.0, 0.0), (1.5, 0.5), (0.3125, -0.25)):
                 ball = groups.ball(em, None, 5.0, closed=closed).translate(center)
-                want = len(scan_lattice_points(lam, *center, 5.0, closed=closed))
-                assert density.count_points(lam, None, ball) == want
+                want = scan_lattice_points(lam, *center, 5.0, closed=closed)
+                assert lam.restrict(ball) == tuple(sorted(want))
+                if closed and lam.kind == frames.LATTICE:
+                    assert lam.lattice_count_near(*center, 5.0) == len(want)
     # random holes, centres and radii, some through a lattice point, both kinds
     rng = np.random.default_rng(11)
     for _ in range(150):
@@ -650,8 +654,8 @@ def test_count_points_on_holes_and_open_balls_matches_enumeration():
                 == scan_lattice_points(lam, cx, cy, r, closed), (a, b, holes, cx, cy, r)
     # the closed ball counts the 12 on-circle points, the open ball does not
     plain = lattice(0.5, 0.5)
-    closed_n = density.count_points(plain, None, groups.ball(em, None, 10.0, closed=True))
-    open_n = density.count_points(plain, None, groups.ball(em, None, 10.0, closed=False))
+    closed_n = plain.lattice_count_near(0.0, 0.0, 10.0)
+    open_n = len(plain.lattice_points_near(0.0, 0.0, 10.0, closed=False))
     assert closed_n - open_n == 12
 
 

@@ -346,21 +346,6 @@ def test_folner_ratio_heisenberg_gauge_matches_set_reference(k_radius):
         heisenberg_mul, kn.points, k.points)
 
 
-def test_ball_contains_searches_the_keys():
-    metric = groups.word_metric(groups.discrete_heisenberg())
-    for b in (groups.ball(metric, None, 2.0), groups.ball(metric, (1, 2, -1), 2.0)):
-        inside = set(b.points)
-        for el in itertools.product(range(-4, 5), repeat=3):
-            assert b.contains(el) == (el in inside)
-    b = groups.ball(metric, None, 2.0)
-    # H3 keys hold [-2^20, 2^20) per coordinate; past that (and past int64)
-    # an element is outside every enumerated ball
-    for el in ((1 << 20, 0, 0), (0, -(1 << 20) - 1, 0), (0, 0, 1 << 40), (1 << 70, 0, 0)):
-        assert b.contains(el) is False
-    with pytest.raises(ValueError):
-        groups.ball(groups.euclidean_metric(dim=2), None, 1.0).contains((0.0, 0.0))
-
-
 def test_geometry_run_never_decodes_ball_points(tmp_path, monkeypatch):
     config = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                           "geometry_heisenberg.ini")
