@@ -27,6 +27,7 @@ from .quadrature import (
     QuadratureError,
     gauss_profile_mass_outside,
     lens_area,
+    refine_rows,
     refine_trapezoid,
 )
 from .reps import (

@@ -256,6 +256,19 @@ def _validate(experiment: str, cfg: dict) -> None:
     _check_sizes(experiment, cfg, budget)
 
 
+def _ball_bound(group: str, metric: str, r: float) -> float:
+    """An upper bound on the elements of a geometry ball of radius r."""
+    if group == "euclidean":
+        return (2.0 * r + 1.0) ** 2
+    if metric == "heisenberg_gauge":
+        return groups.gauge_ball_estimate(r)
+    # a word of length m <= r has |x| + |y| <= m and, on H3, |z| <= m^2 / 4:
+    # each b step adds the current x to z, and |x| <= the a steps
+    m = math.floor(r)
+    diamond = 2 * m * m + 2 * m + 1
+    return diamond * (2 * (m * m // 4) + 1) if group == "discrete_heisenberg" else diamond
+
+
 def _check_sizes(experiment: str, cfg: dict, budget: int) -> None:
     """Reject a config whose largest enumeration or matrix would exceed the
     budget, naming the key that sets its size, before anything is built."""
@@ -293,8 +306,7 @@ def _check_sizes(experiment: str, cfg: dict, budget: int) -> None:
         sizes.append(("trials", "coefficient entries",
                       lambda: cfg["trials"] * cfg["n"] ** 2))
     if experiment == "geometry":
-        # a word ball of radius r holds at most (2 r + 1)^dim elements
-        dim = 3 if cfg["group"] == "discrete_heisenberg" else 2
+        group, metric = cfg["group"], cfg["metric"]
         first = max(cfg["folner_r0"] + 1.0, cfg["folner_step"])  # K_1 of the exhaustion
         last = _size(lambda: first + (cfg["folner_count"] - 1) * cfg["folner_step"])
         for key, which, radius in (
@@ -304,7 +316,11 @@ def _check_sizes(experiment: str, cfg: dict, budget: int) -> None:
                 ("folner_count", "largest Folner", last),
                 ("folner_k_radius", "Folner K", cfg["folner_k_radius"])):
             sizes.append((key, f"elements in the {which} ball",
-                          lambda r=radius: (2.0 * r + 1.0) ** dim))
+                          lambda r=radius: _ball_bound(group, metric, r)))
+        if group != "euclidean":  # the euclidean Folner ratio is closed-form
+            sizes.append(("folner_k_radius", "elements in the Folner product set",
+                          lambda: _ball_bound(group, metric, last)
+                          * _ball_bound(group, metric, cfg["folner_k_radius"])))
     on = f" on lattice_a = {a:g}, lattice_b = {b:g}" if a is not None else ""
     for key, what, size in sizes:
         n = _size(size)
@@ -562,8 +578,7 @@ def run_density(cfg: dict) -> RunReport:
     t0 = time.perf_counter()
     kind = "I" if side == "frame" else "J"
     integral_fn = density.error_integral_I if kind == "I" else density.error_integral_J
-    integrals = [integral_fn(rep, g, q, k, tol=cfg["tol"], n=i)
-                 for i, k in enumerate(exhaustion)]
+    integrals = integral_fn(rep, g, q, exhaustion, tol=cfg["tol"])
     report.timings["integrals"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     dens = density.beurling_density(lam, em, exhaustion, spacing)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import frames, groups, reps
 from .frames import FrameBounds, PointSet
-from .quadrature import gauss_profile_mass_outside, lens_area, refine_trapezoid
+from .quadrature import gauss_profile_mass_outside, lens_area, refine_rows
 from .reps import RadialProfile, RepModel
 
 
@@ -141,62 +141,74 @@ def beurling_density(lam: PointSet, metric: groups.PeriodicMetric,
 # -- Error integrals ----------------------------------------------------------------
 
 
-def _lens_reduced_integral(prof: RadialProfile, rho: float, r: float, kind: str,
-                           tol: float) -> float:
+def _lens_reduced_integrals(prof: RadialProfile, rho: float, radii: Sequence[float],
+                            kind: str, tol: float) -> list:
     """2 pi int F(u) u [pi R_a^2 - lens(R_a, R_b, u)] du with closed-form ends,
-    where F = prof.maximal_sq.
+    one value per radius r, where F = prof.maximal_sq.
 
     kind "I": R_a = r, R_b = r - rho (bracket = area of K_n outside the
     shifted inner disk); kind "J": R_a = r + rho, R_b = r.  The bracket is
-    flat below u = rho and vanishes from u = R_a + R_b on.
+    flat below u = rho and vanishes from u = R_a + R_b on.  The middle parts
+    of all radii refine together, each to the value it has on its own.
     """
-    if kind == "I" and r - rho <= 0.0:
-        return math.pi * r * r * prof.mass_outside(rho, 0.0)
-    r_a, r_b = (r, r - rho) if kind == "I" else (r + rho, r)
+    whole = prof.mass_outside(rho, 0.0)
+    plateau = whole - prof.mass_outside(rho, rho)
+    ends = [(r, r - rho) if kind == "I" else (r + rho, r) for r in radii]
+    # kind I with r <= rho has a closed form and no middle part
+    refined = [i for i, (_, r_b) in enumerate(ends) if kind == "J" or r_b > 0.0]
+    r_a, r_b = np.array([ends[i] for i in refined]).reshape(-1, 2).T
     const_area = math.pi * r_a * r_a
-    u_zero = r_a + r_b
-    flat = const_area - math.pi * r_b * r_b
-    head = flat * (prof.mass_outside(rho, 0.0) - prof.mass_outside(rho, rho))
 
-    def integrand(u):
+    def integrand(u, rows):
         # F underflows to exactly 0 far out, where the product is +0.0 whatever
         # the bracket: lens areas are taken at the live nodes only
-        u = np.atleast_1d(np.asarray(u, dtype=float))
         out = prof.maximal_sq(u, rho)
         live = out != 0.0
         ul = u[live]
-        bracket = const_area - lens_area(r_a, r_b, ul)
+        row = rows[np.nonzero(live)[0]]
+        bracket = const_area[row] - lens_area(r_a[row], r_b[row], ul)
         out[live] = out[live] * 2.0 * math.pi * ul * bracket
         return out
 
-    mid = refine_trapezoid(integrand, rho, u_zero, tol)
-    tail = const_area * prof.mass_outside(rho, u_zero)
-    return head + mid + tail
+    mids = dict(zip(refined, refine_rows(integrand, np.full(len(refined), rho),
+                                         r_a + r_b, tol).tolist()))
+    values = []
+    for i, (r, (ra, rb)) in enumerate(zip(radii, ends)):
+        if i not in mids:
+            values.append(math.pi * r * r * whole)
+            continue
+        area = math.pi * ra * ra
+        head = (area - math.pi * rb * rb) * plateau
+        values.append(head + mids[i] + area * prof.mass_outside(rho, ra + rb))
+    return values
 
 
-def _error_integral(rep: RepModel, g, q: groups.Ball, k: groups.Ball, kind: str,
-                    tol: float, n: int) -> ErrorIntegralRecord:
+def _error_integrals(rep: RepModel, g, q: groups.Ball, ks: Sequence[groups.Ball],
+                     kind: str, tol: float) -> list:
     prof = reps.radial_profile(rep, g)
     if prof is None:
         raise ValueError(f"error integrals need the Gaussian window, not the {rep.kind} model")
     if q.center != q.metric.group.identity():
         raise ValueError("Q must be centered at the identity")
-    if k.center != (0.0, 0.0):
+    if any(k.center != (0.0, 0.0) for k in ks):
         raise ValueError("K_n must be centered at the identity")
-    value = _lens_reduced_integral(prof, q.radius, k.radius, kind, tol)
-    return ErrorIntegralRecord(n, kind, value, tol, k.measure)
+    values = _lens_reduced_integrals(prof, q.radius, [k.radius for k in ks], kind, tol)
+    return [ErrorIntegralRecord(n, kind, value, tol, k.measure)
+            for n, (k, value) in enumerate(zip(ks, values))]
 
 
-def error_integral_I(rep: RepModel, g, q: groups.Ball, k: groups.Ball,
-                     tol: float = 1e-8, n: int = 0) -> ErrorIntegralRecord:
-    """I_n: inner K_n centers against the Q-thickened complement of K_n."""
-    return _error_integral(rep, g, q, k, "I", tol, n)
+def error_integral_I(rep: RepModel, g, q: groups.Ball, ks: Sequence[groups.Ball],
+                     tol: float = 1e-8) -> list:
+    """I_n for every K_n of the exhaustion ks, one record each, n = its
+    position: inner K_n centers against the Q-thickened complement of K_n."""
+    return _error_integrals(rep, g, q, ks, "I", tol)
 
 
-def error_integral_J(rep: RepModel, g, q: groups.Ball, k: groups.Ball,
-                     tol: float = 1e-8, n: int = 0) -> ErrorIntegralRecord:
-    """J_n: outer centers against the Q-thickened K_n."""
-    return _error_integral(rep, g, q, k, "J", tol, n)
+def error_integral_J(rep: RepModel, g, q: groups.Ball, ks: Sequence[groups.Ball],
+                     tol: float = 1e-8) -> list:
+    """J_n for every K_n of the exhaustion ks, one record each, n = its
+    position: outer centers against the Q-thickened K_n."""
+    return _error_integrals(rep, g, q, ks, "J", tol)
 
 
 def mc_error_integral(rep: RepModel, g, q: groups.Ball, k: groups.Ball,

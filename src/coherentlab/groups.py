@@ -394,13 +394,20 @@ def _word_spheres(metric: PeriodicMetric, int_radius: int) -> list:
     return metric._layers[: int_radius + 1]
 
 
+def gauge_ball_estimate(radius: float) -> float:
+    """The candidates a gauge ball of this radius enumerates: every (x, y)
+    with |x|, |y| <= radius and, for each, an interval of z of length
+    radius^2 / 2; a bound on the ball's elements."""
+    return (2 * math.floor(radius) + 1) ** 2 * (radius * radius / 2.0 + 2)
+
+
 def _gauge_ball_keys(metric: PeriodicMetric, radius: float, closed: bool) -> np.ndarray:
     key = (round(radius, 12), closed)
     if key in metric._gauge_cache:
         return metric._gauge_cache[key]
     m = int(math.floor(radius))
     span = radius * radius / 4.0
-    est = (2 * m + 1) ** 2 * (2 * span + 2)
+    est = gauge_ball_estimate(radius)
     if est > ball_budget():
         raise BudgetExceededError(f"gauge ball estimate {est:.0f} exceeds budget")
     pts = []

@@ -23,39 +23,67 @@ def refine_trapezoid(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                      min_doublings: int = 4) -> float:
     """Integrate fn over [a, b] by trapezoid halving with Richardson acceptance.
 
-    fn must accept numpy arrays.  Node reuse keeps each halving incremental;
-    convergence is declared when two successive extrapolated values agree to
-    tol.  Raises QuadratureError if max_doublings is exhausted.
+    fn must accept numpy arrays.  This is the one-row case of refine_rows.
     """
-    if b <= a:
-        return 0.0
-    width = b - a
+    return float(refine_rows(lambda u, rows: fn(u[0]), [a], [b], tol,
+                             max_doublings, min_doublings)[0])
+
+
+def refine_rows(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
+                tol: float = 1e-8, max_doublings: int = 22,
+                min_doublings: int = 4) -> np.ndarray:
+    """Integrate one function per row over [a_i, b_i] by trapezoid halving
+    with Richardson acceptance, all rows in one loop.
+
+    fn(u, rows) gets the (len(rows), nodes) nodes of the rows still refining,
+    rows indexing a and b, and returns their values.  Node reuse keeps each
+    halving incremental; a row is done when two successive extrapolated
+    values agree to tol, and its result is the one a refinement of that row
+    alone gives, to the bit.  A row with b_i <= a_i integrates to 0.  Raises
+    QuadratureError if a row is still refining after max_doublings.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = np.zeros(a.shape)
+    rows = np.flatnonzero(~(b <= a))  # a NaN bound refines, and fails to converge
+    if not rows.size:
+        return out
+    a, width = a[rows], b[rows] - a[rows]
 
     def eval_at(v):
-        u = a + width * (1.0 - np.cos(math.pi * v)) / 2.0
-        du = width * math.pi * np.sin(math.pi * v) / 2.0
-        return np.asarray(fn(u), dtype=float) * du
+        u = a[:, None] + width[:, None] * (1.0 - np.cos(math.pi * v)) / 2.0
+        du = (width * math.pi)[:, None] * np.sin(math.pi * v) / 2.0
+        return np.asarray(fn(u, rows), dtype=float) * du
 
     n = 8
     v = np.linspace(0.0, 1.0, n + 1)
     vals = eval_at(v)
-    t_prev = np.trapezoid(vals, dx=1.0 / n)
+    # each row is reduced on its own, as a lone refinement reduces it, so the
+    # row sums stay bit-equal to it
+    t_prev = np.array([np.trapezoid(row, dx=1.0 / n) for row in vals])
     r_prev = t_prev
     for level in range(1, max_doublings + 1):
         mid = (v[:-1] + v[1:]) / 2.0
         new_vals = eval_at(mid)
-        t_cur = t_prev / 2.0 + np.sum(new_vals) / (2 * n)
+        t_cur = t_prev / 2.0 + np.array([np.sum(row) for row in new_vals]) / (2 * n)
         # interleave for the next level
         merged_v = np.empty(2 * n + 1)
         merged_v[0::2] = v
         merged_v[1::2] = mid
-        merged_vals = np.empty(2 * n + 1)
-        merged_vals[0::2] = vals
-        merged_vals[1::2] = new_vals
+        merged_vals = np.empty((rows.size, 2 * n + 1))
+        merged_vals[:, 0::2] = vals
+        merged_vals[:, 1::2] = new_vals
         v, vals, n = merged_v, merged_vals, 2 * n
         r_cur = t_cur + (t_cur - t_prev) / 3.0
-        if level >= min_doublings and abs(r_cur - r_prev) < tol:
-            return float(r_cur)
+        if level >= min_doublings:
+            done = np.abs(r_cur - r_prev) < tol
+            if done.any():
+                out[rows[done]] = r_cur[done]
+                keep = ~done
+                if not keep.any():
+                    return out
+                rows, a, width, vals = rows[keep], a[keep], width[keep], vals[keep]
+                t_cur, r_cur = t_cur[keep], r_cur[keep]
         t_prev, r_prev = t_cur, r_cur
     raise QuadratureError(f"no convergence to tol={tol} after {max_doublings} doublings")
 
@@ -70,23 +98,28 @@ def _acos(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.acos, x.tolist()), dtype=float, count=x.size)
 
 
-def lens_area(r1: float, r2: float, d):
+def lens_area(r1, r2, d):
     """Area of the intersection of two disks with radii r1, r2 at center
-    distance d; an array of distances gives an array of areas."""
-    d = np.asarray(d, dtype=float)
+    distance d.  Arrays broadcast against each other (one radius pair per
+    distance, say) and give an array of areas; all scalars give a float."""
+    r1, r2, d = np.broadcast_arrays(np.asarray(r1, dtype=float),
+                                    np.asarray(r2, dtype=float),
+                                    np.asarray(d, dtype=float))
     out = np.zeros(d.shape)
-    if r1 > 0.0 and r2 > 0.0:
-        rm = min(r1, r2)
-        out[d <= abs(r1 - r2)] = math.pi * rm * rm
-        part = (d > abs(r1 - r2)) & (d < r1 + r2)
-        dp = d[part]
-        dsq = dp * dp
-        cosines = np.concatenate([(dsq + r1 * r1 - r2 * r2) / (2.0 * dp * r1),
-                                  (dsq + r2 * r2 - r1 * r1) / (2.0 * dp * r2)])
-        angles = _acos(np.minimum(np.maximum(cosines, -1.0), 1.0))
-        a1, a2 = angles[:dp.size], angles[dp.size:]
-        sq = (-dp + r1 + r2) * (dp + r1 - r2) * (dp - r1 + r2) * (dp + r1 + r2)
-        out[part] = r1 * r1 * a1 + r2 * r2 * a2 - 0.5 * np.sqrt(np.maximum(sq, 0.0))
+    both = (r1 > 0.0) & (r2 > 0.0)
+    gap = np.abs(r1 - r2)
+    inside = both & (d <= gap)
+    rm = np.minimum(r1[inside], r2[inside])
+    out[inside] = math.pi * rm * rm
+    part = both & (d > gap) & (d < r1 + r2)
+    dp, p1, p2 = d[part], r1[part], r2[part]
+    dsq = dp * dp
+    cosines = np.concatenate([(dsq + p1 * p1 - p2 * p2) / (2.0 * dp * p1),
+                              (dsq + p2 * p2 - p1 * p1) / (2.0 * dp * p2)])
+    angles = _acos(np.minimum(np.maximum(cosines, -1.0), 1.0))
+    a1, a2 = angles[:dp.size], angles[dp.size:]
+    sq = (-dp + p1 + p2) * (dp + p1 - p2) * (dp - p1 + p2) * (dp + p1 + p2)
+    out[part] = p1 * p1 * a1 + p2 * p2 * a2 - 0.5 * np.sqrt(np.maximum(sq, 0.0))
     return out if out.ndim else float(out)
 
 

@@ -136,8 +136,7 @@ def test_acceptance_5_frame_counting_bound():
     q = groups.ball(em, None, 1.0)
     bounds = frames.frame_operator_spectrum(rep, g, lam, section_radius=12.0,
                                             margin=3.0)
-    integrals = [density.error_integral_I(rep, g, q, k, tol=1e-8, n=i)
-                 for i, k in enumerate(exhaustion)]
+    integrals = density.error_integral_I(rep, g, q, exhaustion, tol=1e-8)
     est = density.beurling_density(lam, em, exhaustion)
     checks = density.check_frame_counting(rep, g, exhaustion, q, bounds,
                                           integrals=integrals, estimate=est)
@@ -165,8 +164,7 @@ def test_acceptance_6_riesz_counting_bound():
     exhaustion = [groups.ball(em, None, r, closed=True) for r in radii]
     q = groups.ball(em, None, 1.0)
     bounds = frames.riesz_bounds(rep, g, lam, restriction_radius=8.0)
-    integrals = [density.error_integral_J(rep, g, q, k, tol=1e-8, n=i)
-                 for i, k in enumerate(exhaustion)]
+    integrals = density.error_integral_J(rep, g, q, exhaustion, tol=1e-8)
     est = density.beurling_density(lam, em, exhaustion)
     checks = density.check_riesz_counting(rep, g, exhaustion, q, bounds,
                                           integrals=integrals, estimate=est)
@@ -211,8 +209,8 @@ def test_acceptance_8_oracle_equivalence():
     q = groups.ball(groups.euclidean_metric(dim=2), None, 1.0)
     k = groups.ball(groups.euclidean_metric(dim=2), None, 4.0, closed=True)
     mc_ok = True
-    for kind, quad in (("I", density.error_integral_I(rep, g, q, k).value),
-                       ("J", density.error_integral_J(rep, g, q, k).value)):
+    for kind, quad in (("I", density.error_integral_I(rep, g, q, [k])[0].value),
+                       ("J", density.error_integral_J(rep, g, q, [k])[0].value)):
         mc, se = density.mc_error_integral(rep, g, q, k, kind=kind,
                                            n_samples=10 ** 7, seed=8)
         mc_ok &= abs(quad - mc) <= 3.0 * se

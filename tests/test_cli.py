@@ -563,19 +563,46 @@ def _mutations(key, typ, default, rng):
     return out
 
 
+# configs that passed validation and then exited 2 naming no key, each with
+# the key it must name; they set these lines on the schema defaults
+SWEEP_REFUSED = {"geometry": [
+    ("growth_radii", ["group = discrete_heisenberg", "growth_radii = 4,5,6,60"]),
+    ("folner_k_radius", ["folner_k_radius = 100"])]}
+
+
 @pytest.mark.parametrize("experiment, base", SWEEP_BASES)
 def test_seeded_ini_mutation_sweep_never_raises(tmp_path, capsys, experiment, base):
     # every mutation of every key exits 0, 1 or 2, never with a traceback,
-    # and an exit 2 names the mutated key
+    # and an exit 2 names the mutated key; the refused configs exit 2
     rng = random.Random(14)
-    cases = [(key, lines) for key, (typ, default, _) in cli._SCHEMAS[experiment].items()
+    cases = [(key, base, lines, (0, 1, 2))
+             for key, (typ, default, _) in cli._SCHEMAS[experiment].items()
              for lines in _mutations(key, typ, default, rng)]
-    for i, (key, lines) in enumerate(cases):
-        body = [f"{k} = {v}" for k, v in base.items() if k != key]
+    cases += [(key, {}, lines, (2,)) for key, lines in SWEEP_REFUSED.get(experiment, ())]
+    for i, (key, keys, lines, codes) in enumerate(cases):
+        body = [f"{k} = {v}" for k, v in keys.items() if k != key]
         path = tmp_path / f"{i}.ini"
         path.write_text("\n".join([f"[{experiment}]", *body, *lines]) + "\n")
         code = cli.main([experiment, "--config", str(path), "--out", str(tmp_path / "out")])
         out, err = capsys.readouterr()
-        assert code in (0, 1, 2), (key, lines, code)
+        assert code in codes, (key, lines, code)
         if code == 2:
             assert re.search(rf"\b{key}\b", err), (key, lines, err)
+
+
+def test_geometry_ball_bounds_hold():
+    # the budget check's element bounds lie above the enumerated balls: exact
+    # on Z^2, (2r^2 + 2r + 1)(2 floor(r^2 / 4) + 1) for H3 word balls, and the
+    # candidate count for H3 gauge balls
+    h3 = groups.discrete_heisenberg()
+    cases = (("integer_lattice", "word", groups.word_metric(groups.integer_lattice(2)), 30),
+             ("discrete_heisenberg", "word", groups.word_metric(h3), 16),
+             ("discrete_heisenberg", "heisenberg_gauge", groups.heisenberg_gauge_metric(h3), 7))
+    for group, metric_kind, metric, top in cases:
+        for r in np.arange(0.0, top + 0.5, 0.5):
+            size = groups.ball(metric, None, float(r)).measure
+            bound = cli._ball_bound(group, metric_kind, float(r))
+            assert size <= bound, (group, metric_kind, r)
+            if group == "integer_lattice":
+                assert size == bound
+    assert cli._ball_bound("discrete_heisenberg", "word", 24.0) == 347_089

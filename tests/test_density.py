@@ -6,6 +6,7 @@ counts, the Monte Carlo sampler (which never touches the lens-area reduction),
 and hand-assembled constants.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 from coherentlab import cli, density, frames, groups, reps
 from coherentlab.frames import full_torus, lattice
-from coherentlab.quadrature import refine_trapezoid
+from coherentlab.quadrature import QuadratureError, refine_rows, refine_trapezoid
 
 
 def euclid_ball(radius):
@@ -36,7 +37,7 @@ def counting_inputs(rep, g, lam, exhaustion, q, kind):
     integral = density.error_integral_I if kind == "I" else density.error_integral_J
     return {"estimate": density.beurling_density(lam, groups.euclidean_metric(dim=2),
                                                  exhaustion),
-            "integrals": [integral(rep, g, q, k, n=i) for i, k in enumerate(exhaustion)]}
+            "integrals": integral(rep, g, q, exhaustion)}
 
 
 def test_count_points_box_ball_and_translation():
@@ -128,21 +129,21 @@ def test_density_rejects_the_inputs_it_does_not_count():
     q, k = groups.ball(wm, None, 1.0), groups.ball(wm, None, 2.0)
     for integral in (density.error_integral_I, density.error_integral_J):
         with pytest.raises(ValueError, match=rep.kind):
-            integral(rep, np.ones(4), q, k)
+            integral(rep, np.ones(4), q, [k])
 
 
 def test_error_integrals_frozen_values_and_normalized_decay():
     rep = reps.gabor_gaussian()
     g = reps.gaussian_window()
     q = euclid_ball(1.0)
-    i4 = density.error_integral_I(rep, g, q, euclid_ball(4.0), tol=1e-8)
-    j4 = density.error_integral_J(rep, g, q, euclid_ball(4.0), tol=1e-8)
+    [i4] = density.error_integral_I(rep, g, q, [euclid_ball(4.0)], tol=1e-8)
+    [j4] = density.error_integral_J(rep, g, q, [euclid_ball(4.0)], tol=1e-8)
     assert i4.value == pytest.approx(165.77658798, abs=1e-5)
     assert j4.value == pytest.approx(213.19732668, abs=1e-5)
     assert i4.measure == pytest.approx(math.pi * 16.0)
     assert i4.normalized == pytest.approx(i4.value / (math.pi * 16.0))
-    series = [density.error_integral_I(rep, g, q, euclid_ball(r), tol=1e-8, n=i)
-              for i, r in enumerate((4.0, 8.0, 16.0))]
+    series = density.error_integral_I(rep, g, q, [euclid_ball(r) for r in (4.0, 8.0, 16.0)],
+                                      tol=1e-8)
     normalized = [rec.normalized for rec in series]
     assert normalized == pytest.approx([3.298, 1.768, 0.913], abs=2e-3)
     assert normalized[0] > normalized[1] > normalized[2]
@@ -152,8 +153,8 @@ def test_error_integral_quadrature_matches_monte_carlo():
     q = euclid_ball(1.0)
     k = euclid_ball(4.0)
     rep, g = reps.gabor_gaussian(), reps.gaussian_window()
-    for kind, quad in (("I", density.error_integral_I(rep, g, q, k).value),
-                       ("J", density.error_integral_J(rep, g, q, k).value)):
+    for kind, quad in (("I", density.error_integral_I(rep, g, q, [k])[0].value),
+                       ("J", density.error_integral_J(rep, g, q, [k])[0].value)):
         mc, se = density.mc_error_integral(rep, g, q, k, kind=kind,
                                            n_samples=10 ** 6, seed=1)
         assert se > 0.0
@@ -215,7 +216,7 @@ def test_counting_checks_validate_bounds_kind_and_records():
         density.check_riesz_counting(
             rep, g, exhaustion, q, frame_bounds,
             **counting_inputs(rep, g, lattice(2.0, 1.0), exhaustion, q, "J"))
-    wrong_n = [density.error_integral_I(rep, g, q, euclid_ball(6.0), n=5)]
+    wrong_n = [dataclasses.replace(inputs["integrals"][0], n=5)]
     with pytest.raises(ValueError, match="I_n"):
         density.check_frame_counting(rep, g, exhaustion, q, frame_bounds,
                                      integrals=wrong_n, estimate=inputs["estimate"])
@@ -262,7 +263,7 @@ def test_counting_checks_reuse_a_precomputed_estimate(monkeypatch):
         inputs = counting_inputs(rep, g, lam, exhaustion, q, kind)
         with monkeypatch.context() as m:
             m.setattr(density, "beurling_density", refuse)
-            m.setattr(density, "_error_integral", refuse)
+            m.setattr(density, "_error_integrals", refuse)
             checks = checker(rep, g, exhaustion, q, bounds, **inputs)
         # the per-n checks read the estimate's counts and the given integrals
         for chk, rec, integ in zip(checks, inputs["estimate"].records, inputs["integrals"]):
@@ -283,8 +284,7 @@ def test_polynomial_error_exponent_fit():
     exhaustion = [euclid_ball(r) for r in radii]
     q = euclid_ball(1.0)
     est = density.beurling_density(lam, em, exhaustion)
-    integrals = [density.error_integral_I(rep, g, q, k, n=i)
-                 for i, k in enumerate(exhaustion)]
+    integrals = density.error_integral_I(rep, g, q, exhaustion)
     check = density.check_polynomial_error_exponent(
         est.records, integrals, alpha=2.0, delta=1.0)
     assert check.theorem == "T4.3i"
@@ -306,8 +306,7 @@ def test_polynomial_error_exponent_fit():
                                                 alpha=2.0, delta=1.0)
     narrow = [euclid_ball(r) for r in (4.0, 5.0, 6.0, 7.0)]
     est_narrow = density.beurling_density(lam, em, narrow)
-    ints_narrow = [density.error_integral_I(rep, g, q, k, n=i)
-                   for i, k in enumerate(narrow)]
+    ints_narrow = density.error_integral_I(rep, g, q, narrow)
     with pytest.raises(ValueError):
         density.check_polynomial_error_exponent(est_narrow.records, ints_narrow,
                                                 alpha=2.0, delta=1.0)
@@ -400,6 +399,43 @@ def _scalar_lens_area(r1, r2, d):
     return r1 * r1 * a1 + r2 * r2 * a2 - 0.5 * math.sqrt(max(sq, 0.0))
 
 
+def refine_trapezoid_oracle(fn, a, b, tol=1e-8, max_doublings=22, min_doublings=4):
+    """The one-integral trapezoid halving loop as it stood before the error
+    integrals of an exhaustion were refined together, kept verbatim as an
+    oracle that does not depend on quadrature.refine_rows."""
+    if b <= a:
+        return 0.0
+    width = b - a
+
+    def eval_at(v):
+        u = a + width * (1.0 - np.cos(math.pi * v)) / 2.0
+        du = width * math.pi * np.sin(math.pi * v) / 2.0
+        return np.asarray(fn(u), dtype=float) * du
+
+    n = 8
+    v = np.linspace(0.0, 1.0, n + 1)
+    vals = eval_at(v)
+    t_prev = np.trapezoid(vals, dx=1.0 / n)
+    r_prev = t_prev
+    for level in range(1, max_doublings + 1):
+        mid = (v[:-1] + v[1:]) / 2.0
+        new_vals = eval_at(mid)
+        t_cur = t_prev / 2.0 + np.sum(new_vals) / (2 * n)
+        # interleave for the next level
+        merged_v = np.empty(2 * n + 1)
+        merged_v[0::2] = v
+        merged_v[1::2] = mid
+        merged_vals = np.empty(2 * n + 1)
+        merged_vals[0::2] = vals
+        merged_vals[1::2] = new_vals
+        v, vals, n = merged_v, merged_vals, 2 * n
+        r_cur = t_cur + (t_cur - t_prev) / 3.0
+        if level >= min_doublings and abs(r_cur - r_prev) < tol:
+            return float(r_cur)
+        t_prev, r_prev = t_cur, r_cur
+    raise QuadratureError(f"no convergence to tol={tol} after {max_doublings} doublings")
+
+
 def _full_node_integral(prof, rho, r, kind, tol):
     """The lens-reduced error integral with a lens area at every node, also
     where the Gaussian weight is exactly 0."""
@@ -416,7 +452,7 @@ def _full_node_integral(prof, rho, r, kind, tol):
         bracket = const_area - np.array([_scalar_lens_area(r_a, r_b, x) for x in u.tolist()])
         return prof.maximal_sq(u, rho) * 2.0 * math.pi * u * bracket
 
-    mid = refine_trapezoid(integrand, rho, u_zero, tol)
+    mid = refine_trapezoid_oracle(integrand, rho, u_zero, tol)
     return head + mid + const_area * prof.mass_outside(rho, u_zero)
 
 
@@ -429,22 +465,22 @@ def test_error_integrals_take_lens_areas_at_live_nodes_only(monkeypatch, kind, r
     rep, g = reps.gabor_gaussian(), reps.gaussian_window()
     prof = reps.radial_profile(rep, g)
     nodes, lens_nodes = [], []
-    lens_area, refine = density.lens_area, density.refine_trapezoid
+    lens_area, refine = density.lens_area, density.refine_rows
 
     def lens_spy(r1, r2, d):
         lens_nodes.append(np.array(d))
         return lens_area(r1, r2, d)
 
     def refine_spy(fn, a, b, tol):
-        def counted(u):
+        def counted(u, rows):
             nodes.append(np.array(u))
-            return fn(u)
+            return fn(u, rows)
         return refine(counted, a, b, tol)
 
     monkeypatch.setattr(density, "lens_area", lens_spy)
-    monkeypatch.setattr(density, "refine_trapezoid", refine_spy)
+    monkeypatch.setattr(density, "refine_rows", refine_spy)
     integral = density.error_integral_I if kind == "I" else density.error_integral_J
-    got = integral(rep, g, euclid_ball(rho), euclid_ball(r), tol=1e-8).value
+    got = integral(rep, g, euclid_ball(rho), [euclid_ball(r)], tol=1e-8)[0].value
     monkeypatch.undo()
     assert got.hex() == _full_node_integral(prof, rho, r, kind, 1e-8).hex()
     if kind == "I" and r <= rho:
@@ -453,10 +489,71 @@ def test_error_integrals_take_lens_areas_at_live_nodes_only(monkeypatch, kind, r
     assert len(lens_nodes) == len(nodes)
     for d in lens_nodes:
         assert np.all(prof.maximal_sq(d, rho) != 0.0)
-    weights = prof.maximal_sq(np.concatenate(nodes), rho)
+    weights = prof.maximal_sq(np.concatenate([u.ravel() for u in nodes]), rho)
     assert sum(d.size for d in lens_nodes) == np.count_nonzero(weights)
     if r > 20.0:
         assert np.mean(weights == 0.0) > 0.5
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+def test_batched_error_integrals_equal_one_refinement_per_radius(seed, tol):
+    # every I_n and J_n of an exhaustion, refined together, equals to the bit
+    # the value of its radius refined alone by the pre-batch loop; the radii
+    # are unsorted, repeat, and (for I) include r <= rho, which has a closed
+    # form and no nodes
+    rep, g = reps.gabor_gaussian(), reps.gaussian_window()
+    prof = reps.radial_profile(rep, g)
+    rng = np.random.default_rng(seed)
+    rho = float(rng.uniform(0.5, 2.0))
+    radii = [float(r) for r in rng.uniform(rho + 0.1, 30.0, 5)]
+    radii += [radii[1], rho, float(rng.uniform(0.2, rho)), float(rng.uniform(rho, 3.0))]
+    radii = [radii[i] for i in rng.permutation(len(radii))]
+    ks = [euclid_ball(r) for r in radii]
+    for kind, integral in (("I", density.error_integral_I), ("J", density.error_integral_J)):
+        recs = integral(rep, g, euclid_ball(rho), ks, tol=tol)
+        assert [(rec.n, rec.kind, rec.tol) for rec in recs] \
+            == [(n, kind, tol) for n in range(len(ks))]
+        assert [rec.measure for rec in recs] == [k.measure for k in ks]
+        assert [rec.value.hex() for rec in recs] \
+            == [_full_node_integral(prof, rho, r, kind, tol).hex() for r in radii]
+    assert density.error_integral_I(rep, g, euclid_ball(rho), []) == []
+
+
+def test_refine_rows_equal_one_refinement_per_row():
+    # rows of different widths and integrands leave the loop at different
+    # levels; each keeps the value its own refinement gives, b <= a gives 0,
+    # and refine_trapezoid is the one-row call
+    scales = np.array([0.3, 1.0, 4.0, 9.0, 1.0, 2.5])
+    a = np.array([0.0, -1.0, 0.5, 0.0, 2.0, 1.0])
+    b = np.array([1.0, 3.0, 6.0, 0.7, 2.0, 0.5])
+
+    def rowwise(u, rows):
+        return np.exp(-scales[rows][:, None] * u * u) * np.cos(scales[rows][:, None] * u)
+
+    def one(i):
+        return lambda u: np.exp(-scales[i] * u * u) * np.cos(scales[i] * u)
+
+    for tol in (1e-6, 1e-9, 1e-12):
+        got = refine_rows(rowwise, a, b, tol)
+        want = [refine_trapezoid_oracle(one(i), a[i], b[i], tol) for i in range(a.size)]
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+        assert [refine_trapezoid(one(i), a[i], b[i], tol).hex()
+                for i in range(a.size)] == [x.hex() for x in want]
+
+
+def test_refine_rows_raise_when_a_row_does_not_converge():
+    # row 1 oscillates too fast for 8 doublings; the smooth rows converge
+    # within them, and a row with b <= a never reaches the integrand
+    def rowwise(u, rows):
+        freq = np.where(rows == 1, 3000.0, 1.0)[:, None]
+        return np.cos(freq * math.pi * u)
+
+    smooth = refine_rows(rowwise, [0.0, 0.0, 0.0], [1.0, 0.0, 2.0], 1e-8, max_doublings=8)
+    assert smooth.tolist() == pytest.approx([0.0, 0.0, 0.0], abs=1e-8)
+    with pytest.raises(QuadratureError, match="no convergence"):
+        refine_rows(rowwise, [0.0, 0.0, 0.0], [1.0, 1.0, 2.0], 1e-8, max_doublings=8)
+    assert refine_rows(None, [1.0, 2.0], [1.0, 0.0]).tolist() == [0.0, 0.0]
 
 
 def test_beurling_density_counts_every_radius_in_one_call(monkeypatch):

@@ -82,6 +82,24 @@ def test_lens_area_limit_cases():
         assert areas.tolist() == [lens_area_scalar_reference(r1, r2, float(x)) for x in d]
 
 
+def test_lens_area_per_element_radii_equal_scalar_calls():
+    # one radius pair per distance, as the batched error integrals pass them:
+    # each entry is the scalar call and the scalar formula to the last bit,
+    # across the disjoint, nested, touching, partial and zero-radius cases
+    rng = np.random.default_rng(11)
+    r1 = np.concatenate([[1.0, 2.0, 1.0, 0.0, 6.0, 1.0, 3.0], rng.uniform(0.0, 8.0, 300)])
+    r2 = np.concatenate([[1.0, 1.0, 3.0, 1.0, 5.0, 0.0, 3.0], rng.uniform(0.0, 8.0, 300)])
+    d = np.concatenate([[2.0, 1.0, 2.0, 0.5, 7.0, 0.3, 0.0], rng.uniform(0.0, 16.0, 300)])
+    areas = lens_area(r1, r2, d)
+    assert areas.shape == d.shape
+    scalar = [lens_area(float(x), float(y), float(z)) for x, y, z in zip(r1, r2, d)]
+    assert areas.tolist() == scalar
+    assert scalar == [lens_area_scalar_reference(float(x), float(y), float(z))
+                      for x, y, z in zip(r1, r2, d)]
+    # scalar radii broadcast against the distances
+    assert lens_area(2.0, r2, d).tolist() == lens_area(np.full(d.size, 2.0), r2, d).tolist()
+
+
 def test_lens_area_against_grid_oracle():
     cases = [(1.0, 1.0, 1.0), (2.0, 1.5, 2.2), (3.0, 1.0, 2.5), (1.0, 2.0, 1.3)]
     for r1, r2, d in cases:

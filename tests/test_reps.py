@@ -118,8 +118,8 @@ def test_radial_profile_follows_the_window():
         return rb.lower, rb.upper
 
     values = (
-        lambda rep, g: density.error_integral_I(rep, g, q, k).value,
-        lambda rep, g: density.error_integral_J(rep, g, q, k).value,
+        lambda rep, g: density.error_integral_I(rep, g, q, [k])[0].value,
+        lambda rep, g: density.error_integral_J(rep, g, q, [k])[0].value,
         lambda rep, g: reps.estimate_formal_degree(rep, g, 6.0),
         lambda rep, g: reps.decay_envelope_check(rep, g, 1.0, 2.0, 4.0),
         riesz)
@@ -151,8 +151,8 @@ def test_every_time_frequency_estimator_checks_the_window_in_radial_profile():
     calls = {
         "estimate_formal_degree": lambda: reps.estimate_formal_degree(rep, bad, 6.0),
         "decay_envelope_check": lambda: reps.decay_envelope_check(rep, bad, 1.0, 2.0, 4.0),
-        "error_integral_I": lambda: density.error_integral_I(rep, bad, q, k),
-        "error_integral_J": lambda: density.error_integral_J(rep, bad, q, k),
+        "error_integral_I": lambda: density.error_integral_I(rep, bad, q, [k]),
+        "error_integral_J": lambda: density.error_integral_J(rep, bad, q, [k]),
         "mc_error_integral": lambda: density.mc_error_integral(rep, bad, q, k,
                                                                n_samples=10),
         "lemma_cover_constant": lambda: frames.lemma_cover_constant(rep, bad, q),
