@@ -257,9 +257,7 @@ def _validate(experiment: str, cfg: dict) -> None:
 
 
 def _ball_bound(group: str, metric: str, r: float) -> float:
-    """An upper bound on the elements of a geometry ball of radius r."""
-    if group == "euclidean":
-        return (2.0 * r + 1.0) ** 2
+    """An upper bound on the elements of a discrete geometry ball of radius r."""
     if metric == "heisenberg_gauge":
         return groups.gauge_ball_estimate(r)
     # a word of length m <= r has |x| + |y| <= m and, on H3, |z| <= m^2 / 4:
@@ -309,15 +307,27 @@ def _check_sizes(experiment: str, cfg: dict, budget: int) -> None:
         group, metric = cfg["group"], cfg["metric"]
         first = max(cfg["folner_r0"] + 1.0, cfg["folner_step"])  # K_1 of the exhaustion
         last = _size(lambda: first + (cfg["folner_count"] - 1) * cfg["folner_step"])
-        for key, which, radius in (
-                ("growth_radii", "largest growth", cfg["growth_radii"][-1]),
-                ("annular_radii", "largest annular", max(cfg["annular_radii"])),
-                ("folner_step", "first Folner", first),
-                ("folner_count", "largest Folner", last),
-                ("folner_k_radius", "Folner K", cfg["folner_k_radius"])):
-            sizes.append((key, f"elements in the {which} ball",
-                          lambda r=radius: _ball_bound(group, metric, r)))
-        if group != "euclidean":  # the euclidean Folner ratio is closed-form
+        balls = [("growth_radii", "largest growth", cfg["growth_radii"][-1]),
+                 ("annular_radii", "largest annular", max(cfg["annular_radii"])),
+                 ("folner_step", "first Folner", first),
+                 ("folner_count", "largest Folner", last),
+                 ("folner_k_radius", "Folner K", cfg["folner_k_radius"])]
+        if group == "euclidean":
+            # closed forms enumerate no points, but the exhaustion still
+            # builds one ball and one row per Folner set, and the measures
+            # must stay finite; the Folner ratio measures the ball of radius
+            # r_n + r_K
+            sizes.append(("folner_count", "Folner sets", lambda: cfg["folner_count"]))
+            balls.append(("folner_k_radius", "Folner product", last + cfg["folner_k_radius"]))
+            for key, which, radius in balls:
+                if math.isinf(_size(lambda r=radius: groups.ball_measure(
+                        groups.euclidean_metric(dim=2), r))):
+                    raise ConfigError(f"{_key_value(cfg, key)} overflows the closed-form "
+                                      f"measure of the {which} ball")
+        else:
+            for key, which, radius in balls:
+                sizes.append((key, f"elements in the {which} ball",
+                              lambda r=radius: _ball_bound(group, metric, r)))
             sizes.append(("folner_k_radius", "elements in the Folner product set",
                           lambda: _ball_bound(group, metric, last)
                           * _ball_bound(group, metric, cfg["folner_k_radius"])))
@@ -325,11 +335,16 @@ def _check_sizes(experiment: str, cfg: dict, budget: int) -> None:
     for key, what, size in sizes:
         n = _size(size)
         if n > budget:
-            value = cfg[key]
-            value = (",".join(f"{v:g}" for v in value) if isinstance(value, tuple)
-                     else f"{value:g}")
-            raise ConfigError(f"{key} = {value}{on} gives ~{n:.3g} {what}, over the "
+            raise ConfigError(f"{_key_value(cfg, key)}{on} gives ~{n:.3g} {what}, over the "
                               f"enumeration budget ({groups.BUDGET_ENV_VAR}={budget})")
+
+
+def _key_value(cfg: dict, key: str) -> str:
+    """``key = value`` as an error message names it."""
+    value = cfg[key]
+    value = (",".join(f"{v:g}" for v in value) if isinstance(value, tuple)
+             else f"{value:g}")
+    return f"{key} = {value}"
 
 
 # -- Run report ----------------------------------------------------------------------

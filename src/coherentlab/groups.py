@@ -228,17 +228,6 @@ def _right_translates(group: GroupModel, keys: np.ndarray, qs) -> list:
     return out
 
 
-def _unique(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct keys.  numpy 2.4's np.unique (and so np.isin) hashes
-    int64 input, which is about 30x slower than this sort on 5e5 keys.  The
-    input is mostly a few sorted runs (right translates of sorted keys keep
-    their order on Z^d and H3), which the stable sort merges ~3x faster."""
-    keys = np.sort(keys, kind="stable")
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first]
-
-
 def _in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Membership of each key in a sorted key array, by binary search."""
     if not len(sorted_keys):
@@ -301,30 +290,150 @@ class PeriodicMetric:
     def _grow_layers(self, up_to: int) -> None:
         """Extend the cached BFS spheres out to word length ``up_to``.
 
-        The generators are symmetric, so every neighbour of sphere r lies in
-        sphere r - 1, r or r + 1: new candidates are checked against the last
-        two spheres only.  A finite group stops growing at its first empty
-        sphere: every later one is empty too.
+        Each new sphere is found on a boolean bitmap of a box that holds the
+        ball of radius ``up_to`` (see ``_BallBox``): the right translates of
+        the last sphere's box indices by the generators, less the cells
+        already marked, sorted and deduplicated.  The generators are
+        symmetric, so every neighbour of sphere r lies in sphere r - 1, r or
+        r + 1: only the last two cached spheres are marked when a call
+        starts.  A finite group stops growing at its first empty sphere:
+        every later one is empty too.
         """
         group = self.group
         if not self._layers:
             self._layers.append(_keys(group, np.array([group.identity()], dtype=np.int64)))
+        if len(self._layers) > up_to or not len(self._layers[-1]):
+            return
         budget = ball_budget()
+        box = _BallBox.around(group, up_to, budget)
+        unseen = np.ones(box.cells, dtype=bool)
+        for keys in self._layers[-2:]:
+            sphere = box.index(keys)
+            unseen[sphere] = False
         total = sum(len(layer) for layer in self._layers)
-        while len(self._layers) <= up_to and len(self._layers[-1]):
-            nxt = _unique(np.concatenate(
-                _right_translates(group, self._layers[-1], group.generators)))
-            new = np.ones(len(nxt), dtype=bool)
-            for seen in self._layers[-2:]:
-                at = np.minimum(np.searchsorted(nxt, seen), len(nxt) - 1)
-                new[at[nxt[at] == seen]] = False
-            nxt = nxt[new]
-            total += len(nxt)
+        while len(self._layers) <= up_to and len(sphere):
+            moved = box.right_translates(sphere)
+            # the blocks are sorted runs on Z^d and H3, which a stable sort merges
+            moved = np.sort(moved[unseen[moved]], kind="stable")
+            first = np.ones(len(moved), dtype=bool)
+            first[1:] = moved[1:] != moved[:-1]
+            sphere = moved[first]
+            unseen[sphere] = False
+            total += len(sphere)
             if total > budget:
                 raise BudgetExceededError(
                     f"word ball enumeration exceeded budget {budget} at radius {len(self._layers)}"
                 )
-            self._layers.append(nxt)
+            self._layers.append(box.keys(sphere))
+
+
+@dataclass(frozen=True)
+class _BallBox:
+    """A box of group elements that holds a word ball, indexed row-major.
+
+    Element c sits at cell sum_i (c_i - lo_i) * strides_i, so the order of
+    the cells is the lexicographic order of the tuples, which is the order
+    of their ``_keys``.  A key and a cell differ by ``base`` plus, for every
+    coordinate i but the last, the digit c_i - lo_i times ``excess[i]``, its
+    key step less its cell step; the last coordinate steps both by 1.  On
+    Z_N x Z_N the digits are taken mod N and cells are decoded instead.
+
+    The bounds hold for the factories' generator stars: on Z^d a word of
+    length R has |x_i| <= R; on H3 also |x|, |y| <= R, and |z| <= floor(R^2
+    / 4), since each b step adds the current x to z and k b steps among R
+    leave |x| <= R - k, so they add at most k (R - k); on Z_N x Z_N the
+    signed coordinates have |x|, |y| <= R, and the box is the whole group
+    once 2 R + 1 >= N.
+    """
+
+    group: GroupModel
+    lo: tuple
+    strides: tuple
+    cells: int
+    base: int
+    excess: tuple
+
+    @classmethod
+    def around(cls, group: GroupModel, radius: int, budget: int) -> "_BallBox":
+        """The box of the word ball of this radius.  As a bitmap it takes 1
+        byte per cell.  A box of more than d! cells per budgeted element on
+        Z^d, 6 on H3 or 4 on Z_N x Z_N holds a ball over the budget, which
+        the BFS would refuse at some radius anyway: it raises before anything
+        is allocated.  The box over the ell^1 ball of Z^d tends to d! from
+        below; on H3 it peaks at 5.41 (radius 6) and tends to 144 / 31; on
+        Z_N x Z_N it is under 2 while smaller than the group, and the whole
+        group over the diamond of radius (N - 1) // 2 after."""
+        if group.kind == FINITE_CYCLIC_SQ:
+            side = min(group.modulus, 2 * radius + 1)
+            lo, shape, per_element = [-(side // 2)] * 2, [side] * 2, 4
+        else:
+            lo, shape = [-radius] * group.dim, [2 * radius + 1] * group.dim
+            per_element = math.factorial(group.dim)
+            if group.kind == DISCRETE_HEISENBERG:
+                lo[2], shape[2] = -(radius * radius // 4), 2 * (radius * radius // 4) + 1
+                per_element = 6
+        cells = math.prod(shape)
+        if cells > per_element * budget:
+            raise BudgetExceededError(
+                f"word ball of radius {radius} exceeds budget {budget} ({BUDGET_ENV_VAR}): "
+                f"its box has {cells} cells, more than {per_element} per budgeted element")
+        strides = [math.prod(shape[i + 1:]) for i in range(group.dim)]
+        if group.kind == FINITE_CYCLIC_SQ:
+            return cls(group, tuple(lo), tuple(strides), cells, 0, ())
+        bits = 63 // group.dim
+        corners = np.array([lo, [l + n - 1 for l, n in zip(lo, shape)]], dtype=np.int64)
+        base = int(_keys(group, corners)[0])  # raises outside the key range
+        excess = [(1 << bits * (group.dim - 1 - i)) - strides[i] for i in range(group.dim - 1)]
+        return cls(group, tuple(lo), tuple(strides), cells, base, tuple(excess))
+
+    def index(self, keys: np.ndarray) -> np.ndarray:
+        """Cells of packed elements that lie in the box."""
+        group = self.group
+        if group.kind == FINITE_CYCLIC_SQ:
+            digits = (_coords(group, keys) - np.array(self.lo)) % group.modulus
+            return digits @ np.array(self.strides)
+        bits = 63 // group.dim
+        cells = keys - self.base
+        for i, excess in enumerate(self.excess):
+            field = (keys >> bits * (group.dim - 1 - i)) & ((1 << bits) - 1)
+            cells -= (field - (self.lo[i] + (1 << bits - 1))) * excess
+        return cells
+
+    def keys(self, cells: np.ndarray) -> np.ndarray:
+        """Sorted ``_keys`` of the elements at these sorted cells."""
+        group = self.group
+        if group.kind == FINITE_CYCLIC_SQ:
+            x = cells // self.strides[0]
+            digits = np.stack([x, cells - x * self.strides[0]], axis=1)
+            return np.sort(_keys(group, (digits + np.array(self.lo)) % group.modulus))
+        keys = cells + self.base
+        for stride, excess in zip(self.strides, self.excess):
+            digit = cells // stride  # c_i - lo_i; np.divmod and % are several times slower
+            cells = cells - digit * stride
+            keys += digit * excess
+        return keys
+
+    def right_translates(self, cells: np.ndarray) -> np.ndarray:
+        """Cells of p * q for every p at ``cells`` and every generator q,
+        one block per q.  A block lies in the box when every p is shorter
+        than the box's radius.  On Z^d and H3 each block keeps the order of
+        ``cells``: on H3, p * b^(+-1) moves z by +-x, and x never falls as
+        the cell grows."""
+        group = self.group
+        if group.kind == FINITE_CYCLIC_SQ:
+            n, side = group.modulus, self.strides[0]
+            x = cells // side
+            y = cells - x * side
+            return np.concatenate([(x + qx) % n * side + (y + qy) % n
+                                   for qx, qy in group.generators])
+        if group.kind == DISCRETE_HEISENBERG:
+            x = cells // self.strides[0] + self.lo[0]
+        out = np.empty((len(group.generators), len(cells)), dtype=np.int64)
+        for block, q in zip(out, group.generators):
+            np.add(cells, sum(c * s for c, s in zip(q, self.strides)), out=block)
+            if group.kind == DISCRETE_HEISENBERG and q[1]:
+                block += x * q[1]
+        return out.ravel()
 
 
 def euclidean_metric(group: GroupModel | None = None, dim: int = 2) -> PeriodicMetric:
@@ -410,17 +519,24 @@ def _gauge_ball_keys(metric: PeriodicMetric, radius: float, closed: bool) -> np.
     est = gauge_ball_estimate(radius)
     if est > ball_budget():
         raise BudgetExceededError(f"gauge ball estimate {est:.0f} exceeds budget")
-    pts = []
-    for x in range(-m, m + 1):
-        for y in range(-m, m + 1):
-            z_mid = x * y / 2.0
-            z_lo = int(math.ceil(z_mid - span))
-            z_hi = int(math.floor(z_mid + span))
-            for z in range(z_lo, z_hi + 1):
-                g = _cygan_gauge((x, y, z))
-                if (g <= radius) if closed else (g < radius):
-                    pts.append((x, y, z))
-    out = np.sort(_keys(metric.group, np.array(pts, dtype=np.int64).reshape(-1, 3)))
+    # every (x, y) with |x|, |y| <= m, then its z interval, in tuple order
+    x, y = (c.ravel() for c in np.meshgrid(np.arange(-m, m + 1), np.arange(-m, m + 1),
+                                           indexing="ij"))
+    z_mid = x * y / 2.0
+    z_lo = np.ceil(z_mid - span).astype(np.int64)
+    counts = np.floor(z_mid + span).astype(np.int64) - z_lo + 1
+    x, y = np.repeat(x, counts), np.repeat(y, counts)
+    z = np.repeat(z_lo - (np.cumsum(counts) - counts), counts) + np.arange(len(x))
+    # _cygan_gauge's operations, element by element
+    t = z - x * y / 2.0
+    quartic = (x * x + y * y) ** 2 + 16.0 * t * t
+    gauge = quartic ** 0.25
+    # numpy's vectorised pow may round differently from the libm pow that
+    # _cygan_gauge calls: near the radius, take the scalar's own
+    near = np.flatnonzero(np.abs(gauge - radius) <= 1e-12 * radius)
+    gauge[near] = [q ** 0.25 for q in quartic[near].tolist()]
+    inside = gauge <= radius if closed else gauge < radius
+    out = _keys(metric.group, np.stack([x[inside], y[inside], z[inside]], axis=1))
     metric._gauge_cache[key] = out
     return out
 

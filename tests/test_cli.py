@@ -459,6 +459,9 @@ def test_huge_and_tiny_values_exit_2_naming_the_key(tmp_path, capsys):
                       "group": "discrete_heisenberg"}, "growth_radii"),
         # each geometry radius names its own key
         ("geometry", {"folner_count": 10 ** 30}, "folner_count"),
+        # euclidean balls are closed forms, but each Folner set is one ball and one row
+        ("geometry", {"group": "euclidean", "folner_count": 10 ** 30}, "folner_count"),
+        ("geometry", {"group": "euclidean", "folner_count": 10 ** 9}, "folner_count"),
         ("geometry", {"folner_step": 1e100}, "folner_step"),
         ("geometry", {"folner_k_radius": 1e100}, "folner_k_radius"),
         ("geometry", {"annular_radii": "6,1e300"}, "annular_radii"),
@@ -606,3 +609,23 @@ def test_geometry_ball_bounds_hold():
             if group == "integer_lattice":
                 assert size == bound
     assert cli._ball_bound("discrete_heisenberg", "word", 24.0) == 347_089
+
+
+def test_euclidean_geometry_budgets_only_closed_form_overflow(tmp_path, capsys):
+    # euclidean balls, growth fits and Folner ratios are closed forms: no
+    # lattice points are enumerated, so only an overflowing measure exits 2
+    path = write_ini(tmp_path, "big.ini", "geometry",
+                     {"group": "euclidean", "growth_radii": "4,5,6,2000"})
+    assert cli.main(["geometry", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    cases = [({"growth_radii": "4,5,6,1e160"}, "growth_radii"),
+             ({"annular_radii": "2,1e160"}, "annular_radii"),
+             # r_n and r_K are finite alone, r_n + r_K squared is not
+             ({"folner_count": 1, "folner_step": 5e153, "folner_k_radius": 5e153},
+              "folner_k_radius")]
+    for i, (body, key) in enumerate(cases):
+        path = write_ini(tmp_path, f"{i}.ini", "geometry", {"group": "euclidean", **body})
+        assert cli.main(["geometry", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"config error: {key} = ") and "overflows" in err, err
+        assert "Traceback" not in err and "overall" not in out

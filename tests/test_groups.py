@@ -3,8 +3,10 @@
 The discrete oracles here are independent re-derivations: an ell^1 closed form
 for Z^2 word balls and an ell^1 box scan for Z^d, a from-scratch BFS for the
 Heisenberg group in normal form (x, y, z), (x', y', z') -> (x + x', y + y',
-z + z' + x y'), the telescoping Folner ratio formula for nested ell^1 balls,
-and a set-algebra Folner ratio on tuples.
+z + z' + x y'), a tuple-set BFS on the group law of every discrete kind, the
+telescoping Folner ratio formula for nested ell^1 balls, a set-algebra Folner
+ratio on tuples, and the gauge-ball enumeration as one scalar gauge per
+candidate.
 """
 
 import itertools
@@ -486,3 +488,185 @@ def test_word_balls_of_any_radius_on_a_finite_torus():
         assert groups.ball(metric, None, radius).measure == 16.0
         assert groups.ball_measure(metric, radius) == 16.0
     assert len(metric._layers) == 6  # spheres of radius 0..4, then the empty one
+
+
+def tuple_bfs_spheres(mul, gens, identity, max_radius):
+    """Word spheres as sets of tuples, by BFS on the group law; stops at the
+    first empty sphere."""
+    spheres = [{identity}]
+    seen = {identity}
+    while len(spheres) <= max_radius and spheres[-1]:
+        nxt = {mul(el, g) for el in spheres[-1] for g in gens} - seen
+        seen |= nxt
+        spheres.append(nxt)
+    return spheres
+
+
+def _add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _torus_add(n):
+    return lambda a, b: ((a[0] + b[0]) % n, (a[1] + b[1]) % n)
+
+
+BFS_CASES = [
+    (groups.integer_lattice(2), _add, [(1, 0), (-1, 0), (0, 1), (0, -1)], (0, 0), 60),
+    (groups.discrete_heisenberg(), heisenberg_mul, HEISENBERG_GENS, (0, 0, 0), 26),
+    *[(groups.finite_cyclic_sq(n), _torus_add(n), [(1, 0), (n - 1, 0), (0, 1), (0, n - 1)],
+       (0, 0), 2 * n) for n in (2, 3, 9)],
+    # the box spans the ball, not the group, while 2 r + 1 < N
+    (groups.finite_cyclic_sq(101), _torus_add(101), [(1, 0), (100, 0), (0, 1), (0, 100)],
+     (0, 0), 30),
+]
+BFS_IDS = ["Z2", "H3", "Z2^2", "Z3^2", "Z9^2", "Z101^2"]
+
+
+@pytest.mark.parametrize("group, mul, gens, identity, radius", BFS_CASES, ids=BFS_IDS)
+def test_word_spheres_match_a_tuple_bfs(group, mul, gens, identity, radius):
+    # the torus radii run past the diameter: the spheres end with one empty one
+    want = tuple_bfs_spheres(mul, gens, identity, radius)
+    metric = groups.word_metric(group)
+    metric._grow_layers(radius)
+    assert len(metric._layers) == len(want)
+    for r, (got, sphere) in enumerate(zip(metric._layers, want)):
+        keys = groups._keys(group, np.array(sorted(sphere), dtype=np.int64).reshape(-1, group.dim))
+        assert got.dtype == np.int64 and np.array_equal(got, keys), r
+
+
+@pytest.mark.parametrize("group, radius", [
+    (groups.integer_lattice(2), 40), (groups.integer_lattice(3), 12),
+    (groups.discrete_heisenberg(), 20), (groups.finite_cyclic_sq(9), 12),
+    (groups.finite_cyclic_sq(31), 20),
+], ids=["Z2", "Z3", "H3", "Z9^2", "Z31^2"])
+def test_growing_radius_by_radius_gives_the_layers_of_one_call(group, radius):
+    # each call sizes its own bitmap and restarts from the last two spheres
+    whole = groups.word_metric(group)
+    whole._grow_layers(radius)
+    for steps in (range(radius + 1), (0, 1, 4, 5, 11, radius)):
+        metric = groups.word_metric(group)
+        for r in steps:
+            metric._grow_layers(r)
+        assert len(metric._layers) == len(whole._layers)
+        assert all(np.array_equal(a, b) for a, b in zip(metric._layers, whole._layers))
+
+
+def test_word_length_of_random_heisenberg_elements_matches_the_tuple_bfs():
+    dist = heisenberg_bfs_distances(14)
+    rng = np.random.default_rng(5)
+    elements = list(dist)
+    metric = groups.word_metric(groups.discrete_heisenberg())
+    for i in rng.choice(len(elements), 300, replace=False):
+        el = elements[i]
+        assert metric.length(el) == dist[el], el
+    # elements drawn from a box, most of them far outside the 14-ball
+    box = [tuple(int(c) for c in rng.integers(-6, 7, 3)) for _ in range(100)]
+    for el in box:
+        if el in dist:
+            assert metric.length(el) == dist[el], el
+        else:
+            assert metric.length(el) > 14, el
+
+
+def test_bfs_bitmap_is_budgeted_before_it_is_allocated(monkeypatch):
+    # 1 byte per box cell; a box of more cells per budgeted element than the
+    # kind's box ever holds per ball element (d! on Z^d, 6 on H3, 4 on the
+    # torus) proves the ball over the budget and raises before allocating
+    monkeypatch.setenv(groups.BUDGET_ENV_VAR, "1000")
+    metric = groups.word_metric(groups.discrete_heisenberg())
+    # radius 6: 593 elements in 13 x 13 x 19 = 3211 <= 6000 cells
+    assert groups._BallBox.around(metric.group, 6, 1000).cells == 3211
+    metric._grow_layers(6)
+    assert sum(map(len, metric._layers)) == 593
+    # radius 7: 5625 cells pass, and the elements then exceed the budget
+    with pytest.raises(groups.BudgetExceededError, match="word ball enumeration"):
+        metric._grow_layers(7)
+    # radius 9: 19 x 19 x 41 = 14801 cells
+    with pytest.raises(groups.BudgetExceededError,
+                       match=rf"budget 1000 \({groups.BUDGET_ENV_VAR}\): its box has 14801 cells"):
+        groups._BallBox.around(metric.group, 9, 1000)
+    fresh = groups.word_metric(groups.discrete_heisenberg())
+    with pytest.raises(groups.BudgetExceededError, match=groups.BUDGET_ENV_VAR):
+        fresh._grow_layers(9)
+    assert len(fresh._layers) == 1  # nothing grew
+    # Z^4 and Z^5 boxes hold up to 24 and 120 cells per ball element: the
+    # radius 5 ball of Z^4 (681 elements, 11^4 = 14641 cells) and the radius 4
+    # ball of Z^5 (681 elements, 9^5 = 59049 cells) fit the budget
+    for dim, radius in ((4, 5), (5, 4)):
+        lattice = groups.word_metric(groups.integer_lattice(dim))
+        lattice._grow_layers(radius)
+        assert sum(map(len, lattice._layers)) == 681
+        with pytest.raises(groups.BudgetExceededError, match=groups.BUDGET_ENV_VAR):
+            lattice._grow_layers(radius + 1)
+    # the torus box spans the ball, not the group: the radius 2 ball of
+    # Z_N x Z_N with N = 10^6 takes 5 x 5 cells
+    torus = groups.word_metric(groups.finite_cyclic_sq(10 ** 6))
+    assert groups._BallBox.around(torus.group, 2, 1000).cells == 25
+    torus._grow_layers(2)
+    assert [len(layer) for layer in torus._layers] == [1, 4, 8]
+    with pytest.raises(groups.BudgetExceededError, match="its box has 10000 cells"):
+        groups._BallBox.around(groups.finite_cyclic_sq(100), 60, 1000)
+    # a radius far past the budget raises without building a box
+    with pytest.raises(groups.BudgetExceededError, match=groups.BUDGET_ENV_VAR):
+        groups.word_metric(groups.integer_lattice(2))._grow_layers(10 ** 300)
+
+
+def test_ball_boxes_never_refuse_a_ball_within_the_budget():
+    # a box raises only when its ball would exceed the budget: with the budget
+    # set to the ball's exact size, no box of any radius raises
+    def balls(group, radius):
+        metric = groups.word_metric(group)
+        metric._grow_layers(radius)
+        return itertools.accumulate(map(len, metric._layers))
+
+    for dim in range(1, 6):
+        # |ell^1 ball of Z^d| = sum_k 2^k C(d, k) C(r, k)
+        for r in range(0, 400):
+            size = sum(2 ** k * math.comb(dim, k) * math.comb(r, k) for k in range(dim + 1))
+            groups._BallBox.around(groups.integer_lattice(dim), r, size)
+    for r, size in enumerate(balls(groups.discrete_heisenberg(), 40)):
+        groups._BallBox.around(groups.discrete_heisenberg(), r, size)
+    for n in range(2, 14):
+        sizes = list(balls(groups.finite_cyclic_sq(n), 2 * n))
+        for r in range(0, 2 * n + 1):
+            groups._BallBox.around(groups.finite_cyclic_sq(n), r, sizes[min(r, len(sizes) - 1)])
+
+
+def gauge_ball_keys_scalar(radius, closed):
+    """The gauge-ball enumeration as one Python gauge per candidate."""
+    m = int(math.floor(radius))
+    span = radius * radius / 4.0
+    pts = []
+    for x in range(-m, m + 1):
+        for y in range(-m, m + 1):
+            z_mid = x * y / 2.0
+            for z in range(int(math.ceil(z_mid - span)), int(math.floor(z_mid + span)) + 1):
+                g = groups._cygan_gauge((x, y, z))
+                if (g <= radius) if closed else (g < radius):
+                    pts.append((x, y, z))
+    h3 = groups.discrete_heisenberg()
+    return np.sort(groups._keys(h3, np.array(pts, dtype=np.int64).reshape(-1, 3)))
+
+
+def test_gauge_ball_keys_match_the_scalar_loop():
+    # integer radii put elements exactly on the sphere, such as (r, 0, 0) and,
+    # for even r, (0, 0, r^2 / 4): closed and open balls differ by those ties
+    rng = np.random.default_rng(9)
+    radii = [0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 9.0, 0.5, 2.5, 5.5, 7.5,
+             *rng.uniform(0.1, 10.0, 6).tolist()]
+    # radii equal to an element's scalar gauge make that element a tie; take
+    # those where numpy's vectorised pow rounds differently from libm's pow
+    els = itertools.product(range(-5, 6), range(0, 6), range(-9, 10))
+    quartics = [(x * x + y * y) ** 2 + 16.0 * t * t  # as in _cygan_gauge
+                for x, y, z in els for t in [z - x * y / 2.0]]
+    vector = (np.array(quartics) ** 0.25).tolist()
+    differ = [q ** 0.25 for q, v in zip(quartics, vector) if q ** 0.25 != v]
+    radii += differ[:6] + rng.choice([q ** 0.25 for q in quartics], 4).tolist()
+    ties = 0
+    for radius in radii:
+        closed = groups._gauge_ball_keys(groups.heisenberg_gauge_metric(), radius, True)
+        opened = groups._gauge_ball_keys(groups.heisenberg_gauge_metric(), radius, False)
+        assert np.array_equal(closed, gauge_ball_keys_scalar(radius, True)), radius
+        assert np.array_equal(opened, gauge_ball_keys_scalar(radius, False)), radius
+        ties += len(closed) - len(opened)
+    assert ties > 0
