@@ -18,6 +18,7 @@ import numpy as np
 
 DEFAULT_BALL_BUDGET = 5_000_000
 BUDGET_ENV_VAR = "COHERENTLAB_MAX_BALL_ELEMENTS"
+_GAUGE_SLAB = 1 << 16  # candidates per slab of a gauge-ball enumeration
 
 EUCLIDEAN = "euclidean"
 INTEGER_LATTICE = "integer_lattice"
@@ -155,11 +156,6 @@ def finite_cyclic_sq(n: int) -> GroupModel:
 # -- Element keys -------------------------------------------------------------
 
 
-def _key_range_error(bits: int) -> OverflowError:
-    return OverflowError(f"group element coordinate outside the key range "
-                         f"[-2^{bits - 1}, 2^{bits - 1})")
-
-
 def _keys(group: GroupModel, pts: np.ndarray) -> np.ndarray:
     """Pack the rows of an (n, dim) int64 array into one int64 key each.
 
@@ -171,7 +167,8 @@ def _keys(group: GroupModel, pts: np.ndarray) -> np.ndarray:
     bits = 63 // group.dim
     offset = 1 << (bits - 1)
     if pts.size and (pts.min() < -offset or pts.max() >= offset):
-        raise _key_range_error(bits)
+        raise OverflowError(f"group element coordinate outside the key range "
+                            f"[-2^{bits - 1}, 2^{bits - 1})")
     keys = np.zeros(len(pts), dtype=np.int64)
     for col in (pts + offset).T:
         keys = (keys << bits) | col
@@ -183,57 +180,6 @@ def _coords(group: GroupModel, keys: np.ndarray) -> np.ndarray:
     bits = 63 // group.dim
     shifts = bits * np.arange(group.dim - 1, -1, -1, dtype=np.int64)
     return ((keys[:, None] >> shifts) & ((1 << bits) - 1)) - (1 << (bits - 1))
-
-
-def _right_translates(group: GroupModel, keys: np.ndarray, qs) -> list:
-    """Keys of p * q for every packed p, one array per q in ``qs``.
-
-    Each array is in the order of ``keys``; every q must lie in the key
-    range.  On Z^d and H3 every field of p * q is the field of p plus a
-    shift: q's coordinate, and on H3 also x * b in the z field, with x read
-    from p's top field and b = q[1].  So the keys move by the packed shifts
-    once every shifted field is checked to stay in [0, 2^bits): a constant
-    shift against the field's extremes over ``keys``, the z shift x * b + c
-    element by element.  Z_N x Z_N wraps, so it decodes and multiplies.
-    """
-    qs = [tuple(int(c) for c in q) for q in qs]
-    if group.kind == FINITE_CYCLIC_SQ:
-        pts = _coords(group, keys)
-        return [_keys(group, group.multiply_array(pts, q)) for q in qs]
-    bits = 63 // group.dim
-    offset = 1 << (bits - 1)
-    if any(not -offset <= c < offset for q in qs for c in q):
-        raise _key_range_error(bits)
-    if not keys.size:
-        return [keys.copy() for _ in qs]
-    mask = (1 << bits) - 1
-    shifts = [bits * (group.dim - 1 - i) for i in range(group.dim)]
-    fields = [(keys >> s) & mask for s in shifts]
-    lo = [int(f.min()) for f in fields]
-    hi = [int(f.max()) for f in fields]
-    out = []
-    for q in qs:
-        moved = keys + sum(c << s for c, s in zip(q, shifts))
-        constant = list(enumerate(q))
-        if group.kind == DISCRETE_HEISENBERG and q[1]:
-            constant = constant[:2]
-            xb = (fields[0] - offset) * q[1]
-            moved += xb
-            z = fields[2] + xb + q[2]
-            if z.min() < 0 or z.max() > mask:
-                raise _key_range_error(bits)
-        if any(lo[i] + c < 0 or hi[i] + c > mask for i, c in constant):
-            raise _key_range_error(bits)
-        out.append(moved)
-    return out
-
-
-def _in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Membership of each key in a sorted key array, by binary search."""
-    if not len(sorted_keys):
-        return np.zeros(len(keys), dtype=bool)
-    idx = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-    return sorted_keys[idx] == keys
 
 
 # -- Metrics ------------------------------------------------------------------
@@ -252,8 +198,9 @@ class PeriodicMetric:
 
     Kinds: ``euclidean_norm`` on R^d, ``word_metric`` on any discrete kind,
     ``homogeneous_heisenberg`` (Cygan gauge) on H3(Z).  Word-metric spheres
-    are cached on the instance as sorted key arrays and grown incrementally
-    under the element budget.
+    are cached on the instance as sorted key arrays and grown under the
+    element budget; the growth, annular and Folner sweeps grow their largest
+    word ball first, in one BFS, and Folner ratios count on a box bitmap.
     """
 
     kind: str
@@ -279,11 +226,11 @@ class PeriodicMetric:
         if group.kind == FINITE_CYCLIC_SQ:
             n = group.modulus
             return int(sum(min(x % n, (-x) % n) for x in el))
-        key = _keys(group, np.array([el], dtype=np.int64))
+        key = int(_keys(group, np.array([el], dtype=np.int64))[0])
         radius = 0
         while True:
             self._grow_layers(radius)
-            if _in_sorted(self._layers[radius], key)[0]:
+            if key in self._layers[radius]:
                 return radius
             radius += 1
 
@@ -312,8 +259,8 @@ class PeriodicMetric:
             unseen[sphere] = False
         total = sum(len(layer) for layer in self._layers)
         while len(self._layers) <= up_to and len(sphere):
-            moved = box.right_translates(sphere)
-            # the blocks are sorted runs on Z^d and H3, which a stable sort merges
+            moved = box.right_translates(sphere, group.generators).ravel()
+            # the rows are sorted runs on Z^d and H3, which a stable sort merges
             moved = np.sort(moved[unseen[moved]], kind="stable")
             first = np.ones(len(moved), dtype=bool)
             first[1:] = moved[1:] != moved[:-1]
@@ -329,21 +276,16 @@ class PeriodicMetric:
 
 @dataclass(frozen=True)
 class _BallBox:
-    """A box of group elements that holds a word ball, indexed row-major.
+    """A row-major box of group elements for the word-ball BFS and Folner count.
 
     Element c sits at cell sum_i (c_i - lo_i) * strides_i, so the order of
     the cells is the lexicographic order of the tuples, which is the order
     of their ``_keys``.  A key and a cell differ by ``base`` plus, for every
     coordinate i but the last, the digit c_i - lo_i times ``excess[i]``, its
     key step less its cell step; the last coordinate steps both by 1.  On
-    Z_N x Z_N the digits are taken mod N and cells are decoded instead.
-
-    The bounds hold for the factories' generator stars: on Z^d a word of
-    length R has |x_i| <= R; on H3 also |x|, |y| <= R, and |z| <= floor(R^2
-    / 4), since each b step adds the current x to z and k b steps among R
-    leave |x| <= R - k, so they add at most k (R - k); on Z_N x Z_N the
-    signed coordinates have |x|, |y| <= R, and the box is the whole group
-    once 2 R + 1 >= N.
+    Z_N x Z_N the coordinates are signed, the digits are taken mod N and
+    cells are decoded instead; an axis of N or more cells is the whole
+    group, with its digits taken from 0.
     """
 
     group: GroupModel
@@ -354,28 +296,22 @@ class _BallBox:
     excess: tuple
 
     @classmethod
-    def around(cls, group: GroupModel, radius: int, budget: int) -> "_BallBox":
-        """The box of the word ball of this radius.  As a bitmap it takes 1
-        byte per cell.  A box of more than d! cells per budgeted element on
-        Z^d, 6 on H3 or 4 on Z_N x Z_N holds a ball over the budget, which
-        the BFS would refuse at some radius anyway: it raises before anything
-        is allocated.  The box over the ell^1 ball of Z^d tends to d! from
-        below; on H3 it peaks at 5.41 (radius 6) and tends to 144 / 31; on
-        Z_N x Z_N it is under 2 while smaller than the group, and the whole
-        group over the diamond of radius (N - 1) // 2 after."""
+    def spanning(cls, group: GroupModel, lo: Sequence[int], hi: Sequence[int], budget: int,
+                 what: str) -> "_BallBox":
+        """The box of the elements with lo_i <= c_i <= hi_i, 1 byte per cell
+        as a bitmap.  A box of more than d! cells per budgeted element on
+        Z^d, 6 on H3 or 4 on Z_N x Z_N raises before anything is allocated
+        (see ``around``); a box outside the key range raises OverflowError."""
+        lo, shape = list(lo), [h - l + 1 for l, h in zip(lo, hi)]
         if group.kind == FINITE_CYCLIC_SQ:
-            side = min(group.modulus, 2 * radius + 1)
-            lo, shape, per_element = [-(side // 2)] * 2, [side] * 2, 4
-        else:
-            lo, shape = [-radius] * group.dim, [2 * radius + 1] * group.dim
-            per_element = math.factorial(group.dim)
-            if group.kind == DISCRETE_HEISENBERG:
-                lo[2], shape[2] = -(radius * radius // 4), 2 * (radius * radius // 4) + 1
-                per_element = 6
+            lo = [0 if n >= group.modulus else l for l, n in zip(lo, shape)]
+            shape = [min(n, group.modulus) for n in shape]
+        per_element = {FINITE_CYCLIC_SQ: 4, DISCRETE_HEISENBERG: 6}.get(
+            group.kind, math.factorial(group.dim))
         cells = math.prod(shape)
         if cells > per_element * budget:
             raise BudgetExceededError(
-                f"word ball of radius {radius} exceeds budget {budget} ({BUDGET_ENV_VAR}): "
+                f"{what} exceeds budget {budget} ({BUDGET_ENV_VAR}): "
                 f"its box has {cells} cells, more than {per_element} per budgeted element")
         strides = [math.prod(shape[i + 1:]) for i in range(group.dim)]
         if group.kind == FINITE_CYCLIC_SQ:
@@ -385,6 +321,23 @@ class _BallBox:
         base = int(_keys(group, corners)[0])  # raises outside the key range
         excess = [(1 << bits * (group.dim - 1 - i)) - strides[i] for i in range(group.dim - 1)]
         return cls(group, tuple(lo), tuple(strides), cells, base, tuple(excess))
+
+    @classmethod
+    def around(cls, group: GroupModel, radius: int, budget: int) -> "_BallBox":
+        """The box of the word ball of this radius, for the factories'
+        generator stars: a word of length R has |x_i| <= R on Z^d; on H3 also
+        |z| <= floor(R^2 / 4), since each b step adds the current x to z and k
+        b steps among R leave |x| <= R - k, so they add at most k (R - k); on
+        Z_N x Z_N the signed |x|, |y| <= R.  Per ball element the box over
+        the ell^1 ball of Z^d tends to d! cells from below; on H3 it peaks at
+        5.41 (radius 6) and tends to 144 / 31; on Z_N x Z_N it is under 2,
+        and the whole group over the diamond of radius (N - 1) // 2 after.
+        So a box over the budget holds a ball over it, which the BFS would
+        refuse at some radius anyway."""
+        hi = [radius] * group.dim
+        if group.kind == DISCRETE_HEISENBERG:
+            hi[2] = radius * radius // 4
+        return cls.spanning(group, [-h for h in hi], hi, budget, f"word ball of radius {radius}")
 
     def index(self, keys: np.ndarray) -> np.ndarray:
         """Cells of packed elements that lie in the box."""
@@ -413,27 +366,27 @@ class _BallBox:
             keys += digit * excess
         return keys
 
-    def right_translates(self, cells: np.ndarray) -> np.ndarray:
-        """Cells of p * q for every p at ``cells`` and every generator q,
-        one block per q.  A block lies in the box when every p is shorter
-        than the box's radius.  On Z^d and H3 each block keeps the order of
-        ``cells``: on H3, p * b^(+-1) moves z by +-x, and x never falls as
-        the cell grows."""
+    def right_translates(self, cells: np.ndarray, qs) -> np.ndarray:
+        """Cells of p * q for every p at ``cells``, one row per q in ``qs``.
+        The caller keeps every product in the box.  On Z^d and H3 each row
+        keeps the order of ``cells``: p * q moves a cell by q's shift, plus
+        x * q_y on H3, and x never falls as the cell grows."""
         group = self.group
+        out = np.empty((len(qs), len(cells)), dtype=np.int64)
         if group.kind == FINITE_CYCLIC_SQ:
             n, side = group.modulus, self.strides[0]
             x = cells // side
             y = cells - x * side
-            return np.concatenate([(x + qx) % n * side + (y + qy) % n
-                                   for qx, qy in group.generators])
+            for row, (qx, qy) in zip(out, qs):
+                np.add((x + qx) % n * side, (y + qy) % n, out=row)
+            return out
         if group.kind == DISCRETE_HEISENBERG:
             x = cells // self.strides[0] + self.lo[0]
-        out = np.empty((len(group.generators), len(cells)), dtype=np.int64)
-        for block, q in zip(out, group.generators):
-            np.add(cells, sum(c * s for c, s in zip(q, self.strides)), out=block)
+        for row, q in zip(out, qs):
+            np.add(cells, sum(int(c) * s for c, s in zip(q, self.strides)), out=row)
             if group.kind == DISCRETE_HEISENBERG and q[1]:
-                block += x * q[1]
-        return out.ravel()
+                row += x * int(q[1])
+        return out
 
 
 def euclidean_metric(group: GroupModel | None = None, dim: int = 2) -> PeriodicMetric:
@@ -497,8 +450,6 @@ class Ball:
 
 def _word_spheres(metric: PeriodicMetric, int_radius: int) -> list:
     """Sorted key arrays of the word spheres of radius 0, ..., int_radius."""
-    if int_radius < 0:
-        return []
     metric._grow_layers(int_radius)
     return metric._layers[: int_radius + 1]
 
@@ -519,24 +470,29 @@ def _gauge_ball_keys(metric: PeriodicMetric, radius: float, closed: bool) -> np.
     est = gauge_ball_estimate(radius)
     if est > ball_budget():
         raise BudgetExceededError(f"gauge ball estimate {est:.0f} exceeds budget")
-    # every (x, y) with |x|, |y| <= m, then its z interval, in tuple order
-    x, y = (c.ravel() for c in np.meshgrid(np.arange(-m, m + 1), np.arange(-m, m + 1),
-                                           indexing="ij"))
-    z_mid = x * y / 2.0
-    z_lo = np.ceil(z_mid - span).astype(np.int64)
-    counts = np.floor(z_mid + span).astype(np.int64) - z_lo + 1
-    x, y = np.repeat(x, counts), np.repeat(y, counts)
-    z = np.repeat(z_lo - (np.cumsum(counts) - counts), counts) + np.arange(len(x))
-    # _cygan_gauge's operations, element by element
-    t = z - x * y / 2.0
-    quartic = (x * x + y * y) ** 2 + 16.0 * t * t
-    gauge = quartic ** 0.25
-    # numpy's vectorised pow may round differently from the libm pow that
-    # _cygan_gauge calls: near the radius, take the scalar's own
-    near = np.flatnonzero(np.abs(gauge - radius) <= 1e-12 * radius)
-    gauge[near] = [q ** 0.25 for q in quartic[near].tolist()]
-    inside = gauge <= radius if closed else gauge < radius
-    out = _keys(metric.group, np.stack([x[inside], y[inside], z[inside]], axis=1))
+    # every (x, y) with |x|, |y| <= m, then its z interval, in tuple order, in
+    # slabs of x of at most _GAUGE_SLAB candidates (or one x)
+    width = max(1, _GAUGE_SLAB // ((2 * m + 1) * (int(2 * span) + 1)))
+    slabs = []
+    for x0 in range(-m, m + 1, width):
+        x, y = (c.ravel() for c in np.meshgrid(np.arange(x0, min(x0 + width, m + 1)),
+                                               np.arange(-m, m + 1), indexing="ij"))
+        z_mid = x * y / 2.0
+        z_lo = np.ceil(z_mid - span).astype(np.int64)
+        counts = np.floor(z_mid + span).astype(np.int64) - z_lo + 1
+        x, y = np.repeat(x, counts), np.repeat(y, counts)
+        z = np.repeat(z_lo - (np.cumsum(counts) - counts), counts) + np.arange(len(x))
+        # _cygan_gauge's operations, element by element
+        t = z - x * y / 2.0
+        quartic = (x * x + y * y) ** 2 + 16.0 * t * t
+        gauge = quartic ** 0.25
+        # numpy's vectorised pow may round differently from the libm pow that
+        # _cygan_gauge calls: near the radius, take the scalar's own
+        near = np.flatnonzero(np.abs(gauge - radius) <= 1e-12 * radius)
+        gauge[near] = [q ** 0.25 for q in quartic[near].tolist()]
+        inside = gauge <= radius if closed else gauge < radius
+        slabs.append(_keys(metric.group, np.stack([x[inside], y[inside], z[inside]], axis=1)))
+    out = np.concatenate(slabs)
     metric._gauge_cache[key] = out
     return out
 
@@ -605,6 +561,7 @@ def fit_growth_exponent(metric: PeriodicMetric, radii: Sequence[float]) -> Growt
         raise ValueError("need at least 4 radii")
     if any(r < 1 for r in radii) or any(b >= a for a, b in zip(radii[1:], radii[:-1])):
         raise ValueError("radii must be strictly increasing and >= 1")
+    ball_measure(metric, radii[-1], closed=True)  # one BFS grows every ball
     vols = tuple(ball_measure(metric, r, closed=True) for r in radii)
     if min(vols) <= 0:
         raise ValueError("ball measure vanished; radii too small for this metric")
@@ -636,14 +593,15 @@ class AnnularDecayFit:
 
 
 def _annular_samples(metric: PeriodicMetric, r_samples, s_fracs):
+    if any(not 0.0 < frac <= 1.0 for frac in s_fracs):
+        raise ValueError("s fractions must lie in (0, 1]")
+    ball_measure(metric, max(r_samples, default=0.0), closed=False)  # one BFS grows every ball
     rows = []
     for r in r_samples:
         mu_r = ball_measure(metric, r, closed=False)
         if mu_r <= 0:
             raise ValueError(f"open ball of radius {r} is empty")
         for frac in s_fracs:
-            if not 0.0 < frac <= 1.0:
-                raise ValueError("s fractions must lie in (0, 1]")
             s = frac * r
             inner = r - s
             mu_in = ball_measure(metric, inner, closed=False) if inner > 0 else 0.0
@@ -667,11 +625,9 @@ def estimate_annular_decay(metric: PeriodicMetric, r_samples: Sequence[float],
     best = None
     for delta in sorted(delta_grid, reverse=True):
         c_needed = max((ratio * (r / s) ** delta for r, s, ratio in rows), default=0.0)
-        if best is None:
-            best = (delta, c_needed)  # fallback: smallest requirement seen last
         if c_needed <= c_max:
             return AnnularDecayFit(float(delta), float(c_needed), 0, tuple(rows), c_max)
-        best = (delta, c_needed)
+        best = (delta, c_needed)  # fallback: the smallest delta's requirement
     return AnnularDecayFit(float(best[0]), float(best[1]), 0, tuple(rows), c_max)
 
 
@@ -689,20 +645,47 @@ def annular_violations(fit: AnnularDecayFit, metric: PeriodicMetric,
 # -- Folner machinery ----------------------------------------------------------
 
 
+def _left_translates(group: GroupModel, keys: np.ndarray, x: tuple) -> np.ndarray:
+    """Keys of x * p for packed p, all in the key range: each field moves by x's
+    coordinate, H3's z also by x_0 * p_1; Z_N x Z_N wraps, so it decodes."""
+    if group.kind == FINITE_CYCLIC_SQ:
+        return _keys(group, group.multiply_array(x, _coords(group, keys)))
+    bits = 63 // group.dim
+    out = keys + sum(c << bits * (group.dim - 1 - i) for i, c in enumerate(x))
+    if group.kind == DISCRETE_HEISENBERG:
+        out += x[0] * (((keys >> bits) & ((1 << bits) - 1)) - (1 << bits - 1))
+    return out
+
+
+def _field_bounds(group: GroupModel, keys: np.ndarray) -> tuple:
+    """Per-field least and greatest coordinates of packed elements; signed on Z_N x Z_N."""
+    if group.kind == FINITE_CYCLIC_SQ:
+        n = group.modulus
+        pts = (_coords(group, keys) + n // 2) % n - n // 2
+        return pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+    bits = 63 // group.dim
+    fields = [(keys >> bits * (group.dim - 1 - i)) & ((1 << bits) - 1) for i in range(group.dim)]
+    offset = 1 << bits - 1
+    return [int(f.min()) - offset for f in fields], [int(f.max()) - offset for f in fields]
+
+
 def folner_ratio(metric: PeriodicMetric, k_n: Ball, k: Ball) -> float:
     """mu(K_n K intersect K_n^c K) / mu(K_n) for balls K_n and K.
 
-    K must be centered at the identity.  Discrete kinds are computed by exact
-    set algebra on the keys of the enumerated balls.  An element x of K_n K
-    lies outside K_n^c K when x q^-1 is in K_n for every q in K; K is
-    symmetric, so that is when x lies in all |K| right translates K_n q.  One
-    sort of the translates' keys counts both: its distinct keys are K_n K,
-    and the keys that occur |K| times are the ones outside K_n^c K.  The
+    K must be centered at the identity, and K_n must not be empty.  An x in
+    K_n K lies outside K_n^c K when x q^-1 is in K_n for every q in K; K is
+    symmetric, so that is when x q is.  Discrete kinds count exactly on a
+    bitmap of a box holding K_n K: the cells of K_n are marked, then each
+    right translate K_n q, q != e, is gathered into a mask of those x and
+    marked.  K_n is first translated back to the identity: the ratio is
+    left-invariant, and on H3 a far center would shear the box.  The
     euclidean kind has the closed annulus form.
     """
     group = metric.group
     if k.center != group.identity():
         raise ValueError("K must be centered at the identity")
+    if not k_n.measure:
+        raise ValueError(f"K_n of radius {k_n.radius:g} is empty: its Folner ratio is undefined")
     if metric.kind == EUCLIDEAN_NORM:
         d = group.dim
         vd = _unit_ball_volume(d)
@@ -712,15 +695,30 @@ def folner_ratio(metric: PeriodicMetric, k_n: Ball, k: Ball) -> float:
         return (outer - inner) / (vd * rn ** d)
     if k_n.keys is None or k.keys is None:
         raise ValueError("discrete Folner ratio needs enumerated balls")
-    if k_n.measure * k.measure > ball_budget():
+    budget = ball_budget()
+    if k_n.measure * k.measure > budget:
         raise BudgetExceededError("Folner product set exceeds budget")
     if not k.measure:
         return 0.0  # K_n K is empty
-    merged = np.sort(np.concatenate(
-        _right_translates(group, k_n.keys, _coords(group, k.keys).tolist())), kind="stable")
-    starts = np.flatnonzero(np.r_[True, merged[1:] != merged[:-1]])
-    counts = np.diff(np.r_[starts, len(merged)])
-    return int(np.count_nonzero(counts < len(k.keys))) / k_n.measure
+    keys = k_n.keys
+    if k_n.center != group.identity():
+        keys = _left_translates(group, keys, group.inverse(k_n.center))
+    (lo, hi), (q_lo, q_hi) = _field_bounds(group, keys), _field_bounds(group, k.keys)
+    lo_prod = [a + b for a, b in zip(lo, q_lo)]
+    hi_prod = [a + b for a, b in zip(hi, q_hi)]
+    if group.kind == DISCRETE_HEISENBERG:  # p * q also moves z by x * q_y
+        xy = [x * y for x in (lo[0], hi[0]) for y in (q_lo[1], q_hi[1])]
+        lo_prod[2] += min(xy)
+        hi_prod[2] += max(xy)
+    box = _BallBox.spanning(group, lo_prod, hi_prod, budget, "Folner product set")
+    cells = box.index(keys)
+    qs = _coords(group, k.keys)
+    moved = box.right_translates(cells, qs[qs.any(axis=1)])
+    inside = np.zeros(box.cells, dtype=bool)
+    inside[cells] = True
+    interior = inside[moved].all(axis=0)
+    inside[moved] = True
+    return (np.count_nonzero(inside) - np.count_nonzero(interior)) / k_n.measure
 
 
 def folner_exhaustion(metric: PeriodicMetric, r0: float, count: int, step: float) -> list:
@@ -734,4 +732,5 @@ def folner_exhaustion(metric: PeriodicMetric, r0: float, count: int, step: float
     if count < 1:
         raise ValueError("count must be >= 1")
     r1 = max(r0 + 1.0, float(step))
+    ball_measure(metric, r1 + (count - 1) * step, closed=True)  # one BFS grows every ball
     return [ball(metric, None, r1 + i * step, closed=True) for i in range(count)]

@@ -12,6 +12,7 @@ candidate.
 import itertools
 import math
 import os
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -239,6 +240,31 @@ def test_folner_ratio_requires_centered_k():
         groups.folner_ratio(metric, kn, k_off)
 
 
+def test_folner_ratio_of_an_empty_k_n_names_k_n():
+    for metric, closed in ((groups.word_metric(groups.integer_lattice(2)), False),
+                           (groups.heisenberg_gauge_metric(), False),
+                           (groups.euclidean_metric(dim=2), True)):
+        kn = groups.ball(metric, None, 0.0, closed)
+        assert kn.measure == 0
+        with pytest.raises(ValueError, match="K_n"):
+            groups.folner_ratio(metric, kn, groups.ball(metric, None, 1.0))
+
+
+def test_folner_ratio_z3_matches_set_reference():
+    metric = groups.word_metric(groups.integer_lattice(3))
+    for k_radius in (0.0, 1.0, 2.0):
+        k = groups.ball(metric, None, k_radius)
+        for r in range(1, 7):
+            kn = groups.ball(metric, None, float(r))
+            ratio = groups.folner_ratio(metric, kn, k)
+            assert ratio == folner_ratio_reference(_add, kn.points, k.points)
+            if k_radius == 0.0:
+                assert ratio == 0.0
+    kn = groups.ball(metric, (-7, 40, 3), 5.0)
+    assert groups.folner_ratio(metric, kn, k) == folner_ratio_reference(
+        _add, kn.points, k.points)
+
+
 def test_folner_exhaustion_validation_names_step():
     metric = groups.word_metric(groups.integer_lattice(2))
     with pytest.raises(ValueError, match="step"):
@@ -303,7 +329,7 @@ def test_heisenberg_word_length_matches_bfs_distances():
 
 
 @pytest.mark.parametrize("k_radius", [1, 2])
-def test_folner_ratio_heisenberg_matches_set_reference(k_radius):
+def test_folner_ratio_heisenberg_matches_set_reference(k_radius, monkeypatch):
     metric = groups.word_metric(groups.discrete_heisenberg())
     k = groups.ball(metric, None, float(k_radius))
     for r in range(3, 9):
@@ -315,24 +341,40 @@ def test_folner_ratio_heisenberg_matches_set_reference(k_radius):
     ratio = groups.folner_ratio(metric, kn, k)
     assert ratio == folner_ratio_reference(heisenberg_mul, kn.points, k.points)
     assert ratio == groups.folner_ratio(metric, groups.ball(metric, None, 4.0), k)
+    # far from the identity the shear x y' would stretch a box over K_n K by
+    # |x| along z; the count translates K_n back, and fits the exact budget
+    kn = groups.ball(metric, (10 ** 4, -3, 7), 4.0)
+    monkeypatch.setenv(groups.BUDGET_ENV_VAR, str(int(kn.measure * k.measure)))
+    assert groups.folner_ratio(metric, kn, k) == ratio == folner_ratio_reference(
+        heisenberg_mul, kn.points, k.points)
 
 
 def test_folner_ratio_torus_matches_set_reference():
-    # right translates wrap around Z_7 x Z_7; from radius 6 on K_n is the group
-    n = 7
-    metric = groups.word_metric(groups.finite_cyclic_sq(n))
-
-    def torus_mul(a, b):
-        return ((a[0] + b[0]) % n, (a[1] + b[1]) % n)
-
-    for k_radius in (1.0, 2.0):
-        k = groups.ball(metric, None, k_radius)
-        for r in range(1, 8):
-            kn = groups.ball(metric, None, float(r))
+    # right translates wrap around Z_7 x Z_7; from radius 6 on K_n is the
+    # group.  On Z_11 x Z_11 the box over K_n K is smaller than the group
+    # while 2 (r + r_K) + 1 < 11, and K_n K wraps round it after
+    for n in (7, 11):
+        metric = groups.word_metric(groups.finite_cyclic_sq(n))
+        for k_radius in (1.0, 2.0):
+            k = groups.ball(metric, None, k_radius)
+            for r in range(1, 8):
+                kn = groups.ball(metric, None, float(r))
+                assert groups.folner_ratio(metric, kn, k) == folner_ratio_reference(
+                    _torus_add(n), kn.points, k.points)
+            kn = groups.ball(metric, (n - 2, 3), 2.0)
             assert groups.folner_ratio(metric, kn, k) == folner_ratio_reference(
-                torus_mul, kn.points, k.points)
+                _torus_add(n), kn.points, k.points)
+    metric = groups.word_metric(groups.finite_cyclic_sq(7))
     assert groups.folner_ratio(metric, groups.ball(metric, None, 6.0),
                                groups.ball(metric, None, 1.0)) == 0.0
+    # the box spans signed coordinates: on Z_N x Z_N with N = 10^6 it takes
+    # 9 x 9 cells, where the unsigned ones would span the whole group
+    metric = groups.word_metric(groups.finite_cyclic_sq(10 ** 6))
+    k = groups.ball(metric, None, 1.0)
+    for center in (None, (10 ** 6 - 1, 2)):
+        kn = groups.ball(metric, center, 3.0)
+        assert groups.folner_ratio(metric, kn, k) == folner_ratio_reference(
+            _torus_add(10 ** 6), kn.points, k.points)
 
 
 @pytest.mark.parametrize("k_radius", [1.0, 2.0])
@@ -343,9 +385,10 @@ def test_folner_ratio_heisenberg_gauge_matches_set_reference(k_radius):
         kn = groups.ball(metric, None, r)
         assert groups.folner_ratio(metric, kn, k) == folner_ratio_reference(
             heisenberg_mul, kn.points, k.points)
-    kn = groups.ball(metric, (1, -2, 5), 3.0)
-    assert groups.folner_ratio(metric, kn, k) == folner_ratio_reference(
-        heisenberg_mul, kn.points, k.points)
+    for center in ((1, -2, 5), (10 ** 4, 3, -7)):
+        kn = groups.ball(metric, center, 3.0)
+        assert groups.folner_ratio(metric, kn, k) == folner_ratio_reference(
+            heisenberg_mul, kn.points, k.points)
 
 
 def test_geometry_run_never_decodes_ball_points(tmp_path, monkeypatch):
@@ -429,15 +472,24 @@ def test_right_translates_match_the_decode_path(group, center):
     for kn in (groups.ball(metric, None, 3.0), groups.ball(metric, center, 3.0)):
         pts = groups._coords(group, kn.keys)
         qs = groups.ball(metric, None, 2.0).points
-        for q, got in zip(qs, groups._right_translates(group, kn.keys, qs), strict=True):
-            want = groups._keys(group, group.multiply_array(pts, q))
-            assert got.dtype == np.int64 and np.array_equal(got, want), q
+        want = [groups._keys(group, group.multiply_array(pts, q)) for q in qs]
+        # a box spanning the products' coordinates (unsigned on the torus)
+        prods = groups._coords(group, np.concatenate(want))
+        box = groups._BallBox.spanning(group, prods.min(axis=0).tolist(),
+                                       prods.max(axis=0).tolist(), 10 ** 6, "test box")
+        moved = box.right_translates(box.index(kn.keys), qs)
+        assert moved.dtype == np.int64 and moved.shape == (len(qs), len(pts))
+        for q, got, keys in zip(qs, moved, want, strict=True):
+            assert got.min() >= 0 and got.max() < box.cells, q
+            assert np.array_equal(got, box.index(keys)), q
+            assert np.array_equal(box.keys(np.sort(got)), np.sort(keys)), q
 
 
 @pytest.mark.parametrize("group", [groups.integer_lattice(2), groups.discrete_heisenberg()],
                          ids=["Z2", "H3"])
 def test_bfs_and_folner_ratio_never_decode_spheres_or_balls(group, monkeypatch):
     metric = groups.word_metric(group)
+    far = groups.ball(metric, (900,) + (-5,) * (group.dim - 1), 6.0)  # translating decodes
     decoded = []
     coords = groups._coords
 
@@ -452,18 +504,24 @@ def test_bfs_and_folner_ratio_never_decode_spheres_or_balls(group, monkeypatch):
     monkeypatch.setattr(groups.GroupModel, "multiply_array", no_multiply)
     k = groups.ball(metric, None, 2.0)
     kn = groups.ball(metric, None, 6.0)
-    assert groups.folner_ratio(metric, kn, k) > 0
-    assert decoded == [k.measure]  # only the rows of K
+    assert groups.folner_ratio(metric, kn, k) == groups.folner_ratio(metric, far, k) > 0
+    assert decoded == [k.measure, k.measure]  # only the rows of K
 
 
 def test_right_translates_raise_when_a_product_field_leaves_the_key_range():
     # H3: 21 bits per field, coordinates in [-2^20, 2^20)
     h3 = groups.discrete_heisenberg()
+    metric = groups.word_metric(h3)
     top = (1 << 20) - 1
 
-    def translate(p, q):
-        [moved] = groups._right_translates(h3, groups._keys(h3, np.array([p])), [q])
-        return moved
+    def one_point_ratio(p, q):
+        # K_n = {p} and K = {e, q, q^-1}: the count's box holds p K
+        kn = groups.Ball(metric, h3.identity(), 0.0, True,
+                         groups._keys(h3, np.array([p])), 1.0)
+        k_pts = sorted({h3.identity(), q, h3.inverse(q)})
+        k = groups.Ball(metric, h3.identity(), 1.0, True,
+                        groups._keys(h3, np.array(k_pts)), float(len(k_pts)))
+        return groups.folner_ratio(metric, kn, k), k_pts
 
     for p, q in (((top, 0, 0), (1, 0, 0)),            # x by a
                  ((-top - 1, 5, 0), (-1, 0, 0)),
@@ -471,12 +529,16 @@ def test_right_translates_raise_when_a_product_field_leaves_the_key_range():
                  ((1 << 10, 0, top - (1 << 10) + 1), (0, 1, 0)),  # z by x * b
                  ((-(1 << 10), 3, -(1 << 20) + (1 << 11) - 1), (0, 2, 0))):
         with pytest.raises(OverflowError):
-            translate(p, q)
+            one_point_ratio(p, q)
         with pytest.raises(OverflowError):  # the decode path agrees
             groups._keys(h3, h3.multiply_array(np.array([p]), q))
     # one step inside the range is exact
     p, q = (1 << 10, 0, top - (1 << 10)), (0, 1, 0)
-    assert groups._coords(h3, translate(p, q)).tolist() == [[1 << 10, 1, top]]
+    ratio, k_pts = one_point_ratio(p, q)
+    assert ratio == folner_ratio_reference(heisenberg_mul, [p], k_pts) == 3.0
+    box = groups._BallBox.spanning(h3, p, [1 << 10, 1, top], 1 << 10, "p and p q")
+    moved = box.right_translates(box.index(groups._keys(h3, np.array([p]))), [q])
+    assert groups._coords(h3, box.keys(moved[0])).tolist() == [[1 << 10, 1, top]]
 
 
 
@@ -488,6 +550,11 @@ def test_word_balls_of_any_radius_on_a_finite_torus():
         assert groups.ball(metric, None, radius).measure == 16.0
         assert groups.ball_measure(metric, radius) == 16.0
     assert len(metric._layers) == 6  # spheres of radius 0..4, then the empty one
+    # a fresh metric grows straight out to a radius far past the diameter
+    for radius in (1e6, 1e300):
+        fresh = groups.word_metric(groups.finite_cyclic_sq(4))
+        assert groups.ball(fresh, None, radius).measure == 16.0
+        assert len(fresh._layers) == 6
 
 
 def tuple_bfs_spheres(mul, gens, identity, max_radius):
@@ -568,6 +635,33 @@ def test_word_length_of_random_heisenberg_elements_matches_the_tuple_bfs():
             assert metric.length(el) > 14, el
 
 
+def test_growth_annular_and_folner_sweeps_grow_each_word_ball_once(monkeypatch, tmp_path):
+    # each call that grows builds a box bitmap: the sweeps grow their largest
+    # ball first, and read every smaller one from the cached spheres
+    around = groups._BallBox.around
+    radii = []
+
+    def counted(group, radius, budget):
+        radii.append(radius)
+        return around(group, radius, budget)
+
+    monkeypatch.setattr(groups._BallBox, "around", staticmethod(counted))
+    metric = groups.word_metric(groups.discrete_heisenberg())
+    groups.fit_growth_exponent(metric, [4, 5, 6, 8])
+    assert radii == [8]
+    metric = groups.word_metric(groups.discrete_heisenberg())
+    groups.estimate_annular_decay(metric, [4, 8, 12], [0.25, 0.5])
+    assert radii == [8, 11]  # open balls
+    metric = groups.word_metric(groups.discrete_heisenberg())
+    groups.folner_exhaustion(metric, 1.0, 3, 4.0)
+    assert radii == [8, 11, 12]
+    # a geometry run grows one ball: its growth sweep reaches the largest radius
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                          "geometry_heisenberg.ini")
+    cli.run_experiment("geometry", config, str(tmp_path))
+    assert radii == [8, 11, 12, 12]
+
+
 def test_bfs_bitmap_is_budgeted_before_it_is_allocated(monkeypatch):
     # 1 byte per box cell; a box of more cells per budgeted element than the
     # kind's box ever holds per ball element (d! on Z^d, 6 on H3, 4 on the
@@ -611,7 +705,7 @@ def test_bfs_bitmap_is_budgeted_before_it_is_allocated(monkeypatch):
         groups.word_metric(groups.integer_lattice(2))._grow_layers(10 ** 300)
 
 
-def test_ball_boxes_never_refuse_a_ball_within_the_budget():
+def test_ball_boxes_never_refuse_a_ball_within_the_budget(monkeypatch):
     # a box raises only when its ball would exceed the budget: with the budget
     # set to the ball's exact size, no box of any radius raises
     def balls(group, radius):
@@ -630,6 +724,18 @@ def test_ball_boxes_never_refuse_a_ball_within_the_budget():
         sizes = list(balls(groups.finite_cyclic_sq(n), 2 * n))
         for r in range(0, 2 * n + 1):
             groups._BallBox.around(groups.finite_cyclic_sq(n), r, sizes[min(r, len(sizes) - 1)])
+    # nor does the Folner count's box over K_n K with the budget at |K_n| |K|
+    metrics = [(groups.word_metric(groups.integer_lattice(3)), range(0, 9), (0, 1, 2)),
+               (groups.word_metric(groups.discrete_heisenberg()), range(0, 15), (0, 1, 2, 3)),
+               (groups.heisenberg_gauge_metric(), (1.0, 2.5, 4.0, 7.5), (0.5, 1.0, 2.0, 3.0)),
+               (groups.word_metric(groups.finite_cyclic_sq(9)), range(0, 9), (0, 1, 2, 4))]
+    for metric, kn_radii, k_radii in metrics:
+        pairs = [(groups.ball(metric, None, float(r)), groups.ball(metric, None, float(r_k)))
+                 for r in kn_radii for r_k in k_radii]
+        for kn, k in pairs:
+            monkeypatch.setenv(groups.BUDGET_ENV_VAR, str(int(kn.measure * k.measure)))
+            groups.folner_ratio(metric, kn, k)
+        monkeypatch.delenv(groups.BUDGET_ENV_VAR)
 
 
 def gauge_ball_keys_scalar(radius, closed):
@@ -648,7 +754,7 @@ def gauge_ball_keys_scalar(radius, closed):
     return np.sort(groups._keys(h3, np.array(pts, dtype=np.int64).reshape(-1, 3)))
 
 
-def test_gauge_ball_keys_match_the_scalar_loop():
+def test_gauge_ball_keys_match_the_scalar_loop(monkeypatch):
     # integer radii put elements exactly on the sphere, such as (r, 0, 0) and,
     # for even r, (0, 0, r^2 / 4): closed and open balls differ by those ties
     rng = np.random.default_rng(9)
@@ -664,9 +770,31 @@ def test_gauge_ball_keys_match_the_scalar_loop():
     radii += differ[:6] + rng.choice([q ** 0.25 for q in quartics], 4).tolist()
     ties = 0
     for radius in radii:
-        closed = groups._gauge_ball_keys(groups.heisenberg_gauge_metric(), radius, True)
-        opened = groups._gauge_ball_keys(groups.heisenberg_gauge_metric(), radius, False)
-        assert np.array_equal(closed, gauge_ball_keys_scalar(radius, True)), radius
-        assert np.array_equal(opened, gauge_ball_keys_scalar(radius, False)), radius
+        want_closed = gauge_ball_keys_scalar(radius, True)
+        want_open = gauge_ball_keys_scalar(radius, False)
+        # one slab at these radii, then slabs of one x and of a few
+        for slab in (groups._GAUGE_SLAB, 1, 200):
+            monkeypatch.setattr(groups, "_GAUGE_SLAB", slab)
+            closed = groups._gauge_ball_keys(groups.heisenberg_gauge_metric(), radius, True)
+            opened = groups._gauge_ball_keys(groups.heisenberg_gauge_metric(), radius, False)
+            assert np.array_equal(closed, want_closed), (radius, slab)
+            assert np.array_equal(opened, want_open), (radius, slab)
+        monkeypatch.undo()
         ties += len(closed) - len(opened)
     assert ties > 0
+
+
+def test_gauge_ball_enumeration_memory_is_bounded_by_its_slabs():
+    # the radius 30 ball has 998,459 elements among 1,681,892 candidates; all
+    # candidates at once held about 87 bytes each (139 MB traced).  The keys
+    # twice (the slabs' and their concatenation) and one slab's temporaries
+    # stay under four times the keys' bytes
+    tracemalloc.start()
+    try:
+        keys = groups._gauge_ball_keys(groups.heisenberg_gauge_metric(), 30.0, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(keys) == 998459
+    assert np.all(keys[1:] > keys[:-1])
+    assert peak < 4 * keys.nbytes
