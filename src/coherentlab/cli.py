@@ -93,7 +93,7 @@ _SCHEMAS = {
         "tol": ("float", "1e-8", _POSITIVE),
         "fit_exponent": ("bool", "false", None),
         "alpha": ("float", "2", _NONNEG),
-        "delta": ("float", "1", _POSITIVE),
+        "delta": ("float", "1", _FRACTION),
         "diagnostic": ("bool", "false", None),
         "seed": ("int", "0", _NONNEG),
     },
@@ -105,7 +105,7 @@ _SCHEMAS = {
         "margin": ("float", "3", _NONNEG),
         "r0": ("float", "1.25", _AT_LEAST_1),
         "alpha": ("float", "2", _NONNEG),
-        "delta": ("float", "1", _POSITIVE),
+        "delta": ("float", "1", _FRACTION),
         "calibration_radius": ("float", "8", _POSITIVE),
         "seed": ("int", "0", _NONNEG),
     },
@@ -452,7 +452,7 @@ def run_geometry(cfg: dict) -> RunReport:
     t0 = time.perf_counter()
     exhaustion = groups.folner_exhaustion(metric, cfg["folner_r0"],
                                           cfg["folner_count"], cfg["folner_step"])
-    k = groups.ball(metric, None, cfg["folner_k_radius"])
+    k = groups.ball(metric, cfg["folner_k_radius"])
     ratios = [groups.folner_ratio(metric, b, k) for b in exhaustion]
     rows = [(i, b.radius, b.measure, ratio)
             for i, (b, ratio) in enumerate(zip(exhaustion, ratios))]
@@ -544,7 +544,7 @@ def run_frame(cfg: dict) -> RunReport:
             reconstruction_error=dual.reconstruction_error,
             dual_bounds=dual.dual_bounds.to_json()))
         report.timings["dual"] = time.perf_counter() - t0
-    q = groups.ball(metric, None, cfg["q_radius"])
+    q = groups.ball(metric, cfg["q_radius"])
     t0 = time.perf_counter()
     bessel = frames.bessel_separation_bound(rep, g, lam, q, bessel_bound=fb.upper)
     report.timings["bessel"] = time.perf_counter() - t0
@@ -575,8 +575,8 @@ def run_density(cfg: dict) -> RunReport:
     g = reps.gaussian_window()
     lam = frames.lattice(cfg["lattice_a"], cfg["lattice_b"])
     em = groups.euclidean_metric(dim=2)
-    exhaustion = [groups.ball(em, None, r) for r in cfg["radii"]]
-    q = groups.ball(em, None, cfg["q_radius"])
+    exhaustion = [groups.ball(em, r) for r in cfg["radii"]]
+    q = groups.ball(em, cfg["q_radius"])
     spacing = cfg["grid_spacing"] if cfg["grid_spacing"] > 0 else None
     side = cfg["side"]
     t0 = time.perf_counter()

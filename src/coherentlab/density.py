@@ -122,12 +122,11 @@ def beurling_density(lam: PointSet, metric: groups.PeriodicMetric,
     xs = np.arange(0.0, lam.a - 1e-12, spacing)
     ys = np.arange(0.0, lam.b - 1e-12, spacing)
     centers = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    q = groups.ball(metric, None, min(lam.a, lam.b) / 2.0)
+    q = groups.ball(metric, min(lam.a, lam.b) / 2.0)
     rel = frames.relative_separation(lam, q).rel_sep
-    rows = lam.lattice_count_near(
-        np.concatenate([centers[:, 0] + k.center[0] for k in exhaustion]),
-        np.concatenate([centers[:, 1] + k.center[1] for k in exhaustion]),
-        np.repeat([k.radius for k in exhaustion], len(centers)))
+    rows = lam.lattice_count_near(np.tile(centers[:, 0], len(exhaustion)),
+                                  np.tile(centers[:, 1], len(exhaustion)),
+                                  np.repeat([k.radius for k in exhaustion], len(centers)))
     records = tuple(
         CountingRecord(idx, k.radius, int(counts.min()), int(counts.max()),
                        k.measure, spacing, len(centers))
@@ -188,10 +187,6 @@ def _error_integrals(rep: RepModel, g, q: groups.Ball, ks: Sequence[groups.Ball]
     prof = reps.radial_profile(rep, g)
     if prof is None:
         raise ValueError(f"error integrals need the Gaussian window, not the {rep.kind} model")
-    if q.center != q.metric.group.identity():
-        raise ValueError("Q must be centered at the identity")
-    if any(k.center != (0.0, 0.0) for k in ks):
-        raise ValueError("K_n must be centered at the identity")
     values = _lens_reduced_integrals(prof, q.radius, [k.radius for k in ks], kind, tol)
     return [ErrorIntegralRecord(n, kind, value, tol, k.measure)
             for n, (k, value) in enumerate(zip(ks, values))]
@@ -438,7 +433,7 @@ def run_hole_falsification(rep: RepModel, g, lattice_a: float, lattice_b: float,
     radii = sorted(float(r) for r in hole_radii)
     if radii and section_radius < 2.0 * radii[-1]:
         raise ValueError("section radius too small relative to the largest hole")
-    q = groups.ball(groups.euclidean_metric(dim=2), None, r0)
+    q = groups.ball(groups.euclidean_metric(dim=2), r0)
     exponent = (2.0 + alpha) / 2.0
     cal = reps.decay_envelope_check(rep, g, 1.0, exponent, calibration_radius)
     c0 = cal["max_ratio"]

@@ -160,13 +160,12 @@ class PointSet:
         return int(counts[0]) if scalar else counts
 
     def restrict(self, b: groups.Ball) -> tuple:
-        """Exactly the points of Lambda inside the disk b, sorted.  A disk
-        lives in the time-frequency plane, so it restricts lattice kinds only."""
+        """Exactly the points of Lambda inside the disk b about the origin,
+        sorted.  A disk lives in the time-frequency plane, so it restricts
+        lattice kinds only."""
         if not self.is_lattice:
             raise ValueError(_CONTINUOUS_BALL_KINDS.format(self.kind))
-        cx, cy = b.center
-        return tuple(sorted(self.lattice_points_near(float(cx), float(cy),
-                                                     b.radius, b.closed)))
+        return tuple(sorted(self.lattice_points_near(0.0, 0.0, b.radius, b.closed)))
 
 
 def disk_point_estimate(radius: float, a: float, b: float) -> float:
@@ -350,8 +349,8 @@ def riesz_bounds(rep: RepModel, g, lam: PointSet,
     else:
         if restriction_radius is None:
             raise ValueError("the time-frequency Gram needs a restriction radius")
-        pts = lam.restrict(groups.ball(groups.euclidean_metric(dim=2), None,
-                                       restriction_radius, closed=True))
+        pts = lam.restrict(groups.ball(groups.euclidean_metric(dim=2), restriction_radius,
+                                       closed=True))
         if not pts:
             raise ValueError("empty point set")
         m = len(pts)
@@ -550,8 +549,6 @@ def lemma_cover_constant(rep: RepModel, g, q: groups.Ball) -> CoverReport:
     Finite kind: exhaustive greedy over the torus.  Gaussian window:
     certified cover of the disk Q by metric translates of the level-set disk.
     """
-    if q.center != q.metric.group.identity():
-        raise ValueError("Q must be centered at the identity")
     if rep.kind == reps.FINITE_WEYL_HEISENBERG:
         gv = np.asarray(g, dtype=complex)
         table = np.abs(reps.coefficient_table(rep, gv, gv))
@@ -678,7 +675,7 @@ def amalgam_check(rep: RepModel, g, lam: PointSet, q: groups.Ball,
         inside = [p for p in lam.points if wm.length(p) <= k_radius]
         lhs = float(sum(table[p] ** 2 for p in inside))
         kq = set()
-        kball = groups.ball(wm, None, k_radius, closed=True)
+        kball = groups.ball(wm, k_radius, closed=True)
         for y in kball.points:
             for z in q.points:
                 kq.add(group.multiply(y, z))
@@ -687,8 +684,7 @@ def amalgam_check(rep: RepModel, g, lam: PointSet, q: groups.Ball,
         mu_q = q.measure
     else:
         prof = reps.radial_profile(rep, g)
-        pts = lam.restrict(groups.ball(groups.euclidean_metric(dim=2), None,
-                                       k_radius, closed=True))
+        pts = lam.restrict(groups.ball(groups.euclidean_metric(dim=2), k_radius, closed=True))
         lhs = float(sum(prof.profile(math.hypot(*p)) ** 2 for p in pts))
         rho = q.radius
         integral = prof.mass_outside(rho, 0.0) - prof.mass_outside(rho, k_radius + rho)

@@ -3,8 +3,10 @@
 Four desk-scale models are shipped: Euclidean R^d with Lebesgue measure, the
 integer lattice Z^d, the discrete Heisenberg group H3(Z) in normal form, and
 the finite torus Z_N x Z_N, each with counting measure.  On top of them sit
-metric balls (enumerated for the discrete kinds), growth-exponent and
-annular-decay diagnostics, and Folner machinery built from metric balls.
+metric balls about the identity (enumerated for the discrete kinds),
+growth-exponent and annular-decay diagnostics, and Folner ratios on R^d, Z^d
+and H3.  Translates x K are the callers' business: the counting code moves
+its centres, not its balls.
 """
 
 from __future__ import annotations
@@ -98,18 +100,6 @@ class GroupModel:
             n = self.modulus
             return ((-a[0]) % n, (-a[1]) % n)
         return tuple(-x for x in a)
-
-    def multiply_array(self, a, b) -> np.ndarray:
-        """Products a * b row by row; each side is an (n, dim) int64 array or
-        one element, which is broadcast against the other side's rows."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = a + b
-        if self.kind == DISCRETE_HEISENBERG:
-            out[..., 2] += a[..., 0] * b[..., 1]
-        elif self.kind == FINITE_CYCLIC_SQ:
-            out %= self.modulus
-        return out
 
     def elements(self) -> list:
         """All elements; finite kind only."""
@@ -235,16 +225,17 @@ class PeriodicMetric:
             radius += 1
 
     def _grow_layers(self, up_to: int) -> None:
-        """Extend the cached BFS spheres out to word length ``up_to``.
+        """Extend the cached word spheres out to word length ``up_to``.
 
-        Each new sphere is found on a boolean bitmap of a box that holds the
-        ball of radius ``up_to`` (see ``_BallBox``): the right translates of
-        the last sphere's box indices by the generators, less the cells
-        already marked, sorted and deduplicated.  The generators are
-        symmetric, so every neighbour of sphere r lies in sphere r - 1, r or
-        r + 1: only the last two cached spheres are marked when a call
-        starts.  A finite group stops growing at its first empty sphere:
-        every later one is empty too.
+        On Z^d and H3 each new sphere is found by BFS on a boolean bitmap of
+        a box that holds the ball of radius ``up_to`` (see ``_BallBox``): the
+        right translates of the last sphere's box indices by the generators,
+        less the cells already marked, sorted and deduplicated.  The
+        generators are symmetric, so every neighbour of sphere r lies in
+        sphere r - 1, r or r + 1: only the last two cached spheres are marked
+        when a call starts.  On Z_N x Z_N sphere r is read off the closed
+        form of the word length (see ``_torus_sphere``), out to the diameter
+        and then one empty sphere, after which the torus stops growing.
         """
         group = self.group
         if not self._layers:
@@ -252,6 +243,17 @@ class PeriodicMetric:
         if len(self._layers) > up_to or not len(self._layers[-1]):
             return
         budget = ball_budget()
+        if group.kind == FINITE_CYCLIC_SQ:
+            last = min(up_to, 2 * (group.modulus // 2))  # the diameter
+            size = _torus_ball_size(group.modulus, last)
+            if size > budget:
+                raise BudgetExceededError(
+                    f"word ball of radius {last} has {size} elements, over budget {budget} "
+                    f"({BUDGET_ENV_VAR})")
+            self._layers.extend(_torus_sphere(group, r) for r in range(len(self._layers), last + 1))
+            if up_to > last:
+                self._layers.append(np.zeros(0, dtype=np.int64))
+            return
         box = _BallBox.around(group, up_to, budget)
         unseen = np.ones(box.cells, dtype=bool)
         for keys in self._layers[-2:]:
@@ -274,18 +276,43 @@ class PeriodicMetric:
             self._layers.append(box.keys(sphere))
 
 
+def _torus_ball_size(n: int, radius: int) -> int:
+    """Elements of Z_N x Z_N at word length <= radius, radius <= the diameter.
+
+    The signed digits s_i in [-lo, hi], lo = (N - 1) // 2 and hi = N // 2,
+    stand for the elements one each, at word length |s_x| + |s_y|.  The ell^1
+    diamond of Z^2 has 2 R^2 + 2 R + 1 points, (R - m)^2 of them past each
+    side at distance m, and (t + 1) (t + 2) / 2 with t = R - a - b - 2 past
+    the two sides at a and b of each corner."""
+    cut = ((n - 1) // 2, n // 2)
+    past = sum(max(radius - m, 0) ** 2 for m in cut)
+    corners = sum((t + 1) * (t + 2) // 2 for a in cut for b in cut
+                  for t in [radius - a - b - 2] if t >= 0)
+    return 2 * radius * radius + 2 * radius + 1 - 2 * past + corners
+
+
+def _torus_sphere(group: GroupModel, radius: int) -> np.ndarray:
+    """Sorted keys of the Z_N x Z_N sphere of this radius: the signed digits
+    s_i in [-(N - 1) // 2, N // 2] with |s_x| + |s_y| = radius, mod N."""
+    n = group.modulus
+    lo, hi = (n - 1) // 2, n // 2
+    x = np.arange(-min(radius, lo), min(radius, hi) + 1)
+    y = radius - np.abs(x)
+    x, y = np.r_[x, x[y > 0]], np.r_[y, -y[y > 0]]
+    inside = (y >= -lo) & (y <= hi)
+    return np.sort(_keys(group, np.stack([x[inside], y[inside]], axis=1) % n))
+
+
 @dataclass(frozen=True)
 class _BallBox:
-    """A row-major box of group elements for the word-ball BFS and Folner count.
+    """A row-major box of elements of Z^d or H3 for the word-ball BFS and the
+    Folner count.
 
     Element c sits at cell sum_i (c_i - lo_i) * strides_i, so the order of
     the cells is the lexicographic order of the tuples, which is the order
     of their ``_keys``.  A key and a cell differ by ``base`` plus, for every
     coordinate i but the last, the digit c_i - lo_i times ``excess[i]``, its
-    key step less its cell step; the last coordinate steps both by 1.  On
-    Z_N x Z_N the coordinates are signed, the digits are taken mod N and
-    cells are decoded instead; an axis of N or more cells is the whole
-    group, with its digits taken from 0.
+    key step less its cell step; the last coordinate steps both by 1.
     """
 
     group: GroupModel
@@ -300,24 +327,18 @@ class _BallBox:
                  what: str) -> "_BallBox":
         """The box of the elements with lo_i <= c_i <= hi_i, 1 byte per cell
         as a bitmap.  A box of more than d! cells per budgeted element on
-        Z^d, 6 on H3 or 4 on Z_N x Z_N raises before anything is allocated
-        (see ``around``); a box outside the key range raises OverflowError."""
-        lo, shape = list(lo), [h - l + 1 for l, h in zip(lo, hi)]
-        if group.kind == FINITE_CYCLIC_SQ:
-            lo = [0 if n >= group.modulus else l for l, n in zip(lo, shape)]
-            shape = [min(n, group.modulus) for n in shape]
-        per_element = {FINITE_CYCLIC_SQ: 4, DISCRETE_HEISENBERG: 6}.get(
-            group.kind, math.factorial(group.dim))
+        Z^d or 6 on H3 raises before anything is allocated (see ``around``);
+        a box outside the key range raises OverflowError."""
+        shape = [h - l + 1 for l, h in zip(lo, hi)]
+        per_element = 6 if group.kind == DISCRETE_HEISENBERG else math.factorial(group.dim)
         cells = math.prod(shape)
         if cells > per_element * budget:
             raise BudgetExceededError(
                 f"{what} exceeds budget {budget} ({BUDGET_ENV_VAR}): "
                 f"its box has {cells} cells, more than {per_element} per budgeted element")
         strides = [math.prod(shape[i + 1:]) for i in range(group.dim)]
-        if group.kind == FINITE_CYCLIC_SQ:
-            return cls(group, tuple(lo), tuple(strides), cells, 0, ())
         bits = 63 // group.dim
-        corners = np.array([lo, [l + n - 1 for l, n in zip(lo, shape)]], dtype=np.int64)
+        corners = np.array([lo, hi], dtype=np.int64)
         base = int(_keys(group, corners)[0])  # raises outside the key range
         excess = [(1 << bits * (group.dim - 1 - i)) - strides[i] for i in range(group.dim - 1)]
         return cls(group, tuple(lo), tuple(strides), cells, base, tuple(excess))
@@ -327,13 +348,11 @@ class _BallBox:
         """The box of the word ball of this radius, for the factories'
         generator stars: a word of length R has |x_i| <= R on Z^d; on H3 also
         |z| <= floor(R^2 / 4), since each b step adds the current x to z and k
-        b steps among R leave |x| <= R - k, so they add at most k (R - k); on
-        Z_N x Z_N the signed |x|, |y| <= R.  Per ball element the box over
-        the ell^1 ball of Z^d tends to d! cells from below; on H3 it peaks at
-        5.41 (radius 6) and tends to 144 / 31; on Z_N x Z_N it is under 2,
-        and the whole group over the diamond of radius (N - 1) // 2 after.
-        So a box over the budget holds a ball over it, which the BFS would
-        refuse at some radius anyway."""
+        b steps among R leave |x| <= R - k, so they add at most k (R - k).
+        Per ball element the box over the ell^1 ball of Z^d tends to d!
+        cells from below; on H3 it peaks at 5.41 (radius 6) and tends to
+        144 / 31.  So a box over the budget holds a ball over it, which the
+        BFS would refuse at some radius anyway."""
         hi = [radius] * group.dim
         if group.kind == DISCRETE_HEISENBERG:
             hi[2] = radius * radius // 4
@@ -342,9 +361,6 @@ class _BallBox:
     def index(self, keys: np.ndarray) -> np.ndarray:
         """Cells of packed elements that lie in the box."""
         group = self.group
-        if group.kind == FINITE_CYCLIC_SQ:
-            digits = (_coords(group, keys) - np.array(self.lo)) % group.modulus
-            return digits @ np.array(self.strides)
         bits = 63 // group.dim
         cells = keys - self.base
         for i, excess in enumerate(self.excess):
@@ -354,11 +370,6 @@ class _BallBox:
 
     def keys(self, cells: np.ndarray) -> np.ndarray:
         """Sorted ``_keys`` of the elements at these sorted cells."""
-        group = self.group
-        if group.kind == FINITE_CYCLIC_SQ:
-            x = cells // self.strides[0]
-            digits = np.stack([x, cells - x * self.strides[0]], axis=1)
-            return np.sort(_keys(group, (digits + np.array(self.lo)) % group.modulus))
         keys = cells + self.base
         for stride, excess in zip(self.strides, self.excess):
             digit = cells // stride  # c_i - lo_i; np.divmod and % are several times slower
@@ -368,18 +379,11 @@ class _BallBox:
 
     def right_translates(self, cells: np.ndarray, qs) -> np.ndarray:
         """Cells of p * q for every p at ``cells``, one row per q in ``qs``.
-        The caller keeps every product in the box.  On Z^d and H3 each row
-        keeps the order of ``cells``: p * q moves a cell by q's shift, plus
-        x * q_y on H3, and x never falls as the cell grows."""
+        The caller keeps every product in the box.  Each row keeps the order
+        of ``cells``: p * q moves a cell by q's shift, plus x * q_y on H3, and
+        x never falls as the cell grows."""
         group = self.group
         out = np.empty((len(qs), len(cells)), dtype=np.int64)
-        if group.kind == FINITE_CYCLIC_SQ:
-            n, side = group.modulus, self.strides[0]
-            x = cells // side
-            y = cells - x * side
-            for row, (qx, qy) in zip(out, qs):
-                np.add((x + qx) % n * side, (y + qy) % n, out=row)
-            return out
         if group.kind == DISCRETE_HEISENBERG:
             x = cells // self.strides[0] + self.lo[0]
         for row, q in zip(out, qs):
@@ -416,7 +420,7 @@ def _unit_ball_volume(dim: int) -> float:
 
 @dataclass(eq=False)
 class Ball:
-    """Metric ball descriptor.
+    """Metric ball about the identity.
 
     A discrete ball carries its elements as a sorted int64 key array (see
     ``_keys``); ``points`` decodes them into tuples, in key order, on first
@@ -424,7 +428,6 @@ class Ball:
     """
 
     metric: PeriodicMetric
-    center: tuple
     radius: float
     closed: bool
     keys: np.ndarray | None
@@ -436,16 +439,6 @@ class Ball:
         if self.keys is not None and self._points is None:
             self._points = tuple(map(tuple, _coords(self.metric.group, self.keys).tolist()))
         return self._points
-
-    def translate(self, x: tuple) -> "Ball":
-        """Left translate x * B (same radius, elements moved along)."""
-        group = self.metric.group
-        center = group.multiply(x, self.center)
-        keys = None
-        if self.keys is not None:
-            moved = group.multiply_array(x, _coords(group, self.keys))
-            keys = np.sort(_keys(group, moved))
-        return Ball(self.metric, center, self.radius, self.closed, keys, self.measure)
 
 
 def _word_spheres(metric: PeriodicMetric, int_radius: int) -> list:
@@ -502,23 +495,21 @@ def _effective_word_radius(radius: float, closed: bool) -> int:
     return int(math.floor(radius)) if closed else int(math.ceil(radius)) - 1
 
 
-def ball(metric: PeriodicMetric, center: tuple | None = None, radius: float = 1.0,
-         closed: bool = True) -> Ball:
-    """Metric ball; enumerated (and translated from the origin) when discrete."""
+def ball(metric: PeriodicMetric, radius: float, closed: bool = True) -> Ball:
+    """Metric ball about the identity; enumerated when discrete."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    group = metric.group
-    center = group.identity() if center is None else center
     if metric.kind == EUCLIDEAN_NORM:
-        vol = _unit_ball_volume(group.dim) * radius ** group.dim
-        return Ball(metric, center, radius, closed, None, vol)
+        return Ball(metric, radius, closed, None,
+                    _unit_ball_volume(metric.group.dim) * radius ** metric.group.dim)
     if metric.kind == HOMOGENEOUS_HEISENBERG:
         keys = _gauge_ball_keys(metric, radius, closed)
     else:
         spheres = _word_spheres(metric, _effective_word_radius(radius, closed))
-        keys = np.sort(np.concatenate(spheres)) if spheres else np.zeros(0, dtype=np.int64)
-    b = Ball(metric, group.identity(), radius, closed, keys, float(len(keys)))
-    return b if center == group.identity() else b.translate(center)
+        # the spheres are sorted runs, which a stable sort merges
+        keys = (np.sort(np.concatenate(spheres), kind="stable") if spheres
+                else np.zeros(0, dtype=np.int64))
+    return Ball(metric, radius, closed, keys, float(len(keys)))
 
 
 def ball_measure(metric: PeriodicMetric, radius: float, closed: bool = True) -> float:
@@ -528,7 +519,7 @@ def ball_measure(metric: PeriodicMetric, radius: float, closed: bool = True) -> 
     if metric.kind == WORD_METRIC:
         spheres = _word_spheres(metric, _effective_word_radius(radius, closed))
         return float(sum(len(sphere) for sphere in spheres))
-    return ball(metric, None, radius, closed).measure
+    return ball(metric, radius, closed).measure
 
 
 # -- Growth and annular decay -------------------------------------------------
@@ -645,24 +636,8 @@ def annular_violations(fit: AnnularDecayFit, metric: PeriodicMetric,
 # -- Folner machinery ----------------------------------------------------------
 
 
-def _left_translates(group: GroupModel, keys: np.ndarray, x: tuple) -> np.ndarray:
-    """Keys of x * p for packed p, all in the key range: each field moves by x's
-    coordinate, H3's z also by x_0 * p_1; Z_N x Z_N wraps, so it decodes."""
-    if group.kind == FINITE_CYCLIC_SQ:
-        return _keys(group, group.multiply_array(x, _coords(group, keys)))
-    bits = 63 // group.dim
-    out = keys + sum(c << bits * (group.dim - 1 - i) for i, c in enumerate(x))
-    if group.kind == DISCRETE_HEISENBERG:
-        out += x[0] * (((keys >> bits) & ((1 << bits) - 1)) - (1 << bits - 1))
-    return out
-
-
 def _field_bounds(group: GroupModel, keys: np.ndarray) -> tuple:
-    """Per-field least and greatest coordinates of packed elements; signed on Z_N x Z_N."""
-    if group.kind == FINITE_CYCLIC_SQ:
-        n = group.modulus
-        pts = (_coords(group, keys) + n // 2) % n - n // 2
-        return pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+    """Per-field least and greatest coordinates of packed elements."""
     bits = 63 // group.dim
     fields = [(keys >> bits * (group.dim - 1 - i)) & ((1 << bits) - 1) for i in range(group.dim)]
     offset = 1 << bits - 1
@@ -670,20 +645,20 @@ def _field_bounds(group: GroupModel, keys: np.ndarray) -> tuple:
 
 
 def folner_ratio(metric: PeriodicMetric, k_n: Ball, k: Ball) -> float:
-    """mu(K_n K intersect K_n^c K) / mu(K_n) for balls K_n and K.
+    """mu(K_n K intersect K_n^c K) / mu(K_n) for balls K_n and K on R^d, Z^d
+    or H3.
 
-    K must be centered at the identity, and K_n must not be empty.  An x in
-    K_n K lies outside K_n^c K when x q^-1 is in K_n for every q in K; K is
-    symmetric, so that is when x q is.  Discrete kinds count exactly on a
+    K_n must not be empty.  An x in K_n K lies outside K_n^c K when x q^-1
+    is in K_n for every q in K; K is a ball about the identity, so it is
+    symmetric, and that is when x q is.  Z^d and H3 count exactly on a
     bitmap of a box holding K_n K: the cells of K_n are marked, then each
     right translate K_n q, q != e, is gathered into a mask of those x and
-    marked.  K_n is first translated back to the identity: the ratio is
-    left-invariant, and on H3 a far center would shear the box.  The
-    euclidean kind has the closed annulus form.
+    marked.  The euclidean kind has the closed annulus form.  No run counts
+    one on the finite torus, which raises.
     """
     group = metric.group
-    if k.center != group.identity():
-        raise ValueError("K must be centered at the identity")
+    if group.kind == FINITE_CYCLIC_SQ:
+        raise ValueError(f"Folner ratios count R^d, Z^d and H3, not {group.kind}")
     if not k_n.measure:
         raise ValueError(f"K_n of radius {k_n.radius:g} is empty: its Folner ratio is undefined")
     if metric.kind == EUCLIDEAN_NORM:
@@ -701,8 +676,6 @@ def folner_ratio(metric: PeriodicMetric, k_n: Ball, k: Ball) -> float:
     if not k.measure:
         return 0.0  # K_n K is empty
     keys = k_n.keys
-    if k_n.center != group.identity():
-        keys = _left_translates(group, keys, group.inverse(k_n.center))
     (lo, hi), (q_lo, q_hi) = _field_bounds(group, keys), _field_bounds(group, k.keys)
     lo_prod = [a + b for a, b in zip(lo, q_lo)]
     hi_prod = [a + b for a, b in zip(hi, q_hi)]
@@ -733,4 +706,4 @@ def folner_exhaustion(metric: PeriodicMetric, r0: float, count: int, step: float
         raise ValueError("count must be >= 1")
     r1 = max(r0 + 1.0, float(step))
     ball_measure(metric, r1 + (count - 1) * step, closed=True)  # one BFS grows every ball
-    return [ball(metric, None, r1 + i * step, closed=True) for i in range(count)]
+    return [ball(metric, r1 + i * step, closed=True) for i in range(count)]

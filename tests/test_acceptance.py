@@ -85,7 +85,7 @@ def test_acceptance_3_bessel_separation_bound():
         rep = reps.finite_weyl_heisenberg(n)
         g = random_vec(rng, n, normalize=False)
         lam = frames.finite_subset(n, pts)
-        q = groups.ball(groups.word_metric(rep.group), None, 1.0)
+        q = groups.ball(groups.word_metric(rep.group), 1.0)
         out = bessel = frames.bessel_separation_bound(rep, g, lam, q)
         doubled = frames.bessel_separation_bound(rep, 2.0 * g, lam, q)
         ok &= bessel["passed"]
@@ -107,9 +107,9 @@ def test_acceptance_4_geometry_diagnostics():
     annular = groups.estimate_annular_decay(em, [2, 4, 8, 16], [0.25, 0.5])
     violations = groups.annular_violations(annular, em, [2, 4, 8, 16],
                                            [0.25, 0.5])
-    k = groups.ball(z2, None, 1.0)
-    f10 = groups.folner_ratio(z2, groups.ball(z2, None, 10.0), k)
-    f20 = groups.folner_ratio(z2, groups.ball(z2, None, 20.0), k)
+    k = groups.ball(z2, 1.0)
+    f10 = groups.folner_ratio(z2, groups.ball(z2, 10.0), k)
+    f20 = groups.folner_ratio(z2, groups.ball(z2, 20.0), k)
     elapsed = time.perf_counter() - t0
     ok = (1.8 <= fit_z2.exponent_hat <= 2.2
           and 3.5 <= fit_h3.exponent_hat <= 4.5
@@ -132,8 +132,8 @@ def test_acceptance_5_frame_counting_bound():
     lam = frames.lattice(0.5, 0.5)
     em = groups.euclidean_metric(dim=2)
     radii = (6.0, 10.0, 14.0)
-    exhaustion = [groups.ball(em, None, r, closed=True) for r in radii]
-    q = groups.ball(em, None, 1.0)
+    exhaustion = [groups.ball(em, r, closed=True) for r in radii]
+    q = groups.ball(em, 1.0)
     bounds = frames.frame_operator_spectrum(rep, g, lam, section_radius=12.0,
                                             margin=3.0)
     integrals = density.error_integral_I(rep, g, q, exhaustion, tol=1e-8)
@@ -161,8 +161,8 @@ def test_acceptance_6_riesz_counting_bound():
     lam = frames.lattice(2.0, 1.0)
     em = groups.euclidean_metric(dim=2)
     radii = (6.0, 10.0, 14.0)
-    exhaustion = [groups.ball(em, None, r, closed=True) for r in radii]
-    q = groups.ball(em, None, 1.0)
+    exhaustion = [groups.ball(em, r, closed=True) for r in radii]
+    q = groups.ball(em, 1.0)
     bounds = frames.riesz_bounds(rep, g, lam, restriction_radius=8.0)
     integrals = density.error_integral_J(rep, g, q, exhaustion, tol=1e-8)
     est = density.beurling_density(lam, em, exhaustion)
@@ -206,8 +206,8 @@ def test_acceptance_8_oracle_equivalence():
     t0 = time.perf_counter()
     rep = reps.gabor_gaussian()
     g = reps.gaussian_window()
-    q = groups.ball(groups.euclidean_metric(dim=2), None, 1.0)
-    k = groups.ball(groups.euclidean_metric(dim=2), None, 4.0, closed=True)
+    q = groups.ball(groups.euclidean_metric(dim=2), 1.0)
+    k = groups.ball(groups.euclidean_metric(dim=2), 4.0, closed=True)
     mc_ok = True
     for kind, quad in (("I", density.error_integral_I(rep, g, q, [k])[0].value),
                        ("J", density.error_integral_J(rep, g, q, [k])[0].value)):

@@ -471,6 +471,10 @@ def test_huge_and_tiny_values_exit_2_naming_the_key(tmp_path, capsys):
         # powers in the tail fit and the calibration envelope
         ("hole", {"alpha": "+0.628e150"}, "alpha"),
         ("hole", {"delta": 1e100}, "delta"),
+        # annular decay on R^2 holds for delta <= 1 only: a larger one feeds
+        # T4.3 and the hole bound a false rate
+        ("hole", {"delta": 3}, "delta"),
+        ("density", {"delta": 3}, "delta"),
         ("hole", {"calibration_radius": 1e300}, "calibration_radius"),
     ]
     for i, (experiment, body, key) in enumerate(cases):
@@ -603,7 +607,7 @@ def test_geometry_ball_bounds_hold():
              ("discrete_heisenberg", "heisenberg_gauge", groups.heisenberg_gauge_metric(h3), 7))
     for group, metric_kind, metric, top in cases:
         for r in np.arange(0.0, top + 0.5, 0.5):
-            size = groups.ball(metric, None, float(r)).measure
+            size = groups.ball(metric, float(r)).measure
             bound = cli._ball_bound(group, metric_kind, float(r))
             assert size <= bound, (group, metric_kind, r)
             if group == "integer_lattice":

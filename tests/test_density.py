@@ -18,7 +18,7 @@ from coherentlab.quadrature import QuadratureError, refine_rows, refine_trapezoi
 
 
 def euclid_ball(radius):
-    return groups.ball(groups.euclidean_metric(dim=2), None, radius, closed=True)
+    return groups.ball(groups.euclidean_metric(dim=2), radius, closed=True)
 
 
 def brute_disk_count(a, b, cx, cy, r):
@@ -96,7 +96,7 @@ def test_beurling_density_counts_match_a_per_centre_loop():
     # enumeration of each ball at every centre
     em = groups.euclidean_metric(dim=2)
     a, b = 0.4807, 0.25 / 0.4807
-    exhaustion = [euclid_ball(3.0), groups.ball(em, (0.1, -0.3), 6.2)]
+    exhaustion = [euclid_ball(3.0), euclid_ball(6.2)]
     lam = lattice(a, b)
     for spacing in (None, 0.07):
         est = density.beurling_density(lam, em, exhaustion, spacing)
@@ -104,8 +104,7 @@ def test_beurling_density_counts_match_a_per_centre_loop():
         centres = [(float(x), float(y)) for x in np.arange(0.0, a - 1e-12, step)
                    for y in np.arange(0.0, b - 1e-12, step)]
         for rec, k in zip(est.records, exhaustion):
-            counts = [len(lam.lattice_points_near(cx + k.center[0], cy + k.center[1],
-                                                  k.radius)) for cx, cy in centres]
+            counts = [len(lam.lattice_points_near(cx, cy, k.radius)) for cx, cy in centres]
             assert (rec.inf_count, rec.sup_count) == (min(counts), max(counts))
             assert type(rec.inf_count) is int and type(rec.sup_count) is int
             assert rec.centers_sampled == len(centres)
@@ -123,10 +122,10 @@ def test_density_rejects_the_inputs_it_does_not_count():
             density.beurling_density(lam, em, exhaustion)
     with pytest.raises(ValueError, match="open"):
         density.beurling_density(lattice(0.5, 0.5), em,
-                                 [euclid_ball(2.0), groups.ball(em, None, 3.0, closed=False)])
+                                 [euclid_ball(2.0), groups.ball(em, 3.0, closed=False)])
     rep = reps.finite_weyl_heisenberg(4)
     wm = groups.word_metric(rep.group)
-    q, k = groups.ball(wm, None, 1.0), groups.ball(wm, None, 2.0)
+    q, k = groups.ball(wm, 1.0), groups.ball(wm, 2.0)
     for integral in (density.error_integral_I, density.error_integral_J):
         with pytest.raises(ValueError, match=rep.kind):
             integral(rep, np.ones(4), q, [k])
@@ -557,19 +556,17 @@ def test_refine_rows_raise_when_a_row_does_not_converge():
 
 
 def test_beurling_density_counts_every_radius_in_one_call(monkeypatch):
-    # a plain lattice with closed balls, some off the origin: one count over
-    # the stacked (radius, centre) rows, equal to one count per radius, also
-    # in blocks of a few centres
+    # a plain lattice with closed balls: one count over the stacked (radius,
+    # centre) rows, equal to one count per radius, also in blocks of a few
+    # centres
     em = groups.euclidean_metric(dim=2)
     a, b = 0.4807, 0.25 / 0.4807
     lam = lattice(a, b)
-    exhaustion = [euclid_ball(2.0), groups.ball(em, (0.1, -0.3), 3.7),
-                  groups.ball(em, (-1.25, 2.0), 6.2), euclid_ball(9.0)]
+    exhaustion = [euclid_ball(r) for r in (2.0, 3.7, 6.2, 9.0)]
     step = min(a, b) / 8.0
     xs, ys = np.meshgrid(np.arange(0.0, a - 1e-12, step),
                          np.arange(0.0, b - 1e-12, step), indexing="ij")
-    want = [lam.lattice_count_near(xs.ravel() + k.center[0], ys.ravel() + k.center[1],
-                                   k.radius) for k in exhaustion]
+    want = [lam.lattice_count_near(xs.ravel(), ys.ravel(), k.radius) for k in exhaustion]
     calls = []
     count = frames.PointSet.lattice_count_near
 

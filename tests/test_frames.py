@@ -56,7 +56,7 @@ def scan_lattice_points(lam, cx, cy, r, closed=True):
 
 
 def euclid_ball(radius):
-    return groups.ball(groups.euclidean_metric(dim=2), None, radius, closed=True)
+    return groups.ball(groups.euclidean_metric(dim=2), radius, closed=True)
 
 
 def test_finite_frame_bounds_match_svd_oracle():
@@ -228,7 +228,7 @@ def test_section_spectrum_matches_one_complex_product(monkeypatch, a, b, holes, 
                                         lam, section_radius=7.0, margin=3.0)
     monkeypatch.undo()
     assert calls == (["f", "f"] if parity else ["c"])
-    pts = lam.restrict(groups.ball(groups.euclidean_metric(dim=2), None, 7.0, closed=True))
+    pts = lam.restrict(groups.ball(groups.euclidean_metric(dim=2), 7.0, closed=True))
     coeff = reps.hermite_gabor_coefficients(frames.section_mode_count(7.0, 3.0),
                                             np.asarray(pts, dtype=float))
     want = np.linalg.eigvalsh(coeff @ coeff.conj().T)
@@ -264,7 +264,7 @@ def test_relative_separation_holes_report_full_lattice_sup():
 def test_relative_separation_explicit_and_finite():
     n = 8
     rep = reps.finite_weyl_heisenberg(n)
-    wq = groups.ball(groups.word_metric(rep.group), None, 1.0)
+    wq = groups.ball(groups.word_metric(rep.group), 1.0)
     lam = finite_subset(n, [(0, 0), (1, 0), (0, 1), (4, 4)])
     sep = frames.relative_separation(lam, wq)
     assert sep.rel_sep == 3  # identity ball of radius 1 catches the cluster
@@ -291,9 +291,6 @@ def test_lemma_cover_constant_gaussian_frozen_counts():
         for cx, cy in cover.centers:
             nearest = np.minimum(nearest, np.hypot(xx - cx, yy - cy))
         assert np.all(nearest[disk] < u)
-    with pytest.raises(ValueError):
-        frames.lemma_cover_constant(rep, g, groups.ball(
-            groups.euclidean_metric(dim=2), (1.0, 0.0), 1.0))
 
 
 def test_greedy_cover_takes_the_first_row_of_largest_gain():
@@ -320,7 +317,7 @@ def test_lemma_cover_constant_finite_property():
     rep = reps.finite_weyl_heisenberg(n)
     rng = np.random.default_rng(6)
     g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    q = groups.ball(groups.word_metric(rep.group), None, 1.0)
+    q = groups.ball(groups.word_metric(rep.group), 1.0)
     cover = frames.lemma_cover_constant(rep, g, q)
     table = np.abs(reps.coefficient_table(rep, g, g))
     level = float(np.linalg.norm(g)) ** 2 / 2.0
@@ -349,7 +346,7 @@ def test_bessel_separation_bound_finite_scale_invariance():
     rep = reps.finite_weyl_heisenberg(n)
     rng = np.random.default_rng(12)
     g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    q = groups.ball(groups.word_metric(rep.group), None, 1.0)
+    q = groups.ball(groups.word_metric(rep.group), 1.0)
     lam = finite_subset(n, [(k, l) for k in range(0, n, 2) for l in range(0, n, 2)])
     out = frames.bessel_separation_bound(rep, g, lam, q)
     out2 = frames.bessel_separation_bound(
@@ -421,7 +418,7 @@ def test_amalgam_check_finite_and_gaussian():
     rep = reps.finite_weyl_heisenberg(n)
     rng = np.random.default_rng(19)
     g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    q = groups.ball(groups.word_metric(rep.group), None, 1.0)
+    q = groups.ball(groups.word_metric(rep.group), 1.0)
     lam = finite_subset(n, [(k, l) for k in range(0, n, 2) for l in range(0, n, 2)])
     out = frames.amalgam_check(rep, g, lam, q, k_radius=3.0)
     assert out["passed"] and out["lhs"] <= out["rhs"]
@@ -496,7 +493,7 @@ def test_continuous_ball_restricts_lattice_kinds_only():
         frames.riesz_bounds(rep, g, torus)
     # restrict is the lattice kinds' disk enumeration: a word ball on the
     # torus is refused too
-    wq = groups.ball(groups.word_metric(groups.finite_cyclic_sq(4)), None, 1.0)
+    wq = groups.ball(groups.word_metric(groups.finite_cyclic_sq(4)), 1.0)
     with pytest.raises(ValueError, match="finite_subset"):
         torus.restrict(wq)
 
@@ -633,10 +630,11 @@ def test_count_points_on_holes_and_open_balls_matches_enumeration():
     holey = lattice_with_holes(0.5, 0.5, [(0.0, 0.0, 2.0), (3.0, 1.0, 1.0)])
     for lam in (holey, lattice(0.5, 0.5)):
         for closed in (True, False):
+            want = scan_lattice_points(lam, 0.0, 0.0, 5.0, closed=closed)
+            assert lam.restrict(groups.ball(em, 5.0, closed=closed)) == tuple(sorted(want))
             for center in ((0.0, 0.0), (1.5, 0.5), (0.3125, -0.25)):
-                ball = groups.ball(em, None, 5.0, closed=closed).translate(center)
                 want = scan_lattice_points(lam, *center, 5.0, closed=closed)
-                assert lam.restrict(ball) == tuple(sorted(want))
+                assert lam.lattice_points_near(*center, 5.0, closed) == want
                 if closed and lam.kind == frames.LATTICE:
                     assert lam.lattice_count_near(*center, 5.0) == len(want)
     # random holes, centres and radii, some through a lattice point, both kinds

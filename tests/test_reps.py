@@ -109,8 +109,8 @@ def test_radial_profile_follows_the_window():
     assert reps.radial_profile(gauss_rep, gw) is reps.GAUSSIAN_PROFILE
     assert reps.radial_profile(reps.finite_weyl_heisenberg(4), np.ones(4)) is None
     # g = None takes the Gaussian window in every estimator
-    q = groups.ball(groups.euclidean_metric(dim=2), None, 1.0)
-    k = groups.ball(groups.euclidean_metric(dim=2), None, 4.0, closed=True)
+    q = groups.ball(groups.euclidean_metric(dim=2), 1.0)
+    k = groups.ball(groups.euclidean_metric(dim=2), 4.0, closed=True)
     square = frames.lattice(0.5, 0.5)
 
     def riesz(rep, g):
@@ -145,8 +145,8 @@ def test_every_time_frequency_estimator_checks_the_window_in_radial_profile():
     rep = reps.gabor_gaussian()
     bad = Window(model="decay_profile")
     em = groups.euclidean_metric(dim=2)
-    q = groups.ball(em, None, 1.0)
-    k = groups.ball(em, None, 4.0, closed=True)
+    q = groups.ball(em, 1.0)
+    k = groups.ball(em, 4.0, closed=True)
     lam = frames.lattice(0.5, 0.5)
     calls = {
         "estimate_formal_degree": lambda: reps.estimate_formal_degree(rep, bad, 6.0),
