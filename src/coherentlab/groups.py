@@ -11,6 +11,7 @@ its centres, not its balls.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -187,15 +188,23 @@ class PeriodicMetric:
     """Left-invariant metric on one of the group models.
 
     Kinds: ``euclidean_norm`` on R^d, ``word_metric`` on any discrete kind,
-    ``homogeneous_heisenberg`` (Cygan gauge) on H3(Z).  Word-metric spheres
-    are cached on the instance as sorted key arrays and grown under the
-    element budget; the growth, annular and Folner sweeps grow their largest
-    word ball first, in one BFS, and Folner ratios count on a box bitmap.
+    ``homogeneous_heisenberg`` (Cygan gauge) on H3(Z).  Word spheres are
+    cached on the instance and grown under the element budget.  For each
+    radius the cache holds the sphere's size and its representatives: on
+    Z^d and H3 one per orbit of the generator sign flips (see the quotient
+    section below), on Z_N x Z_N every element.  Ball measures read the
+    sizes only; a ball's sorted keys are expanded from the representatives
+    of its spheres, and the largest ball expanded so far is cached.  The
+    growth, annular and Folner sweeps grow their largest word ball first, in
+    one BFS, and Folner ratios count on a box bitmap.
     """
 
     kind: str
     group: GroupModel
-    _layers: list = field(default_factory=list, repr=False)
+    _sizes: list = field(default_factory=list, repr=False)  # elements of sphere r
+    _reps: list = field(default_factory=list, repr=False)   # its representatives, (dim, n)
+    # the largest word ball expanded so far: its radius and sorted keys
+    _ball: tuple = field(default=(-1, np.zeros(0, dtype=np.int64)), repr=False)
     _gauge_cache: dict = field(default_factory=dict, repr=False)
 
     def length(self, el: tuple) -> float:
@@ -216,31 +225,50 @@ class PeriodicMetric:
         if group.kind == FINITE_CYCLIC_SQ:
             n = group.modulus
             return int(sum(min(x % n, (-x) % n) for x in el))
-        key = int(_keys(group, np.array([el], dtype=np.int64))[0])
-        radius = 0
-        while True:
-            self._grow_layers(radius)
-            if key in self._layers[radius]:
-                return radius
+        _keys(group, np.array([el], dtype=np.int64))  # raises outside the key range
+        x, y, z = el  # brought to its representative (see the sign-flip quotient)
+        if (x < 0) != (y < 0):
+            z = -z
+        x, y = abs(x), abs(y)
+        if not x * y:
+            z = abs(z)
+        # a word of length R has |x| + |y| <= R and |z| <= floor(R^2 / 4)
+        radius = math.isqrt(4 * abs(z))
+        while radius * radius // 4 < abs(z):
             radius += 1
+        radius = max(radius, x + y)
+        self._grow_layers(radius)
+        rep = np.array([[x], [y], [z]], dtype=np.int64)  # its flip orbit's representative
+        while not (self._reps[radius] == rep).all(axis=0).any():
+            radius += 1
+            self._grow_layers(radius)
+        return radius
 
     def _grow_layers(self, up_to: int) -> None:
         """Extend the cached word spheres out to word length ``up_to``.
 
-        On Z^d and H3 each new sphere is found by BFS on a boolean bitmap of
-        a box that holds the ball of radius ``up_to`` (see ``_BallBox``): the
-        right translates of the last sphere's box indices by the generators,
-        less the cells already marked, sorted and deduplicated.  The
-        generators are symmetric, so every neighbour of sphere r lies in
-        sphere r - 1, r or r + 1: only the last two cached spheres are marked
-        when a call starts.  On Z_N x Z_N sphere r is read off the closed
-        form of the word length (see ``_torus_sphere``), out to the diameter
-        and then one empty sphere, after which the torus stops growing.
+        On Z^d and H3 the BFS runs on the quotient by the generator sign
+        flips, on a boolean bitmap of the box that holds the representatives
+        of the ball of radius ``up_to`` (see ``_BallBox.around``): each new
+        sphere is the right translates of the last sphere's representatives
+        by the generators, brought to their representatives, less the cells
+        already marked, sorted and deduplicated (see ``_neighbour_cells``);
+        its size is the sum of their orbit sizes (see ``_sphere_size``).  The
+        flips are automorphisms that keep the generating set, so they keep
+        word length, and the representatives of sphere r + 1 are those of the
+        translates of sphere r's.  The generators are symmetric, so every
+        neighbour of sphere r lies in sphere r - 1, r or r + 1: only the last
+        two cached spheres are marked when a call starts.  On Z_N x Z_N
+        sphere r is read off the closed form of the word length (see
+        ``_torus_sphere``), each element its own representative, out to the
+        diameter and then one empty sphere, after which the torus stops
+        growing.
         """
         group = self.group
-        if not self._layers:
-            self._layers.append(_keys(group, np.array([group.identity()], dtype=np.int64)))
-        if len(self._layers) > up_to or not len(self._layers[-1]):
+        if not self._sizes:
+            self._sizes.append(1)
+            self._reps.append(np.zeros((group.dim, 1), dtype=np.int64))
+        if len(self._sizes) > up_to or not self._sizes[-1]:
             return
         budget = ball_budget()
         if group.kind == FINITE_CYCLIC_SQ:
@@ -250,30 +278,136 @@ class PeriodicMetric:
                 raise BudgetExceededError(
                     f"word ball of radius {last} has {size} elements, over budget {budget} "
                     f"({BUDGET_ENV_VAR})")
-            self._layers.extend(_torus_sphere(group, r) for r in range(len(self._layers), last + 1))
+            spheres = [_torus_sphere(group, r) for r in range(len(self._sizes), last + 1)]
             if up_to > last:
-                self._layers.append(np.zeros(0, dtype=np.int64))
+                spheres.append(np.zeros((2, 0), dtype=np.int64))
+            self._sizes.extend(sphere.shape[1] for sphere in spheres)
+            self._reps.extend(spheres)
             return
         box = _BallBox.around(group, up_to, budget)
         unseen = np.ones(box.cells, dtype=bool)
-        for keys in self._layers[-2:]:
-            sphere = box.index(keys)
-            unseen[sphere] = False
-        total = sum(len(layer) for layer in self._layers)
-        while len(self._layers) <= up_to and len(sphere):
-            moved = box.right_translates(sphere, group.generators).ravel()
-            # the rows are sorted runs on Z^d and H3, which a stable sort merges
+        for reps in self._reps[-2:]:
+            unseen[box.cells_at(reps)] = False
+        reps = self._reps[-1]
+        cells = box.cells_at(reps)
+        total = sum(self._sizes)
+        while len(self._sizes) <= up_to:
+            moved = _neighbour_cells(group, box, cells, reps)
+            # sorted runs, which a stable sort merges
             moved = np.sort(moved[unseen[moved]], kind="stable")
             first = np.ones(len(moved), dtype=bool)
             first[1:] = moved[1:] != moved[:-1]
-            sphere = moved[first]
-            unseen[sphere] = False
-            total += len(sphere)
+            cells = moved[first]
+            unseen[cells] = False
+            reps = box.points_at(cells)
+            size = _sphere_size(group, reps)
+            total += size
             if total > budget:
                 raise BudgetExceededError(
-                    f"word ball enumeration exceeded budget {budget} at radius {len(self._layers)}"
-                )
-            self._layers.append(box.keys(sphere))
+                    f"word ball enumeration exceeded budget {budget} ({BUDGET_ENV_VAR}) "
+                    f"at radius {len(self._sizes)}")
+            self._sizes.append(size)
+            self._reps.append(reps)
+
+
+# -- Sign-flip quotient of Z^d and H3 ---------------------------------------
+#
+# Inverting one generator pair is an automorphism of Z^d (x_i -> -x_i) and of
+# H3 (a -> a^-1 maps (x, y, z) to (-x, y, -z), b -> b^-1 maps it to
+# (x, -y, -z)) that keeps the generating set, so it keeps word length.  The
+# orbit of an element under these flips is represented by its greatest element
+# in the order of the keys: the one with every x_i >= 0 on Z^d, and
+# (|x|, |y|, +-z) on H3, where z changes sign once for each negative
+# coordinate and becomes |z| when x = 0 or y = 0, since the flip of that
+# coordinate alone moves z to -z.
+
+
+def _flip_signs(group: GroupModel) -> list:
+    """The signs the generator sign flips put on the coordinates: every sign
+    vector on Z^d; (e, d, e d) for e, d = +-1 on H3; only the identity's on
+    Z_N x Z_N, whose spheres keep every element."""
+    if group.kind == DISCRETE_HEISENBERG:
+        return [(1, 1, 1), (-1, 1, -1), (1, -1, -1), (-1, -1, 1)]
+    if group.kind == FINITE_CYCLIC_SQ:
+        return [(1, 1)]
+    return list(itertools.product((1, -1), repeat=group.dim))
+
+
+def _sphere_size(group: GroupModel, reps: np.ndarray) -> int:
+    """Elements in the orbits of the columns of a (dim, n) array of
+    representatives.  An orbit has 2^(nonzero x_i) elements on Z^d.  On H3
+    it has 4 off the walls x = 0 and y = 0; on one wall, 2 if z = 0 and 4
+    otherwise; on both, 1 if z = 0 and 2 otherwise."""
+    if group.kind != DISCRETE_HEISENBERG:
+        return int(np.left_shift(1, np.count_nonzero(reps, axis=0)).sum())
+    x, y, z = reps == 0
+    axis = x & y
+    return (4 * reps.shape[1] - 2 * np.count_nonzero(z & (x | y))
+            - 2 * np.count_nonzero(axis) + np.count_nonzero(axis & z))
+
+
+def _neighbour_cells(group: GroupModel, box: "_BallBox", cells: np.ndarray,
+                     reps: np.ndarray) -> np.ndarray:
+    """Cells of the representatives of p q for every representative p at
+    these sorted cells of the box (its coordinates the columns of ``reps``)
+    and every generator q, in one sorted run per generator but near the
+    walls.  On Z^d, p + e_i moves a cell by stride_i, and so does p - e_i
+    but at x_i = 0, where its representative is p + e_i and it is left out.
+    On H3, p a and p b = (x, y + 1, z + x) move a cell by stride_x and
+    stride_y + x, and p a^-1 and p b^-1 = (x, y - 1, z - x) back, but at the
+    walls: p a^-1 is (0, y, |z|) at x = 1 and (1, y, -z) at x = 0, which is
+    p a at y = 0; p b^-1 is (x, 0, |z - x|) at y = 1 and (x, 1, x - z) at
+    y = 0, which is p b at x = 0."""
+    if group.kind != DISCRETE_HEISENBERG:
+        runs = []
+        for x, stride in zip(reps, box.strides):
+            runs += [cells + stride, (cells - stride)[x > 0]]
+        return np.concatenate(runs)
+    sx, sy, _ = box.strides
+    x, y, z = reps
+    n = len(cells)
+    out = np.empty(4 * n, dtype=np.int64)
+    by_a, by_b, by_a_inv, by_b_inv = out[:n], out[n:2 * n], out[2 * n:3 * n], out[3 * n:]
+    step = x + sy
+    np.add(cells, sx, out=by_a)
+    np.add(cells, step, out=by_b)
+    np.subtract(cells, sx, out=by_a_inv)
+    np.subtract(cells, step, out=by_b_inv)
+    x0, x1 = np.searchsorted(cells, (sx, 2 * sx))  # the rows with x = 0, then x = 1
+    by_a_inv[:x0] += 2 * sx - 2 * z[:x0] * (y[:x0] > 0)
+    by_a_inv[x0:x1] -= 2 * np.minimum(z[x0:x1], 0)
+    wall = np.flatnonzero(y <= 1)
+    x, y, z = x[wall], y[wall], z[wall]
+    over = x - z
+    by_b_inv[wall] += np.where(y == 0, 2 * sy + 2 * over * (x > 0), 2 * np.maximum(over, 0))
+    return out
+
+
+def _expand(group: GroupModel, reps: list, size: int) -> np.ndarray:
+    """Sorted ``_keys`` of the ``size`` elements in the orbits of the
+    columns of these (dim, n) arrays of representatives.  Keys are linear in
+    their fields, so the key of an image is the identity's plus
+    sum_i +-c_i 2^(bits (dim - 1 - i)) with the flip's signs.  An image equal
+    to one of an earlier flip is set to the greatest int64, so the keys are
+    the first ``size`` of the sorted images."""
+    bits = 63 // group.dim
+    fields = [c << bits * (group.dim - 1 - i) for i, c in enumerate(np.concatenate(reps, axis=1))]
+    flips = _flip_signs(group)
+    images = np.empty((len(flips), len(fields[0])), dtype=np.int64)
+    images[:] = sum(1 << bits * i + bits - 1 for i in range(group.dim))  # the identity
+    for j, (row, signs) in enumerate(zip(images, flips)):
+        for f, sign in zip(fields, signs):
+            if sign > 0:
+                row += f
+            else:
+                row -= f
+        repeats = np.zeros(len(row), dtype=bool)
+        for earlier in images[:j]:
+            repeats |= row == earlier
+        row[repeats] = np.iinfo(np.int64).max
+    keys = images.ravel()
+    keys.sort()
+    return keys[:size]
 
 
 def _torus_ball_size(n: int, radius: int) -> int:
@@ -292,21 +426,22 @@ def _torus_ball_size(n: int, radius: int) -> int:
 
 
 def _torus_sphere(group: GroupModel, radius: int) -> np.ndarray:
-    """Sorted keys of the Z_N x Z_N sphere of this radius: the signed digits
-    s_i in [-(N - 1) // 2, N // 2] with |s_x| + |s_y| = radius, mod N."""
+    """The (2, n) array of the elements of the Z_N x Z_N sphere of this
+    radius: the signed digits s_i in [-(N - 1) // 2, N // 2] with
+    |s_x| + |s_y| = radius, mod N."""
     n = group.modulus
     lo, hi = (n - 1) // 2, n // 2
     x = np.arange(-min(radius, lo), min(radius, hi) + 1)
     y = radius - np.abs(x)
     x, y = np.r_[x, x[y > 0]], np.r_[y, -y[y > 0]]
     inside = (y >= -lo) & (y <= hi)
-    return np.sort(_keys(group, np.stack([x[inside], y[inside]], axis=1) % n))
+    return np.stack([x[inside], y[inside]]) % n
 
 
 @dataclass(frozen=True)
 class _BallBox:
-    """A row-major box of elements of Z^d or H3 for the word-ball BFS and the
-    Folner count.
+    """A row-major box of elements of Z^d or H3: the box of the word-ball
+    BFS's representatives, and the box over K_n K of the Folner count.
 
     Element c sits at cell sum_i (c_i - lo_i) * strides_i, so the order of
     the cells is the lexicographic order of the tuples, which is the order
@@ -324,13 +459,13 @@ class _BallBox:
 
     @classmethod
     def spanning(cls, group: GroupModel, lo: Sequence[int], hi: Sequence[int], budget: int,
-                 what: str) -> "_BallBox":
+                 what: str, per_element: int) -> "_BallBox":
         """The box of the elements with lo_i <= c_i <= hi_i, 1 byte per cell
-        as a bitmap.  A box of more than d! cells per budgeted element on
-        Z^d or 6 on H3 raises before anything is allocated (see ``around``);
-        a box outside the key range raises OverflowError."""
+        as a bitmap.  A box of more than ``per_element`` cells per budgeted
+        element raises before anything is allocated: the caller's bound on
+        the cells its box needs per element of the set it holds; a box
+        outside the key range raises OverflowError."""
         shape = [h - l + 1 for l, h in zip(lo, hi)]
-        per_element = 6 if group.kind == DISCRETE_HEISENBERG else math.factorial(group.dim)
         cells = math.prod(shape)
         if cells > per_element * budget:
             raise BudgetExceededError(
@@ -345,18 +480,24 @@ class _BallBox:
 
     @classmethod
     def around(cls, group: GroupModel, radius: int, budget: int) -> "_BallBox":
-        """The box of the word ball of this radius, for the factories'
-        generator stars: a word of length R has |x_i| <= R on Z^d; on H3 also
-        |z| <= floor(R^2 / 4), since each b step adds the current x to z and k
-        b steps among R leave |x| <= R - k, so they add at most k (R - k).
-        Per ball element the box over the ell^1 ball of Z^d tends to d!
-        cells from below; on H3 it peaks at 5.41 (radius 6) and tends to
-        144 / 31.  So a box over the budget holds a ball over it, which the
-        BFS would refuse at some radius anyway."""
+        """The box of the representatives of the word ball of this radius
+        (see the sign-flip quotient), for the factories' generator stars:
+        0 <= x_i <= R on Z^d; on H3 0 <= x, y <= R and |z| <= floor(R^2 / 4),
+        since each b step adds the current x to z and k b steps among R leave
+        |x| <= R - k, so they add at most k (R - k).  The box of Z^d has
+        (R + 1)^d cells over the C(R + d, d) ball elements with every x_i >= 0,
+        so at most d! per ball element; on H3 the cells per ball element peak
+        at 5/3 (radius 4) and tend to 36 / 31, so 2 bound them.  A box over
+        the budget thus holds a ball over it, which the BFS would refuse at
+        some radius anyway."""
         hi = [radius] * group.dim
+        lo = [0] * group.dim
+        per_element = math.factorial(group.dim)
         if group.kind == DISCRETE_HEISENBERG:
             hi[2] = radius * radius // 4
-        return cls.spanning(group, [-h for h in hi], hi, budget, f"word ball of radius {radius}")
+            lo[2] = -hi[2]
+            per_element = 2
+        return cls.spanning(group, lo, hi, budget, f"word ball of radius {radius}", per_element)
 
     def index(self, keys: np.ndarray) -> np.ndarray:
         """Cells of packed elements that lie in the box."""
@@ -368,14 +509,24 @@ class _BallBox:
             cells -= (field - (self.lo[i] + (1 << bits - 1))) * excess
         return cells
 
-    def keys(self, cells: np.ndarray) -> np.ndarray:
-        """Sorted ``_keys`` of the elements at these sorted cells."""
-        keys = cells + self.base
-        for stride, excess in zip(self.strides, self.excess):
-            digit = cells // stride  # c_i - lo_i; np.divmod and % are several times slower
-            cells = cells - digit * stride
-            keys += digit * excess
-        return keys
+    def cells_at(self, pts: np.ndarray) -> np.ndarray:
+        """Cells of the columns of a (dim, n) array of elements in the box."""
+        cells = pts[-1] - self.lo[-1]
+        for c, lo, stride in zip(pts[:-1], self.lo, self.strides):
+            cells += (c - lo) * stride
+        return cells
+
+    def points_at(self, cells: np.ndarray) -> np.ndarray:
+        """Inverse of ``cells_at``: the (dim, n) array of the elements at
+        these cells."""
+        out = np.empty((self.group.dim, len(cells)), dtype=np.int64)
+        for row, lo, stride in zip(out[:-1], self.lo, self.strides):
+            np.floor_divide(cells, stride, out=row)
+            cells = cells - row * stride
+            if lo:
+                row += lo
+        np.add(cells, self.lo[-1], out=out[-1])
+        return out
 
     def right_translates(self, cells: np.ndarray, qs) -> np.ndarray:
         """Cells of p * q for every p at ``cells``, one row per q in ``qs``.
@@ -423,8 +574,10 @@ class Ball:
     """Metric ball about the identity.
 
     A discrete ball carries its elements as a sorted int64 key array (see
-    ``_keys``); ``points`` decodes them into tuples, in key order, on first
-    use.  A continuous ball has neither.
+    ``_keys``): a word ball's keys are expanded from the representatives of
+    its cached word spheres, and a gauge ball's are enumerated.  ``points``
+    decodes the keys into tuples, in key order, on first use.  A continuous
+    ball has neither.
     """
 
     metric: PeriodicMetric
@@ -441,10 +594,24 @@ class Ball:
         return self._points
 
 
-def _word_spheres(metric: PeriodicMetric, int_radius: int) -> list:
-    """Sorted key arrays of the word spheres of radius 0, ..., int_radius."""
+def _word_ball_keys(metric: PeriodicMetric, int_radius: int) -> np.ndarray:
+    """Sorted keys of the word ball of this integer radius.  The largest
+    ball expanded so far is cached: a larger one expands only the spheres
+    past it and merges the two sorted runs, a smaller one is expanded
+    afresh."""
     metric._grow_layers(int_radius)
-    return metric._layers[: int_radius + 1]
+    int_radius = min(int_radius, len(metric._sizes) - 1)
+    done, keys = metric._ball
+    if int_radius < done:
+        return _expand(metric.group, metric._reps[: int_radius + 1],
+                       sum(metric._sizes[: int_radius + 1]))
+    if int_radius > done:
+        shell = _expand(metric.group, metric._reps[done + 1:int_radius + 1],
+                        sum(metric._sizes[done + 1:int_radius + 1]))
+        keys = np.sort(np.concatenate([keys, shell]), kind="stable")  # two sorted runs
+        keys.flags.writeable = False  # shared by every Ball of this radius
+        metric._ball = (int_radius, keys)
+    return keys
 
 
 def gauge_ball_estimate(radius: float) -> float:
@@ -495,30 +662,35 @@ def _effective_word_radius(radius: float, closed: bool) -> int:
     return int(math.floor(radius)) if closed else int(math.ceil(radius)) - 1
 
 
+def _check_radius(metric: PeriodicMetric, radius: float) -> None:
+    if not radius >= 0:  # NaN too
+        raise ValueError(f"radius must be >= 0, got {radius}")
+    if metric.kind != EUCLIDEAN_NORM and math.isinf(radius):
+        raise ValueError(f"radius must be finite on a {metric.kind}, got {radius}")
+
+
 def ball(metric: PeriodicMetric, radius: float, closed: bool = True) -> Ball:
     """Metric ball about the identity; enumerated when discrete."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    _check_radius(metric, radius)
     if metric.kind == EUCLIDEAN_NORM:
         return Ball(metric, radius, closed, None,
                     _unit_ball_volume(metric.group.dim) * radius ** metric.group.dim)
     if metric.kind == HOMOGENEOUS_HEISENBERG:
         keys = _gauge_ball_keys(metric, radius, closed)
     else:
-        spheres = _word_spheres(metric, _effective_word_radius(radius, closed))
-        # the spheres are sorted runs, which a stable sort merges
-        keys = (np.sort(np.concatenate(spheres), kind="stable") if spheres
-                else np.zeros(0, dtype=np.int64))
+        keys = _word_ball_keys(metric, _effective_word_radius(radius, closed))
     return Ball(metric, radius, closed, keys, float(len(keys)))
 
 
 def ball_measure(metric: PeriodicMetric, radius: float, closed: bool = True) -> float:
     """Haar measure of the ball: volume if continuous, point count if discrete."""
+    _check_radius(metric, radius)
     if metric.kind == EUCLIDEAN_NORM:
         return _unit_ball_volume(metric.group.dim) * radius ** metric.group.dim
     if metric.kind == WORD_METRIC:
-        spheres = _word_spheres(metric, _effective_word_radius(radius, closed))
-        return float(sum(len(sphere) for sphere in spheres))
+        int_radius = _effective_word_radius(radius, closed)
+        metric._grow_layers(int_radius)
+        return float(sum(metric._sizes[: int_radius + 1]))
     return ball(metric, radius, closed).measure
 
 
@@ -584,9 +756,12 @@ class AnnularDecayFit:
 
 
 def _annular_samples(metric: PeriodicMetric, r_samples, s_fracs):
+    for name, values in (("r_samples", r_samples), ("s_fracs", s_fracs)):
+        if not len(values):
+            raise ValueError(f"{name} must not be empty")
     if any(not 0.0 < frac <= 1.0 for frac in s_fracs):
         raise ValueError("s fractions must lie in (0, 1]")
-    ball_measure(metric, max(r_samples, default=0.0), closed=False)  # one BFS grows every ball
+    ball_measure(metric, max(r_samples), closed=False)  # one BFS grows every ball
     rows = []
     for r in r_samples:
         mu_r = ball_measure(metric, r, closed=False)
@@ -612,6 +787,8 @@ def estimate_annular_decay(metric: PeriodicMetric, r_samples: Sequence[float],
     """
     if delta_grid is None:
         delta_grid = [round(0.05 * k, 2) for k in range(1, 21)]
+    if not len(delta_grid):
+        raise ValueError("delta_grid must not be empty")
     rows = _annular_samples(metric, r_samples, s_fracs)
     best = None
     for delta in sorted(delta_grid, reverse=True):
@@ -683,7 +860,11 @@ def folner_ratio(metric: PeriodicMetric, k_n: Ball, k: Ball) -> float:
         xy = [x * y for x in (lo[0], hi[0]) for y in (q_lo[1], q_hi[1])]
         lo_prod[2] += min(xy)
         hi_prod[2] += max(xy)
-    box = _BallBox.spanning(group, lo_prod, hi_prod, budget, "Folner product set")
+    # for balls K_n and K, K_n K is the ball B of radius r_n + r_K, with
+    # |B| <= |K_n| |K|, and this box is B's bounding box: at most d! cells per
+    # element of B on Z^d and 6 on H3 (it peaks at 5.41, radius 6)
+    per_element = 6 if group.kind == DISCRETE_HEISENBERG else math.factorial(group.dim)
+    box = _BallBox.spanning(group, lo_prod, hi_prod, budget, "Folner product set", per_element)
     cells = box.index(keys)
     qs = _coords(group, k.keys)
     moved = box.right_translates(cells, qs[qs.any(axis=1)])

@@ -9,6 +9,7 @@ ratio on tuples, and the gauge-ball enumeration as one scalar gauge per
 candidate.
 """
 
+import functools
 import itertools
 import math
 import os
@@ -210,6 +211,40 @@ def test_discrete_annular_decay_certificate():
     assert groups.annular_violations(fit, metric, [4, 8, 16], [0.25, 0.5]) == 0
     with pytest.raises(ValueError):
         groups.estimate_annular_decay(metric, [4, 8], [0.0, 0.5])
+
+
+def test_annular_decay_names_an_empty_input():
+    metric = groups.word_metric(groups.integer_lattice(2))
+    with pytest.raises(ValueError, match="delta_grid"):
+        groups.estimate_annular_decay(metric, [4, 8], [0.5], delta_grid=[])
+    with pytest.raises(ValueError, match="r_samples"):
+        groups.estimate_annular_decay(metric, [], [0.5])
+    with pytest.raises(ValueError, match="s_fracs"):
+        groups.estimate_annular_decay(metric, [4, 8], [])
+    fit = groups.estimate_annular_decay(metric, [4, 8], [0.5])
+    with pytest.raises(ValueError, match="r_samples"):
+        groups.annular_violations(fit, metric, [], [0.5])
+
+
+@pytest.mark.parametrize("metric", [
+    groups.word_metric(groups.integer_lattice(2)), groups.word_metric(groups.discrete_heisenberg()),
+    groups.word_metric(groups.finite_cyclic_sq(5)), groups.heisenberg_gauge_metric(),
+], ids=["Z2", "H3", "Z5^2", "gauge"])
+def test_discrete_balls_name_a_radius_that_is_not_finite(metric):
+    for radius in (math.inf, math.nan, -math.inf, -1.0):
+        for measure in (groups.ball, groups.ball_measure):
+            with pytest.raises(ValueError, match="radius"):
+                measure(metric, radius)
+    assert len(metric._sizes) <= 1  # nothing grew
+
+
+def test_euclidean_balls_name_a_radius_that_is_nan():
+    metric = groups.euclidean_metric(dim=2)
+    for measure in (groups.ball, groups.ball_measure):
+        with pytest.raises(ValueError, match="radius"):
+            measure(metric, math.nan)
+    # the closed form of an infinite radius is the whole plane
+    assert groups.ball_measure(metric, math.inf) == math.inf
 
 
 def test_folner_ratio_z2_matches_telescoping_formula():
@@ -424,7 +459,7 @@ def test_ball_budget_fires_at_the_exact_element_count(monkeypatch):
             fresh = groups.word_metric(groups.finite_cyclic_sq(n))
             with pytest.raises(groups.BudgetExceededError, match=groups.BUDGET_ENV_VAR):
                 fresh._grow_layers(r)
-            assert len(fresh._layers) == 1, (n, r)
+            assert len(fresh._sizes) == 1, (n, r)
 
 
 def test_coordinates_outside_the_key_range_raise():
@@ -462,13 +497,15 @@ def test_right_translates_match_the_decode_path(group, center):
         # a box spanning the products' coordinates
         prods = groups._coords(group, np.concatenate(want))
         box = groups._BallBox.spanning(group, prods.min(axis=0).tolist(),
-                                       prods.max(axis=0).tolist(), 10 ** 6, "test box")
+                                       prods.max(axis=0).tolist(), 10 ** 6, "test box", 1)
         moved = box.right_translates(box.index(kn.keys), qs)
         assert moved.dtype == np.int64 and moved.shape == (len(qs), len(pts))
         for q, got, keys in zip(qs, moved, want, strict=True):
             assert got.min() >= 0 and got.max() < box.cells, q
             assert np.array_equal(got, box.index(keys)), q
-            assert np.array_equal(box.keys(np.sort(got)), np.sort(keys)), q
+            coords = groups._coords(group, keys).T
+            assert np.array_equal(box.points_at(got), coords), q
+            assert np.array_equal(box.cells_at(coords), got), q
 
 
 @pytest.mark.parametrize("group", [groups.integer_lattice(2), groups.discrete_heisenberg()],
@@ -519,9 +556,9 @@ def test_right_translates_raise_when_a_product_field_leaves_the_key_range():
     p, q = (1 << 10, 0, top - (1 << 10)), (0, 1, 0)
     ratio, k_pts = one_point_ratio(p, q)
     assert ratio == folner_ratio_reference(heisenberg_mul, [p], k_pts) == 3.0
-    box = groups._BallBox.spanning(h3, p, [1 << 10, 1, top], 1 << 10, "p and p q")
+    box = groups._BallBox.spanning(h3, p, [1 << 10, 1, top], 1 << 10, "p and p q", 6)
     moved = box.right_translates(box.index(groups._keys(h3, np.array([p]))), [q])
-    assert groups._coords(h3, box.keys(moved[0])).tolist() == [[1 << 10, 1, top]]
+    assert box.points_at(moved[0]).T.tolist() == [[1 << 10, 1, top]]
 
 
 
@@ -532,12 +569,12 @@ def test_word_balls_of_any_radius_on_a_finite_torus():
     for radius in (4.0, 1e6, 1e300):
         assert groups.ball(metric, radius).measure == 16.0
         assert groups.ball_measure(metric, radius) == 16.0
-    assert len(metric._layers) == 6  # spheres of radius 0..4, then the empty one
+    assert len(metric._sizes) == 6  # spheres of radius 0..4, then the empty one
     # a fresh metric grows straight out to a radius far past the diameter
     for radius in (1e6, 1e300):
         fresh = groups.word_metric(groups.finite_cyclic_sq(4))
         assert groups.ball(fresh, radius).measure == 16.0
-        assert len(fresh._layers) == 6
+        assert len(fresh._sizes) == 6
 
 
 def tuple_bfs_spheres(mul, gens, identity, max_radius):
@@ -560,34 +597,95 @@ def _torus_add(n):
     return lambda a, b: ((a[0] + b[0]) % n, (a[1] + b[1]) % n)
 
 
+def _star(dim):
+    return [tuple(s if j == i else 0 for j in range(dim)) for i in range(dim) for s in (1, -1)]
+
+
 BFS_CASES = [
     (groups.integer_lattice(2), _add, [(1, 0), (-1, 0), (0, 1), (0, -1)], (0, 0), 60),
     (groups.discrete_heisenberg(), heisenberg_mul, HEISENBERG_GENS, (0, 0, 0), 26),
     # the torus closed form, at odd and even N, out to past the diameter
     *[(groups.finite_cyclic_sq(n), _torus_add(n), [(1, 0), (n - 1, 0), (0, 1), (0, n - 1)],
        (0, 0), 2 * n) for n in (2, 3, 4, 8, 9, 101)],
+    *[(groups.integer_lattice(d), _add, _star(d), (0,) * d, radius)
+      for d, radius in ((1, 40), (3, 12), (4, 8), (5, 6))],
 ]
-BFS_IDS = ["Z2", "H3", "Z2^2", "Z3^2", "Z4^2", "Z8^2", "Z9^2", "Z101^2"]
+BFS_IDS = ["Z2", "H3", "Z2^2", "Z3^2", "Z4^2", "Z8^2", "Z9^2", "Z101^2", "Z1", "Z3", "Z4", "Z5"]
+
+
+def tuple_keys(group, points):
+    """Sorted keys of a set of tuples."""
+    return groups._keys(group, np.array(sorted(points), dtype=np.int64).reshape(-1, group.dim))
 
 
 @pytest.mark.parametrize("group, mul, gens, identity, radius", BFS_CASES, ids=BFS_IDS)
 def test_word_spheres_match_a_tuple_bfs(group, mul, gens, identity, radius):
     # the torus radii run past the diameter: the spheres end with one empty
-    # one, also on a fresh metric grown straight out to 1e300
+    # one, also on a fresh metric grown straight out to 1e300.  Each sphere
+    # expands from its representatives to its elements, and the word balls
+    # match whether they are built largest first (each one smaller than the
+    # cached ball is expanded afresh) or smallest first (each one merges the
+    # spheres past the cached ball)
     want = tuple_bfs_spheres(mul, gens, identity, radius)
     metric = groups.word_metric(group)
     metric._grow_layers(radius)
     fresh = groups.word_metric(group)
-    if group.kind == groups.FINITE_CYCLIC_SQ:
-        fresh._grow_layers(int(1e300))
+    fresh._grow_layers(int(1e300) if group.kind == groups.FINITE_CYCLIC_SQ else radius)
+    for m in (metric, fresh):
+        assert len(m._sizes) == len(m._reps) == len(want)
+        for r, sphere in enumerate(want):
+            got = groups._expand(group, [m._reps[r]], m._sizes[r])
+            assert got.dtype == np.int64 and np.array_equal(got, tuple_keys(group, sphere)), r
+            assert m._sizes[r] == len(sphere), r
+    balls = [tuple_keys(group, set().union(*want[: r + 1])) for r in range(len(want))]
+    for m, radii in ((metric, range(len(want) - 1, -1, -1)), (fresh, range(len(want)))):
+        for r in radii:
+            assert np.array_equal(groups.ball(m, r).keys, balls[r]), r
+
+
+def flip_orbit(group, el):
+    """The orbit of an element under the generator sign flips, on tuples:
+    x_i -> -x_i on Z^d; a -> a^-1 and b -> b^-1 on H3, which map (x, y, z) to
+    (-x, y, -z) and (x, -y, -z)."""
+    if group.kind == groups.DISCRETE_HEISENBERG:
+        flips = [lambda p: (-p[0], p[1], -p[2]), lambda p: (p[0], -p[1], -p[2])]
     else:
-        fresh = metric
-    for layers in (metric._layers, fresh._layers):
-        assert len(layers) == len(want)
-        for r, (got, sphere) in enumerate(zip(layers, want)):
-            keys = groups._keys(group, np.array(sorted(sphere), dtype=np.int64)
-                                .reshape(-1, group.dim))
-            assert got.dtype == np.int64 and np.array_equal(got, keys), r
+        flips = [lambda p, i=i: p[:i] + (-p[i],) + p[i + 1:] for i in range(group.dim)]
+    orbit = {el}
+    for flip in flips:
+        orbit |= {flip(p) for p in orbit}
+    return orbit
+
+
+@pytest.mark.parametrize("group, mul, gens, radius", [
+    (groups.discrete_heisenberg(), heisenberg_mul, HEISENBERG_GENS, 14),
+    *[(groups.integer_lattice(d), _add, _star(d), radius)
+      for d, radius in ((1, 30), (2, 20), (3, 10), (4, 7), (5, 5))],
+], ids=["H3", "Z1", "Z2", "Z3", "Z4", "Z5"])
+def test_sphere_representatives_are_one_per_flip_orbit(group, mul, gens, radius):
+    # each sphere is cached as one representative per orbit of the sign
+    # flips, the greatest element of its orbit, and the closed form of the
+    # orbit sizes sums to the sphere's size, also on the boundary fibres
+    # alone
+    want = tuple_bfs_spheres(mul, gens, (0,) * group.dim, radius)
+    metric = groups.word_metric(group)
+    metric._grow_layers(radius)
+    fibres = set()
+    for r, sphere in enumerate(want):
+        reps = [tuple(p) for p in metric._reps[r].T.tolist()]
+        orbits = [flip_orbit(group, p) for p in reps]
+        assert all(p == max(orbit) for p, orbit in zip(reps, orbits)), r
+        assert set().union(*orbits) == sphere and sum(map(len, orbits)) == len(sphere), r
+        assert metric._sizes[r] == groups._sphere_size(group, metric._reps[r]) == len(sphere), r
+        for fibre in {tuple(c == 0 for c in p) for p in reps}:
+            on = [i for i, p in enumerate(reps) if tuple(c == 0 for c in p) == fibre]
+            assert (groups._sphere_size(group, metric._reps[r][:, on])
+                    == sum(len(orbits[i]) for i in on)), (r, fibre)
+            fibres.add(fibre)
+    if group.kind == groups.DISCRETE_HEISENBERG:
+        # every boundary fibre: x = 0, y = 0 or z = 0, and each pair of them
+        assert fibres == {(a, b, c) for a in (False, True) for b in (False, True)
+                          for c in (False, True)}
 
 
 @pytest.mark.parametrize("group, radius", [
@@ -604,8 +702,8 @@ def test_growing_radius_by_radius_gives_the_layers_of_one_call(group, radius):
         metric = groups.word_metric(group)
         for r in steps:
             metric._grow_layers(r)
-        assert len(metric._layers) == len(whole._layers)
-        assert all(np.array_equal(a, b) for a, b in zip(metric._layers, whole._layers))
+        assert metric._sizes == whole._sizes
+        assert all(np.array_equal(a, b) for a, b in zip(metric._reps, whole._reps))
 
 
 def test_word_length_of_random_heisenberg_elements_matches_the_tuple_bfs():
@@ -623,6 +721,32 @@ def test_word_length_of_random_heisenberg_elements_matches_the_tuple_bfs():
             assert metric.length(el) == dist[el], el
         else:
             assert metric.length(el) > 14, el
+
+
+def test_word_length_grows_once_to_its_lower_bound(monkeypatch):
+    # an element of H3 has word length at least |x| + |y| and the least R with
+    # floor(R^2 / 4) >= |z|: one call grows straight there, and the lookup
+    # then steps one radius at a time
+    around = groups._BallBox.around
+    radii = []
+
+    def counted(group, radius, budget):
+        radii.append(radius)
+        return around(group, radius, budget)
+
+    monkeypatch.setattr(groups._BallBox, "around", staticmethod(counted))
+    metric = groups.word_metric(groups.discrete_heisenberg())
+    a6b6 = (6, 6, 36)  # a^6 b^6, at its bound max(6 + 6, 12)
+    assert functools.reduce(heisenberg_mul, [(1, 0, 0)] * 6 + [(0, 1, 0)] * 6) == a6b6
+    assert metric.length(a6b6) == 12
+    assert radii == [12]
+    # [a, b] = (0, 0, 1): bound 2, length 4; its flips have the same length
+    for el in ((0, 0, 1), (0, 0, -1), (-6, 6, -36), (6, -6, -36), (-6, -6, 36)):
+        assert metric.length(el) == (4 if el[0] == 0 else 12)
+    assert radii == [12]
+    fresh = groups.word_metric(groups.discrete_heisenberg())
+    assert fresh.length((0, 0, -1)) == 4
+    assert radii == [12, 2, 3, 4]
 
 
 def test_growth_annular_and_folner_sweeps_grow_each_word_ball_once(monkeypatch, tmp_path):
@@ -653,40 +777,45 @@ def test_growth_annular_and_folner_sweeps_grow_each_word_ball_once(monkeypatch, 
 
 
 def test_bfs_bitmap_is_budgeted_before_it_is_allocated(monkeypatch):
-    # 1 byte per box cell; a box of more cells per budgeted element than the
-    # kind's box ever holds per ball element (d! on Z^d, 6 on H3) proves the
-    # ball over the budget and raises before allocating
+    # 1 byte per cell of the box of the representatives; a box of more cells
+    # per budgeted element than the kind's box ever holds per ball element
+    # (d! on Z^d, 2 on H3) proves the ball over the budget and raises before
+    # allocating
     monkeypatch.setenv(groups.BUDGET_ENV_VAR, "1000")
     metric = groups.word_metric(groups.discrete_heisenberg())
-    # radius 6: 593 elements in 13 x 13 x 19 = 3211 <= 6000 cells
-    assert groups._BallBox.around(metric.group, 6, 1000).cells == 3211
+    # radius 6: 593 elements in 7 x 7 x 19 = 931 <= 2000 cells
+    assert groups._BallBox.around(metric.group, 6, 1000).cells == 931
     metric._grow_layers(6)
-    assert sum(map(len, metric._layers)) == 593
-    # radius 7: 5625 cells pass, and the elements then exceed the budget
+    assert sum(metric._sizes) == 593
+    # radius 7: 1600 cells pass, and the elements then exceed the budget
     with pytest.raises(groups.BudgetExceededError, match="word ball enumeration"):
         metric._grow_layers(7)
-    # radius 9: 19 x 19 x 41 = 14801 cells
+    # radius 9: 10 x 10 x 41 = 4100 cells
     with pytest.raises(groups.BudgetExceededError,
-                       match=rf"budget 1000 \({groups.BUDGET_ENV_VAR}\): its box has 14801 cells"):
+                       match=rf"budget 1000 \({groups.BUDGET_ENV_VAR}\): its box has 4100 cells"):
         groups._BallBox.around(metric.group, 9, 1000)
     fresh = groups.word_metric(groups.discrete_heisenberg())
     with pytest.raises(groups.BudgetExceededError, match=groups.BUDGET_ENV_VAR):
         fresh._grow_layers(9)
-    assert len(fresh._layers) == 1  # nothing grew
-    # Z^4 and Z^5 boxes hold up to 24 and 120 cells per ball element: the
-    # radius 5 ball of Z^4 (681 elements, 11^4 = 14641 cells) and the radius 4
-    # ball of Z^5 (681 elements, 9^5 = 59049 cells) fit the budget
-    for dim, radius in ((4, 5), (5, 4)):
+    assert len(fresh._sizes) == 1  # nothing grew
+    # the radius 5 ball of Z^4 (681 elements, 6^4 = 1296 cells) and the
+    # radius 4 ball of Z^5 (681 elements, 5^5 = 3125 cells) fit the budget,
+    # and one more radius exceeds it; the box itself is refused past d! cells
+    # per budgeted element: 13^4 = 28561 > 24000, 11^5 = 161051 > 120000
+    for dim, radius, refused in ((4, 5, 12), (5, 4, 10)):
         lattice = groups.word_metric(groups.integer_lattice(dim))
         lattice._grow_layers(radius)
-        assert sum(map(len, lattice._layers)) == 681
+        assert sum(lattice._sizes) == 681
         with pytest.raises(groups.BudgetExceededError, match=groups.BUDGET_ENV_VAR):
             lattice._grow_layers(radius + 1)
+        groups._BallBox.around(lattice.group, refused - 1, 1000)
+        with pytest.raises(groups.BudgetExceededError, match=f"its box has {(refused + 1) ** dim}"):
+            groups._BallBox.around(lattice.group, refused, 1000)
     # the torus takes no box: the radius 2 ball of Z_N x Z_N with N = 10^6
     # builds its 13 elements, and the group of Z_100 x Z_100 is refused
     torus = groups.word_metric(groups.finite_cyclic_sq(10 ** 6))
     torus._grow_layers(2)
-    assert [len(layer) for layer in torus._layers] == [1, 4, 8]
+    assert torus._sizes == [1, 4, 8]
     with pytest.raises(groups.BudgetExceededError, match="has 10000 elements"):
         groups.word_metric(groups.finite_cyclic_sq(100))._grow_layers(10 ** 300)
     # a radius far past the budget raises without building a box
@@ -700,7 +829,7 @@ def test_ball_boxes_never_refuse_a_ball_within_the_budget(monkeypatch):
     def balls(group, radius):
         metric = groups.word_metric(group)
         metric._grow_layers(radius)
-        return itertools.accumulate(map(len, metric._layers))
+        return itertools.accumulate(metric._sizes)
 
     for dim in range(1, 6):
         # |ell^1 ball of Z^d| = sum_k 2^k C(d, k) C(r, k)
