@@ -3,7 +3,8 @@
 Four desk-scale models are shipped: Euclidean R^d with Lebesgue measure, the
 integer lattice Z^d, the discrete Heisenberg group H3(Z) in normal form, and
 the finite torus Z_N x Z_N, each with counting measure.  On top of them sit
-metric balls about the identity (enumerated for the discrete kinds),
+metric balls about the identity (word balls laid out in closed form as one
+interval of the last coordinate per column, gauge balls enumerated),
 growth-exponent and annular-decay diagnostics, and Folner ratios on R^d, Z^d
 and H3.  Translates x K are the callers' business: the counting code moves
 its centres, not its balls.
@@ -11,7 +12,6 @@ its centres, not its balls.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -188,23 +188,15 @@ class PeriodicMetric:
     """Left-invariant metric on one of the group models.
 
     Kinds: ``euclidean_norm`` on R^d, ``word_metric`` on any discrete kind,
-    ``homogeneous_heisenberg`` (Cygan gauge) on H3(Z).  Word spheres are
-    cached on the instance and grown under the element budget.  For each
-    radius the cache holds the sphere's size and its representatives: on
-    Z^d and H3 one per orbit of the generator sign flips (see the quotient
-    section below), on Z_N x Z_N every element.  Ball measures read the
-    sizes only; a ball's sorted keys are expanded from the representatives
-    of its spheres, and the largest ball expanded so far is cached.  The
-    growth, annular and Folner sweeps grow their largest word ball first, in
-    one BFS, and Folner ratios count on a box bitmap.
+    ``homogeneous_heisenberg`` (Cygan gauge) on H3(Z).  Word lengths and word
+    balls are closed forms (see the word-ball section below); the sizes of
+    the H3 word balls up to the largest radius measured are cached.
     """
 
     kind: str
     group: GroupModel
-    _sizes: list = field(default_factory=list, repr=False)  # elements of sphere r
-    _reps: list = field(default_factory=list, repr=False)   # its representatives, (dim, n)
-    # the largest word ball expanded so far: its radius and sorted keys
-    _ball: tuple = field(default=(-1, np.zeros(0, dtype=np.int64)), repr=False)
+    _h3_sizes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64),
+                                  repr=False)  # elements of the H3 word ball of radius r
     _gauge_cache: dict = field(default_factory=dict, repr=False)
 
     def length(self, el: tuple) -> float:
@@ -226,222 +218,171 @@ class PeriodicMetric:
             n = group.modulus
             return int(sum(min(x % n, (-x) % n) for x in el))
         _keys(group, np.array([el], dtype=np.int64))  # raises outside the key range
-        x, y, z = el  # brought to its representative (see the sign-flip quotient)
-        if (x < 0) != (y < 0):
-            z = -z
-        x, y = abs(x), abs(y)
-        if not x * y:
-            z = abs(z)
-        # a word of length R has |x| + |y| <= R and |z| <= floor(R^2 / 4)
-        radius = math.isqrt(4 * abs(z))
-        while radius * radius // 4 < abs(z):
-            radius += 1
-        radius = max(radius, x + y)
-        self._grow_layers(radius)
-        rep = np.array([[x], [y], [z]], dtype=np.int64)  # its flip orbit's representative
-        while not (self._reps[radius] == rep).all(axis=0).any():
-            radius += 1
-            self._grow_layers(radius)
-        return radius
-
-    def _grow_layers(self, up_to: int) -> None:
-        """Extend the cached word spheres out to word length ``up_to``.
-
-        On Z^d and H3 the BFS runs on the quotient by the generator sign
-        flips, on a boolean bitmap of the box that holds the representatives
-        of the ball of radius ``up_to`` (see ``_BallBox.around``): each new
-        sphere is the right translates of the last sphere's representatives
-        by the generators, brought to their representatives, less the cells
-        already marked, sorted and deduplicated (see ``_neighbour_cells``);
-        its size is the sum of their orbit sizes (see ``_sphere_size``).  The
-        flips are automorphisms that keep the generating set, so they keep
-        word length, and the representatives of sphere r + 1 are those of the
-        translates of sphere r's.  The generators are symmetric, so every
-        neighbour of sphere r lies in sphere r - 1, r or r + 1: only the last
-        two cached spheres are marked when a call starts.  On Z_N x Z_N
-        sphere r is read off the closed form of the word length (see
-        ``_torus_sphere``), each element its own representative, out to the
-        diameter and then one empty sphere, after which the torus stops
-        growing.
-        """
-        group = self.group
-        if not self._sizes:
-            self._sizes.append(1)
-            self._reps.append(np.zeros((group.dim, 1), dtype=np.int64))
-        if len(self._sizes) > up_to or not self._sizes[-1]:
-            return
-        budget = ball_budget()
-        if group.kind == FINITE_CYCLIC_SQ:
-            last = min(up_to, 2 * (group.modulus // 2))  # the diameter
-            size = _torus_ball_size(group.modulus, last)
-            if size > budget:
-                raise BudgetExceededError(
-                    f"word ball of radius {last} has {size} elements, over budget {budget} "
-                    f"({BUDGET_ENV_VAR})")
-            spheres = [_torus_sphere(group, r) for r in range(len(self._sizes), last + 1)]
-            if up_to > last:
-                spheres.append(np.zeros((2, 0), dtype=np.int64))
-            self._sizes.extend(sphere.shape[1] for sphere in spheres)
-            self._reps.extend(spheres)
-            return
-        box = _BallBox.around(group, up_to, budget)
-        unseen = np.ones(box.cells, dtype=bool)
-        for reps in self._reps[-2:]:
-            unseen[box.cells_at(reps)] = False
-        reps = self._reps[-1]
-        cells = box.cells_at(reps)
-        total = sum(self._sizes)
-        while len(self._sizes) <= up_to:
-            moved = _neighbour_cells(group, box, cells, reps)
-            # sorted runs, which a stable sort merges
-            moved = np.sort(moved[unseen[moved]], kind="stable")
-            first = np.ones(len(moved), dtype=bool)
-            first[1:] = moved[1:] != moved[:-1]
-            cells = moved[first]
-            unseen[cells] = False
-            reps = box.points_at(cells)
-            size = _sphere_size(group, reps)
-            total += size
-            if total > budget:
-                raise BudgetExceededError(
-                    f"word ball enumeration exceeded budget {budget} ({BUDGET_ENV_VAR}) "
-                    f"at radius {len(self._sizes)}")
-            self._sizes.append(size)
-            self._reps.append(reps)
+        return _h3_length(*el)
 
 
-# -- Sign-flip quotient of Z^d and H3 ---------------------------------------
+# -- Word balls in closed form --------------------------------------------------
 #
-# Inverting one generator pair is an automorphism of Z^d (x_i -> -x_i) and of
-# H3 (a -> a^-1 maps (x, y, z) to (-x, y, -z), b -> b^-1 maps it to
-# (x, -y, -z)) that keeps the generating set, so it keeps word length.  The
-# orbit of an element under these flips is represented by its greatest element
-# in the order of the keys: the one with every x_i >= 0 on Z^d, and
-# (|x|, |y|, +-z) on H3, where z changes sign once for each negative
-# coordinate and becomes |z| when x = 0 or y = 0, since the flip of that
-# coordinate alone moves z to -z.
+# On H3 with generators a^(+-1) and b^(+-1), a word is a lattice path from 0 to
+# (x, y), and z is the integral of x dy along it: closed by (x, y) -> (0, y) ->
+# (0, 0), the path encloses the signed area z.  Inverting a or b maps (x, y, z)
+# to (-x, y, -z) or (x, -y, -z), and g -> (x, y, xy - z) is the inverse followed
+# by both flips; each keeps the generating set, so each keeps word length.  On
+# x, y >= 0 and z > xy the shortest path runs round a W x H rectangle with that
+# L as its top-left corner, and a staircase cut trims its area to z without
+# adding length, so |g| = min 2 (W + H) - x - y over W >= x, H >= y, WH >= z
+# (Blachere, "Word distance on the discrete Heisenberg group", Colloq. Math. 95,
+# 2003).  For fixed (x, y) the length is nondecreasing in z on z >= xy and
+# symmetric under z -> xy - z, so a word ball is one interval of z per (x, y)
+# with |x| + |y| <= R; on Z^d it is one interval of the last coordinate per
+# point of the ell^1 ball of the others.  z is the last key field, so the keys
+# of such a column are consecutive integers.
 
 
-def _flip_signs(group: GroupModel) -> list:
-    """The signs the generator sign flips put on the coordinates: every sign
-    vector on Z^d; (e, d, e d) for e, d = +-1 on H3; only the identity's on
-    Z_N x Z_N, whose spheres keep every element."""
-    if group.kind == DISCRETE_HEISENBERG:
-        return [(1, 1, 1), (-1, 1, -1), (1, -1, -1), (-1, -1, 1)]
+def _h3_length(x: int, y: int, z: int) -> int:
+    """Word length of (x, y, z) in H3: brought to x, y >= 0 and z >= 0, the
+    minimum above is x + y when z <= xy; else, with M = max(x, y) and
+    N = min(x, y), M - N + 2 ceil(z / M) when z <= M^2, and 2 ceil(2 sqrt z)
+    - x - y past it."""
+    if (x < 0) != (y < 0):
+        z = -z
+    x, y = abs(x), abs(y)
+    if z < 0:
+        z = x * y - z
+    if z <= x * y:
+        return x + y
+    big, small = max(x, y), min(x, y)
+    if big * big >= z:
+        return big - small + 2 * -(-z // big)
+    return 2 * (math.isqrt(4 * z - 1) + 1) - x - y
+
+
+def _z_reach(a, b, radius):
+    """The greatest z >= ab at which ``_h3_length``(a, b, z) <= radius, for
+    a, b >= 0 with a + b <= radius (numpy arrays broadcast): t^2 // 4 with
+    t = (R + a + b) // 2 if that passes M^2, else min(M^2, M ((R - M + N) // 2))."""
+    big, small = np.maximum(a, b), np.minimum(a, b)
+    t = (radius + a + b) // 2
+    far = t * t // 4
+    near = np.minimum(big * big, big * ((radius - big + small) // 2))
+    return np.where(far > big * big, far, near)
+
+
+def _runs(start: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The integers of the ranges [start_i, start_i + n_i), in order."""
+    return np.repeat(start - np.cumsum(n) + n, n) + np.arange(n.sum())
+
+
+def _diamond(dims: int, radius: int) -> tuple:
+    """The ell^1 ball of Z^dims of this radius in lexicographic order, as a
+    list of coordinate arrays, and the radius - sum_i |x_i| each point leaves."""
+    coords, left = [], np.array([radius], dtype=np.int64)
+    for _ in range(dims):
+        n = 2 * left + 1
+        parent = np.repeat(np.arange(len(left)), n)
+        c = _runs(-left, n)
+        coords = [p[parent] for p in coords] + [c]
+        left = left[parent] - np.abs(c)
+    return coords, left
+
+
+def _lattice_ball_size(dims: int, radius: int) -> int:
+    """Points of the ell^1 ball of Z^dims: sum_k 2^k C(dims, k) C(R, k), a
+    point with k nonzero coordinates standing for its 2^k sign flips."""
+    return sum(2 ** k * math.comb(dims, k) * math.comb(radius, k) for k in range(dims + 1))
+
+
+def _columns(group: GroupModel, radius: int) -> tuple:
+    """The columns of the word ball of this radius, in key order on Z^d and
+    H3: the coordinate arrays of each column's first element, and its
+    length.  On Z^d the last coordinate runs over |x_d| <= R - sum_i |x_i|.
+    On H3, with Z = max(|xy|, ``_z_reach``(|x|, |y|)), it runs over
+    [xy - Z, Z] when xy >= 0, and over its image [-Z, Z + xy] under one flip
+    when xy < 0.  On Z_N x Z_N the signed digits s_i in [-lo, hi], lo =
+    (N - 1) // 2 and hi = N // 2, stand for the elements one each, at word
+    length |s_x| + |s_y|: the columns of s_y are a diamond clipped to the
+    digit box, and past the diameter 2 hi the ball is the group."""
     if group.kind == FINITE_CYCLIC_SQ:
-        return [(1, 1)]
-    return list(itertools.product((1, -1), repeat=group.dim))
+        lo, hi = (group.modulus - 1) // 2, group.modulus // 2
+        radius = min(radius, 2 * hi)
+        x = np.arange(-min(radius, lo), min(radius, hi) + 1)
+        left = radius - np.abs(x)
+        y = np.maximum(-left, -lo)
+        return [x, y], np.minimum(left, hi) - y + 1
+    if group.kind == INTEGER_LATTICE:
+        prefix, left = _diamond(group.dim - 1, radius)
+        return prefix + [-left], 2 * left + 1
+    (x, y), _ = _diamond(2, radius)
+    xy = x * y
+    z = np.maximum(np.abs(xy), _z_reach(np.abs(x), np.abs(y), radius))
+    return [x, y, np.where(xy >= 0, xy - z, -z)], 2 * z - np.abs(xy) + 1
 
 
-def _sphere_size(group: GroupModel, reps: np.ndarray) -> int:
-    """Elements in the orbits of the columns of a (dim, n) array of
-    representatives.  An orbit has 2^(nonzero x_i) elements on Z^d.  On H3
-    it has 4 off the walls x = 0 and y = 0; on one wall, 2 if z = 0 and 4
-    otherwise; on both, 1 if z = 0 and 2 otherwise."""
-    if group.kind != DISCRETE_HEISENBERG:
-        return int(np.left_shift(1, np.count_nonzero(reps, axis=0)).sum())
-    x, y, z = reps == 0
-    axis = x & y
-    return (4 * reps.shape[1] - 2 * np.count_nonzero(z & (x | y))
-            - 2 * np.count_nonzero(axis) + np.count_nonzero(axis & z))
+def _h3_ball_sizes(radius: int) -> np.ndarray:
+    """Elements of the H3 word balls of radius 0 to this one, in one pass
+    over the columns with x, y >= 0, each standing for its 1, 2 or 4 images
+    under the flips."""
+    (a, b), _ = _diamond(2, radius)
+    quadrant = (a >= 0) & (b >= 0)
+    a, b = a[quadrant], b[quadrant]
+    r = np.arange(radius + 1)[:, None]
+    n = 2 * np.maximum(a * b, _z_reach(a, b, r)) - a * b + 1
+    return np.where(a + b <= r, n, 0) @ ((1 + (a > 0)) * (1 + (b > 0)))
 
 
-def _neighbour_cells(group: GroupModel, box: "_BallBox", cells: np.ndarray,
-                     reps: np.ndarray) -> np.ndarray:
-    """Cells of the representatives of p q for every representative p at
-    these sorted cells of the box (its coordinates the columns of ``reps``)
-    and every generator q, in one sorted run per generator but near the
-    walls.  On Z^d, p + e_i moves a cell by stride_i, and so does p - e_i
-    but at x_i = 0, where its representative is p + e_i and it is left out.
-    On H3, p a and p b = (x, y + 1, z + x) move a cell by stride_x and
-    stride_y + x, and p a^-1 and p b^-1 = (x, y - 1, z - x) back, but at the
-    walls: p a^-1 is (0, y, |z|) at x = 1 and (1, y, -z) at x = 0, which is
-    p a at y = 0; p b^-1 is (x, 0, |z - x|) at y = 1 and (x, 1, x - z) at
-    y = 0, which is p b at x = 0."""
-    if group.kind != DISCRETE_HEISENBERG:
-        runs = []
-        for x, stride in zip(reps, box.strides):
-            runs += [cells + stride, (cells - stride)[x > 0]]
-        return np.concatenate(runs)
-    sx, sy, _ = box.strides
-    x, y, z = reps
-    n = len(cells)
-    out = np.empty(4 * n, dtype=np.int64)
-    by_a, by_b, by_a_inv, by_b_inv = out[:n], out[n:2 * n], out[2 * n:3 * n], out[3 * n:]
-    step = x + sy
-    np.add(cells, sx, out=by_a)
-    np.add(cells, step, out=by_b)
-    np.subtract(cells, sx, out=by_a_inv)
-    np.subtract(cells, step, out=by_b_inv)
-    x0, x1 = np.searchsorted(cells, (sx, 2 * sx))  # the rows with x = 0, then x = 1
-    by_a_inv[:x0] += 2 * sx - 2 * z[:x0] * (y[:x0] > 0)
-    by_a_inv[x0:x1] -= 2 * np.minimum(z[x0:x1], 0)
-    wall = np.flatnonzero(y <= 1)
-    x, y, z = x[wall], y[wall], z[wall]
-    over = x - z
-    by_b_inv[wall] += np.where(y == 0, 2 * sy + 2 * over * (x > 0), 2 * np.maximum(over, 0))
-    return out
+def _check_budget(radius: int, size: int, budget: int, what: str = "elements") -> None:
+    if size > budget:
+        raise BudgetExceededError(f"word ball of radius {radius} has {size} {what}, "
+                                  f"over budget {budget} ({BUDGET_ENV_VAR})")
 
 
-def _expand(group: GroupModel, reps: list, size: int) -> np.ndarray:
-    """Sorted ``_keys`` of the ``size`` elements in the orbits of the
-    columns of these (dim, n) arrays of representatives.  Keys are linear in
-    their fields, so the key of an image is the identity's plus
-    sum_i +-c_i 2^(bits (dim - 1 - i)) with the flip's signs.  An image equal
-    to one of an earlier flip is set to the greatest int64, so the keys are
-    the first ``size`` of the sorted images."""
-    bits = 63 // group.dim
-    fields = [c << bits * (group.dim - 1 - i) for i, c in enumerate(np.concatenate(reps, axis=1))]
-    flips = _flip_signs(group)
-    images = np.empty((len(flips), len(fields[0])), dtype=np.int64)
-    images[:] = sum(1 << bits * i + bits - 1 for i in range(group.dim))  # the identity
-    for j, (row, signs) in enumerate(zip(images, flips)):
-        for f, sign in zip(fields, signs):
-            if sign > 0:
-                row += f
-            else:
-                row -= f
-        repeats = np.zeros(len(row), dtype=bool)
-        for earlier in images[:j]:
-            repeats |= row == earlier
-        row[repeats] = np.iinfo(np.int64).max
-    keys = images.ravel()
-    keys.sort()
-    return keys[:size]
+def _word_ball_size(metric: PeriodicMetric, radius: int) -> int:
+    """Elements of the word ball of this integer radius, checked against the
+    budget.  On H3 the sizes of every radius up to it are cached, once the
+    columns and then the elements of this radius have passed the budget,
+    which bounds the radii x columns of that pass."""
+    group, budget = metric.group, ball_budget()
+    if radius < 0:
+        return 0
+    if group.kind == FINITE_CYCLIC_SQ:
+        size = int(_columns(group, radius)[1].sum())  # at most N columns
+    elif group.kind == INTEGER_LATTICE:
+        size = _lattice_ball_size(group.dim, radius)
+    else:
+        if radius >= len(metric._h3_sizes):
+            _check_budget(radius, _lattice_ball_size(2, radius), budget, "z-columns")
+            _check_budget(radius, int(_columns(group, radius)[1].sum()), budget)
+            metric._h3_sizes = _h3_ball_sizes(radius)
+        size = int(metric._h3_sizes[radius])
+    _check_budget(radius, size, budget)
+    return size
 
 
-def _torus_ball_size(n: int, radius: int) -> int:
-    """Elements of Z_N x Z_N at word length <= radius, radius <= the diameter.
-
-    The signed digits s_i in [-lo, hi], lo = (N - 1) // 2 and hi = N // 2,
-    stand for the elements one each, at word length |s_x| + |s_y|.  The ell^1
-    diamond of Z^2 has 2 R^2 + 2 R + 1 points, (R - m)^2 of them past each
-    side at distance m, and (t + 1) (t + 2) / 2 with t = R - a - b - 2 past
-    the two sides at a and b of each corner."""
-    cut = ((n - 1) // 2, n // 2)
-    past = sum(max(radius - m, 0) ** 2 for m in cut)
-    corners = sum((t + 1) * (t + 2) // 2 for a in cut for b in cut
-                  for t in [radius - a - b - 2] if t >= 0)
-    return 2 * radius * radius + 2 * radius + 1 - 2 * past + corners
-
-
-def _torus_sphere(group: GroupModel, radius: int) -> np.ndarray:
-    """The (2, n) array of the elements of the Z_N x Z_N sphere of this
-    radius: the signed digits s_i in [-(N - 1) // 2, N // 2] with
-    |s_x| + |s_y| = radius, mod N."""
-    n = group.modulus
-    lo, hi = (n - 1) // 2, n // 2
-    x = np.arange(-min(radius, lo), min(radius, hi) + 1)
-    y = radius - np.abs(x)
-    x, y = np.r_[x, x[y > 0]], np.r_[y, -y[y > 0]]
-    inside = (y >= -lo) & (y <= hi)
-    return np.stack([x[inside], y[inside]]) % n
+def _word_ball(metric: PeriodicMetric, radius: int) -> tuple:
+    """Sorted keys of the word ball of this integer radius, built once its
+    size has passed the budget, and on Z^d and H3 its bounds: |x_i| <= R on
+    Z^d; |x|, |y| <= R and |z| <= R^2 // 4 on H3, each attained (a^(R // 2)
+    b^(R - R // 2) reaches the last)."""
+    group = metric.group
+    if not _word_ball_size(metric, radius):
+        return np.zeros(0, dtype=np.int64), None
+    if group.kind == FINITE_CYCLIC_SQ:
+        (x, y), n = _columns(group, radius)
+        pts = np.stack([np.repeat(x, n), _runs(y, n)], axis=1) % group.modulus
+        return np.sort(_keys(group, pts)), None
+    hi = [radius] * group.dim
+    if group.kind == DISCRETE_HEISENBERG:
+        hi[2] = radius * radius // 4
+    bounds = ([-c for c in hi], hi)
+    _keys(group, np.array(bounds, dtype=np.int64))  # raises outside the key range
+    first, n = _columns(group, radius)
+    return _runs(_keys(group, np.stack(first, axis=1)), n), bounds
 
 
 @dataclass(frozen=True)
 class _BallBox:
-    """A row-major box of elements of Z^d or H3: the box of the word-ball
-    BFS's representatives, and the box over K_n K of the Folner count.
+    """A row-major box of elements of Z^d or H3: the box over K_n K of the
+    Folner count.
 
     Element c sits at cell sum_i (c_i - lo_i) * strides_i, so the order of
     the cells is the lexicographic order of the tuples, which is the order
@@ -458,18 +399,20 @@ class _BallBox:
     excess: tuple
 
     @classmethod
-    def spanning(cls, group: GroupModel, lo: Sequence[int], hi: Sequence[int], budget: int,
-                 what: str, per_element: int) -> "_BallBox":
+    def spanning(cls, group: GroupModel, lo: Sequence[int], hi: Sequence[int],
+                 budget: int) -> "_BallBox":
         """The box of the elements with lo_i <= c_i <= hi_i, 1 byte per cell
-        as a bitmap.  A box of more than ``per_element`` cells per budgeted
-        element raises before anything is allocated: the caller's bound on
-        the cells its box needs per element of the set it holds; a box
-        outside the key range raises OverflowError."""
+        as a bitmap.  For balls K_n and K, K_n K is the ball B of radius
+        r_n + r_K, with |B| <= |K_n| |K|, and its bounding box has at most d!
+        cells per element of B on Z^d and 6 on H3 (it peaks at 5.41, radius
+        6): a box of more cells per budgeted element raises before anything
+        is allocated; a box outside the key range raises OverflowError."""
         shape = [h - l + 1 for l, h in zip(lo, hi)]
         cells = math.prod(shape)
+        per_element = 6 if group.kind == DISCRETE_HEISENBERG else math.factorial(group.dim)
         if cells > per_element * budget:
             raise BudgetExceededError(
-                f"{what} exceeds budget {budget} ({BUDGET_ENV_VAR}): "
+                f"Folner product set exceeds budget {budget} ({BUDGET_ENV_VAR}): "
                 f"its box has {cells} cells, more than {per_element} per budgeted element")
         strides = [math.prod(shape[i + 1:]) for i in range(group.dim)]
         bits = 63 // group.dim
@@ -477,27 +420,6 @@ class _BallBox:
         base = int(_keys(group, corners)[0])  # raises outside the key range
         excess = [(1 << bits * (group.dim - 1 - i)) - strides[i] for i in range(group.dim - 1)]
         return cls(group, tuple(lo), tuple(strides), cells, base, tuple(excess))
-
-    @classmethod
-    def around(cls, group: GroupModel, radius: int, budget: int) -> "_BallBox":
-        """The box of the representatives of the word ball of this radius
-        (see the sign-flip quotient), for the factories' generator stars:
-        0 <= x_i <= R on Z^d; on H3 0 <= x, y <= R and |z| <= floor(R^2 / 4),
-        since each b step adds the current x to z and k b steps among R leave
-        |x| <= R - k, so they add at most k (R - k).  The box of Z^d has
-        (R + 1)^d cells over the C(R + d, d) ball elements with every x_i >= 0,
-        so at most d! per ball element; on H3 the cells per ball element peak
-        at 5/3 (radius 4) and tend to 36 / 31, so 2 bound them.  A box over
-        the budget thus holds a ball over it, which the BFS would refuse at
-        some radius anyway."""
-        hi = [radius] * group.dim
-        lo = [0] * group.dim
-        per_element = math.factorial(group.dim)
-        if group.kind == DISCRETE_HEISENBERG:
-            hi[2] = radius * radius // 4
-            lo[2] = -hi[2]
-            per_element = 2
-        return cls.spanning(group, lo, hi, budget, f"word ball of radius {radius}", per_element)
 
     def index(self, keys: np.ndarray) -> np.ndarray:
         """Cells of packed elements that lie in the box."""
@@ -509,39 +431,19 @@ class _BallBox:
             cells -= (field - (self.lo[i] + (1 << bits - 1))) * excess
         return cells
 
-    def cells_at(self, pts: np.ndarray) -> np.ndarray:
-        """Cells of the columns of a (dim, n) array of elements in the box."""
-        cells = pts[-1] - self.lo[-1]
-        for c, lo, stride in zip(pts[:-1], self.lo, self.strides):
-            cells += (c - lo) * stride
-        return cells
-
-    def points_at(self, cells: np.ndarray) -> np.ndarray:
-        """Inverse of ``cells_at``: the (dim, n) array of the elements at
-        these cells."""
-        out = np.empty((self.group.dim, len(cells)), dtype=np.int64)
-        for row, lo, stride in zip(out[:-1], self.lo, self.strides):
-            np.floor_divide(cells, stride, out=row)
-            cells = cells - row * stride
-            if lo:
-                row += lo
-        np.add(cells, self.lo[-1], out=out[-1])
-        return out
-
-    def right_translates(self, cells: np.ndarray, qs) -> np.ndarray:
-        """Cells of p * q for every p at ``cells``, one row per q in ``qs``.
-        The caller keeps every product in the box.  Each row keeps the order
-        of ``cells``: p * q moves a cell by q's shift, plus x * q_y on H3, and
-        x never falls as the cell grows."""
-        group = self.group
-        out = np.empty((len(qs), len(cells)), dtype=np.int64)
-        if group.kind == DISCRETE_HEISENBERG:
+    def right_translates(self, cells: np.ndarray, qs):
+        """Cells of p * q for every p at ``cells``, one row per q in ``qs``,
+        yielded one row at a time.  The caller keeps every product in the
+        box.  Each row keeps the order of ``cells``: p * q moves a cell by
+        q's shift, plus x * q_y on H3, and x never falls as the cell grows."""
+        shear = self.group.kind == DISCRETE_HEISENBERG
+        if shear:
             x = cells // self.strides[0] + self.lo[0]
-        for row, q in zip(out, qs):
-            np.add(cells, sum(int(c) * s for c, s in zip(q, self.strides)), out=row)
-            if group.kind == DISCRETE_HEISENBERG and q[1]:
+        for q in qs:
+            row = cells + sum(int(c) * s for c, s in zip(q, self.strides))
+            if shear and q[1]:
                 row += x * int(q[1])
-        return out
+            yield row
 
 
 def euclidean_metric(group: GroupModel | None = None, dim: int = 2) -> PeriodicMetric:
@@ -574,10 +476,12 @@ class Ball:
     """Metric ball about the identity.
 
     A discrete ball carries its elements as a sorted int64 key array (see
-    ``_keys``): a word ball's keys are expanded from the representatives of
-    its cached word spheres, and a gauge ball's are enumerated.  ``points``
-    decodes the keys into tuples, in key order, on first use.  A continuous
-    ball has neither.
+    ``_keys``): a word ball's keys are laid out column by column in closed
+    form, and a gauge ball's are enumerated.  On Z^d and H3 a nonempty ball
+    also carries ``bounds``, the lists of the least and the greatest value of
+    each coordinate over its elements, which size the Folner count's box.
+    ``points`` decodes the keys into tuples, in key order, on first use.  A
+    continuous ball has no keys.
     """
 
     metric: PeriodicMetric
@@ -585,6 +489,7 @@ class Ball:
     closed: bool
     keys: np.ndarray | None
     measure: float
+    bounds: tuple | None
     _points: tuple | None = field(default=None, init=False, repr=False)
 
     @property
@@ -594,26 +499,6 @@ class Ball:
         return self._points
 
 
-def _word_ball_keys(metric: PeriodicMetric, int_radius: int) -> np.ndarray:
-    """Sorted keys of the word ball of this integer radius.  The largest
-    ball expanded so far is cached: a larger one expands only the spheres
-    past it and merges the two sorted runs, a smaller one is expanded
-    afresh."""
-    metric._grow_layers(int_radius)
-    int_radius = min(int_radius, len(metric._sizes) - 1)
-    done, keys = metric._ball
-    if int_radius < done:
-        return _expand(metric.group, metric._reps[: int_radius + 1],
-                       sum(metric._sizes[: int_radius + 1]))
-    if int_radius > done:
-        shell = _expand(metric.group, metric._reps[done + 1:int_radius + 1],
-                        sum(metric._sizes[done + 1:int_radius + 1]))
-        keys = np.sort(np.concatenate([keys, shell]), kind="stable")  # two sorted runs
-        keys.flags.writeable = False  # shared by every Ball of this radius
-        metric._ball = (int_radius, keys)
-    return keys
-
-
 def gauge_ball_estimate(radius: float) -> float:
     """The candidates a gauge ball of this radius enumerates: every (x, y)
     with |x|, |y| <= radius and, for each, an interval of z of length
@@ -621,7 +506,9 @@ def gauge_ball_estimate(radius: float) -> float:
     return (2 * math.floor(radius) + 1) ** 2 * (radius * radius / 2.0 + 2)
 
 
-def _gauge_ball_keys(metric: PeriodicMetric, radius: float, closed: bool) -> np.ndarray:
+def _gauge_ball(metric: PeriodicMetric, radius: float, closed: bool) -> tuple:
+    """Sorted keys of the gauge ball of this radius and its bounds (see
+    ``Ball``), None when it is empty."""
     key = (round(radius, 12), closed)
     if key in metric._gauge_cache:
         return metric._gauge_cache[key]
@@ -633,7 +520,7 @@ def _gauge_ball_keys(metric: PeriodicMetric, radius: float, closed: bool) -> np.
     # every (x, y) with |x|, |y| <= m, then its z interval, in tuple order, in
     # slabs of x of at most _GAUGE_SLAB candidates (or one x)
     width = max(1, _GAUGE_SLAB // ((2 * m + 1) * (int(2 * span) + 1)))
-    slabs = []
+    slabs, lo, hi = [], [], []
     for x0 in range(-m, m + 1, width):
         x, y = (c.ravel() for c in np.meshgrid(np.arange(x0, min(x0 + width, m + 1)),
                                                np.arange(-m, m + 1), indexing="ij"))
@@ -641,7 +528,7 @@ def _gauge_ball_keys(metric: PeriodicMetric, radius: float, closed: bool) -> np.
         z_lo = np.ceil(z_mid - span).astype(np.int64)
         counts = np.floor(z_mid + span).astype(np.int64) - z_lo + 1
         x, y = np.repeat(x, counts), np.repeat(y, counts)
-        z = np.repeat(z_lo - (np.cumsum(counts) - counts), counts) + np.arange(len(x))
+        z = _runs(z_lo, counts)
         # _cygan_gauge's operations, element by element
         t = z - x * y / 2.0
         quartic = (x * x + y * y) ** 2 + 16.0 * t * t
@@ -651,9 +538,13 @@ def _gauge_ball_keys(metric: PeriodicMetric, radius: float, closed: bool) -> np.
         near = np.flatnonzero(np.abs(gauge - radius) <= 1e-12 * radius)
         gauge[near] = [q ** 0.25 for q in quartic[near].tolist()]
         inside = gauge <= radius if closed else gauge < radius
-        slabs.append(_keys(metric.group, np.stack([x[inside], y[inside], z[inside]], axis=1)))
-    out = np.concatenate(slabs)
-    metric._gauge_cache[key] = out
+        pts = np.stack([x[inside], y[inside], z[inside]], axis=1)
+        if len(pts):
+            lo.append(pts.min(axis=0))
+            hi.append(pts.max(axis=0))
+        slabs.append(_keys(metric.group, pts))
+    bounds = (np.min(lo, axis=0).tolist(), np.max(hi, axis=0).tolist()) if lo else None
+    out = metric._gauge_cache[key] = (np.concatenate(slabs), bounds)
     return out
 
 
@@ -674,12 +565,12 @@ def ball(metric: PeriodicMetric, radius: float, closed: bool = True) -> Ball:
     _check_radius(metric, radius)
     if metric.kind == EUCLIDEAN_NORM:
         return Ball(metric, radius, closed, None,
-                    _unit_ball_volume(metric.group.dim) * radius ** metric.group.dim)
+                    _unit_ball_volume(metric.group.dim) * radius ** metric.group.dim, None)
     if metric.kind == HOMOGENEOUS_HEISENBERG:
-        keys = _gauge_ball_keys(metric, radius, closed)
+        keys, bounds = _gauge_ball(metric, radius, closed)
     else:
-        keys = _word_ball_keys(metric, _effective_word_radius(radius, closed))
-    return Ball(metric, radius, closed, keys, float(len(keys)))
+        keys, bounds = _word_ball(metric, _effective_word_radius(radius, closed))
+    return Ball(metric, radius, closed, keys, float(len(keys)), bounds)
 
 
 def ball_measure(metric: PeriodicMetric, radius: float, closed: bool = True) -> float:
@@ -688,9 +579,7 @@ def ball_measure(metric: PeriodicMetric, radius: float, closed: bool = True) -> 
     if metric.kind == EUCLIDEAN_NORM:
         return _unit_ball_volume(metric.group.dim) * radius ** metric.group.dim
     if metric.kind == WORD_METRIC:
-        int_radius = _effective_word_radius(radius, closed)
-        metric._grow_layers(int_radius)
-        return float(sum(metric._sizes[: int_radius + 1]))
+        return float(_word_ball_size(metric, _effective_word_radius(radius, closed)))
     return ball(metric, radius, closed).measure
 
 
@@ -724,7 +613,7 @@ def fit_growth_exponent(metric: PeriodicMetric, radii: Sequence[float]) -> Growt
         raise ValueError("need at least 4 radii")
     if any(r < 1 for r in radii) or any(b >= a for a, b in zip(radii[1:], radii[:-1])):
         raise ValueError("radii must be strictly increasing and >= 1")
-    ball_measure(metric, radii[-1], closed=True)  # one BFS grows every ball
+    ball_measure(metric, radii[-1], closed=True)  # one pass sizes every ball
     vols = tuple(ball_measure(metric, r, closed=True) for r in radii)
     if min(vols) <= 0:
         raise ValueError("ball measure vanished; radii too small for this metric")
@@ -761,7 +650,7 @@ def _annular_samples(metric: PeriodicMetric, r_samples, s_fracs):
             raise ValueError(f"{name} must not be empty")
     if any(not 0.0 < frac <= 1.0 for frac in s_fracs):
         raise ValueError("s fractions must lie in (0, 1]")
-    ball_measure(metric, max(r_samples), closed=False)  # one BFS grows every ball
+    ball_measure(metric, max(r_samples), closed=False)  # one pass sizes every ball
     rows = []
     for r in r_samples:
         mu_r = ball_measure(metric, r, closed=False)
@@ -813,25 +702,18 @@ def annular_violations(fit: AnnularDecayFit, metric: PeriodicMetric,
 # -- Folner machinery ----------------------------------------------------------
 
 
-def _field_bounds(group: GroupModel, keys: np.ndarray) -> tuple:
-    """Per-field least and greatest coordinates of packed elements."""
-    bits = 63 // group.dim
-    fields = [(keys >> bits * (group.dim - 1 - i)) & ((1 << bits) - 1) for i in range(group.dim)]
-    offset = 1 << bits - 1
-    return [int(f.min()) - offset for f in fields], [int(f.max()) - offset for f in fields]
-
-
 def folner_ratio(metric: PeriodicMetric, k_n: Ball, k: Ball) -> float:
     """mu(K_n K intersect K_n^c K) / mu(K_n) for balls K_n and K on R^d, Z^d
     or H3.
 
     K_n must not be empty.  An x in K_n K lies outside K_n^c K when x q^-1
     is in K_n for every q in K; K is a ball about the identity, so it is
-    symmetric, and that is when x q is.  Z^d and H3 count exactly on a
-    bitmap of a box holding K_n K: the cells of K_n are marked, then each
-    right translate K_n q, q != e, is gathered into a mask of those x and
-    marked.  The euclidean kind has the closed annulus form.  No run counts
-    one on the finite torus, which raises.
+    symmetric, and that is when x q is.  Z^d and H3 count exactly on
+    bitmaps of a box holding K_n K, sized from the balls' bounds: the cells
+    of K_n are marked on one, then each right translate K_n q, q != e, in
+    turn is gathered from it into a mask of those x and marked on a copy,
+    which ends as K_n K.  The euclidean kind has the closed annulus form.  No
+    run counts one on the finite torus, which raises.
     """
     group = metric.group
     if group.kind == FINITE_CYCLIC_SQ:
@@ -852,27 +734,24 @@ def folner_ratio(metric: PeriodicMetric, k_n: Ball, k: Ball) -> float:
         raise BudgetExceededError("Folner product set exceeds budget")
     if not k.measure:
         return 0.0  # K_n K is empty
-    keys = k_n.keys
-    (lo, hi), (q_lo, q_hi) = _field_bounds(group, keys), _field_bounds(group, k.keys)
+    (lo, hi), (q_lo, q_hi) = k_n.bounds, k.bounds
     lo_prod = [a + b for a, b in zip(lo, q_lo)]
     hi_prod = [a + b for a, b in zip(hi, q_hi)]
     if group.kind == DISCRETE_HEISENBERG:  # p * q also moves z by x * q_y
         xy = [x * y for x in (lo[0], hi[0]) for y in (q_lo[1], q_hi[1])]
         lo_prod[2] += min(xy)
         hi_prod[2] += max(xy)
-    # for balls K_n and K, K_n K is the ball B of radius r_n + r_K, with
-    # |B| <= |K_n| |K|, and this box is B's bounding box: at most d! cells per
-    # element of B on Z^d and 6 on H3 (it peaks at 5.41, radius 6)
-    per_element = 6 if group.kind == DISCRETE_HEISENBERG else math.factorial(group.dim)
-    box = _BallBox.spanning(group, lo_prod, hi_prod, budget, "Folner product set", per_element)
-    cells = box.index(keys)
-    qs = _coords(group, k.keys)
-    moved = box.right_translates(cells, qs[qs.any(axis=1)])
+    box = _BallBox.spanning(group, lo_prod, hi_prod, budget)
+    cells = box.index(k_n.keys)
     inside = np.zeros(box.cells, dtype=bool)
     inside[cells] = True
-    interior = inside[moved].all(axis=0)
-    inside[moved] = True
-    return (np.count_nonzero(inside) - np.count_nonzero(interior)) / k_n.measure
+    product = inside.copy()
+    interior = np.ones(len(cells), dtype=bool)
+    qs = _coords(group, k.keys)
+    for moved in box.right_translates(cells, qs[qs.any(axis=1)]):
+        interior &= inside[moved]
+        product[moved] = True
+    return (np.count_nonzero(product) - np.count_nonzero(interior)) / k_n.measure
 
 
 def folner_exhaustion(metric: PeriodicMetric, r0: float, count: int, step: float) -> list:
@@ -886,5 +765,5 @@ def folner_exhaustion(metric: PeriodicMetric, r0: float, count: int, step: float
     if count < 1:
         raise ValueError("count must be >= 1")
     r1 = max(r0 + 1.0, float(step))
-    ball_measure(metric, r1 + (count - 1) * step, closed=True)  # one BFS grows every ball
+    ball_measure(metric, r1 + (count - 1) * step, closed=True)  # one pass sizes every ball
     return [ball(metric, r1 + i * step, closed=True) for i in range(count)]

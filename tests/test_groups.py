@@ -73,8 +73,10 @@ def hand_made_ball(metric, points, radius=0.0):
     """A Ball over these elements of the metric's group, which need not be a
     ball about the identity: the Folner count takes any finite K_n."""
     group = metric.group
-    keys = np.sort(groups._keys(group, np.array(points, dtype=np.int64).reshape(-1, group.dim)))
-    return groups.Ball(metric, radius, True, keys, float(len(keys)))
+    pts = np.array(points, dtype=np.int64).reshape(-1, group.dim)
+    keys = np.sort(groups._keys(group, pts))
+    bounds = (pts.min(axis=0).tolist(), pts.max(axis=0).tolist())
+    return groups.Ball(metric, radius, True, keys, float(len(keys)), bounds)
 
 
 def translated(metric, b, x):
@@ -235,7 +237,7 @@ def test_discrete_balls_name_a_radius_that_is_not_finite(metric):
         for measure in (groups.ball, groups.ball_measure):
             with pytest.raises(ValueError, match="radius"):
                 measure(metric, radius)
-    assert len(metric._sizes) <= 1  # nothing grew
+    assert not len(metric._h3_sizes) and not metric._gauge_cache  # nothing was sized
 
 
 def test_euclidean_balls_name_a_radius_that_is_nan():
@@ -349,7 +351,7 @@ def test_metric_factory_kind_guards():
 def test_heisenberg_word_length_matches_bfs_distances():
     dist = heisenberg_bfs_distances(6)
     far = max(dist, key=dist.get)
-    # a fresh metric grows its spheres on demand from the first lookup
+    # a fresh metric needs no ball to measure a length
     assert groups.word_metric(groups.discrete_heisenberg()).length(far) == dist[far] == 6
     metric = groups.word_metric(groups.discrete_heisenberg())
     for el, d in dist.items():
@@ -445,9 +447,9 @@ def test_ball_budget_fires_at_the_exact_element_count(monkeypatch):
         groups.ball(groups.word_metric(groups.discrete_heisenberg()), r + 1.0)
     with pytest.raises(groups.BudgetExceededError):
         groups.ball_measure(groups.word_metric(groups.discrete_heisenberg()), r + 1.0)
-    # a torus ball is counted before its spheres are built: the budget at its
-    # exact size passes, one element less raises and grows nothing, at every
-    # radius from 1 out to past the diameter
+    # a torus ball is counted before it is built: the budget at its exact
+    # size passes, one element less raises, at every radius from 1 out to past
+    # the diameter
     for n in range(2, 14):
         want = tuple_bfs_spheres(_torus_add(n), [(1, 0), (n - 1, 0), (0, 1), (0, n - 1)],
                                  (0, 0), 2 * n)
@@ -457,9 +459,10 @@ def test_ball_budget_fires_at_the_exact_element_count(monkeypatch):
             assert groups.ball(groups.word_metric(groups.finite_cyclic_sq(n)), r).measure == size
             monkeypatch.setenv(groups.BUDGET_ENV_VAR, str(size - 1))
             fresh = groups.word_metric(groups.finite_cyclic_sq(n))
-            with pytest.raises(groups.BudgetExceededError, match=groups.BUDGET_ENV_VAR):
-                fresh._grow_layers(r)
-            assert len(fresh._sizes) == 1, (n, r)
+            for measure in (groups.ball, groups.ball_measure):
+                with pytest.raises(groups.BudgetExceededError,
+                                   match=rf"has {size} elements, .*{groups.BUDGET_ENV_VAR}"):
+                    measure(fresh, r)
 
 
 def test_coordinates_outside_the_key_range_raise():
@@ -497,15 +500,12 @@ def test_right_translates_match_the_decode_path(group, center):
         # a box spanning the products' coordinates
         prods = groups._coords(group, np.concatenate(want))
         box = groups._BallBox.spanning(group, prods.min(axis=0).tolist(),
-                                       prods.max(axis=0).tolist(), 10 ** 6, "test box", 1)
-        moved = box.right_translates(box.index(kn.keys), qs)
+                                       prods.max(axis=0).tolist(), 10 ** 6)
+        moved = np.stack(list(box.right_translates(box.index(kn.keys), qs)))
         assert moved.dtype == np.int64 and moved.shape == (len(qs), len(pts))
         for q, got, keys in zip(qs, moved, want, strict=True):
             assert got.min() >= 0 and got.max() < box.cells, q
             assert np.array_equal(got, box.index(keys)), q
-            coords = groups._coords(group, keys).T
-            assert np.array_equal(box.points_at(got), coords), q
-            assert np.array_equal(box.cells_at(coords), got), q
 
 
 @pytest.mark.parametrize("group", [groups.integer_lattice(2), groups.discrete_heisenberg()],
@@ -556,25 +556,20 @@ def test_right_translates_raise_when_a_product_field_leaves_the_key_range():
     p, q = (1 << 10, 0, top - (1 << 10)), (0, 1, 0)
     ratio, k_pts = one_point_ratio(p, q)
     assert ratio == folner_ratio_reference(heisenberg_mul, [p], k_pts) == 3.0
-    box = groups._BallBox.spanning(h3, p, [1 << 10, 1, top], 1 << 10, "p and p q", 6)
-    moved = box.right_translates(box.index(groups._keys(h3, np.array([p]))), [q])
-    assert box.points_at(moved[0]).T.tolist() == [[1 << 10, 1, top]]
+    box = groups._BallBox.spanning(h3, p, [1 << 10, 1, top], 1 << 10)
+    [moved] = box.right_translates(box.index(groups._keys(h3, np.array([p]))), [q])
+    assert moved.tolist() == box.index(groups._keys(h3, np.array([[1 << 10, 1, top]]))).tolist()
 
 
 
 def test_word_balls_of_any_radius_on_a_finite_torus():
-    # the spheres stop at the diameter and one empty sphere: a radius far past
-    # it gives the whole torus without building one sphere per unit of radius
-    metric = groups.word_metric(groups.finite_cyclic_sq(4))
+    # past the diameter (4) the ball is the whole torus, in closed form: a
+    # radius far past it costs no more than the diameter
+    group = groups.finite_cyclic_sq(4)
+    metric = groups.word_metric(group)
     for radius in (4.0, 1e6, 1e300):
-        assert groups.ball(metric, radius).measure == 16.0
+        assert list(groups.ball(metric, radius).points) == group.elements()
         assert groups.ball_measure(metric, radius) == 16.0
-    assert len(metric._sizes) == 6  # spheres of radius 0..4, then the empty one
-    # a fresh metric grows straight out to a radius far past the diameter
-    for radius in (1e6, 1e300):
-        fresh = groups.word_metric(groups.finite_cyclic_sq(4))
-        assert groups.ball(fresh, radius).measure == 16.0
-        assert len(fresh._sizes) == 6
 
 
 def tuple_bfs_spheres(mul, gens, identity, max_radius):
@@ -603,7 +598,7 @@ def _star(dim):
 
 BFS_CASES = [
     (groups.integer_lattice(2), _add, [(1, 0), (-1, 0), (0, 1), (0, -1)], (0, 0), 60),
-    (groups.discrete_heisenberg(), heisenberg_mul, HEISENBERG_GENS, (0, 0, 0), 26),
+    (groups.discrete_heisenberg(), heisenberg_mul, HEISENBERG_GENS, (0, 0, 0), 30),
     # the torus closed form, at odd and even N, out to past the diameter
     *[(groups.finite_cyclic_sq(n), _torus_add(n), [(1, 0), (n - 1, 0), (0, 1), (0, n - 1)],
        (0, 0), 2 * n) for n in (2, 3, 4, 8, 9, 101)],
@@ -620,27 +615,28 @@ def tuple_keys(group, points):
 
 @pytest.mark.parametrize("group, mul, gens, identity, radius", BFS_CASES, ids=BFS_IDS)
 def test_word_spheres_match_a_tuple_bfs(group, mul, gens, identity, radius):
-    # the torus radii run past the diameter: the spheres end with one empty
-    # one, also on a fresh metric grown straight out to 1e300.  Each sphere
-    # expands from its representatives to its elements, and the word balls
-    # match whether they are built largest first (each one smaller than the
-    # cached ball is expanded afresh) or smallest first (each one merges the
-    # spheres past the cached ball)
+    # the keys and measures of every word ball, closed and open, equal the
+    # tuple BFS's at every radius.  The torus radii run past the diameter,
+    # where the spheres end with an empty one, and on to 1e300.  One metric
+    # builds its balls largest first and one smallest first, so the cached H3
+    # sizes are read both ways
     want = tuple_bfs_spheres(mul, gens, identity, radius)
-    metric = groups.word_metric(group)
-    metric._grow_layers(radius)
-    fresh = groups.word_metric(group)
-    fresh._grow_layers(int(1e300) if group.kind == groups.FINITE_CYCLIC_SQ else radius)
-    for m in (metric, fresh):
-        assert len(m._sizes) == len(m._reps) == len(want)
-        for r, sphere in enumerate(want):
-            got = groups._expand(group, [m._reps[r]], m._sizes[r])
-            assert got.dtype == np.int64 and np.array_equal(got, tuple_keys(group, sphere)), r
-            assert m._sizes[r] == len(sphere), r
-    balls = [tuple_keys(group, set().union(*want[: r + 1])) for r in range(len(want))]
-    for m, radii in ((metric, range(len(want) - 1, -1, -1)), (fresh, range(len(want)))):
-        for r in radii:
-            assert np.array_equal(groups.ball(m, r).keys, balls[r]), r
+    sizes = list(itertools.accumulate(map(len, want)))
+    balls = []
+    for sphere in want:
+        run = [balls[-1]] if balls else []
+        balls.append(np.sort(np.concatenate(run + [tuple_keys(group, sphere)])))
+    radii = list(range(radius + 1))
+    if group.kind == groups.FINITE_CYCLIC_SQ:
+        radii.append(1e300)
+    for m, order in ((groups.word_metric(group), radii[::-1]), (groups.word_metric(group), radii)):
+        for r in order:
+            at = min(r, len(want) - 1)
+            closed, opened = groups.ball(m, r), groups.ball(m, r + 1, closed=False)
+            for b in (closed, opened):
+                assert b.keys.dtype == np.int64 and np.array_equal(b.keys, balls[at]), r
+                assert b.measure == sizes[at], r
+            assert groups.ball_measure(m, r) == groups.ball_measure(m, r + 0.5, False) == sizes[at]
 
 
 def flip_orbit(group, el):
@@ -663,25 +659,24 @@ def flip_orbit(group, el):
       for d, radius in ((1, 30), (2, 20), (3, 10), (4, 7), (5, 5))],
 ], ids=["H3", "Z1", "Z2", "Z3", "Z4", "Z5"])
 def test_sphere_representatives_are_one_per_flip_orbit(group, mul, gens, radius):
-    # each sphere is cached as one representative per orbit of the sign
-    # flips, the greatest element of its orbit, and the closed form of the
-    # orbit sizes sums to the sphere's size, also on the boundary fibres
-    # alone
+    # the sign flips keep word length, so each sphere is a union of whole flip
+    # orbits and the word ball is closed under the flips.  The closed-form
+    # sizes count one representative per orbit (2^k points per point with k
+    # nonzero coordinates on Z^d; 1, 2 or 4 columns per column with x, y >= 0
+    # on H3) and give every sphere's size, on every boundary fibre of H3
     want = tuple_bfs_spheres(mul, gens, (0,) * group.dim, radius)
     metric = groups.word_metric(group)
-    metric._grow_layers(radius)
     fibres = set()
     for r, sphere in enumerate(want):
-        reps = [tuple(p) for p in metric._reps[r].T.tolist()]
+        reps = {max(flip_orbit(group, p)) for p in sphere}
         orbits = [flip_orbit(group, p) for p in reps]
-        assert all(p == max(orbit) for p, orbit in zip(reps, orbits)), r
         assert set().union(*orbits) == sphere and sum(map(len, orbits)) == len(sphere), r
-        assert metric._sizes[r] == groups._sphere_size(group, metric._reps[r]) == len(sphere), r
-        for fibre in {tuple(c == 0 for c in p) for p in reps}:
-            on = [i for i, p in enumerate(reps) if tuple(c == 0 for c in p) == fibre]
-            assert (groups._sphere_size(group, metric._reps[r][:, on])
-                    == sum(len(orbits[i]) for i in on)), (r, fibre)
-            fibres.add(fibre)
+        inner = groups.ball_measure(metric, r, closed=False)
+        assert groups.ball_measure(metric, r) - inner == len(sphere), r
+        fibres |= {tuple(c == 0 for c in p) for p in reps}
+    points = set(groups.ball(metric, radius).points)
+    assert points == set().union(*want)
+    assert all(flip_orbit(group, p) <= points for p in points)
     if group.kind == groups.DISCRETE_HEISENBERG:
         # every boundary fibre: x = 0, y = 0 or z = 0, and each pair of them
         assert fibres == {(a, b, c) for a in (False, True) for b in (False, True)
@@ -694,16 +689,17 @@ def test_sphere_representatives_are_one_per_flip_orbit(group, mul, gens, radius)
     (groups.finite_cyclic_sq(31), 20),
 ], ids=["Z2", "Z3", "H3", "Z9^2", "Z31^2"])
 def test_growing_radius_by_radius_gives_the_layers_of_one_call(group, radius):
-    # each call sizes its own bitmap (Z^d, H3) and restarts from the last two
-    # spheres
+    # measures taken radius by radius, each past the cached H3 sizes
+    # recomputing them, equal those of one pass out to the largest radius,
+    # and so do the balls built at each radius
     whole = groups.word_metric(group)
-    whole._grow_layers(radius)
+    want = [groups.ball_measure(whole, r) for r in range(radius, -1, -1)][::-1]
     for steps in (range(radius + 1), (0, 1, 4, 5, 11, radius)):
         metric = groups.word_metric(group)
         for r in steps:
-            metric._grow_layers(r)
-        assert metric._sizes == whole._sizes
-        assert all(np.array_equal(a, b) for a, b in zip(metric._reps, whole._reps))
+            assert groups.ball_measure(metric, r) == want[r], r
+            assert len(groups.ball(groups.word_metric(group), r).keys) == want[r], r
+        assert np.array_equal(metric._h3_sizes, whole._h3_sizes)
 
 
 def test_word_length_of_random_heisenberg_elements_matches_the_tuple_bfs():
@@ -723,43 +719,40 @@ def test_word_length_of_random_heisenberg_elements_matches_the_tuple_bfs():
             assert metric.length(el) > 14, el
 
 
-def test_word_length_grows_once_to_its_lower_bound(monkeypatch):
-    # an element of H3 has word length at least |x| + |y| and the least R with
-    # floor(R^2 / 4) >= |z|: one call grows straight there, and the lookup
-    # then steps one radius at a time
-    around = groups._BallBox.around
-    radii = []
-
-    def counted(group, radius, budget):
-        radii.append(radius)
-        return around(group, radius, budget)
-
-    monkeypatch.setattr(groups._BallBox, "around", staticmethod(counted))
+def test_closed_word_length_matches_the_bfs_on_a_ball_and_its_box():
+    # the closed form gives every element of the radius 20 ball (68,079 of
+    # them) its BFS distance, and every other element of the ball's bounding
+    # box |x|, |y| <= 20, |z| <= 100 a length over 20
+    dist = heisenberg_bfs_distances(20)
+    assert len(dist) == 68079
+    for el in itertools.product(range(-20, 21), range(-20, 21), range(-100, 101)):
+        length = groups._h3_length(*el)
+        if el in dist:
+            assert length == dist[el], el
+        else:
+            assert length > 20, el
+    # each branch through the metric: a^6 b^6 at x + y, [a, b] = (0, 0, 1)
+    # with z > M^2, a^3 b^6 a^-3 = (0, 6, -18) on a wall, and their flips
     metric = groups.word_metric(groups.discrete_heisenberg())
-    a6b6 = (6, 6, 36)  # a^6 b^6, at its bound max(6 + 6, 12)
+    a6b6 = (6, 6, 36)
     assert functools.reduce(heisenberg_mul, [(1, 0, 0)] * 6 + [(0, 1, 0)] * 6) == a6b6
-    assert metric.length(a6b6) == 12
-    assert radii == [12]
-    # [a, b] = (0, 0, 1): bound 2, length 4; its flips have the same length
-    for el in ((0, 0, 1), (0, 0, -1), (-6, 6, -36), (6, -6, -36), (-6, -6, 36)):
-        assert metric.length(el) == (4 if el[0] == 0 else 12)
-    assert radii == [12]
-    fresh = groups.word_metric(groups.discrete_heisenberg())
-    assert fresh.length((0, 0, -1)) == 4
-    assert radii == [12, 2, 3, 4]
+    for el, length in (((6, 6, 36), 12), ((-6, 6, -36), 12), ((6, -6, -36), 12),
+                       ((-6, -6, 36), 12), ((0, 0, 1), 4), ((0, 0, -1), 4),
+                       ((0, 6, -18), 12), ((3, 4, 20), dist[(3, 4, 20)])):
+        assert metric.length(el) == length, el
 
 
 def test_growth_annular_and_folner_sweeps_grow_each_word_ball_once(monkeypatch, tmp_path):
-    # each call that grows builds a box bitmap: the sweeps grow their largest
-    # ball first, and read every smaller one from the cached spheres
-    around = groups._BallBox.around
+    # each sweep sizes its H3 word balls in one pass out to its largest
+    # radius, and reads every smaller one from the cached sizes
+    sizes = groups._h3_ball_sizes
     radii = []
 
-    def counted(group, radius, budget):
+    def counted(radius):
         radii.append(radius)
-        return around(group, radius, budget)
+        return sizes(radius)
 
-    monkeypatch.setattr(groups._BallBox, "around", staticmethod(counted))
+    monkeypatch.setattr(groups, "_h3_ball_sizes", counted)
     metric = groups.word_metric(groups.discrete_heisenberg())
     groups.fit_growth_exponent(metric, [4, 5, 6, 8])
     assert radii == [8]
@@ -769,75 +762,67 @@ def test_growth_annular_and_folner_sweeps_grow_each_word_ball_once(monkeypatch, 
     metric = groups.word_metric(groups.discrete_heisenberg())
     groups.folner_exhaustion(metric, 1.0, 3, 4.0)
     assert radii == [8, 11, 12]
-    # a geometry run grows one ball: its growth sweep reaches the largest radius
+    # a geometry run sizes once: its growth sweep reaches the largest radius
     config = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                           "geometry_heisenberg.ini")
     cli.run_experiment("geometry", config, str(tmp_path))
     assert radii == [8, 11, 12, 12]
 
 
-def test_bfs_bitmap_is_budgeted_before_it_is_allocated(monkeypatch):
-    # 1 byte per cell of the box of the representatives; a box of more cells
-    # per budgeted element than the kind's box ever holds per ball element
-    # (d! on Z^d, 2 on H3) proves the ball over the budget and raises before
-    # allocating
+def test_word_ball_budget_is_checked_before_any_key_is_allocated(monkeypatch):
+    # one element under the exact size of the H3 radius 20 ball (68,079)
+    # raises, naming the variable, before its 545 kB of keys are allocated;
+    # at the exact size the ball is built
+    h3 = groups.discrete_heisenberg()
+    monkeypatch.setenv(groups.BUDGET_ENV_VAR, "68078")
+    for measure in (groups.ball, groups.ball_measure):
+        tracemalloc.start()
+        try:
+            with pytest.raises(groups.BudgetExceededError,
+                               match=rf"radius 20 has 68079 elements, over budget 68078 "
+                                     rf"\({groups.BUDGET_ENV_VAR}\)"):
+                measure(groups.word_metric(h3), 20.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 68079, (measure, peak)
+    monkeypatch.setenv(groups.BUDGET_ENV_VAR, "68079")
+    assert len(groups.ball(groups.word_metric(h3), 20.0).keys) == 68079
+    # the columns the size is summed from are counted first: the radius 30
+    # ball's 1,861 columns pass no budget of 1000, nor does a radius far past it
     monkeypatch.setenv(groups.BUDGET_ENV_VAR, "1000")
-    metric = groups.word_metric(groups.discrete_heisenberg())
-    # radius 6: 593 elements in 7 x 7 x 19 = 931 <= 2000 cells
-    assert groups._BallBox.around(metric.group, 6, 1000).cells == 931
-    metric._grow_layers(6)
-    assert sum(metric._sizes) == 593
-    # radius 7: 1600 cells pass, and the elements then exceed the budget
-    with pytest.raises(groups.BudgetExceededError, match="word ball enumeration"):
-        metric._grow_layers(7)
-    # radius 9: 10 x 10 x 41 = 4100 cells
-    with pytest.raises(groups.BudgetExceededError,
-                       match=rf"budget 1000 \({groups.BUDGET_ENV_VAR}\): its box has 4100 cells"):
-        groups._BallBox.around(metric.group, 9, 1000)
-    fresh = groups.word_metric(groups.discrete_heisenberg())
-    with pytest.raises(groups.BudgetExceededError, match=groups.BUDGET_ENV_VAR):
-        fresh._grow_layers(9)
-    assert len(fresh._sizes) == 1  # nothing grew
-    # the radius 5 ball of Z^4 (681 elements, 6^4 = 1296 cells) and the
-    # radius 4 ball of Z^5 (681 elements, 5^5 = 3125 cells) fit the budget,
-    # and one more radius exceeds it; the box itself is refused past d! cells
-    # per budgeted element: 13^4 = 28561 > 24000, 11^5 = 161051 > 120000
-    for dim, radius, refused in ((4, 5, 12), (5, 4, 10)):
+    for radius in (30.0, 1e300):
+        for measure in (groups.ball, groups.ball_measure):
+            with pytest.raises(groups.BudgetExceededError, match="z-columns, over budget 1000"):
+                measure(groups.word_metric(h3), radius)
+    # the radius 5 ball of Z^4 and the radius 4 ball of Z^5 (681 elements
+    # each) fit, and one more radius does not; so does a radius far past it
+    for dim, radius in ((4, 5), (5, 4)):
         lattice = groups.word_metric(groups.integer_lattice(dim))
-        lattice._grow_layers(radius)
-        assert sum(lattice._sizes) == 681
-        with pytest.raises(groups.BudgetExceededError, match=groups.BUDGET_ENV_VAR):
-            lattice._grow_layers(radius + 1)
-        groups._BallBox.around(lattice.group, refused - 1, 1000)
-        with pytest.raises(groups.BudgetExceededError, match=f"its box has {(refused + 1) ** dim}"):
-            groups._BallBox.around(lattice.group, refused, 1000)
-    # the torus takes no box: the radius 2 ball of Z_N x Z_N with N = 10^6
-    # builds its 13 elements, and the group of Z_100 x Z_100 is refused
-    torus = groups.word_metric(groups.finite_cyclic_sq(10 ** 6))
-    torus._grow_layers(2)
-    assert torus._sizes == [1, 4, 8]
+        assert groups.ball(lattice, radius).measure == groups.ball_measure(lattice, radius) == 681
+        for far in (radius + 1, 1e300):
+            with pytest.raises(groups.BudgetExceededError, match=groups.BUDGET_ENV_VAR):
+                groups.ball(lattice, far)
+    # a torus ball is clipped at the diameter: the radius 2 ball of Z_N x Z_N
+    # with N = 10^6 has its 13 elements, and the group of Z_100 x Z_100 is
+    # refused
+    assert groups.ball(groups.word_metric(groups.finite_cyclic_sq(10 ** 6)), 2).measure == 13
     with pytest.raises(groups.BudgetExceededError, match="has 10000 elements"):
-        groups.word_metric(groups.finite_cyclic_sq(100))._grow_layers(10 ** 300)
-    # a radius far past the budget raises without building a box
-    with pytest.raises(groups.BudgetExceededError, match=groups.BUDGET_ENV_VAR):
-        groups.word_metric(groups.integer_lattice(2))._grow_layers(10 ** 300)
+        groups.ball(groups.word_metric(groups.finite_cyclic_sq(100)), 1e300)
 
 
 def test_ball_boxes_never_refuse_a_ball_within_the_budget(monkeypatch):
-    # a box raises only when its ball would exceed the budget: with the budget
-    # set to the ball's exact size, no box of any radius raises
-    def balls(group, radius):
-        metric = groups.word_metric(group)
-        metric._grow_layers(radius)
-        return itertools.accumulate(metric._sizes)
-
-    for dim in range(1, 6):
+    # with the budget set to a word ball's exact size, no radius is refused
+    for dim, top in ((1, 400), (2, 100), (3, 30), (4, 12), (5, 8)):
         # |ell^1 ball of Z^d| = sum_k 2^k C(d, k) C(r, k)
-        for r in range(0, 400):
+        for r in range(0, top):
             size = sum(2 ** k * math.comb(dim, k) * math.comb(r, k) for k in range(dim + 1))
-            groups._BallBox.around(groups.integer_lattice(dim), r, size)
-    for r, size in enumerate(balls(groups.discrete_heisenberg(), 40)):
-        groups._BallBox.around(groups.discrete_heisenberg(), r, size)
+            monkeypatch.setenv(groups.BUDGET_ENV_VAR, str(size))
+            assert groups.ball(groups.word_metric(groups.integer_lattice(dim)), r).measure == size
+    for r, size in enumerate(itertools.accumulate(heisenberg_bfs_oracle(20))):
+        monkeypatch.setenv(groups.BUDGET_ENV_VAR, str(size))
+        assert groups.ball(groups.word_metric(groups.discrete_heisenberg()), r).measure == size
+    monkeypatch.delenv(groups.BUDGET_ENV_VAR)
     # nor does the Folner count's box over K_n K with the budget at |K_n| |K|
     metrics = [(groups.word_metric(groups.integer_lattice(3)), range(0, 9), (0, 1, 2)),
                (groups.word_metric(groups.discrete_heisenberg()), range(0, 15), (0, 1, 2, 3)),
@@ -888,10 +873,17 @@ def test_gauge_ball_keys_match_the_scalar_loop(monkeypatch):
         # one slab at these radii, then slabs of one x and of a few
         for slab in (groups._GAUGE_SLAB, 1, 200):
             monkeypatch.setattr(groups, "_GAUGE_SLAB", slab)
-            closed = groups._gauge_ball_keys(groups.heisenberg_gauge_metric(), radius, True)
-            opened = groups._gauge_ball_keys(groups.heisenberg_gauge_metric(), radius, False)
+            closed, closed_bounds = groups._gauge_ball(groups.heisenberg_gauge_metric(),
+                                                       radius, True)
+            opened, open_bounds = groups._gauge_ball(groups.heisenberg_gauge_metric(),
+                                                     radius, False)
             assert np.array_equal(closed, want_closed), (radius, slab)
             assert np.array_equal(opened, want_open), (radius, slab)
+            # the bounds are each coordinate's extremes over the elements
+            for bounds, keys in ((closed_bounds, want_closed), (open_bounds, want_open)):
+                coords = groups._coords(groups.discrete_heisenberg(), keys)
+                assert bounds == ((coords.min(axis=0).tolist(), coords.max(axis=0).tolist())
+                                  if len(keys) else None), (radius, slab)
         monkeypatch.undo()
         ties += len(closed) - len(opened)
     assert ties > 0
@@ -904,7 +896,7 @@ def test_gauge_ball_enumeration_memory_is_bounded_by_its_slabs():
     # stay under four times the keys' bytes
     tracemalloc.start()
     try:
-        keys = groups._gauge_ball_keys(groups.heisenberg_gauge_metric(), 30.0, True)
+        keys, _ = groups._gauge_ball(groups.heisenberg_gauge_metric(), 30.0, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
