@@ -256,15 +256,23 @@ def _validate(experiment: str, cfg: dict) -> None:
     _check_sizes(experiment, cfg, budget)
 
 
-def _ball_bound(group: str, metric: str, r: float) -> float:
-    """An upper bound on the elements of a discrete geometry ball of radius r."""
-    if metric == "heisenberg_gauge":
+def _ball_bound(metric: groups.PeriodicMetric, r: float) -> float:
+    """The elements of a discrete geometry ball of radius r: exact for a word
+    ball, whose size groups.ball_measure checks against the budget, and an
+    upper bound for a gauge ball."""
+    if metric.kind == groups.HOMOGENEOUS_HEISENBERG:
         return groups.gauge_ball_estimate(r)
-    # a word of length m <= r has |x| + |y| <= m and, on H3, |z| <= m^2 / 4:
-    # each b step adds the current x to z, and |x| <= the a steps
+    if math.isinf(r):  # a Folner radius whose float sum overflowed
+        return math.inf
+    return groups.ball_measure(metric, r)
+
+
+def _h3_word_box(r: float) -> int:
+    """Elements of a box that holds the H3 word ball of radius r: a word of
+    length m <= r has |x| + |y| <= m and |z| <= m^2 / 4, since each b step
+    adds the current x to z and |x| is at most the a steps."""
     m = math.floor(r)
-    diamond = 2 * m * m + 2 * m + 1
-    return diamond * (2 * (m * m // 4) + 1) if group == "discrete_heisenberg" else diamond
+    return (2 * m * m + 2 * m + 1) * (2 * (m * m // 4) + 1)
 
 
 def _check_sizes(experiment: str, cfg: dict, budget: int) -> None:
@@ -304,7 +312,7 @@ def _check_sizes(experiment: str, cfg: dict, budget: int) -> None:
         sizes.append(("trials", "coefficient entries",
                       lambda: cfg["trials"] * cfg["n"] ** 2))
     if experiment == "geometry":
-        group, metric = cfg["group"], cfg["metric"]
+        group = cfg["group"]
         first = max(cfg["folner_r0"] + 1.0, cfg["folner_step"])  # K_1 of the exhaustion
         last = _size(lambda: first + (cfg["folner_count"] - 1) * cfg["folner_step"])
         balls = [("growth_radii", "largest growth", cfg["growth_radii"][-1]),
@@ -325,15 +333,28 @@ def _check_sizes(experiment: str, cfg: dict, budget: int) -> None:
                     raise ConfigError(f"{_key_value(cfg, key)} overflows the closed-form "
                                       f"measure of the {which} ball")
         else:
+            # one metric for every ball.  The first exact size of an H3 word
+            # ball is a pass over its columns, which the run makes again on
+            # its own metric, so the balls are sized exactly only when the
+            # boxes that hold them exceed the budget
+            metric = _geometry_metric(cfg)
+            boxed = group == "discrete_heisenberg" and metric.kind == groups.WORD_METRIC
+
+            def elements(*radii):
+                box = math.prod(_h3_word_box(r) for r in radii) if boxed else math.inf
+                return box if box <= budget else math.prod(_ball_bound(metric, r)
+                                                           for r in radii)
             for key, which, radius in balls:
                 sizes.append((key, f"elements in the {which} ball",
-                              lambda r=radius: _ball_bound(group, metric, r)))
+                              lambda r=radius: elements(r)))
             sizes.append(("folner_k_radius", "elements in the Folner product set",
-                          lambda: _ball_bound(group, metric, last)
-                          * _ball_bound(group, metric, cfg["folner_k_radius"])))
+                          lambda: elements(last, cfg["folner_k_radius"])))
     on = f" on lattice_a = {a:g}, lattice_b = {b:g}" if a is not None else ""
     for key, what, size in sizes:
-        n = _size(size)
+        try:
+            n = _size(size)
+        except groups.BudgetExceededError as exc:  # an exact word-ball size
+            raise ConfigError(f"{_key_value(cfg, key)}: {exc}") from None
         if n > budget:
             raise ConfigError(f"{_key_value(cfg, key)}{on} gives ~{n:.3g} {what}, over the "
                               f"enumeration budget ({groups.BUDGET_ENV_VAR}={budget})")
@@ -419,18 +440,21 @@ def _record(name, payload=None, passed=None, diagnostic=None, **fields) -> dict:
 # -- Runners -------------------------------------------------------------------------
 
 
+def _geometry_metric(cfg: dict) -> groups.PeriodicMetric:
+    """The metric of a geometry config: its group's first metric by default."""
+    if cfg["group"] == "euclidean":
+        return groups.euclidean_metric(dim=2)
+    if cfg["group"] == "discrete_heisenberg":
+        g = groups.discrete_heisenberg()
+        return (groups.heisenberg_gauge_metric(g)
+                if cfg["metric"] == "heisenberg_gauge" else groups.word_metric(g))
+    return groups.word_metric(groups.integer_lattice(2))
+
+
 def run_geometry(cfg: dict) -> RunReport:
     report = RunReport("geometry", cfg)
-    group_kind = cfg["group"]
-    metric_kind = cfg["metric"] or _GROUP_METRICS[group_kind][0]
-    if group_kind == "euclidean":
-        metric = groups.euclidean_metric(dim=2)
-    elif group_kind == "discrete_heisenberg":
-        g = groups.discrete_heisenberg()
-        metric = (groups.heisenberg_gauge_metric(g)
-                  if metric_kind == "heisenberg_gauge" else groups.word_metric(g))
-    else:
-        metric = groups.word_metric(groups.integer_lattice(2))
+    metric_kind = cfg["metric"] or _GROUP_METRICS[cfg["group"]][0]
+    metric = _geometry_metric(cfg)
     t0 = time.perf_counter()
     fit = groups.fit_growth_exponent(metric, cfg["growth_radii"])
     report.records.append(_record("growth_fit", fit.to_json()))

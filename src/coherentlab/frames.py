@@ -271,6 +271,33 @@ def section_mode_count(section_radius: float, margin: float) -> int:
     return min(SECTION_MODE_CAP, int(math.floor(math.pi * (section_radius - margin) ** 2)))
 
 
+def _orbit_blocks(coeff: np.ndarray, p: np.ndarray) -> list:
+    """The even- and odd-mode blocks Re(c c^H) of a section whose points p are
+    invariant under z -> -z and z -> conj(z).
+
+    C_n(-z) = (-1)^n C_n(z) and C_n(conj z) = conj C_n(z), so the orbit
+    {z, -z, conj z, -conj z} adds one term per point to each parity block.
+    The columns are taken once: the open quadrant x, w > 0 (orbits of 4),
+    then the positive half-axes (orbits of 2), then the origin.  A complex
+    row viewed as floats interleaves Re and Im, so for a block c of those
+    columns, d = c.view(float) gives d d^T = Re(c c^H).
+    """
+    x, w = p[:, 0], p[:, 1]
+    quadrant = np.flatnonzero((x > 0) & (w > 0))
+    axes = np.flatnonzero(((x > 0) & (w == 0)) | ((x == 0) & (w > 0)))
+    origin = np.flatnonzero((x == 0) & (w == 0))
+    cols = coeff.take(np.concatenate([quadrant, axes, origin]), axis=1)
+    q, h = 2 * len(quadrant), 2 * (len(quadrant) + len(axes))
+    blocks = []
+    for d in (cols[0::2].view(float), cols[1::2].view(float)):
+        s = d[:, :q] @ d[:, :q].T
+        s *= 4.0
+        s += 2.0 * (d[:, q:h] @ d[:, q:h].T)
+        s += d[:, h:] @ d[:, h:].T
+        blocks.append(s)
+    return blocks
+
+
 def frame_operator_spectrum(rep: RepModel, g, lam: PointSet,
                             section_radius: float = 12.0,
                             margin: float = 3.0) -> FrameBounds:
@@ -285,7 +312,9 @@ def frame_operator_spectrum(rep: RepModel, g, lam: PointSet,
     S_mn = sum_z rho_m rho_n e^{i (m - n) theta_z}.  When the restricted points
     are invariant under z -> -z (theta + pi: entries with m - n odd cancel)
     and z -> conj(z) (theta -> -theta: S is real), S is two real symmetric
-    blocks, the even and the odd modes; any other set takes one complex block.
+    blocks, the even and the odd modes, each summed over one point per orbit
+    of those maps with the orbit's size as its weight; any other set takes
+    one complex block.
     """
     if rep.kind == reps.FINITE_WEYL_HEISENBERG:
         phi = _finite_synthesis(rep, g, lam)
@@ -302,13 +331,14 @@ def frame_operator_spectrum(rep: RepModel, g, lam: PointSet,
     if not p.size:
         raise ValueError("empty point set after restriction")
     n_modes = section_mode_count(section_radius, margin)
+    # every restricted point, though the symmetric blocks read one point per
+    # orbit: the bench oracles count this call's points as frames.section_dim.
+    # The orbit representatives alone would be about a quarter of the entries
     coeff = reps.hermite_gabor_coefficients(n_modes, p)
     conj = p * (1.0, -1.0)
     if (np.array_equal(p, -p[::-1])
             and np.array_equal(p, conj[np.lexsort((conj[:, 1], conj[:, 0]))])):
-        # a complex row viewed as floats interleaves Re and Im, so for a block
-        # c of rows, d = c.view(float) gives d d^T = Re(c c^H) without a copy
-        blocks = [d @ d.T for d in (coeff[0::2].view(float), coeff[1::2].view(float))]
+        blocks = _orbit_blocks(coeff, p)
     else:
         blocks = [coeff @ coeff.conj().T]
     eigs = np.sort(np.concatenate([_hermitian_eigs(s, "section operator")
@@ -514,7 +544,13 @@ def _greedy_cover_disk(rho: float, u: float) -> tuple:
     reach = u - half_diag - 1e-9  # strict: cell square inside the open disk
     cx, cy = np.array(cells).T
     gx, gy = np.array(cand).T
-    covers = np.hypot(cx[None, :] - gx[:, None], cy[None, :] - gy[:, None]) <= reach
+    dx, dy = cx[None, :] - gx[:, None], cy[None, :] - gy[:, None]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    # reach / cell = 8 - sqrt(2)/2 - 1e-9/cell lies far from every sqrt(m^2 + n^2),
+    # so squared distances decide every pair as hypot would
+    covers = dx <= reach * reach
     return [cand[i] for i in _greedy_cover(covers)], cell
 
 

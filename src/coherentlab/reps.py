@@ -299,26 +299,21 @@ def hermite_functions(n_max: int, t: np.ndarray) -> np.ndarray:
 def hermite_gabor_coefficients(n_max: int, points: np.ndarray) -> np.ndarray:
     """Matrix C[n, j] = <h_n, pi(x_j, w_j) g> for the Gaussian window, closed form.
 
-    C[n, z] = exp(-i pi x w) exp(-pi |z|^2 / 2) pi^(n/2) (x - i w)^n / sqrt(n!).
-    The magnitude is computed in log form so large n stays stable; the phase
-    exp(-i pi x w) e^(i n theta), theta = arg(x - i w), is a running product
-    down the mode axis, one complex multiply per entry (rounding ~ n eps).
+    C[n, z] = exp(-i pi x w) exp(-pi |z|^2 / 2) pi^(n/2) (x - i w)^n / sqrt(n!),
+    the Bargmann expansion of a time-frequency shift of g.  Row 0 is
+    exp(-pi |z|^2 / 2 - i pi x w) and each row is its predecessor times
+    sqrt(pi) (x - i w) / sqrt(n): one complex multiply per entry, rounding
+    ~ n eps relative.  No entry overflows, since |C| <= 1.  Row 0 underflows
+    past |z| ~ 21.2 (subnormal, then 0 past 21.8), and its column with it;
+    there every true entry up to n = 512 is below 1e-83.
     """
     pts = np.asarray(points, dtype=float)
     x, w = pts[:, 0], pts[:, 1]
-    rsq = x * x + w * w
-    r = np.sqrt(rsq)
-    ns = np.arange(n_max + 1, dtype=float)
-    lgam = np.array([math.lgamma(n + 1.0) for n in ns])
-    logr = np.where(r > 0, np.log(np.maximum(r, 1e-300)), 0.0)
-    logmag = ns[:, None] * (0.5 * math.log(math.pi) + logr[None, :])
-    logmag -= 0.5 * lgam[:, None]
-    logmag -= math.pi * rsq[None, :] / 2.0
-    logmag[1:, r == 0] = -math.inf
-    step = np.exp(1j * np.arctan2(-w, x))
-    phase = np.empty(logmag.shape, dtype=complex)
-    phase[0] = np.exp(1j * (-math.pi * x * w))
+    out = np.empty((n_max + 1, len(pts)), dtype=complex)
+    out[0] = np.exp(-math.pi * (x * x + w * w) / 2.0 - 1j * math.pi * x * w)
+    step = math.sqrt(math.pi) * (x - 1j * w)
+    scaled = np.empty_like(step)
     for n in range(1, n_max + 1):
-        np.multiply(phase[n - 1], step, out=phase[n])
-    phase *= np.exp(logmag, out=logmag)
-    return phase
+        np.multiply(step, 1.0 / math.sqrt(n), out=scaled)
+        np.multiply(out[n - 1], scaled, out=out[n])
+    return out

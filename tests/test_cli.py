@@ -598,21 +598,37 @@ def test_seeded_ini_mutation_sweep_never_raises(tmp_path, capsys, experiment, ba
 
 
 def test_geometry_ball_bounds_hold():
-    # the budget check's element bounds lie above the enumerated balls: exact
-    # on Z^2, (2r^2 + 2r + 1)(2 floor(r^2 / 4) + 1) for H3 word balls, and the
-    # candidate count for H3 gauge balls
+    # the budget check reads the exact size of a word ball, on Z^2 and on H3,
+    # from one metric per config, and bounds an H3 gauge ball by its candidates
     h3 = groups.discrete_heisenberg()
-    cases = (("integer_lattice", "word", groups.word_metric(groups.integer_lattice(2)), 30),
-             ("discrete_heisenberg", "word", groups.word_metric(h3), 16),
-             ("discrete_heisenberg", "heisenberg_gauge", groups.heisenberg_gauge_metric(h3), 7))
-    for group, metric_kind, metric, top in cases:
+    cases = ((groups.word_metric, groups.integer_lattice(2), 30, True),
+             (groups.word_metric, h3, 16, True),
+             (groups.heisenberg_gauge_metric, h3, 7, False))
+    for make, group, top, exact in cases:
+        metric, checked = make(group), make(group)
         for r in np.arange(0.0, top + 0.5, 0.5):
-            size = groups.ball(metric, float(r)).measure
-            bound = cli._ball_bound(group, metric_kind, float(r))
-            assert size <= bound, (group, metric_kind, r)
-            if group == "integer_lattice":
-                assert size == bound
-    assert cli._ball_bound("discrete_heisenberg", "word", 24.0) == 347_089
+            size = len(groups.ball(metric, float(r)).keys)
+            bound = cli._ball_bound(checked, float(r))
+            assert size == bound if exact else size <= bound, (metric.kind, r)
+    # (2m^2 + 2m + 1)(2 floor(m^2 / 4) + 1) = 347,089 bounded it before
+    assert cli._ball_bound(groups.word_metric(h3), 24.0) == 141_225
+
+
+def test_h3_word_ball_of_radius_50_loads_within_the_budget(tmp_path, monkeypatch, capsys):
+    # its 2,671,177 elements fit the default budget of 5,000,000, where the
+    # bound above gave ~6.38e6 and refused the config
+    path = write_ini(tmp_path, "h3.ini", "geometry",
+                     {"group": "discrete_heisenberg", "growth_radii": "10,20,30,50"})
+    assert cli.main(["geometry", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    fit = next(r for r in report["records"] if r["name"] == "growth_fit")
+    assert fit["volumes"][-1] == 2_671_177
+    # one element less refuses it while it loads, naming the key and the size
+    monkeypatch.setenv(groups.BUDGET_ENV_VAR, "2671176")
+    with pytest.raises(cli.ConfigError, match=r"^growth_radii = 10,20,30,50: word ball "
+                                              r"of radius 50 has 2671177 elements"):
+        cli.load_config(path, "geometry")
 
 
 def test_euclidean_geometry_budgets_only_closed_form_overflow(tmp_path, capsys):

@@ -19,6 +19,7 @@ from coherentlab.frames import (
     lattice,
     lattice_with_holes,
 )
+from test_reps import _hermite_coefficients_reference
 
 
 def synthesis_oracle(n, g, points):
@@ -228,9 +229,32 @@ def test_section_spectrum_matches_one_complex_product(monkeypatch, a, b, holes, 
                                         lam, section_radius=7.0, margin=3.0)
     monkeypatch.undo()
     assert calls == (["f", "f"] if parity else ["c"])
-    pts = lam.restrict(groups.ball(groups.euclidean_metric(dim=2), 7.0, closed=True))
-    coeff = reps.hermite_gabor_coefficients(frames.section_mode_count(7.0, 3.0),
-                                            np.asarray(pts, dtype=float))
+    _assert_section_is_one_product(fb, lam, 7.0, reps.hermite_gabor_coefficients)
+
+
+def test_section_spectrum_past_the_underflow_radius_matches_the_log_form_product(monkeypatch):
+    # at section radius 22 the outer points lie past |z| ~ 21.2, where the
+    # recurrence's row 0 underflows; the product is of the log-form entries
+    lam = frames.lattice(0.9, 0.8)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(mat):
+        calls.append(mat.dtype.kind)
+        return eigvalsh(mat)
+
+    monkeypatch.setattr(frames.np.linalg, "eigvalsh", spy)
+    fb = frames.frame_operator_spectrum(reps.gabor_gaussian(), reps.gaussian_window(),
+                                        lam, section_radius=22.0, margin=3.0)
+    monkeypatch.undo()
+    assert calls == ["f", "f"]
+    _assert_section_is_one_product(fb, lam, 22.0, _hermite_coefficients_reference)
+
+
+def _assert_section_is_one_product(fb, lam, radius, coefficients):
+    """fb's spectrum is that of C C^H over the closed disk of this radius."""
+    pts = lam.restrict(groups.ball(groups.euclidean_metric(dim=2), radius, closed=True))
+    coeff = coefficients(frames.section_mode_count(radius, 3.0), np.asarray(pts, dtype=float))
     want = np.linalg.eigvalsh(coeff @ coeff.conj().T)
     assert fb.spectrum.shape == want.shape
     assert np.all(np.diff(fb.spectrum) >= 0.0)
@@ -291,6 +315,39 @@ def test_lemma_cover_constant_gaussian_frozen_counts():
         for cx, cy in cover.centers:
             nearest = np.minimum(nearest, np.hypot(xx - cx, yy - cy))
         assert np.all(nearest[disk] < u)
+
+
+def test_cover_matrix_from_squared_distances_matches_hypot(monkeypatch):
+    # reach / cell lies far from every grid distance sqrt(m^2 + n^2), so the
+    # squared comparison decides every (candidate, cell) pair as hypot does.
+    # The reference is the hypot matrix as first written, on the grid points
+    # of the largest disk; a smaller disk keeps those within its radius, in
+    # the same order, so its matrix is a submatrix
+    prof = reps.GAUSSIAN_PROFILE
+    u = frames._radial_level_radius(prof.profile, prof.norm_sq)
+    cell = u / 8.0
+    half_diag = cell * math.sqrt(2.0) / 2.0
+    reach = u - half_diag - 1e-9
+    n_cells = int(math.ceil((4.0 + cell) / cell))
+    cells = [(i * cell, j * cell)
+             for i in range(-n_cells, n_cells + 1) for j in range(-n_cells, n_cells + 1)]
+    n_grid = int(math.ceil((4.0 + u) / (u / 2.0)))
+    cand = sorted((i * u / 2.0, j * u / 2.0)
+                  for i in range(-n_grid, n_grid + 1) for j in range(-n_grid, n_grid + 1))
+    cell_r = np.array([math.hypot(x, y) for x, y in cells])
+    cand_r = np.array([math.hypot(x, y) for x, y in cand])
+    cx, cy = np.array(cells).T[:, cell_r <= 4.0 + half_diag]
+    gx, gy = np.array(cand).T[:, cand_r <= 4.0 + u]
+    full = np.vstack([np.hypot(cx[None, :] - gx[k:k + 64, None],
+                               cy[None, :] - gy[k:k + 64, None]) <= reach
+                      for k in range(0, len(gx), 64)])
+    cell_r, cand_r = cell_r[cell_r <= 4.0 + half_diag], cand_r[cand_r <= 4.0 + u]
+    seen = []
+    monkeypatch.setattr(frames, "_greedy_cover", lambda covers: seen.append(covers) or [])
+    for rho in np.linspace(0.05, 4.0, 400):
+        frames._greedy_cover_disk(float(rho), u)
+        want = full[np.ix_(cand_r <= rho + u, cell_r <= rho + half_diag)]
+        assert np.array_equal(seen.pop(), want), rho
 
 
 def test_greedy_cover_takes_the_first_row_of_largest_gain():
