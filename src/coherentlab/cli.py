@@ -256,25 +256,6 @@ def _validate(experiment: str, cfg: dict) -> None:
     _check_sizes(experiment, cfg, budget)
 
 
-def _ball_bound(metric: groups.PeriodicMetric, r: float) -> float:
-    """The elements of a discrete geometry ball of radius r: exact for a word
-    ball, whose size groups.ball_measure checks against the budget, and an
-    upper bound for a gauge ball."""
-    if metric.kind == groups.HOMOGENEOUS_HEISENBERG:
-        return groups.gauge_ball_estimate(r)
-    if math.isinf(r):  # a Folner radius whose float sum overflowed
-        return math.inf
-    return groups.ball_measure(metric, r)
-
-
-def _h3_word_box(r: float) -> int:
-    """Elements of a box that holds the H3 word ball of radius r: a word of
-    length m <= r has |x| + |y| <= m and |z| <= m^2 / 4, since each b step
-    adds the current x to z and |x| is at most the a steps."""
-    m = math.floor(r)
-    return (2 * m * m + 2 * m + 1) * (2 * (m * m // 4) + 1)
-
-
 def _check_sizes(experiment: str, cfg: dict, budget: int) -> None:
     """Reject a config whose largest enumeration or matrix would exceed the
     budget, naming the key that sets its size, before anything is built."""
@@ -311,60 +292,70 @@ def _check_sizes(experiment: str, cfg: dict, budget: int) -> None:
     if experiment == "rep-check":
         sizes.append(("trials", "coefficient entries",
                       lambda: cfg["trials"] * cfg["n"] ** 2))
-    if experiment == "geometry":
-        group = cfg["group"]
-        first = max(cfg["folner_r0"] + 1.0, cfg["folner_step"])  # K_1 of the exhaustion
-        last = _size(lambda: first + (cfg["folner_count"] - 1) * cfg["folner_step"])
-        balls = [("growth_radii", "largest growth", cfg["growth_radii"][-1]),
-                 ("annular_radii", "largest annular", max(cfg["annular_radii"])),
-                 ("folner_step", "first Folner", first),
-                 ("folner_count", "largest Folner", last),
-                 ("folner_k_radius", "Folner K", cfg["folner_k_radius"])]
-        if group == "euclidean":
-            # closed forms enumerate no points, but the exhaustion still
-            # builds one ball and one row per Folner set, and the measures
-            # must stay finite; the Folner ratio measures the ball of radius
-            # r_n + r_K
-            sizes.append(("folner_count", "Folner sets", lambda: cfg["folner_count"]))
-            balls.append(("folner_k_radius", "Folner product", last + cfg["folner_k_radius"]))
-            for key, which, radius in balls:
-                if math.isinf(_size(lambda r=radius: groups.ball_measure(
-                        groups.euclidean_metric(dim=2), r))):
-                    raise ConfigError(f"{_key_value(cfg, key)} overflows the closed-form "
-                                      f"measure of the {which} ball")
-        else:
-            # one metric for every ball.  The first exact size of an H3 word
-            # ball is a pass over its columns, which the run makes again on
-            # its own metric, so the balls are sized exactly only when the
-            # boxes that hold them exceed the budget
-            metric = _geometry_metric(cfg)
-            boxed = group == "discrete_heisenberg" and metric.kind == groups.WORD_METRIC
-
-            def elements(*radii):
-                box = math.prod(_h3_word_box(r) for r in radii) if boxed else math.inf
-                return box if box <= budget else math.prod(_ball_bound(metric, r)
-                                                           for r in radii)
-            for key, which, radius in balls:
-                sizes.append((key, f"elements in the {which} ball",
-                              lambda r=radius: elements(r)))
-            sizes.append(("folner_k_radius", "elements in the Folner product set",
-                          lambda: elements(last, cfg["folner_k_radius"])))
     on = f" on lattice_a = {a:g}, lattice_b = {b:g}" if a is not None else ""
     for key, what, size in sizes:
-        try:
-            n = _size(size)
-        except groups.BudgetExceededError as exc:  # an exact word-ball size
-            raise ConfigError(f"{_key_value(cfg, key)}: {exc}") from None
+        n = _size(size)
         if n > budget:
-            raise ConfigError(f"{_key_value(cfg, key)}{on} gives ~{n:.3g} {what}, over the "
-                              f"enumeration budget ({groups.BUDGET_ENV_VAR}={budget})")
+            raise _over_budget(cfg, key, n, what, budget, on)
+
+
+def _over_budget(cfg: dict, key: str, n: float, what: str, budget: int,
+                 on: str = "") -> ConfigError:
+    return ConfigError(f"{_key_value(cfg, key)}{on} gives ~{n:.3g} {what}, over the "
+                       f"enumeration budget ({groups.BUDGET_ENV_VAR}={budget})")
+
+
+def _check_geometry_sizes(cfg: dict, metric: groups.PeriodicMetric) -> None:
+    """Reject a geometry run whose balls would exceed the budget, naming the
+    key that sets each one's size, before its first stage.  Every discrete
+    ball is sized exactly on the run's own metric, the largest first, so
+    that one pass over its columns sizes every H3 word ball the run reads.
+    Euclidean balls are closed forms that enumerate nothing, but their
+    measures must stay finite, and the exhaustion builds one ball and one row
+    per Folner set."""
+    budget = groups.ball_budget()
+    first = max(cfg["folner_r0"] + 1.0, cfg["folner_step"])  # K_1 of the exhaustion
+    last = _size(lambda: first + (cfg["folner_count"] - 1) * cfg["folner_step"])
+    k_radius = cfg["folner_k_radius"]
+    balls = [("growth_radii", "largest growth", cfg["growth_radii"][-1]),
+             ("annular_radii", "largest annular", max(cfg["annular_radii"])),
+             ("folner_step", "first Folner", first),
+             ("folner_count", "largest Folner", last),
+             ("folner_k_radius", "Folner K", k_radius)]
+    if metric.kind == groups.EUCLIDEAN_NORM:
+        if cfg["folner_count"] > budget:
+            raise _over_budget(cfg, "folner_count", _size(lambda: cfg["folner_count"]),
+                               "Folner sets", budget)
+        # the Folner ratio measures the ball of radius r_n + r_K
+        for key, which, radius in balls + [("folner_k_radius", "Folner product",
+                                            last + k_radius)]:
+            if math.isinf(_size(lambda: groups.ball_measure(metric, radius))):
+                raise ConfigError(f"{_key_value(cfg, key)} overflows the closed-form "
+                                  f"measure of the {which} ball")
+        return
+    try:
+        groups.ball_measure(metric, max(r for *_, r in balls if math.isfinite(r)))
+    except groups.BudgetExceededError:
+        pass  # the checks below name the key of the first ball over the budget
+    sizes = {}
+    for key, which, radius in balls:
+        if math.isinf(radius):  # a Folner radius whose float sum overflowed
+            raise _over_budget(cfg, key, radius, f"elements in the {which} ball", budget)
+        try:
+            sizes[which] = groups.ball_measure(metric, radius)
+        except groups.BudgetExceededError as exc:
+            raise ConfigError(f"{_key_value(cfg, key)}: {exc}") from None
+    product = sizes["largest Folner"] * sizes["Folner K"]
+    if product > budget:
+        raise _over_budget(cfg, "folner_k_radius", product,
+                           "elements in the Folner product set", budget)
 
 
 def _key_value(cfg: dict, key: str) -> str:
     """``key = value`` as an error message names it."""
     value = cfg[key]
     value = (",".join(f"{v:g}" for v in value) if isinstance(value, tuple)
-             else f"{value:g}")
+             else groups.format_count(value) if isinstance(value, int) else f"{value:g}")
     return f"{key} = {value}"
 
 
@@ -455,6 +446,7 @@ def run_geometry(cfg: dict) -> RunReport:
     report = RunReport("geometry", cfg)
     metric_kind = cfg["metric"] or _GROUP_METRICS[cfg["group"]][0]
     metric = _geometry_metric(cfg)
+    _check_geometry_sizes(cfg, metric)
     t0 = time.perf_counter()
     fit = groups.fit_growth_exponent(metric, cfg["growth_radii"])
     report.records.append(_record("growth_fit", fit.to_json()))

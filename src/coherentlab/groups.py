@@ -3,11 +3,11 @@
 Four desk-scale models are shipped: Euclidean R^d with Lebesgue measure, the
 integer lattice Z^d, the discrete Heisenberg group H3(Z) in normal form, and
 the finite torus Z_N x Z_N, each with counting measure.  On top of them sit
-metric balls about the identity (word balls laid out in closed form as one
-interval of the last coordinate per column, gauge balls enumerated),
-growth-exponent and annular-decay diagnostics, and Folner ratios on R^d, Z^d
-and H3.  Translates x K are the callers' business: the counting code moves
-its centres, not its balls.
+metric balls about the identity (word and gauge balls alike one interval of
+the last coordinate per column, sized exactly from their columns before any
+element is built), growth-exponent and annular-decay diagnostics, and Folner
+ratios on R^d, Z^d and H3.  Translates x K are the callers' business: the
+counting code moves its centres, not its balls.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 
 DEFAULT_BALL_BUDGET = 5_000_000
 BUDGET_ENV_VAR = "COHERENTLAB_MAX_BALL_ELEMENTS"
-_GAUGE_SLAB = 1 << 16  # candidates per slab of a gauge-ball enumeration
 
 EUCLIDEAN = "euclidean"
 INTEGER_LATTICE = "integer_lattice"
@@ -197,7 +196,6 @@ class PeriodicMetric:
     group: GroupModel
     _h3_sizes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64),
                                   repr=False)  # elements of the H3 word ball of radius r
-    _gauge_cache: dict = field(default_factory=dict, repr=False)
 
     def length(self, el: tuple) -> float:
         return self.distance(self.group.identity(), el)
@@ -330,10 +328,21 @@ def _h3_ball_sizes(radius: int) -> np.ndarray:
     return np.where(a + b <= r, n, 0) @ ((1 + (a > 0)) * (1 + (b > 0)))
 
 
-def _check_budget(radius: int, size: int, budget: int, what: str = "elements") -> None:
+def format_count(n: int) -> str:
+    """n in full below 10^15, else to three digits as m.mme+k, which no float
+    could hold past 1e308."""
+    if n < 10 ** 15:
+        return str(n)
+    import decimal  # only a refused ball formats a count
+    return format(decimal.Decimal(n), ".2e")
+
+
+def _check_budget(metric: PeriodicMetric, radius: float, size: int, budget: int,
+                  what: str = "elements") -> None:
     if size > budget:
-        raise BudgetExceededError(f"word ball of radius {radius} has {size} {what}, "
-                                  f"over budget {budget} ({BUDGET_ENV_VAR})")
+        ball = "gauge" if metric.kind == HOMOGENEOUS_HEISENBERG else "word"
+        raise BudgetExceededError(f"{ball} ball of radius {radius:g} has {format_count(size)} "
+                                  f"{what}, over budget {budget} ({BUDGET_ENV_VAR})")
 
 
 def _word_ball_size(metric: PeriodicMetric, radius: int) -> int:
@@ -350,33 +359,12 @@ def _word_ball_size(metric: PeriodicMetric, radius: int) -> int:
         size = _lattice_ball_size(group.dim, radius)
     else:
         if radius >= len(metric._h3_sizes):
-            _check_budget(radius, _lattice_ball_size(2, radius), budget, "z-columns")
-            _check_budget(radius, int(_columns(group, radius)[1].sum()), budget)
+            _check_budget(metric, radius, _lattice_ball_size(2, radius), budget, "z-columns")
+            _check_budget(metric, radius, int(_columns(group, radius)[1].sum()), budget)
             metric._h3_sizes = _h3_ball_sizes(radius)
         size = int(metric._h3_sizes[radius])
-    _check_budget(radius, size, budget)
+    _check_budget(metric, radius, size, budget)
     return size
-
-
-def _word_ball(metric: PeriodicMetric, radius: int) -> tuple:
-    """Sorted keys of the word ball of this integer radius, built once its
-    size has passed the budget, and on Z^d and H3 its bounds: |x_i| <= R on
-    Z^d; |x|, |y| <= R and |z| <= R^2 // 4 on H3, each attained (a^(R // 2)
-    b^(R - R // 2) reaches the last)."""
-    group = metric.group
-    if not _word_ball_size(metric, radius):
-        return np.zeros(0, dtype=np.int64), None
-    if group.kind == FINITE_CYCLIC_SQ:
-        (x, y), n = _columns(group, radius)
-        pts = np.stack([np.repeat(x, n), _runs(y, n)], axis=1) % group.modulus
-        return np.sort(_keys(group, pts)), None
-    hi = [radius] * group.dim
-    if group.kind == DISCRETE_HEISENBERG:
-        hi[2] = radius * radius // 4
-    bounds = ([-c for c in hi], hi)
-    _keys(group, np.array(bounds, dtype=np.int64))  # raises outside the key range
-    first, n = _columns(group, radius)
-    return _runs(_keys(group, np.stack(first, axis=1)), n), bounds
 
 
 @dataclass(frozen=True)
@@ -476,10 +464,10 @@ class Ball:
     """Metric ball about the identity.
 
     A discrete ball carries its elements as a sorted int64 key array (see
-    ``_keys``): a word ball's keys are laid out column by column in closed
-    form, and a gauge ball's are enumerated.  On Z^d and H3 a nonempty ball
-    also carries ``bounds``, the lists of the least and the greatest value of
-    each coordinate over its elements, which size the Folner count's box.
+    ``_keys``), laid out column by column from ``_columns`` or
+    ``_gauge_columns``.  On Z^d and H3 a nonempty ball also carries
+    ``bounds``, the lists of the least and the greatest value of each
+    coordinate over its elements, which size the Folner count's box.
     ``points`` decodes the keys into tuples, in key order, on first use.  A
     continuous ball has no keys.
     """
@@ -499,53 +487,60 @@ class Ball:
         return self._points
 
 
-def gauge_ball_estimate(radius: float) -> float:
-    """The candidates a gauge ball of this radius enumerates: every (x, y)
-    with |x|, |y| <= radius and, for each, an interval of z of length
-    radius^2 / 2; a bound on the ball's elements."""
-    return (2 * math.floor(radius) + 1) ** 2 * (radius * radius / 2.0 + 2)
+def _gauge_inside(x, y, z, radius: float, closed: bool) -> np.ndarray:
+    """``_cygan_gauge``(x, y, z) <= radius (< when open), element by element."""
+    t = z - x * y / 2.0
+    quartic = (x * x + y * y) ** 2 + 16.0 * t * t
+    gauge = quartic ** 0.25
+    # numpy's vectorised pow may round differently from the libm pow that
+    # _cygan_gauge calls: near the radius, take the scalar's own
+    near = np.abs(gauge - radius) <= 1e-12 * radius
+    gauge[near] = [q ** 0.25 for q in quartic[near].tolist()]
+    return gauge <= radius if closed else gauge < radius
 
 
-def _gauge_ball(metric: PeriodicMetric, radius: float, closed: bool) -> tuple:
-    """Sorted keys of the gauge ball of this radius and its bounds (see
-    ``Ball``), None when it is empty."""
-    key = (round(radius, 12), closed)
-    if key in metric._gauge_cache:
-        return metric._gauge_cache[key]
-    m = int(math.floor(radius))
-    span = radius * radius / 4.0
-    est = gauge_ball_estimate(radius)
-    if est > ball_budget():
-        raise BudgetExceededError(f"gauge ball estimate {est:.0f} exceeds budget")
-    # every (x, y) with |x|, |y| <= m, then its z interval, in tuple order, in
-    # slabs of x of at most _GAUGE_SLAB candidates (or one x)
-    width = max(1, _GAUGE_SLAB // ((2 * m + 1) * (int(2 * span) + 1)))
-    slabs, lo, hi = [], [], []
-    for x0 in range(-m, m + 1, width):
-        x, y = (c.ravel() for c in np.meshgrid(np.arange(x0, min(x0 + width, m + 1)),
-                                               np.arange(-m, m + 1), indexing="ij"))
-        z_mid = x * y / 2.0
-        z_lo = np.ceil(z_mid - span).astype(np.int64)
-        counts = np.floor(z_mid + span).astype(np.int64) - z_lo + 1
-        x, y = np.repeat(x, counts), np.repeat(y, counts)
-        z = _runs(z_lo, counts)
-        # _cygan_gauge's operations, element by element
-        t = z - x * y / 2.0
-        quartic = (x * x + y * y) ** 2 + 16.0 * t * t
-        gauge = quartic ** 0.25
-        # numpy's vectorised pow may round differently from the libm pow that
-        # _cygan_gauge calls: near the radius, take the scalar's own
-        near = np.flatnonzero(np.abs(gauge - radius) <= 1e-12 * radius)
-        gauge[near] = [q ** 0.25 for q in quartic[near].tolist()]
-        inside = gauge <= radius if closed else gauge < radius
-        pts = np.stack([x[inside], y[inside], z[inside]], axis=1)
-        if len(pts):
-            lo.append(pts.min(axis=0))
-            hi.append(pts.max(axis=0))
-        slabs.append(_keys(metric.group, pts))
-    bounds = (np.min(lo, axis=0).tolist(), np.max(hi, axis=0).tolist()) if lo else None
-    out = metric._gauge_cache[key] = (np.concatenate(slabs), bounds)
-    return out
+def _gauge_columns(metric: PeriodicMetric, radius: float, closed: bool) -> tuple:
+    """The nonempty columns of the gauge ball of this radius, as ``_columns``
+    gives a word ball's, once the (2 floor(r) + 1)^2 columns and then their
+    elements have passed the budget.  The gauge is monotone in |z - xy / 2|,
+    so the ball holds one interval of z per (x, y) with |x|, |y| <= r:
+    [xy / 2 - s, xy / 2 + s] with s = sqrt(r^4 - (x^2 + y^2)^2) / 4.  Its
+    rounded ends then move out while the next z is inside, and in while
+    theirs is not, so elements on the sphere count as the gauge counts them."""
+    m, budget = math.floor(radius), ball_budget()
+    _check_budget(metric, radius, (2 * m + 1) ** 2, budget, "z-columns")
+    x, y = (c.ravel() for c in np.meshgrid(np.arange(-m, m + 1), np.arange(-m, m + 1),
+                                           indexing="ij"))
+    mid = x * y / 2.0
+    s = np.sqrt(np.maximum(radius ** 4 - (x * x + y * y) ** 2, 0.0)) / 4.0
+    ends = np.stack([np.ceil(mid - s), np.floor(mid + s)]).astype(np.int64)
+    step = np.array([[-1], [1]])  # outward, for the rows lo and hi
+    while (out := _gauge_inside(x, y, ends + step, radius, closed)).any():
+        ends += step * out
+    while (off := (ends[0] <= ends[1]) & ~_gauge_inside(x, y, ends, radius, closed)).any():
+        ends -= step * off
+    lo, hi = ends
+    keep = lo <= hi
+    n = hi[keep] - lo[keep] + 1
+    _check_budget(metric, radius, int(n.sum()), budget)
+    return [x[keep], y[keep], lo[keep]], n
+
+
+def _ball_keys(group: GroupModel, first: list, n: np.ndarray) -> tuple:
+    """Sorted keys of the ball with these columns and, on Z^d and H3, its
+    bounds (see ``Ball``): the least and greatest first element of each
+    coordinate, the last one's greatest being a column's last element, first
+    + n - 1.  The torus's columns wrap, so its keys are sorted."""
+    if not len(n):
+        return np.zeros(0, dtype=np.int64), None
+    if group.kind == FINITE_CYCLIC_SQ:
+        (x, y) = first
+        pts = np.stack([np.repeat(x, n), _runs(y, n)], axis=1) % group.modulus
+        return np.sort(_keys(group, pts)), None
+    last = [first[-1] + n - 1]
+    bounds = ([int(c.min()) for c in first], [int(c.max()) for c in first[:-1] + last])
+    _keys(group, np.array(bounds, dtype=np.int64))  # raises outside the key range
+    return _runs(_keys(group, np.stack(first, axis=1)), n), bounds
 
 
 def _effective_word_radius(radius: float, closed: bool) -> int:
@@ -567,20 +562,24 @@ def ball(metric: PeriodicMetric, radius: float, closed: bool = True) -> Ball:
         return Ball(metric, radius, closed, None,
                     _unit_ball_volume(metric.group.dim) * radius ** metric.group.dim, None)
     if metric.kind == HOMOGENEOUS_HEISENBERG:
-        keys, bounds = _gauge_ball(metric, radius, closed)
+        first, n = _gauge_columns(metric, radius, closed)
     else:
-        keys, bounds = _word_ball(metric, _effective_word_radius(radius, closed))
+        word_radius = _effective_word_radius(radius, closed)
+        first, n = (_columns(metric.group, word_radius)
+                    if _word_ball_size(metric, word_radius) else ([], []))
+    keys, bounds = _ball_keys(metric.group, first, n)
     return Ball(metric, radius, closed, keys, float(len(keys)), bounds)
 
 
 def ball_measure(metric: PeriodicMetric, radius: float, closed: bool = True) -> float:
-    """Haar measure of the ball: volume if continuous, point count if discrete."""
+    """Haar measure of the ball: volume if continuous, element count if
+    discrete, which builds no keys."""
     _check_radius(metric, radius)
     if metric.kind == EUCLIDEAN_NORM:
         return _unit_ball_volume(metric.group.dim) * radius ** metric.group.dim
     if metric.kind == WORD_METRIC:
         return float(_word_ball_size(metric, _effective_word_radius(radius, closed)))
-    return ball(metric, radius, closed).measure
+    return float(_gauge_columns(metric, radius, closed)[1].sum())
 
 
 # -- Growth and annular decay -------------------------------------------------

@@ -457,8 +457,11 @@ def test_huge_and_tiny_values_exit_2_naming_the_key(tmp_path, capsys):
         ("geometry", {"growth_radii": "2,4,8,1e300"}, "growth_radii"),
         ("geometry", {"growth_radii": "2,4,8,1e120",
                       "group": "discrete_heisenberg"}, "growth_radii"),
+        ("geometry", {"growth_radii": "2,4,8,1e300", "group": "discrete_heisenberg",
+                      "metric": "heisenberg_gauge"}, "growth_radii"),
         # each geometry radius names its own key
         ("geometry", {"folner_count": 10 ** 30}, "folner_count"),
+        ("geometry", {"folner_count": 10 ** 400}, "folner_count"),
         # euclidean balls are closed forms, but each Folner set is one ball and one row
         ("geometry", {"group": "euclidean", "folner_count": 10 ** 30}, "folner_count"),
         ("geometry", {"group": "euclidean", "folner_count": 10 ** 9}, "folner_count"),
@@ -483,6 +486,9 @@ def test_huge_and_tiny_values_exit_2_naming_the_key(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert "overall" not in out
         assert re.search(rf"\b{key}\b", err.split(": ", 1)[1]), (experiment, key, err)
+        # one short line: sizes past 10^15, such as the 241-digit column
+        # count of the H3 radius 1e120, print as a mantissa and an exponent
+        assert len(err.splitlines()) == 1 and len(err) < 300, err
     assert not (tmp_path / "out").exists()
 
 
@@ -598,20 +604,19 @@ def test_seeded_ini_mutation_sweep_never_raises(tmp_path, capsys, experiment, ba
 
 
 def test_geometry_ball_bounds_hold():
-    # the budget check reads the exact size of a word ball, on Z^2 and on H3,
-    # from one metric per config, and bounds an H3 gauge ball by its candidates
+    # the budget check reads the exact size of every discrete ball, on Z^2
+    # and on H3 under its word metric and its gauge, from a second metric
     h3 = groups.discrete_heisenberg()
-    cases = ((groups.word_metric, groups.integer_lattice(2), 30, True),
-             (groups.word_metric, h3, 16, True),
-             (groups.heisenberg_gauge_metric, h3, 7, False))
-    for make, group, top, exact in cases:
+    cases = ((groups.word_metric, groups.integer_lattice(2), 30),
+             (groups.word_metric, h3, 16),
+             (groups.heisenberg_gauge_metric, h3, 7))
+    for make, group, top in cases:
         metric, checked = make(group), make(group)
         for r in np.arange(0.0, top + 0.5, 0.5):
             size = len(groups.ball(metric, float(r)).keys)
-            bound = cli._ball_bound(checked, float(r))
-            assert size == bound if exact else size <= bound, (metric.kind, r)
+            assert size == groups.ball_measure(checked, float(r)), (metric.kind, r)
     # (2m^2 + 2m + 1)(2 floor(m^2 / 4) + 1) = 347,089 bounded it before
-    assert cli._ball_bound(groups.word_metric(h3), 24.0) == 141_225
+    assert groups.ball_measure(groups.word_metric(h3), 24.0) == 141_225
 
 
 def test_h3_word_ball_of_radius_50_loads_within_the_budget(tmp_path, monkeypatch, capsys):
@@ -624,11 +629,33 @@ def test_h3_word_ball_of_radius_50_loads_within_the_budget(tmp_path, monkeypatch
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     fit = next(r for r in report["records"] if r["name"] == "growth_fit")
     assert fit["volumes"][-1] == 2_671_177
-    # one element less refuses it while it loads, naming the key and the size
+    # one element less refuses it before the run's first stage, naming the
+    # key and the size
     monkeypatch.setenv(groups.BUDGET_ENV_VAR, "2671176")
-    with pytest.raises(cli.ConfigError, match=r"^growth_radii = 10,20,30,50: word ball "
-                                              r"of radius 50 has 2671177 elements"):
-        cli.load_config(path, "geometry")
+    assert cli.main(["geometry", "--config", path, "--out", str(tmp_path / "refused")]) == 2
+    out, err = capsys.readouterr()
+    assert re.match(r"^growth_radii = 10,20,30,50: word ball of radius 50 has 2671177 "
+                    r"elements", err.removeprefix("config error: ")), err
+    assert "overall" not in out and not (tmp_path / "refused").exists()
+
+
+def test_gauge_ball_of_radius_40_loads_within_the_budget(tmp_path, monkeypatch, capsys):
+    # its exact 3,157,537 elements fit the default budget, where the
+    # candidate estimate gave ~5.26e6 and refused the config
+    path = write_ini(tmp_path, "gauge.ini", "geometry",
+                     {"group": "discrete_heisenberg", "metric": "heisenberg_gauge",
+                      "growth_radii": "4,5,6,40", "annular_radii": "4,6,8,10"})
+    assert cli.main(["geometry", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    fit = next(r for r in report["records"] if r["name"] == "growth_fit")
+    assert fit["volumes"][-1] == 3_157_537
+    monkeypatch.setenv(groups.BUDGET_ENV_VAR, "3157536")
+    assert cli.main(["geometry", "--config", path, "--out", str(tmp_path / "refused")]) == 2
+    out, err = capsys.readouterr()
+    assert re.match(r"^growth_radii = 4,5,6,40: gauge ball of radius 40 has 3157537 "
+                    r"elements", err.removeprefix("config error: ")), err
+    assert "overall" not in out and not (tmp_path / "refused").exists()
 
 
 def test_euclidean_geometry_budgets_only_closed_form_overflow(tmp_path, capsys):

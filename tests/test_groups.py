@@ -237,7 +237,7 @@ def test_discrete_balls_name_a_radius_that_is_not_finite(metric):
         for measure in (groups.ball, groups.ball_measure):
             with pytest.raises(ValueError, match="radius"):
                 measure(metric, radius)
-    assert not len(metric._h3_sizes) and not metric._gauge_cache  # nothing was sized
+    assert not len(metric._h3_sizes)  # nothing was sized
 
 
 def test_euclidean_balls_name_a_radius_that_is_nan():
@@ -767,6 +767,12 @@ def test_growth_annular_and_folner_sweeps_grow_each_word_ball_once(monkeypatch, 
                           "geometry_heisenberg.ini")
     cli.run_experiment("geometry", config, str(tmp_path))
     assert radii == [8, 11, 12, 12]
+    # the budget check before a run's first stage sizes its largest ball
+    # first, on the run's own metric, so check and run share one pass
+    far = tmp_path / "far.ini"
+    far.write_text("[geometry]\ngroup = discrete_heisenberg\ngrowth_radii = 10,20,30,50\n")
+    cli.run_experiment("geometry", str(far), str(tmp_path / "far"))
+    assert radii == [8, 11, 12, 12, 50]
 
 
 def test_word_ball_budget_is_checked_before_any_key_is_allocated(monkeypatch):
@@ -836,27 +842,34 @@ def test_ball_boxes_never_refuse_a_ball_within_the_budget(monkeypatch):
         monkeypatch.delenv(groups.BUDGET_ENV_VAR)
 
 
-def gauge_ball_keys_scalar(radius, closed):
-    """The gauge-ball enumeration as one Python gauge per candidate."""
+def gauge_ball_keys_scalar(radius):
+    """The closed and the open gauge ball, as one Python gauge per candidate:
+    every (x, y, z) with x^2 + y^2 <= r^2 + 1 and |z - xy / 2| <= r^2 / 4,
+    which the gauge's two terms bound (the 1 keeps rounding ties in)."""
     m = int(math.floor(radius))
     span = radius * radius / 4.0
-    pts = []
+    closed, opened = [], []
     for x in range(-m, m + 1):
         for y in range(-m, m + 1):
+            if x * x + y * y > radius * radius + 1:
+                continue
             z_mid = x * y / 2.0
             for z in range(int(math.ceil(z_mid - span)), int(math.floor(z_mid + span)) + 1):
                 g = groups._cygan_gauge((x, y, z))
-                if (g <= radius) if closed else (g < radius):
-                    pts.append((x, y, z))
+                if g <= radius:
+                    closed.append((x, y, z))
+                    if g < radius:
+                        opened.append((x, y, z))
     h3 = groups.discrete_heisenberg()
-    return np.sort(groups._keys(h3, np.array(pts, dtype=np.int64).reshape(-1, 3)))
+    return [np.sort(groups._keys(h3, np.array(pts, dtype=np.int64).reshape(-1, 3)))
+            for pts in (closed, opened)]
 
 
-def test_gauge_ball_keys_match_the_scalar_loop(monkeypatch):
+def test_gauge_ball_keys_match_the_scalar_loop():
     # integer radii put elements exactly on the sphere, such as (r, 0, 0) and,
     # for even r, (0, 0, r^2 / 4): closed and open balls differ by those ties
     rng = np.random.default_rng(9)
-    radii = [0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 9.0, 0.5, 2.5, 5.5, 7.5,
+    radii = [0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 9.0, 0.5, 2.5, 5.5, 7.5, 12.0, 16.5, 20.0, 30.0,
              *rng.uniform(0.1, 10.0, 6).tolist()]
     # radii equal to an element's scalar gauge make that element a tie; take
     # those where numpy's vectorised pow rounds differently from libm's pow
@@ -868,35 +881,28 @@ def test_gauge_ball_keys_match_the_scalar_loop(monkeypatch):
     radii += differ[:6] + rng.choice([q ** 0.25 for q in quartics], 4).tolist()
     ties = 0
     for radius in radii:
-        want_closed = gauge_ball_keys_scalar(radius, True)
-        want_open = gauge_ball_keys_scalar(radius, False)
-        # one slab at these radii, then slabs of one x and of a few
-        for slab in (groups._GAUGE_SLAB, 1, 200):
-            monkeypatch.setattr(groups, "_GAUGE_SLAB", slab)
-            closed, closed_bounds = groups._gauge_ball(groups.heisenberg_gauge_metric(),
-                                                       radius, True)
-            opened, open_bounds = groups._gauge_ball(groups.heisenberg_gauge_metric(),
-                                                     radius, False)
-            assert np.array_equal(closed, want_closed), (radius, slab)
-            assert np.array_equal(opened, want_open), (radius, slab)
+        for closed, want in zip((True, False), gauge_ball_keys_scalar(radius)):
+            got = groups.ball(groups.heisenberg_gauge_metric(), radius, closed)
+            assert np.array_equal(got.keys, want), (radius, closed)
             # the bounds are each coordinate's extremes over the elements
-            for bounds, keys in ((closed_bounds, want_closed), (open_bounds, want_open)):
-                coords = groups._coords(groups.discrete_heisenberg(), keys)
-                assert bounds == ((coords.min(axis=0).tolist(), coords.max(axis=0).tolist())
-                                  if len(keys) else None), (radius, slab)
-        monkeypatch.undo()
-        ties += len(closed) - len(opened)
+            coords = groups._coords(groups.discrete_heisenberg(), want)
+            assert got.bounds == ((coords.min(axis=0).tolist(), coords.max(axis=0).tolist())
+                                  if len(want) else None), (radius, closed)
+            # the measure sums the same columns' lengths, on a fresh metric
+            assert groups.ball_measure(groups.heisenberg_gauge_metric(), radius,
+                                       closed) == len(want), (radius, closed)
+            ties += len(want) if closed else -len(want)
     assert ties > 0
 
 
-def test_gauge_ball_enumeration_memory_is_bounded_by_its_slabs():
-    # the radius 30 ball has 998,459 elements among 1,681,892 candidates; all
-    # candidates at once held about 87 bytes each (139 MB traced).  The keys
-    # twice (the slabs' and their concatenation) and one slab's temporaries
-    # stay under four times the keys' bytes
+def test_gauge_ball_memory_is_bounded_by_its_keys():
+    # the radius 30 ball has 998,459 elements among 1,681,892 candidates of
+    # the z spans |z - xy / 2| <= r^2 / 4; all candidates at once held about
+    # 87 bytes each (139 MB traced).  Its columns' runs of keys stay under
+    # four times the keys' bytes
     tracemalloc.start()
     try:
-        keys, _ = groups._gauge_ball(groups.heisenberg_gauge_metric(), 30.0, True)
+        keys = groups.ball(groups.heisenberg_gauge_metric(), 30.0).keys
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
