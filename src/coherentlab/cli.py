@@ -431,21 +431,22 @@ def _record(name, payload=None, passed=None, diagnostic=None, **fields) -> dict:
 # -- Runners -------------------------------------------------------------------------
 
 
-def _geometry_metric(cfg: dict) -> groups.PeriodicMetric:
-    """The metric of a geometry config: its group's first metric by default."""
-    if cfg["group"] == "euclidean":
-        return groups.euclidean_metric(dim=2)
+def _geometry_metric(cfg: dict) -> tuple:
+    """The name and the metric of a geometry config: its group's first
+    metric by default."""
+    name = cfg["metric"] or _GROUP_METRICS[cfg["group"]][0]
+    if name == "euclidean":
+        return name, groups.euclidean_metric(dim=2)
+    if name == "heisenberg_gauge":
+        return name, groups.heisenberg_gauge_metric()
     if cfg["group"] == "discrete_heisenberg":
-        g = groups.discrete_heisenberg()
-        return (groups.heisenberg_gauge_metric(g)
-                if cfg["metric"] == "heisenberg_gauge" else groups.word_metric(g))
-    return groups.word_metric(groups.integer_lattice(2))
+        return name, groups.word_metric(groups.discrete_heisenberg())
+    return name, groups.word_metric(groups.integer_lattice(2))
 
 
 def run_geometry(cfg: dict) -> RunReport:
     report = RunReport("geometry", cfg)
-    metric_kind = cfg["metric"] or _GROUP_METRICS[cfg["group"]][0]
-    metric = _geometry_metric(cfg)
+    metric_name, metric = _geometry_metric(cfg)
     _check_geometry_sizes(cfg, metric)
     t0 = time.perf_counter()
     fit = groups.fit_growth_exponent(metric, cfg["growth_radii"])
@@ -480,7 +481,7 @@ def run_geometry(cfg: dict) -> RunReport:
     report.timings["folner"] = time.perf_counter() - t0
     report.csv_header = ("experiment", "n", "radius", "measure", "folner_ratio")
     report.csv_rows = [("folner", i, r, m, q) for (i, r, m, q) in rows]
-    report.config = {**cfg, "metric": metric_kind}
+    report.config = {**cfg, "metric": metric_name}
     return report
 
 

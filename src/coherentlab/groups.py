@@ -62,14 +62,11 @@ class GroupModel:
     """One of the concrete ambient groups.
 
     Elements are plain tuples: floats for the euclidean kind, ints otherwise.
-    ``generators`` is the (symmetric) generating set used by word metrics.
     """
 
     kind: str
     dim: int = 0
     modulus: int = 0
-    generators: tuple = ()
-    measure: str = "counting"
 
     @property
     def is_discrete(self) -> bool:
@@ -113,34 +110,26 @@ def euclidean(dim: int) -> GroupModel:
     """R^d with vector addition and Lebesgue measure."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    return GroupModel(kind=EUCLIDEAN, dim=dim, measure="lebesgue")
+    return GroupModel(kind=EUCLIDEAN, dim=dim)
 
 
 def integer_lattice(dim: int) -> GroupModel:
-    """Z^d with the standard generator star +-e_1, ..., +-e_d."""
+    """Z^d, whose word metric takes the generator star +-e_1, ..., +-e_d."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    gens = []
-    for i in range(dim):
-        for sign in (1, -1):
-            e = [0] * dim
-            e[i] = sign
-            gens.append(tuple(e))
-    return GroupModel(kind=INTEGER_LATTICE, dim=dim, generators=tuple(gens))
+    return GroupModel(kind=INTEGER_LATTICE, dim=dim)
 
 
 def discrete_heisenberg() -> GroupModel:
-    """H3(Z) in normal form with generators a^(+-1), b^(+-1)."""
-    gens = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
-    return GroupModel(kind=DISCRETE_HEISENBERG, dim=3, generators=gens)
+    """H3(Z) in normal form, whose word metric takes a^(+-1), b^(+-1)."""
+    return GroupModel(kind=DISCRETE_HEISENBERG, dim=3)
 
 
 def finite_cyclic_sq(n: int) -> GroupModel:
     """Z_N x Z_N with counting measure and the standard generator star."""
     if n < 2:
         raise ValueError("N must be >= 2")
-    gens = ((1, 0), ((-1) % n, 0), (0, 1), (0, (-1) % n))
-    return GroupModel(kind=FINITE_CYCLIC_SQ, dim=2, modulus=n, generators=tuple(set(gens)))
+    return GroupModel(kind=FINITE_CYCLIC_SQ, dim=2, modulus=n)
 
 
 # -- Element keys -------------------------------------------------------------
@@ -367,73 +356,6 @@ def _word_ball_size(metric: PeriodicMetric, radius: int) -> int:
     return size
 
 
-@dataclass(frozen=True)
-class _BallBox:
-    """A row-major box of elements of Z^d or H3: the box over K_n K of the
-    Folner count.
-
-    Element c sits at cell sum_i (c_i - lo_i) * strides_i, so the order of
-    the cells is the lexicographic order of the tuples, which is the order
-    of their ``_keys``.  A key and a cell differ by ``base`` plus, for every
-    coordinate i but the last, the digit c_i - lo_i times ``excess[i]``, its
-    key step less its cell step; the last coordinate steps both by 1.
-    """
-
-    group: GroupModel
-    lo: tuple
-    strides: tuple
-    cells: int
-    base: int
-    excess: tuple
-
-    @classmethod
-    def spanning(cls, group: GroupModel, lo: Sequence[int], hi: Sequence[int],
-                 budget: int) -> "_BallBox":
-        """The box of the elements with lo_i <= c_i <= hi_i, 1 byte per cell
-        as a bitmap.  For balls K_n and K, K_n K is the ball B of radius
-        r_n + r_K, with |B| <= |K_n| |K|, and its bounding box has at most d!
-        cells per element of B on Z^d and 6 on H3 (it peaks at 5.41, radius
-        6): a box of more cells per budgeted element raises before anything
-        is allocated; a box outside the key range raises OverflowError."""
-        shape = [h - l + 1 for l, h in zip(lo, hi)]
-        cells = math.prod(shape)
-        per_element = 6 if group.kind == DISCRETE_HEISENBERG else math.factorial(group.dim)
-        if cells > per_element * budget:
-            raise BudgetExceededError(
-                f"Folner product set exceeds budget {budget} ({BUDGET_ENV_VAR}): "
-                f"its box has {cells} cells, more than {per_element} per budgeted element")
-        strides = [math.prod(shape[i + 1:]) for i in range(group.dim)]
-        bits = 63 // group.dim
-        corners = np.array([lo, hi], dtype=np.int64)
-        base = int(_keys(group, corners)[0])  # raises outside the key range
-        excess = [(1 << bits * (group.dim - 1 - i)) - strides[i] for i in range(group.dim - 1)]
-        return cls(group, tuple(lo), tuple(strides), cells, base, tuple(excess))
-
-    def index(self, keys: np.ndarray) -> np.ndarray:
-        """Cells of packed elements that lie in the box."""
-        group = self.group
-        bits = 63 // group.dim
-        cells = keys - self.base
-        for i, excess in enumerate(self.excess):
-            field = (keys >> bits * (group.dim - 1 - i)) & ((1 << bits) - 1)
-            cells -= (field - (self.lo[i] + (1 << bits - 1))) * excess
-        return cells
-
-    def right_translates(self, cells: np.ndarray, qs):
-        """Cells of p * q for every p at ``cells``, one row per q in ``qs``,
-        yielded one row at a time.  The caller keeps every product in the
-        box.  Each row keeps the order of ``cells``: p * q moves a cell by
-        q's shift, plus x * q_y on H3, and x never falls as the cell grows."""
-        shear = self.group.kind == DISCRETE_HEISENBERG
-        if shear:
-            x = cells // self.strides[0] + self.lo[0]
-        for q in qs:
-            row = cells + sum(int(c) * s for c, s in zip(q, self.strides))
-            if shear and q[1]:
-                row += x * int(q[1])
-            yield row
-
-
 def euclidean_metric(group: GroupModel | None = None, dim: int = 2) -> PeriodicMetric:
     group = group or euclidean(dim)
     if group.kind != EUCLIDEAN:
@@ -465,11 +387,10 @@ class Ball:
 
     A discrete ball carries its elements as a sorted int64 key array (see
     ``_keys``), laid out column by column from ``_columns`` or
-    ``_gauge_columns``.  On Z^d and H3 a nonempty ball also carries
-    ``bounds``, the lists of the least and the greatest value of each
-    coordinate over its elements, which size the Folner count's box.
-    ``points`` decodes the keys into tuples, in key order, on first use.  A
-    continuous ball has no keys.
+    ``_gauge_columns``: on Z^d and H3 each column is a run of consecutive
+    keys, which is all the Folner count reads of it.  ``points`` decodes the
+    keys into tuples, in key order, on first use.  A continuous ball has no
+    keys.
     """
 
     metric: PeriodicMetric
@@ -477,7 +398,6 @@ class Ball:
     closed: bool
     keys: np.ndarray | None
     measure: float
-    bounds: tuple | None
     _points: tuple | None = field(default=None, init=False, repr=False)
 
     @property
@@ -526,21 +446,18 @@ def _gauge_columns(metric: PeriodicMetric, radius: float, closed: bool) -> tuple
     return [x[keep], y[keep], lo[keep]], n
 
 
-def _ball_keys(group: GroupModel, first: list, n: np.ndarray) -> tuple:
-    """Sorted keys of the ball with these columns and, on Z^d and H3, its
-    bounds (see ``Ball``): the least and greatest first element of each
-    coordinate, the last one's greatest being a column's last element, first
-    + n - 1.  The torus's columns wrap, so its keys are sorted."""
+def _ball_keys(group: GroupModel, first: list, n: np.ndarray) -> np.ndarray:
+    """Sorted keys of the ball with these columns: on Z^d and H3 the runs
+    from each column's first key, once its last element, first + n - 1, has
+    passed the key range.  The torus's columns wrap, so its keys are sorted."""
     if not len(n):
-        return np.zeros(0, dtype=np.int64), None
+        return np.zeros(0, dtype=np.int64)
     if group.kind == FINITE_CYCLIC_SQ:
         (x, y) = first
         pts = np.stack([np.repeat(x, n), _runs(y, n)], axis=1) % group.modulus
-        return np.sort(_keys(group, pts)), None
-    last = [first[-1] + n - 1]
-    bounds = ([int(c.min()) for c in first], [int(c.max()) for c in first[:-1] + last])
-    _keys(group, np.array(bounds, dtype=np.int64))  # raises outside the key range
-    return _runs(_keys(group, np.stack(first, axis=1)), n), bounds
+        return np.sort(_keys(group, pts))
+    _keys(group, np.stack(first[:-1] + [first[-1] + n - 1], axis=1))  # raises outside the range
+    return _runs(_keys(group, np.stack(first, axis=1)), n)
 
 
 def _effective_word_radius(radius: float, closed: bool) -> int:
@@ -560,15 +477,15 @@ def ball(metric: PeriodicMetric, radius: float, closed: bool = True) -> Ball:
     _check_radius(metric, radius)
     if metric.kind == EUCLIDEAN_NORM:
         return Ball(metric, radius, closed, None,
-                    _unit_ball_volume(metric.group.dim) * radius ** metric.group.dim, None)
+                    _unit_ball_volume(metric.group.dim) * radius ** metric.group.dim)
     if metric.kind == HOMOGENEOUS_HEISENBERG:
         first, n = _gauge_columns(metric, radius, closed)
     else:
         word_radius = _effective_word_radius(radius, closed)
         first, n = (_columns(metric.group, word_radius)
                     if _word_ball_size(metric, word_radius) else ([], []))
-    keys, bounds = _ball_keys(metric.group, first, n)
-    return Ball(metric, radius, closed, keys, float(len(keys)), bounds)
+    keys = _ball_keys(metric.group, first, n)
+    return Ball(metric, radius, closed, keys, float(len(keys)))
 
 
 def ball_measure(metric: PeriodicMetric, radius: float, closed: bool = True) -> float:
@@ -707,12 +624,16 @@ def folner_ratio(metric: PeriodicMetric, k_n: Ball, k: Ball) -> float:
 
     K_n must not be empty.  An x in K_n K lies outside K_n^c K when x q^-1
     is in K_n for every q in K; K is a ball about the identity, so it is
-    symmetric, and that is when x q is.  Z^d and H3 count exactly on
-    bitmaps of a box holding K_n K, sized from the balls' bounds: the cells
-    of K_n are marked on one, then each right translate K_n q, q != e, in
-    turn is gathered from it into a mask of those x and marked on a copy,
-    which ends as K_n K.  The euclidean kind has the closed annulus form.  No
-    run counts one on the finite torus, which raises.
+    symmetric, and that is when x q is.  Z^d and H3 count exactly on the
+    runs of consecutive keys of K_n, decoding only each run's first element
+    and K.  The last coordinate is the last key field, and p q moves it by
+    q_z (plus x q_y on H3, x being fixed along a run), so a run's right
+    translate by q is a run of the same length from first q.  Each K_n q is
+    a bijective image of K_n, so its runs are disjoint, and the runs over
+    all q that cover x number the q with x q^-1 in K_n: K_n K is where that
+    coverage is at least 1, the x above are where it is |K|, and one sort
+    of the runs' ends sweeps both.  The euclidean kind has the closed
+    annulus form.  No run counts one on the finite torus, which raises.
     """
     group = metric.group
     if group.kind == FINITE_CYCLIC_SQ:
@@ -728,29 +649,28 @@ def folner_ratio(metric: PeriodicMetric, k_n: Ball, k: Ball) -> float:
         return (outer - inner) / (vd * rn ** d)
     if k_n.keys is None or k.keys is None:
         raise ValueError("discrete Folner ratio needs enumerated balls")
-    budget = ball_budget()
-    if k_n.measure * k.measure > budget:
+    if k_n.measure * k.measure > ball_budget():
         raise BudgetExceededError("Folner product set exceeds budget")
     if not k.measure:
         return 0.0  # K_n K is empty
-    (lo, hi), (q_lo, q_hi) = k_n.bounds, k.bounds
-    lo_prod = [a + b for a, b in zip(lo, q_lo)]
-    hi_prod = [a + b for a, b in zip(hi, q_hi)]
-    if group.kind == DISCRETE_HEISENBERG:  # p * q also moves z by x * q_y
-        xy = [x * y for x in (lo[0], hi[0]) for y in (q_lo[1], q_hi[1])]
-        lo_prod[2] += min(xy)
-        hi_prod[2] += max(xy)
-    box = _BallBox.spanning(group, lo_prod, hi_prod, budget)
-    cells = box.index(k_n.keys)
-    inside = np.zeros(box.cells, dtype=bool)
-    inside[cells] = True
-    product = inside.copy()
-    interior = np.ones(len(cells), dtype=bool)
-    qs = _coords(group, k.keys)
-    for moved in box.right_translates(cells, qs[qs.any(axis=1)]):
-        interior &= inside[moved]
-        product[moved] = True
-    return (np.count_nonzero(product) - np.count_nonzero(interior)) / k_n.measure
+    heads = np.flatnonzero(np.concatenate([[True], np.diff(k_n.keys) != 1]))
+    n = np.diff(heads, append=len(k_n.keys))
+    p = _coords(group, k_n.keys[heads])
+    qs = _coords(group, k.keys)[:, None]
+    first = p + qs  # one row per q, one column per run
+    if group.kind == DISCRETE_HEISENBERG:
+        first[..., 2] += p[:, 0] * qs[..., 1]
+    lo = _keys(group, first.reshape(-1, group.dim))  # each raises outside the range
+    first[..., -1] += n - 1
+    hi = _keys(group, first.reshape(-1, group.dim))
+    # a run ends one past its last key, up to 2^63, which uint64 holds
+    at = np.concatenate([lo.view(np.uint64), hi.view(np.uint64) + np.uint64(1)])
+    order = np.argsort(at)
+    coverage = np.cumsum(np.where(order < len(lo), 1, -1))[:-1]
+    gaps = np.diff(at[order])
+    product = int(gaps[coverage > 0].sum())
+    interior = int(gaps[coverage == len(qs)].sum())
+    return (product - interior) / k_n.measure
 
 
 def folner_exhaustion(metric: PeriodicMetric, r0: float, count: int, step: float) -> list:

@@ -75,8 +75,7 @@ def hand_made_ball(metric, points, radius=0.0):
     group = metric.group
     pts = np.array(points, dtype=np.int64).reshape(-1, group.dim)
     keys = np.sort(groups._keys(group, pts))
-    bounds = (pts.min(axis=0).tolist(), pts.max(axis=0).tolist())
-    return groups.Ball(metric, radius, True, keys, float(len(keys)), bounds)
+    return groups.Ball(metric, radius, True, keys, float(len(keys)))
 
 
 def translated(metric, b, x):
@@ -292,8 +291,7 @@ def test_folner_ratio_z3_matches_set_reference():
             assert ratio == folner_ratio_reference(_add, kn.points, k.points)
             if k_radius == 0.0:
                 assert ratio == 0.0
-    # a K_n away from the identity: the box spans it, and the ratio is
-    # left-invariant
+    # a K_n away from the identity: the ratio is left-invariant
     kn = translated(metric, groups.ball(metric, 5.0), (-7, 40, 3))
     assert groups.folner_ratio(metric, kn, k) == folner_ratio_reference(
         _add, kn.points, k.points) == groups.folner_ratio(metric, groups.ball(metric, 5.0), k)
@@ -370,8 +368,8 @@ def test_folner_ratio_heisenberg_matches_set_reference(k_radius):
         kn = groups.ball(metric, float(r))
         assert groups.folner_ratio(metric, kn, k) == folner_ratio_reference(
             heisenberg_mul, kn.points, k.points)
-    # a K_n away from the identity, where the box takes the shear x q_y
-    # along z: the ratio is left-invariant
+    # a K_n away from the identity, where each run's translate takes the
+    # shear x q_y along z: the ratio is left-invariant
     kn = translated(metric, groups.ball(metric, 4.0), (2, -1, 3))
     ratio = groups.folner_ratio(metric, kn, k)
     assert ratio == folner_ratio_reference(heisenberg_mul, kn.points, k.points)
@@ -396,6 +394,30 @@ def test_folner_ratio_heisenberg_gauge_matches_set_reference(k_radius):
     kn = translated(metric, groups.ball(metric, 3.0), (1, -2, 5))
     assert groups.folner_ratio(metric, kn, k) == folner_ratio_reference(
         heisenberg_mul, kn.points, k.points)
+
+
+@pytest.mark.parametrize("metric, radius", [
+    (groups.word_metric(groups.integer_lattice(2)), 6.0),
+    (groups.word_metric(groups.integer_lattice(3)), 4.0),
+    (groups.word_metric(groups.discrete_heisenberg()), 5.0),
+    (groups.heisenberg_gauge_metric(), 3.5),
+], ids=["Z2", "Z3", "H3-word", "H3-gauge"])
+def test_folner_ratio_of_random_subsets_matches_set_reference(metric, radius):
+    # a ball's columns are one run of keys each; a random subset of one, moved
+    # off the identity, breaks them into several runs per column
+    mul = heisenberg_mul if metric.group.kind == groups.DISCRETE_HEISENBERG else _add
+    rng = np.random.default_rng(23)
+    pts = np.array(groups.ball(metric, radius).points)
+    for k_radius in (1.0, 2.0):
+        k = groups.ball(metric, k_radius)
+        for keep in (0.3, 0.6, 0.9):
+            sub = pts[rng.random(len(pts)) < keep]
+            x = tuple(int(c) for c in rng.integers(-9, 10, metric.group.dim))
+            kn = hand_made_ball(metric, [metric.group.multiply(x, tuple(p)) for p in sub.tolist()])
+            columns = {p[:-1] for p in kn.points}
+            assert np.count_nonzero(np.diff(kn.keys) != 1) + 1 > len(columns)
+            assert groups.folner_ratio(metric, kn, k) == folner_ratio_reference(
+                mul, kn.points, k.points), (k_radius, keep, x)
 
 
 def test_geometry_run_never_decodes_ball_points(tmp_path, monkeypatch):
@@ -482,35 +504,16 @@ def test_coordinates_outside_the_key_range_raise():
     k4 = groups.ball(m4, 1.0)
     with pytest.raises(OverflowError):
         groups.folner_ratio(m4, translated(m4, k4, (0, 0, 0, -(1 << 14) + 1)), k4)
+    # Z^1: 63 bits, [-2^62, 2^62); K_n K reaches the greatest key, 2^63 - 1,
+    # so its run ends one past the int64 range
+    m1 = groups.word_metric(groups.integer_lattice(1))
+    assert groups.folner_ratio(m1, hand_made_ball(m1, [(1 << 62) - 2]),
+                               groups.ball(m1, 1.0)) == 3.0
 
 
-@pytest.mark.parametrize("group, center", [
-    (groups.integer_lattice(2), (3, -2)),
-    (groups.integer_lattice(3), (3, -2, 5)),
-    (groups.discrete_heisenberg(), (3, -2, 5)),
-], ids=["Z2", "Z3", "H3"])
-def test_right_translates_match_the_decode_path(group, center):
-    metric = groups.word_metric(group)
-    b = groups.ball(metric, 3.0)
-    for kn in (b, translated(metric, b, center)):
-        pts = kn.points
-        qs = groups.ball(metric, 2.0).points
-        want = [groups._keys(group, np.array([group.multiply(p, q) for p in pts]))
-                for q in qs]
-        # a box spanning the products' coordinates
-        prods = groups._coords(group, np.concatenate(want))
-        box = groups._BallBox.spanning(group, prods.min(axis=0).tolist(),
-                                       prods.max(axis=0).tolist(), 10 ** 6)
-        moved = np.stack(list(box.right_translates(box.index(kn.keys), qs)))
-        assert moved.dtype == np.int64 and moved.shape == (len(qs), len(pts))
-        for q, got, keys in zip(qs, moved, want, strict=True):
-            assert got.min() >= 0 and got.max() < box.cells, q
-            assert np.array_equal(got, box.index(keys)), q
-
-
-@pytest.mark.parametrize("group", [groups.integer_lattice(2), groups.discrete_heisenberg()],
-                         ids=["Z2", "H3"])
-def test_bfs_and_folner_ratio_never_decode_spheres_or_balls(group, monkeypatch):
+@pytest.mark.parametrize("group, runs", [(groups.integer_lattice(2), 13),
+                                         (groups.discrete_heisenberg(), 85)], ids=["Z2", "H3"])
+def test_bfs_and_folner_ratio_never_decode_spheres_or_balls(group, runs, monkeypatch):
     metric = groups.word_metric(group)
     far = translated(metric, groups.ball(metric, 6.0), (900,) + (-5,) * (group.dim - 1))
     decoded = []
@@ -528,7 +531,9 @@ def test_bfs_and_folner_ratio_never_decode_spheres_or_balls(group, monkeypatch):
     k = groups.ball(metric, 2.0)
     kn = groups.ball(metric, 6.0)
     assert groups.folner_ratio(metric, kn, k) == groups.folner_ratio(metric, far, k) > 0
-    assert decoded == [k.measure, k.measure]  # only the rows of K
+    # one row per run of K_n (a radius 6 ball's columns, and as many for its
+    # left translate), then the rows of K
+    assert decoded == [runs, k.measure, runs, k.measure]
 
 
 def test_right_translates_raise_when_a_product_field_leaves_the_key_range():
@@ -538,7 +543,7 @@ def test_right_translates_raise_when_a_product_field_leaves_the_key_range():
     top = (1 << 20) - 1
 
     def one_point_ratio(p, q):
-        # K_n = {p} and K = {e, q, q^-1}: the count's box holds p K
+        # K_n = {p} and K = {e, q, q^-1}: the count translates p by K
         k_pts = sorted({h3.identity(), q, h3.inverse(q)})
         return groups.folner_ratio(metric, hand_made_ball(metric, [p]),
                                    hand_made_ball(metric, k_pts, 1.0)), k_pts
@@ -556,9 +561,6 @@ def test_right_translates_raise_when_a_product_field_leaves_the_key_range():
     p, q = (1 << 10, 0, top - (1 << 10)), (0, 1, 0)
     ratio, k_pts = one_point_ratio(p, q)
     assert ratio == folner_ratio_reference(heisenberg_mul, [p], k_pts) == 3.0
-    box = groups._BallBox.spanning(h3, p, [1 << 10, 1, top], 1 << 10)
-    [moved] = box.right_translates(box.index(groups._keys(h3, np.array([p]))), [q])
-    assert moved.tolist() == box.index(groups._keys(h3, np.array([[1 << 10, 1, top]]))).tolist()
 
 
 
@@ -829,7 +831,7 @@ def test_ball_boxes_never_refuse_a_ball_within_the_budget(monkeypatch):
         monkeypatch.setenv(groups.BUDGET_ENV_VAR, str(size))
         assert groups.ball(groups.word_metric(groups.discrete_heisenberg()), r).measure == size
     monkeypatch.delenv(groups.BUDGET_ENV_VAR)
-    # nor does the Folner count's box over K_n K with the budget at |K_n| |K|
+    # nor does the Folner count with the budget at |K_n| |K|
     metrics = [(groups.word_metric(groups.integer_lattice(3)), range(0, 9), (0, 1, 2)),
                (groups.word_metric(groups.discrete_heisenberg()), range(0, 15), (0, 1, 2, 3)),
                (groups.heisenberg_gauge_metric(), (1.0, 2.5, 4.0, 7.5), (0.5, 1.0, 2.0, 3.0))]
@@ -884,10 +886,6 @@ def test_gauge_ball_keys_match_the_scalar_loop():
         for closed, want in zip((True, False), gauge_ball_keys_scalar(radius)):
             got = groups.ball(groups.heisenberg_gauge_metric(), radius, closed)
             assert np.array_equal(got.keys, want), (radius, closed)
-            # the bounds are each coordinate's extremes over the elements
-            coords = groups._coords(groups.discrete_heisenberg(), want)
-            assert got.bounds == ((coords.min(axis=0).tolist(), coords.max(axis=0).tolist())
-                                  if len(want) else None), (radius, closed)
             # the measure sums the same columns' lengths, on a fresh metric
             assert groups.ball_measure(groups.heisenberg_gauge_metric(), radius,
                                        closed) == len(want), (radius, closed)
