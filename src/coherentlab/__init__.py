@@ -25,10 +25,8 @@ from .groups import (
 )
 from .quadrature import (
     QuadratureError,
-    gauss_profile_mass_outside,
     lens_area,
     refine_rows,
-    refine_trapezoid,
 )
 from .reps import (
     RepModel,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import frames, groups, reps
 from .frames import FrameBounds, PointSet
-from .quadrature import gauss_profile_mass_outside, lens_area, refine_rows
+from .quadrature import lens_area, refine_rows
 from .reps import RadialProfile, RepModel
 
 
@@ -397,11 +397,12 @@ def fit_tail_constant(r0: float, alpha: float, delta: float, c0: float,
                       norm4: float = 1.0, r_max: float = TAIL_FIT_RADIUS,
                       step: float = 0.25) -> tuple:
     """Smallest C'' with tail(r) <= C0^2 ||g||^4 C'' r^{1-delta-alpha} on the
-    fitted grid; tail(r) is the mass of M_Q^2 outside the radius-(r - r0) ball."""
+    fitted grid; tail(r) is the mass of M_Q^2 outside the radius-(r - r0) ball,
+    read from the Gaussian's radial profile."""
     best, arg = 0.0, r0 + step
     r = r0 + step
     while r <= r_max + 1e-9:
-        tail = gauss_profile_mass_outside(r0, r - r0)
+        tail = reps.GAUSSIAN_PROFILE.mass_outside(r0, r - r0)
         cand = tail * r ** (alpha + delta - 1.0) / (c0 * c0 * norm4)
         if cand > best:
             best, arg = cand, r
@@ -437,6 +438,7 @@ def run_hole_falsification(rep: RepModel, g, lattice_a: float, lattice_b: float,
     exponent = (2.0 + alpha) / 2.0
     cal = reps.decay_envelope_check(rep, g, 1.0, exponent, calibration_radius)
     c0 = cal["max_ratio"]
+    prof = reps.radial_profile(rep, g)
     cover = frames.lemma_cover_constant(rep, g, q)
     mu_q = math.pi * r0 * r0
     c_prime = cover.constant / mu_q
@@ -459,7 +461,7 @@ def run_hole_falsification(rep: RepModel, g, lattice_a: float, lattice_b: float,
         tail_value = tail_env = None
         tail_ok = True
         if rh > r0:
-            tail_value = gauss_profile_mass_outside(r0, rh - r0)
+            tail_value = prof.mass_outside(r0, rh - r0)
             tail_env = c0 * c0 * norm4 * c_dprime * rh ** (1.0 - delta - alpha)
             tail_ok = tail_value <= tail_env * (1.0 + 1e-9)
         inputs = {"C0": c0, "C_prime": c_prime, "C_dprime": c_dprime,

@@ -496,34 +496,40 @@ class CoverReport:
                 "certified": self.certified, "cell_size": self.cell_size}
 
 
-def _radial_level_radius(profile, norm_sq: float, hi: float = 64.0) -> float:
-    """Largest u with profile(r) > norm_sq/2 on [0, u) for a nonincreasing profile."""
-    level = norm_sq / 2.0
-    lo, up = 0.0, hi
-    if profile(0.0) <= level:
-        return 0.0
-    for _ in range(200):
-        mid = (lo + up) / 2.0
-        if profile(mid) > level:
-            lo = mid
-        else:
-            up = mid
-    return lo
-
-
 def _greedy_cover(covers: np.ndarray) -> list:
     """Greedy set cover on a boolean candidate x target matrix: each step picks
-    the first row that covers the most uncovered targets.  Returns the rows."""
+    the first row that covers the most uncovered targets.  Returns the rows.
+
+    The gains are counted once and then lowered by the targets each pick
+    newly covers, so every target's column is read twice in all."""
     uncovered = np.ones(covers.shape[1], dtype=bool)
+    gains = np.count_nonzero(covers, axis=1)
     chosen = []
     while uncovered.any():
-        gains = np.count_nonzero(covers & uncovered, axis=1)
         best = int(np.argmax(gains))
         if gains[best] == 0:
             raise ValueError("greedy cover stalled: no candidate covers what is left")
         chosen.append(best)
-        uncovered &= ~covers[best]
+        newly = covers[best] & uncovered
+        uncovered &= ~newly
+        gains -= np.count_nonzero(covers[:, newly], axis=1)
     return chosen
+
+
+def _grid_in_disk(spacing: float, n: int, radius: float) -> tuple:
+    """x and y of the points (i spacing, j spacing), |i|, |j| <= n, within the
+    closed disk of this radius, i-major and so in lexicographic order.  Squared
+    distances decide; within a 1e-12 relative band of the radius math.hypot
+    does, as the pointwise test would."""
+    i, j = (c.ravel() for c in np.meshgrid(np.arange(-n, n + 1), np.arange(-n, n + 1),
+                                           indexing="ij"))
+    x, y = i * spacing, j * spacing
+    sq, rsq = x * x + y * y, radius * radius
+    inside = sq <= rsq
+    near = np.abs(sq - rsq) <= 2e-12 * rsq
+    inside[near] = [math.hypot(p, q) <= radius
+                    for p, q in zip(x[near].tolist(), y[near].tolist())]
+    return x[inside], y[inside]
 
 
 def _greedy_cover_disk(rho: float, u: float) -> tuple:
@@ -531,19 +537,9 @@ def _greedy_cover_disk(rho: float, u: float) -> tuple:
     on a grid of spacing u/2; conservative cell certification."""
     cell = u / 8.0
     half_diag = cell * math.sqrt(2.0) / 2.0
-    n_cells = int(math.ceil((rho + cell) / cell))
-    cells = [(i * cell, j * cell)
-             for i in range(-n_cells, n_cells + 1)
-             for j in range(-n_cells, n_cells + 1)
-             if math.hypot(i * cell, j * cell) <= rho + half_diag]
-    n_grid = int(math.ceil((rho + u) / (u / 2.0)))
-    cand = sorted((i * u / 2.0, j * u / 2.0)
-                  for i in range(-n_grid, n_grid + 1)
-                  for j in range(-n_grid, n_grid + 1)
-                  if math.hypot(i * u / 2.0, j * u / 2.0) <= rho + u)
+    cx, cy = _grid_in_disk(cell, int(math.ceil((rho + cell) / cell)), rho + half_diag)
+    gx, gy = _grid_in_disk(u / 2.0, int(math.ceil((rho + u) / (u / 2.0))), rho + u)
     reach = u - half_diag - 1e-9  # strict: cell square inside the open disk
-    cx, cy = np.array(cells).T
-    gx, gy = np.array(cand).T
     dx, dy = cx[None, :] - gx[:, None], cy[None, :] - gy[:, None]
     dx *= dx
     dy *= dy
@@ -551,7 +547,7 @@ def _greedy_cover_disk(rho: float, u: float) -> tuple:
     # reach / cell = 8 - sqrt(2)/2 - 1e-9/cell lies far from every sqrt(m^2 + n^2),
     # so squared distances decide every pair as hypot would
     covers = dx <= reach * reach
-    return [cand[i] for i in _greedy_cover(covers)], cell
+    return [(float(gx[k]), float(gy[k])) for k in _greedy_cover(covers)], cell
 
 
 def cover_matrix_estimate(rho: float) -> float:
@@ -563,8 +559,7 @@ def cover_matrix_estimate(rho: float) -> float:
     N <= pi (R/s + sqrt(2)/2)^2; the cells lie within rho + u/8 and the
     candidates within rho + u.
     """
-    prof = reps.GAUSSIAN_PROFILE
-    u = _radial_level_radius(prof.profile, prof.norm_sq)
+    u = reps.GAUSSIAN_PROFILE.level_radius
     bound = 1.0
     for radius, spacing in ((rho + u / 8.0, u / 8.0), (rho + u, u / 2.0)):
         side = radius / spacing + math.sqrt(0.5)
@@ -602,7 +597,7 @@ def lemma_cover_constant(rep: RepModel, g, q: groups.Ball) -> CoverReport:
         return CoverReport(len(chosen), 4.0 * len(chosen), level, None,
                            tuple(chosen), True, 0.0)
     prof = reps.radial_profile(rep, g)
-    u = _radial_level_radius(prof.profile, prof.norm_sq)
+    u = prof.level_radius
     centers, cell = _greedy_cover_disk(q.radius, u)
     return CoverReport(len(centers), 4.0 * len(centers), prof.norm_sq / 2.0, u,
                        tuple(centers), True, cell)

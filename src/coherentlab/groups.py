@@ -178,13 +178,16 @@ class PeriodicMetric:
     Kinds: ``euclidean_norm`` on R^d, ``word_metric`` on any discrete kind,
     ``homogeneous_heisenberg`` (Cygan gauge) on H3(Z).  Word lengths and word
     balls are closed forms (see the word-ball section below); the sizes of
-    the H3 word balls up to the largest radius measured are cached.
+    the H3 word balls up to the largest radius measured are cached, and so
+    are the z-columns of every gauge ball built or measured.
     """
 
     kind: str
     group: GroupModel
     _h3_sizes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64),
                                   repr=False)  # elements of the H3 word ball of radius r
+    _gauge_balls: dict = field(default_factory=dict,
+                               repr=False)  # (radius, closed) -> its gauge ball's columns
 
     def length(self, el: tuple) -> float:
         return self.distance(self.group.identity(), el)
@@ -422,13 +425,25 @@ def _gauge_inside(x, y, z, radius: float, closed: bool) -> np.ndarray:
 def _gauge_columns(metric: PeriodicMetric, radius: float, closed: bool) -> tuple:
     """The nonempty columns of the gauge ball of this radius, as ``_columns``
     gives a word ball's, once the (2 floor(r) + 1)^2 columns and then their
-    elements have passed the budget.  The gauge is monotone in |z - xy / 2|,
-    so the ball holds one interval of z per (x, y) with |x|, |y| <= r:
-    [xy / 2 - s, xy / 2 + s] with s = sqrt(r^4 - (x^2 + y^2)^2) / 4.  Its
-    rounded ends then move out while the next z is inside, and in while
-    theirs is not, so elements on the sphere count as the gauge counts them."""
+    elements have passed the budget.  The metric keeps each (radius, closed)
+    pair's columns, so a ball is laid out once per metric; both budget checks
+    run on every call."""
     m, budget = math.floor(radius), ball_budget()
     _check_budget(metric, radius, (2 * m + 1) ** 2, budget, "z-columns")
+    if (radius, closed) not in metric._gauge_balls:
+        metric._gauge_balls[radius, closed] = _gauge_layout(radius, closed)
+    first, n = metric._gauge_balls[radius, closed]
+    _check_budget(metric, radius, int(n.sum()), budget)
+    return first, n
+
+
+def _gauge_layout(radius: float, closed: bool) -> tuple:
+    """The gauge ball's nonempty columns.  The gauge is monotone in
+    |z - xy / 2|, so the ball holds one interval of z per (x, y) with |x|,
+    |y| <= r: [xy / 2 - s, xy / 2 + s] with s = sqrt(r^4 - (x^2 + y^2)^2) / 4.
+    Its rounded ends then move out while the next z is inside, and in while
+    theirs is not, so elements on the sphere count as the gauge counts them."""
+    m = math.floor(radius)
     x, y = (c.ravel() for c in np.meshgrid(np.arange(-m, m + 1), np.arange(-m, m + 1),
                                            indexing="ij"))
     mid = x * y / 2.0
@@ -441,9 +456,7 @@ def _gauge_columns(metric: PeriodicMetric, radius: float, closed: bool) -> tuple
         ends -= step * off
     lo, hi = ends
     keep = lo <= hi
-    n = hi[keep] - lo[keep] + 1
-    _check_budget(metric, radius, int(n.sum()), budget)
-    return [x[keep], y[keep], lo[keep]], n
+    return [x[keep], y[keep], lo[keep]], hi[keep] - lo[keep] + 1
 
 
 def _ball_keys(group: GroupModel, first: list, n: np.ndarray) -> np.ndarray:

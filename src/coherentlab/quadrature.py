@@ -1,9 +1,11 @@
-"""Deterministic quadrature helpers shared by the coefficient and counting code.
+"""Deterministic quadrature for the counting code's error integrals.
 
-The workhorse is a trapezoid rule with Richardson halving applied after a
-cosine change of variables; the substitution clusters nodes at the endpoints,
-so the inverse-trig kinks showing up in disk-overlap integrands stay cheap.
-Closed-form Gaussian tail masses provide certified remainders.
+refine_rows is a trapezoid rule with Richardson halving applied after a
+cosine change of variables, over many rows at once; the substitution clusters
+nodes at the endpoints, so the inverse-trig kinks of disk-overlap integrands
+stay cheap.  lens_area gives those integrands their disk-intersection areas.
+Nothing here is Gaussian: the profile's closed forms live on
+reps.RadialProfile.
 """
 
 from __future__ import annotations
@@ -18,17 +20,6 @@ class QuadratureError(RuntimeError):
     """Raised when refinement fails to meet the requested tolerance."""
 
 
-def refine_trapezoid(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                     tol: float = 1e-8, max_doublings: int = 22,
-                     min_doublings: int = 4) -> float:
-    """Integrate fn over [a, b] by trapezoid halving with Richardson acceptance.
-
-    fn must accept numpy arrays.  This is the one-row case of refine_rows.
-    """
-    return float(refine_rows(lambda u, rows: fn(u[0]), [a], [b], tol,
-                             max_doublings, min_doublings)[0])
-
-
 def refine_rows(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
                 tol: float = 1e-8, max_doublings: int = 22,
                 min_doublings: int = 4) -> np.ndarray:
@@ -36,10 +27,10 @@ def refine_rows(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
     with Richardson acceptance, all rows in one loop.
 
     fn(u, rows) gets the (len(rows), nodes) nodes of the rows still refining,
-    rows indexing a and b, and returns their values.  Node reuse keeps each
-    halving incremental; a row is done when two successive extrapolated
-    values agree to tol, and its result is the one a refinement of that row
-    alone gives, to the bit.  A row with b_i <= a_i integrates to 0.  Raises
+    rows indexing a and b, and returns their values.  Only each row's running
+    sums are kept; a row is done when two successive extrapolated values
+    agree to tol, and its result is the one a refinement of that row alone
+    gives, to the bit.  A row with b_i <= a_i integrates to 0.  Raises
     QuadratureError if a row is still refining after max_doublings.
     """
     a = np.asarray(a, dtype=float)
@@ -55,25 +46,25 @@ def refine_rows(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
         du = (width * math.pi)[:, None] * np.sin(math.pi * v) / 2.0
         return np.asarray(fn(u, rows), dtype=float) * du
 
-    n = 8
-    v = np.linspace(0.0, 1.0, n + 1)
-    vals = eval_at(v)
+    def level_nodes(level):  # the 2^(L+2) new nodes (2j + 1)/2^(L+3) of level L >= 1
+        n = 4 << level
+        return (2 * np.arange(n) + 1) / (2 * n)
+
+    # level 0 is k/8; no row stops before min_doublings, so the levels up to
+    # it share one call of fn, each level a contiguous run of its columns
+    first = max(0, min(min_doublings, max_doublings))
+    vals = eval_at(np.concatenate([np.arange(9) / 8.0]
+                                  + [level_nodes(level) for level in range(1, first + 1)]))
     # each row is reduced on its own, as a lone refinement reduces it, so the
     # row sums stay bit-equal to it
-    t_prev = np.array([np.trapezoid(row, dx=1.0 / n) for row in vals])
-    r_prev = t_prev
+    t_prev = np.array([np.trapezoid(row[:9], dx=1.0 / 8) for row in vals])
+    r_prev, start = t_prev, 9
     for level in range(1, max_doublings + 1):
-        mid = (v[:-1] + v[1:]) / 2.0
-        new_vals = eval_at(mid)
-        t_cur = t_prev / 2.0 + np.array([np.sum(row) for row in new_vals]) / (2 * n)
-        # interleave for the next level
-        merged_v = np.empty(2 * n + 1)
-        merged_v[0::2] = v
-        merged_v[1::2] = mid
-        merged_vals = np.empty((rows.size, 2 * n + 1))
-        merged_vals[:, 0::2] = vals
-        merged_vals[:, 1::2] = new_vals
-        v, vals, n = merged_v, merged_vals, 2 * n
+        n = 4 << level
+        if level > first:
+            vals, start = eval_at(level_nodes(level)), 0
+        t_cur = t_prev / 2.0 + np.array([np.sum(row[start:start + n]) for row in vals]) / (2 * n)
+        start += n
         r_cur = t_cur + (t_cur - t_prev) / 3.0
         if level >= min_doublings:
             done = np.abs(r_cur - r_prev) < tol
@@ -82,7 +73,7 @@ def refine_rows(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
                 keep = ~done
                 if not keep.any():
                     return out
-                rows, a, width, vals = rows[keep], a[keep], width[keep], vals[keep]
+                rows, a, width = rows[keep], a[keep], width[keep]
                 t_cur, r_cur = t_cur[keep], r_cur[keep]
         t_prev, r_prev = t_cur, r_cur
     raise QuadratureError(f"no convergence to tol={tol} after {max_doublings} doublings")
@@ -121,26 +112,3 @@ def lens_area(r1, r2, d):
     sq = (-dp + p1 + p2) * (dp + p1 - p2) * (dp - p1 + p2) * (dp + p1 + p2)
     out[part] = p1 * p1 * a1 + p2 * p2 * a2 - 0.5 * np.sqrt(np.maximum(sq, 0.0))
     return out if out.ndim else float(out)
-
-
-# -- Certified tails -------------------------------------------------------------
-
-
-def erfc_integral(a: float) -> float:
-    """Integral of exp(-pi v^2) over [a, infinity)."""
-    return 0.5 * math.erfc(a * math.sqrt(math.pi))
-
-
-def gauss_profile_mass_outside(rho: float, d: float) -> float:
-    """Integral over |x| >= d in R^2 of exp(-pi * max(0, |x| - rho)^2).
-
-    Closed form; used both for total masses (d = 0) and certified tails.
-    """
-    d = max(d, 0.0)
-    inner = 0.0
-    if d < rho:
-        inner = math.pi * (rho * rho - d * d)
-    m = max(d, rho)
-    a = m - rho
-    outer = math.exp(-math.pi * a * a) + 2.0 * math.pi * rho * erfc_integral(a)
-    return inner + outer

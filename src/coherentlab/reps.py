@@ -4,10 +4,12 @@ Two concrete models: the finite Weyl-Heisenberg family on C^N indexed by
 Z_N x Z_N (translation then modulation), and the time-frequency family on
 L^2(R) indexed by R^2 with the unit Gaussian window.  The finite kind's
 coefficients come from coefficient_table; the Gaussian's ambiguity function
-|V_g g| is the radial profile exp(-pi |x|^2 / 2), whose closed forms feed the
-local maximal function, the formal-degree estimate and the decay envelope.
-radial_profile is the one place that checks the window: on the
-time-frequency kind anything but the Gaussian raises ValueError.
+|V_g g| is the radial profile exp(-pi |x|^2 / 2).  RadialProfile holds all of
+its closed forms: the local maximal function with its masses and certified
+tails, and the level-set radius behind the cover constant; the formal degree
+and the decay envelope read it.  radial_profile is the one place that checks
+the window: on the time-frequency kind anything but the Gaussian raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 
 from . import groups
 from .groups import Ball, GroupModel
-from .quadrature import gauss_profile_mass_outside, refine_trapezoid
 
 FINITE_WEYL_HEISENBERG = "finite_weyl_heisenberg"
 TIME_FREQUENCY = "time_frequency"
@@ -139,7 +140,7 @@ def gaussian_ambiguity(x: float, w: float) -> complex:
 
 class RadialProfile:
     """|V_g g|(x) = profile(|x|) = exp(-pi |x|^2 / 2) for the unit Gaussian g,
-    with closed-form masses and tails.
+    with closed-form masses, tails and level-set radius.
 
     The profile is nonincreasing, so for Q of radius rho the local maximal
     function M_Q V_g g at distance u is the profile at max(0, u - rho).
@@ -155,8 +156,27 @@ class RadialProfile:
         return np.exp(-math.pi * np.maximum(0.0, u - rho) ** 2)
 
     def mass_outside(self, rho: float, d: float) -> float:
-        """Integral of maximal_sq(|x|, rho) over |x| >= d in R^2, in closed form."""
-        return gauss_profile_mass_outside(rho, d)
+        """Integral of maximal_sq(|x|, rho) over |x| >= d in R^2, in closed
+        form: the plateau pi (rho^2 - d^2) inside rho, then exp(-pi a^2) +
+        2 pi rho int_a^inf exp(-pi v^2) dv with a = max(d, rho) - rho."""
+        d = max(d, 0.0)
+        inner = math.pi * (rho * rho - d * d) if d < rho else 0.0
+        a = max(d, rho) - rho
+        tail = 0.5 * math.erfc(a * math.sqrt(math.pi))
+        return inner + (math.exp(-math.pi * a * a) + 2.0 * math.pi * rho * tail)
+
+    @property
+    def level_radius(self) -> float:
+        """Radius of the level set U = {|V_g g| > ||g||^2 / 2}: the largest
+        float u with profile(u) > norm_sq / 2, stepped float by float from
+        the exact sqrt(2 ln 2 / pi)."""
+        level = self.norm_sq / 2.0
+        u = math.sqrt(2.0 * math.log(2.0) / math.pi)
+        while self.profile(u) <= level:
+            u = math.nextafter(u, 0.0)
+        while self.profile(up := math.nextafter(u, math.inf)) > level:
+            u = up
+        return u
 
 
 GAUSSIAN_PROFILE = RadialProfile()
@@ -199,9 +219,9 @@ def _finite_maximal_table(rep: RepModel, g: np.ndarray, q: Ball) -> np.ndarray:
 # -- Formal degree ---------------------------------------------------------------------
 
 
-def estimate_formal_degree(rep: RepModel, g, truncation_radius: float,
-                           tol: float = 1e-10) -> float:
-    """||g||^4 / integral over B_R of |V_g g|^2; exact on the finite kind."""
+def estimate_formal_degree(rep: RepModel, g, truncation_radius: float) -> float:
+    """||g||^4 / integral over B_R of |V_g g|^2: a sum over the word ball on
+    the finite kind, the profile's closed-form masses on the Gaussian."""
     if truncation_radius <= 0:
         raise ValueError("truncation radius must be positive")
     if rep.kind == FINITE_WEYL_HEISENBERG:
@@ -217,8 +237,7 @@ def estimate_formal_degree(rep: RepModel, g, truncation_radius: float,
         denom = float(np.sum(table[mask]))
         return nrm ** 4 / denom
     prof = radial_profile(rep, g)
-    denom = refine_trapezoid(
-        lambda r: prof.maximal_sq(r, 0.0) * 2.0 * math.pi * r, 0.0, truncation_radius, tol)
+    denom = prof.mass_outside(0.0, 0.0) - prof.mass_outside(0.0, truncation_radius)
     return prof.norm_sq ** 2 / denom
 
 

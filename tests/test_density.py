@@ -14,7 +14,7 @@ import pytest
 
 from coherentlab import cli, density, frames, groups, reps
 from coherentlab.frames import full_torus, lattice
-from coherentlab.quadrature import QuadratureError, refine_rows, refine_trapezoid
+from coherentlab.quadrature import QuadratureError, refine_rows
 
 
 def euclid_ball(radius):
@@ -522,7 +522,7 @@ def test_batched_error_integrals_equal_one_refinement_per_radius(seed, tol):
 def test_refine_rows_equal_one_refinement_per_row():
     # rows of different widths and integrands leave the loop at different
     # levels; each keeps the value its own refinement gives, b <= a gives 0,
-    # and refine_trapezoid is the one-row call
+    # and so does each row's one-row call
     scales = np.array([0.3, 1.0, 4.0, 9.0, 1.0, 2.5])
     a = np.array([0.0, -1.0, 0.5, 0.0, 2.0, 1.0])
     b = np.array([1.0, 3.0, 6.0, 0.7, 2.0, 0.5])
@@ -537,7 +537,7 @@ def test_refine_rows_equal_one_refinement_per_row():
         got = refine_rows(rowwise, a, b, tol)
         want = [refine_trapezoid_oracle(one(i), a[i], b[i], tol) for i in range(a.size)]
         assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
-        assert [refine_trapezoid(one(i), a[i], b[i], tol).hex()
+        assert [float(refine_rows(lambda u, rows: one(i)(u[0]), [a[i]], [b[i]], tol)[0]).hex()
                 for i in range(a.size)] == [x.hex() for x in want]
 
 

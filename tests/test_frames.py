@@ -323,8 +323,7 @@ def test_cover_matrix_from_squared_distances_matches_hypot(monkeypatch):
     # The reference is the hypot matrix as first written, on the grid points
     # of the largest disk; a smaller disk keeps those within its radius, in
     # the same order, so its matrix is a submatrix
-    prof = reps.GAUSSIAN_PROFILE
-    u = frames._radial_level_radius(prof.profile, prof.norm_sq)
+    u = reps.GAUSSIAN_PROFILE.level_radius
     cell = u / 8.0
     half_diag = cell * math.sqrt(2.0) / 2.0
     reach = u - half_diag - 1e-9
@@ -367,6 +366,84 @@ def test_greedy_cover_takes_the_first_row_of_largest_gain():
         assert frames._greedy_cover(covers) == want
     with pytest.raises(ValueError, match="stalled"):
         frames._greedy_cover(np.array([[True, False], [True, False]]))
+
+
+def greedy_cover_recount_reference(covers):
+    """The greedy cover as first written: every step recounts each row's
+    uncovered targets."""
+    uncovered = np.ones(covers.shape[1], dtype=bool)
+    chosen = []
+    while uncovered.any():
+        gains = np.count_nonzero(covers & uncovered, axis=1)
+        best = int(np.argmax(gains))
+        if gains[best] == 0:
+            raise ValueError("greedy cover stalled: no candidate covers what is left")
+        chosen.append(best)
+        uncovered &= ~covers[best]
+    return chosen
+
+
+def greedy_cover_disk_reference(rho, u):
+    """The disk cover as first written: list-comprehension grids tested with
+    math.hypot, sorted candidates, and the recounting greedy loop."""
+    cell = u / 8.0
+    half_diag = cell * math.sqrt(2.0) / 2.0
+    n_cells = int(math.ceil((rho + cell) / cell))
+    cells = [(i * cell, j * cell)
+             for i in range(-n_cells, n_cells + 1)
+             for j in range(-n_cells, n_cells + 1)
+             if math.hypot(i * cell, j * cell) <= rho + half_diag]
+    n_grid = int(math.ceil((rho + u) / (u / 2.0)))
+    cand = sorted((i * u / 2.0, j * u / 2.0)
+                  for i in range(-n_grid, n_grid + 1)
+                  for j in range(-n_grid, n_grid + 1)
+                  if math.hypot(i * u / 2.0, j * u / 2.0) <= rho + u)
+    reach = u - half_diag - 1e-9
+    covers = np.array([[math.hypot(cx - gx, cy - gy) <= reach for cx, cy in cells]
+                       for gx, gy in cand], dtype=bool)
+    return [cand[i] for i in greedy_cover_recount_reference(covers)], cell
+
+
+def test_cover_centres_equal_the_recounting_greedy(monkeypatch):
+    # the gain-updating greedy over array-built grids picks the same centres,
+    # in the same order, as the recounting loop over the hypot-tested lists
+    rep, g = reps.gabor_gaussian(), reps.gaussian_window()
+    u = reps.GAUSSIAN_PROFILE.level_radius
+    for rho in (0.5, 0.6, 1.0, 1.25, 2.0, 3.0):
+        cover = frames.lemma_cover_constant(rep, g, euclid_ball(rho))
+        centers, cell = greedy_cover_disk_reference(rho, u)
+        assert cover.centers == tuple(centers), rho
+        assert cover.cell_size == cell and cover.u_radius == u
+    # on the torus: the finite kind's candidate x target matrix, through
+    # lemma_cover_constant and against the recounting loop on the same matrix
+    seen, greedy = [], frames._greedy_cover
+    monkeypatch.setattr(frames, "_greedy_cover",
+                        lambda covers: seen.append(covers) or greedy(covers))
+    for n, radius, seed in ((8, 1.0, 6), (9, 2.0, 1), (12, 3.0, 2), (7, 20.0, 3)):
+        rep = reps.finite_weyl_heisenberg(n)
+        g = np.random.default_rng(seed).standard_normal(n) + 0j
+        q = groups.ball(groups.word_metric(rep.group), radius)
+        cover = frames.lemma_cover_constant(rep, g, q)
+        cand = sorted(rep.group.elements())
+        want = greedy_cover_recount_reference(seen.pop())
+        assert cover.centers == tuple(cand[i] for i in want)
+
+
+def test_grid_in_disk_decides_the_rim_as_hypot_does():
+    # radii on (or one float off) a grid point's distance, where x^2 + y^2
+    # against radius^2 and math.hypot against the radius can disagree: the
+    # cover's grids keep exactly the points the hypot test keeps, i-major
+    u = reps.GAUSSIAN_PROFILE.level_radius
+    for spacing in (u / 8.0, u / 2.0, 0.1, 1.0 / 3.0, 0.7):
+        for i, j in ((5, 0), (3, 4), (7, 24), (15, 20), (1, 1), (2, 3), (6, 9), (5, 12)):
+            rim = math.hypot(i * spacing, j * spacing)
+            for radius in (math.nextafter(rim, 0.0), rim, math.nextafter(rim, math.inf)):
+                n = math.ceil(radius / spacing) + 1
+                x, y = frames._grid_in_disk(spacing, n, radius)
+                want = [(k * spacing, l * spacing)
+                        for k in range(-n, n + 1) for l in range(-n, n + 1)
+                        if math.hypot(k * spacing, l * spacing) <= radius]
+                assert list(zip(x.tolist(), y.tolist())) == want, (spacing, i, j)
 
 
 def test_lemma_cover_constant_finite_property():

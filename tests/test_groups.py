@@ -436,6 +436,41 @@ def test_geometry_run_never_decodes_ball_points(tmp_path, monkeypatch):
                 == (tmp_path / "decoded" / name).read_bytes())
 
 
+def test_gauge_geometry_run_lays_out_each_ball_once(tmp_path, monkeypatch):
+    # the gauge run measures and builds many balls of the same radius; the
+    # metric keeps each (radius, closed) pair's columns, so each is laid out
+    # once, and the reports equal those of a run that lays out every call anew
+    config = tmp_path / "gauge.ini"
+    config.write_text("[geometry]\ngroup = discrete_heisenberg\nmetric = heisenberg_gauge\n"
+                      "growth_radii = 4,5,6,7,8\nfolner_count = 3\nfolner_step = 3\n"
+                      "folner_k_radius = 2\nannular_radii = 4,6,8,10\n")
+    layout, columns = groups._gauge_layout, groups._gauge_columns
+    laid_out, calls = [], []
+
+    def counted_layout(radius, closed):
+        laid_out.append((radius, closed))
+        return layout(radius, closed)
+
+    def counted_columns(metric, radius, closed):
+        calls.append((radius, closed))
+        return columns(metric, radius, closed)
+
+    monkeypatch.setattr(groups, "_gauge_layout", counted_layout)
+    monkeypatch.setattr(groups, "_gauge_columns", counted_columns)
+    cli.run_experiment("geometry", str(config), str(tmp_path / "kept"))
+    assert len(laid_out) == len(set(laid_out)) == len(set(calls)) < len(calls)
+
+    def unkept_columns(metric, radius, closed):
+        metric._gauge_balls.clear()
+        return columns(metric, radius, closed)
+
+    monkeypatch.setattr(groups, "_gauge_columns", unkept_columns)
+    cli.run_experiment("geometry", str(config), str(tmp_path / "anew"))
+    for name in ("report.json", "rows.csv"):
+        assert ((tmp_path / "kept" / name).read_bytes()
+                == (tmp_path / "anew" / name).read_bytes())
+
+
 @pytest.mark.parametrize("dim, radii", [(1, range(0, 12)), (4, range(0, 6))])
 def test_integer_lattice_word_balls_match_ell1_count(dim, radii):
     metric = groups.word_metric(groups.integer_lattice(dim))

@@ -185,6 +185,86 @@ def test_formal_degree_estimates():
         reps.estimate_formal_degree(rep, g, 0.0)
 
 
+def dense_radial_mass(fn, a, b, n=400001):
+    """Integral of fn(|x|) over a <= |x| <= b in R^2: a dense uniform
+    trapezoid of fn(r) 2 pi r in raw numpy."""
+    r = np.linspace(a, b, n)
+    return float(np.trapezoid(fn(r) * 2.0 * math.pi * r, r))
+
+
+def test_profile_mass_outside_matches_dense_trapezoid():
+    prof = reps.GAUSSIAN_PROFILE
+    # rho = 1, d = 0: pi (inner plateau) + 1 + 2 pi * 1/2 = 2 pi + 1
+    assert prof.mass_outside(1.0, 0.0) == pytest.approx(2.0 * math.pi + 1.0, rel=1e-14)
+    # rho = 0 is the Gaussian itself: exp(-pi d^2) outside d
+    for d in (0.0, 0.4, 1.5):
+        assert prof.mass_outside(0.0, d) == pytest.approx(math.exp(-math.pi * d * d),
+                                                          rel=1e-14)
+    # the plateau, the Gaussian tail and the erfc term against a dense
+    # trapezoid whose cut-off tail is below 1e-80
+    for rho, d in ((0.7, 1.3), (1.0, 0.0), (0.5, 0.2), (2.0, 6.0), (1.25, 3.5), (3.0, 1.0)):
+        direct = dense_radial_mass(lambda r, rho=rho: prof.maximal_sq(r, rho),
+                                   d, max(d, rho) + 14.0)
+        assert prof.mass_outside(rho, d) == pytest.approx(direct, rel=1e-8, abs=1e-12)
+    # monotone nonincreasing in d
+    masses = [prof.mass_outside(1.0, float(d)) for d in np.linspace(0.0, 5.0, 21)]
+    assert all(m2 <= m1 + 1e-14 for m1, m2 in zip(masses, masses[1:]))
+
+
+def test_gaussian_formal_degree_matches_dense_trapezoid():
+    rep, g = reps.gabor_gaussian(), reps.gaussian_window()
+    for radius in (0.3, 1.0, 2.0, 6.0):
+        direct = dense_radial_mass(lambda r: np.exp(-math.pi * r * r), 0.0, radius)
+        assert reps.estimate_formal_degree(rep, g, radius) == pytest.approx(1.0 / direct,
+                                                                            rel=1e-9)
+    # the whole-plane mass of |V_g g|^2 is ||g||^4 / d_pi = 1: no float is left
+    # past radius 6
+    assert reps.estimate_formal_degree(rep, g, 6.0) == 1.0
+
+
+def bisection_level_radius(profile, norm_sq, hi=64.0):
+    """The 200-step bisection the cover constant once took its radius from:
+    the largest u with profile(r) > norm_sq/2 on [0, u)."""
+    level = norm_sq / 2.0
+    lo, up = 0.0, hi
+    if profile(0.0) <= level:
+        return 0.0
+    for _ in range(200):
+        mid = (lo + up) / 2.0
+        if profile(mid) > level:
+            lo = mid
+        else:
+            up = mid
+    return lo
+
+
+class ScaledProfile(reps.RadialProfile):
+    """The Gaussian profile times a factor within a few ulps of 1, which
+    moves the level radius a few floats off its start."""
+
+    def __init__(self, factor):
+        self.factor = factor
+
+    def profile(self, r):
+        return super().profile(r) * self.factor
+
+
+def test_level_radius_is_the_last_float_above_half_the_norm():
+    start = math.sqrt(2.0 * math.log(2.0) / math.pi)
+    profiles = [reps.GAUSSIAN_PROFILE] + [ScaledProfile(1.0 + k * 2.0 ** -52)
+                                          for k in (-6, -2, 2, 6)]
+    radii = []
+    for prof in profiles:
+        u = prof.level_radius
+        assert u == bisection_level_radius(prof.profile, prof.norm_sq)
+        level = prof.norm_sq / 2.0
+        assert prof.profile(u) > level >= prof.profile(math.nextafter(u, math.inf))
+        assert u == pytest.approx(start, rel=1e-14)
+        radii.append(u)
+    # the scaled profiles walk both ways from the start
+    assert min(radii) < radii[0] < max(radii)
+
+
 def test_decay_envelope_check_calibration_and_failure():
     rep = reps.gabor_gaussian()
     g = reps.gaussian_window()
