@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coherentlab.quadrature import QuadratureError, lens_area, refine_rows
+from coherentlab.reps import GAUSSIAN_PROFILE
 
 
 def lens_area_grid_oracle(r1, r2, d, n=2400):
@@ -97,6 +98,44 @@ def test_lens_area_against_grid_oracle():
         assert lens_area(r1, r2, d) == pytest.approx(oracle, abs=2e-2)
     # symmetry in the two radii
     assert lens_area(2.0, 1.5, 2.2) == pytest.approx(lens_area(1.5, 2.0, 2.2), rel=1e-12)
+
+
+def test_erfc_integral_matches_quadrature():
+    # the Gaussian tail int_a^inf exp(-pi v^2) dv of mass_outside: for
+    # d = rho + a it is what is left past exp(-pi a^2), over 2 pi rho
+    prof = GAUSSIAN_PROFILE
+    for rho in (0.5, 1.0, 2.0):
+        for a in (0.0, 0.3, 1.0, 2.5):
+            tail = ((prof.mass_outside(rho, rho + a) - math.exp(-math.pi * a * a))
+                    / (2.0 * math.pi * rho))
+            direct = refine_one(lambda v: np.exp(-math.pi * v * v), a, a + 12.0, 1e-13)
+            assert tail == pytest.approx(direct, abs=1e-12)
+    # int_0^inf exp(-pi v^2) dv = 1/2
+    assert prof.mass_outside(1.0, 1.0) - 1.0 == pytest.approx(math.pi, rel=1e-14)
+
+
+def refine_split_at(fn, a, b, cut, tol):
+    """One-row refine_rows over [a, b], split at the kink when it lies inside,
+    with the tolerance halved per piece."""
+    if a < cut < b:
+        return refine_one(fn, a, cut, tol / 2.0) + refine_one(fn, cut, b, tol / 2.0)
+    return refine_one(fn, a, b, tol)
+
+
+def test_gauss_profile_mass_closed_form():
+    prof = GAUSSIAN_PROFILE
+    # rho = 1, d = 0: pi (inner plateau) + 1 + 2 pi * 1/2 = 2 pi + 1
+    assert prof.mass_outside(1.0, 0.0) == pytest.approx(2.0 * math.pi + 1.0, rel=1e-14)
+    # generic values against direct radial quadrature with a negligible tail
+    for rho, d in ((0.7, 1.3), (1.0, 0.0), (0.5, 0.2), (2.0, 6.0)):
+        def integrand(r, _rho=rho):
+            return np.exp(-math.pi * np.maximum(0.0, r - _rho) ** 2) * 2.0 * math.pi * r
+
+        direct = refine_split_at(integrand, d, d + rho + 14.0, rho, 1e-11)
+        assert prof.mass_outside(rho, d) == pytest.approx(direct, abs=1e-9)
+    # monotone nonincreasing in d
+    masses = [prof.mass_outside(1.0, float(d)) for d in np.linspace(0.0, 5.0, 21)]
+    assert all(m2 <= m1 + 1e-14 for m1, m2 in zip(masses, masses[1:]))
 
 
 def refine_rows_interleaving_reference(fn, a, b, tol=1e-8, max_doublings=22, min_doublings=4):
