@@ -47,7 +47,6 @@ from .frames import (
     amalgam_check,
     bessel_separation_bound,
     canonical_dual,
-    dimension_lemma_check,
     finite_subset,
     frame_operator_spectrum,
     full_torus,
@@ -59,13 +58,11 @@ from .frames import (
 )
 from .density import (
     beurling_density,
-    check_frame_counting,
+    check_counting,
     check_polynomial_error_exponent,
-    check_riesz_counting,
     error_integral_I,
     error_integral_J,
     hole_radius_bound,
-    mc_error_integral,
     run_hole_falsification,
 )
 from .cli import ConfigError, load_config, main, run_experiment

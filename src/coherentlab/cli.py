@@ -384,15 +384,12 @@ class RunReport:
                 "overall_pass": self.overall_pass}
 
 
-def emit_report(report: RunReport, out_dir: str,
-                formats: tuple = ("csv", "json")) -> list:
+def emit_report(report: RunReport, out_dir: str) -> list:
     """Write report.json / rows.csv; returns the written paths."""
     reporting.ensure_dir(out_dir)
-    written = []
-    if "json" in formats:
-        written.append(reporting.write_json(
-            report.to_json(), os.path.join(out_dir, "report.json")))
-    if "csv" in formats and report.csv_header:
+    written = [reporting.write_json(report.to_json(),
+                                    os.path.join(out_dir, "report.json"))]
+    if report.csv_header:
         meta = {"experiment": report.experiment, "config": dict(report.config),
                 "version": __version__}
         written.append(reporting.write_csv(
@@ -595,31 +592,30 @@ def run_density(cfg: dict) -> RunReport:
     exhaustion = [groups.ball(em, r) for r in cfg["radii"]]
     q = groups.ball(em, cfg["q_radius"])
     spacing = cfg["grid_spacing"] if cfg["grid_spacing"] > 0 else None
-    side = cfg["side"]
     t0 = time.perf_counter()
-    if side == "frame":
+    # the one side decision: the bounds, and the error integral (I_n or J_n,
+    # in its own CSV column) that the checks and the fit read with them
+    if cfg["side"] == "frame":
         bounds = frames.frame_operator_spectrum(
             rep, g, lam, section_radius=cfg["section_radius"], margin=cfg["margin"])
+        integral_fn, integral_cells = density.error_integral_I, lambda v: (v, "")
     else:
         bounds = frames.riesz_bounds(
             rep, g, lam, restriction_radius=cfg["restriction_radius"])
+        integral_fn, integral_cells = density.error_integral_J, lambda v: ("", v)
     report.timings["bounds"] = time.perf_counter() - t0
-    if bounds.kind != side:  # A = 0: the counting theorem's hypothesis fails
+    if bounds.kind != cfg["side"]:  # A = 0: the counting theorem's hypothesis fails
         raise ConfigError(f"lattice_a = {cfg['lattice_a']:g}, lattice_b = "
-                          f"{cfg['lattice_b']:g} give no {side} bounds (A = 0)")
+                          f"{cfg['lattice_b']:g} give no {cfg['side']} bounds (A = 0)")
     t0 = time.perf_counter()
-    kind = "I" if side == "frame" else "J"
-    integral_fn = density.error_integral_I if kind == "I" else density.error_integral_J
     integrals = integral_fn(rep, g, q, exhaustion, tol=cfg["tol"])
     report.timings["integrals"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    dens = density.beurling_density(lam, em, exhaustion, spacing)
+    dens = density.beurling_density(lam, exhaustion, spacing)
     report.timings["density"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    checker = (density.check_frame_counting if side == "frame"
-               else density.check_riesz_counting)
-    checks = checker(rep, g, exhaustion, q, bounds, integrals=integrals,
-                     estimate=dens, diagnostic=cfg["diagnostic"])
+    checks = density.check_counting(rep, g, q, bounds, estimate=dens,
+                                    integrals=integrals, diagnostic=cfg["diagnostic"])
     report.timings["checks"] = time.perf_counter() - t0
     report.records.append(_record("bounds", bounds.to_json(), passed=True))
     for chk in checks:
@@ -628,20 +624,15 @@ def run_density(cfg: dict) -> RunReport:
                                   upper=dens.upper, rel_sep=dens.rel_sep))
     if cfg["fit_exponent"]:
         fit = density.check_polynomial_error_exponent(
-            dens.records, integrals, cfg["alpha"], cfg["delta"],
-            d_pi=rep.formal_degree, side="inf" if side == "frame" else "sup")
+            dens.records, integrals, cfg["alpha"], cfg["delta"], d_pi=rep.formal_degree)
         report.records.append(_record(fit.theorem, fit.to_json()))
     report.csv_header = ("n", "r_n", "inf_count", "sup_count", "measure",
                          "I_n", "J_n", "lhs", "rhs", "margin", "pass")
-    per_n = [c for c in checks if c.theorem in ("T3.3", "T3.5")]
-    rows = []
-    for rec, integ, chk in zip(dens.records, integrals, per_n):
-        i_val = integ.value if kind == "I" else ""
-        j_val = integ.value if kind == "J" else ""
-        rows.append((rec.n, rec.radius, rec.inf_count, rec.sup_count,
-                     rec.measure, i_val, j_val, chk.lhs, chk.rhs, chk.margin,
-                     chk.passed))
-    report.csv_rows = rows
+    # zip stops at the last K_n, before the frame side's T3.6 record
+    report.csv_rows = [(rec.n, rec.radius, rec.inf_count, rec.sup_count, rec.measure,
+                        *integral_cells(integ.value), chk.lhs, chk.rhs, chk.margin,
+                        chk.passed)
+                       for rec, integ, chk in zip(dens.records, integrals, checks)]
     return report
 
 

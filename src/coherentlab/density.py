@@ -1,10 +1,11 @@
-"""Counting functions, Beurling densities, error integrals, and theorem checks.
+"""Beurling density proxies, error integrals, and the paper's theorem checks.
 
-The two error integrals couple a ball K_n with the thickened complement
-(resp. thickened ball) of its index set through the local maximal function of
-|V_g g|.  On the plane both reduce exactly to one-dimensional integrals of the
-Gaussian's radial profile against two-disk lens areas, with closed-form tails.
-Counting takes a plain lattice a Z x b Z and closed discs K_n.
+beurling_density counts a plain lattice a Z x b Z in closed discs K_n.  The
+error integrals I_n and J_n couple K_n with the thickened complement (resp.
+thickened ball) of its index set through the local maximal function of
+|V_g g|; on the plane both reduce to one-dimensional integrals of the
+Gaussian's radial profile against two-disk lens areas, with closed-form
+tails.  check_counting reads the counting theorem's side from its bounds.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ from . import frames, groups, reps
 from .frames import FrameBounds, PointSet
 from .quadrature import lens_area, refine_rows
 from .reps import RadialProfile, RepModel
+
+CHECK_TOL = 1e-9  # a theorem check passes while it fails by at most this
+SLOPE_SLACK = 0.15  # T4.3 passes while the fitted slope is at most -gamma + this
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ class ErrorIntegralRecord:
 
 @dataclass(frozen=True)
 class TheoremCheck:
-    """One inequality instance; margin is signed so pass <=> margin >= -tol."""
+    """One inequality instance; margin is signed so pass <=> margin >= -CHECK_TOL."""
 
     theorem: str
     lhs: float
@@ -100,8 +104,7 @@ class DensityEstimate:
 # -- Counting --------------------------------------------------------------------
 
 
-def beurling_density(lam: PointSet, metric: groups.PeriodicMetric,
-                     exhaustion: Sequence[groups.Ball],
+def beurling_density(lam: PointSet, exhaustion: Sequence[groups.Ball],
                      center_grid_spacing: float | None = None) -> DensityEstimate:
     """Lower/upper density proxies inf/sup #(Lambda in xK_n) / mu(K_n).
 
@@ -110,7 +113,7 @@ def beurling_density(lam: PointSet, metric: groups.PeriodicMetric,
     lattice is periodic, so this is exhaustive up to the recorded spacing),
     and every (K_n, center) row is counted in one call.  The true densities
     are n -> infinity limits; the full sequence is recorded.  ``rel_sep`` is
-    Rel_Q(Lambda) for the disk Q in ``metric`` of radius min(a, b) / 2.
+    Rel_Q(Lambda) for the disk Q of the plane of radius min(a, b) / 2.
     """
     if not exhaustion:
         raise ValueError("empty exhaustion")
@@ -122,7 +125,7 @@ def beurling_density(lam: PointSet, metric: groups.PeriodicMetric,
     xs = np.arange(0.0, lam.a - 1e-12, spacing)
     ys = np.arange(0.0, lam.b - 1e-12, spacing)
     centers = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    q = groups.ball(metric, min(lam.a, lam.b) / 2.0)
+    q = groups.ball(groups.euclidean_metric(dim=2), min(lam.a, lam.b) / 2.0)
     rel = frames.relative_separation(lam, q).rel_sep
     rows = lam.lattice_count_near(np.tile(centers[:, 0], len(exhaustion)),
                                   np.tile(centers[:, 1], len(exhaustion)),
@@ -206,48 +209,6 @@ def error_integral_J(rep: RepModel, g, q: groups.Ball, ks: Sequence[groups.Ball]
     return _error_integrals(rep, g, q, ks, "J", tol)
 
 
-def mc_error_integral(rep: RepModel, g, q: groups.Ball, k: groups.Ball,
-                      kind: str = "I", n_samples: int = 10 ** 6,
-                      seed: int = 0) -> tuple:
-    """Monte Carlo estimate (value, stderr) of I_n or J_n.
-
-    Independent of the lens-area reduction: draws the difference variable from
-    the radial profile density and a uniform center, then averages the region
-    indicator.  Used as a cross-check oracle.
-
-    The radius of the difference variable is drawn by inverting the
-    closed-form survival function mass_outside(rho, u) / total on a linear
-    grid over [0, rho + 12]; beyond it the Gaussian survival is about
-    e^(-144 pi).
-    """
-    prof = reps.radial_profile(rep, g)
-    if prof is None:
-        raise ValueError("Monte Carlo error integrals need the Gaussian window")
-    rho, r = q.radius, k.radius
-    total_mass = prof.mass_outside(rho, 0.0)
-    grid = np.linspace(0.0, rho + 12.0, 20_001)
-    cdf = 1.0 - np.array([prof.mass_outside(rho, float(u)) for u in grid]) / total_mass
-    rng = np.random.default_rng(seed)
-    vals = np.empty(n_samples)
-    done = 0
-    area = math.pi * r * r if kind == "I" else math.pi * (r + rho) ** 2
-    while done < n_samples:
-        m = min(500_000, n_samples - done)
-        u = np.interp(rng.random(m), cdf, grid)
-        phi = rng.random(m) * 2.0 * math.pi
-        wx, wy = u * np.cos(phi), u * np.sin(phi)
-        rad = (r if kind == "I" else r + rho) * np.sqrt(rng.random(m))
-        ang = rng.random(m) * 2.0 * math.pi
-        yx, yy = rad * np.cos(ang), rad * np.sin(ang)
-        shifted = np.hypot(yx + wx, yy + wy)
-        ind = shifted > (r - rho) if kind == "I" else shifted > r
-        vals[done: done + m] = ind.astype(float)
-        done += m
-    mean = float(np.mean(vals))
-    std = float(np.std(vals, ddof=1)) / math.sqrt(n_samples)
-    return area * total_mass * mean, area * total_mass * std
-
-
 # -- Theorem checks --------------------------------------------------------------------
 
 
@@ -262,116 +223,87 @@ def assemble_counting_constant(rep: RepModel, g, q: groups.Ball,
             "mu_q": mu_q, "norm4": norm4}
 
 
-def _counting_checks(rep: RepModel, g, exhaustion: Sequence[groups.Ball],
-                     q: groups.Ball, bounds: FrameBounds, side: str,
-                     integrals: Sequence[ErrorIntegralRecord],
-                     estimate: DensityEstimate, tol: float,
-                     diagnostic: bool) -> list:
-    if bounds.lower <= 0.0:
-        raise ValueError("counting checks need a positive lower bound A > 0")
-    radii = [k.radius for k in exhaustion]
-    if [rec.radius for rec in estimate.records] != radii:
-        raise ValueError("density estimate records do not match the exhaustion")
-    kind = "I" if side == "inf" else "J"
-    got = {rec.n: rec for rec in integrals if rec.kind == kind}
-    if sorted(got) != list(range(len(radii))):
-        raise ValueError(f"missing {kind}_n records for the exhaustion")
-    integrals = [got[i] for i in range(len(radii))]
+def check_counting(rep: RepModel, g, q: groups.Ball, bounds: FrameBounds, *,
+                   estimate: DensityEstimate,
+                   integrals: Sequence[ErrorIntegralRecord],
+                   diagnostic: bool = False) -> list:
+    """The counting theorem on the side of ``bounds``, one record per K_n.
+
+    Frame bounds: inf_x #(Lambda in xK_n) >= d_pi (mu(K_n) - C I_n) (T3.3),
+    plus the density consequence at the largest n (T3.6).  Riesz bounds:
+    sup_x #(Lambda in xK_n) <= d_pi (mu(K_n) + C J_n) (T3.5).  ``estimate``
+    is the beurling_density result, whose records give each K_n's radius,
+    measure and counts, and ``integrals`` that side's error-integral records
+    of the same exhaustion, n = 0, 1, ... in the estimate's order.
+    """
+    if bounds.kind not in ("frame", "riesz"):
+        raise ValueError(f"counting checks need frame or riesz bounds (A > 0), "
+                         f"not {bounds.kind}")
+    frame = bounds.kind == "frame"
+    kind = "I" if frame else "J"
+    records = estimate.records
+    if ([(i.kind, i.n, i.measure) for i in integrals]
+            != [(kind, rec.n, rec.measure) for rec in records]):
+        raise ValueError(f"integrals must be the {kind}_n records of the estimate's "
+                         "exhaustion, n = 0, 1, ... in its order")
     const = assemble_counting_constant(rep, g, q, bounds)
-    d_pi = rep.formal_degree
+    c, d_pi = const["C"], rep.formal_degree
     checks = []
-    theorem = "T3.3" if side == "inf" else "T3.5"
-    for rec, integ in zip(estimate.records, integrals):
+    for rec, integ in zip(records, integrals):
         inputs = {"radius": rec.radius, "measure": rec.measure,
                   "inf_count": rec.inf_count, "sup_count": rec.sup_count,
                   "integral": integ.value, "integral_kind": kind,
                   "A": bounds.lower, "B": bounds.upper, "d_pi": d_pi,
                   **const}
-        if side == "inf":
-            lhs = float(rec.inf_count)
-            rhs = d_pi * (rec.measure - const["C"] * integ.value)
-            margin = lhs - rhs
-        else:
-            lhs = float(rec.sup_count)
-            rhs = d_pi * (rec.measure + const["C"] * integ.value)
-            margin = rhs - lhs
-        checks.append(TheoremCheck(theorem, lhs, rhs, margin,
-                                   margin >= -tol, const["C"], diagnostic, inputs))
-    if side == "inf":
-        last, integ = estimate.records[-1], integrals[-1]
-        eps = d_pi * const["C"] * integ.value / last.measure
+        count = float(rec.inf_count if frame else rec.sup_count)
+        error = c * integ.value
+        rhs = d_pi * (rec.measure - error if frame else rec.measure + error)
+        margin = count - rhs if frame else rhs - count
+        checks.append(TheoremCheck("T3.3" if frame else "T3.5", count, rhs, margin,
+                                   margin >= -CHECK_TOL, c, diagnostic, inputs))
+    if frame:
+        last, integ = records[-1], integrals[-1]
+        eps = d_pi * c * integ.value / last.measure
         lhs = last.inf_count / last.measure
         rhs = d_pi - eps
-        checks.append(TheoremCheck("T3.6", lhs, rhs, lhs - rhs, lhs - rhs >= -tol,
-                                   const["C"], diagnostic,
+        checks.append(TheoremCheck("T3.6", lhs, rhs, lhs - rhs,
+                                   lhs - rhs >= -CHECK_TOL, c, diagnostic,
                                    {"radius": last.radius, "epsilon": eps,
                                     "d_pi": d_pi, **const}))
     return checks
 
 
-def check_frame_counting(rep: RepModel, g, exhaustion: Sequence[groups.Ball],
-                         q: groups.Ball, bounds: FrameBounds, *,
-                         integrals: Sequence[ErrorIntegralRecord],
-                         estimate: DensityEstimate, tol: float = 1e-9,
-                         diagnostic: bool = False) -> list:
-    """Per n: inf_x #(Lambda in xK_n) >= d_pi (mu(K_n) - C I_n), plus the
-    density consequence at the largest n.
-
-    ``estimate`` is the beurling_density result and ``integrals`` the I_n
-    records (n = 0, 1, ...) for the same exhaustion.
-    """
-    if bounds.kind != "frame":
-        raise ValueError("frame counting needs bounds of kind=frame (A > 0)")
-    return _counting_checks(rep, g, exhaustion, q, bounds, "inf", integrals,
-                            estimate, tol, diagnostic)
-
-
-def check_riesz_counting(rep: RepModel, g, exhaustion: Sequence[groups.Ball],
-                         q: groups.Ball, bounds: FrameBounds, *,
-                         integrals: Sequence[ErrorIntegralRecord],
-                         estimate: DensityEstimate, tol: float = 1e-9,
-                         diagnostic: bool = False) -> list:
-    """Per n: sup_x #(Lambda in xK_n) <= d_pi (mu(K_n) + C J_n), with
-    ``estimate`` and the J_n ``integrals`` as in check_frame_counting.
-    """
-    if bounds.kind != "riesz":
-        raise ValueError("riesz counting needs bounds of kind=riesz (A > 0)")
-    return _counting_checks(rep, g, exhaustion, q, bounds, "sup", integrals,
-                            estimate, tol, diagnostic)
-
-
 def check_polynomial_error_exponent(count_records: Sequence[CountingRecord],
                                     integral_records: Sequence[ErrorIntegralRecord],
-                                    alpha: float, delta: float, d_pi: float = 1.0,
-                                    side: str = "inf",
-                                    slope_slack: float = 0.15) -> TheoremCheck:
+                                    alpha: float, delta: float,
+                                    d_pi: float = 1.0) -> TheoremCheck:
     """Fit the decay exponent of the normalized error integrals.
 
     Passes if the fitted log-log slope is at most -alpha*delta/(delta+alpha)
-    plus the slack; also fits the smallest constant C making
-    1 -/+ C r^{-alpha delta/(delta+alpha)} a valid envelope of count/(d_pi mu).
+    plus SLOPE_SLACK; also fits the smallest constant C making
+    1 -/+ C r^{-alpha delta/(delta+alpha)} a valid envelope of count/(d_pi mu):
+    inf counts for I_n records (T4.3i), sup counts for J_n ones (T4.3ii).
     """
     if len(count_records) != len(integral_records):
         raise ValueError("counting and integral records must align one-to-one")
     radii = [rec.radius for rec in count_records]
     if len(radii) < 4 or max(radii) < 4.0 * min(radii):
         raise ValueError("insufficient radii: need >= 4 spanning a factor of 4")
+    lower = integral_records[0].kind == "I"
     gamma = alpha * delta / (delta + alpha)
     logs_r = np.log(radii)
     logs_v = np.log([max(rec.normalized, 1e-300) for rec in integral_records])
     slope = float(np.polyfit(logs_r, logs_v, 1)[0])
-    threshold = -gamma + slope_slack
+    threshold = -gamma + SLOPE_SLACK
     fitted = 0.0
-    for crec, irec in zip(count_records, integral_records):
-        count = crec.inf_count if side == "inf" else crec.sup_count
-        ratio = count / (d_pi * crec.measure)
-        dev = (1.0 - ratio) if side == "inf" else (ratio - 1.0)
+    for crec in count_records:
+        ratio = (crec.inf_count if lower else crec.sup_count) / (d_pi * crec.measure)
+        dev = (1.0 - ratio) if lower else (ratio - 1.0)
         fitted = max(fitted, dev * crec.radius ** gamma)
-    theorem = "T4.3i" if side == "inf" else "T4.3ii"
-    return TheoremCheck(theorem, slope, threshold, threshold - slope,
-                        slope <= threshold, fitted, False,
+    return TheoremCheck("T4.3i" if lower else "T4.3ii", slope, threshold,
+                        threshold - slope, slope <= threshold, fitted, False,
                         {"gamma": gamma, "alpha": alpha, "delta": delta,
-                         "radii": list(radii), "side": side,
+                         "radii": list(radii), "side": "inf" if lower else "sup",
                          "normalized": [rec.normalized for rec in integral_records]})
 
 
@@ -391,22 +323,22 @@ def hole_radius_bound(c0: float, alpha: float, delta: float, c: float,
 
 
 TAIL_FIT_RADIUS = 6.0  # the tail constant is fitted on r0 < r <= this
+TAIL_FIT_STEP = 0.25  # in steps of this
 
 
 def fit_tail_constant(r0: float, alpha: float, delta: float, c0: float,
-                      norm4: float = 1.0, r_max: float = TAIL_FIT_RADIUS,
-                      step: float = 0.25) -> tuple:
+                      norm4: float = 1.0) -> tuple:
     """Smallest C'' with tail(r) <= C0^2 ||g||^4 C'' r^{1-delta-alpha} on the
     fitted grid; tail(r) is the mass of M_Q^2 outside the radius-(r - r0) ball,
     read from the Gaussian's radial profile."""
-    best, arg = 0.0, r0 + step
-    r = r0 + step
-    while r <= r_max + 1e-9:
+    best, arg = 0.0, r0 + TAIL_FIT_STEP
+    r = r0 + TAIL_FIT_STEP
+    while r <= TAIL_FIT_RADIUS + 1e-9:
         tail = reps.GAUSSIAN_PROFILE.mass_outside(r0, r - r0)
         cand = tail * r ** (alpha + delta - 1.0) / (c0 * c0 * norm4)
         if cand > best:
             best, arg = cand, r
-        r += step
+        r += TAIL_FIT_STEP
     return best, arg
 
 
@@ -414,8 +346,7 @@ def run_hole_falsification(rep: RepModel, g, lattice_a: float, lattice_b: float,
                            hole_radii: Sequence[float], section_radius: float,
                            r0: float = 1.25, alpha: float = 2.0,
                            delta: float = 1.0, margin: float = 3.0,
-                           calibration_radius: float = 8.0,
-                           tol: float = 1e-9) -> list:
+                           calibration_radius: float = 8.0) -> list:
     """Search for counterexamples to the spectral-gap radius bound.
 
     For each hole radius, removes the open hole at the origin from the lattice,
@@ -457,7 +388,7 @@ def run_hole_falsification(rep: RepModel, g, lattice_a: float, lattice_b: float,
         theorem_radius = (hole_radius_bound(c0, alpha, delta, c_total,
                                             bounds.lower, bounds.upper)
                           if is_frame else None)
-        no_counterexample = (not is_frame) or rh <= theorem_radius + tol
+        no_counterexample = (not is_frame) or rh <= theorem_radius + CHECK_TOL
         tail_value = tail_env = None
         tail_ok = True
         if rh > r0:

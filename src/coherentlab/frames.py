@@ -27,6 +27,8 @@ _TIE = 1e-12  # closed-ball membership slack on squared distances
 
 SECTION_MODE_CAP = 512  # highest Hermite index a truncated section keeps
 
+DUAL_TOL = 1e-8  # canonical-dual reconstruction and dual-bound tolerance
+
 _BLOCK_CELLS = 1 << 20  # (centre, column) cells per block of a batched count
 
 _CONTINUOUS_BALL_KINDS = "a continuous ball restricts lattice kinds only, not {}"
@@ -604,13 +606,13 @@ def lemma_cover_constant(rep: RepModel, g, q: groups.Ball) -> CoverReport:
 
 
 def bessel_separation_bound(rep: RepModel, g, lam: PointSet, q: groups.Ball,
-                            bessel_bound: float | None = None,
-                            section_radius: float = 12.0,
-                            margin: float = 3.0) -> dict:
-    """Check Rel_Q(Lambda) <= 4 n B ||g||^{-2} and its invariance under g -> 2g."""
+                            bessel_bound: float | None = None) -> dict:
+    """Check Rel_Q(Lambda) <= 4 n B ||g||^{-2} and its invariance under g -> 2g.
+
+    B defaults to the upper bound of frame_operator_spectrum's default section.
+    """
     if bessel_bound is None:
-        bessel_bound = frame_operator_spectrum(
-            rep, g, lam, section_radius=section_radius, margin=margin).upper
+        bessel_bound = frame_operator_spectrum(rep, g, lam).upper
     sep = relative_separation(lam, q)
     cover = lemma_cover_constant(rep, g, q)
     norm_sq = reps.norm_sq(rep, g)
@@ -627,29 +629,6 @@ def bessel_separation_bound(rep: RepModel, g, lam: PointSet, q: groups.Ball,
             "separation": sep.to_json(), "cover": cover.to_json()}
 
 
-# -- Lemma checks ---------------------------------------------------------------------
-
-
-def dimension_lemma_check(rep: RepModel, g, basis: Sequence) -> dict:
-    """Sum over the group of ||P_V pi(x) g||^2 against N ||g||^2 dim V."""
-    if rep.kind != reps.FINITE_WEYL_HEISENBERG:
-        raise ValueError("exhaustive dimension check runs on the finite kind")
-    gv = np.asarray(g, dtype=complex)
-    vecs = [np.asarray(v, dtype=complex) for v in basis]
-    dim = len(vecs)
-    if dim:
-        vmat = np.column_stack(vecs)
-        dev = float(np.max(np.abs(vmat.conj().T @ vmat - np.eye(dim))))
-        if dev > 1e-10:
-            raise ValueError(f"basis is not orthonormal (deviation {dev:.3g})")
-    lhs = sum(float(np.sum(np.abs(reps.coefficient_table(rep, v, gv)) ** 2))
-              for v in vecs)
-    rhs = rep.n * float(np.linalg.norm(gv)) ** 2 * dim
-    return {"lhs": lhs, "rhs": rhs, "dim": dim, "n": rep.n,
-            "deviation": abs(lhs - rhs),
-            "passed": abs(lhs - rhs) <= 1e-8 * max(1.0, rhs)}
-
-
 @dataclass(frozen=True, eq=False)
 class DualReport:
     """Canonical dual family S^{-1} pi(lambda) g with its verification data."""
@@ -664,7 +643,7 @@ class DualReport:
 
 
 def canonical_dual(rep: RepModel, g, lam: PointSet, seed: int = 0,
-                   trials: int = 10, tol: float = 1e-8) -> DualReport:
+                   trials: int = 10) -> DualReport:
     """Solve S d_lambda = pi(lambda) g and verify perfect reconstruction."""
     phi = _finite_synthesis(rep, g, lam)
     s = phi @ phi.conj().T
@@ -688,7 +667,7 @@ def canonical_dual(rep: RepModel, g, lam: PointSet, seed: int = 0,
                               "frame", "exact_spectrum", dual_eigs)
     bound_dev = max(abs(dual_bounds.lower - 1.0 / b_up),
                     abs(dual_bounds.upper - 1.0 / a_low))
-    passed = worst <= tol and bound_dev <= tol * max(1.0, 1.0 / a_low)
+    passed = worst <= DUAL_TOL and bound_dev <= DUAL_TOL * max(1.0, 1.0 / a_low)
     return DualReport(tuple(duals[:, j].copy() for j in range(duals.shape[1])),
                       bounds, dual_bounds, worst, trials, seed, passed)
 

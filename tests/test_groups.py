@@ -216,8 +216,6 @@ def test_discrete_annular_decay_certificate():
 
 def test_annular_decay_names_an_empty_input():
     metric = groups.word_metric(groups.integer_lattice(2))
-    with pytest.raises(ValueError, match="delta_grid"):
-        groups.estimate_annular_decay(metric, [4, 8], [0.5], delta_grid=[])
     with pytest.raises(ValueError, match="r_samples"):
         groups.estimate_annular_decay(metric, [], [0.5])
     with pytest.raises(ValueError, match="s_fracs"):

