@@ -30,14 +30,11 @@ from .quadrature import (
 )
 from .reps import (
     RepModel,
-    Window,
     coefficient_table,
     decay_envelope_check,
     estimate_formal_degree,
     finite_weyl_heisenberg,
-    gabor_gaussian,
     gaussian_ambiguity,
-    gaussian_window,
     verify_cocycle_identity,
     verify_orthogonality,
 )
@@ -47,7 +44,14 @@ from .frames import (
     amalgam_check,
     bessel_separation_bound,
     canonical_dual,
+    finite_amalgam_check,
+    finite_bessel_separation_bound,
+    finite_frame_operator_spectrum,
+    finite_lemma_cover_constant,
+    finite_relative_separation,
+    finite_riesz_bounds,
     finite_subset,
+    finite_synthesis,
     frame_operator_spectrum,
     full_torus,
     lattice,

@@ -199,6 +199,11 @@ def _size(fn) -> float:
         return math.inf
 
 
+def _disk_measure(radius: float) -> float:
+    """pi r^2 as the runs take it: 0 once r^2 underflows, inf past overflow."""
+    return _size(lambda: groups.ball_measure(groups.euclidean_metric(dim=2), radius))
+
+
 def _validate(experiment: str, cfg: dict) -> None:
     """Rules that tie keys together; single-key domains live in _SCHEMAS."""
     try:
@@ -233,6 +238,8 @@ def _validate(experiment: str, cfg: dict) -> None:
         radii = cfg["radii"]
         if any(r1 <= r0 for r0, r1 in zip(radii, radii[1:])):
             raise ConfigError("radii must be strictly increasing")
+        if _disk_measure(radii[0]) == 0.0:
+            raise ConfigError(f"{_key_value(cfg, 'radii')} gives K_0 zero measure")
         if cfg["fit_exponent"]:
             if len(radii) < 4 or radii[-1] < 4.0 * radii[0]:
                 raise ConfigError("fit_exponent needs radii: >= 4 values "
@@ -274,7 +281,7 @@ def _check_sizes(experiment: str, cfg: dict, budget: int) -> None:
     if experiment in ("density", "hole") or cfg.get("model") == "gaussian":
         # the cover of Q by level-set disks grows like the fourth power of its radius
         q_key = "r0" if experiment == "hole" else "q_radius"
-        if math.pi * cfg[q_key] * cfg[q_key] == 0.0:
+        if _disk_measure(cfg[q_key]) == 0.0:
             raise ConfigError(f"{q_key} = {cfg[q_key]:g} gives Q zero measure")
         sizes.append((q_key, "cover matrix entries",
                       lambda: frames.cover_matrix_estimate(cfg[q_key])))
@@ -521,6 +528,7 @@ def run_rep_check(cfg: dict) -> RunReport:
 def run_frame(cfg: dict) -> RunReport:
     report = RunReport("frame", cfg)
     finite = cfg["model"] == "finite"
+    t0 = time.perf_counter()
     if finite:
         n = cfg["n"]
         rep = reps.finite_weyl_heisenberg(n)
@@ -535,42 +543,39 @@ def run_frame(cfg: dict) -> RunReport:
                                            for l in range(n)])
         else:
             lam = frames.finite_subset(n, [(k, 0) for k in range(n)])
-        metric = groups.word_metric(rep.group)
-        section, restriction = {}, {}
+        args = (rep, g, lam, groups.ball(groups.word_metric(rep.group), cfg["q_radius"]))
+        phi = frames.finite_synthesis(rep, g, lam)
+        fb = frames.finite_frame_operator_spectrum(phi)
+        rb = frames.finite_riesz_bounds(phi)
+        bessel_fn, amalgam_fn = frames.finite_bessel_separation_bound, frames.finite_amalgam_check
+        matrices = {"synthesis.csv": phi}
     else:
-        rep = reps.gabor_gaussian()
-        g = reps.gaussian_window()
         lam = frames.lattice(cfg["lattice_a"], cfg["lattice_b"])
-        metric = groups.euclidean_metric(dim=2)
-        section = {"section_radius": cfg["section_radius"], "margin": cfg["margin"]}
-        restriction = {"restriction_radius": cfg["restriction_radius"]}
-    t0 = time.perf_counter()
-    fb = frames.frame_operator_spectrum(rep, g, lam, **section)
-    rb = frames.riesz_bounds(rep, g, lam, **restriction)
+        args = (lam, groups.ball(groups.euclidean_metric(dim=2), cfg["q_radius"]))
+        fb = frames.frame_operator_spectrum(lam, section_radius=cfg["section_radius"],
+                                            margin=cfg["margin"])
+        rb = frames.riesz_bounds(lam, restriction_radius=cfg["restriction_radius"])
+        bessel_fn, amalgam_fn = frames.bessel_separation_bound, frames.amalgam_check
+        matrices = {"gram.csv": rb.gram}
     report.timings["bounds"] = time.perf_counter() - t0
     report.records.append(_record("frame_bounds", fb.to_json(), passed=True))
     report.records.append(_record("riesz_bounds", rb.to_json(), passed=True))
     if finite and fb.kind == "frame":
         t0 = time.perf_counter()
-        dual = frames.canonical_dual(rep, g, lam, seed=cfg["seed"])
+        dual = frames.canonical_dual(phi, seed=cfg["seed"])
         report.records.append(_record(
             "canonical_dual", passed=dual.passed,
             reconstruction_error=dual.reconstruction_error,
             dual_bounds=dual.dual_bounds.to_json()))
         report.timings["dual"] = time.perf_counter() - t0
-    q = groups.ball(metric, cfg["q_radius"])
     t0 = time.perf_counter()
-    bessel = frames.bessel_separation_bound(rep, g, lam, q, bessel_bound=fb.upper)
+    bessel = bessel_fn(*args, bessel_bound=fb.upper)
     report.timings["bessel"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    amalgam = frames.amalgam_check(rep, g, lam, q, cfg["k_radius"])
+    amalgam = amalgam_fn(*args, cfg["k_radius"])
     report.timings["amalgam"] = time.perf_counter() - t0
     if cfg["dump_matrices"]:
-        if finite:
-            report.matrices["synthesis.csv"] = np.column_stack(
-                [reps.apply_rep(rep, x, g) for x in lam.points])
-        else:
-            report.matrices["gram.csv"] = rb.gram
+        report.matrices = matrices
     report.records.append(_record("bessel_separation", bessel,
                                   passed=bessel["passed"] and bessel["scale_invariant"]))
     report.records.append(_record("amalgam", amalgam))
@@ -585,8 +590,6 @@ def run_frame(cfg: dict) -> RunReport:
 
 def run_density(cfg: dict) -> RunReport:
     report = RunReport("density", cfg)
-    rep = reps.gabor_gaussian()
-    g = reps.gaussian_window()
     lam = frames.lattice(cfg["lattice_a"], cfg["lattice_b"])
     em = groups.euclidean_metric(dim=2)
     exhaustion = [groups.ball(em, r) for r in cfg["radii"]]
@@ -597,24 +600,23 @@ def run_density(cfg: dict) -> RunReport:
     # in its own CSV column) that the checks and the fit read with them
     if cfg["side"] == "frame":
         bounds = frames.frame_operator_spectrum(
-            rep, g, lam, section_radius=cfg["section_radius"], margin=cfg["margin"])
+            lam, section_radius=cfg["section_radius"], margin=cfg["margin"])
         integral_fn, integral_cells = density.error_integral_I, lambda v: (v, "")
     else:
-        bounds = frames.riesz_bounds(
-            rep, g, lam, restriction_radius=cfg["restriction_radius"])
+        bounds = frames.riesz_bounds(lam, restriction_radius=cfg["restriction_radius"])
         integral_fn, integral_cells = density.error_integral_J, lambda v: ("", v)
     report.timings["bounds"] = time.perf_counter() - t0
     if bounds.kind != cfg["side"]:  # A = 0: the counting theorem's hypothesis fails
         raise ConfigError(f"lattice_a = {cfg['lattice_a']:g}, lattice_b = "
                           f"{cfg['lattice_b']:g} give no {cfg['side']} bounds (A = 0)")
     t0 = time.perf_counter()
-    integrals = integral_fn(rep, g, q, exhaustion, tol=cfg["tol"])
+    integrals = integral_fn(q, exhaustion, tol=cfg["tol"])
     report.timings["integrals"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     dens = density.beurling_density(lam, exhaustion, spacing)
     report.timings["density"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    checks = density.check_counting(rep, g, q, bounds, estimate=dens,
+    checks = density.check_counting(q, bounds, estimate=dens,
                                     integrals=integrals, diagnostic=cfg["diagnostic"])
     report.timings["checks"] = time.perf_counter() - t0
     report.records.append(_record("bounds", bounds.to_json(), passed=True))
@@ -624,7 +626,7 @@ def run_density(cfg: dict) -> RunReport:
                                   upper=dens.upper, rel_sep=dens.rel_sep))
     if cfg["fit_exponent"]:
         fit = density.check_polynomial_error_exponent(
-            dens.records, integrals, cfg["alpha"], cfg["delta"], d_pi=rep.formal_degree)
+            dens.records, integrals, cfg["alpha"], cfg["delta"])
         report.records.append(_record(fit.theorem, fit.to_json()))
     report.csv_header = ("n", "r_n", "inf_count", "sup_count", "measure",
                          "I_n", "J_n", "lhs", "rhs", "margin", "pass")
@@ -638,14 +640,16 @@ def run_density(cfg: dict) -> RunReport:
 
 def run_hole(cfg: dict) -> RunReport:
     report = RunReport("hole", cfg)
-    rep = reps.gabor_gaussian()
-    g = reps.gaussian_window()
     t0 = time.perf_counter()
-    exps = density.run_hole_falsification(
-        rep, g, cfg["lattice_a"], cfg["lattice_b"], cfg["hole_radii"],
-        cfg["section_radius"], r0=cfg["r0"], alpha=cfg["alpha"],
-        delta=cfg["delta"], margin=cfg["margin"],
-        calibration_radius=cfg["calibration_radius"])
+    try:
+        exps = density.run_hole_falsification(
+            cfg["lattice_a"], cfg["lattice_b"], cfg["hole_radii"],
+            cfg["section_radius"], r0=cfg["r0"], alpha=cfg["alpha"],
+            delta=cfg["delta"], margin=cfg["margin"],
+            calibration_radius=cfg["calibration_radius"])
+    except OverflowError as exc:  # the theorem radius, whose base is measured
+        raise ConfigError(f"alpha = {cfg['alpha']:g}, delta = {cfg['delta']:g}: "
+                          f"{exc}") from None
     report.timings["experiments"] = time.perf_counter() - t0
     a_prev = None
     monotone = True

@@ -19,7 +19,7 @@ import numpy as np
 from . import frames, groups, reps
 from .frames import FrameBounds, PointSet
 from .quadrature import lens_area, refine_rows
-from .reps import RadialProfile, RepModel
+from .reps import GAUSSIAN_PROFILE, RadialProfile
 
 CHECK_TOL = 1e-9  # a theorem check passes while it fails by at most this
 SLOPE_SLACK = 0.15  # T4.3 passes while the fitted slope is at most -gamma + this
@@ -185,45 +185,39 @@ def _lens_reduced_integrals(prof: RadialProfile, rho: float, radii: Sequence[flo
     return values
 
 
-def _error_integrals(rep: RepModel, g, q: groups.Ball, ks: Sequence[groups.Ball],
-                     kind: str, tol: float) -> list:
-    prof = reps.radial_profile(rep, g)
-    if prof is None:
-        raise ValueError(f"error integrals need the Gaussian window, not the {rep.kind} model")
-    values = _lens_reduced_integrals(prof, q.radius, [k.radius for k in ks], kind, tol)
+def _error_integrals(q: groups.Ball, ks: Sequence[groups.Ball], kind: str, tol: float) -> list:
+    values = _lens_reduced_integrals(GAUSSIAN_PROFILE, q.radius, [k.radius for k in ks],
+                                     kind, tol)
     return [ErrorIntegralRecord(n, kind, value, tol, k.measure)
             for n, (k, value) in enumerate(zip(ks, values))]
 
 
-def error_integral_I(rep: RepModel, g, q: groups.Ball, ks: Sequence[groups.Ball],
-                     tol: float = 1e-8) -> list:
+def error_integral_I(q: groups.Ball, ks: Sequence[groups.Ball], tol: float = 1e-8) -> list:
     """I_n for every K_n of the exhaustion ks, one record each, n = its
     position: inner K_n centers against the Q-thickened complement of K_n."""
-    return _error_integrals(rep, g, q, ks, "I", tol)
+    return _error_integrals(q, ks, "I", tol)
 
 
-def error_integral_J(rep: RepModel, g, q: groups.Ball, ks: Sequence[groups.Ball],
-                     tol: float = 1e-8) -> list:
+def error_integral_J(q: groups.Ball, ks: Sequence[groups.Ball], tol: float = 1e-8) -> list:
     """J_n for every K_n of the exhaustion ks, one record each, n = its
     position: outer centers against the Q-thickened K_n."""
-    return _error_integrals(rep, g, q, ks, "J", tol)
+    return _error_integrals(q, ks, "J", tol)
 
 
 # -- Theorem checks --------------------------------------------------------------------
 
 
-def assemble_counting_constant(rep: RepModel, g, q: groups.Ball,
-                               bounds: FrameBounds) -> dict:
+def assemble_counting_constant(q: groups.Ball, bounds: FrameBounds) -> dict:
     """C = (B / (A ||g||^4)) * (C(g, Q) / mu(Q)) from the proof's assembly."""
-    cover = frames.lemma_cover_constant(rep, g, q)
+    cover = frames.lemma_cover_constant(q)
     mu_q = q.measure
-    norm4 = reps.norm_sq(rep, g) ** 2
+    norm4 = GAUSSIAN_PROFILE.norm_sq ** 2
     c = (bounds.upper / (bounds.lower * norm4)) * (cover.constant / mu_q)
     return {"C": c, "cover_constant": cover.constant, "n_cover": cover.n_cover,
             "mu_q": mu_q, "norm4": norm4}
 
 
-def check_counting(rep: RepModel, g, q: groups.Ball, bounds: FrameBounds, *,
+def check_counting(q: groups.Ball, bounds: FrameBounds, *,
                    estimate: DensityEstimate,
                    integrals: Sequence[ErrorIntegralRecord],
                    diagnostic: bool = False) -> list:
@@ -246,8 +240,8 @@ def check_counting(rep: RepModel, g, q: groups.Ball, bounds: FrameBounds, *,
             != [(kind, rec.n, rec.measure) for rec in records]):
         raise ValueError(f"integrals must be the {kind}_n records of the estimate's "
                          "exhaustion, n = 0, 1, ... in its order")
-    const = assemble_counting_constant(rep, g, q, bounds)
-    c, d_pi = const["C"], rep.formal_degree
+    const = assemble_counting_constant(q, bounds)
+    c, d_pi = const["C"], GAUSSIAN_PROFILE.formal_degree
     checks = []
     for rec, integ in zip(records, integrals):
         inputs = {"radius": rec.radius, "measure": rec.measure,
@@ -275,8 +269,7 @@ def check_counting(rep: RepModel, g, q: groups.Ball, bounds: FrameBounds, *,
 
 def check_polynomial_error_exponent(count_records: Sequence[CountingRecord],
                                     integral_records: Sequence[ErrorIntegralRecord],
-                                    alpha: float, delta: float,
-                                    d_pi: float = 1.0) -> TheoremCheck:
+                                    alpha: float, delta: float) -> TheoremCheck:
     """Fit the decay exponent of the normalized error integrals.
 
     Passes if the fitted log-log slope is at most -alpha*delta/(delta+alpha)
@@ -290,6 +283,7 @@ def check_polynomial_error_exponent(count_records: Sequence[CountingRecord],
     if len(radii) < 4 or max(radii) < 4.0 * min(radii):
         raise ValueError("insufficient radii: need >= 4 spanning a factor of 4")
     lower = integral_records[0].kind == "I"
+    d_pi = GAUSSIAN_PROFILE.formal_degree
     gamma = alpha * delta / (delta + alpha)
     logs_r = np.log(radii)
     logs_v = np.log([max(rec.normalized, 1e-300) for rec in integral_records])
@@ -319,7 +313,14 @@ def hole_radius_bound(c0: float, alpha: float, delta: float, c: float,
         raise ValueError("lower frame bound must be positive")
     if c0 <= 0.0 or c <= 0.0 or b <= 0.0:
         raise ValueError("constants must be positive")
-    return (c0 * c0 * c * b / a) ** (1.0 / (alpha + delta - 1.0))
+    try:
+        radius = (c0 * c0 * c * b / a) ** (1.0 / (alpha + delta - 1.0))
+    except OverflowError:
+        radius = math.inf
+    if math.isinf(radius):  # an infinite R would pass every hole
+        raise OverflowError("the theorem radius (C0^2 C B/A)^(1/(alpha + delta - 1)) "
+                            "overflows")
+    return radius
 
 
 TAIL_FIT_RADIUS = 6.0  # the tail constant is fitted on r0 < r <= this
@@ -334,7 +335,7 @@ def fit_tail_constant(r0: float, alpha: float, delta: float, c0: float,
     best, arg = 0.0, r0 + TAIL_FIT_STEP
     r = r0 + TAIL_FIT_STEP
     while r <= TAIL_FIT_RADIUS + 1e-9:
-        tail = reps.GAUSSIAN_PROFILE.mass_outside(r0, r - r0)
+        tail = GAUSSIAN_PROFILE.mass_outside(r0, r - r0)
         cand = tail * r ** (alpha + delta - 1.0) / (c0 * c0 * norm4)
         if cand > best:
             best, arg = cand, r
@@ -342,7 +343,7 @@ def fit_tail_constant(r0: float, alpha: float, delta: float, c0: float,
     return best, arg
 
 
-def run_hole_falsification(rep: RepModel, g, lattice_a: float, lattice_b: float,
+def run_hole_falsification(lattice_a: float, lattice_b: float,
                            hole_radii: Sequence[float], section_radius: float,
                            r0: float = 1.25, alpha: float = 2.0,
                            delta: float = 1.0, margin: float = 3.0,
@@ -367,13 +368,12 @@ def run_hole_falsification(rep: RepModel, g, lattice_a: float, lattice_b: float,
         raise ValueError("section radius too small relative to the largest hole")
     q = groups.ball(groups.euclidean_metric(dim=2), r0)
     exponent = (2.0 + alpha) / 2.0
-    cal = reps.decay_envelope_check(rep, g, 1.0, exponent, calibration_radius)
+    cal = reps.decay_envelope_check(1.0, exponent, calibration_radius)
     c0 = cal["max_ratio"]
-    prof = reps.radial_profile(rep, g)
-    cover = frames.lemma_cover_constant(rep, g, q)
+    cover = frames.lemma_cover_constant(q)
     mu_q = math.pi * r0 * r0
     c_prime = cover.constant / mu_q
-    norm4 = reps.norm_sq(rep, g) ** 2
+    norm4 = GAUSSIAN_PROFILE.norm_sq ** 2
     c_dprime, c_dprime_arg = fit_tail_constant(r0, alpha, delta, c0, norm4)
     c_total = c_prime * c_dprime
     out = []
@@ -381,8 +381,7 @@ def run_hole_falsification(rep: RepModel, g, lattice_a: float, lattice_b: float,
         lam = (frames.lattice(lattice_a, lattice_b) if rh == 0.0
                else frames.lattice_with_holes(lattice_a, lattice_b,
                                               [(0.0, 0.0, rh)]))
-        bounds = frames.frame_operator_spectrum(rep, g, lam,
-                                                section_radius=section_radius,
+        bounds = frames.frame_operator_spectrum(lam, section_radius=section_radius,
                                                 margin=margin)
         is_frame = bounds.kind == "frame"
         theorem_radius = (hole_radius_bound(c0, alpha, delta, c_total,
@@ -392,7 +391,7 @@ def run_hole_falsification(rep: RepModel, g, lattice_a: float, lattice_b: float,
         tail_value = tail_env = None
         tail_ok = True
         if rh > r0:
-            tail_value = prof.mass_outside(r0, rh - r0)
+            tail_value = GAUSSIAN_PROFILE.mass_outside(r0, rh - r0)
             tail_env = c0 * c0 * norm4 * c_dprime * rh ** (1.0 - delta - alpha)
             tail_ok = tail_value <= tail_env * (1.0 + 1e-9)
         inputs = {"C0": c0, "C_prime": c_prime, "C_dprime": c_dprime,

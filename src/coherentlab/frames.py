@@ -1,10 +1,11 @@
 """Frame, Riesz, and Bessel analysis of coherent systems pi(Lambda)g.
 
-Point sets (finite subsets, planar lattices, lattices with holes), exact
-finite-dimensional spectra, truncated-section and Gram estimates for the
-Gaussian window (the only window of the time-frequency kind), relative
-separation, cover-based Bessel bounds, canonical duals, and the amalgam
-inequality check.
+Point sets (finite subsets, planar lattices, lattices with holes); for the
+Gaussian window on lattices, truncated-section and Gram estimates, relative
+separation, cover-based Bessel bounds and the amalgam inequality check, all
+read from reps.GAUSSIAN_PROFILE.  The finite model has its own finite_*
+functions, which take the model and a window vector; its exact spectra and
+canonical dual read the synthesis matrix that finite_synthesis builds once.
 """
 
 from __future__ import annotations
@@ -256,9 +257,10 @@ def _hermitian_eigs(mat: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.eigvalsh((mat + adj) / 2.0)
 
 
-def _finite_synthesis(rep: RepModel, g, lam: PointSet) -> np.ndarray:
+def finite_synthesis(rep: RepModel, g: np.ndarray, lam: PointSet) -> np.ndarray:
+    """The synthesis matrix of the finite model: column j is pi(lam_j) g."""
     if lam.kind != FINITE_SUBSET or lam.modulus != rep.n:
-        raise ValueError("finite kind needs a finite_subset over the same modulus")
+        raise ValueError("the finite model needs a finite_subset over the same modulus")
     if not lam.points:
         raise ValueError("empty point set")
     gv = np.asarray(g, dtype=complex)
@@ -300,15 +302,22 @@ def _orbit_blocks(coeff: np.ndarray, p: np.ndarray) -> list:
     return blocks
 
 
-def frame_operator_spectrum(rep: RepModel, g, lam: PointSet,
-                            section_radius: float = 12.0,
-                            margin: float = 3.0) -> FrameBounds:
-    """Extreme eigenvalues of S = sum_lambda <., pi(lambda)g> pi(lambda)g.
+def finite_frame_operator_spectrum(phi: np.ndarray) -> FrameBounds:
+    """Exact extreme eigenvalues of S = phi phi^H for the synthesis matrix phi."""
+    eigs = _hermitian_eigs(phi @ phi.conj().T, "frame operator")
+    a, b = max(float(eigs[0]), 0.0), float(eigs[-1])
+    return FrameBounds(a, b, _classify(a, b), "exact_spectrum", eigs)
 
-    Exact on the finite kind.  The Gaussian model compresses S onto the
-    Hermite modes resolved inside the truncation ball (radius minus margin);
-    the result is an estimate labeled method=truncated_section, which also
-    names the kept and resolved mode counts when the cap cuts them.
+
+def frame_operator_spectrum(lam: PointSet, section_radius: float = 12.0,
+                            margin: float = 3.0) -> FrameBounds:
+    """Extreme eigenvalues of S = sum_lambda <., pi(lambda)g> pi(lambda)g for
+    the Gaussian window g.
+
+    S is compressed onto the Hermite modes resolved inside the truncation
+    ball (radius minus margin); the result is an estimate labeled
+    method=truncated_section, which also names the kept and resolved mode
+    counts when the cap cuts them.
 
     C[n, z] = e^{-i pi x w} rho_n(|z|) e^{i n theta_z}, so the section
     S_mn = sum_z rho_m rho_n e^{i (m - n) theta_z}.  When the restricted points
@@ -318,12 +327,6 @@ def frame_operator_spectrum(rep: RepModel, g, lam: PointSet,
     of those maps with the orbit's size as its weight; any other set takes
     one complex block.
     """
-    if rep.kind == reps.FINITE_WEYL_HEISENBERG:
-        phi = _finite_synthesis(rep, g, lam)
-        eigs = _hermitian_eigs(phi @ phi.conj().T, "frame operator")
-        a, b = max(float(eigs[0]), 0.0), float(eigs[-1])
-        return FrameBounds(a, b, _classify(a, b), "exact_spectrum", eigs)
-    reps.radial_profile(rep, g)  # raises unless g is the Gaussian window
     if section_radius <= margin + 1.0:
         raise ValueError("section radius must exceed margin + 1")
     if not lam.is_lattice:
@@ -367,38 +370,37 @@ def gabor_gram_entry(mu: tuple, nu: tuple) -> complex:
     return complex(phase * reps.gaussian_ambiguity(x - xp, w - wp))
 
 
-def riesz_bounds(rep: RepModel, g, lam: PointSet,
-                 restriction_radius: float | None = None) -> FrameBounds:
-    """Extreme eigenvalues of the Gram matrix G[i, j] = <pi(lam_j)g, pi(lam_i)g>.
-
-    On the continuous kind g is the Gaussian window (or None for it) and the
-    lattice is restricted to the closed disk of radius restriction_radius."""
-    if rep.kind == reps.FINITE_WEYL_HEISENBERG:
-        phi = _finite_synthesis(rep, g, lam)
-        gram = phi.conj().T @ phi
-        eigs = _hermitian_eigs(gram, "Gram matrix")
-        method = "exact_spectrum"
-    else:
-        if restriction_radius is None:
-            raise ValueError("the time-frequency Gram needs a restriction radius")
-        pts = lam.restrict(groups.ball(groups.euclidean_metric(dim=2), restriction_radius,
-                                       closed=True))
-        if not pts:
-            raise ValueError("empty point set")
-        m = len(pts)
-        diag = reps.norm_sq(rep, g)  # V_g g(0) = ||g||^2
-        gram = np.empty((m, m), dtype=complex)
-        for i in range(m):
-            gram[i, i] = diag
-            for j in range(i + 1, m):
-                val = gabor_gram_entry(pts[i], pts[j])
-                gram[i, j] = val
-                gram[j, i] = np.conj(val)
-        eigs = _hermitian_eigs(gram, "Gram matrix")
-        method = f"exact_spectrum(restriction_radius={restriction_radius:g})"
+def _gram_bounds(gram: np.ndarray, method: str) -> FrameBounds:
+    eigs = _hermitian_eigs(gram, "Gram matrix")
     a, b = max(float(eigs[0]), 0.0), float(eigs[-1])
     kind = "riesz" if _classify(a, b) == "frame" else "bessel"
     return FrameBounds(a, b, kind, method, eigs, gram)
+
+
+def finite_riesz_bounds(phi: np.ndarray) -> FrameBounds:
+    """Exact extreme eigenvalues of the Gram matrix phi^H phi."""
+    return _gram_bounds(phi.conj().T @ phi, "exact_spectrum")
+
+
+def riesz_bounds(lam: PointSet, restriction_radius: float | None = None) -> FrameBounds:
+    """Extreme eigenvalues of the Gram matrix G[i, j] = <pi(lam_j)g, pi(lam_i)g>
+    for the Gaussian window g, with the lattice restricted to the closed disk
+    of radius restriction_radius."""
+    if restriction_radius is None:
+        raise ValueError("the time-frequency Gram needs a restriction radius")
+    pts = lam.restrict(groups.ball(groups.euclidean_metric(dim=2), restriction_radius,
+                                   closed=True))
+    if not pts:
+        raise ValueError("empty point set")
+    m = len(pts)
+    gram = np.empty((m, m), dtype=complex)
+    for i in range(m):
+        gram[i, i] = reps.GAUSSIAN_PROFILE.norm_sq  # V_g g(0) = ||g||^2
+        for j in range(i + 1, m):
+            val = gabor_gram_entry(pts[i], pts[j])
+            gram[i, j] = val
+            gram[j, i] = np.conj(val)
+    return _gram_bounds(gram, f"exact_spectrum(restriction_radius={restriction_radius:g})")
 
 
 # -- Relative separation ---------------------------------------------------------------
@@ -446,23 +448,28 @@ def _disk_candidates(pts: list, rho: float) -> list:
     return cands
 
 
+def finite_relative_separation(lam: PointSet, q: groups.Ball) -> SeparationReport:
+    """Exact Rel_Q of a finite subset of the torus for a word ball Q, by a
+    scan of all its translates."""
+    if q.points is None:
+        raise ValueError("finite separation needs an enumerated Q")
+    group = q.metric.group
+    if group.modulus != lam.modulus:
+        raise ValueError("Q lives on a different torus")
+    pset = set(lam.points)
+    best, witness = 0, group.identity()
+    for x in group.elements():
+        c = sum(1 for z in q.points if group.multiply(x, z) in pset)
+        if c > best:
+            best, witness = c, x
+    return SeparationReport(best, q.radius, "word_ball", 0.0, witness, lam.modulus ** 2)
+
+
 def relative_separation(lam: PointSet, q: groups.Ball) -> SeparationReport:
-    """Exact Rel_Q for finite subsets and lattices (hole removal never lowers
-    the sup, so the full-lattice value is reported)."""
-    if lam.kind == FINITE_SUBSET:
-        if q.points is None:
-            raise ValueError("finite separation needs an enumerated Q")
-        group = q.metric.group
-        if group.modulus != lam.modulus:
-            raise ValueError("Q lives on a different torus")
-        pset = set(lam.points)
-        best, witness = 0, group.identity()
-        for x in group.elements():
-            c = sum(1 for z in q.points if group.multiply(x, z) in pset)
-            if c > best:
-                best, witness = c, x
-        return SeparationReport(best, q.radius, "word_ball", 0.0, witness,
-                                lam.modulus ** 2)
+    """Exact Rel_Q of a lattice for a disk Q (hole removal never lowers the
+    sup, so the full-lattice value is reported)."""
+    if not lam.is_lattice:
+        raise ValueError(_CONTINUOUS_BALL_KINDS.format(lam.kind))
     rho = q.radius
     base = PointSet(kind=LATTICE, a=lam.a, b=lam.b)
     window = base.lattice_points_near(lam.a / 2.0, lam.b / 2.0,
@@ -576,50 +583,39 @@ def separation_pair_estimate(rho: float, a: float, b: float) -> float:
     return w * (w - 1.0) / 2.0
 
 
-def lemma_cover_constant(rep: RepModel, g, q: groups.Ball) -> CoverReport:
-    """Cover count n and constant C(g, Q) = 4n with U = {|V_g g| > ||g||^2/2}.
+def finite_lemma_cover_constant(rep: RepModel, g: np.ndarray, q: groups.Ball) -> CoverReport:
+    """Cover count n and constant C(g, Q) = 4n with U = {|V_g g| > ||g||^2/2}:
+    an exhaustive greedy cover of the word ball Q over the torus."""
+    gv = np.asarray(g, dtype=complex)
+    table = np.abs(reps.coefficient_table(rep, gv, gv))
+    level = float(np.linalg.norm(gv)) ** 2 / 2.0
+    u_set = {(k, l) for k in range(rep.n) for l in range(rep.n) if table[k, l] > level}
+    if not u_set:
+        raise ValueError("no level set found: |V_g g| never exceeds ||g||^2/2")
+    group = rep.group
+    targets = sorted(set(q.points))
+    cand = sorted(group.elements())
+    covers = np.array([[group.multiply(group.inverse(x), t) in u_set for t in targets]
+                       for x in cand], dtype=bool)
+    chosen = [cand[i] for i in _greedy_cover(covers)]
+    return CoverReport(len(chosen), 4.0 * len(chosen), level, None, tuple(chosen), True, 0.0)
 
-    Finite kind: exhaustive greedy over the torus.  Gaussian window:
-    certified cover of the disk Q by metric translates of the level-set disk.
-    """
-    if rep.kind == reps.FINITE_WEYL_HEISENBERG:
-        gv = np.asarray(g, dtype=complex)
-        table = np.abs(reps.coefficient_table(rep, gv, gv))
-        level = float(np.linalg.norm(gv)) ** 2 / 2.0
-        n = rep.n
-        u_set = {(k, l) for k in range(n) for l in range(n) if table[k, l] > level}
-        if not u_set:
-            raise ValueError("no level set found: |V_g g| never exceeds ||g||^2/2")
-        group = rep.group
-        targets = sorted(set(q.points))
-        cand = sorted(group.elements())
-        covers = np.array([[group.multiply(group.inverse(x), t) in u_set for t in targets]
-                           for x in cand], dtype=bool)
-        chosen = [cand[i] for i in _greedy_cover(covers)]
-        return CoverReport(len(chosen), 4.0 * len(chosen), level, None,
-                           tuple(chosen), True, 0.0)
-    prof = reps.radial_profile(rep, g)
+
+def lemma_cover_constant(q: groups.Ball) -> CoverReport:
+    """Cover count n and constant C(g, Q) = 4n with U = {|V_g g| > ||g||^2/2}
+    for the Gaussian window: a certified cover of the disk Q by metric
+    translates of the level-set disk."""
+    prof = reps.GAUSSIAN_PROFILE
     u = prof.level_radius
     centers, cell = _greedy_cover_disk(q.radius, u)
     return CoverReport(len(centers), 4.0 * len(centers), prof.norm_sq / 2.0, u,
                        tuple(centers), True, cell)
 
 
-def bessel_separation_bound(rep: RepModel, g, lam: PointSet, q: groups.Ball,
-                            bessel_bound: float | None = None) -> dict:
-    """Check Rel_Q(Lambda) <= 4 n B ||g||^{-2} and its invariance under g -> 2g.
-
-    B defaults to the upper bound of frame_operator_spectrum's default section.
-    """
-    if bessel_bound is None:
-        bessel_bound = frame_operator_spectrum(rep, g, lam).upper
-    sep = relative_separation(lam, q)
-    cover = lemma_cover_constant(rep, g, q)
-    norm_sq = reps.norm_sq(rep, g)
-    if rep.kind == reps.FINITE_WEYL_HEISENBERG:
-        cover2 = lemma_cover_constant(rep, 2.0 * np.asarray(g, dtype=complex), q)
-    else:
-        cover2 = cover  # |V_{2g} 2g| = 4 |V_g g| and the level 4||g||^2/2 scale together
+def _bessel_report(sep: SeparationReport, cover: CoverReport, cover2: CoverReport,
+                   bessel_bound: float, norm_sq: float) -> dict:
+    """Rel_Q(Lambda) <= 4 n B ||g||^{-2}, and the same bound for 2g, whose
+    cover is cover2 and whose Bessel bound and squared norm are 4 times g's."""
     bound2 = cover2.constant * (4.0 * bessel_bound) / (4.0 * norm_sq)
     bound = cover.constant * bessel_bound / norm_sq
     return {"rel_sep": sep.rel_sep, "n_cover": cover.n_cover,
@@ -627,6 +623,32 @@ def bessel_separation_bound(rep: RepModel, g, lam: PointSet, q: groups.Ball,
             "bound": bound, "passed": sep.rel_sep <= bound + 1e-9,
             "scale_invariant": abs(bound2 - bound) <= 1e-9 * max(bound, 1.0),
             "separation": sep.to_json(), "cover": cover.to_json()}
+
+
+def finite_bessel_separation_bound(rep: RepModel, g: np.ndarray, lam: PointSet,
+                                   q: groups.Ball, bessel_bound: float | None = None) -> dict:
+    """Check Rel_Q(Lambda) <= 4 n B ||g||^{-2} and its invariance under g -> 2g;
+    B defaults to the upper bound of the exact frame-operator spectrum."""
+    gv = np.asarray(g, dtype=complex)
+    if bessel_bound is None:
+        bessel_bound = finite_frame_operator_spectrum(finite_synthesis(rep, gv, lam)).upper
+    return _bessel_report(finite_relative_separation(lam, q),
+                          finite_lemma_cover_constant(rep, gv, q),
+                          finite_lemma_cover_constant(rep, 2.0 * gv, q),
+                          bessel_bound, float(np.linalg.norm(gv)) ** 2)
+
+
+def bessel_separation_bound(lam: PointSet, q: groups.Ball,
+                            bessel_bound: float | None = None) -> dict:
+    """Check Rel_Q(Lambda) <= 4 n B ||g||^{-2} and its invariance under g -> 2g
+    for the Gaussian window g; B defaults to the upper bound of
+    frame_operator_spectrum's default section."""
+    if bessel_bound is None:
+        bessel_bound = frame_operator_spectrum(lam).upper
+    cover = lemma_cover_constant(q)
+    # |V_{2g} 2g| = 4 |V_g g| and the level 4||g||^2/2 scale together
+    return _bessel_report(relative_separation(lam, q), cover, cover, bessel_bound,
+                          reps.GAUSSIAN_PROFILE.norm_sq)
 
 
 @dataclass(frozen=True, eq=False)
@@ -642,10 +664,10 @@ class DualReport:
     passed: bool
 
 
-def canonical_dual(rep: RepModel, g, lam: PointSet, seed: int = 0,
-                   trials: int = 10) -> DualReport:
-    """Solve S d_lambda = pi(lambda) g and verify perfect reconstruction."""
-    phi = _finite_synthesis(rep, g, lam)
+def canonical_dual(phi: np.ndarray, seed: int = 0, trials: int = 10) -> DualReport:
+    """Solve S d_lambda = pi(lambda) g for the synthesis matrix phi of the
+    finite model and verify perfect reconstruction."""
+    n = phi.shape[0]
     s = phi @ phi.conj().T
     eigs = _hermitian_eigs(s, "frame operator")
     b_up = float(eigs[-1])
@@ -657,7 +679,7 @@ def canonical_dual(rep: RepModel, g, lam: PointSet, seed: int = 0,
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        f = rng.standard_normal(rep.n) + 1j * rng.standard_normal(rep.n)
+        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         rec = duals @ (phi.conj().T @ f)
         rec2 = phi @ (duals.conj().T @ f)
         err = max(np.linalg.norm(rec - f), np.linalg.norm(rec2 - f))
@@ -672,36 +694,42 @@ def canonical_dual(rep: RepModel, g, lam: PointSet, seed: int = 0,
                       bounds, dual_bounds, worst, trials, seed, passed)
 
 
-def amalgam_check(rep: RepModel, g, lam: PointSet, q: groups.Ball,
-                  k_radius: float) -> dict:
-    """Numerical form of the amalgam bound
-    sum_{lam in K} |F(lam)|^2 <= (Rel_Q / mu(Q)) * integral_{KQ} (M_Q F)^2."""
-    sep = relative_separation(lam, q)
-    if rep.kind == reps.FINITE_WEYL_HEISENBERG:
-        gv = np.asarray(g, dtype=complex)
-        table = np.abs(reps.coefficient_table(rep, gv, gv))
-        wm = q.metric
-        group = rep.group
-        inside = [p for p in lam.points if wm.length(p) <= k_radius]
-        lhs = float(sum(table[p] ** 2 for p in inside))
-        kq = set()
-        kball = groups.ball(wm, k_radius, closed=True)
-        for y in kball.points:
-            for z in q.points:
-                kq.add(group.multiply(y, z))
-        m = reps._finite_maximal_table(rep, gv, q)
-        rhs = sep.rel_sep / q.measure * float(sum(m[p] ** 2 for p in kq))
-        mu_q = q.measure
-    else:
-        prof = reps.radial_profile(rep, g)
-        pts = lam.restrict(groups.ball(groups.euclidean_metric(dim=2), k_radius, closed=True))
-        lhs = float(sum(prof.profile(math.hypot(*p)) ** 2 for p in pts))
-        rho = q.radius
-        integral = prof.mass_outside(rho, 0.0) - prof.mass_outside(rho, k_radius + rho)
-        mu_q = math.pi * rho * rho
-        rhs = sep.rel_sep / mu_q * integral
+def _amalgam_report(lhs: float, rhs: float, sep: SeparationReport, mu_q: float,
+                    k_radius: float) -> dict:
     return {"lhs": lhs, "rhs": rhs, "margin": rhs - lhs, "rel_sep": sep.rel_sep,
             "mu_q": mu_q, "k_radius": k_radius, "passed": lhs <= rhs * (1.0 + 1e-9)}
+
+
+def finite_amalgam_check(rep: RepModel, g: np.ndarray, lam: PointSet, q: groups.Ball,
+                         k_radius: float) -> dict:
+    """The amalgam bound sum_{lam in K} |F(lam)|^2 <= (Rel_Q / mu(Q)) *
+    sum_{KQ} (M_Q F)^2 for F = V_g g, with K the closed word ball of radius
+    k_radius."""
+    sep = finite_relative_separation(lam, q)
+    gv = np.asarray(g, dtype=complex)
+    table = np.abs(reps.coefficient_table(rep, gv, gv))
+    lhs = float(sum(table[p] ** 2 for p in lam.points if q.metric.length(p) <= k_radius))
+    kq = {rep.group.multiply(y, z) for y in groups.ball(q.metric, k_radius, closed=True).points
+          for z in q.points}
+    m = np.zeros_like(table)  # M_Q F on the torus
+    for (dk, dl) in q.points:
+        m = np.maximum(m, np.roll(table, (-dk % rep.n, -dl % rep.n), axis=(0, 1)))
+    rhs = sep.rel_sep / q.measure * float(sum(m[p] ** 2 for p in kq))
+    return _amalgam_report(lhs, rhs, sep, q.measure, k_radius)
+
+
+def amalgam_check(lam: PointSet, q: groups.Ball, k_radius: float) -> dict:
+    """The amalgam bound sum_{lam in K} |F(lam)|^2 <= (Rel_Q / mu(Q)) *
+    integral_{KQ} (M_Q F)^2 for F = V_g g of the Gaussian window, with K the
+    closed disk of radius k_radius."""
+    sep = relative_separation(lam, q)
+    prof = reps.GAUSSIAN_PROFILE
+    pts = lam.restrict(groups.ball(groups.euclidean_metric(dim=2), k_radius, closed=True))
+    lhs = float(sum(prof.profile(math.hypot(*p)) ** 2 for p in pts))
+    rho = q.radius
+    integral = prof.mass_outside(rho, 0.0) - prof.mass_outside(rho, k_radius + rho)
+    mu_q = math.pi * rho * rho
+    return _amalgam_report(lhs, sep.rel_sep / mu_q * integral, sep, mu_q, k_radius)
 
 
 # -- Audit dumps --------------------------------------------------------------------

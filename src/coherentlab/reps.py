@@ -1,15 +1,14 @@
 """Projective representations and their matrix coefficients.
 
 Two concrete models: the finite Weyl-Heisenberg family on C^N indexed by
-Z_N x Z_N (translation then modulation), and the time-frequency family on
-L^2(R) indexed by R^2 with the unit Gaussian window.  The finite kind's
-coefficients come from coefficient_table; the Gaussian's ambiguity function
-|V_g g| is the radial profile exp(-pi |x|^2 / 2).  RadialProfile holds all of
-its closed forms: the local maximal function with its masses and certified
-tails, and the level-set radius behind the cover constant; the formal degree
-and the decay envelope read it.  radial_profile is the one place that checks
-the window: on the time-frequency kind anything but the Gaussian raises
-ValueError.
+Z_N x Z_N (translation then modulation), which RepModel describes, and the
+time-frequency family on L^2(R) indexed by R^2 with the unit Gaussian window.
+The finite model's coefficients come from coefficient_table, and its
+functions take the model and a window vector.  The Gaussian's ambiguity
+function |V_g g| is the radial profile exp(-pi |x|^2 / 2), and
+GAUSSIAN_PROFILE holds all of its closed forms: the local maximal function
+with its masses and certified tails, the level-set radius behind the cover
+constant, and the formal degree; the decay envelope reads it.
 """
 
 from __future__ import annotations
@@ -21,12 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups
-from .groups import Ball, GroupModel
-
-FINITE_WEYL_HEISENBERG = "finite_weyl_heisenberg"
-TIME_FREQUENCY = "time_frequency"
-
-GAUSSIAN_WINDOW = "gaussian_unit_norm"
+from .groups import GroupModel
 
 
 def inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -34,49 +28,25 @@ def inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.sum(np.asarray(a) * np.conj(np.asarray(b))))
 
 
-# -- Windows --------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class Window:
-    """Analyzing vector of the time-frequency kind, named by its model."""
-
-    model: str
-
-
-def gaussian_window() -> Window:
-    return Window(model=GAUSSIAN_WINDOW)
-
-
-# -- Representation models --------------------------------------------------------
+# -- The finite Weyl-Heisenberg model ----------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class RepModel:
-    """Projective representation model with its base group and formal degree."""
+    """The finite Weyl-Heisenberg model on C^N: its base group Z_N x Z_N and
+    its formal degree 1 / N."""
 
-    kind: str
     group: GroupModel
-    n: int = 0
-    formal_degree: float = float("nan")
+    n: int
+    formal_degree: float
 
 
 def finite_weyl_heisenberg(n: int) -> RepModel:
-    return RepModel(kind=FINITE_WEYL_HEISENBERG, group=groups.finite_cyclic_sq(n),
-                    n=n, formal_degree=1.0 / n)
-
-
-def gabor_gaussian() -> RepModel:
-    return RepModel(kind=TIME_FREQUENCY, group=groups.euclidean(2), formal_degree=1.0)
-
-
-# -- Finite Weyl-Heisenberg machinery ----------------------------------------------
+    return RepModel(group=groups.finite_cyclic_sq(n), n=n, formal_degree=1.0 / n)
 
 
 def rep_matrix(rep: RepModel, x: tuple) -> np.ndarray:
     """Unitary pi(k, l) on C^N: translate by k, then modulate by l."""
-    if rep.kind != FINITE_WEYL_HEISENBERG:
-        raise ValueError("rep_matrix is for the finite kind")
     n = rep.n
     k, l = x[0] % n, x[1] % n
     phase = np.exp(2j * math.pi * l * np.arange(n) / n)
@@ -127,7 +97,44 @@ def coefficient_table(rep: RepModel, f: np.ndarray, g: np.ndarray) -> np.ndarray
     return table
 
 
-# -- Matrix coefficients ------------------------------------------------------------
+def estimate_formal_degree(rep: RepModel, g: np.ndarray, truncation_radius: float) -> float:
+    """||g||^4 / the sum of |V_g g|^2 over the word ball of this radius."""
+    if truncation_radius <= 0:
+        raise ValueError("truncation radius must be positive")
+    gv = np.asarray(g, dtype=complex)
+    nrm = float(np.linalg.norm(gv))
+    if nrm == 0.0:
+        raise ValueError("zero window")
+    table = np.abs(coefficient_table(rep, gv, gv)) ** 2
+    n = rep.n
+    k = np.arange(n)
+    wl = np.minimum(k, n - k)
+    mask = (wl[:, None] + wl[None, :]) <= truncation_radius
+    return nrm ** 4 / float(np.sum(table[mask]))
+
+
+def verify_orthogonality(rep: RepModel, trials: int = 20, tol: float = 1e-10,
+                         seed: int = 0) -> dict:
+    """Check sum_x <f1, pi(x) g1> conj(<f2, pi(x) g2>) = N <f1, f2> conj(<g1, g2>).
+
+    Random quadruples; the full group sum is exact, so the deviation is pure
+    floating-point noise.
+    """
+    rng = np.random.default_rng(seed)
+    n = rep.n
+    worst = 0.0
+    for _ in range(trials):
+        f1, f2, g1, g2 = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                          for _ in range(4))
+        lhs = complex(np.sum(coefficient_table(rep, f1, g1)
+                             * np.conj(coefficient_table(rep, f2, g2))))
+        rhs = n * inner(f1, f2) * np.conj(inner(g1, g2))
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+    return {"n": n, "trials": trials, "tol": tol, "max_deviation": worst,
+            "formal_degree": rep.formal_degree, "seed": seed, "passed": worst <= tol}
+
+
+# -- The Gaussian window ---------------------------------------------------------------
 
 
 def gaussian_ambiguity(x: float, w: float) -> complex:
@@ -135,12 +142,9 @@ def gaussian_ambiguity(x: float, w: float) -> complex:
     return cmath.exp(-1j * math.pi * x * w - math.pi * (x * x + w * w) / 2.0)
 
 
-# -- Radial profiles ------------------------------------------------------------------
-
-
 class RadialProfile:
     """|V_g g|(x) = profile(|x|) = exp(-pi |x|^2 / 2) for the unit Gaussian g,
-    with closed-form masses, tails and level-set radius.
+    with closed-form masses, tails, level-set radius and formal degree.
 
     The profile is nonincreasing, so for Q of radius rho the local maximal
     function M_Q V_g g at distance u is the profile at max(0, u - rho).
@@ -166,6 +170,11 @@ class RadialProfile:
         return inner + (math.exp(-math.pi * a * a) + 2.0 * math.pi * rho * tail)
 
     @property
+    def formal_degree(self) -> float:
+        """d_pi = ||g||^4 / the whole-plane mass of |V_g g|^2, which is 1."""
+        return self.norm_sq ** 2 / self.mass_outside(0.0, 0.0)
+
+    @property
     def level_radius(self) -> float:
         """Radius of the level set U = {|V_g g| > ||g||^2 / 2}: the largest
         float u with profile(u) > norm_sq / 2, stepped float by float from
@@ -182,119 +191,26 @@ class RadialProfile:
 GAUSSIAN_PROFILE = RadialProfile()
 
 
-def radial_profile(rep: RepModel, g=None) -> RadialProfile | None:
-    """The radial profile of |V_g g|: None on the finite kind, GAUSSIAN_PROFILE
-    on the time-frequency kind when g is None or the Gaussian window.
-
-    Any other g on the time-frequency kind raises ValueError; every
-    continuous estimator takes its window through this check.
-    """
-    if rep.kind == FINITE_WEYL_HEISENBERG:
-        return None
-    if g is None or (isinstance(g, Window) and g.model == GAUSSIAN_WINDOW):
-        return GAUSSIAN_PROFILE
-    model = g.model if isinstance(g, Window) else type(g).__name__
-    raise ValueError(f"the time-frequency kind needs the Gaussian window; got {model}")
-
-
-def norm_sq(rep: RepModel, g) -> float:
-    """||g||^2: of the vector on the finite kind, else the Gaussian's profile(0)."""
-    if rep.kind == FINITE_WEYL_HEISENBERG:
-        return float(np.linalg.norm(np.asarray(g, dtype=complex))) ** 2
-    return radial_profile(rep, g).norm_sq
-
-
-# -- Local maximal function on the finite kind ---------------------------------
-
-
-def _finite_maximal_table(rep: RepModel, g: np.ndarray, q: Ball) -> np.ndarray:
-    table = np.abs(coefficient_table(rep, g, g))
-    n = rep.n
-    out = np.zeros_like(table)
-    for (dk, dl) in q.points:
-        out = np.maximum(out, np.roll(table, (-dk % n, -dl % n), axis=(0, 1)))
-    return out
-
-
-# -- Formal degree ---------------------------------------------------------------------
-
-
-def estimate_formal_degree(rep: RepModel, g, truncation_radius: float) -> float:
-    """||g||^4 / integral over B_R of |V_g g|^2: a sum over the word ball on
-    the finite kind, the profile's closed-form masses on the Gaussian."""
-    if truncation_radius <= 0:
-        raise ValueError("truncation radius must be positive")
-    if rep.kind == FINITE_WEYL_HEISENBERG:
-        gv = np.asarray(g, dtype=complex)
-        nrm = float(np.linalg.norm(gv))
-        if nrm == 0.0:
-            raise ValueError("zero window")
-        table = np.abs(coefficient_table(rep, gv, gv)) ** 2
-        n = rep.n
-        k = np.arange(n)
-        wl = np.minimum(k, n - k)
-        mask = (wl[:, None] + wl[None, :]) <= truncation_radius
-        denom = float(np.sum(table[mask]))
-        return nrm ** 4 / denom
-    prof = radial_profile(rep, g)
-    denom = prof.mass_outside(0.0, 0.0) - prof.mass_outside(0.0, truncation_radius)
-    return prof.norm_sq ** 2 / denom
-
-
-# -- Decay envelopes ---------------------------------------------------------------------
-
-
-def decay_envelope_check(rep: RepModel, g, c0: float, exponent: float,
-                         sample_radius: float) -> dict:
+def decay_envelope_check(c0: float, exponent: float, sample_radius: float) -> dict:
     """Sample the Gaussian's |V_g g| / ||g||^2 on 1600 radii against
     c0 (1 + |x|)^(-exponent).
 
     Reports the maximal ratio |V_g g(x)| (1+|x|)^exponent / (c0 ||g||^2); pass
     iff it stays <= 1.  Calling with c0 = 1 calibrates the envelope constant.
-    The finite kind has no radial profile and raises ValueError.
     """
     if c0 <= 0 or sample_radius <= 0:
         raise ValueError("c0 and sample_radius must be positive")
-    prof = radial_profile(rep, g)
-    if prof is None:
-        raise ValueError("decay envelope checks need the time-frequency kind")
-    norm_sq = prof.norm_sq
+    prof = GAUSSIAN_PROFILE
     worst = 0.0
     argmax = None
     radii = np.linspace(0.0, sample_radius, 1600)
     for r in radii:
-        ratio = prof.profile(float(r)) * (1.0 + r) ** exponent / (c0 * norm_sq)
+        ratio = prof.profile(float(r)) * (1.0 + r) ** exponent / (c0 * prof.norm_sq)
         if ratio > worst:
             worst, argmax = float(ratio), (float(r), 0.0)
     return {"max_ratio": worst, "passed": worst <= 1.0 + 1e-12, "c0": c0,
             "exponent": exponent, "sample_radius": sample_radius,
             "samples": len(radii), "argmax": argmax}
-
-
-# -- Orthogonality relations ---------------------------------------------------------------
-
-
-def verify_orthogonality(rep: RepModel, trials: int = 20, tol: float = 1e-10,
-                         seed: int = 0) -> dict:
-    """Check sum_x <f1, pi(x) g1> conj(<f2, pi(x) g2>) = N <f1, f2> conj(<g1, g2>).
-
-    Random quadruples on the finite kind; the full group sum is exact, so the
-    deviation is pure floating-point noise.
-    """
-    if rep.kind != FINITE_WEYL_HEISENBERG:
-        raise ValueError("orthogonality verification runs on the finite kind")
-    rng = np.random.default_rng(seed)
-    n = rep.n
-    worst = 0.0
-    for _ in range(trials):
-        f1, f2, g1, g2 = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                          for _ in range(4))
-        lhs = complex(np.sum(coefficient_table(rep, f1, g1)
-                             * np.conj(coefficient_table(rep, f2, g2))))
-        rhs = n * inner(f1, f2) * np.conj(inner(g1, g2))
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return {"n": n, "trials": trials, "tol": tol, "max_deviation": worst,
-            "formal_degree": rep.formal_degree, "seed": seed, "passed": worst <= tol}
 
 
 # -- Hermite tools (used by the truncated frame sections) -----------------------------------

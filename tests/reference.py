@@ -11,9 +11,8 @@ import numpy as np
 from coherentlab import groups, reps
 
 
-def mc_error_integral(rep: reps.RepModel, g, q: groups.Ball, k: groups.Ball,
-                      kind: str = "I", n_samples: int = 10 ** 6,
-                      seed: int = 0) -> tuple:
+def mc_error_integral(q: groups.Ball, k: groups.Ball, kind: str = "I",
+                      n_samples: int = 10 ** 6, seed: int = 0) -> tuple:
     """Monte Carlo estimate (value, stderr) of I_n or J_n.
 
     Independent of the lens-area reduction: draws the difference variable from
@@ -25,9 +24,7 @@ def mc_error_integral(rep: reps.RepModel, g, q: groups.Ball, k: groups.Ball,
     grid over [0, rho + 12]; beyond it the Gaussian survival is about
     e^(-144 pi).
     """
-    prof = reps.radial_profile(rep, g)
-    if prof is None:
-        raise ValueError("Monte Carlo error integrals need the Gaussian window")
+    prof = reps.GAUSSIAN_PROFILE
     rho, r = q.radius, k.radius
     total_mass = prof.mass_outside(rho, 0.0)
     grid = np.linspace(0.0, rho + 12.0, 20_001)
@@ -54,9 +51,8 @@ def mc_error_integral(rep: reps.RepModel, g, q: groups.Ball, k: groups.Ball,
 
 
 def dimension_lemma_check(rep: reps.RepModel, g, basis) -> dict:
-    """Sum over the group of ||P_V pi(x) g||^2 against N ||g||^2 dim V."""
-    if rep.kind != reps.FINITE_WEYL_HEISENBERG:
-        raise ValueError("exhaustive dimension check runs on the finite kind")
+    """Sum over the group of ||P_V pi(x) g||^2 against N ||g||^2 dim V on the
+    finite model."""
     gv = np.asarray(g, dtype=complex)
     vecs = [np.asarray(v, dtype=complex) for v in basis]
     dim = len(vecs)

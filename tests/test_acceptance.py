@@ -87,8 +87,8 @@ def test_acceptance_3_bessel_separation_bound():
         g = random_vec(rng, n, normalize=False)
         lam = frames.finite_subset(n, pts)
         q = groups.ball(groups.word_metric(rep.group), 1.0)
-        out = bessel = frames.bessel_separation_bound(rep, g, lam, q)
-        doubled = frames.bessel_separation_bound(rep, 2.0 * g, lam, q)
+        out = bessel = frames.finite_bessel_separation_bound(rep, g, lam, q)
+        doubled = frames.finite_bessel_separation_bound(rep, 2.0 * g, lam, q)
         ok &= bessel["passed"]
         ok &= bessel["rel_sep"] <= bessel["bound"] + 1e-9
         ok &= doubled["n_cover"] == out["n_cover"]
@@ -128,18 +128,15 @@ def test_acceptance_4_geometry_diagnostics():
 
 def test_acceptance_5_frame_counting_bound():
     t0 = time.perf_counter()
-    rep = reps.gabor_gaussian()
-    g = reps.gaussian_window()
     lam = frames.lattice(0.5, 0.5)
     em = groups.euclidean_metric(dim=2)
     radii = (6.0, 10.0, 14.0)
     exhaustion = [groups.ball(em, r, closed=True) for r in radii]
     q = groups.ball(em, 1.0)
-    bounds = frames.frame_operator_spectrum(rep, g, lam, section_radius=12.0,
-                                            margin=3.0)
-    integrals = density.error_integral_I(rep, g, q, exhaustion, tol=1e-8)
+    bounds = frames.frame_operator_spectrum(lam, section_radius=12.0, margin=3.0)
+    integrals = density.error_integral_I(q, exhaustion, tol=1e-8)
     est = density.beurling_density(lam, exhaustion)
-    checks = density.check_counting(rep, g, q, bounds, integrals=integrals, estimate=est)
+    checks = density.check_counting(q, bounds, integrals=integrals, estimate=est)
     inf_ratio = est.records[-1].inf_count / est.records[-1].measure
     normalized = [rec.normalized for rec in integrals]
     slope = float(np.polyfit(np.log(radii), np.log(normalized), 1)[0])
@@ -156,17 +153,15 @@ def test_acceptance_5_frame_counting_bound():
 
 def test_acceptance_6_riesz_counting_bound():
     t0 = time.perf_counter()
-    rep = reps.gabor_gaussian()
-    g = reps.gaussian_window()
     lam = frames.lattice(2.0, 1.0)
     em = groups.euclidean_metric(dim=2)
     radii = (6.0, 10.0, 14.0)
     exhaustion = [groups.ball(em, r, closed=True) for r in radii]
     q = groups.ball(em, 1.0)
-    bounds = frames.riesz_bounds(rep, g, lam, restriction_radius=8.0)
-    integrals = density.error_integral_J(rep, g, q, exhaustion, tol=1e-8)
+    bounds = frames.riesz_bounds(lam, restriction_radius=8.0)
+    integrals = density.error_integral_J(q, exhaustion, tol=1e-8)
     est = density.beurling_density(lam, exhaustion)
-    checks = density.check_counting(rep, g, q, bounds, integrals=integrals, estimate=est)
+    checks = density.check_counting(q, bounds, integrals=integrals, estimate=est)
     sup_ratio = est.records[-1].sup_count / est.records[-1].measure
     normalized = [rec.normalized for rec in integrals]
     elapsed = time.perf_counter() - t0
@@ -181,9 +176,7 @@ def test_acceptance_6_riesz_counting_bound():
 
 def test_acceptance_7_hole_falsification():
     t0 = time.perf_counter()
-    rep = reps.gabor_gaussian()
-    g = reps.gaussian_window()
-    out = density.run_hole_falsification(rep, g, 0.5, 0.5, [0.0, 1.0, 2.0, 4.0],
+    out = density.run_hole_falsification(0.5, 0.5, [0.0, 1.0, 2.0, 4.0],
                                          section_radius=12.0)
     lowers = [e.bounds.lower for e in out]
     monotone = all(a >= b - 1e-12 for a, b in zip(lowers, lowers[1:]))
@@ -203,14 +196,12 @@ def test_acceptance_7_hole_falsification():
 
 def test_acceptance_8_oracle_equivalence():
     t0 = time.perf_counter()
-    rep = reps.gabor_gaussian()
-    g = reps.gaussian_window()
     q = groups.ball(groups.euclidean_metric(dim=2), 1.0)
     k = groups.ball(groups.euclidean_metric(dim=2), 4.0, closed=True)
     mc_ok = True
-    for kind, quad in (("I", density.error_integral_I(rep, g, q, [k])[0].value),
-                       ("J", density.error_integral_J(rep, g, q, [k])[0].value)):
-        mc, se = mc_error_integral(rep, g, q, k, kind=kind, n_samples=10 ** 7, seed=8)
+    for kind, quad in (("I", density.error_integral_I(q, [k])[0].value),
+                       ("J", density.error_integral_J(q, [k])[0].value)):
+        mc, se = mc_error_integral(q, k, kind=kind, n_samples=10 ** 7, seed=8)
         mc_ok &= abs(quad - mc) <= 3.0 * se
     rng = np.random.default_rng(88)
     svd_ok = True
@@ -222,7 +213,8 @@ def test_acceptance_8_oracle_equivalence():
             (16, [(k_, l) for k_ in range(0, 16, 2) for l in range(0, 16, 2)])):
         frep = reps.finite_weyl_heisenberg(n)
         gv = random_vec(rng, n, normalize=False)
-        fb = frames.frame_operator_spectrum(frep, gv, frames.finite_subset(n, pts))
+        fb = frames.finite_frame_operator_spectrum(
+            frames.finite_synthesis(frep, gv, frames.finite_subset(n, pts)))
         cols = []
         for (k_, l) in pts:
             mod = np.exp(2j * math.pi * l * np.arange(n) / n)

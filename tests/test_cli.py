@@ -13,7 +13,7 @@ import pytest
 
 import numpy as np
 
-from coherentlab import cli, frames, groups, reporting
+from coherentlab import cli, frames, groups, reporting, reps
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -219,7 +219,19 @@ def test_frame_matrix_dumps(tmp_path, capsys):
                         "dump_matrices": "true"})
     assert cli.main(["frame", "--config", finite,
                      "--out", str(tmp_path / "fin")]) == 0
-    assert (tmp_path / "fin" / "synthesis.csv").exists()
+    # column j is pi(lam_j) g for the run's seeded window, to the 12 digits
+    # the CSV keeps
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    g /= np.linalg.norm(g)
+    rep, lam = reps.finite_weyl_heisenberg(6), frames.full_torus(6)
+    want = [[str(i), str(j), f"{v.real:.12g}", f"{v.imag:.12g}"]
+            for i, row in enumerate(np.column_stack(
+                [reps.apply_rep(rep, x, g) for x in lam.points]))
+            for j, v in enumerate(row.tolist())]
+    synthesis = (tmp_path / "fin" / "synthesis.csv").read_text().splitlines()
+    assert synthesis[0] == "row,col,real,imag"
+    assert [line.split(",") for line in synthesis[1:]] == want
     out = capsys.readouterr().out
     for stage in ("bounds", "dual", "bessel", "amalgam"):
         assert f"time[{stage}]" in out
@@ -479,6 +491,12 @@ def test_huge_and_tiny_values_exit_2_naming_the_key(tmp_path, capsys):
         ("hole", {"delta": 3}, "delta"),
         ("density", {"delta": 3}, "delta"),
         ("hole", {"calibration_radius": 1e300}, "calibration_radius"),
+        # a disk whose pi r^2 rounds to 0 gives K_n or Q zero measure; at
+        # q_radius = 1e-162 pi r r is still positive, but r^2 is 0
+        ("density", {"radii": 1e-200}, "radii"),
+        ("density", {"radii": "1e-200,1,2"}, "radii"),
+        ("density", {"q_radius": 1e-170}, "q_radius"),
+        ("density", {"q_radius": 1e-162}, "q_radius"),
     ]
     for i, (experiment, body, key) in enumerate(cases):
         path = write_ini(tmp_path, f"{i}.ini", experiment, body)
@@ -490,6 +508,22 @@ def test_huge_and_tiny_values_exit_2_naming_the_key(tmp_path, capsys):
         # count of the H3 radius 1e120, print as a mantissa and an exponent
         assert len(err.splitlines()) == 1 and len(err) < 300, err
     assert not (tmp_path / "out").exists()
+
+
+def test_theorem_radius_overflow_exits_2_naming_alpha_and_delta(tmp_path, capsys):
+    # (C0^2 C B/A)^(1/(alpha + delta - 1)) with alpha + delta = 1.02 overflows;
+    # its base is measured, so the refusal comes after the bounds, and no
+    # report is written
+    path = write_ini(tmp_path, "a.ini", "hole", {"alpha": 0.02})
+    assert cli.main(["hole", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert "overall" not in out and "Traceback" not in err
+    message = err.split(": ", 1)[1]
+    assert re.search(r"\balpha\b", message) and re.search(r"\bdelta\b", message), err
+    assert not (tmp_path / "out").exists()
+    # alpha + delta = 1.03 keeps the radius finite
+    path = write_ini(tmp_path, "b.ini", "hole", {"alpha": 0.03})
+    assert cli.main(["hole", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_q_radius_budget_is_checked_before_anything_is_allocated(tmp_path, monkeypatch):

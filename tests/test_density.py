@@ -33,11 +33,11 @@ def brute_disk_count(a, b, cx, cy, r):
     return total
 
 
-def counting_inputs(rep, g, lam, exhaustion, q, kind):
+def counting_inputs(lam, exhaustion, q, kind):
     """The density estimate and the I_n (or J_n) records a counting checker takes."""
     integral = density.error_integral_I if kind == "I" else density.error_integral_J
     return {"estimate": density.beurling_density(lam, exhaustion),
-            "integrals": integral(rep, g, q, exhaustion)}
+            "integrals": integral(q, exhaustion)}
 
 
 def test_count_points_box_ball_and_translation():
@@ -108,9 +108,8 @@ def test_beurling_density_counts_match_a_per_centre_loop():
 
 
 def test_density_rejects_the_inputs_it_does_not_count():
-    # density counts a plain lattice in closed discs and integrates the
-    # Gaussian; a holed lattice, a torus subset, an open K_n and the finite
-    # model raise ValueError naming what they are
+    # density counts a plain lattice in closed discs; a holed lattice, a
+    # torus subset and an open K_n raise ValueError naming what they are
     em = groups.euclidean_metric(dim=2)
     exhaustion = [euclid_ball(3.0)]
     holed = frames.lattice_with_holes(0.5, 0.5, [(0.0, 0.0, 1.0)])
@@ -120,25 +119,17 @@ def test_density_rejects_the_inputs_it_does_not_count():
     with pytest.raises(ValueError, match="open"):
         density.beurling_density(lattice(0.5, 0.5),
                                  [euclid_ball(2.0), groups.ball(em, 3.0, closed=False)])
-    rep = reps.finite_weyl_heisenberg(4)
-    wm = groups.word_metric(rep.group)
-    q, k = groups.ball(wm, 1.0), groups.ball(wm, 2.0)
-    for integral in (density.error_integral_I, density.error_integral_J):
-        with pytest.raises(ValueError, match=rep.kind):
-            integral(rep, np.ones(4), q, [k])
 
 
 def test_error_integrals_frozen_values_and_normalized_decay():
-    rep = reps.gabor_gaussian()
-    g = reps.gaussian_window()
     q = euclid_ball(1.0)
-    [i4] = density.error_integral_I(rep, g, q, [euclid_ball(4.0)], tol=1e-8)
-    [j4] = density.error_integral_J(rep, g, q, [euclid_ball(4.0)], tol=1e-8)
+    [i4] = density.error_integral_I(q, [euclid_ball(4.0)], tol=1e-8)
+    [j4] = density.error_integral_J(q, [euclid_ball(4.0)], tol=1e-8)
     assert i4.value == pytest.approx(165.77658798, abs=1e-5)
     assert j4.value == pytest.approx(213.19732668, abs=1e-5)
     assert i4.measure == pytest.approx(math.pi * 16.0)
     assert i4.normalized == pytest.approx(i4.value / (math.pi * 16.0))
-    series = density.error_integral_I(rep, g, q, [euclid_ball(r) for r in (4.0, 8.0, 16.0)],
+    series = density.error_integral_I(q, [euclid_ball(r) for r in (4.0, 8.0, 16.0)],
                                       tol=1e-8)
     normalized = [rec.normalized for rec in series]
     assert normalized == pytest.approx([3.298, 1.768, 0.913], abs=2e-3)
@@ -148,30 +139,26 @@ def test_error_integrals_frozen_values_and_normalized_decay():
 def test_error_integral_quadrature_matches_monte_carlo():
     q = euclid_ball(1.0)
     k = euclid_ball(4.0)
-    rep, g = reps.gabor_gaussian(), reps.gaussian_window()
-    for kind, quad in (("I", density.error_integral_I(rep, g, q, [k])[0].value),
-                       ("J", density.error_integral_J(rep, g, q, [k])[0].value)):
-        mc, se = mc_error_integral(rep, g, q, k, kind=kind, n_samples=10 ** 6, seed=1)
+    for kind, quad in (("I", density.error_integral_I(q, [k])[0].value),
+                       ("J", density.error_integral_J(q, [k])[0].value)):
+        mc, se = mc_error_integral(q, k, kind=kind, n_samples=10 ** 6, seed=1)
         assert se > 0.0
         assert abs(quad - mc) <= 3.0 * se
 
 
 def test_check_frame_counting_passes_with_assembled_constant():
-    rep = reps.gabor_gaussian()
-    g = reps.gaussian_window()
     lam = lattice(0.5, 0.5)
     exhaustion = [euclid_ball(r) for r in (6.0, 10.0, 14.0)]
     q = euclid_ball(1.0)
-    bounds = frames.frame_operator_spectrum(rep, g, lam, section_radius=12.0,
+    bounds = frames.frame_operator_spectrum(lam, section_radius=12.0,
                                             margin=3.0)
-    checks = density.check_counting(
-        rep, g, q, bounds, **counting_inputs(rep, g, lam, exhaustion, q, "I"))
+    checks = density.check_counting(q, bounds, **counting_inputs(lam, exhaustion, q, "I"))
     assert len(checks) == 4  # one per radius plus the density consequence
     assert all(c.passed for c in checks)
     assert {c.theorem for c in checks} == {"T3.3", "T3.6"}
     assert checks[0].constant == pytest.approx(11.6215, abs=2e-4)
     # hand assembly of the constant: (B / (A ||g||^4)) * 4 n / mu(Q)
-    const = density.assemble_counting_constant(rep, g, q, bounds)
+    const = density.assemble_counting_constant(q, bounds)
     assert const["n_cover"] == 9
     assert const["C"] == pytest.approx(
         bounds.upper / bounds.lower * 36.0 / math.pi, rel=1e-12)
@@ -181,14 +168,11 @@ def test_check_frame_counting_passes_with_assembled_constant():
 
 
 def test_check_riesz_counting_sparse_lattice():
-    rep = reps.gabor_gaussian()
-    g = reps.gaussian_window()
     lam = lattice(2.0, 1.0)
     exhaustion = [euclid_ball(r) for r in (6.0, 10.0, 14.0)]
     q = euclid_ball(1.0)
-    bounds = frames.riesz_bounds(rep, g, lam, restriction_radius=8.0)
-    checks = density.check_counting(
-        rep, g, q, bounds, **counting_inputs(rep, g, lam, exhaustion, q, "J"))
+    bounds = frames.riesz_bounds(lam, restriction_radius=8.0)
+    checks = density.check_counting(q, bounds, **counting_inputs(lam, exhaustion, q, "J"))
     assert len(checks) == 3
     assert all(c.passed for c in checks)
     assert all(c.theorem == "T3.5" for c in checks)
@@ -199,28 +183,26 @@ def test_check_riesz_counting_sparse_lattice():
 def test_counting_checks_validate_bounds_kind_and_records():
     # the side comes from the bounds, so bessel bounds have none; frame
     # bounds read I_n records and riesz bounds J_n ones, n = 0, 1, ...
-    rep = reps.gabor_gaussian()
-    g = reps.gaussian_window()
     lam = lattice(0.5, 0.5)
     exhaustion = [euclid_ball(6.0)]
     q = euclid_ball(1.0)
-    frame_bounds = frames.frame_operator_spectrum(rep, g, lam)
-    riesz = frames.riesz_bounds(rep, g, lattice(2.0, 1.0), restriction_radius=6.0)
-    bessel = frames.frame_operator_spectrum(rep, g, lattice(2.0, 1.0))
+    frame_bounds = frames.frame_operator_spectrum(lam)
+    riesz = frames.riesz_bounds(lattice(2.0, 1.0), restriction_radius=6.0)
+    bessel = frames.frame_operator_spectrum(lattice(2.0, 1.0))
     assert bessel.kind == "bessel"
-    inputs = counting_inputs(rep, g, lam, exhaustion, q, "I")
+    inputs = counting_inputs(lam, exhaustion, q, "I")
     with pytest.raises(ValueError, match="bessel"):
-        density.check_counting(rep, g, q, bessel, **inputs)
+        density.check_counting(q, bessel, **inputs)
     with pytest.raises(ValueError, match="J_n"):
-        density.check_counting(rep, g, q, riesz, **inputs)
+        density.check_counting(q, riesz, **inputs)
     wrong_n = [dataclasses.replace(inputs["integrals"][0], n=5)]
     with pytest.raises(ValueError, match="I_n"):
-        density.check_counting(rep, g, q, frame_bounds,
+        density.check_counting(q, frame_bounds,
                                integrals=wrong_n, estimate=inputs["estimate"])
     # J_n records do not stand in for I_n ones
-    j_recs = counting_inputs(rep, g, lam, exhaustion, q, "J")["integrals"]
+    j_recs = counting_inputs(lam, exhaustion, q, "J")["integrals"]
     with pytest.raises(ValueError, match="I_n"):
-        density.check_counting(rep, g, q, frame_bounds,
+        density.check_counting(q, frame_bounds,
                                integrals=j_recs, estimate=inputs["estimate"])
 
 
@@ -244,44 +226,47 @@ def test_run_density_computes_the_density_once(monkeypatch, tmp_path, side, a, b
 
 
 def test_counting_checks_reuse_a_precomputed_estimate(monkeypatch):
-    rep = reps.gabor_gaussian()
-    g = reps.gaussian_window()
     q = euclid_ball(1.0)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a checker recomputed its inputs")
 
     for lam, bounds, kind in (
-            (lattice(0.5, 0.5), frames.frame_operator_spectrum(rep, g, lattice(0.5, 0.5)), "I"),
+            (lattice(0.5, 0.5), frames.frame_operator_spectrum(lattice(0.5, 0.5)), "I"),
             (lattice(2.0, 1.0),
-             frames.riesz_bounds(rep, g, lattice(2.0, 1.0), restriction_radius=8.0), "J")):
+             frames.riesz_bounds(lattice(2.0, 1.0), restriction_radius=8.0), "J")):
         exhaustion = [euclid_ball(r) for r in (6.0, 10.0)]
-        inputs = counting_inputs(rep, g, lam, exhaustion, q, kind)
+        inputs = counting_inputs(lam, exhaustion, q, kind)
         with monkeypatch.context() as m:
             m.setattr(density, "beurling_density", refuse)
             m.setattr(density, "_error_integrals", refuse)
-            checks = density.check_counting(rep, g, q, bounds, **inputs)
+            checks = density.check_counting(q, bounds, **inputs)
         # the per-n checks read the estimate's counts and the given integrals
         for chk, rec, integ in zip(checks, inputs["estimate"].records, inputs["integrals"]):
             count = rec.inf_count if kind == "I" else rec.sup_count
             assert chk.lhs == count and chk.inputs["integral"] == integ.value
         # integrals of another exhaustion are refused: fewer K_n, or other radii
-        other = counting_inputs(rep, g, lam, [euclid_ball(r) for r in (6.0, 12.0)], q, kind)
+        other = counting_inputs(lam, [euclid_ball(r) for r in (6.0, 12.0)], q, kind)
         for integrals in (inputs["integrals"][:1], other["integrals"]):
             with pytest.raises(ValueError, match="exhaustion"):
-                density.check_counting(rep, g, q, bounds, integrals=integrals,
+                density.check_counting(q, bounds, integrals=integrals,
                                        estimate=inputs["estimate"])
 
 
-def test_polynomial_error_exponent_fit():
-    rep = reps.gabor_gaussian()
-    g = reps.gaussian_window()
+class DensityFourProfile(reps.RadialProfile):
+    """The Gaussian profile normalized to the formal degree 4 of a
+    redundancy-4 lattice."""
+
+    formal_degree = 4.0
+
+
+def test_polynomial_error_exponent_fit(monkeypatch):
     lam = lattice(0.5, 0.5)
     radii = (4.0, 8.0, 16.0, 20.0)
     exhaustion = [euclid_ball(r) for r in radii]
     q = euclid_ball(1.0)
     est = density.beurling_density(lam, exhaustion)
-    integrals = density.error_integral_I(rep, g, q, exhaustion)
+    integrals = density.error_integral_I(q, exhaustion)
     check = density.check_polynomial_error_exponent(
         est.records, integrals, alpha=2.0, delta=1.0)
     assert check.theorem == "T4.3i" and check.inputs["side"] == "inf"
@@ -292,8 +277,10 @@ def test_polynomial_error_exponent_fit():
     # valid envelope constant is zero; normalizing by the density 4 the lower
     # deviation is positive and the fit returns a real constant
     assert check.constant == 0.0
+    monkeypatch.setattr(density, "GAUSSIAN_PROFILE", DensityFourProfile())
     check4 = density.check_polynomial_error_exponent(
-        est.records, integrals, alpha=2.0, delta=1.0, d_pi=4.0)
+        est.records, integrals, alpha=2.0, delta=1.0)
+    monkeypatch.undo()
     assert check4.constant > 0.0
     with pytest.raises(ValueError):
         density.check_polynomial_error_exponent(est.records[:3], integrals[:3],
@@ -303,7 +290,7 @@ def test_polynomial_error_exponent_fit():
                                                 alpha=2.0, delta=1.0)
     narrow = [euclid_ball(r) for r in (4.0, 5.0, 6.0, 7.0)]
     est_narrow = density.beurling_density(lam, narrow)
-    ints_narrow = density.error_integral_I(rep, g, q, narrow)
+    ints_narrow = density.error_integral_I(q, narrow)
     with pytest.raises(ValueError):
         density.check_polynomial_error_exponent(est_narrow.records, ints_narrow,
                                                 alpha=2.0, delta=1.0)
@@ -344,9 +331,7 @@ def test_fit_tail_constant_scales_inversely_with_c0_squared():
 
 
 def test_run_hole_falsification_frozen_constants_and_monotone_bounds():
-    rep = reps.gabor_gaussian()
-    g = reps.gaussian_window()
-    out = density.run_hole_falsification(rep, g, 0.5, 0.5, [0.0, 1.0, 2.0, 4.0],
+    out = density.run_hole_falsification(0.5, 0.5, [0.0, 1.0, 2.0, 4.0],
                                          section_radius=12.0)
     assert [e.hole_radius for e in out] == [0.0, 1.0, 2.0, 4.0]
     assert all(e.passed for e in out)
@@ -381,17 +366,15 @@ def test_run_hole_falsification_frozen_constants_and_monotone_bounds():
 
 
 def test_run_hole_falsification_validation():
-    rep = reps.gabor_gaussian()
-    g = reps.gaussian_window()
     with pytest.raises(ValueError):
-        density.run_hole_falsification(rep, g, 1.0, 1.0, [0.0], 12.0)
+        density.run_hole_falsification(1.0, 1.0, [0.0], 12.0)
     with pytest.raises(ValueError):
-        density.run_hole_falsification(rep, g, 0.5, 0.5, [0.0], 12.0, r0=0.5)
+        density.run_hole_falsification(0.5, 0.5, [0.0], 12.0, r0=0.5)
     with pytest.raises(ValueError):
-        density.run_hole_falsification(rep, g, 0.5, 0.5, [0.0], 12.0,
+        density.run_hole_falsification(0.5, 0.5, [0.0], 12.0,
                                        alpha=0.4, delta=0.5)
     with pytest.raises(ValueError):
-        density.run_hole_falsification(rep, g, 0.5, 0.5, [0.0, 8.0], 12.0)
+        density.run_hole_falsification(0.5, 0.5, [0.0, 8.0], 12.0)
 
 
 def _scalar_lens_area(r1, r2, d):
@@ -470,8 +453,7 @@ def _full_node_integral(prof, rho, r, kind, tol):
     ("I", 2.0, 2.0), ("I", 2.0, 1.5),     # r - rho <= 0: closed form, no nodes
 ])
 def test_error_integrals_take_lens_areas_at_live_nodes_only(monkeypatch, kind, rho, r):
-    rep, g = reps.gabor_gaussian(), reps.gaussian_window()
-    prof = reps.radial_profile(rep, g)
+    prof = reps.GAUSSIAN_PROFILE
     nodes, lens_nodes = [], []
     lens_area, refine = density.lens_area, density.refine_rows
 
@@ -488,7 +470,7 @@ def test_error_integrals_take_lens_areas_at_live_nodes_only(monkeypatch, kind, r
     monkeypatch.setattr(density, "lens_area", lens_spy)
     monkeypatch.setattr(density, "refine_rows", refine_spy)
     integral = density.error_integral_I if kind == "I" else density.error_integral_J
-    got = integral(rep, g, euclid_ball(rho), [euclid_ball(r)], tol=1e-8)[0].value
+    got = integral(euclid_ball(rho), [euclid_ball(r)], tol=1e-8)[0].value
     monkeypatch.undo()
     assert got.hex() == _full_node_integral(prof, rho, r, kind, 1e-8).hex()
     if kind == "I" and r <= rho:
@@ -510,8 +492,7 @@ def test_batched_error_integrals_equal_one_refinement_per_radius(seed, tol):
     # the value of its radius refined alone by the pre-batch loop; the radii
     # are unsorted, repeat, and (for I) include r <= rho, which has a closed
     # form and no nodes
-    rep, g = reps.gabor_gaussian(), reps.gaussian_window()
-    prof = reps.radial_profile(rep, g)
+    prof = reps.GAUSSIAN_PROFILE
     rng = np.random.default_rng(seed)
     rho = float(rng.uniform(0.5, 2.0))
     radii = [float(r) for r in rng.uniform(rho + 0.1, 30.0, 5)]
@@ -519,13 +500,13 @@ def test_batched_error_integrals_equal_one_refinement_per_radius(seed, tol):
     radii = [radii[i] for i in rng.permutation(len(radii))]
     ks = [euclid_ball(r) for r in radii]
     for kind, integral in (("I", density.error_integral_I), ("J", density.error_integral_J)):
-        recs = integral(rep, g, euclid_ball(rho), ks, tol=tol)
+        recs = integral(euclid_ball(rho), ks, tol=tol)
         assert [(rec.n, rec.kind, rec.tol) for rec in recs] \
             == [(n, kind, tol) for n in range(len(ks))]
         assert [rec.measure for rec in recs] == [k.measure for k in ks]
         assert [rec.value.hex() for rec in recs] \
             == [_full_node_integral(prof, rho, r, kind, tol).hex() for r in radii]
-    assert density.error_integral_I(rep, g, euclid_ball(rho), []) == []
+    assert density.error_integral_I(euclid_ball(rho), []) == []
 
 
 def test_refine_rows_equal_one_refinement_per_row():

@@ -1,7 +1,7 @@
 """Frame and Riesz bounds, relative separation, greedy covers, dimension
 counts, canonical duals, and the amalgam inequality.
 
-The finite-kind oracle builds the synthesis matrix from scratch with np.roll
+The finite-model oracle builds the synthesis matrix from scratch with np.roll
 and explicit modulation phases, then takes singular values; the package route
 goes through the assembled frame operator / Gram matrix eigensolves.
 """
@@ -74,7 +74,7 @@ def test_finite_frame_bounds_match_svd_oracle():
     for n, g, pts in cases:
         rep = reps.finite_weyl_heisenberg(n)
         lam = finite_subset(n, pts)
-        fb = frames.frame_operator_spectrum(rep, g, lam)
+        fb = frames.finite_frame_operator_spectrum(frames.finite_synthesis(rep, g, lam))
         lo, hi = svd_bounds_oracle(n, g, pts)
         # the smallest singular value of a wide synthesis maps to A only when
         # the system spans; compare against eigen extremes of phi phi* instead
@@ -91,7 +91,7 @@ def test_full_torus_is_tight_with_bound_n():
     rng = np.random.default_rng(3)
     g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     g = g / np.linalg.norm(g)
-    fb = frames.frame_operator_spectrum(rep, g, full_torus(n))
+    fb = frames.finite_frame_operator_spectrum(frames.finite_synthesis(rep, g, full_torus(n)))
     assert fb.kind == "frame"
     assert fb.lower == pytest.approx(float(n), abs=1e-10)
     assert fb.upper == pytest.approx(float(n), abs=1e-10)
@@ -104,12 +104,12 @@ def test_single_translation_row_of_delta_is_orthonormal_basis():
     delta = np.zeros(n, dtype=complex)
     delta[0] = 1.0
     lam = finite_subset(n, [(k, 0) for k in range(n)])
-    fb = frames.frame_operator_spectrum(rep, delta, lam)
+    fb = frames.finite_frame_operator_spectrum(frames.finite_synthesis(rep, delta, lam))
     assert fb.lower == pytest.approx(1.0, abs=1e-12)
     assert fb.upper == pytest.approx(1.0, abs=1e-12)
     # modulation-only row of the delta collapses to one repeated vector
     mod_row = finite_subset(n, [(0, l) for l in range(n)])
-    fb2 = frames.frame_operator_spectrum(rep, delta, mod_row)
+    fb2 = frames.finite_frame_operator_spectrum(frames.finite_synthesis(rep, delta, mod_row))
     assert fb2.kind == "bessel" and fb2.lower == 0.0
     assert fb2.upper == pytest.approx(float(n), abs=1e-12)
     assert fb2.condition_number is None
@@ -122,8 +122,9 @@ def test_gram_and_frame_operator_share_nonzero_spectrum():
     g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     pts = [(0, 0), (1, 2), (3, 3), (5, 1)]
     lam = finite_subset(n, pts)
-    fb = frames.frame_operator_spectrum(rep, g, lam)
-    rb = frames.riesz_bounds(rep, g, lam)
+    phi = frames.finite_synthesis(rep, g, lam)
+    fb = frames.finite_frame_operator_spectrum(phi)
+    rb = frames.finite_riesz_bounds(phi)
     # 4 vectors in C^6: Gram eigenvalues are the nonzero frame-operator ones
     assert rb.upper == pytest.approx(fb.upper, abs=1e-10)
     nonzero = [e for e in fb.spectrum if e > 1e-10]
@@ -159,9 +160,7 @@ def test_gabor_gram_entry_matches_dense_quadrature():
 
 
 def test_gaussian_section_bounds_on_half_integer_lattice():
-    rep = reps.gabor_gaussian()
-    g = reps.gaussian_window()
-    fb = frames.frame_operator_spectrum(rep, g, lattice(0.5, 0.5),
+    fb = frames.frame_operator_spectrum(lattice(0.5, 0.5),
                                         section_radius=12.0, margin=3.0)
     # redundancy-4 lattice: section eigenvalues concentrate near 4
     assert fb.lower == pytest.approx(3.97190876174, rel=1e-9)
@@ -169,23 +168,21 @@ def test_gaussian_section_bounds_on_half_integer_lattice():
     assert fb.kind == "frame"
     assert fb.method.startswith("truncated_section")
     with pytest.raises(ValueError):
-        frames.frame_operator_spectrum(rep, g, lattice(0.5, 0.5),
+        frames.frame_operator_spectrum(lattice(0.5, 0.5),
                                        section_radius=3.0, margin=3.0)
 
 
 def test_gaussian_lattice_with_ab_at_least_one_is_no_frame():
     # Lyubarskii; Seip-Wallsten: the Gaussian is a frame on aZ x bZ iff ab < 1.
     # The truncated section alone sees A = 0.0188 on Z^2 at R = 12.
-    rep = reps.gabor_gaussian()
-    g = reps.gaussian_window()
     for lam in (lattice(1.0, 1.0), lattice(1.0488, 1.0488),
                 lattice_with_holes(1.0, 1.0, [(0.0, 0.0, 2.0)])):
-        fb = frames.frame_operator_spectrum(rep, g, lam)
+        fb = frames.frame_operator_spectrum(lam)
         assert fb.kind == "bessel" and fb.lower == 0.0
         assert "admits no Gaussian frame" in fb.method
         # B stays the section's largest eigenvalue
         assert fb.upper == float(fb.spectrum[-1])
-    assert frames.frame_operator_spectrum(rep, g, lattice(0.99, 1.0)).kind == "frame"
+    assert frames.frame_operator_spectrum(lattice(0.99, 1.0)).kind == "frame"
 
 
 def test_section_mode_count():
@@ -194,16 +191,14 @@ def test_section_mode_count():
 
 
 def test_section_method_names_the_mode_cap_when_it_cuts():
-    rep = reps.gabor_gaussian()
-    g = reps.gaussian_window()
     lam = lattice(3.0, 3.0)  # few points: the cost is in the Hermite modes
     # ab = 9 >= 1 is no Gaussian frame, and the label says why A = 0
     no_frame = "; A=0: ab=9 >= 1 admits no Gaussian frame"
     # pi 9^2 = 254 modes fit under the cap: the section label is unchanged
-    fb = frames.frame_operator_spectrum(rep, g, lam, section_radius=12.0, margin=3.0)
+    fb = frames.frame_operator_spectrum(lam, section_radius=12.0, margin=3.0)
     assert fb.method == "truncated_section(R=12, margin=3)" + no_frame
     # pi 13^2 = 530.9: 512 of 530 resolved modes are kept
-    fb = frames.frame_operator_spectrum(rep, g, lam, section_radius=16.0, margin=3.0)
+    fb = frames.frame_operator_spectrum(lam, section_radius=16.0, margin=3.0)
     assert fb.method == "truncated_section(R=16, margin=3, modes=512/530)" + no_frame
 
 
@@ -226,8 +221,7 @@ def test_section_spectrum_matches_one_complex_product(monkeypatch, a, b, holes, 
         return eigvalsh(mat)
 
     monkeypatch.setattr(frames.np.linalg, "eigvalsh", spy)
-    fb = frames.frame_operator_spectrum(reps.gabor_gaussian(), reps.gaussian_window(),
-                                        lam, section_radius=7.0, margin=3.0)
+    fb = frames.frame_operator_spectrum(lam, section_radius=7.0, margin=3.0)
     monkeypatch.undo()
     assert calls == (["f", "f"] if parity else ["c"])
     _assert_section_is_one_product(fb, lam, 7.0, reps.hermite_gabor_coefficients)
@@ -245,8 +239,7 @@ def test_section_spectrum_past_the_underflow_radius_matches_the_log_form_product
         return eigvalsh(mat)
 
     monkeypatch.setattr(frames.np.linalg, "eigvalsh", spy)
-    fb = frames.frame_operator_spectrum(reps.gabor_gaussian(), reps.gaussian_window(),
-                                        lam, section_radius=22.0, margin=3.0)
+    fb = frames.frame_operator_spectrum(lam, section_radius=22.0, margin=3.0)
     monkeypatch.undo()
     assert calls == ["f", "f"]
     _assert_section_is_one_product(fb, lam, 22.0, _hermite_coefficients_reference)
@@ -291,15 +284,13 @@ def test_relative_separation_explicit_and_finite():
     rep = reps.finite_weyl_heisenberg(n)
     wq = groups.ball(groups.word_metric(rep.group), 1.0)
     lam = finite_subset(n, [(0, 0), (1, 0), (0, 1), (4, 4)])
-    sep = frames.relative_separation(lam, wq)
+    sep = frames.finite_relative_separation(lam, wq)
     assert sep.rel_sep == 3  # identity ball of radius 1 catches the cluster
 
 
 def test_lemma_cover_constant_gaussian_frozen_counts():
-    rep = reps.gabor_gaussian()
-    g = reps.gaussian_window()
     for rho, expect in ((0.6, 3), (1.0, 9), (1.25, 9), (2.0, 25), (3.0, 57)):
-        cover = frames.lemma_cover_constant(rep, g, euclid_ball(rho))
+        cover = frames.lemma_cover_constant(euclid_ball(rho))
         assert cover.n_cover == expect
         assert cover.constant == pytest.approx(4.0 * expect)
         assert cover.certified
@@ -408,15 +399,15 @@ def greedy_cover_disk_reference(rho, u):
 def test_cover_centres_equal_the_recounting_greedy(monkeypatch):
     # the gain-updating greedy over array-built grids picks the same centres,
     # in the same order, as the recounting loop over the hypot-tested lists
-    rep, g = reps.gabor_gaussian(), reps.gaussian_window()
     u = reps.GAUSSIAN_PROFILE.level_radius
     for rho in (0.5, 0.6, 1.0, 1.25, 2.0, 3.0):
-        cover = frames.lemma_cover_constant(rep, g, euclid_ball(rho))
+        cover = frames.lemma_cover_constant(euclid_ball(rho))
         centers, cell = greedy_cover_disk_reference(rho, u)
         assert cover.centers == tuple(centers), rho
         assert cover.cell_size == cell and cover.u_radius == u
-    # on the torus: the finite kind's candidate x target matrix, through
-    # lemma_cover_constant and against the recounting loop on the same matrix
+    # on the torus: the finite model's candidate x target matrix, through
+    # finite_lemma_cover_constant and against the recounting loop on the same
+    # matrix
     seen, greedy = [], frames._greedy_cover
     monkeypatch.setattr(frames, "_greedy_cover",
                         lambda covers: seen.append(covers) or greedy(covers))
@@ -424,7 +415,7 @@ def test_cover_centres_equal_the_recounting_greedy(monkeypatch):
         rep = reps.finite_weyl_heisenberg(n)
         g = np.random.default_rng(seed).standard_normal(n) + 0j
         q = groups.ball(groups.word_metric(rep.group), radius)
-        cover = frames.lemma_cover_constant(rep, g, q)
+        cover = frames.finite_lemma_cover_constant(rep, g, q)
         cand = sorted(rep.group.elements())
         want = greedy_cover_recount_reference(seen.pop())
         assert cover.centers == tuple(cand[i] for i in want)
@@ -453,7 +444,7 @@ def test_lemma_cover_constant_finite_property():
     rng = np.random.default_rng(6)
     g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     q = groups.ball(groups.word_metric(rep.group), 1.0)
-    cover = frames.lemma_cover_constant(rep, g, q)
+    cover = frames.finite_lemma_cover_constant(rep, g, q)
     table = np.abs(reps.coefficient_table(rep, g, g))
     level = float(np.linalg.norm(g)) ** 2 / 2.0
     group = rep.group
@@ -463,10 +454,7 @@ def test_lemma_cover_constant_finite_property():
 
 
 def test_bessel_separation_bound_gaussian_and_scale_invariance():
-    rep = reps.gabor_gaussian()
-    g = reps.gaussian_window()
-    out = frames.bessel_separation_bound(rep, g, lattice(0.5, 0.5),
-                                         euclid_ball(0.6))
+    out = frames.bessel_separation_bound(lattice(0.5, 0.5), euclid_ball(0.6))
     assert out["passed"]
     assert out["rel_sep"] == 6
     assert out["n_cover"] == 3
@@ -483,8 +471,8 @@ def test_bessel_separation_bound_finite_scale_invariance():
     g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     q = groups.ball(groups.word_metric(rep.group), 1.0)
     lam = finite_subset(n, [(k, l) for k in range(0, n, 2) for l in range(0, n, 2)])
-    out = frames.bessel_separation_bound(rep, g, lam, q)
-    out2 = frames.bessel_separation_bound(
+    out = frames.finite_bessel_separation_bound(rep, g, lam, q)
+    out2 = frames.finite_bessel_separation_bound(
         rep, 2.0 * g, lam, q,
         bessel_bound=4.0 * out["bessel_bound"])
     assert out["passed"] and out2["passed"]
@@ -509,8 +497,6 @@ def test_dimension_lemma_exhaustive_dims():
         assert out["deviation"] <= 1e-8 * max(1.0, out["rhs"])
     with pytest.raises(ValueError):
         dimension_lemma_check(rep, g, [qmat[:, 0] * 2.0])
-    with pytest.raises(ValueError):
-        dimension_lemma_check(reps.gabor_gaussian(), g, [])
 
 
 def test_canonical_dual_tight_case_and_reconstruction():
@@ -519,7 +505,7 @@ def test_canonical_dual_tight_case_and_reconstruction():
     rng = np.random.default_rng(14)
     g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     lam = full_torus(n)
-    report = frames.canonical_dual(rep, g, lam, seed=5)
+    report = frames.canonical_dual(frames.finite_synthesis(rep, g, lam), seed=5)
     assert report.passed
     assert report.reconstruction_error <= 1e-8
     # tight frame: S = N ||g||^2 I, so duals are scaled originals
@@ -533,8 +519,8 @@ def test_canonical_dual_tight_case_and_reconstruction():
     delta = np.zeros(4, dtype=complex)
     delta[0] = 1.0
     with pytest.raises(ValueError):
-        frames.canonical_dual(reps.finite_weyl_heisenberg(4), delta,
-                              finite_subset(4, [(0, l) for l in range(4)]))
+        frames.canonical_dual(frames.finite_synthesis(
+            reps.finite_weyl_heisenberg(4), delta, finite_subset(4, [(0, l) for l in range(4)])))
 
 
 def test_canonical_dual_generic_subset():
@@ -543,7 +529,7 @@ def test_canonical_dual_generic_subset():
     rng = np.random.default_rng(17)
     g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     lam = finite_subset(n, [(k, l) for k in range(n) for l in range(0, n, 2)])
-    report = frames.canonical_dual(rep, g, lam, seed=2, trials=6)
+    report = frames.canonical_dual(frames.finite_synthesis(rep, g, lam), seed=2, trials=6)
     assert report.passed and report.reconstruction_error <= 1e-8
     assert report.bounds.kind == "frame"
 
@@ -555,12 +541,9 @@ def test_amalgam_check_finite_and_gaussian():
     g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     q = groups.ball(groups.word_metric(rep.group), 1.0)
     lam = finite_subset(n, [(k, l) for k in range(0, n, 2) for l in range(0, n, 2)])
-    out = frames.amalgam_check(rep, g, lam, q, k_radius=3.0)
+    out = frames.finite_amalgam_check(rep, g, lam, q, k_radius=3.0)
     assert out["passed"] and out["lhs"] <= out["rhs"]
-    grep = reps.gabor_gaussian()
-    gw = reps.gaussian_window()
-    gout = frames.amalgam_check(grep, gw, lattice(0.5, 0.5), euclid_ball(0.6),
-                                k_radius=4.0)
+    gout = frames.amalgam_check(lattice(0.5, 0.5), euclid_ball(0.6), k_radius=4.0)
     assert gout["passed"]
     assert gout["mu_q"] == pytest.approx(math.pi * 0.36, rel=1e-12)
     assert gout["rel_sep"] == 6
@@ -579,53 +562,48 @@ def test_frame_bounds_validation_and_errors():
     fb = FrameBounds(0.0, 3.0, "bessel", "exact_spectrum")
     assert fb.condition_number is None
     assert fb.to_json()["A"] == 0.0
-    rep = reps.gabor_gaussian()
-    g = reps.gaussian_window()
     with pytest.raises(ValueError):
-        frames.riesz_bounds(rep, g, lattice(1.0, 1.0))  # needs restriction radius
+        frames.riesz_bounds(lattice(1.0, 1.0))  # needs restriction radius
     with pytest.raises(ValueError):  # the hole swallows the whole restriction
-        frames.riesz_bounds(rep, g, lattice_with_holes(1.0, 1.0, [(0.0, 0.0, 5.0)]),
+        frames.riesz_bounds(lattice_with_holes(1.0, 1.0, [(0.0, 0.0, 5.0)]),
                             restriction_radius=3.0)
     n = 8
     frep = reps.finite_weyl_heisenberg(n)
     with pytest.raises(ValueError):
-        frames.frame_operator_spectrum(frep, np.ones(4), full_torus(n))
+        frames.finite_synthesis(frep, np.ones(4), full_torus(n))
     with pytest.raises(ValueError):
-        frames.frame_operator_spectrum(frep, np.ones(n), full_torus(4))
+        frames.finite_synthesis(frep, np.ones(n), full_torus(4))
 
 
 def test_riesz_gram_diagonal_is_the_coefficient_at_zero():
     # the diagonal ||g||^2 is gabor_gram_entry at a zero shift, so the Gram
     # equals the one gabor_gram_entry builds entry by entry
-    rep = reps.gabor_gaussian()
     lam = lattice(1.0, 0.5)
     pts = lam.restrict(euclid_ball(1.0))
     assert len(pts) == 7
     gram = np.array([[frames.gabor_gram_entry(mu, nu) for nu in pts] for mu in pts])
     assert np.all(np.diag(gram) == 1.0)
     eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
-    rb = frames.riesz_bounds(rep, reps.gaussian_window(), lam, restriction_radius=1.0)
+    rb = frames.riesz_bounds(lam, restriction_radius=1.0)
     assert rb.lower == pytest.approx(eigs[0], rel=1e-12)
     assert rb.upper == pytest.approx(eigs[-1], rel=1e-12)
     # one point: the Gram is V_g g(0) = ||g||^2 = 1
     one = lattice(1.0, 1.0)
-    assert frames.riesz_bounds(rep, None, one, restriction_radius=0.5).upper == 1.0
+    assert frames.riesz_bounds(one, restriction_radius=0.5).upper == 1.0
 
 
 def test_continuous_ball_restricts_lattice_kinds_only():
     # Z_N^2 indices are not time-frequency points: reading them as such gave
     # the Gaussian a Riesz sequence on full_torus(4)
-    rep = reps.gabor_gaussian()
-    g = reps.gaussian_window()
     torus = full_torus(4)
     with pytest.raises(ValueError, match="finite_subset"):
         torus.restrict(euclid_ball(2.0))
     with pytest.raises(ValueError, match="finite_subset"):
-        frames.riesz_bounds(rep, g, torus, restriction_radius=6.0)
+        frames.riesz_bounds(torus, restriction_radius=6.0)
     with pytest.raises(ValueError, match="finite_subset"):
-        frames.frame_operator_spectrum(rep, g, torus)
+        frames.frame_operator_spectrum(torus)
     with pytest.raises(ValueError):
-        frames.riesz_bounds(rep, g, torus)
+        frames.riesz_bounds(torus)
     # restrict is the lattice kinds' disk enumeration: a word ball on the
     # torus is refused too
     wq = groups.ball(groups.word_metric(groups.finite_cyclic_sq(4)), 1.0)
@@ -634,9 +612,7 @@ def test_continuous_ball_restricts_lattice_kinds_only():
 
 
 def test_riesz_bounds_on_sparse_lattice_restriction():
-    rep = reps.gabor_gaussian()
-    g = reps.gaussian_window()
-    rb = frames.riesz_bounds(rep, g, lattice(2.0, 1.0), restriction_radius=8.0)
+    rb = frames.riesz_bounds(lattice(2.0, 1.0), restriction_radius=8.0)
     assert rb.kind == "riesz"
     assert rb.lower == pytest.approx(0.593, abs=2e-3)
     assert rb.upper == pytest.approx(1.416, abs=2e-3)
@@ -802,7 +778,6 @@ def test_section_takes_the_restriction_as_an_array(monkeypatch, lam):
     # the section enumerates its disk as arrays; they hold the restriction's
     # points in its (lexicographic) order, so the bounds match a section built
     # from np.asarray(restrict(...)) to the last bit
-    rep, g = reps.gabor_gaussian(), reps.gaussian_window()
     ball = euclid_ball(7.0)
     pts = lam.restrict(ball)
     assert tuple(lam.lattice_points_near(0.0, 0.0, 7.0)) == pts
@@ -815,12 +790,12 @@ def test_section_takes_the_restriction_as_an_array(monkeypatch, lam):
         return hermite(n_max, points)
 
     monkeypatch.setattr(reps, "hermite_gabor_coefficients", spy)
-    got = frames.frame_operator_spectrum(rep, g, lam, section_radius=7.0, margin=3.0)
+    got = frames.frame_operator_spectrum(lam, section_radius=7.0, margin=3.0)
     assert seen[0].dtype == want.dtype and seen[0].shape == want.shape
     assert seen[0].tobytes() == want.tobytes()
     monkeypatch.setattr(frames.PointSet, "_points_near",
                         lambda self, *args, **kwargs: (want[:, 0].copy(), want[:, 1].copy()))
-    ref = frames.frame_operator_spectrum(rep, g, lam, section_radius=7.0, margin=3.0)
+    ref = frames.frame_operator_spectrum(lam, section_radius=7.0, margin=3.0)
     assert (got.lower, got.upper, got.kind, got.method) == \
         (ref.lower, ref.upper, ref.kind, ref.method)
     assert got.spectrum.tobytes() == ref.spectrum.tobytes()

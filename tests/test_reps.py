@@ -1,5 +1,5 @@
-"""Representation models: matrix coefficients, the window check, formal
-degrees, and decay envelopes.
+"""Representation models: matrix coefficients, formal degrees, and decay
+envelopes.
 
 The continuous oracle is a dense direct trapezoid of
 V_g f(x, w) = integral f(t) conj(g(t - x)) e^{-2 pi i w t} dt
@@ -13,9 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from coherentlab import density, frames, groups, reps
-from coherentlab.reps import Window
-from reference import hermite_functions, mc_error_integral
+from coherentlab import reps
+from reference import hermite_functions
 
 
 def gauss(t):
@@ -103,70 +102,6 @@ def test_orthogonality_relations_exhaustive():
         assert report["formal_degree"] == pytest.approx(1.0 / n)
 
 
-def test_radial_profile_follows_the_window():
-    gauss_rep = reps.gabor_gaussian()
-    gw = reps.gaussian_window()
-    assert reps.radial_profile(gauss_rep) is reps.GAUSSIAN_PROFILE
-    assert reps.radial_profile(gauss_rep, gw) is reps.GAUSSIAN_PROFILE
-    assert reps.radial_profile(reps.finite_weyl_heisenberg(4), np.ones(4)) is None
-    # g = None takes the Gaussian window in every estimator
-    q = groups.ball(groups.euclidean_metric(dim=2), 1.0)
-    k = groups.ball(groups.euclidean_metric(dim=2), 4.0, closed=True)
-    square = frames.lattice(0.5, 0.5)
-
-    def riesz(rep, g):
-        rb = frames.riesz_bounds(rep, g, square, restriction_radius=0.75)
-        return rb.lower, rb.upper
-
-    values = (
-        lambda rep, g: density.error_integral_I(rep, g, q, [k])[0].value,
-        lambda rep, g: density.error_integral_J(rep, g, q, [k])[0].value,
-        lambda rep, g: reps.estimate_formal_degree(rep, g, 6.0),
-        lambda rep, g: reps.decay_envelope_check(rep, g, 1.0, 2.0, 4.0),
-        riesz)
-    for value in values:
-        assert value(gauss_rep, None) == value(gauss_rep, gw)
-
-
-def test_sampled_and_mixed_windows_raise_value_error():
-    gauss_rep = reps.gabor_gaussian()
-    dw = Window(model="decay_profile")
-    sw = Window(model="sample_vector")
-    # the time-frequency kind has one window, and vectors belong to the finite kind
-    for w, model in ((dw, "decay_profile"), (sw, "sample_vector"), (np.ones(4), "ndarray")):
-        with pytest.raises(ValueError, match=f"needs the Gaussian window; got {model}"):
-            reps.radial_profile(gauss_rep, w)
-    for call in (lambda: reps.estimate_formal_degree(gauss_rep, sw, 6.0),
-                 lambda: reps.decay_envelope_check(gauss_rep, sw, 1.0, 2.0, 4.0)):
-        with pytest.raises(ValueError, match="needs the Gaussian window"):
-            call()
-
-
-def test_every_time_frequency_estimator_checks_the_window_in_radial_profile():
-    rep = reps.gabor_gaussian()
-    bad = Window(model="decay_profile")
-    em = groups.euclidean_metric(dim=2)
-    q = groups.ball(em, 1.0)
-    k = groups.ball(em, 4.0, closed=True)
-    lam = frames.lattice(0.5, 0.5)
-    calls = {
-        "estimate_formal_degree": lambda: reps.estimate_formal_degree(rep, bad, 6.0),
-        "decay_envelope_check": lambda: reps.decay_envelope_check(rep, bad, 1.0, 2.0, 4.0),
-        "error_integral_I": lambda: density.error_integral_I(rep, bad, q, [k]),
-        "error_integral_J": lambda: density.error_integral_J(rep, bad, q, [k]),
-        "mc_error_integral": lambda: mc_error_integral(rep, bad, q, k, n_samples=10),
-        "lemma_cover_constant": lambda: frames.lemma_cover_constant(rep, bad, q),
-        "amalgam_check": lambda: frames.amalgam_check(rep, bad, lam, q, 4.0),
-        "frame_operator_spectrum": lambda: frames.frame_operator_spectrum(rep, bad, lam),
-        "riesz_bounds": lambda: frames.riesz_bounds(rep, bad, lam, restriction_radius=3.0),
-    }
-    for name, call in calls.items():
-        with pytest.raises(ValueError, match="time-frequency kind needs the Gaussian "
-                                             "window; got decay_profile"):
-            call()
-            pytest.fail(f"{name} accepted a non-Gaussian window")
-
-
 def test_formal_degree_estimates():
     n = 8
     rep = reps.finite_weyl_heisenberg(n)
@@ -178,9 +113,7 @@ def test_formal_degree_estimates():
     # homogeneous of degree 4
     est2 = reps.estimate_formal_degree(rep, 2.0 * g, 2.0 * n)
     assert est2 == pytest.approx(est, rel=1e-12)
-    grep = reps.gabor_gaussian()
-    gw = reps.gaussian_window()
-    assert reps.estimate_formal_degree(grep, gw, 6.0) == pytest.approx(1.0, abs=1e-6)
+    assert reps.GAUSSIAN_PROFILE.formal_degree == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(ValueError):
         reps.estimate_formal_degree(rep, g, 0.0)
 
@@ -212,14 +145,17 @@ def test_profile_mass_outside_matches_dense_trapezoid():
 
 
 def test_gaussian_formal_degree_matches_dense_trapezoid():
-    rep, g = reps.gabor_gaussian(), reps.gaussian_window()
+    # ||g||^4 over the mass of |V_g g|^2 in the disk of each radius
+    prof = reps.GAUSSIAN_PROFILE
     for radius in (0.3, 1.0, 2.0, 6.0):
         direct = dense_radial_mass(lambda r: np.exp(-math.pi * r * r), 0.0, radius)
-        assert reps.estimate_formal_degree(rep, g, radius) == pytest.approx(1.0 / direct,
-                                                                            rel=1e-9)
+        inside = prof.mass_outside(0.0, 0.0) - prof.mass_outside(0.0, radius)
+        assert prof.norm_sq ** 2 / inside == pytest.approx(1.0 / direct, rel=1e-9)
     # the whole-plane mass of |V_g g|^2 is ||g||^4 / d_pi = 1: no float is left
     # past radius 6
-    assert reps.estimate_formal_degree(rep, g, 6.0) == 1.0
+    assert prof.norm_sq ** 2 / (prof.mass_outside(0.0, 0.0)
+                                - prof.mass_outside(0.0, 6.0)) == 1.0
+    assert prof.formal_degree == 1.0
 
 
 def bisection_level_radius(profile, norm_sq, hi=64.0):
@@ -266,24 +202,17 @@ def test_level_radius_is_the_last_float_above_half_the_norm():
 
 
 def test_decay_envelope_check_calibration_and_failure():
-    rep = reps.gabor_gaussian()
-    g = reps.gaussian_window()
-    cal = reps.decay_envelope_check(rep, g, 1.0, 2.0, 8.0)
+    cal = reps.decay_envelope_check(1.0, 2.0, 8.0)
     assert not cal["passed"]  # c0 = 1 is too optimistic for exponent 2
     assert cal["max_ratio"] > 1.0
-    honest = reps.decay_envelope_check(rep, g, cal["max_ratio"] * (1 + 1e-9),
-                                       2.0, 8.0)
+    honest = reps.decay_envelope_check(cal["max_ratio"] * (1 + 1e-9), 2.0, 8.0)
     assert honest["passed"]
     # the Gaussian beats any polynomial envelope eventually but not with a
     # synthetic tiny constant
-    bogus = reps.decay_envelope_check(rep, g, 0.01, 4.0, 8.0)
+    bogus = reps.decay_envelope_check(0.01, 4.0, 8.0)
     assert not bogus["passed"]
     with pytest.raises(ValueError):
-        reps.decay_envelope_check(rep, g, 0.0, 2.0, 8.0)
-    # the finite kind has no radial profile to sample
-    frep = reps.finite_weyl_heisenberg(8)
-    with pytest.raises(ValueError, match="time-frequency kind"):
-        reps.decay_envelope_check(frep, np.ones(8), 1.0, 0.0, 8.0)
+        reps.decay_envelope_check(0.0, 2.0, 8.0)
 
 
 def test_hermite_gabor_coefficients_match_quadrature():
