@@ -31,7 +31,6 @@ from .quadrature import (
 from .reps import (
     RepModel,
     coefficient_table,
-    decay_envelope_check,
     estimate_formal_degree,
     finite_weyl_heisenberg,
     gaussian_ambiguity,

@@ -56,7 +56,6 @@ _SCHEMAS = {
         "annular_radii": ("floats", "2,4,8,16", _POSITIVE),
         "annular_fracs": ("floats", "0.25,0.5", _FRACTION),
         "annular_c_max": ("float", "8", _POSITIVE),
-        "seed": ("int", "0", _NONNEG),
     },
     "rep-check": {
         "n": ("int", "8", _AT_LEAST_2),
@@ -93,9 +92,7 @@ _SCHEMAS = {
         "tol": ("float", "1e-8", _POSITIVE),
         "fit_exponent": ("bool", "false", None),
         "alpha": ("float", "2", _NONNEG),
-        "delta": ("float", "1", _FRACTION),
         "diagnostic": ("bool", "false", None),
-        "seed": ("int", "0", _NONNEG),
     },
     "hole": {
         "lattice_a": ("float", "0.5", _POSITIVE),
@@ -104,10 +101,7 @@ _SCHEMAS = {
         "section_radius": ("float", "12", _POSITIVE),
         "margin": ("float", "3", _NONNEG),
         "r0": ("float", "1.25", _AT_LEAST_1),
-        "alpha": ("float", "2", _NONNEG),
-        "delta": ("float", "1", _FRACTION),
-        "calibration_radius": ("float", "8", _POSITIVE),
-        "seed": ("int", "0", _NONNEG),
+        "alpha": ("float", "2", _POSITIVE),
     },
 }
 
@@ -250,16 +244,8 @@ def _validate(experiment: str, cfg: dict) -> None:
         if cfg["section_radius"] < 2.0 * max(cfg["hole_radii"]):
             raise ConfigError("section_radius too small relative to the "
                               "largest hole_radii entry")
-        alpha, delta, cal = cfg["alpha"], cfg["delta"], cfg["calibration_radius"]
-        if alpha + delta <= 1.0:
-            raise ConfigError("alpha + delta must exceed 1")
-        # the powers of the tail fit and of the calibration envelope stay finite
-        if math.isinf(_size(lambda: density.TAIL_FIT_RADIUS ** (alpha + delta - 1.0))):
-            raise ConfigError(f"alpha + delta = {alpha + delta:g} overflows the tail "
-                              "fit's r^(alpha + delta - 1)")
-        if math.isinf(_size(lambda: (1.0 + cal) ** ((2.0 + alpha) / 2.0))):
-            raise ConfigError(f"calibration_radius = {cal:g} with alpha = {alpha:g} "
-                              "overflows the envelope (1 + r)^((2 + alpha) / 2)")
+        if math.isinf(_size(lambda: density.TAIL_FIT_RADIUS ** cfg["alpha"])):
+            raise ConfigError(f"{_key_value(cfg, 'alpha')} overflows the tail fit's r^alpha")
     _check_sizes(experiment, cfg, budget)
 
 
@@ -281,8 +267,13 @@ def _check_sizes(experiment: str, cfg: dict, budget: int) -> None:
     if experiment in ("density", "hole") or cfg.get("model") == "gaussian":
         # the cover of Q by level-set disks grows like the fourth power of its radius
         q_key = "r0" if experiment == "hole" else "q_radius"
-        if _disk_measure(cfg[q_key]) == 0.0:
+        mu_q = _disk_measure(cfg[q_key])
+        if mu_q == 0.0:
             raise ConfigError(f"{q_key} = {cfg[q_key]:g} gives Q zero measure")
+        # the counting constant C = (B / A) C(g, Q) / mu(Q) is at least 4 / mu(Q)
+        if experiment == "density" and math.isinf(4.0 / mu_q):
+            raise ConfigError(f"{q_key} = {cfg[q_key]:g} overflows the counting "
+                              "constant C >= 4 / mu(Q)")
         sizes.append((q_key, "cover matrix entries",
                       lambda: frames.cover_matrix_estimate(cfg[q_key])))
     if cfg.get("model") == "gaussian":
@@ -619,6 +610,10 @@ def run_density(cfg: dict) -> RunReport:
     checks = density.check_counting(q, bounds, estimate=dens,
                                     integrals=integrals, diagnostic=cfg["diagnostic"])
     report.timings["checks"] = time.perf_counter() - t0
+    if math.isinf(checks[0].constant):  # an infinite C makes every check vacuous
+        raise ConfigError(f"q_radius = {cfg['q_radius']:g} on lattice_a = "
+                          f"{cfg['lattice_a']:g}, lattice_b = {cfg['lattice_b']:g} "
+                          "overflows the counting constant C")
     report.records.append(_record("bounds", bounds.to_json(), passed=True))
     for chk in checks:
         report.records.append(_record(chk.theorem, chk.to_json()))
@@ -626,7 +621,7 @@ def run_density(cfg: dict) -> RunReport:
                                   upper=dens.upper, rel_sep=dens.rel_sep))
     if cfg["fit_exponent"]:
         fit = density.check_polynomial_error_exponent(
-            dens.records, integrals, cfg["alpha"], cfg["delta"])
+            dens.records, integrals, cfg["alpha"])
         report.records.append(_record(fit.theorem, fit.to_json()))
     report.csv_header = ("n", "r_n", "inf_count", "sup_count", "measure",
                          "I_n", "J_n", "lhs", "rhs", "margin", "pass")
@@ -645,11 +640,9 @@ def run_hole(cfg: dict) -> RunReport:
         exps = density.run_hole_falsification(
             cfg["lattice_a"], cfg["lattice_b"], cfg["hole_radii"],
             cfg["section_radius"], r0=cfg["r0"], alpha=cfg["alpha"],
-            delta=cfg["delta"], margin=cfg["margin"],
-            calibration_radius=cfg["calibration_radius"])
+            margin=cfg["margin"])
     except OverflowError as exc:  # the theorem radius, whose base is measured
-        raise ConfigError(f"alpha = {cfg['alpha']:g}, delta = {cfg['delta']:g}: "
-                          f"{exc}") from None
+        raise ConfigError(f"{_key_value(cfg, 'alpha')}: {exc}") from None
     report.timings["experiments"] = time.perf_counter() - t0
     a_prev = None
     monotone = True
@@ -678,6 +671,8 @@ def run_experiment(experiment: str, config_path: str, out_dir: str,
                    seed: int | None = None) -> RunReport:
     cfg = load_config(config_path, experiment)
     if seed is not None:
+        if "seed" not in cfg:
+            raise ConfigError(f"{experiment} takes no seed")
         cfg["seed"] = seed
     report = _RUNNERS[experiment](cfg)
     emit_report(report, out_dir)
@@ -694,11 +689,12 @@ def main(argv=None) -> int:
         p = sub.add_parser(kind)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
-        p.add_argument("--seed", type=int, default=None)
+        if "seed" in _SCHEMAS[kind]:
+            p.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
     try:
         report = run_experiment(args.experiment, args.config, args.out,
-                                seed=args.seed)
+                                seed=getattr(args, "seed", None))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -16,12 +16,17 @@ from typing import Sequence
 
 import numpy as np
 
-from . import frames, groups, reps
+from . import frames, groups
 from .frames import FrameBounds, PointSet
 from .quadrature import lens_area, refine_rows
 from .reps import GAUSSIAN_PROFILE, RadialProfile
 
 CHECK_TOL = 1e-9  # a theorem check passes while it fails by at most this
+# the annular-decay exponent of the plane: mu(B(r) \ B(r - s)) <= C_delta
+# (s / r)^delta mu(B(r)) holds with delta = 1 and C_delta = 2 (1 - (1 - t)^2
+# <= 2 t), and a smaller delta only weakens the hypotheses; alpha + DELTA - 1
+# is written alpha - (1 - DELTA), which rounds no small alpha > 0 to 0
+DELTA = 1.0
 SLOPE_SLACK = 0.15  # T4.3 passes while the fitted slope is at most -gamma + this
 
 
@@ -269,12 +274,12 @@ def check_counting(q: groups.Ball, bounds: FrameBounds, *,
 
 def check_polynomial_error_exponent(count_records: Sequence[CountingRecord],
                                     integral_records: Sequence[ErrorIntegralRecord],
-                                    alpha: float, delta: float) -> TheoremCheck:
+                                    alpha: float) -> TheoremCheck:
     """Fit the decay exponent of the normalized error integrals.
 
-    Passes if the fitted log-log slope is at most -alpha*delta/(delta+alpha)
+    Passes if the fitted log-log slope is at most -alpha*DELTA/(DELTA+alpha)
     plus SLOPE_SLACK; also fits the smallest constant C making
-    1 -/+ C r^{-alpha delta/(delta+alpha)} a valid envelope of count/(d_pi mu):
+    1 -/+ C r^{-alpha DELTA/(DELTA+alpha)} a valid envelope of count/(d_pi mu):
     inf counts for I_n records (T4.3i), sup counts for J_n ones (T4.3ii).
     """
     if len(count_records) != len(integral_records):
@@ -284,7 +289,7 @@ def check_polynomial_error_exponent(count_records: Sequence[CountingRecord],
         raise ValueError("insufficient radii: need >= 4 spanning a factor of 4")
     lower = integral_records[0].kind == "I"
     d_pi = GAUSSIAN_PROFILE.formal_degree
-    gamma = alpha * delta / (delta + alpha)
+    gamma = alpha * DELTA / (DELTA + alpha)
     logs_r = np.log(radii)
     logs_v = np.log([max(rec.normalized, 1e-300) for rec in integral_records])
     slope = float(np.polyfit(logs_r, logs_v, 1)[0])
@@ -296,7 +301,7 @@ def check_polynomial_error_exponent(count_records: Sequence[CountingRecord],
         fitted = max(fitted, dev * crec.radius ** gamma)
     return TheoremCheck("T4.3i" if lower else "T4.3ii", slope, threshold,
                         threshold - slope, slope <= threshold, fitted, False,
-                        {"gamma": gamma, "alpha": alpha, "delta": delta,
+                        {"gamma": gamma, "alpha": alpha, "delta": DELTA,
                          "radii": list(radii), "side": "inf" if lower else "sup",
                          "normalized": [rec.normalized for rec in integral_records]})
 
@@ -304,22 +309,20 @@ def check_polynomial_error_exponent(count_records: Sequence[CountingRecord],
 # -- Spectral-gap hole experiment ---------------------------------------------------------
 
 
-def hole_radius_bound(c0: float, alpha: float, delta: float, c: float,
-                      a: float, b: float) -> float:
-    """R = (C0^2 C B/A)^{1/(alpha+delta-1)}; any larger ball must meet Lambda."""
-    if alpha + delta <= 1.0:
-        raise ValueError("hypothesis violated: alpha + delta must exceed 1")
+def hole_radius_bound(c0: float, alpha: float, c: float, a: float, b: float) -> float:
+    """R = (C0^2 C B/A)^{1/(alpha+DELTA-1)}; any larger ball must meet Lambda."""
+    if alpha <= 1.0 - DELTA:
+        raise ValueError("hypothesis violated: alpha + DELTA must exceed 1")
     if a <= 0.0:
         raise ValueError("lower frame bound must be positive")
     if c0 <= 0.0 or c <= 0.0 or b <= 0.0:
         raise ValueError("constants must be positive")
     try:
-        radius = (c0 * c0 * c * b / a) ** (1.0 / (alpha + delta - 1.0))
+        radius = (c0 * c0 * c * b / a) ** (1.0 / (alpha - (1.0 - DELTA)))
     except OverflowError:
         radius = math.inf
     if math.isinf(radius):  # an infinite R would pass every hole
-        raise OverflowError("the theorem radius (C0^2 C B/A)^(1/(alpha + delta - 1)) "
-                            "overflows")
+        raise OverflowError("the theorem radius (C0^2 C B/A)^(1/alpha) overflows")
     return radius
 
 
@@ -327,16 +330,15 @@ TAIL_FIT_RADIUS = 6.0  # the tail constant is fitted on r0 < r <= this
 TAIL_FIT_STEP = 0.25  # in steps of this
 
 
-def fit_tail_constant(r0: float, alpha: float, delta: float, c0: float,
-                      norm4: float = 1.0) -> tuple:
-    """Smallest C'' with tail(r) <= C0^2 ||g||^4 C'' r^{1-delta-alpha} on the
+def fit_tail_constant(r0: float, alpha: float, c0: float, norm4: float = 1.0) -> tuple:
+    """Smallest C'' with tail(r) <= C0^2 ||g||^4 C'' r^{1-DELTA-alpha} on the
     fitted grid; tail(r) is the mass of M_Q^2 outside the radius-(r - r0) ball,
     read from the Gaussian's radial profile."""
     best, arg = 0.0, r0 + TAIL_FIT_STEP
     r = r0 + TAIL_FIT_STEP
     while r <= TAIL_FIT_RADIUS + 1e-9:
         tail = GAUSSIAN_PROFILE.mass_outside(r0, r - r0)
-        cand = tail * r ** (alpha + delta - 1.0) / (c0 * c0 * norm4)
+        cand = tail * r ** (alpha - (1.0 - DELTA)) / (c0 * c0 * norm4)
         if cand > best:
             best, arg = cand, r
         r += TAIL_FIT_STEP
@@ -346,8 +348,7 @@ def fit_tail_constant(r0: float, alpha: float, delta: float, c0: float,
 def run_hole_falsification(lattice_a: float, lattice_b: float,
                            hole_radii: Sequence[float], section_radius: float,
                            r0: float = 1.25, alpha: float = 2.0,
-                           delta: float = 1.0, margin: float = 3.0,
-                           calibration_radius: float = 8.0) -> list:
+                           margin: float = 3.0) -> list:
     """Search for counterexamples to the spectral-gap radius bound.
 
     For each hole radius, removes the open hole at the origin from the lattice,
@@ -361,20 +362,19 @@ def run_hole_falsification(lattice_a: float, lattice_b: float,
         raise ValueError("base lattice must be in the frame regime (a*b < 1)")
     if r0 < 1.0:
         raise ValueError("Q radius r0 must be at least 1")
-    if alpha + delta <= 1.0:
-        raise ValueError("hypothesis violated: alpha + delta must exceed 1")
+    if alpha <= 1.0 - DELTA:
+        raise ValueError("hypothesis violated: alpha + DELTA must exceed 1")
     radii = sorted(float(r) for r in hole_radii)
     if radii and section_radius < 2.0 * radii[-1]:
         raise ValueError("section radius too small relative to the largest hole")
     q = groups.ball(groups.euclidean_metric(dim=2), r0)
     exponent = (2.0 + alpha) / 2.0
-    cal = reps.decay_envelope_check(1.0, exponent, calibration_radius)
-    c0 = cal["max_ratio"]
+    c0, r_star = GAUSSIAN_PROFILE.envelope_constant(exponent)
     cover = frames.lemma_cover_constant(q)
     mu_q = math.pi * r0 * r0
     c_prime = cover.constant / mu_q
     norm4 = GAUSSIAN_PROFILE.norm_sq ** 2
-    c_dprime, c_dprime_arg = fit_tail_constant(r0, alpha, delta, c0, norm4)
+    c_dprime, c_dprime_arg = fit_tail_constant(r0, alpha, c0, norm4)
     c_total = c_prime * c_dprime
     out = []
     for rh in radii:
@@ -384,24 +384,21 @@ def run_hole_falsification(lattice_a: float, lattice_b: float,
         bounds = frames.frame_operator_spectrum(lam, section_radius=section_radius,
                                                 margin=margin)
         is_frame = bounds.kind == "frame"
-        theorem_radius = (hole_radius_bound(c0, alpha, delta, c_total,
-                                            bounds.lower, bounds.upper)
+        theorem_radius = (hole_radius_bound(c0, alpha, c_total, bounds.lower, bounds.upper)
                           if is_frame else None)
         no_counterexample = (not is_frame) or rh <= theorem_radius + CHECK_TOL
         tail_value = tail_env = None
         tail_ok = True
         if rh > r0:
             tail_value = GAUSSIAN_PROFILE.mass_outside(r0, rh - r0)
-            tail_env = c0 * c0 * norm4 * c_dprime * rh ** (1.0 - delta - alpha)
+            tail_env = c0 * c0 * norm4 * c_dprime * rh ** (1.0 - DELTA - alpha)
             tail_ok = tail_value <= tail_env * (1.0 + 1e-9)
         inputs = {"C0": c0, "C_prime": c_prime, "C_dprime": c_dprime,
                   "C": c_total, "n_cover": cover.n_cover, "mu_q": mu_q,
-                  "r0": r0, "alpha": alpha, "delta": delta,
+                  "r0": r0, "alpha": alpha, "delta": DELTA,
                   "section_radius": section_radius, "margin": margin,
                   "tail_fit_argmax": c_dprime_arg,
-                  "calibration": {"exponent": exponent,
-                                  "radius": calibration_radius,
-                                  "argmax": list(cal["argmax"])}}
+                  "calibration": {"exponent": exponent, "argmax": [r_star, 0.0]}}
         out.append(HoleExperiment(lattice_a, lattice_b, rh, bounds,
                                   theorem_radius, no_counterexample and tail_ok,
                                   tail_value, tail_env, inputs))

@@ -55,15 +55,15 @@ def refine_rows(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
     first = max(0, min(min_doublings, max_doublings))
     vals = eval_at(np.concatenate([np.arange(9) / 8.0]
                                   + [level_nodes(level) for level in range(1, first + 1)]))
-    # each row is reduced on its own, as a lone refinement reduces it, so the
-    # row sums stay bit-equal to it
-    t_prev = np.array([np.trapezoid(row[:9], dx=1.0 / 8) for row in vals])
+    # numpy reduces each row's contiguous run pairwise, as a lone refinement's
+    # sum does, so the row sums stay bit-equal to it
+    t_prev = np.trapezoid(vals[:, :9], dx=1.0 / 8, axis=1)
     r_prev, start = t_prev, 9
     for level in range(1, max_doublings + 1):
         n = 4 << level
         if level > first:
             vals, start = eval_at(level_nodes(level)), 0
-        t_cur = t_prev / 2.0 + np.array([np.sum(row[start:start + n]) for row in vals]) / (2 * n)
+        t_cur = t_prev / 2.0 + vals[:, start:start + n].sum(axis=1) / (2 * n)
         start += n
         r_cur = t_cur + (t_cur - t_prev) / 3.0
         if level >= min_doublings:

@@ -8,13 +8,14 @@ functions take the model and a window vector.  The Gaussian's ambiguity
 function |V_g g| is the radial profile exp(-pi |x|^2 / 2), and
 GAUSSIAN_PROFILE holds all of its closed forms: the local maximal function
 with its masses and certified tails, the level-set radius behind the cover
-constant, and the formal degree; the decay envelope reads it.
+constant, the formal degree, and the decay-envelope constant C0.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,7 +145,8 @@ def gaussian_ambiguity(x: float, w: float) -> complex:
 
 class RadialProfile:
     """|V_g g|(x) = profile(|x|) = exp(-pi |x|^2 / 2) for the unit Gaussian g,
-    with closed-form masses, tails, level-set radius and formal degree.
+    with closed-form masses, tails, level-set radius, formal degree and
+    envelope constant.
 
     The profile is nonincreasing, so for Q of radius rho the local maximal
     function M_Q V_g g at distance u is the profile at max(0, u - rho).
@@ -187,30 +189,23 @@ class RadialProfile:
             u = up
         return u
 
+    def envelope_constant(self, exponent: float) -> tuple:
+        """C0 = sup_r profile(r) (1 + r)^exponent / ||g||^2 and its argmax r*.
+
+        The log of the product is concave with its zero of slope where
+        pi r (1 + r) = exponent, at r* = (sqrt(1 + 4 exponent / pi) - 1) / 2.
+        The float value is raised by twice a bound on its rounding error (an
+        ulp of exp, a few of its argument) and then by one ulp, so C0 is never
+        below the supremum.
+        """
+        r = (math.sqrt(1.0 + 4.0 * exponent / math.pi) - 1.0) / 2.0
+        decay, growth = math.pi * r * r / 2.0, exponent * math.log1p(r)
+        c0 = math.exp(growth - decay) / self.norm_sq
+        slack = 4.0 * sys.float_info.epsilon * (1.0 + decay + growth)
+        return math.nextafter(c0 * (1.0 + slack), math.inf), r
+
 
 GAUSSIAN_PROFILE = RadialProfile()
-
-
-def decay_envelope_check(c0: float, exponent: float, sample_radius: float) -> dict:
-    """Sample the Gaussian's |V_g g| / ||g||^2 on 1600 radii against
-    c0 (1 + |x|)^(-exponent).
-
-    Reports the maximal ratio |V_g g(x)| (1+|x|)^exponent / (c0 ||g||^2); pass
-    iff it stays <= 1.  Calling with c0 = 1 calibrates the envelope constant.
-    """
-    if c0 <= 0 or sample_radius <= 0:
-        raise ValueError("c0 and sample_radius must be positive")
-    prof = GAUSSIAN_PROFILE
-    worst = 0.0
-    argmax = None
-    radii = np.linspace(0.0, sample_radius, 1600)
-    for r in radii:
-        ratio = prof.profile(float(r)) * (1.0 + r) ** exponent / (c0 * prof.norm_sq)
-        if ratio > worst:
-            worst, argmax = float(ratio), (float(r), 0.0)
-    return {"max_ratio": worst, "passed": worst <= 1.0 + 1e-12, "c0": c0,
-            "exponent": exponent, "sample_radius": sample_radius,
-            "samples": len(radii), "argmax": argmax}
 
 
 # -- Hermite tools (used by the truncated frame sections) -----------------------------------

@@ -75,7 +75,8 @@ def test_validate_hole_and_density_budgets(tmp_path):
     r0 = write_ini(tmp_path, "b.ini", "hole", {"r0": 0.5})
     with pytest.raises(cli.ConfigError, match="r0"):
         cli.load_config(r0, "hole")
-    expo = write_ini(tmp_path, "c.ini", "hole", {"alpha": 0.3, "delta": 0.5})
+    # alpha + delta > 1 with the plane's delta = 1
+    expo = write_ini(tmp_path, "c.ini", "hole", {"alpha": 0})
     with pytest.raises(cli.ConfigError, match="alpha"):
         cli.load_config(expo, "hole")
     huge = write_ini(tmp_path, "d.ini", "density",
@@ -178,6 +179,27 @@ def test_seed_override_lands_in_the_report(tmp_path):
     assert data["config"]["seed"] == 99
     assert data["experiment"] == "rep-check"
     assert data["overall_pass"] is True
+
+
+def test_keys_the_plane_fixes_and_unread_seeds_are_refused(tmp_path, capsys):
+    # delta = 1 is exact on R^2 and C0 is a closed form; no geometry, density
+    # or hole runner reads a seed
+    removed = [("density", "delta"), ("hole", "delta"), ("hole", "calibration_radius"),
+               ("geometry", "seed"), ("density", "seed"), ("hole", "seed")]
+    for i, (experiment, key) in enumerate(removed):
+        path = write_ini(tmp_path, f"{i}.ini", experiment, {key: 1})
+        assert cli.main([experiment, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown key '{key}' in [{experiment}]" in err, err
+    for i, experiment in enumerate(("geometry", "density", "hole")):
+        path = write_ini(tmp_path, f"s{i}.ini", experiment, {})
+        with pytest.raises(SystemExit) as exc:
+            cli.main([experiment, "--config", path, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        with pytest.raises(cli.ConfigError, match=f"{experiment} takes no seed"):
+            cli.run_experiment(experiment, path, str(tmp_path / "out"), seed=1)
+    assert not (tmp_path / "out").exists()
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -310,7 +332,7 @@ SWEEP_BASES = [
     ("geometry", {"growth_radii": "1,2,3,4", "folner_count": 1, "folner_step": 2,
                   "annular_radii": "2,4", "annular_fracs": "0.5"}),
     ("rep-check", {"n": 4, "trials": 2}),
-    ("hole", {"hole_radii": "0,1", "section_radius": 6, "calibration_radius": 2}),
+    ("hole", {"hole_radii": "0,1", "section_radius": 6}),
 ]
 
 
@@ -483,20 +505,21 @@ def test_huge_and_tiny_values_exit_2_naming_the_key(tmp_path, capsys):
         ("geometry", {"annular_radii": "5e-324,1"}, "annular_radii"),
         # trials x n^2 coefficient entries; 10^30 trials never finished
         ("rep-check", {"trials": 10 ** 30}, "trials"),
-        # powers in the tail fit and the calibration envelope
+        # the power r^alpha in the tail fit
         ("hole", {"alpha": "+0.628e150"}, "alpha"),
-        ("hole", {"delta": 1e100}, "delta"),
-        # annular decay on R^2 holds for delta <= 1 only: a larger one feeds
-        # T4.3 and the hole bound a false rate
-        ("hole", {"delta": 3}, "delta"),
-        ("density", {"delta": 3}, "delta"),
-        ("hole", {"calibration_radius": 1e300}, "calibration_radius"),
         # a disk whose pi r^2 rounds to 0 gives K_n or Q zero measure; at
         # q_radius = 1e-162 pi r r is still positive, but r^2 is 0
         ("density", {"radii": 1e-200}, "radii"),
         ("density", {"radii": "1e-200,1,2"}, "radii"),
         ("density", {"q_radius": 1e-170}, "q_radius"),
         ("density", {"q_radius": 1e-162}, "q_radius"),
+        # mu(Q) ~ 3e-320 is subnormal: the counting constant C >= 4 / mu(Q)
+        # overflows, and an infinite C made every T3.3 right side -inf
+        ("density", {"q_radius": 1e-160}, "q_radius"),
+        # 4 / mu(Q) ~ 1.3e308 is finite, but B / A ~ 2.4 of the 2 x 1 Riesz
+        # bounds takes C past the floats once the bounds are measured
+        ("density", {"side": "riesz", "lattice_a": 2, "lattice_b": 1,
+                     "q_radius": 1e-154}, "q_radius"),
     ]
     for i, (experiment, body, key) in enumerate(cases):
         path = write_ini(tmp_path, f"{i}.ini", experiment, body)
@@ -510,18 +533,17 @@ def test_huge_and_tiny_values_exit_2_naming_the_key(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_theorem_radius_overflow_exits_2_naming_alpha_and_delta(tmp_path, capsys):
-    # (C0^2 C B/A)^(1/(alpha + delta - 1)) with alpha + delta = 1.02 overflows;
-    # its base is measured, so the refusal comes after the bounds, and no
-    # report is written
+def test_theorem_radius_overflow_exits_2_naming_alpha(tmp_path, capsys):
+    # (C0^2 C B/A)^(1/(alpha + delta - 1)) with delta = 1 and alpha = 0.02
+    # overflows; its base is measured, so the refusal comes after the bounds,
+    # and no report is written
     path = write_ini(tmp_path, "a.ini", "hole", {"alpha": 0.02})
     assert cli.main(["hole", "--config", path, "--out", str(tmp_path / "out")]) == 2
     out, err = capsys.readouterr()
     assert "overall" not in out and "Traceback" not in err
-    message = err.split(": ", 1)[1]
-    assert re.search(r"\balpha\b", message) and re.search(r"\bdelta\b", message), err
+    assert re.search(r"\balpha = 0.02\b", err.split(": ", 1)[1]), err
     assert not (tmp_path / "out").exists()
-    # alpha + delta = 1.03 keeps the radius finite
+    # alpha = 0.03 keeps the radius finite
     path = write_ini(tmp_path, "b.ini", "hole", {"alpha": 0.03})
     assert cli.main(["hole", "--config", path, "--out", str(tmp_path / "out")]) == 0
 

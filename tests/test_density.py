@@ -267,9 +267,9 @@ def test_polynomial_error_exponent_fit(monkeypatch):
     q = euclid_ball(1.0)
     est = density.beurling_density(lam, exhaustion)
     integrals = density.error_integral_I(q, exhaustion)
-    check = density.check_polynomial_error_exponent(
-        est.records, integrals, alpha=2.0, delta=1.0)
+    check = density.check_polynomial_error_exponent(est.records, integrals, alpha=2.0)
     assert check.theorem == "T4.3i" and check.inputs["side"] == "inf"
+    assert check.inputs["delta"] == density.DELTA == 1.0
     assert check.passed
     assert check.lhs == pytest.approx(-0.9331, abs=2e-3)  # fitted slope
     assert check.rhs == pytest.approx(-2.0 / 3.0 + 0.15, rel=1e-12)
@@ -278,22 +278,21 @@ def test_polynomial_error_exponent_fit(monkeypatch):
     # deviation is positive and the fit returns a real constant
     assert check.constant == 0.0
     monkeypatch.setattr(density, "GAUSSIAN_PROFILE", DensityFourProfile())
-    check4 = density.check_polynomial_error_exponent(
-        est.records, integrals, alpha=2.0, delta=1.0)
+    check4 = density.check_polynomial_error_exponent(est.records, integrals, alpha=2.0)
     monkeypatch.undo()
     assert check4.constant > 0.0
     with pytest.raises(ValueError):
         density.check_polynomial_error_exponent(est.records[:3], integrals[:3],
-                                                alpha=2.0, delta=1.0)
+                                                alpha=2.0)
     with pytest.raises(ValueError):
         density.check_polynomial_error_exponent(est.records, integrals[:3],
-                                                alpha=2.0, delta=1.0)
+                                                alpha=2.0)
     narrow = [euclid_ball(r) for r in (4.0, 5.0, 6.0, 7.0)]
     est_narrow = density.beurling_density(lam, narrow)
     ints_narrow = density.error_integral_I(q, narrow)
     with pytest.raises(ValueError):
         density.check_polynomial_error_exponent(est_narrow.records, ints_narrow,
-                                                alpha=2.0, delta=1.0)
+                                                alpha=2.0)
 
 
 def test_run_density_fits_the_riesz_side_exponent(tmp_path):
@@ -308,25 +307,28 @@ def test_run_density_fits_the_riesz_side_exponent(tmp_path):
 
 
 def test_hole_radius_bound_formula_and_validation():
-    assert density.hole_radius_bound(2.0, 2.0, 1.0, 3.0, 1.0, 2.0) \
+    assert density.hole_radius_bound(2.0, 2.0, 3.0, 1.0, 2.0) \
         == pytest.approx(math.sqrt(24.0))
-    # exponent 1/(alpha + delta - 1)
-    assert density.hole_radius_bound(1.0, 3.0, 2.0, 5.0, 1.0, 1.0) \
+    # exponent 1/(alpha + delta - 1) with delta = 1
+    assert density.hole_radius_bound(1.0, 4.0, 5.0, 1.0, 1.0) \
         == pytest.approx(5.0 ** 0.25)
+    # no small alpha > 0 rounds the exponent's denominator to 0
+    with pytest.raises(OverflowError):
+        density.hole_radius_bound(1.0, 1e-300, 5.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        density.hole_radius_bound(1.0, 0.5, 0.5, 1.0, 1.0, 1.0)
+        density.hole_radius_bound(1.0, 0.0, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        density.hole_radius_bound(1.0, 2.0, 1.0, 1.0, 0.0, 1.0)
+        density.hole_radius_bound(1.0, 2.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        density.hole_radius_bound(-1.0, 2.0, 1.0, 1.0, 1.0, 1.0)
+        density.hole_radius_bound(-1.0, 2.0, 1.0, 1.0, 1.0)
 
 
 def test_fit_tail_constant_scales_inversely_with_c0_squared():
-    c1, arg1 = density.fit_tail_constant(1.25, 2.0, 1.0, 1.0)
-    c2, arg2 = density.fit_tail_constant(1.25, 2.0, 1.0, 2.0)
+    c1, arg1 = density.fit_tail_constant(1.25, 2.0, 1.0)
+    c2, arg2 = density.fit_tail_constant(1.25, 2.0, 2.0)
     assert c2 == pytest.approx(c1 / 4.0, rel=1e-12)
     assert arg1 == arg2
-    c3, _ = density.fit_tail_constant(1.25, 2.0, 1.0, 1.0, norm4=4.0)
+    c3, _ = density.fit_tail_constant(1.25, 2.0, 1.0, norm4=4.0)
     assert c3 == pytest.approx(c1 / 4.0, rel=1e-12)
 
 
@@ -337,10 +339,14 @@ def test_run_hole_falsification_frozen_constants_and_monotone_bounds():
     assert all(e.passed for e in out)
     base = out[0]
     inputs = base.inputs
-    assert inputs["C0"] == pytest.approx(1.52986839555, rel=1e-9)
+    # C0 = sup e^(-pi r^2 / 2) (1 + r)^2 at r* = (sqrt(1 + 8 / pi) - 1) / 2
+    assert inputs["C0"] == pytest.approx(1.52987394705, rel=1e-9)
+    assert inputs["calibration"] == {"exponent": 2.0, "argmax": [
+        pytest.approx((math.sqrt(1.0 + 8.0 / math.pi) - 1.0) / 2.0, rel=1e-15), 0.0]}
+    assert inputs["delta"] == 1.0
     assert inputs["C_prime"] == pytest.approx(7.33385977767, rel=1e-9)
-    assert inputs["C_dprime"] == pytest.approx(14.4794300145, rel=1e-9)
-    assert inputs["C"] == pytest.approx(106.190109387, rel=1e-9)
+    assert inputs["C_dprime"] == pytest.approx(14.4793249308, rel=1e-9)
+    assert inputs["C"] == pytest.approx(106.189338718, rel=1e-9)
     assert inputs["n_cover"] == 9
     assert inputs["mu_q"] == pytest.approx(math.pi * 1.25 ** 2, rel=1e-12)
     assert inputs["tail_fit_argmax"] == pytest.approx(2.25)
@@ -371,8 +377,7 @@ def test_run_hole_falsification_validation():
     with pytest.raises(ValueError):
         density.run_hole_falsification(0.5, 0.5, [0.0], 12.0, r0=0.5)
     with pytest.raises(ValueError):
-        density.run_hole_falsification(0.5, 0.5, [0.0], 12.0,
-                                       alpha=0.4, delta=0.5)
+        density.run_hole_falsification(0.5, 0.5, [0.0], 12.0, alpha=0.0)
     with pytest.raises(ValueError):
         density.run_hole_falsification(0.5, 0.5, [0.0, 8.0], 12.0)
 

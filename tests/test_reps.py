@@ -201,18 +201,34 @@ def test_level_radius_is_the_last_float_above_half_the_norm():
     assert min(radii) < radii[0] < max(radii)
 
 
-def test_decay_envelope_check_calibration_and_failure():
-    cal = reps.decay_envelope_check(1.0, 2.0, 8.0)
-    assert not cal["passed"]  # c0 = 1 is too optimistic for exponent 2
-    assert cal["max_ratio"] > 1.0
-    honest = reps.decay_envelope_check(cal["max_ratio"] * (1 + 1e-9), 2.0, 8.0)
-    assert honest["passed"]
-    # the Gaussian beats any polynomial envelope eventually but not with a
-    # synthetic tiny constant
-    bogus = reps.decay_envelope_check(0.01, 4.0, 8.0)
-    assert not bogus["passed"]
-    with pytest.raises(ValueError):
-        reps.decay_envelope_check(0.0, 2.0, 8.0)
+def test_envelope_constant_is_the_supremum_of_the_decay_envelope():
+    prof = reps.GAUSSIAN_PROFILE
+
+    def envelope(r, exponent):
+        return np.exp(-math.pi * r * r / 2.0) * (1.0 + r) ** exponent / prof.norm_sq
+
+    for exponent, c0, r_star in ((1.5, 1.2940167992883957, 0.35292),
+                                 (2.0, 1.5298739470461407, 0.44160),
+                                 (3.0, 2.3268971759736017, 0.59769)):
+        got, arg = prof.envelope_constant(exponent)
+        assert arg == pytest.approx(r_star, abs=1e-5)
+        assert got == pytest.approx(c0, rel=1e-12)
+        # a 1e-8 grid about r* and a coarse one out to 50: C0 is never below
+        # either maximum and is within 1e-12 of the dense one
+        dense = envelope(np.linspace(arg - 1e-3, arg + 1e-3, 200_001), exponent).max()
+        coarse = envelope(np.linspace(0.0, 50.0, 50_001), exponent).max()
+        assert got >= dense >= coarse
+        assert got == pytest.approx(dense, rel=1e-12)
+        # c0 = 1 is too optimistic: (1 + r)^exponent beats the profile near 0
+        assert got > 1.0
+    # the rounding slack grows with the exponent, up to the largest a hole
+    # run takes ((2 + alpha) / 2 with 6^alpha finite)
+    for exponent in (0.01, 0.5, 7.0, 40.0, 199.0):
+        got, arg = prof.envelope_constant(exponent)
+        r = np.linspace(arg - 1e-4, arg + 1e-4, 20_001)
+        grid = np.exp(exponent * np.log1p(r) - math.pi * r * r / 2.0)
+        assert got >= grid.max(), exponent
+        assert got == pytest.approx(grid.max(), rel=1e-11), exponent
 
 
 def test_hermite_gabor_coefficients_match_quadrature():
