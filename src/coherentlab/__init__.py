@@ -15,7 +15,6 @@ from .groups import (
     estimate_annular_decay,
     euclidean,
     euclidean_metric,
-    finite_cyclic_sq,
     fit_growth_exponent,
     folner_exhaustion,
     folner_ratio,
@@ -34,6 +33,7 @@ from .reps import (
     estimate_formal_degree,
     finite_weyl_heisenberg,
     gaussian_ambiguity,
+    torus_ball,
     verify_cocycle_identity,
     verify_orthogonality,
 )

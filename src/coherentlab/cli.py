@@ -91,7 +91,7 @@ _SCHEMAS = {
         "grid_spacing": ("float", "-1", None),  # <= 0: min(a, b) / 8
         "tol": ("float", "1e-8", _POSITIVE),
         "fit_exponent": ("bool", "false", None),
-        "alpha": ("float", "2", _NONNEG),
+        "alpha": ("float", "2", _POSITIVE),
         "diagnostic": ("bool", "false", None),
     },
     "hole": {
@@ -534,7 +534,7 @@ def run_frame(cfg: dict) -> RunReport:
                                            for l in range(n)])
         else:
             lam = frames.finite_subset(n, [(k, 0) for k in range(n)])
-        args = (rep, g, lam, groups.ball(groups.word_metric(rep.group), cfg["q_radius"]))
+        args = (rep, g, lam, cfg["q_radius"])
         phi = frames.finite_synthesis(rep, g, lam)
         fb = frames.finite_frame_operator_spectrum(phi)
         rb = frames.finite_riesz_bounds(phi)

@@ -5,7 +5,9 @@ Gaussian window on lattices, truncated-section and Gram estimates, relative
 separation, cover-based Bessel bounds and the amalgam inequality check, all
 read from reps.GAUSSIAN_PROFILE.  The finite model has its own finite_*
 functions, which take the model and a window vector; its exact spectra and
-canonical dual read the synthesis matrix that finite_synthesis builds once.
+canonical dual read the synthesis matrix that finite_synthesis builds once,
+and its separation, cover and amalgam checks take Q and K by radius and
+compute on the (N, N) masks of reps.torus_ball.
 """
 
 from __future__ import annotations
@@ -257,10 +259,14 @@ def _hermitian_eigs(mat: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.eigvalsh((mat + adj) / 2.0)
 
 
-def finite_synthesis(rep: RepModel, g: np.ndarray, lam: PointSet) -> np.ndarray:
-    """The synthesis matrix of the finite model: column j is pi(lam_j) g."""
+def _check_same_torus(rep: RepModel, lam: PointSet) -> None:
     if lam.kind != FINITE_SUBSET or lam.modulus != rep.n:
         raise ValueError("the finite model needs a finite_subset over the same modulus")
+
+
+def finite_synthesis(rep: RepModel, g: np.ndarray, lam: PointSet) -> np.ndarray:
+    """The synthesis matrix of the finite model: column j is pi(lam_j) g."""
+    _check_same_torus(rep, lam)
     if not lam.points:
         raise ValueError("empty point set")
     gv = np.asarray(g, dtype=complex)
@@ -448,21 +454,22 @@ def _disk_candidates(pts: list, rho: float) -> list:
     return cands
 
 
-def finite_relative_separation(lam: PointSet, q: groups.Ball) -> SeparationReport:
-    """Exact Rel_Q of a finite subset of the torus for a word ball Q, by a
-    scan of all its translates."""
-    if q.points is None:
-        raise ValueError("finite separation needs an enumerated Q")
-    group = q.metric.group
-    if group.modulus != lam.modulus:
-        raise ValueError("Q lives on a different torus")
-    pset = set(lam.points)
-    best, witness = 0, group.identity()
-    for x in group.elements():
-        c = sum(1 for z in q.points if group.multiply(x, z) in pset)
-        if c > best:
-            best, witness = c, x
-    return SeparationReport(best, q.radius, "word_ball", 0.0, witness, lam.modulus ** 2)
+def finite_relative_separation(lam: PointSet, q_radius: float) -> SeparationReport:
+    """Exact Rel_Q of a finite subset of the torus for the word ball Q of this
+    radius: the count in every translate x + Q at once, a sum of the mask of
+    Lambda rolled by each offset of Q; the witness is the first maximum in
+    row-major order."""
+    if lam.kind != FINITE_SUBSET:
+        raise ValueError(f"finite separation needs a finite_subset, not {lam.kind}")
+    n = lam.modulus
+    hits = np.zeros((n, n), dtype=bool)
+    hits[tuple(np.array(lam.points, dtype=np.intp).reshape(-1, 2).T)] = True
+    counts = np.zeros((n, n), dtype=np.int64)
+    for dk, dl in np.argwhere(reps.torus_ball(n, q_radius)):
+        counts += np.roll(hits, (-dk, -dl), axis=(0, 1))
+    best = int(np.argmax(counts))
+    return SeparationReport(int(counts.flat[best]), q_radius, "word_ball", 0.0,
+                            divmod(best, n), n * n)
 
 
 def relative_separation(lam: PointSet, q: groups.Ball) -> SeparationReport:
@@ -583,21 +590,22 @@ def separation_pair_estimate(rho: float, a: float, b: float) -> float:
     return w * (w - 1.0) / 2.0
 
 
-def finite_lemma_cover_constant(rep: RepModel, g: np.ndarray, q: groups.Ball) -> CoverReport:
+def finite_lemma_cover_constant(rep: RepModel, g: np.ndarray, q_radius: float) -> CoverReport:
     """Cover count n and constant C(g, Q) = 4n with U = {|V_g g| > ||g||^2/2}:
-    an exhaustive greedy cover of the word ball Q over the torus."""
+    an exhaustive greedy cover of the word ball Q of this radius over the
+    torus.  Every element x is a candidate, and covers the target t when
+    t - x lies in U."""
     gv = np.asarray(g, dtype=complex)
     table = np.abs(reps.coefficient_table(rep, gv, gv))
     level = float(np.linalg.norm(gv)) ** 2 / 2.0
-    u_set = {(k, l) for k in range(rep.n) for l in range(rep.n) if table[k, l] > level}
-    if not u_set:
+    u_mask = table > level
+    if not u_mask.any():
         raise ValueError("no level set found: |V_g g| never exceeds ||g||^2/2")
-    group = rep.group
-    targets = sorted(set(q.points))
-    cand = sorted(group.elements())
-    covers = np.array([[group.multiply(group.inverse(x), t) in u_set for t in targets]
-                       for x in cand], dtype=bool)
-    chosen = [cand[i] for i in _greedy_cover(covers)]
+    n = rep.n
+    tk, tl = np.nonzero(reps.torus_ball(n, q_radius))  # row-major order
+    ck, cl = np.divmod(np.arange(n * n), n)
+    covers = u_mask[(tk - ck[:, None]) % n, (tl - cl[:, None]) % n]
+    chosen = [divmod(i, n) for i in _greedy_cover(covers)]
     return CoverReport(len(chosen), 4.0 * len(chosen), level, None, tuple(chosen), True, 0.0)
 
 
@@ -626,15 +634,16 @@ def _bessel_report(sep: SeparationReport, cover: CoverReport, cover2: CoverRepor
 
 
 def finite_bessel_separation_bound(rep: RepModel, g: np.ndarray, lam: PointSet,
-                                   q: groups.Ball, bessel_bound: float | None = None) -> dict:
+                                   q_radius: float, bessel_bound: float | None = None) -> dict:
     """Check Rel_Q(Lambda) <= 4 n B ||g||^{-2} and its invariance under g -> 2g;
     B defaults to the upper bound of the exact frame-operator spectrum."""
+    _check_same_torus(rep, lam)
     gv = np.asarray(g, dtype=complex)
     if bessel_bound is None:
         bessel_bound = finite_frame_operator_spectrum(finite_synthesis(rep, gv, lam)).upper
-    return _bessel_report(finite_relative_separation(lam, q),
-                          finite_lemma_cover_constant(rep, gv, q),
-                          finite_lemma_cover_constant(rep, 2.0 * gv, q),
+    return _bessel_report(finite_relative_separation(lam, q_radius),
+                          finite_lemma_cover_constant(rep, gv, q_radius),
+                          finite_lemma_cover_constant(rep, 2.0 * gv, q_radius),
                           bessel_bound, float(np.linalg.norm(gv)) ** 2)
 
 
@@ -700,22 +709,30 @@ def _amalgam_report(lhs: float, rhs: float, sep: SeparationReport, mu_q: float,
             "mu_q": mu_q, "k_radius": k_radius, "passed": lhs <= rhs * (1.0 + 1e-9)}
 
 
-def finite_amalgam_check(rep: RepModel, g: np.ndarray, lam: PointSet, q: groups.Ball,
+def finite_amalgam_check(rep: RepModel, g: np.ndarray, lam: PointSet, q_radius: float,
                          k_radius: float) -> dict:
     """The amalgam bound sum_{lam in K} |F(lam)|^2 <= (Rel_Q / mu(Q)) *
-    sum_{KQ} (M_Q F)^2 for F = V_g g, with K the closed word ball of radius
-    k_radius."""
-    sep = finite_relative_separation(lam, q)
+    sum_{KQ} (M_Q F)^2 for F = V_g g, with Q and K the closed word balls of
+    radii q_radius and k_radius.  One pass over the offsets z of Q rolls
+    both M_Q F, the running max of F(x + z), and KQ, the union of K + z."""
+    _check_same_torus(rep, lam)
+    sep = finite_relative_separation(lam, q_radius)
     gv = np.asarray(g, dtype=complex)
     table = np.abs(reps.coefficient_table(rep, gv, gv))
-    lhs = float(sum(table[p] ** 2 for p in lam.points if q.metric.length(p) <= k_radius))
-    kq = {rep.group.multiply(y, z) for y in groups.ball(q.metric, k_radius, closed=True).points
-          for z in q.points}
-    m = np.zeros_like(table)  # M_Q F on the torus
-    for (dk, dl) in q.points:
-        m = np.maximum(m, np.roll(table, (-dk % rep.n, -dl % rep.n), axis=(0, 1)))
-    rhs = sep.rel_sep / q.measure * float(sum(m[p] ** 2 for p in kq))
-    return _amalgam_report(lhs, rhs, sep, q.measure, k_radius)
+    k_mask = reps.torus_ball(rep.n, k_radius)
+    lhs = float(sum(table[p] ** 2 for p in lam.points if k_mask[p]))
+    q_offsets = np.argwhere(reps.torus_ball(rep.n, q_radius))
+    m = np.zeros_like(table)
+    kq = np.zeros_like(k_mask)
+    for dk, dl in q_offsets:
+        m = np.maximum(m, np.roll(table, (-dk, -dl), axis=(0, 1)))
+        kq |= np.roll(k_mask, (dk, dl), axis=(0, 1))
+    mu_q = float(len(q_offsets))
+    # both sides add numpy scalars one by one in row-major order, so they are
+    # equal when they sum the same terms (Python floats would take sum()'s
+    # compensated path from 3.12 on)
+    rhs = sep.rel_sep / mu_q * float(sum(m[kq] ** 2))
+    return _amalgam_report(lhs, rhs, sep, mu_q, k_radius)
 
 
 def amalgam_check(lam: PointSet, q: groups.Ball, k_radius: float) -> dict:

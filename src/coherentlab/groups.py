@@ -1,13 +1,14 @@
 """Concrete groups of polynomial growth with periodic metrics.
 
-Four desk-scale models are shipped: Euclidean R^d with Lebesgue measure, the
-integer lattice Z^d, the discrete Heisenberg group H3(Z) in normal form, and
-the finite torus Z_N x Z_N, each with counting measure.  On top of them sit
-metric balls about the identity (word and gauge balls alike one interval of
-the last coordinate per column, sized exactly from their columns before any
-element is built), growth-exponent and annular-decay diagnostics, and Folner
-ratios on R^d, Z^d and H3.  Translates x K are the callers' business: the
-counting code moves its centres, not its balls.
+Three desk-scale models are shipped: Euclidean R^d with Lebesgue measure, and
+the integer lattice Z^d and the discrete Heisenberg group H3(Z) in normal
+form, each with counting measure.  On top of them sit metric balls about the
+identity (word and gauge balls alike one interval of the last coordinate per
+column, sized exactly from their columns before any element is built),
+growth-exponent and annular-decay diagnostics, and Folner ratios.  Translates
+x K are the callers' business: the counting code moves its centres, not its
+balls, and no element is ever measured on its own.  The finite model's torus
+Z_N x Z_N keeps its word balls in reps.torus_ball.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ BUDGET_ENV_VAR = "COHERENTLAB_MAX_BALL_ELEMENTS"
 EUCLIDEAN = "euclidean"
 INTEGER_LATTICE = "integer_lattice"
 DISCRETE_HEISENBERG = "discrete_heisenberg"
-FINITE_CYCLIC_SQ = "finite_cyclic_sq"
 
 EUCLIDEAN_NORM = "euclidean_norm"
 WORD_METRIC = "word_metric"
@@ -61,49 +61,17 @@ def ball_budget() -> int:
 class GroupModel:
     """One of the concrete ambient groups.
 
-    Elements are plain tuples: floats for the euclidean kind, ints otherwise.
+    Elements are plain tuples: floats for the euclidean kind, ints otherwise;
+    H3 multiplies in normal form, (x, y, z)(x', y', z') = (x + x', y + y',
+    z + z' + x y').
     """
 
     kind: str
     dim: int = 0
-    modulus: int = 0
 
     @property
     def is_discrete(self) -> bool:
         return self.kind != EUCLIDEAN
-
-    def identity(self) -> tuple:
-        if self.kind == EUCLIDEAN:
-            return (0.0,) * self.dim
-        if self.kind == INTEGER_LATTICE:
-            return (0,) * self.dim
-        if self.kind == DISCRETE_HEISENBERG:
-            return (0, 0, 0)
-        return (0, 0)
-
-    def multiply(self, a: tuple, b: tuple) -> tuple:
-        if self.kind == DISCRETE_HEISENBERG:
-            # normal form (x, y, z), (x,y,z)(x',y',z') = (x+x', y+y', z+z'+x*y')
-            return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
-        if self.kind == FINITE_CYCLIC_SQ:
-            n = self.modulus
-            return ((a[0] + b[0]) % n, (a[1] + b[1]) % n)
-        return tuple(x + y for x, y in zip(a, b))
-
-    def inverse(self, a: tuple) -> tuple:
-        if self.kind == DISCRETE_HEISENBERG:
-            return (-a[0], -a[1], -a[2] + a[0] * a[1])
-        if self.kind == FINITE_CYCLIC_SQ:
-            n = self.modulus
-            return ((-a[0]) % n, (-a[1]) % n)
-        return tuple(-x for x in a)
-
-    def elements(self) -> list:
-        """All elements; finite kind only."""
-        if self.kind != FINITE_CYCLIC_SQ:
-            raise ValueError("elements() requires the finite kind")
-        n = self.modulus
-        return [(k, l) for k in range(n) for l in range(n)]
 
 
 def euclidean(dim: int) -> GroupModel:
@@ -123,13 +91,6 @@ def integer_lattice(dim: int) -> GroupModel:
 def discrete_heisenberg() -> GroupModel:
     """H3(Z) in normal form, whose word metric takes a^(+-1), b^(+-1)."""
     return GroupModel(kind=DISCRETE_HEISENBERG, dim=3)
-
-
-def finite_cyclic_sq(n: int) -> GroupModel:
-    """Z_N x Z_N with counting measure and the standard generator star."""
-    if n < 2:
-        raise ValueError("N must be >= 2")
-    return GroupModel(kind=FINITE_CYCLIC_SQ, dim=2, modulus=n)
 
 
 # -- Element keys -------------------------------------------------------------
@@ -164,22 +125,15 @@ def _coords(group: GroupModel, keys: np.ndarray) -> np.ndarray:
 # -- Metrics ------------------------------------------------------------------
 
 
-def _cygan_gauge(el: tuple) -> float:
-    # polarized -> symmetric coordinates, then the Cygan gauge
-    x, y, z = el
-    t = z - x * y / 2.0
-    return ((x * x + y * y) ** 2 + 16.0 * t * t) ** 0.25
-
-
 @dataclass(eq=False)
 class PeriodicMetric:
     """Left-invariant metric on one of the group models.
 
     Kinds: ``euclidean_norm`` on R^d, ``word_metric`` on any discrete kind,
-    ``homogeneous_heisenberg`` (Cygan gauge) on H3(Z).  Word lengths and word
-    balls are closed forms (see the word-ball section below); the sizes of
-    the H3 word balls up to the largest radius measured are cached, and so
-    are the z-columns of every gauge ball built or measured.
+    ``homogeneous_heisenberg`` (Cygan gauge) on H3(Z).  Word balls are closed
+    forms (see the word-ball section below); the sizes of the H3 word balls
+    up to the largest radius measured are cached, and so are the z-columns of
+    every gauge ball built or measured.
     """
 
     kind: str
@@ -188,27 +142,6 @@ class PeriodicMetric:
                                   repr=False)  # elements of the H3 word ball of radius r
     _gauge_balls: dict = field(default_factory=dict,
                                repr=False)  # (radius, closed) -> its gauge ball's columns
-
-    def length(self, el: tuple) -> float:
-        return self.distance(self.group.identity(), el)
-
-    def distance(self, a: tuple, b: tuple) -> float:
-        if self.kind == EUCLIDEAN_NORM:
-            return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
-        rel = self.group.multiply(self.group.inverse(a), b)
-        if self.kind == HOMOGENEOUS_HEISENBERG:
-            return _cygan_gauge(rel)
-        return float(self._word_length(rel))
-
-    def _word_length(self, el: tuple) -> int:
-        group = self.group
-        if group.kind == INTEGER_LATTICE:
-            return int(sum(abs(x) for x in el))
-        if group.kind == FINITE_CYCLIC_SQ:
-            n = group.modulus
-            return int(sum(min(x % n, (-x) % n) for x in el))
-        _keys(group, np.array([el], dtype=np.int64))  # raises outside the key range
-        return _h3_length(*el)
 
 
 # -- Word balls in closed form --------------------------------------------------
@@ -222,33 +155,18 @@ class PeriodicMetric:
 # L as its top-left corner, and a staircase cut trims its area to z without
 # adding length, so |g| = min 2 (W + H) - x - y over W >= x, H >= y, WH >= z
 # (Blachere, "Word distance on the discrete Heisenberg group", Colloq. Math. 95,
-# 2003).  For fixed (x, y) the length is nondecreasing in z on z >= xy and
-# symmetric under z -> xy - z, so a word ball is one interval of z per (x, y)
-# with |x| + |y| <= R; on Z^d it is one interval of the last coordinate per
-# point of the ell^1 ball of the others.  z is the last key field, so the keys
-# of such a column are consecutive integers.
-
-
-def _h3_length(x: int, y: int, z: int) -> int:
-    """Word length of (x, y, z) in H3: brought to x, y >= 0 and z >= 0, the
-    minimum above is x + y when z <= xy; else, with M = max(x, y) and
-    N = min(x, y), M - N + 2 ceil(z / M) when z <= M^2, and 2 ceil(2 sqrt z)
-    - x - y past it."""
-    if (x < 0) != (y < 0):
-        z = -z
-    x, y = abs(x), abs(y)
-    if z < 0:
-        z = x * y - z
-    if z <= x * y:
-        return x + y
-    big, small = max(x, y), min(x, y)
-    if big * big >= z:
-        return big - small + 2 * -(-z // big)
-    return 2 * (math.isqrt(4 * z - 1) + 1) - x - y
+# 2003).  Brought to x, y >= 0 and z >= 0, that minimum is x + y when z <= xy;
+# else, with M = max(x, y) and N = min(x, y), it is M - N + 2 ceil(z / M)
+# when z <= M^2, and 2 ceil(2 sqrt z) - x - y past it.  For fixed (x, y) the
+# length is nondecreasing in z on z >= xy and symmetric under z -> xy - z, so
+# a word ball is one interval of z per (x, y) with |x| + |y| <= R; on Z^d it
+# is one interval of the last coordinate per point of the ell^1 ball of the
+# others.  z is the last key field, so the keys of such a column are
+# consecutive integers.
 
 
 def _z_reach(a, b, radius):
-    """The greatest z >= ab at which ``_h3_length``(a, b, z) <= radius, for
+    """The greatest z >= ab at which (a, b, z) has word length <= radius, for
     a, b >= 0 with a + b <= radius (numpy arrays broadcast): t^2 // 4 with
     t = (R + a + b) // 2 if that passes M^2, else min(M^2, M ((R - M + N) // 2))."""
     big, small = np.maximum(a, b), np.minimum(a, b)
@@ -283,22 +201,11 @@ def _lattice_ball_size(dims: int, radius: int) -> int:
 
 
 def _columns(group: GroupModel, radius: int) -> tuple:
-    """The columns of the word ball of this radius, in key order on Z^d and
-    H3: the coordinate arrays of each column's first element, and its
-    length.  On Z^d the last coordinate runs over |x_d| <= R - sum_i |x_i|.
-    On H3, with Z = max(|xy|, ``_z_reach``(|x|, |y|)), it runs over
-    [xy - Z, Z] when xy >= 0, and over its image [-Z, Z + xy] under one flip
-    when xy < 0.  On Z_N x Z_N the signed digits s_i in [-lo, hi], lo =
-    (N - 1) // 2 and hi = N // 2, stand for the elements one each, at word
-    length |s_x| + |s_y|: the columns of s_y are a diamond clipped to the
-    digit box, and past the diameter 2 hi the ball is the group."""
-    if group.kind == FINITE_CYCLIC_SQ:
-        lo, hi = (group.modulus - 1) // 2, group.modulus // 2
-        radius = min(radius, 2 * hi)
-        x = np.arange(-min(radius, lo), min(radius, hi) + 1)
-        left = radius - np.abs(x)
-        y = np.maximum(-left, -lo)
-        return [x, y], np.minimum(left, hi) - y + 1
+    """The columns of the word ball of this radius, in key order: the
+    coordinate arrays of each column's first element, and its length.  On
+    Z^d the last coordinate runs over |x_d| <= R - sum_i |x_i|.  On H3, with
+    Z = max(|xy|, ``_z_reach``(|x|, |y|)), it runs over [xy - Z, Z] when
+    xy >= 0, and over its image [-Z, Z + xy] under one flip when xy < 0."""
     if group.kind == INTEGER_LATTICE:
         prefix, left = _diamond(group.dim - 1, radius)
         return prefix + [-left], 2 * left + 1
@@ -345,9 +252,7 @@ def _word_ball_size(metric: PeriodicMetric, radius: int) -> int:
     group, budget = metric.group, ball_budget()
     if radius < 0:
         return 0
-    if group.kind == FINITE_CYCLIC_SQ:
-        size = int(_columns(group, radius)[1].sum())  # at most N columns
-    elif group.kind == INTEGER_LATTICE:
+    if group.kind == INTEGER_LATTICE:
         size = _lattice_ball_size(group.dim, radius)
     else:
         if radius >= len(metric._h3_sizes):
@@ -411,12 +316,13 @@ class Ball:
 
 
 def _gauge_inside(x, y, z, radius: float, closed: bool) -> np.ndarray:
-    """``_cygan_gauge``(x, y, z) <= radius (< when open), element by element."""
+    """The Cygan gauge ((x^2 + y^2)^2 + 16 t^2)^(1/4), t = z - xy / 2 in
+    symmetric coordinates, <= radius (< when open), element by element."""
     t = z - x * y / 2.0
     quartic = (x * x + y * y) ** 2 + 16.0 * t * t
     gauge = quartic ** 0.25
-    # numpy's vectorised pow may round differently from the libm pow that
-    # _cygan_gauge calls: near the radius, take the scalar's own
+    # numpy's vectorised pow may round differently from the scalar libm pow
+    # that defines the gauge: near the radius, take the scalar's own
     near = np.abs(gauge - radius) <= 1e-12 * radius
     gauge[near] = [q ** 0.25 for q in quartic[near].tolist()]
     return gauge <= radius if closed else gauge < radius
@@ -460,15 +366,11 @@ def _gauge_layout(radius: float, closed: bool) -> tuple:
 
 
 def _ball_keys(group: GroupModel, first: list, n: np.ndarray) -> np.ndarray:
-    """Sorted keys of the ball with these columns: on Z^d and H3 the runs
-    from each column's first key, once its last element, first + n - 1, has
-    passed the key range.  The torus's columns wrap, so its keys are sorted."""
+    """Sorted keys of the ball with these columns: the runs from each
+    column's first key, once its last element, first + n - 1, has passed the
+    key range."""
     if not len(n):
         return np.zeros(0, dtype=np.int64)
-    if group.kind == FINITE_CYCLIC_SQ:
-        (x, y) = first
-        pts = np.stack([np.repeat(x, n), _runs(y, n)], axis=1) % group.modulus
-        return np.sort(_keys(group, pts))
     _keys(group, np.stack(first[:-1] + [first[-1] + n - 1], axis=1))  # raises outside the range
     return _runs(_keys(group, np.stack(first, axis=1)), n)
 
@@ -630,8 +532,7 @@ def annular_violations(fit: AnnularDecayFit, metric: PeriodicMetric,
 
 
 def folner_ratio(metric: PeriodicMetric, k_n: Ball, k: Ball) -> float:
-    """mu(K_n K intersect K_n^c K) / mu(K_n) for balls K_n and K on R^d, Z^d
-    or H3.
+    """mu(K_n K intersect K_n^c K) / mu(K_n) for balls K_n and K.
 
     K_n must not be empty.  An x in K_n K lies outside K_n^c K when x q^-1
     is in K_n for every q in K; K is a ball about the identity, so it is
@@ -644,11 +545,9 @@ def folner_ratio(metric: PeriodicMetric, k_n: Ball, k: Ball) -> float:
     all q that cover x number the q with x q^-1 in K_n: K_n K is where that
     coverage is at least 1, the x above are where it is |K|, and one sort
     of the runs' ends sweeps both.  The euclidean kind has the closed
-    annulus form.  No run counts one on the finite torus, which raises.
+    annulus form.
     """
     group = metric.group
-    if group.kind == FINITE_CYCLIC_SQ:
-        raise ValueError(f"Folner ratios count R^d, Z^d and H3, not {group.kind}")
     if not k_n.measure:
         raise ValueError(f"K_n of radius {k_n.radius:g} is empty: its Folner ratio is undefined")
     if metric.kind == EUCLIDEAN_NORM:

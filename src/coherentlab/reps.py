@@ -3,12 +3,13 @@
 Two concrete models: the finite Weyl-Heisenberg family on C^N indexed by
 Z_N x Z_N (translation then modulation), which RepModel describes, and the
 time-frequency family on L^2(R) indexed by R^2 with the unit Gaussian window.
-The finite model's coefficients come from coefficient_table, and its
-functions take the model and a window vector.  The Gaussian's ambiguity
-function |V_g g| is the radial profile exp(-pi |x|^2 / 2), and
-GAUSSIAN_PROFILE holds all of its closed forms: the local maximal function
-with its masses and certified tails, the level-set radius behind the cover
-constant, the formal degree, and the decay-envelope constant C0.
+The finite model's coefficients come from coefficient_table, its functions
+take the model and a window vector, and its word balls are the masks of
+torus_ball.  The Gaussian's ambiguity function |V_g g| is the radial profile
+exp(-pi |x|^2 / 2), and GAUSSIAN_PROFILE holds all of its closed forms: the
+local maximal function with its masses and certified tails, the level-set
+radius behind the cover constant, the formal degree, and the decay-envelope
+constant C0.
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import groups
-from .groups import GroupModel
 
 
 def inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -34,16 +32,29 @@ def inner(a: np.ndarray, b: np.ndarray) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class RepModel:
-    """The finite Weyl-Heisenberg model on C^N: its base group Z_N x Z_N and
-    its formal degree 1 / N."""
+    """The finite Weyl-Heisenberg model on C^N over Z_N x Z_N, with its formal
+    degree 1 / N."""
 
-    group: GroupModel
     n: int
     formal_degree: float
 
 
 def finite_weyl_heisenberg(n: int) -> RepModel:
-    return RepModel(group=groups.finite_cyclic_sq(n), n=n, formal_degree=1.0 / n)
+    if n < 2:
+        raise ValueError("N must be >= 2")
+    return RepModel(n=n, formal_degree=1.0 / n)
+
+
+def torus_ball(n: int, radius: float) -> np.ndarray:
+    """The closed word ball of this radius on Z_N x Z_N with the generators
+    (+-1, 0) and (0, +-1), as a boolean (n, n) mask: (k, l) is in it when
+    min(k, n - k) + min(l, n - l) <= radius.  Past the diameter 2 (n // 2)
+    it is the whole torus."""
+    if not radius >= 0 or math.isinf(radius):  # NaN too
+        raise ValueError(f"radius must be finite and >= 0, got {radius}")
+    k = np.arange(n)
+    wl = np.minimum(k, n - k)
+    return wl[:, None] + wl[None, :] <= radius
 
 
 def rep_matrix(rep: RepModel, x: tuple) -> np.ndarray:
@@ -73,15 +84,15 @@ def verify_cocycle_identity(rep: RepModel) -> dict:
     """Exhaustive check of the projective law; quadratic in the group order."""
     if rep.n > 16:
         raise ValueError("exhaustive cocycle check is limited to N <= 16")
-    els = rep.group.elements()
+    n = rep.n
+    els = [(k, l) for k in range(n) for l in range(n)]  # (k, l) at index k n + l
     mats = np.stack([rep_matrix(rep, x) for x in els])
-    index = {x: i for i, x in enumerate(els)}
     worst = 0.0
     for i, x in enumerate(els):
         prod = np.einsum("ij,njk->nik", mats[i], mats)
         for j, y in enumerate(els):
-            xy = rep.group.multiply(x, y)
-            expected = cocycle_value(rep, x, y) * mats[index[xy]]
+            xy = (x[0] + y[0]) % n * n + (x[1] + y[1]) % n
+            expected = cocycle_value(rep, x, y) * mats[xy]
             worst = max(worst, float(np.max(np.abs(prod[j] - expected))))
     return {"n": rep.n, "max_deviation": worst, "passed": worst <= 1e-12}
 
@@ -107,11 +118,7 @@ def estimate_formal_degree(rep: RepModel, g: np.ndarray, truncation_radius: floa
     if nrm == 0.0:
         raise ValueError("zero window")
     table = np.abs(coefficient_table(rep, gv, gv)) ** 2
-    n = rep.n
-    k = np.arange(n)
-    wl = np.minimum(k, n - k)
-    mask = (wl[:, None] + wl[None, :]) <= truncation_radius
-    return nrm ** 4 / float(np.sum(table[mask]))
+    return nrm ** 4 / float(np.sum(table[torus_ball(rep.n, truncation_radius)]))
 
 
 def verify_orthogonality(rep: RepModel, trials: int = 20, tol: float = 1e-10,

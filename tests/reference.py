@@ -4,11 +4,12 @@ None of these runs in an experiment: each is an independent route to a
 quantity the package computes another way, or a lemma no report reads.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from coherentlab import groups, reps
+from coherentlab import frames, groups, reps
 
 
 def mc_error_integral(q: groups.Ball, k: groups.Ball, kind: str = "I",
@@ -82,3 +83,124 @@ def hermite_functions(n_max: int, t: np.ndarray) -> np.ndarray:
         out[n + 1] = (math.sqrt(2.0 / (n + 1)) * x * out[n]
                       - math.sqrt(n / (n + 1.0)) * out[n - 1])
     return (2.0 * math.pi) ** 0.25 * out
+
+
+# -- The group law and the metrics, element by element ------------------------
+#
+# The package builds whole balls from closed forms and never measures a single
+# element; these are the pointwise definitions that its balls are checked
+# against.
+
+
+def multiply(group: groups.GroupModel, a: tuple, b: tuple) -> tuple:
+    if group.kind == groups.DISCRETE_HEISENBERG:
+        # normal form (x, y, z), (x,y,z)(x',y',z') = (x+x', y+y', z+z'+x*y')
+        return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def inverse(group: groups.GroupModel, a: tuple) -> tuple:
+    if group.kind == groups.DISCRETE_HEISENBERG:
+        return (-a[0], -a[1], -a[2] + a[0] * a[1])
+    return tuple(-x for x in a)
+
+
+def cygan_gauge(el: tuple) -> float:
+    # polarized -> symmetric coordinates, then the Cygan gauge
+    x, y, z = el
+    t = z - x * y / 2.0
+    return ((x * x + y * y) ** 2 + 16.0 * t * t) ** 0.25
+
+
+def h3_length(x: int, y: int, z: int) -> int:
+    """Word length of (x, y, z) in H3 for the generators a^(+-1), b^(+-1):
+    brought to x, y >= 0 and z >= 0, x + y when z <= xy; else, with
+    M = max(x, y) and N = min(x, y), M - N + 2 ceil(z / M) when z <= M^2, and
+    2 ceil(2 sqrt z) - x - y past it (Blachere, Colloq. Math. 95, 2003)."""
+    if (x < 0) != (y < 0):
+        z = -z
+    x, y = abs(x), abs(y)
+    if z < 0:
+        z = x * y - z
+    if z <= x * y:
+        return x + y
+    big, small = max(x, y), min(x, y)
+    if big * big >= z:
+        return big - small + 2 * -(-z // big)
+    return 2 * (math.isqrt(4 * z - 1) + 1) - x - y
+
+
+def distance(metric: groups.PeriodicMetric, a: tuple, b: tuple) -> float:
+    """d(a, b) = |a^-1 b| for a word or gauge metric."""
+    rel = multiply(metric.group, inverse(metric.group, a), b)
+    if metric.kind == groups.HOMOGENEOUS_HEISENBERG:
+        return cygan_gauge(rel)
+    if metric.group.kind == groups.INTEGER_LATTICE:
+        return float(sum(abs(x) for x in rel))
+    return float(h3_length(*rel))
+
+
+def length(metric: groups.PeriodicMetric, el: tuple) -> float:
+    return distance(metric, (0,) * metric.group.dim, el)
+
+
+# -- The finite model's checks on tuples --------------------------------------
+#
+# Each takes what its frames.finite_* counterpart takes and computes the same
+# quantity element by element on Z_N x Z_N: a scan of the translates of Q, the
+# cover's candidate x target matrix as nested lists, and KQ as a set.
+
+
+def _torus_add(n: int, a: tuple, b: tuple) -> tuple:
+    return ((a[0] + b[0]) % n, (a[1] + b[1]) % n)
+
+
+def _torus_ball_points(n: int, radius: float) -> list:
+    """The closed word ball as tuples, in row-major order."""
+    return [p for p in itertools.product(range(n), repeat=2)
+            if sum(min(x, n - x) for x in p) <= radius]
+
+
+def finite_relative_separation(lam: frames.PointSet, q_radius: float) -> tuple:
+    """(rel_sep, witness, n_candidates): the first translate x + Q, in
+    row-major order, that holds the most points of Lambda."""
+    n = lam.modulus
+    q_points = _torus_ball_points(n, q_radius)
+    pset = set(lam.points)
+    best, witness = 0, (0, 0)
+    for x in itertools.product(range(n), repeat=2):
+        c = sum(1 for z in q_points if _torus_add(n, x, z) in pset)
+        if c > best:
+            best, witness = c, x
+    return best, witness, n * n
+
+
+def finite_cover_centres(rep: reps.RepModel, g, q_radius: float) -> tuple:
+    """The greedy cover's centres, from the candidate x target matrix built
+    as a list of rows: x covers t when t - x lies in the level set U."""
+    n = rep.n
+    gv = np.asarray(g, dtype=complex)
+    table = np.abs(reps.coefficient_table(rep, gv, gv))
+    level = float(np.linalg.norm(gv)) ** 2 / 2.0
+    u_set = {(k, l) for k in range(n) for l in range(n) if table[k, l] > level}
+    cand = list(itertools.product(range(n), repeat=2))
+    covers = np.array([[_torus_add(n, (-x[0], -x[1]), t) in u_set
+                        for t in _torus_ball_points(n, q_radius)] for x in cand], dtype=bool)
+    return tuple(cand[i] for i in frames._greedy_cover(covers))
+
+
+def finite_amalgam_sides(rep: reps.RepModel, g, lam: frames.PointSet, q_radius: float,
+                         k_radius: float) -> tuple:
+    """(lhs, rhs) of the finite amalgam check, with KQ as a set of tuples and
+    M_Q F as the max of F over each x + Q."""
+    n = rep.n
+    gv = np.asarray(g, dtype=complex)
+    table = np.abs(reps.coefficient_table(rep, gv, gv))
+    q_points = _torus_ball_points(n, q_radius)
+    k_points = _torus_ball_points(n, k_radius)
+    k_set = set(k_points)
+    lhs = float(sum(table[p] ** 2 for p in lam.points if p in k_set))
+    kq = {_torus_add(n, y, z) for y in k_points for z in q_points}
+    rhs = sum(max(table[_torus_add(n, x, z)] for z in q_points) ** 2 for x in kq)
+    rel_sep = finite_relative_separation(lam, q_radius)[0]
+    return lhs, rel_sep / len(q_points) * float(rhs)

@@ -86,9 +86,8 @@ def test_acceptance_3_bessel_separation_bound():
         rep = reps.finite_weyl_heisenberg(n)
         g = random_vec(rng, n, normalize=False)
         lam = frames.finite_subset(n, pts)
-        q = groups.ball(groups.word_metric(rep.group), 1.0)
-        out = bessel = frames.finite_bessel_separation_bound(rep, g, lam, q)
-        doubled = frames.finite_bessel_separation_bound(rep, 2.0 * g, lam, q)
+        out = bessel = frames.finite_bessel_separation_bound(rep, g, lam, 1.0)
+        doubled = frames.finite_bessel_separation_bound(rep, 2.0 * g, lam, 1.0)
         ok &= bessel["passed"]
         ok &= bessel["rel_sep"] <= bessel["bound"] + 1e-9
         ok &= doubled["n_cover"] == out["n_cover"]

@@ -507,6 +507,8 @@ def test_huge_and_tiny_values_exit_2_naming_the_key(tmp_path, capsys):
         ("rep-check", {"trials": 10 ** 30}, "trials"),
         # the power r^alpha in the tail fit
         ("hole", {"alpha": "+0.628e150"}, "alpha"),
+        # the T4.3 fit's hypothesis needs alpha > 0: alpha = 0 gave gamma 0
+        ("density", {"radii": "6,10,14,28", "fit_exponent": "true", "alpha": 0}, "alpha"),
         # a disk whose pi r^2 rounds to 0 gives K_n or Q zero measure; at
         # q_radius = 1e-162 pi r r is still positive, but r^2 is 0
         ("density", {"radii": 1e-200}, "radii"),

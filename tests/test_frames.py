@@ -19,6 +19,7 @@ from coherentlab.frames import (
     lattice,
     lattice_with_holes,
 )
+import reference
 from reference import dimension_lemma_check
 from test_reps import _hermite_coefficients_reference
 
@@ -281,10 +282,8 @@ def test_relative_separation_holes_report_full_lattice_sup():
 
 def test_relative_separation_explicit_and_finite():
     n = 8
-    rep = reps.finite_weyl_heisenberg(n)
-    wq = groups.ball(groups.word_metric(rep.group), 1.0)
     lam = finite_subset(n, [(0, 0), (1, 0), (0, 1), (4, 4)])
-    sep = frames.finite_relative_separation(lam, wq)
+    sep = frames.finite_relative_separation(lam, 1.0)
     assert sep.rel_sep == 3  # identity ball of radius 1 catches the cluster
 
 
@@ -414,9 +413,8 @@ def test_cover_centres_equal_the_recounting_greedy(monkeypatch):
     for n, radius, seed in ((8, 1.0, 6), (9, 2.0, 1), (12, 3.0, 2), (7, 20.0, 3)):
         rep = reps.finite_weyl_heisenberg(n)
         g = np.random.default_rng(seed).standard_normal(n) + 0j
-        q = groups.ball(groups.word_metric(rep.group), radius)
-        cover = frames.finite_lemma_cover_constant(rep, g, q)
-        cand = sorted(rep.group.elements())
+        cover = frames.finite_lemma_cover_constant(rep, g, radius)
+        cand = [(k, l) for k in range(n) for l in range(n)]
         want = greedy_cover_recount_reference(seen.pop())
         assert cover.centers == tuple(cand[i] for i in want)
 
@@ -443,14 +441,37 @@ def test_lemma_cover_constant_finite_property():
     rep = reps.finite_weyl_heisenberg(n)
     rng = np.random.default_rng(6)
     g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    q = groups.ball(groups.word_metric(rep.group), 1.0)
-    cover = frames.finite_lemma_cover_constant(rep, g, q)
+    cover = frames.finite_lemma_cover_constant(rep, g, 1.0)
     table = np.abs(reps.coefficient_table(rep, g, g))
     level = float(np.linalg.norm(g)) ** 2 / 2.0
-    group = rep.group
-    for tpt in q.points:
-        assert any(table[group.multiply(group.inverse(x), tpt)] > level
+    for tpt in map(tuple, np.argwhere(reps.torus_ball(n, 1.0)).tolist()):
+        assert any(table[(tpt[0] - x[0]) % n, (tpt[1] - x[1]) % n] > level
                    for x in cover.centers)
+
+
+def test_finite_checks_match_the_tuple_oracles():
+    # the finite separation, cover and amalgam checks on masks against their
+    # tuple forms: a scan of the translates of Q, the cover matrix built as
+    # lists, and KQ as a set.  Random subsets of Z_N x Z_N, with Q and K radii
+    # out past the torus diameter.  Only the amalgam right side sums in
+    # another order, so it is held to 1e-12 relative
+    rng = np.random.default_rng(30)
+    for case in range(60):
+        n = int(rng.integers(2, 17))
+        q_radius, k_radius = (float(r) for r in rng.integers(0, 41, 2))
+        keep = rng.random((n, n)) < rng.uniform(0.1, 0.9)
+        lam = finite_subset(n, [tuple(p) for p in np.argwhere(keep).tolist()])
+        rep = reps.finite_weyl_heisenberg(n)
+        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        where = (case, n, q_radius, k_radius)
+        sep = frames.finite_relative_separation(lam, q_radius)
+        assert (sep.rel_sep, sep.witness, sep.n_candidates) == reference.finite_relative_separation(
+            lam, q_radius), where
+        cover = frames.finite_lemma_cover_constant(rep, g, q_radius)
+        assert cover.centers == reference.finite_cover_centres(rep, g, q_radius), where
+        out = frames.finite_amalgam_check(rep, g, lam, q_radius, k_radius)
+        lhs, rhs = reference.finite_amalgam_sides(rep, g, lam, q_radius, k_radius)
+        assert out["lhs"] == lhs and out["rhs"] == pytest.approx(rhs, rel=1e-12), where
 
 
 def test_bessel_separation_bound_gaussian_and_scale_invariance():
@@ -469,11 +490,10 @@ def test_bessel_separation_bound_finite_scale_invariance():
     rep = reps.finite_weyl_heisenberg(n)
     rng = np.random.default_rng(12)
     g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    q = groups.ball(groups.word_metric(rep.group), 1.0)
     lam = finite_subset(n, [(k, l) for k in range(0, n, 2) for l in range(0, n, 2)])
-    out = frames.finite_bessel_separation_bound(rep, g, lam, q)
+    out = frames.finite_bessel_separation_bound(rep, g, lam, 1.0)
     out2 = frames.finite_bessel_separation_bound(
-        rep, 2.0 * g, lam, q,
+        rep, 2.0 * g, lam, 1.0,
         bessel_bound=4.0 * out["bessel_bound"])
     assert out["passed"] and out2["passed"]
     assert out2["n_cover"] == out["n_cover"]
@@ -539,9 +559,8 @@ def test_amalgam_check_finite_and_gaussian():
     rep = reps.finite_weyl_heisenberg(n)
     rng = np.random.default_rng(19)
     g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    q = groups.ball(groups.word_metric(rep.group), 1.0)
     lam = finite_subset(n, [(k, l) for k in range(0, n, 2) for l in range(0, n, 2)])
-    out = frames.finite_amalgam_check(rep, g, lam, q, k_radius=3.0)
+    out = frames.finite_amalgam_check(rep, g, lam, 1.0, k_radius=3.0)
     assert out["passed"] and out["lhs"] <= out["rhs"]
     gout = frames.amalgam_check(lattice(0.5, 0.5), euclid_ball(0.6), k_radius=4.0)
     assert gout["passed"]
@@ -604,9 +623,9 @@ def test_continuous_ball_restricts_lattice_kinds_only():
         frames.frame_operator_spectrum(torus)
     with pytest.raises(ValueError):
         frames.riesz_bounds(torus)
-    # restrict is the lattice kinds' disk enumeration: a word ball on the
-    # torus is refused too
-    wq = groups.ball(groups.word_metric(groups.finite_cyclic_sq(4)), 1.0)
+    # restrict is the lattice kinds' disk enumeration: a word ball is refused
+    # too
+    wq = groups.ball(groups.word_metric(groups.integer_lattice(2)), 1.0)
     with pytest.raises(ValueError, match="finite_subset"):
         torus.restrict(wq)
 

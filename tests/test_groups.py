@@ -6,7 +6,9 @@ Heisenberg group in normal form (x, y, z), (x', y', z') -> (x + x', y + y',
 z + z' + x y'), a tuple-set BFS on the group law of every discrete kind, the
 telescoping Folner ratio formula for nested ell^1 balls, a set-algebra Folner
 ratio on tuples, and the gauge-ball enumeration as one scalar gauge per
-candidate.
+candidate.  The pointwise group law, word lengths and gauge come from
+tests/reference.py.  The finite model's torus balls, reps.torus_ball, are
+checked against the same tuple BFS.
 """
 
 import functools
@@ -19,7 +21,8 @@ from collections import deque
 import numpy as np
 import pytest
 
-from coherentlab import cli, groups
+from coherentlab import cli, groups, reps
+from reference import cygan_gauge, distance, h3_length, inverse, length, multiply
 
 
 def z2_ball_size(r):
@@ -80,7 +83,7 @@ def hand_made_ball(metric, points, radius=0.0):
 
 def translated(metric, b, x):
     """The left translate x b of a discrete ball, on tuples."""
-    return hand_made_ball(metric, [metric.group.multiply(x, p) for p in b.points], b.radius)
+    return hand_made_ball(metric, [multiply(metric.group, x, p) for p in b.points], b.radius)
 
 
 def ell1_ball(dim, r):
@@ -119,21 +122,21 @@ def test_heisenberg_word_balls_match_bfs_oracle():
     # left-invariance: d(a, b) = |a^{-1} b|
     g = groups.discrete_heisenberg()
     a, b = (2, -1, 3), (0, 1, -2)
-    rel = g.multiply(g.inverse(a), b)
-    assert metric.distance(a, b) == metric.length(rel)
+    rel = multiply(g, inverse(g, a), b)
+    assert distance(metric, a, b) == length(metric, rel)
 
 
 def test_cygan_gauge_triangle_inequality_and_homogeneity():
     metric = groups.heisenberg_gauge_metric()
-    g = metric.group
     rng = np.random.default_rng(3)
     pts = [tuple(int(v) for v in rng.integers(-6, 7, size=3)) for _ in range(60)]
     for i in range(0, 60, 3):
         x, y, z = pts[i], pts[i + 1], pts[i + 2]
-        assert metric.distance(x, z) <= metric.distance(x, y) + metric.distance(y, z) + 1e-12
+        assert distance(metric, x, z) <= (distance(metric, x, y) + distance(metric, y, z)
+                                          + 1e-12)
     # gauge of the commutator a b a^-1 b^-1 = (0, 0, 1): |(0,0,1)| = 2 t^(1/2) form
-    assert metric.length((0, 0, 1)) == pytest.approx(2.0, rel=1e-12)
-    assert metric.length((1, 0, 0)) == pytest.approx(1.0, rel=1e-12)
+    assert length(metric, (0, 0, 1)) == pytest.approx(2.0, rel=1e-12)
+    assert length(metric, (1, 0, 0)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_heisenberg_gauge_balls_and_growth():
@@ -227,14 +230,17 @@ def test_annular_decay_names_an_empty_input():
 
 @pytest.mark.parametrize("metric", [
     groups.word_metric(groups.integer_lattice(2)), groups.word_metric(groups.discrete_heisenberg()),
-    groups.word_metric(groups.finite_cyclic_sq(5)), groups.heisenberg_gauge_metric(),
+    None, groups.heisenberg_gauge_metric(),
 ], ids=["Z2", "H3", "Z5^2", "gauge"])
 def test_discrete_balls_name_a_radius_that_is_not_finite(metric):
+    # None stands for the finite model's torus Z_5 x Z_5, whose balls are masks
+    measures = ((groups.ball, groups.ball_measure) if metric
+                else (lambda _, r: reps.torus_ball(5, r),))
     for radius in (math.inf, math.nan, -math.inf, -1.0):
-        for measure in (groups.ball, groups.ball_measure):
+        for measure in measures:
             with pytest.raises(ValueError, match="radius"):
                 measure(metric, radius)
-    assert not len(metric._h3_sizes)  # nothing was sized
+    assert metric is None or not len(metric._h3_sizes)  # nothing was sized
 
 
 def test_euclidean_balls_name_a_radius_that_is_nan():
@@ -339,23 +345,25 @@ def test_metric_factory_kind_guards():
         groups.euclidean_metric(groups.integer_lattice(2))
     with pytest.raises(ValueError):
         groups.heisenberg_gauge_metric(groups.integer_lattice(3))
-    # each factory carries its standard generator star
-    assert groups.word_metric(groups.integer_lattice(3)).length((1, 1, 1)) == 3
-    assert groups.word_metric(groups.discrete_heisenberg()).length((0, 0, 1)) == 4
+    # each factory carries its standard generator star: the unit word ball is
+    # the identity and the star
+    assert set(groups.ball(groups.word_metric(groups.integer_lattice(3)), 1.0).points) == {
+        (0, 0, 0), *_star(3)}
+    assert set(groups.ball(groups.word_metric(groups.discrete_heisenberg()), 1.0).points) == {
+        (0, 0, 0), *HEISENBERG_GENS}
 
 
 def test_heisenberg_word_length_matches_bfs_distances():
     dist = heisenberg_bfs_distances(6)
     far = max(dist, key=dist.get)
-    # a fresh metric needs no ball to measure a length
-    assert groups.word_metric(groups.discrete_heisenberg()).length(far) == dist[far] == 6
     metric = groups.word_metric(groups.discrete_heisenberg())
+    assert length(metric, far) == dist[far] == 6
     for el, d in dist.items():
-        assert metric.length(el) == d
+        assert length(metric, el) == d
     # neighbours of the 6-sphere outside the oracle's ball have length 7
     outside = {heisenberg_mul(el, g) for el, d in dist.items() if d == 6
                for g in HEISENBERG_GENS} - set(dist)
-    assert outside and all(metric.length(el) == 7 for el in outside)
+    assert outside and all(length(metric, el) == 7 for el in outside)
 
 
 @pytest.mark.parametrize("k_radius", [1, 2])
@@ -372,13 +380,6 @@ def test_folner_ratio_heisenberg_matches_set_reference(k_radius):
     ratio = groups.folner_ratio(metric, kn, k)
     assert ratio == folner_ratio_reference(heisenberg_mul, kn.points, k.points)
     assert ratio == groups.folner_ratio(metric, groups.ball(metric, 4.0), k)
-
-
-def test_folner_ratio_on_a_finite_torus_raises_naming_the_kind():
-    # the geometry runs count Folner ratios on R^d, Z^d and H3 only
-    metric = groups.word_metric(groups.finite_cyclic_sq(7))
-    with pytest.raises(ValueError, match=groups.FINITE_CYCLIC_SQ):
-        groups.folner_ratio(metric, groups.ball(metric, 3.0), groups.ball(metric, 1.0))
 
 
 @pytest.mark.parametrize("k_radius", [1.0, 2.0])
@@ -411,7 +412,7 @@ def test_folner_ratio_of_random_subsets_matches_set_reference(metric, radius):
         for keep in (0.3, 0.6, 0.9):
             sub = pts[rng.random(len(pts)) < keep]
             x = tuple(int(c) for c in rng.integers(-9, 10, metric.group.dim))
-            kn = hand_made_ball(metric, [metric.group.multiply(x, tuple(p)) for p in sub.tolist()])
+            kn = hand_made_ball(metric, [multiply(metric.group, x, tuple(p)) for p in sub.tolist()])
             columns = {p[:-1] for p in kn.points}
             assert np.count_nonzero(np.diff(kn.keys) != 1) + 1 > len(columns)
             assert groups.folner_ratio(metric, kn, k) == folner_ratio_reference(
@@ -483,13 +484,9 @@ def test_integer_lattice_word_balls_match_ell1_count(dim, radii):
 
 
 def test_finite_torus_ball_past_the_diameter_is_the_group():
-    group = groups.finite_cyclic_sq(5)
-    metric = groups.word_metric(group)
-    assert groups.ball_measure(metric, 2.0) == 13
+    assert np.count_nonzero(reps.torus_ball(5, 2.0)) == 13
     for r in (4.0, 6.0, 11.0):
-        b = groups.ball(metric, r)
-        assert list(b.points) == group.elements()
-        assert groups.ball_measure(metric, r) == 25
+        assert reps.torus_ball(5, r).all()
 
 
 def test_ball_budget_fires_at_the_exact_element_count(monkeypatch):
@@ -502,29 +499,11 @@ def test_ball_budget_fires_at_the_exact_element_count(monkeypatch):
         groups.ball(groups.word_metric(groups.discrete_heisenberg()), r + 1.0)
     with pytest.raises(groups.BudgetExceededError):
         groups.ball_measure(groups.word_metric(groups.discrete_heisenberg()), r + 1.0)
-    # a torus ball is counted before it is built: the budget at its exact
-    # size passes, one element less raises, at every radius from 1 out to past
-    # the diameter
-    for n in range(2, 14):
-        want = tuple_bfs_spheres(_torus_add(n), [(1, 0), (n - 1, 0), (0, 1), (0, n - 1)],
-                                 (0, 0), 2 * n)
-        for r in range(1, 2 * n + 1):
-            size = sum(map(len, want[: r + 1]))
-            monkeypatch.setenv(groups.BUDGET_ENV_VAR, str(size))
-            assert groups.ball(groups.word_metric(groups.finite_cyclic_sq(n)), r).measure == size
-            monkeypatch.setenv(groups.BUDGET_ENV_VAR, str(size - 1))
-            fresh = groups.word_metric(groups.finite_cyclic_sq(n))
-            for measure in (groups.ball, groups.ball_measure):
-                with pytest.raises(groups.BudgetExceededError,
-                                   match=rf"has {size} elements, .*{groups.BUDGET_ENV_VAR}"):
-                    measure(fresh, r)
 
 
 def test_coordinates_outside_the_key_range_raise():
     # H3 packs 63 // 3 = 21 bits per coordinate: [-2^20, 2^20)
     metric = groups.word_metric(groups.discrete_heisenberg())
-    with pytest.raises(OverflowError):
-        metric.length((1 << 20, 0, 0))
     k = groups.ball(metric, 1.0)
     # a K_n moved along y, which moves no z coordinate: K_n K reaches
     # y = 2^20 - 1 and counts, one step further it leaves the range
@@ -556,11 +535,7 @@ def test_bfs_and_folner_ratio_never_decode_spheres_or_balls(group, runs, monkeyp
         decoded.append(len(keys))
         return coords(g, keys)
 
-    def no_multiply(self, a, b):
-        raise AssertionError("a tuple product on Z^d or H3")
-
     monkeypatch.setattr(groups, "_coords", counted)
-    monkeypatch.setattr(groups.GroupModel, "multiply", no_multiply)
     k = groups.ball(metric, 2.0)
     kn = groups.ball(metric, 6.0)
     assert groups.folner_ratio(metric, kn, k) == groups.folner_ratio(metric, far, k) > 0
@@ -577,7 +552,7 @@ def test_right_translates_raise_when_a_product_field_leaves_the_key_range():
 
     def one_point_ratio(p, q):
         # K_n = {p} and K = {e, q, q^-1}: the count translates p by K
-        k_pts = sorted({h3.identity(), q, h3.inverse(q)})
+        k_pts = sorted({(0, 0, 0), q, inverse(h3, q)})
         return groups.folner_ratio(metric, hand_made_ball(metric, [p]),
                                    hand_made_ball(metric, k_pts, 1.0)), k_pts
 
@@ -589,7 +564,7 @@ def test_right_translates_raise_when_a_product_field_leaves_the_key_range():
         with pytest.raises(OverflowError):
             one_point_ratio(p, q)
         with pytest.raises(OverflowError):  # the decode path agrees
-            groups._keys(h3, np.array([h3.multiply(p, q)]))
+            groups._keys(h3, np.array([multiply(h3, p, q)]))
     # one step inside the range is exact
     p, q = (1 << 10, 0, top - (1 << 10)), (0, 1, 0)
     ratio, k_pts = one_point_ratio(p, q)
@@ -600,11 +575,9 @@ def test_right_translates_raise_when_a_product_field_leaves_the_key_range():
 def test_word_balls_of_any_radius_on_a_finite_torus():
     # past the diameter (4) the ball is the whole torus, in closed form: a
     # radius far past it costs no more than the diameter
-    group = groups.finite_cyclic_sq(4)
-    metric = groups.word_metric(group)
     for radius in (4.0, 1e6, 1e300):
-        assert list(groups.ball(metric, radius).points) == group.elements()
-        assert groups.ball_measure(metric, radius) == 16.0
+        assert reps.torus_ball(4, radius).shape == (4, 4)
+        assert reps.torus_ball(4, radius).all()
 
 
 def tuple_bfs_spheres(mul, gens, identity, max_radius):
@@ -627,6 +600,21 @@ def _torus_add(n):
     return lambda a, b: ((a[0] + b[0]) % n, (a[1] + b[1]) % n)
 
 
+def _torus_gens(n):
+    return [(1, 0), (n - 1, 0), (0, 1), (0, n - 1)]
+
+
+def torus_lengths(n, spheres):
+    """Word length of every element of Z_N x Z_N, as an (n, n) array, from
+    its word spheres."""
+    lengths = np.full((n, n), -1)
+    for d, sphere in enumerate(spheres):
+        for p in sphere:
+            lengths[p] = d
+    assert (lengths >= 0).all()  # the BFS reaches the whole torus
+    return lengths
+
+
 def _star(dim):
     return [tuple(s if j == i else 0 for j in range(dim)) for i in range(dim) for s in (1, -1)]
 
@@ -634,9 +622,9 @@ def _star(dim):
 BFS_CASES = [
     (groups.integer_lattice(2), _add, [(1, 0), (-1, 0), (0, 1), (0, -1)], (0, 0), 60),
     (groups.discrete_heisenberg(), heisenberg_mul, HEISENBERG_GENS, (0, 0, 0), 30),
-    # the torus closed form, at odd and even N, out to past the diameter
-    *[(groups.finite_cyclic_sq(n), _torus_add(n), [(1, 0), (n - 1, 0), (0, 1), (0, n - 1)],
-       (0, 0), 2 * n) for n in (2, 3, 4, 8, 9, 101)],
+    # the finite model's torus masks, at odd and even N, out to past the
+    # diameter; N stands in for the group
+    *[(n, _torus_add(n), _torus_gens(n), (0, 0), 2 * n) for n in (2, 3, 4, 8, 9, 101)],
     *[(groups.integer_lattice(d), _add, _star(d), (0,) * d, radius)
       for d, radius in ((1, 40), (3, 12), (4, 8), (5, 6))],
 ]
@@ -651,19 +639,24 @@ def tuple_keys(group, points):
 @pytest.mark.parametrize("group, mul, gens, identity, radius", BFS_CASES, ids=BFS_IDS)
 def test_word_spheres_match_a_tuple_bfs(group, mul, gens, identity, radius):
     # the keys and measures of every word ball, closed and open, equal the
-    # tuple BFS's at every radius.  The torus radii run past the diameter,
-    # where the spheres end with an empty one, and on to 1e300.  One metric
-    # builds its balls largest first and one smallest first, so the cached H3
-    # sizes are read both ways
+    # tuple BFS's at every radius.  One metric builds its balls largest first
+    # and one smallest first, so the cached H3 sizes are read both ways.  On
+    # the torus, the radii run past the diameter, where the spheres end with
+    # an empty one, and on to 1e300, and each mask, at r and at r + 1/2, is
+    # the elements the BFS reaches within r
     want = tuple_bfs_spheres(mul, gens, identity, radius)
+    if isinstance(group, int):
+        lengths = torus_lengths(group, want)
+        for r in [*range(radius + 1), 1e300]:
+            for mask in (reps.torus_ball(group, r), reps.torus_ball(group, r + 0.5)):
+                assert mask.dtype == bool and np.array_equal(mask, lengths <= r), r
+        return
     sizes = list(itertools.accumulate(map(len, want)))
     balls = []
     for sphere in want:
         run = [balls[-1]] if balls else []
         balls.append(np.sort(np.concatenate(run + [tuple_keys(group, sphere)])))
     radii = list(range(radius + 1))
-    if group.kind == groups.FINITE_CYCLIC_SQ:
-        radii.append(1e300)
     for m, order in ((groups.word_metric(group), radii[::-1]), (groups.word_metric(group), radii)):
         for r in order:
             at = min(r, len(want) - 1)
@@ -720,13 +713,24 @@ def test_sphere_representatives_are_one_per_flip_orbit(group, mul, gens, radius)
 
 @pytest.mark.parametrize("group, radius", [
     (groups.integer_lattice(2), 40), (groups.integer_lattice(3), 12),
-    (groups.discrete_heisenberg(), 20), (groups.finite_cyclic_sq(9), 12),
-    (groups.finite_cyclic_sq(31), 20),
+    (groups.discrete_heisenberg(), 20), (9, 12), (31, 20),
 ], ids=["Z2", "Z3", "H3", "Z9^2", "Z31^2"])
 def test_growing_radius_by_radius_gives_the_layers_of_one_call(group, radius):
     # measures taken radius by radius, each past the cached H3 sizes
     # recomputing them, equal those of one pass out to the largest radius,
-    # and so do the balls built at each radius
+    # and so do the balls built at each radius.  On the finite model's torus
+    # Z_N x Z_N (N in place of the group), each mask holds the one before it
+    # is the elements the BFS reaches within that radius
+    if isinstance(group, int):
+        lengths = torus_lengths(group, tuple_bfs_spheres(
+            _torus_add(group), _torus_gens(group), (0, 0), 2 * group))
+        for steps in (range(radius + 1), (0, 1, 4, 5, 11, radius)):
+            inner = np.zeros((group, group), dtype=bool)
+            for r in steps:
+                mask = reps.torus_ball(group, r)
+                assert np.array_equal(mask, lengths <= r) and not (inner & ~mask).any(), r
+                inner = mask
+        return
     whole = groups.word_metric(group)
     want = [groups.ball_measure(whole, r) for r in range(radius, -1, -1)][::-1]
     for steps in (range(radius + 1), (0, 1, 4, 5, 11, radius)):
@@ -744,14 +748,14 @@ def test_word_length_of_random_heisenberg_elements_matches_the_tuple_bfs():
     metric = groups.word_metric(groups.discrete_heisenberg())
     for i in rng.choice(len(elements), 300, replace=False):
         el = elements[i]
-        assert metric.length(el) == dist[el], el
+        assert length(metric, el) == dist[el], el
     # elements drawn from a box, most of them far outside the 14-ball
     box = [tuple(int(c) for c in rng.integers(-6, 7, 3)) for _ in range(100)]
     for el in box:
         if el in dist:
-            assert metric.length(el) == dist[el], el
+            assert length(metric, el) == dist[el], el
         else:
-            assert metric.length(el) > 14, el
+            assert length(metric, el) > 14, el
 
 
 def test_closed_word_length_matches_the_bfs_on_a_ball_and_its_box():
@@ -761,20 +765,20 @@ def test_closed_word_length_matches_the_bfs_on_a_ball_and_its_box():
     dist = heisenberg_bfs_distances(20)
     assert len(dist) == 68079
     for el in itertools.product(range(-20, 21), range(-20, 21), range(-100, 101)):
-        length = groups._h3_length(*el)
+        got = h3_length(*el)
         if el in dist:
-            assert length == dist[el], el
+            assert got == dist[el], el
         else:
-            assert length > 20, el
+            assert got > 20, el
     # each branch through the metric: a^6 b^6 at x + y, [a, b] = (0, 0, 1)
     # with z > M^2, a^3 b^6 a^-3 = (0, 6, -18) on a wall, and their flips
     metric = groups.word_metric(groups.discrete_heisenberg())
     a6b6 = (6, 6, 36)
     assert functools.reduce(heisenberg_mul, [(1, 0, 0)] * 6 + [(0, 1, 0)] * 6) == a6b6
-    for el, length in (((6, 6, 36), 12), ((-6, 6, -36), 12), ((6, -6, -36), 12),
-                       ((-6, -6, 36), 12), ((0, 0, 1), 4), ((0, 0, -1), 4),
-                       ((0, 6, -18), 12), ((3, 4, 20), dist[(3, 4, 20)])):
-        assert metric.length(el) == length, el
+    for el, want in (((6, 6, 36), 12), ((-6, 6, -36), 12), ((6, -6, -36), 12),
+                     ((-6, -6, 36), 12), ((0, 0, 1), 4), ((0, 0, -1), 4),
+                     ((0, 6, -18), 12), ((3, 4, 20), dist[(3, 4, 20)])):
+        assert length(metric, el) == want, el
 
 
 def test_growth_annular_and_folner_sweeps_grow_each_word_ball_once(monkeypatch, tmp_path):
@@ -844,12 +848,6 @@ def test_word_ball_budget_is_checked_before_any_key_is_allocated(monkeypatch):
         for far in (radius + 1, 1e300):
             with pytest.raises(groups.BudgetExceededError, match=groups.BUDGET_ENV_VAR):
                 groups.ball(lattice, far)
-    # a torus ball is clipped at the diameter: the radius 2 ball of Z_N x Z_N
-    # with N = 10^6 has its 13 elements, and the group of Z_100 x Z_100 is
-    # refused
-    assert groups.ball(groups.word_metric(groups.finite_cyclic_sq(10 ** 6)), 2).measure == 13
-    with pytest.raises(groups.BudgetExceededError, match="has 10000 elements"):
-        groups.ball(groups.word_metric(groups.finite_cyclic_sq(100)), 1e300)
 
 
 def test_ball_boxes_never_refuse_a_ball_within_the_budget(monkeypatch):
@@ -890,7 +888,7 @@ def gauge_ball_keys_scalar(radius):
                 continue
             z_mid = x * y / 2.0
             for z in range(int(math.ceil(z_mid - span)), int(math.floor(z_mid + span)) + 1):
-                g = groups._cygan_gauge((x, y, z))
+                g = cygan_gauge((x, y, z))
                 if g <= radius:
                     closed.append((x, y, z))
                     if g < radius:
@@ -909,7 +907,7 @@ def test_gauge_ball_keys_match_the_scalar_loop():
     # radii equal to an element's scalar gauge make that element a tie; take
     # those where numpy's vectorised pow rounds differently from libm's pow
     els = itertools.product(range(-5, 6), range(0, 6), range(-9, 10))
-    quartics = [(x * x + y * y) ** 2 + 16.0 * t * t  # as in _cygan_gauge
+    quartics = [(x * x + y * y) ** 2 + 16.0 * t * t  # as in cygan_gauge
                 for x, y, z in els for t in [z - x * y / 2.0]]
     vector = (np.array(quartics) ** 0.25).tolist()
     differ = [q ** 0.25 for q, v in zip(quartics, vector) if q ** 0.25 != v]

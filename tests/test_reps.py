@@ -78,12 +78,12 @@ def test_projective_relation_and_cocycle_identity():
             x = tuple(int(v) for v in rng.integers(0, n, size=2))
             y = tuple(int(v) for v in rng.integers(0, n, size=2))
             lhs = reps.rep_matrix(rep, x) @ reps.rep_matrix(rep, y)
-            xy = rep.group.multiply(x, y)
+            xy = ((x[0] + y[0]) % n, (x[1] + y[1]) % n)
             rhs = reps.cocycle_value(rep, x, y) * reps.rep_matrix(rep, xy)
             assert np.max(np.abs(lhs - rhs)) < 1e-12
             # 2-cocycle law sigma(x,y) sigma(xy,z) = sigma(x,yz) sigma(y,z)
             z = tuple(int(v) for v in rng.integers(0, n, size=2))
-            yz = rep.group.multiply(y, z)
+            yz = ((y[0] + z[0]) % n, (y[1] + z[1]) % n)
             assert reps.cocycle_value(rep, x, y) * reps.cocycle_value(rep, xy, z) \
                 == pytest.approx(reps.cocycle_value(rep, x, yz)
                                  * reps.cocycle_value(rep, y, z), abs=1e-12)
