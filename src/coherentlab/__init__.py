@@ -54,7 +54,6 @@ from .frames import (
     frame_operator_spectrum,
     full_torus,
     lattice,
-    lattice_with_holes,
     lemma_cover_constant,
     relative_separation,
     riesz_bounds,

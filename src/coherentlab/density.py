@@ -122,8 +122,9 @@ def beurling_density(lam: PointSet, exhaustion: Sequence[groups.Ball],
     """
     if not exhaustion:
         raise ValueError("empty exhaustion")
-    if lam.kind != frames.LATTICE:
-        raise ValueError(f"Beurling density counts a plain lattice, not {lam.kind}")
+    if lam.hole_radius:
+        raise ValueError("Beurling density counts a plain lattice, "
+                         f"not hole_radius = {lam.hole_radius:g}")
     if not all(k.closed for k in exhaustion):
         raise ValueError("Beurling density counts closed balls K_n, not open ones")
     spacing = center_grid_spacing or min(lam.a, lam.b) / 8.0
@@ -378,10 +379,8 @@ def run_hole_falsification(lattice_a: float, lattice_b: float,
     c_total = c_prime * c_dprime
     out = []
     for rh in radii:
-        lam = (frames.lattice(lattice_a, lattice_b) if rh == 0.0
-               else frames.lattice_with_holes(lattice_a, lattice_b,
-                                              [(0.0, 0.0, rh)]))
-        bounds = frames.frame_operator_spectrum(lam, section_radius=section_radius,
+        bounds = frames.frame_operator_spectrum(frames.lattice(lattice_a, lattice_b, rh),
+                                                section_radius=section_radius,
                                                 margin=margin)
         is_frame = bounds.kind == "frame"
         theorem_radius = (hole_radius_bound(c0, alpha, c_total, bounds.lower, bounds.upper)

@@ -1,13 +1,15 @@
 """Frame, Riesz, and Bessel analysis of coherent systems pi(Lambda)g.
 
-Point sets (finite subsets, planar lattices, lattices with holes); for the
-Gaussian window on lattices, truncated-section and Gram estimates, relative
-separation, cover-based Bessel bounds and the amalgam inequality check, all
-read from reps.GAUSSIAN_PROFILE.  The finite model has its own finite_*
-functions, which take the model and a window vector; its exact spectra and
-canonical dual read the synthesis matrix that finite_synthesis builds once,
-and its separation, cover and amalgam checks take Q and K by radius and
-compute on the (N, N) masks of reps.torus_ball.
+Each model owns its point set.  In the time-frequency plane Lambda is a
+PointSet: the lattice a Z x b Z, minus an open disk about the origin in hole
+runs.  For the Gaussian window on it this module gives truncated-section and
+Gram estimates, relative separation, cover-based Bessel bounds and the amalgam
+inequality check, all read from reps.GAUSSIAN_PROFILE.  On the finite model's
+torus Z_N x Z_N, Lambda is the boolean (N, N) mask that finite_subset and
+full_torus build.  The finite_* functions take the model and a window vector;
+their exact spectra and canonical dual read the synthesis matrix that
+finite_synthesis builds once, and their separation, cover and amalgam checks
+take Q and K by radius and compute on the (N, N) masks of reps.torus_ball.
 """
 
 from __future__ import annotations
@@ -15,16 +17,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import groups, reps
 from .reps import RepModel
-
-LATTICE = "lattice"
-LATTICE_WITH_HOLES = "lattice_with_holes"
-FINITE_SUBSET = "finite_subset"
 
 _TIE = 1e-12  # closed-ball membership slack on squared distances
 
@@ -34,33 +32,23 @@ DUAL_TOL = 1e-8  # canonical-dual reconstruction and dual-bound tolerance
 
 _BLOCK_CELLS = 1 << 20  # (centre, column) cells per block of a batched count
 
-_CONTINUOUS_BALL_KINDS = "a continuous ball restricts lattice kinds only, not {}"
-
 
 # -- Point sets -----------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """Discrete index set Lambda: a planar lattice a Z x b Z, the same lattice
-    with open holes removed, or a subset of Z_N x Z_N (its points)."""
+    """Lambda in the time-frequency plane: the lattice a Z x b Z minus the open
+    disk of radius hole_radius about the origin (removal is strict, so points
+    on the hole's circle stay).  Build it with lattice()."""
 
-    kind: str
-    points: tuple = ()
-    a: float = 0.0
-    b: float = 0.0
-    holes: tuple = ()  # ((cx, cy, radius), ...), removal is strict (open balls)
-    modulus: int = 0
+    a: float
+    b: float
+    hole_radius: float = 0.0
 
     @property
     def covolume(self) -> float:
-        if self.kind in (LATTICE, LATTICE_WITH_HOLES):
-            return self.a * self.b
-        raise ValueError("covolume is defined for lattice kinds only")
-
-    @property
-    def is_lattice(self) -> bool:
-        return self.kind in (LATTICE, LATTICE_WITH_HOLES)
+        return self.a * self.b
 
     def _columns(self, cx, cy, radius: float, closed: bool) -> tuple:
         """(k, lo, hi) for equal-length arrays of centres (cx, cy): the lattice
@@ -78,8 +66,6 @@ class PointSet:
         points on the circle count exactly as a point-by-point scan counts
         them.  The column and row ranges are budget-checked.
         """
-        if not self.is_lattice:
-            raise ValueError("lattice enumeration needs a lattice kind")
         est = disk_point_estimate(radius, self.a, self.b)
         if est > groups.ball_budget():
             raise groups.BudgetExceededError(
@@ -114,7 +100,7 @@ class PointSet:
     def _points_near(self, cx: float, cy: float, radius: float,
                      closed: bool) -> tuple:
         """(x, y) arrays of the lattice points within `radius` of (cx, cy),
-        holes removed, column by column in increasing k and then l; that is
+        the hole removed, column by column in increasing k and then l; that is
         lexicographic order."""
         k, lo, hi = self._columns([cx], [cy], radius, closed)
         lo, hi = lo[0], hi[0]
@@ -123,31 +109,31 @@ class PointSet:
         rows = np.arange(int(per_col.sum())) - np.repeat(starts - lo, per_col)
         x = np.repeat(k, per_col) * self.a
         y = rows * self.b
-        if not self.holes:
+        if not self.hole_radius:
             return x, y
-        keep = np.ones(x.shape, dtype=bool)
-        for (hx, hy, r) in self.holes:  # removal is strict
-            keep &= (x - hx) ** 2 + (y - hy) ** 2 >= r * r
+        keep = x ** 2 + y ** 2 >= self.hole_radius * self.hole_radius  # strict removal
         return x[keep], y[keep]
 
     def lattice_points_near(self, cx: float, cy: float, radius: float,
                             closed: bool = True) -> list:
-        """Lattice points within `radius` of (cx, cy), holes removed, column
-        by column in increasing k and then l."""
+        """Lattice points within `radius` of (cx, cy), the hole removed,
+        column by column in increasing k and then l."""
         x, y = self._points_near(cx, cy, radius, closed)
         return list(zip(x.tolist(), y.tolist()))
 
     def lattice_count_near(self, cx, cy, radius):
-        """len(lattice_points_near(cx, cy, radius, closed=True)) on a plain
-        lattice, summed over the column ranges without building the points.
+        """len(lattice_points_near(cx, cy, radius, closed=True)) on a lattice
+        without a hole, summed over the column ranges without building the
+        points.
 
         Scalars give an int.  Arrays of centres, with one radius or one per
         centre (broadcast like cx and cy), give an int64 array; the centres of
         each radius are counted together, in blocks of at most about
         _BLOCK_CELLS (centre, column) cells.
         """
-        if self.kind != LATTICE:
-            raise ValueError("closed-form counting needs a plain lattice")
+        if self.hole_radius:
+            raise ValueError("closed-form counting needs a plain lattice, "
+                             f"not hole_radius = {self.hole_radius:g}")
         xs, ys, rs = (np.ravel(v) for v in np.broadcast_arrays(
             np.asarray(cx, dtype=float), np.asarray(cy, dtype=float),
             np.asarray(radius, dtype=float)))
@@ -166,10 +152,7 @@ class PointSet:
 
     def restrict(self, b: groups.Ball) -> tuple:
         """Exactly the points of Lambda inside the disk b about the origin,
-        sorted.  A disk lives in the time-frequency plane, so it restricts
-        lattice kinds only."""
-        if not self.is_lattice:
-            raise ValueError(_CONTINUOUS_BALL_KINDS.format(self.kind))
+        sorted."""
         return tuple(sorted(self.lattice_points_near(0.0, 0.0, b.radius, b.closed)))
 
 
@@ -179,34 +162,33 @@ def disk_point_estimate(radius: float, a: float, b: float) -> float:
     return (2.0 * radius / a + 2.0) * (2.0 * radius / b + 2.0)
 
 
-def _check_duplicates(pts: Sequence[tuple]) -> None:
-    if len(set(pts)) != len(pts):
-        raise ValueError("point set contains duplicate elements")
-
-
-def lattice(a: float, b: float) -> PointSet:
+def lattice(a: float, b: float, hole_radius: float = 0.0) -> PointSet:
+    """a Z x b Z minus the open disk of radius hole_radius about the origin."""
+    for name, value in (("a", a), ("b", b), ("hole_radius", hole_radius)):
+        if not math.isfinite(value):
+            raise ValueError(f"lattice {name} must be finite, got {value}")
     if a <= 0 or b <= 0:
         raise ValueError("lattice spacings must be positive")
-    return PointSet(kind=LATTICE, a=float(a), b=float(b))
+    if hole_radius < 0:
+        raise ValueError("the hole radius must be nonnegative")
+    return PointSet(float(a), float(b), float(hole_radius))
 
 
-def lattice_with_holes(a: float, b: float, holes: Sequence[tuple]) -> PointSet:
-    base = lattice(a, b)
-    hl = tuple((float(cx), float(cy), float(r)) for (cx, cy, r) in holes)
-    if any(r < 0 for (_, _, r) in hl):
-        raise ValueError("hole radii must be nonnegative")
-    return PointSet(kind=LATTICE_WITH_HOLES, a=base.a, b=base.b, holes=hl)
-
-
-def finite_subset(modulus: int, pts: Sequence[tuple]) -> PointSet:
+def finite_subset(modulus: int, pts: Iterable[tuple]) -> np.ndarray:
+    """The subset of Z_N x Z_N with these points, read mod N, as a boolean
+    (N, N) mask."""
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
-    norm = tuple((int(k) % modulus, int(l) % modulus) for (k, l) in pts)
-    _check_duplicates(norm)
-    return PointSet(kind=FINITE_SUBSET, points=tuple(sorted(norm)), modulus=modulus)
+    idx = np.array([(int(k) % modulus, int(l) % modulus) for (k, l) in pts],
+                   dtype=np.intp).reshape(-1, 2)
+    mask = np.zeros((modulus, modulus), dtype=bool)
+    mask[tuple(idx.T)] = True
+    if np.count_nonzero(mask) != len(idx):
+        raise ValueError("point set contains duplicate elements")
+    return mask
 
 
-def full_torus(modulus: int) -> PointSet:
+def full_torus(modulus: int) -> np.ndarray:
     return finite_subset(modulus, [(k, l) for k in range(modulus)
                                    for l in range(modulus)])
 
@@ -259,20 +241,21 @@ def _hermitian_eigs(mat: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.eigvalsh((mat + adj) / 2.0)
 
 
-def _check_same_torus(rep: RepModel, lam: PointSet) -> None:
-    if lam.kind != FINITE_SUBSET or lam.modulus != rep.n:
-        raise ValueError("the finite model needs a finite_subset over the same modulus")
+def _check_same_torus(n: int, lam: np.ndarray) -> None:
+    if not (isinstance(lam, np.ndarray) and lam.dtype == bool and lam.shape == (n, n)):
+        raise ValueError(f"the finite model needs a finite_subset mask of shape ({n}, {n})")
 
 
-def finite_synthesis(rep: RepModel, g: np.ndarray, lam: PointSet) -> np.ndarray:
-    """The synthesis matrix of the finite model: column j is pi(lam_j) g."""
-    _check_same_torus(rep, lam)
-    if not lam.points:
+def finite_synthesis(rep: RepModel, g: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The synthesis matrix of the finite model: column j is pi(lam_j) g, with
+    the points of the mask lam in row-major order."""
+    _check_same_torus(rep.n, lam)
+    if not lam.any():
         raise ValueError("empty point set")
     gv = np.asarray(g, dtype=complex)
     if gv.shape != (rep.n,):
         raise ValueError("window dimension does not match the model")
-    return np.column_stack([reps.apply_rep(rep, x, gv) for x in lam.points])
+    return np.column_stack([reps.apply_rep(rep, x, gv) for x in np.argwhere(lam).tolist()])
 
 
 def section_mode_count(section_radius: float, margin: float) -> int:
@@ -326,17 +309,15 @@ def frame_operator_spectrum(lam: PointSet, section_radius: float = 12.0,
     counts when the cap cuts them.
 
     C[n, z] = e^{-i pi x w} rho_n(|z|) e^{i n theta_z}, so the section
-    S_mn = sum_z rho_m rho_n e^{i (m - n) theta_z}.  When the restricted points
-    are invariant under z -> -z (theta + pi: entries with m - n odd cancel)
-    and z -> conj(z) (theta -> -theta: S is real), S is two real symmetric
+    S_mn = sum_z rho_m rho_n e^{i (m - n) theta_z}.  The restricted points, a
+    disk of the lattice about the origin minus the hole about the origin, are
+    invariant under z -> -z (theta + pi: entries with m - n odd cancel) and
+    z -> conj(z) (theta -> -theta: S is real).  So S is two real symmetric
     blocks, the even and the odd modes, each summed over one point per orbit
-    of those maps with the orbit's size as its weight; any other set takes
-    one complex block.
+    of those maps with the orbit's size as its weight.
     """
     if section_radius <= margin + 1.0:
         raise ValueError("section radius must exceed margin + 1")
-    if not lam.is_lattice:
-        raise ValueError(_CONTINUOUS_BALL_KINDS.format(lam.kind))
     # lexicographic, as _points_near enumerates them
     p = np.column_stack(lam._points_near(0.0, 0.0, section_radius, closed=True))
     if not p.size:
@@ -346,14 +327,8 @@ def frame_operator_spectrum(lam: PointSet, section_radius: float = 12.0,
     # orbit: the bench oracles count this call's points as frames.section_dim.
     # The orbit representatives alone would be about a quarter of the entries
     coeff = reps.hermite_gabor_coefficients(n_modes, p)
-    conj = p * (1.0, -1.0)
-    if (np.array_equal(p, -p[::-1])
-            and np.array_equal(p, conj[np.lexsort((conj[:, 1], conj[:, 0]))])):
-        blocks = _orbit_blocks(coeff, p)
-    else:
-        blocks = [coeff @ coeff.conj().T]
     eigs = np.sort(np.concatenate([_hermitian_eigs(s, "section operator")
-                                   for s in blocks]))
+                                   for s in _orbit_blocks(coeff, p)]))
     a, b = max(float(eigs[0]), 0.0), float(eigs[-1])
     resolved = int(math.floor(math.pi * (section_radius - margin) ** 2))
     cut = f", modes={n_modes}/{resolved}" if n_modes < resolved else ""
@@ -384,7 +359,12 @@ def _gram_bounds(gram: np.ndarray, method: str) -> FrameBounds:
 
 
 def finite_riesz_bounds(phi: np.ndarray) -> FrameBounds:
-    """Exact extreme eigenvalues of the Gram matrix phi^H phi."""
+    """Exact extreme eigenvalues of the Gram matrix phi^H phi.  With more
+    columns than rows the Gram is singular, so A = 0, and B is read from the
+    smaller frame operator phi phi^H, whose nonzero spectrum the Gram shares."""
+    if phi.shape[1] > phi.shape[0]:
+        eigs = _hermitian_eigs(phi @ phi.conj().T, "frame operator")
+        return FrameBounds(0.0, float(eigs[-1]), "bessel", "exact_spectrum", eigs)
     return _gram_bounds(phi.conj().T @ phi, "exact_spectrum")
 
 
@@ -454,31 +434,25 @@ def _disk_candidates(pts: list, rho: float) -> list:
     return cands
 
 
-def finite_relative_separation(lam: PointSet, q_radius: float) -> SeparationReport:
-    """Exact Rel_Q of a finite subset of the torus for the word ball Q of this
-    radius: the count in every translate x + Q at once, a sum of the mask of
-    Lambda rolled by each offset of Q; the witness is the first maximum in
-    row-major order."""
-    if lam.kind != FINITE_SUBSET:
-        raise ValueError(f"finite separation needs a finite_subset, not {lam.kind}")
-    n = lam.modulus
-    hits = np.zeros((n, n), dtype=bool)
-    hits[tuple(np.array(lam.points, dtype=np.intp).reshape(-1, 2).T)] = True
+def finite_relative_separation(lam: np.ndarray, q_radius: float) -> SeparationReport:
+    """Exact Rel_Q of a finite_subset mask for the word ball Q of this radius:
+    the count in every translate x + Q at once, a sum of the mask rolled by
+    each offset of Q; the witness is the first maximum in row-major order."""
+    n = len(lam)
+    _check_same_torus(n, lam)
     counts = np.zeros((n, n), dtype=np.int64)
     for dk, dl in np.argwhere(reps.torus_ball(n, q_radius)):
-        counts += np.roll(hits, (-dk, -dl), axis=(0, 1))
+        counts += np.roll(lam, (-dk, -dl), axis=(0, 1))
     best = int(np.argmax(counts))
     return SeparationReport(int(counts.flat[best]), q_radius, "word_ball", 0.0,
                             divmod(best, n), n * n)
 
 
 def relative_separation(lam: PointSet, q: groups.Ball) -> SeparationReport:
-    """Exact Rel_Q of a lattice for a disk Q (hole removal never lowers the
-    sup, so the full-lattice value is reported)."""
-    if not lam.is_lattice:
-        raise ValueError(_CONTINUOUS_BALL_KINDS.format(lam.kind))
+    """Exact Rel_Q of a lattice for a disk Q (removing the hole never lowers
+    the sup, so the full-lattice value is reported)."""
     rho = q.radius
-    base = PointSet(kind=LATTICE, a=lam.a, b=lam.b)
+    base = PointSet(lam.a, lam.b)
     window = base.lattice_points_near(lam.a / 2.0, lam.b / 2.0,
                                       rho + math.hypot(lam.a, lam.b))
     cands = _disk_candidates(window, rho)
@@ -633,11 +607,11 @@ def _bessel_report(sep: SeparationReport, cover: CoverReport, cover2: CoverRepor
             "separation": sep.to_json(), "cover": cover.to_json()}
 
 
-def finite_bessel_separation_bound(rep: RepModel, g: np.ndarray, lam: PointSet,
+def finite_bessel_separation_bound(rep: RepModel, g: np.ndarray, lam: np.ndarray,
                                    q_radius: float, bessel_bound: float | None = None) -> dict:
     """Check Rel_Q(Lambda) <= 4 n B ||g||^{-2} and its invariance under g -> 2g;
     B defaults to the upper bound of the exact frame-operator spectrum."""
-    _check_same_torus(rep, lam)
+    _check_same_torus(rep.n, lam)
     gv = np.asarray(g, dtype=complex)
     if bessel_bound is None:
         bessel_bound = finite_frame_operator_spectrum(finite_synthesis(rep, gv, lam)).upper
@@ -709,18 +683,18 @@ def _amalgam_report(lhs: float, rhs: float, sep: SeparationReport, mu_q: float,
             "mu_q": mu_q, "k_radius": k_radius, "passed": lhs <= rhs * (1.0 + 1e-9)}
 
 
-def finite_amalgam_check(rep: RepModel, g: np.ndarray, lam: PointSet, q_radius: float,
+def finite_amalgam_check(rep: RepModel, g: np.ndarray, lam: np.ndarray, q_radius: float,
                          k_radius: float) -> dict:
     """The amalgam bound sum_{lam in K} |F(lam)|^2 <= (Rel_Q / mu(Q)) *
     sum_{KQ} (M_Q F)^2 for F = V_g g, with Q and K the closed word balls of
     radii q_radius and k_radius.  One pass over the offsets z of Q rolls
     both M_Q F, the running max of F(x + z), and KQ, the union of K + z."""
-    _check_same_torus(rep, lam)
+    _check_same_torus(rep.n, lam)
     sep = finite_relative_separation(lam, q_radius)
     gv = np.asarray(g, dtype=complex)
     table = np.abs(reps.coefficient_table(rep, gv, gv))
     k_mask = reps.torus_ball(rep.n, k_radius)
-    lhs = float(sum(table[p] ** 2 for p in lam.points if k_mask[p]))
+    lhs = float(sum(table[lam & k_mask] ** 2))
     q_offsets = np.argwhere(reps.torus_ball(rep.n, q_radius))
     m = np.zeros_like(table)
     kq = np.zeros_like(k_mask)

@@ -148,11 +148,16 @@ def length(metric: groups.PeriodicMetric, el: tuple) -> float:
 #
 # Each takes what its frames.finite_* counterpart takes and computes the same
 # quantity element by element on Z_N x Z_N: a scan of the translates of Q, the
-# cover's candidate x target matrix as nested lists, and KQ as a set.
+# cover's candidate x target matrix as nested lists, and KQ as a set.  The
+# finite_subset mask Lambda is read once, as its set of (k, l) tuples.
 
 
 def _torus_add(n: int, a: tuple, b: tuple) -> tuple:
     return ((a[0] + b[0]) % n, (a[1] + b[1]) % n)
+
+
+def _mask_points(lam: np.ndarray) -> set:
+    return {(k, l) for k in range(len(lam)) for l in range(len(lam)) if lam[k, l]}
 
 
 def _torus_ball_points(n: int, radius: float) -> list:
@@ -161,12 +166,12 @@ def _torus_ball_points(n: int, radius: float) -> list:
             if sum(min(x, n - x) for x in p) <= radius]
 
 
-def finite_relative_separation(lam: frames.PointSet, q_radius: float) -> tuple:
+def finite_relative_separation(lam: np.ndarray, q_radius: float) -> tuple:
     """(rel_sep, witness, n_candidates): the first translate x + Q, in
     row-major order, that holds the most points of Lambda."""
-    n = lam.modulus
+    n = len(lam)
     q_points = _torus_ball_points(n, q_radius)
-    pset = set(lam.points)
+    pset = _mask_points(lam)
     best, witness = 0, (0, 0)
     for x in itertools.product(range(n), repeat=2):
         c = sum(1 for z in q_points if _torus_add(n, x, z) in pset)
@@ -189,7 +194,7 @@ def finite_cover_centres(rep: reps.RepModel, g, q_radius: float) -> tuple:
     return tuple(cand[i] for i in frames._greedy_cover(covers))
 
 
-def finite_amalgam_sides(rep: reps.RepModel, g, lam: frames.PointSet, q_radius: float,
+def finite_amalgam_sides(rep: reps.RepModel, g, lam: np.ndarray, q_radius: float,
                          k_radius: float) -> tuple:
     """(lhs, rhs) of the finite amalgam check, with KQ as a set of tuples and
     M_Q F as the max of F over each x + Q."""
@@ -199,7 +204,7 @@ def finite_amalgam_sides(rep: reps.RepModel, g, lam: frames.PointSet, q_radius: 
     q_points = _torus_ball_points(n, q_radius)
     k_points = _torus_ball_points(n, k_radius)
     k_set = set(k_points)
-    lhs = float(sum(table[p] ** 2 for p in lam.points if p in k_set))
+    lhs = float(sum(table[p] ** 2 for p in sorted(_mask_points(lam)) if p in k_set))
     kq = {_torus_add(n, y, z) for y in k_points for z in q_points}
     rhs = sum(max(table[_torus_add(n, x, z)] for z in q_points) ** 2 for x in kq)
     rel_sep = finite_relative_separation(lam, q_radius)[0]

@@ -246,10 +246,10 @@ def test_frame_matrix_dumps(tmp_path, capsys):
     rng = np.random.default_rng(0)
     g = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     g /= np.linalg.norm(g)
-    rep, lam = reps.finite_weyl_heisenberg(6), frames.full_torus(6)
+    rep = reps.finite_weyl_heisenberg(6)
     want = [[str(i), str(j), f"{v.real:.12g}", f"{v.imag:.12g}"]
             for i, row in enumerate(np.column_stack(
-                [reps.apply_rep(rep, x, g) for x in lam.points]))
+                [reps.apply_rep(rep, (k, l), g) for k in range(6) for l in range(6)]))
             for j, v in enumerate(row.tolist())]
     synthesis = (tmp_path / "fin" / "synthesis.csv").read_text().splitlines()
     assert synthesis[0] == "row,col,real,imag"

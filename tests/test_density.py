@@ -53,8 +53,7 @@ def test_count_points_box_ball_and_translation():
     assert counts == sorted(counts)
     # closed-form counting takes a plain lattice only
     with pytest.raises(ValueError, match="plain lattice"):
-        frames.lattice_with_holes(1.0, 1.0, [(0.0, 0.0, 1.0)]).lattice_count_near(
-            0.0, 0.0, 2.0)
+        lattice(1.0, 1.0, hole_radius=1.0).lattice_count_near(0.0, 0.0, 2.0)
 
 
 def test_beurling_density_half_integer_lattice_frozen_counts():
@@ -108,14 +107,15 @@ def test_beurling_density_counts_match_a_per_centre_loop():
 
 
 def test_density_rejects_the_inputs_it_does_not_count():
-    # density counts a plain lattice in closed discs; a holed lattice, a
-    # torus subset and an open K_n raise ValueError naming what they are
+    # density counts a plain lattice in closed discs; a holed lattice and an
+    # open K_n raise ValueError naming what they are.  A torus subset is a
+    # mask, not a PointSet, and has no lattice to count
     em = groups.euclidean_metric(dim=2)
     exhaustion = [euclid_ball(3.0)]
-    holed = frames.lattice_with_holes(0.5, 0.5, [(0.0, 0.0, 1.0)])
-    for lam in (holed, full_torus(4)):
-        with pytest.raises(ValueError, match=lam.kind):
-            density.beurling_density(lam, exhaustion)
+    with pytest.raises(ValueError, match="hole_radius = 1"):
+        density.beurling_density(lattice(0.5, 0.5, hole_radius=1.0), exhaustion)
+    with pytest.raises(AttributeError):
+        density.beurling_density(full_torus(4), exhaustion)
     with pytest.raises(ValueError, match="open"):
         density.beurling_density(lattice(0.5, 0.5),
                                  [euclid_ball(2.0), groups.ball(em, 3.0, closed=False)])

@@ -6,6 +6,7 @@ and explicit modulation phases, then takes singular values; the package route
 goes through the assembled frame operator / Gram matrix eigensolves.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from coherentlab.frames import (
     finite_subset,
     full_torus,
     lattice,
-    lattice_with_holes,
 )
 import reference
 from reference import dimension_lemma_check
@@ -40,8 +40,9 @@ def svd_bounds_oracle(n, g, points):
 
 
 def scan_lattice_points(lam, cx, cy, r, closed=True):
-    """Point-by-point scan of the index box around the disk, with strict hole
-    removal: an oracle independent of the column ranges of PointSet."""
+    """Point-by-point scan of the index box around the disk, with strict
+    removal of the hole about the origin: an oracle independent of the column
+    ranges of PointSet."""
     thr = r * r * (1.0 + 1e-12) + 1e-12 if closed else r * r
     out = []
     for k in range(math.floor((cx - r) / lam.a) - 1, math.ceil((cx + r) / lam.a) + 2):
@@ -51,8 +52,7 @@ def scan_lattice_points(lam, cx, cy, r, closed=True):
             d_sq = (x - cx) * (x - cx) + (y - cy) * (y - cy)
             if not (d_sq <= thr if closed else d_sq < thr):
                 continue
-            if any((x - hx) * (x - hx) + (y - hy) * (y - hy) < hr * hr
-                   for (hx, hy, hr) in lam.holes):
+            if x * x + y * y < lam.hole_radius * lam.hole_radius:
                 continue
             out.append((x, y))
     return out
@@ -134,6 +134,40 @@ def test_gram_and_frame_operator_share_nonzero_spectrum():
     assert rb.kind == "riesz"
 
 
+def test_wide_riesz_bounds_match_the_brute_gram():
+    # more points than dimensions: the Gram is singular, so A = 0 and B is
+    # read from the N x N frame operator; the |Lambda| x |Lambda| Gram
+    # diagonalised directly agrees to 1e-12 relative.  The full torus is a
+    # tight frame and even_shifts has a repeated top eigenvalue, so a random
+    # 20-point subset of Z_6^2 gives a simple one.  A square synthesis
+    # (single_row) stays on the Gram path
+    rng = np.random.default_rng(40)
+    some = np.zeros(36, dtype=bool)
+    some[rng.choice(36, 20, replace=False)] = True
+    for n, lam in ((6, full_torus(6)),
+                   (8, finite_subset(8, [(k, l) for k in range(0, 8, 2) for l in range(8)])),
+                   (6, some.reshape(6, 6))):
+        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        phi = frames.finite_synthesis(reps.finite_weyl_heisenberg(n), g, lam)
+        assert phi.shape[1] > n
+        rb = frames.finite_riesz_bounds(phi)
+        gram = phi.conj().T @ phi
+        brute = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
+        assert (rb.lower, rb.kind, rb.method, rb.gram) == (0.0, "bessel", "exact_spectrum", None)
+        assert abs(max(float(brute[0]), 0.0)) <= 1e-12 * rb.upper
+        assert rb.upper == pytest.approx(float(brute[-1]), rel=1e-12)
+        assert rb.upper == frames.finite_frame_operator_spectrum(phi).upper
+    n = 8
+    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    phi = frames.finite_synthesis(reps.finite_weyl_heisenberg(n), g,
+                                  finite_subset(n, [(k, 0) for k in range(n)]))
+    rb = frames.finite_riesz_bounds(phi)
+    assert rb.kind == "riesz" and rb.gram.shape == (n, n)
+    brute = np.linalg.eigvalsh(phi.conj().T @ phi)
+    assert rb.lower == pytest.approx(float(brute[0]), rel=1e-12)
+    assert rb.upper == pytest.approx(float(brute[-1]), rel=1e-12)
+
+
 def test_riesz_bounds_translation_covariance_on_explicit_sets():
     def gram_eigs(pts):
         gram = np.array([[frames.gabor_gram_entry(mu, nu) for nu in pts] for mu in pts])
@@ -177,7 +211,7 @@ def test_gaussian_lattice_with_ab_at_least_one_is_no_frame():
     # Lyubarskii; Seip-Wallsten: the Gaussian is a frame on aZ x bZ iff ab < 1.
     # The truncated section alone sees A = 0.0188 on Z^2 at R = 12.
     for lam in (lattice(1.0, 1.0), lattice(1.0488, 1.0488),
-                lattice_with_holes(1.0, 1.0, [(0.0, 0.0, 2.0)])):
+                lattice(1.0, 1.0, hole_radius=2.0)):
         fb = frames.frame_operator_spectrum(lam)
         assert fb.kind == "bessel" and fb.lower == 0.0
         assert "admits no Gaussian frame" in fb.method
@@ -203,17 +237,30 @@ def test_section_method_names_the_mode_cap_when_it_cuts():
     assert fb.method == "truncated_section(R=16, margin=3, modes=512/530)" + no_frame
 
 
-@pytest.mark.parametrize("a, b, holes, parity", [
-    (0.45, 0.6, (), True),
-    (0.6, 0.4, ((0.0, 0.0, 2.0),), True),
-    (0.5, 0.5, ((2.5, 0.0, 1.2), (-2.5, 0.0, 1.2)), True),
-    (0.5, 0.5, ((2.5, 1.0, 1.2), (-2.5, -1.0, 1.2)), False),  # not under conj
-    (0.5, 0.45, ((3.0, 1.0, 1.0),), False),
-])
-def test_section_spectrum_matches_one_complex_product(monkeypatch, a, b, holes, parity):
-    # a set symmetric under z -> -z and z -> conj(z) takes two real blocks
-    # (even and odd modes); any other set one complex product
-    lam = frames.lattice_with_holes(a, b, holes) if holes else frames.lattice(a, b)
+def _section_cases(seed: int = 31, count: int = 12) -> list:
+    """(a, b, hole_radius): two fixed cases, then seeded random ones; every
+    other random hole radius passes through the lattice point (k a, l b)."""
+    rng = np.random.default_rng(seed)
+    cases = [(0.45, 0.6, 0.0), (0.6, 0.4, 2.0)]
+    for i in range(count):
+        a, b = (round(float(v), 4) for v in rng.uniform(0.35, 0.9, 2))
+        k, l = (int(v) for v in rng.integers(1, 4, 2))
+        cases.append((a, b, math.hypot(k * a, l * b) if i % 2 else float(rng.uniform(0.0, 3.0))))
+    return cases
+
+
+@pytest.mark.parametrize("a, b, hole_radius", _section_cases(), ids=lambda v: f"{v:g}")
+def test_section_spectrum_matches_one_complex_product(monkeypatch, a, b, hole_radius):
+    # every section, a disk of a Z x b Z about the origin minus the hole about
+    # the origin, is invariant under z -> -z and z -> conj(z), so it takes two
+    # real blocks (even and odd modes) whose spectrum is that of one complex
+    # product; where the hole's circle passes through lattice points, the
+    # strict removal keeps them in every orbit alike
+    lam = frames.lattice(a, b, hole_radius)
+    p = np.asarray(lam.restrict(euclid_ball(7.0)))  # lexicographic
+    conj = p * (1.0, -1.0)
+    assert np.array_equal(p, -p[::-1])
+    assert np.array_equal(p, conj[np.lexsort((conj[:, 1], conj[:, 0]))])
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -224,7 +271,7 @@ def test_section_spectrum_matches_one_complex_product(monkeypatch, a, b, holes, 
     monkeypatch.setattr(frames.np.linalg, "eigvalsh", spy)
     fb = frames.frame_operator_spectrum(lam, section_radius=7.0, margin=3.0)
     monkeypatch.undo()
-    assert calls == (["f", "f"] if parity else ["c"])
+    assert calls == ["f", "f"]
     _assert_section_is_one_product(fb, lam, 7.0, reps.hermite_gabor_coefficients)
 
 
@@ -265,17 +312,16 @@ def test_relative_separation_exact_lattice_values():
     # exceeds the exact arrangement value and attains it somewhere
     for a, rho, expect in ((0.5, 0.6, 6), (1.0, 1.0, 5)):
         lam = lattice(a, a)
-        base = frames.PointSet(kind=lam.kind, a=a, b=a)
         best = 0
         for cx in np.linspace(0.0, a, 41):
             for cy in np.linspace(0.0, a, 41):
-                best = max(best, len(base.lattice_points_near(
+                best = max(best, len(lam.lattice_points_near(
                     float(cx), float(cy), rho, closed=True)))
         assert best == expect
 
 
 def test_relative_separation_holes_report_full_lattice_sup():
-    lam = lattice_with_holes(1.0, 1.0, [(0.0, 0.0, 2.0)])
+    lam = lattice(1.0, 1.0, hole_radius=2.0)
     rep = frames.relative_separation(lam, euclid_ball(1.0))
     assert rep.rel_sep == 5  # sup over all centers is away from the hole
 
@@ -530,7 +576,7 @@ def test_canonical_dual_tight_case_and_reconstruction():
     assert report.reconstruction_error <= 1e-8
     # tight frame: S = N ||g||^2 I, so duals are scaled originals
     scale = 1.0 / (n * float(np.linalg.norm(g)) ** 2)
-    for x, d in zip(lam.points, report.dual_vectors):
+    for x, d in zip([(k, l) for k in range(n) for l in range(n)], report.dual_vectors):
         assert np.allclose(d, scale * reps.apply_rep(rep, x, g), atol=1e-10)
     assert report.dual_bounds.lower == pytest.approx(1.0 / report.bounds.upper,
                                                      abs=1e-10)
@@ -584,14 +630,23 @@ def test_frame_bounds_validation_and_errors():
     with pytest.raises(ValueError):
         frames.riesz_bounds(lattice(1.0, 1.0))  # needs restriction radius
     with pytest.raises(ValueError):  # the hole swallows the whole restriction
-        frames.riesz_bounds(lattice_with_holes(1.0, 1.0, [(0.0, 0.0, 5.0)]),
-                            restriction_radius=3.0)
+        frames.riesz_bounds(lattice(1.0, 1.0, hole_radius=5.0), restriction_radius=3.0)
     n = 8
     frep = reps.finite_weyl_heisenberg(n)
     with pytest.raises(ValueError):
         frames.finite_synthesis(frep, np.ones(4), full_torus(n))
-    with pytest.raises(ValueError):
-        frames.finite_synthesis(frep, np.ones(n), full_torus(4))
+    # the torus Lambda is a bool (N, N) mask over the model's own modulus
+    for bad in (full_torus(4), np.ones((n, n), dtype=int), np.ones((n, n + 1), dtype=bool),
+                [[True] * n] * n):
+        for check in (lambda lam: frames.finite_synthesis(frep, np.ones(n), lam),
+                      lambda lam: frames.finite_amalgam_check(frep, np.ones(n), lam, 1.0, 1.0),
+                      lambda lam: frames.finite_bessel_separation_bound(frep, np.ones(n), lam, 1.0)):
+            with pytest.raises(ValueError, match="finite_subset"):
+                check(bad)
+    with pytest.raises(ValueError, match="finite_subset"):
+        frames.finite_relative_separation(np.ones((n, n), dtype=int), 1.0)
+    with pytest.raises(ValueError, match="empty"):
+        frames.finite_synthesis(frep, np.ones(n), np.zeros((n, n), dtype=bool))
 
 
 def test_riesz_gram_diagonal_is_the_coefficient_at_zero():
@@ -613,21 +668,20 @@ def test_riesz_gram_diagonal_is_the_coefficient_at_zero():
 
 def test_continuous_ball_restricts_lattice_kinds_only():
     # Z_N^2 indices are not time-frequency points: reading them as such gave
-    # the Gaussian a Riesz sequence on full_torus(4)
+    # the Gaussian a Riesz sequence on full_torus(4).  The torus Lambda is a
+    # mask, not a PointSet, so it has no disk to restrict, and the finite
+    # model refuses a lattice
     torus = full_torus(4)
-    with pytest.raises(ValueError, match="finite_subset"):
-        torus.restrict(euclid_ball(2.0))
-    with pytest.raises(ValueError, match="finite_subset"):
+    assert torus.dtype == bool and torus.shape == (4, 4) and torus.all()
+    assert not hasattr(torus, "restrict")
+    with pytest.raises(AttributeError):
         frames.riesz_bounds(torus, restriction_radius=6.0)
-    with pytest.raises(ValueError, match="finite_subset"):
+    with pytest.raises(AttributeError):
         frames.frame_operator_spectrum(torus)
     with pytest.raises(ValueError):
         frames.riesz_bounds(torus)
-    # restrict is the lattice kinds' disk enumeration: a word ball is refused
-    # too
-    wq = groups.ball(groups.word_metric(groups.integer_lattice(2)), 1.0)
     with pytest.raises(ValueError, match="finite_subset"):
-        torus.restrict(wq)
+        frames.finite_synthesis(reps.finite_weyl_heisenberg(4), np.ones(4), lattice(1.0, 1.0))
 
 
 def test_riesz_bounds_on_sparse_lattice_restriction():
@@ -653,22 +707,38 @@ def test_dump_matrix_csv_roundtrip(tmp_path):
 
 
 def test_point_set_geometry_helpers():
+    assert [f.name for f in dataclasses.fields(frames.PointSet)] == ["a", "b", "hole_radius"]
     lam = lattice(0.5, 0.5)
     assert lam.covolume == pytest.approx(0.25)
-    assert lam.is_lattice
+    assert lam.hole_radius == 0.0
     inside = lam.restrict(euclid_ball(1.0))
     assert (0.0, 0.0) in inside and (0.5, 0.5) in inside
     assert all(x * x + y * y <= 1.0 + 1e-9 for (x, y) in inside)
-    holey = lattice_with_holes(1.0, 1.0, [(0.0, 0.0, 1.5)])
+    holey = lattice(1.0, 1.0, hole_radius=1.5)
     pts = holey.restrict(euclid_ball(3.0))
     assert (0.0, 0.0) not in pts and (1.0, 0.0) not in pts
     assert (2.0, 0.0) in pts
+    # removal is strict: the points on the hole's circle stay
+    assert (1.0, 0.0) in lattice(1.0, 1.0, hole_radius=1.0).restrict(euclid_ball(3.0))
     with pytest.raises(ValueError):
         lattice(0.0, 1.0)
-    with pytest.raises(ValueError):
-        lattice_with_holes(1.0, 1.0, [(0.0, 0.0, -1.0)])
+    with pytest.raises(ValueError, match="hole radius"):
+        lattice(1.0, 1.0, hole_radius=-1.0)
+    # a NaN or infinite spacing or hole radius is refused by name, before
+    # any array code warns or an empty section is found later
+    for args, name in (((math.nan, 0.5), "lattice a"), ((0.5, math.inf), "lattice b"),
+                       ((math.inf, 0.5), "lattice a"), ((0.5, 0.5, math.nan), "hole_radius"),
+                       ((0.5, 0.5, math.inf), "hole_radius")):
+        with pytest.raises(ValueError, match=name):
+            lattice(*args)
     with pytest.raises(ValueError):
         finite_subset(1, [(0, 0)])
+    with pytest.raises(ValueError, match="duplicate"):
+        finite_subset(4, [(1, 2), (5, -2)])
+    # the torus Lambda is the mask of its points, read mod N
+    mask = finite_subset(4, [(1, 2), (-1, 0)])
+    assert mask.dtype == bool and mask.shape == (4, 4)
+    assert np.argwhere(mask).tolist() == [[1, 2], [3, 0]]
 
 
 def test_lattice_count_near_matches_enumeration():
@@ -706,10 +776,8 @@ def test_lattice_count_near_matches_enumeration():
     assert half.lattice_count_near(0.0, 0.0, 10.0) \
         == 12 + len(scan_lattice_points(half, 0.0, 0.0, 10.0 - 1e-9))
     # only plain lattices with closed balls take the closed form
-    with pytest.raises(ValueError):
-        lattice_with_holes(0.5, 0.5, [(0.0, 0.0, 2.0)]).lattice_count_near(0.0, 0.0, 6.0)
-    with pytest.raises(ValueError):
-        finite_subset(4, [(0, 0)]).lattice_count_near(0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="hole_radius"):
+        lattice(0.5, 0.5, hole_radius=2.0).lattice_count_near(0.0, 0.0, 6.0)
 
 
 def test_lattice_count_near_on_arrays_matches_scalar_and_scan(monkeypatch):
@@ -757,7 +825,7 @@ def test_relative_separation_matches_a_per_candidate_loop():
 
 def test_count_points_on_holes_and_open_balls_matches_enumeration():
     em = groups.euclidean_metric(dim=2)
-    holey = lattice_with_holes(0.5, 0.5, [(0.0, 0.0, 2.0), (3.0, 1.0, 1.0)])
+    holey = lattice(0.5, 0.5, hole_radius=2.0)
     for lam in (holey, lattice(0.5, 0.5)):
         for closed in (True, False):
             want = scan_lattice_points(lam, 0.0, 0.0, 5.0, closed=closed)
@@ -765,21 +833,22 @@ def test_count_points_on_holes_and_open_balls_matches_enumeration():
             for center in ((0.0, 0.0), (1.5, 0.5), (0.3125, -0.25)):
                 want = scan_lattice_points(lam, *center, 5.0, closed=closed)
                 assert lam.lattice_points_near(*center, 5.0, closed) == want
-                if closed and lam.kind == frames.LATTICE:
+                if closed and not lam.hole_radius:
                     assert lam.lattice_count_near(*center, 5.0) == len(want)
-    # random holes, centres and radii, some through a lattice point, both kinds
+    # random hole radii, centres and radii, some through a lattice point; the
+    # hole stays at the origin while the disk's centre moves
     rng = np.random.default_rng(11)
     for _ in range(150):
         a, b = float(rng.uniform(0.3, 1.2)), float(rng.uniform(0.3, 1.2))
-        holes = [(float(rng.integers(-6, 7) * a), float(rng.uniform(-3.0, 3.0)),
-                  float(rng.uniform(0.0, 3.0))) for _ in range(rng.integers(1, 3))]
-        lam = lattice_with_holes(a, b, holes)
+        hk, hl = rng.integers(-4, 5, size=2)
+        hole_radius = float(rng.choice([rng.uniform(0.0, 3.0), math.hypot(hk * a, hl * b)]))
+        lam = lattice(a, b, hole_radius)
         cx, cy = float(rng.uniform(-4.0, 4.0)), float(rng.integers(-16, 17) * b / 8.0)
         k, l = rng.integers(-8, 9, size=2)
         r = float(rng.choice([rng.uniform(0.0, 8.0), math.hypot(k * a - cx, l * b - cy)]))
         for closed in (True, False):
             assert lam.lattice_points_near(cx, cy, r, closed) \
-                == scan_lattice_points(lam, cx, cy, r, closed), (a, b, holes, cx, cy, r)
+                == scan_lattice_points(lam, cx, cy, r, closed), (a, b, hole_radius, cx, cy, r)
     # the closed ball counts the 12 on-circle points, the open ball does not
     plain = lattice(0.5, 0.5)
     closed_n = plain.lattice_count_near(0.0, 0.0, 10.0)
@@ -790,8 +859,8 @@ def test_count_points_on_holes_and_open_balls_matches_enumeration():
 @pytest.mark.parametrize("lam", [
     frames.lattice(0.5, 0.5),
     frames.lattice(0.45, 0.6),
-    frames.lattice_with_holes(0.6, 0.4, [(0.0, 0.0, 2.0)]),
-    frames.lattice_with_holes(0.5, 0.45, [(3.0, 1.0, 1.0)]),
+    frames.lattice(0.6, 0.4, hole_radius=2.0),
+    frames.lattice(0.5, 0.45, hole_radius=1.5),  # through (+-1.5, 0), which stay
 ], ids=["plain", "a!=b", "holed-symmetric", "holed"])
 def test_section_takes_the_restriction_as_an_array(monkeypatch, lam):
     # the section enumerates its disk as arrays; they hold the restriction's
