@@ -152,7 +152,12 @@ class PointSet:
 
     def restrict(self, b: groups.Ball) -> tuple:
         """Exactly the points of Lambda inside the disk b about the origin,
-        sorted."""
+        sorted.  Raises ValueError, naming the metric's kind, for a ball that
+        is not a disk of the plane's euclidean_norm."""
+        metric = b.metric
+        if metric.kind != groups.EUCLIDEAN_NORM or metric.group.dim != 2:
+            raise ValueError(f"restrict takes a disk of the plane's {groups.EUCLIDEAN_NORM}, "
+                             f"not a {metric.kind} ball in dimension {metric.group.dim}")
         return tuple(sorted(self.lattice_points_near(0.0, 0.0, b.radius, b.closed)))
 
 
@@ -264,29 +269,40 @@ def section_mode_count(section_radius: float, margin: float) -> int:
     return min(SECTION_MODE_CAP, int(math.floor(math.pi * (section_radius - margin) ** 2)))
 
 
-def _orbit_blocks(coeff: np.ndarray, p: np.ndarray) -> list:
-    """The even- and odd-mode blocks Re(c c^H) of a section whose points p are
-    invariant under z -> -z and z -> conj(z).
+def _orbit_order(p: np.ndarray) -> tuple:
+    """The points p of a section invariant under z -> -z and z -> conj(z),
+    reordered as one point per orbit, then the rest: the open quadrant
+    x, w > 0 (orbits of 4), then the positive half-axes (orbits of 2), then
+    the origin (absent when a hole removes it), then every other point, each
+    group in p's order.  Returns the reordered points and the sizes of the
+    first three groups."""
+    x, w = p[:, 0], p[:, 1]
+    quadrant = (x > 0) & (w > 0)
+    axes = ((x > 0) & (w == 0)) | ((x == 0) & (w > 0))
+    origin = (x == 0) & (w == 0)
+    idx = [np.flatnonzero(m) for m in (quadrant, axes, origin, ~(quadrant | axes | origin))]
+    return p.take(np.concatenate(idx), axis=0), tuple(len(i) for i in idx[:3])
+
+
+def _orbit_blocks(coeff: np.ndarray, sizes: tuple) -> list:
+    """The even- and odd-mode blocks Re(c c^H) of a section whose columns are
+    in the order of _orbit_order, with its group sizes.
 
     C_n(-z) = (-1)^n C_n(z) and C_n(conj z) = conj C_n(z), so the orbit
-    {z, -z, conj z, -conj z} adds one term per point to each parity block.
-    The columns are taken once: the open quadrant x, w > 0 (orbits of 4),
-    then the positive half-axes (orbits of 2), then the origin.  A complex
-    row viewed as floats interleaves Re and Im, so for a block c of those
-    columns, d = c.view(float) gives d d^T = Re(c c^H).
+    {z, -z, conj z, -conj z} adds one term per point to each parity block:
+    the leading columns, weighted 4 on the quadrant, 2 on the half-axes and 1
+    at the origin.  A complex row viewed as floats interleaves Re and Im, so
+    for a block c of those columns, d = c.view(float) gives d d^T = Re(c c^H).
     """
-    x, w = p[:, 0], p[:, 1]
-    quadrant = np.flatnonzero((x > 0) & (w > 0))
-    axes = np.flatnonzero(((x > 0) & (w == 0)) | ((x == 0) & (w > 0)))
-    origin = np.flatnonzero((x == 0) & (w == 0))
-    cols = coeff.take(np.concatenate([quadrant, axes, origin]), axis=1)
-    q, h = 2 * len(quadrant), 2 * (len(quadrant) + len(axes))
+    n_quadrant, n_axes, n_origin = sizes
+    q, h = 2 * n_quadrant, 2 * (n_quadrant + n_axes)
+    end = h + 2 * n_origin
     blocks = []
-    for d in (cols[0::2].view(float), cols[1::2].view(float)):
+    for d in (coeff[0::2].view(float), coeff[1::2].view(float)):
         s = d[:, :q] @ d[:, :q].T
         s *= 4.0
         s += 2.0 * (d[:, q:h] @ d[:, q:h].T)
-        s += d[:, h:] @ d[:, h:].T
+        s += d[:, h:end] @ d[:, h:end].T
         blocks.append(s)
     return blocks
 
@@ -318,17 +334,18 @@ def frame_operator_spectrum(lam: PointSet, section_radius: float = 12.0,
     """
     if section_radius <= margin + 1.0:
         raise ValueError("section radius must exceed margin + 1")
-    # lexicographic, as _points_near enumerates them
     p = np.column_stack(lam._points_near(0.0, 0.0, section_radius, closed=True))
     if not p.size:
         raise ValueError("empty point set after restriction")
     n_modes = section_mode_count(section_radius, margin)
-    # every restricted point, though the symmetric blocks read one point per
-    # orbit: the bench oracles count this call's points as frames.section_dim.
-    # The orbit representatives alone would be about a quarter of the entries
+    p, sizes = _orbit_order(p)
+    # every restricted point, the orbit representatives leading, though the
+    # blocks read only those: the bench oracles count this call's points as
+    # frames.section_dim.  The representatives alone would be about a
+    # quarter of the entries
     coeff = reps.hermite_gabor_coefficients(n_modes, p)
     eigs = np.sort(np.concatenate([_hermitian_eigs(s, "section operator")
-                                   for s in _orbit_blocks(coeff, p)]))
+                                   for s in _orbit_blocks(coeff, sizes)]))
     a, b = max(float(eigs[0]), 0.0), float(eigs[-1])
     resolved = int(math.floor(math.pi * (section_radius - margin) ** 2))
     cut = f", modes={n_modes}/{resolved}" if n_modes < resolved else ""

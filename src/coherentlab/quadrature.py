@@ -3,7 +3,11 @@
 refine_rows is a trapezoid rule with Richardson halving applied after a
 cosine change of variables, over many rows at once; the substitution clusters
 nodes at the endpoints, so the inverse-trig kinks of disk-overlap integrands
-stay cheap.  lens_area gives those integrands their disk-intersection areas.
+stay cheap.  lens_area gives those integrands their disk-intersection areas,
+with both arccosines of a call from one np.arccos.  Where numpy dispatches
+arccos to AVX-512 code an angle may differ from libm's acos by 1 ulp, so the
+error integrals may differ between machines in their last bits; the reports
+round them to 12 significant digits.
 Nothing here is Gaussian: the profile's closed forms live on
 reps.RadialProfile.
 """
@@ -82,13 +86,6 @@ def refine_rows(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
 # -- Disk geometry --------------------------------------------------------------
 
 
-def _acos(x: np.ndarray) -> np.ndarray:
-    # math.acos, not np.arccos: numpy's SIMD arccos is not correctly rounded
-    # on every CPU, which would make the error integrals built on lens areas,
-    # and so the report digits, depend on the machine
-    return np.fromiter(map(math.acos, x.tolist()), dtype=float, count=x.size)
-
-
 def lens_area(r1, r2, d):
     """Area of the intersection of two disks with radii r1, r2 at center
     distance d.  Arrays broadcast against each other (one radius pair per
@@ -107,7 +104,7 @@ def lens_area(r1, r2, d):
     dsq = dp * dp
     cosines = np.concatenate([(dsq + p1 * p1 - p2 * p2) / (2.0 * dp * p1),
                               (dsq + p2 * p2 - p1 * p1) / (2.0 * dp * p2)])
-    angles = _acos(np.minimum(np.maximum(cosines, -1.0), 1.0))
+    angles = np.arccos(np.minimum(np.maximum(cosines, -1.0), 1.0))
     a1, a2 = angles[:dp.size], angles[dp.size:]
     sq = (-dp + p1 + p2) * (dp + p1 - p2) * (dp - p1 + p2) * (dp + p1 + p2)
     out[part] = p1 * p1 * a1 + p2 * p2 * a2 - 0.5 * np.sqrt(np.maximum(sq, 0.0))

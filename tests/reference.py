@@ -51,6 +51,24 @@ def mc_error_integral(q: groups.Ball, k: groups.Ball, kind: str = "I",
     return area * total_mass * mean, area * total_mass * std
 
 
+def lens_area_scalar(r1: float, r2: float, d: float, acos=math.acos) -> float:
+    """Two-disk intersection area, branch by branch, one distance at a time.
+
+    The angles come from acos: by default libm's math.acos, one call per
+    angle, the oracle numpy's arccos is held to.  Passing np.arccos gives the
+    angles quadrature.lens_area takes, to the bit.
+    """
+    if r1 <= 0.0 or r2 <= 0.0 or d >= r1 + r2:
+        return 0.0
+    if d <= abs(r1 - r2):
+        rm = min(r1, r2)
+        return math.pi * rm * rm
+    a1 = float(acos(max(-1.0, min(1.0, (d * d + r1 * r1 - r2 * r2) / (2.0 * d * r1)))))
+    a2 = float(acos(max(-1.0, min(1.0, (d * d + r2 * r2 - r1 * r1) / (2.0 * d * r2)))))
+    sq = (-d + r1 + r2) * (d + r1 - r2) * (d - r1 + r2) * (d + r1 + r2)
+    return r1 * r1 * a1 + r2 * r2 * a2 - 0.5 * math.sqrt(max(sq, 0.0))
+
+
 def dimension_lemma_check(rep: reps.RepModel, g, basis) -> dict:
     """Sum over the group of ||P_V pi(x) g||^2 against N ||g||^2 dim V on the
     finite model."""

@@ -15,7 +15,7 @@ import pytest
 from coherentlab import cli, density, frames, groups, reps
 from coherentlab.frames import full_torus, lattice
 from coherentlab.quadrature import QuadratureError, refine_rows
-from reference import mc_error_integral
+from reference import lens_area_scalar, mc_error_integral
 
 
 def euclid_ball(radius):
@@ -383,16 +383,9 @@ def test_run_hole_falsification_validation():
 
 
 def _scalar_lens_area(r1, r2, d):
-    """Two-disk intersection area, one distance at a time."""
-    if d >= r1 + r2:
-        return 0.0
-    if d <= abs(r1 - r2):
-        rm = min(r1, r2)
-        return math.pi * rm * rm
-    a1 = math.acos(max(-1.0, min(1.0, (d * d + r1 * r1 - r2 * r2) / (2.0 * d * r1))))
-    a2 = math.acos(max(-1.0, min(1.0, (d * d + r2 * r2 - r1 * r1) / (2.0 * d * r2))))
-    sq = (-d + r1 + r2) * (d + r1 - r2) * (d - r1 + r2) * (d + r1 + r2)
-    return r1 * r1 * a1 + r2 * r2 * a2 - 0.5 * math.sqrt(max(sq, 0.0))
+    """Two-disk intersection area, one distance at a time, with the angle
+    function lens_area uses."""
+    return lens_area_scalar(r1, r2, d, acos=np.arccos)
 
 
 def refine_trapezoid_oracle(fn, a, b, tol=1e-8, max_doublings=22, min_doublings=4):
@@ -432,9 +425,10 @@ def refine_trapezoid_oracle(fn, a, b, tol=1e-8, max_doublings=22, min_doublings=
     raise QuadratureError(f"no convergence to tol={tol} after {max_doublings} doublings")
 
 
-def _full_node_integral(prof, rho, r, kind, tol):
+def _full_node_integral(prof, rho, r, kind, tol, lens=_scalar_lens_area):
     """The lens-reduced error integral with a lens area at every node, also
-    where the Gaussian weight is exactly 0."""
+    where the Gaussian weight is exactly 0; lens gives the areas, one
+    distance at a time."""
     if kind == "I" and r - rho <= 0.0:
         return math.pi * r * r * prof.mass_outside(rho, 0.0)
     r_a, r_b = (r, r - rho) if kind == "I" else (r + rho, r)
@@ -445,7 +439,7 @@ def _full_node_integral(prof, rho, r, kind, tol):
 
     def integrand(u):
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        bracket = const_area - np.array([_scalar_lens_area(r_a, r_b, x) for x in u.tolist()])
+        bracket = const_area - np.array([lens(r_a, r_b, x) for x in u.tolist()])
         return prof.maximal_sq(u, rho) * 2.0 * math.pi * u * bracket
 
     mid = refine_trapezoid_oracle(integrand, rho, u_zero, tol)
@@ -512,6 +506,22 @@ def test_batched_error_integrals_equal_one_refinement_per_radius(seed, tol):
         assert [rec.value.hex() for rec in recs] \
             == [_full_node_integral(prof, rho, r, kind, tol).hex() for r in radii]
     assert density.error_integral_I(euclid_ball(rho), []) == []
+
+
+@pytest.mark.parametrize("kind", ["I", "J"])
+def test_error_integrals_stay_within_1e13_of_the_libm_angle_oracle(kind):
+    # lens_area's angles come from np.arccos, which may differ from libm's
+    # acos by 1 ulp; at the density benchmark's radii the error integrals
+    # stay within 1e-13 relative of the full-node integral whose lens areas
+    # take their angles from math.acos
+    prof = reps.GAUSSIAN_PROFILE
+    radii = [6.0, 10.0, 14.0, 20.0, 28.0]
+    integral = density.error_integral_I if kind == "I" else density.error_integral_J
+    got = [rec.value for rec in integral(euclid_ball(1.0), [euclid_ball(r) for r in radii])]
+    want = [_full_node_integral(prof, 1.0, r, kind, 1e-8, lens=lens_area_scalar)
+            for r in radii]
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-13 * abs(w), (kind, g, w)
 
 
 def test_refine_rows_equal_one_refinement_per_row():

@@ -856,37 +856,93 @@ def test_count_points_on_holes_and_open_balls_matches_enumeration():
     assert closed_n - open_n == 12
 
 
+def _orbit_group(p: np.ndarray) -> np.ndarray:
+    """0 on the open quadrant x, w > 0, 1 on the positive half-axes, 2 at the
+    origin, 3 elsewhere."""
+    x, w = p[:, 0], p[:, 1]
+    return np.select([(x > 0) & (w > 0), ((x > 0) & (w == 0)) | ((x == 0) & (w > 0)),
+                      (x == 0) & (w == 0)], [0, 1, 2], 3)
+
+
+def _lexicographic_section_eigs(lam, radius: float, margin: float) -> np.ndarray:
+    """The section's sorted spectrum assembled from the coefficients of the
+    restriction in its lexicographic order, each orbit block's columns
+    gathered by index: quadrant, half-axes, origin."""
+    p = np.asarray(lam.restrict(euclid_ball(radius)), dtype=float)
+    coeff = reps.hermite_gabor_coefficients(frames.section_mode_count(radius, margin), p)
+    group = _orbit_group(p)
+    cols = coeff.take(np.concatenate([np.flatnonzero(group == g) for g in range(3)]), axis=1)
+    q, h = 2 * np.count_nonzero(group == 0), 2 * np.count_nonzero(group <= 1)
+    blocks = []
+    for d in (cols[0::2].view(float), cols[1::2].view(float)):
+        s = d[:, :q] @ d[:, :q].T
+        s *= 4.0
+        s += 2.0 * (d[:, q:h] @ d[:, q:h].T)
+        s += d[:, h:] @ d[:, h:].T
+        blocks.append(s)
+    return np.sort(np.concatenate([frames._hermitian_eigs(s, "section operator")
+                                   for s in blocks]))
+
+
 @pytest.mark.parametrize("lam", [
     frames.lattice(0.5, 0.5),
     frames.lattice(0.45, 0.6),
     frames.lattice(0.6, 0.4, hole_radius=2.0),
     frames.lattice(0.5, 0.45, hole_radius=1.5),  # through (+-1.5, 0), which stay
-], ids=["plain", "a!=b", "holed-symmetric", "holed"])
+    frames.lattice(0.5, 0.45, hole_radius=0.3),  # removes the origin alone
+    frames.lattice(0.5, 0.25, hole_radius=1.0),  # through (+-1, 0) and (0, +-1)
+], ids=["plain", "a!=b", "holed-symmetric", "holed", "holed-origin", "holed-axes"])
 def test_section_takes_the_restriction_as_an_array(monkeypatch, lam):
-    # the section enumerates its disk as arrays; they hold the restriction's
-    # points in its (lexicographic) order, so the bounds match a section built
-    # from np.asarray(restrict(...)) to the last bit
-    ball = euclid_ball(7.0)
-    pts = lam.restrict(ball)
-    assert tuple(lam.lattice_points_near(0.0, 0.0, 7.0)) == pts
-    want = np.asarray(pts, dtype=float)
+    # the Hermite call gets every restricted point once, the orbit
+    # representatives leading: the open quadrant, the positive half-axes,
+    # the origin (none when the hole removes it), then the rest, each group
+    # lexicographic; the blocks slice the leading columns alone (the spy
+    # overwrites every other column), and give the spectrum of a
+    # lexicographic-order assembly to the last bit
+    pts = lam.restrict(euclid_ball(7.0))
     seen = []
     hermite = reps.hermite_gabor_coefficients
 
     def spy(n_max, points):
         seen.append(points)
-        return hermite(n_max, points)
+        coeff = hermite(n_max, points)
+        coeff[:, _orbit_group(points) == 3] = 1.0 + 1.0j
+        return coeff
 
     monkeypatch.setattr(reps, "hermite_gabor_coefficients", spy)
     got = frames.frame_operator_spectrum(lam, section_radius=7.0, margin=3.0)
-    assert seen[0].dtype == want.dtype and seen[0].shape == want.shape
-    assert seen[0].tobytes() == want.tobytes()
-    monkeypatch.setattr(frames.PointSet, "_points_near",
-                        lambda self, *args, **kwargs: (want[:, 0].copy(), want[:, 1].copy()))
-    ref = frames.frame_operator_spectrum(lam, section_radius=7.0, margin=3.0)
-    assert (got.lower, got.upper, got.kind, got.method) == \
-        (ref.lower, ref.upper, ref.kind, ref.method)
-    assert got.spectrum.tobytes() == ref.spectrum.tobytes()
+    monkeypatch.undo()
+    [p] = seen
+    assert p.dtype == np.float64 and p.shape == (len(pts), 2)
+    assert sorted(map(tuple, p.tolist())) == list(pts)
+    group = _orbit_group(p)
+    assert np.all(np.diff(group) >= 0)
+    for g in range(4):
+        run = p[group == g].tolist()
+        assert run == sorted(run)
+    assert np.count_nonzero(group == 2) == (0 if lam.hole_radius else 1)
+    if lam.hole_radius == 1.0:
+        on_circle = [tuple(q) for q in p[group == 1].tolist() if q[0] ** 2 + q[1] ** 2 == 1.0]
+        assert on_circle == [(0.0, 1.0), (1.0, 0.0)]
+    eigs = _lexicographic_section_eigs(lam, 7.0, 3.0)
+    assert got.spectrum.tobytes() == eigs.tobytes()
+    assert (got.lower, got.upper) == (max(float(eigs[0]), 0.0), float(eigs[-1]))
+    assert got.kind == "frame" and got.method == "truncated_section(R=7, margin=3)"
+
+
+def test_restrict_refuses_balls_other_than_plane_disks():
+    # a word or gauge ball is not a disk: its elements are not the lattice
+    # points inside a circle, so restrict names the metric's kind instead of
+    # reading the radius as a disk's (a word ball of radius 3 on Z^2 has 25
+    # elements; the unit lattice has 29 points in the disk of radius 3)
+    lam = lattice(1.0, 1.0)
+    for metric in (groups.word_metric(groups.integer_lattice(2)),
+                   groups.word_metric(groups.discrete_heisenberg()),
+                   groups.heisenberg_gauge_metric(groups.discrete_heisenberg()),
+                   groups.euclidean_metric(dim=3)):
+        with pytest.raises(ValueError, match=metric.kind):
+            lam.restrict(groups.ball(metric, 2.0 if metric.group.dim == 3 else 3.0))
+    assert len(lam.restrict(euclid_ball(3.0))) == 29
 
 
 def test_lattice_count_near_with_a_radius_per_centre(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 
 from coherentlab.quadrature import QuadratureError, lens_area, refine_rows
 from coherentlab.reps import GAUSSIAN_PROFILE
+from reference import lens_area_scalar
 
 
 def lens_area_grid_oracle(r1, r2, d, n=2400):
@@ -24,16 +25,9 @@ def lens_area_grid_oracle(r1, r2, d, n=2400):
 
 
 def lens_area_scalar_reference(r1, r2, d):
-    """The branch-by-branch scalar formula, one distance at a time."""
-    if r1 <= 0.0 or r2 <= 0.0 or d >= r1 + r2:
-        return 0.0
-    if d <= abs(r1 - r2):
-        rm = min(r1, r2)
-        return math.pi * rm * rm
-    a1 = math.acos(max(-1.0, min(1.0, (d * d + r1 * r1 - r2 * r2) / (2.0 * d * r1))))
-    a2 = math.acos(max(-1.0, min(1.0, (d * d + r2 * r2 - r1 * r1) / (2.0 * d * r2))))
-    sq = (-d + r1 + r2) * (d + r1 - r2) * (d - r1 + r2) * (d + r1 + r2)
-    return r1 * r1 * a1 + r2 * r2 * a2 - 0.5 * math.sqrt(max(sq, 0.0))
+    """The branch-by-branch scalar formula, one distance at a time, with the
+    angle function lens_area uses."""
+    return lens_area_scalar(r1, r2, d, acos=np.arccos)
 
 
 def refine_one(fn, a, b, tol, **kw):
@@ -71,6 +65,19 @@ def test_lens_area_limit_cases():
         assert areas.shape == d.shape
         assert areas.tolist() == [lens_area(r1, r2, float(x)) for x in d]
         assert areas.tolist() == [lens_area_scalar_reference(r1, r2, float(x)) for x in d]
+
+
+def test_np_arccos_is_within_one_ulp_of_math_acos():
+    # lens_area takes its angles from np.arccos; where numpy dispatches it to
+    # SIMD code it is not libm's acos, but stays within 1 ulp of it, on
+    # seeded cosines and on +-1, +-0.5 and 0 and their float neighbours
+    marks = [-1.0, -0.5, 0.0, 0.5, 1.0]
+    near = [float(np.nextafter(v, t)) for v in marks for t in (-1.0, 1.0) if v != t]
+    x = np.concatenate([marks, near, np.random.default_rng(19).uniform(-1.0, 1.0, 100_000)])
+    got = np.arccos(x)
+    want = np.array([math.acos(v) for v in x.tolist()])
+    # angles lie in [0, pi], so their bit patterns order like the floats
+    assert np.max(np.abs(got.view(np.int64) - want.view(np.int64))) <= 1
 
 
 def test_lens_area_per_element_radii_equal_scalar_calls():
