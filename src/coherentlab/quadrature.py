@@ -6,8 +6,9 @@ nodes at the endpoints, so the inverse-trig kinks of disk-overlap integrands
 stay cheap.  lens_area gives those integrands their disk-intersection areas,
 with both arccosines of a call from one np.arccos.  Where numpy dispatches
 arccos to AVX-512 code an angle may differ from libm's acos by 1 ulp, so the
-error integrals may differ between machines in their last bits; the reports
-round them to 12 significant digits.
+error integrals may differ between machines in their last bits, and, rarely,
+so may the 12th significant digit that the reports print.  The shipped
+golden reports are checked with that dispatch both on and off.
 Nothing here is Gaussian: the profile's closed forms live on
 reps.RadialProfile.
 """
