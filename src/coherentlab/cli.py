@@ -61,8 +61,6 @@ _SCHEMAS = {
         "n": ("int", "8", _AT_LEAST_2),
         "trials": ("int", "20", _AT_LEAST_1),
         "tol": ("float", "1e-10", _POSITIVE),
-        "window": ("str", "random_unit", ("random_unit", "delta")),
-        "degree_radius": ("float", "-1", None),  # <= 0: 2 n
         "seed": ("int", "0", _NONNEG),
     },
     "frame": {
@@ -76,7 +74,6 @@ _SCHEMAS = {
         "restriction_radius": ("float", "6", _POSITIVE),
         "q_radius": ("float", "0.6", _POSITIVE),
         "k_radius": ("float", "4", _NONNEG),
-        "dump_matrices": ("bool", "false", None),
         "seed": ("int", "0", _NONNEG),
     },
     "density": {
@@ -88,11 +85,8 @@ _SCHEMAS = {
         "section_radius": ("float", "12", _POSITIVE),
         "margin": ("float", "3", _NONNEG),
         "restriction_radius": ("float", "8", _POSITIVE),
-        "grid_spacing": ("float", "-1", None),  # <= 0: min(a, b) / 8
-        "tol": ("float", "1e-8", _POSITIVE),
         "fit_exponent": ("bool", "false", None),
         "alpha": ("float", "2", _POSITIVE),
-        "diagnostic": ("bool", "false", None),
     },
     "hole": {
         "lattice_a": ("float", "0.5", _POSITIVE),
@@ -251,7 +245,7 @@ def _validate(experiment: str, cfg: dict) -> None:
 
 def _check_sizes(experiment: str, cfg: dict, budget: int) -> None:
     """Reject a config whose largest enumeration or matrix would exceed the
-    budget, naming the key that sets its size, before anything is built."""
+    budget, naming the keys that set its size, before anything is built."""
     a, b = cfg.get("lattice_a"), cfg.get("lattice_b")
     sizes = []  # (key, what is counted, its size as a thunk)
     if experiment == "hole" or cfg.get("model") == "gaussian" or cfg.get("side") == "frame":
@@ -282,24 +276,28 @@ def _check_sizes(experiment: str, cfg: dict, budget: int) -> None:
         sizes.append(("k_radius", "amalgam points",
                       lambda: frames.disk_point_estimate(cfg["k_radius"], a, b)))
     if experiment == "density":
-        spacing = cfg["grid_spacing"] if cfg["grid_spacing"] > 0 else min(a, b) / 8.0
         sizes.append(("radii", "points in the largest ball",
                       lambda: (2.0 * cfg["radii"][-1] / min(a, b)) ** 2))
-        sizes.append(("grid_spacing", "centres",
+        # the centre grid of spacing min(a, b) / 8 over one cell: the lattice
+        # spacings alone set its size
+        spacing = min(a, b) / 8.0
+        sizes.append((None, "centres",
                       lambda: math.ceil(a / spacing) * math.ceil(b / spacing)))
     if experiment == "rep-check":
         sizes.append(("trials", "coefficient entries",
                       lambda: cfg["trials"] * cfg["n"] ** 2))
-    on = f" on lattice_a = {a:g}, lattice_b = {b:g}" if a is not None else ""
+    lattice = f"lattice_a = {a:g}, lattice_b = {b:g}" if a is not None else ""
     for key, what, size in sizes:
         n = _size(size)
         if n > budget:
-            raise _over_budget(cfg, key, n, what, budget, on)
+            named = (lattice if key is None else _key_value(cfg, key)
+                     + (f" on {lattice}" if lattice else ""))
+            raise _over_budget(named, n, what, budget)
 
 
-def _over_budget(cfg: dict, key: str, n: float, what: str, budget: int,
-                 on: str = "") -> ConfigError:
-    return ConfigError(f"{_key_value(cfg, key)}{on} gives ~{n:.3g} {what}, over the "
+def _over_budget(named: str, n: float, what: str, budget: int) -> ConfigError:
+    """The refusal of a size over the budget; named says which keys set it."""
+    return ConfigError(f"{named} gives ~{n:.3g} {what}, over the "
                        f"enumeration budget ({groups.BUDGET_ENV_VAR}={budget})")
 
 
@@ -322,8 +320,8 @@ def _check_geometry_sizes(cfg: dict, metric: groups.PeriodicMetric) -> None:
              ("folner_k_radius", "Folner K", k_radius)]
     if metric.kind == groups.EUCLIDEAN_NORM:
         if cfg["folner_count"] > budget:
-            raise _over_budget(cfg, "folner_count", _size(lambda: cfg["folner_count"]),
-                               "Folner sets", budget)
+            raise _over_budget(_key_value(cfg, "folner_count"),
+                               _size(lambda: cfg["folner_count"]), "Folner sets", budget)
         # the Folner ratio measures the ball of radius r_n + r_K
         for key, which, radius in balls + [("folner_k_radius", "Folner product",
                                             last + k_radius)]:
@@ -338,14 +336,15 @@ def _check_geometry_sizes(cfg: dict, metric: groups.PeriodicMetric) -> None:
     sizes = {}
     for key, which, radius in balls:
         if math.isinf(radius):  # a Folner radius whose float sum overflowed
-            raise _over_budget(cfg, key, radius, f"elements in the {which} ball", budget)
+            raise _over_budget(_key_value(cfg, key), radius,
+                               f"elements in the {which} ball", budget)
         try:
             sizes[which] = groups.ball_measure(metric, radius)
         except groups.BudgetExceededError as exc:
             raise ConfigError(f"{_key_value(cfg, key)}: {exc}") from None
     product = sizes["largest Folner"] * sizes["Folner K"]
     if product > budget:
-        raise _over_budget(cfg, "folner_k_radius", product,
+        raise _over_budget(_key_value(cfg, "folner_k_radius"), product,
                            "elements in the Folner product set", budget)
 
 
@@ -367,14 +366,11 @@ class RunReport:
     records: list = field(default_factory=list)
     csv_header: tuple = ()
     csv_rows: list = field(default_factory=list)
-    matrices: dict = field(default_factory=dict)  # filename -> ndarray audit dumps
     timings: dict = field(default_factory=dict)  # console only, never emitted
 
     @property
     def overall_pass(self) -> bool:
-        flags = [r.get("passed") for r in self.records
-                 if "passed" in r and not r.get("diagnostic", False)]
-        return all(flags) if flags else True
+        return all(r["passed"] for r in self.records if "passed" in r)
 
     def to_json(self) -> dict:
         return {"experiment": self.experiment, "config": dict(self.config),
@@ -393,33 +389,22 @@ def emit_report(report: RunReport, out_dir: str) -> list:
         written.append(reporting.write_csv(
             os.path.join(out_dir, "rows.csv"), report.csv_header,
             report.csv_rows, meta))
-    for fname, mat in report.matrices.items():
-        path = os.path.join(out_dir, fname)
-        frames.dump_matrix_csv(mat, path)
-        written.append(path)
     return written
 
 
-def _record(name, payload=None, passed=None, diagnostic=None, **fields) -> dict:
+def _record(name, payload=None, passed=None, **fields) -> dict:
     """Flatten a payload dict plus extras into one named record.
 
-    An explicit ``passed``/``diagnostic`` argument wins over payload keys of
-    the same name; otherwise the payload's own flag is promoted.
+    An explicit ``passed`` argument wins over a payload key of the same name;
+    otherwise the payload's own flag is promoted.
     """
     merged = {**(payload or {}), **fields}
+    payload_passed = merged.pop("passed", None)
     if passed is None:
-        passed = merged.pop("passed", None)
-    else:
-        merged.pop("passed", None)
-    if diagnostic is None:
-        diagnostic = merged.pop("diagnostic", False)
-    else:
-        merged.pop("diagnostic", None)
+        passed = payload_passed
     rec = {"name": name, **merged}
     if passed is not None:
         rec["passed"] = bool(passed)
-    if diagnostic:
-        rec["diagnostic"] = True
     return rec
 
 
@@ -485,12 +470,8 @@ def run_rep_check(cfg: dict) -> RunReport:
     n = cfg["n"]
     rep = reps.finite_weyl_heisenberg(n)
     rng = np.random.default_rng(cfg["seed"])
-    if cfg["window"] == "delta":
-        g = np.zeros(n, dtype=complex)
-        g[0] = 1.0
-    else:
-        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        g /= np.linalg.norm(g)
+    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    g /= np.linalg.norm(g)
     t0 = time.perf_counter()
     orth = reps.verify_orthogonality(rep, trials=cfg["trials"], tol=cfg["tol"],
                                      seed=cfg["seed"])
@@ -501,9 +482,9 @@ def run_rep_check(cfg: dict) -> RunReport:
         coc = reps.verify_cocycle_identity(rep)
         report.records.append(_record("cocycle_identity", coc))
         report.timings["cocycle"] = time.perf_counter() - t0
-    radius = cfg["degree_radius"] if cfg["degree_radius"] > 0 else 2.0 * n
     t0 = time.perf_counter()
-    est = reps.estimate_formal_degree(rep, g, radius)
+    # radius 2 n reaches past the torus diameter 2 (n // 2): the whole Z_n^2
+    est = reps.estimate_formal_degree(rep, g, 2.0 * n)
     report.timings["formal_degree"] = time.perf_counter() - t0
     dev = abs(est - 1.0 / n)
     report.records.append(_record("formal_degree", passed=dev <= 1e-10,
@@ -539,7 +520,6 @@ def run_frame(cfg: dict) -> RunReport:
         fb = frames.finite_frame_operator_spectrum(phi)
         rb = frames.finite_riesz_bounds(phi)
         bessel_fn, amalgam_fn = frames.finite_bessel_separation_bound, frames.finite_amalgam_check
-        matrices = {"synthesis.csv": phi}
     else:
         lam = frames.lattice(cfg["lattice_a"], cfg["lattice_b"])
         args = (lam, groups.ball(groups.euclidean_metric(dim=2), cfg["q_radius"]))
@@ -547,7 +527,6 @@ def run_frame(cfg: dict) -> RunReport:
                                             margin=cfg["margin"])
         rb = frames.riesz_bounds(lam, restriction_radius=cfg["restriction_radius"])
         bessel_fn, amalgam_fn = frames.bessel_separation_bound, frames.amalgam_check
-        matrices = {"gram.csv": rb.gram}
     report.timings["bounds"] = time.perf_counter() - t0
     report.records.append(_record("frame_bounds", fb.to_json(), passed=True))
     report.records.append(_record("riesz_bounds", rb.to_json(), passed=True))
@@ -565,8 +544,6 @@ def run_frame(cfg: dict) -> RunReport:
     t0 = time.perf_counter()
     amalgam = amalgam_fn(*args, cfg["k_radius"])
     report.timings["amalgam"] = time.perf_counter() - t0
-    if cfg["dump_matrices"]:
-        report.matrices = matrices
     report.records.append(_record("bessel_separation", bessel,
                                   passed=bessel["passed"] and bessel["scale_invariant"]))
     report.records.append(_record("amalgam", amalgam))
@@ -585,7 +562,6 @@ def run_density(cfg: dict) -> RunReport:
     em = groups.euclidean_metric(dim=2)
     exhaustion = [groups.ball(em, r) for r in cfg["radii"]]
     q = groups.ball(em, cfg["q_radius"])
-    spacing = cfg["grid_spacing"] if cfg["grid_spacing"] > 0 else None
     t0 = time.perf_counter()
     # the one side decision: the bounds, and the error integral (I_n or J_n,
     # in its own CSV column) that the checks and the fit read with them
@@ -601,14 +577,13 @@ def run_density(cfg: dict) -> RunReport:
         raise ConfigError(f"lattice_a = {cfg['lattice_a']:g}, lattice_b = "
                           f"{cfg['lattice_b']:g} give no {cfg['side']} bounds (A = 0)")
     t0 = time.perf_counter()
-    integrals = integral_fn(q, exhaustion, tol=cfg["tol"])
+    integrals = integral_fn(q, exhaustion)
     report.timings["integrals"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    dens = density.beurling_density(lam, exhaustion, spacing)
+    dens = density.beurling_density(lam, exhaustion)
     report.timings["density"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    checks = density.check_counting(q, bounds, estimate=dens,
-                                    integrals=integrals, diagnostic=cfg["diagnostic"])
+    checks = density.check_counting(q, bounds, estimate=dens, integrals=integrals)
     report.timings["checks"] = time.perf_counter() - t0
     if math.isinf(checks[0].constant):  # an infinite C makes every check vacuous
         raise ConfigError(f"q_radius = {cfg['q_radius']:g} on lattice_a = "
@@ -667,13 +642,8 @@ _RUNNERS = {"geometry": run_geometry, "rep-check": run_rep_check,
             "frame": run_frame, "density": run_density, "hole": run_hole}
 
 
-def run_experiment(experiment: str, config_path: str, out_dir: str,
-                   seed: int | None = None) -> RunReport:
+def run_experiment(experiment: str, config_path: str, out_dir: str) -> RunReport:
     cfg = load_config(config_path, experiment)
-    if seed is not None:
-        if "seed" not in cfg:
-            raise ConfigError(f"{experiment} takes no seed")
-        cfg["seed"] = seed
     report = _RUNNERS[experiment](cfg)
     emit_report(report, out_dir)
     return report
@@ -689,12 +659,9 @@ def main(argv=None) -> int:
         p = sub.add_parser(kind)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
-        if "seed" in _SCHEMAS[kind]:
-            p.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
     try:
-        report = run_experiment(args.experiment, args.config, args.out,
-                                seed=getattr(args, "seed", None))
+        report = run_experiment(args.experiment, args.config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -703,10 +670,7 @@ def main(argv=None) -> int:
         return 2
     for rec in report.records:
         if "passed" in rec:
-            tag = "PASS" if rec["passed"] else "FAIL"
-            if rec.get("diagnostic"):
-                tag = "DIAG"
-            print(f"[{tag}] {rec['name']}")
+            print(f"[{'PASS' if rec['passed'] else 'FAIL'}] {rec['name']}")
     for stage, dt in report.timings.items():
         print(f"  time[{stage}] = {dt:.2f}s")
     print(f"overall: {'PASS' if report.overall_pass else 'FAIL'} "

@@ -48,7 +48,6 @@ class ErrorIntegralRecord:
     n: int
     kind: str  # "I" or "J"
     value: float
-    tol: float
     measure: float
 
     @property
@@ -66,14 +65,12 @@ class TheoremCheck:
     margin: float
     passed: bool
     constant: float | None = None
-    diagnostic: bool = False
     inputs: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {"theorem": self.theorem, "lhs": self.lhs, "rhs": self.rhs,
                 "margin": self.margin, "passed": self.passed,
-                "constant": self.constant, "diagnostic": self.diagnostic,
-                "inputs": dict(self.inputs)}
+                "constant": self.constant, "inputs": dict(self.inputs)}
 
 
 @dataclass(frozen=True)
@@ -194,7 +191,7 @@ def _lens_reduced_integrals(prof: RadialProfile, rho: float, radii: Sequence[flo
 def _error_integrals(q: groups.Ball, ks: Sequence[groups.Ball], kind: str, tol: float) -> list:
     values = _lens_reduced_integrals(GAUSSIAN_PROFILE, q.radius, [k.radius for k in ks],
                                      kind, tol)
-    return [ErrorIntegralRecord(n, kind, value, tol, k.measure)
+    return [ErrorIntegralRecord(n, kind, value, k.measure)
             for n, (k, value) in enumerate(zip(ks, values))]
 
 
@@ -225,8 +222,7 @@ def assemble_counting_constant(q: groups.Ball, bounds: FrameBounds) -> dict:
 
 def check_counting(q: groups.Ball, bounds: FrameBounds, *,
                    estimate: DensityEstimate,
-                   integrals: Sequence[ErrorIntegralRecord],
-                   diagnostic: bool = False) -> list:
+                   integrals: Sequence[ErrorIntegralRecord]) -> list:
     """The counting theorem on the side of ``bounds``, one record per K_n.
 
     Frame bounds: inf_x #(Lambda in xK_n) >= d_pi (mu(K_n) - C I_n) (T3.3),
@@ -260,14 +256,14 @@ def check_counting(q: groups.Ball, bounds: FrameBounds, *,
         rhs = d_pi * (rec.measure - error if frame else rec.measure + error)
         margin = count - rhs if frame else rhs - count
         checks.append(TheoremCheck("T3.3" if frame else "T3.5", count, rhs, margin,
-                                   margin >= -CHECK_TOL, c, diagnostic, inputs))
+                                   margin >= -CHECK_TOL, c, inputs))
     if frame:
         last, integ = records[-1], integrals[-1]
         eps = d_pi * c * integ.value / last.measure
         lhs = last.inf_count / last.measure
         rhs = d_pi - eps
         checks.append(TheoremCheck("T3.6", lhs, rhs, lhs - rhs,
-                                   lhs - rhs >= -CHECK_TOL, c, diagnostic,
+                                   lhs - rhs >= -CHECK_TOL, c,
                                    {"radius": last.radius, "epsilon": eps,
                                     "d_pi": d_pi, **const}))
     return checks
@@ -301,7 +297,7 @@ def check_polynomial_error_exponent(count_records: Sequence[CountingRecord],
         dev = (1.0 - ratio) if lower else (ratio - 1.0)
         fitted = max(fitted, dev * crec.radius ** gamma)
     return TheoremCheck("T4.3i" if lower else "T4.3ii", slope, threshold,
-                        threshold - slope, slope <= threshold, fitted, False,
+                        threshold - slope, slope <= threshold, fitted,
                         {"gamma": gamma, "alpha": alpha, "delta": DELTA,
                          "radii": list(radii), "side": "inf" if lower else "sup",
                          "normalized": [rec.normalized for rec in integral_records]})

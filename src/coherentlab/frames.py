@@ -14,7 +14,6 @@ take Q and K by radius and compute on the (N, N) masks of reps.torus_ball.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -206,9 +205,8 @@ class FrameBounds:
     """Extremal spectral bounds of a coherent system.
 
     ``method`` records provenance: exact spectra are certificates, truncated
-    sections are estimates.  ``spectrum``, and ``gram`` (the Gram matrix
-    riesz_bounds diagonalised), are kept for diagnostics and audit dumps and
-    are not part of the serialized form.
+    sections are estimates.  ``spectrum`` is kept for diagnostics and is not
+    part of the serialized form.
     """
 
     lower: float
@@ -216,7 +214,6 @@ class FrameBounds:
     kind: str  # frame | riesz | bessel
     method: str
     spectrum: np.ndarray | None = None
-    gram: np.ndarray | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.lower <= self.upper + 1e-15):
@@ -372,7 +369,7 @@ def _gram_bounds(gram: np.ndarray, method: str) -> FrameBounds:
     eigs = _hermitian_eigs(gram, "Gram matrix")
     a, b = max(float(eigs[0]), 0.0), float(eigs[-1])
     kind = "riesz" if _classify(a, b) == "frame" else "bessel"
-    return FrameBounds(a, b, kind, method, eigs, gram)
+    return FrameBounds(a, b, kind, method, eigs)
 
 
 def finite_riesz_bounds(phi: np.ndarray) -> FrameBounds:
@@ -385,12 +382,10 @@ def finite_riesz_bounds(phi: np.ndarray) -> FrameBounds:
     return _gram_bounds(phi.conj().T @ phi, "exact_spectrum")
 
 
-def riesz_bounds(lam: PointSet, restriction_radius: float | None = None) -> FrameBounds:
+def riesz_bounds(lam: PointSet, restriction_radius: float) -> FrameBounds:
     """Extreme eigenvalues of the Gram matrix G[i, j] = <pi(lam_j)g, pi(lam_i)g>
     for the Gaussian window g, with the lattice restricted to the closed disk
     of radius restriction_radius."""
-    if restriction_radius is None:
-        raise ValueError("the time-frequency Gram needs a restriction radius")
     pts = lam.restrict(groups.ball(groups.euclidean_metric(dim=2), restriction_radius,
                                    closed=True))
     if not pts:
@@ -625,26 +620,20 @@ def _bessel_report(sep: SeparationReport, cover: CoverReport, cover2: CoverRepor
 
 
 def finite_bessel_separation_bound(rep: RepModel, g: np.ndarray, lam: np.ndarray,
-                                   q_radius: float, bessel_bound: float | None = None) -> dict:
-    """Check Rel_Q(Lambda) <= 4 n B ||g||^{-2} and its invariance under g -> 2g;
-    B defaults to the upper bound of the exact frame-operator spectrum."""
+                                   q_radius: float, bessel_bound: float) -> dict:
+    """Check Rel_Q(Lambda) <= 4 n B ||g||^{-2} and its invariance under g -> 2g,
+    for a Bessel bound B of g over lam."""
     _check_same_torus(rep.n, lam)
     gv = np.asarray(g, dtype=complex)
-    if bessel_bound is None:
-        bessel_bound = finite_frame_operator_spectrum(finite_synthesis(rep, gv, lam)).upper
     return _bessel_report(finite_relative_separation(lam, q_radius),
                           finite_lemma_cover_constant(rep, gv, q_radius),
                           finite_lemma_cover_constant(rep, 2.0 * gv, q_radius),
                           bessel_bound, float(np.linalg.norm(gv)) ** 2)
 
 
-def bessel_separation_bound(lam: PointSet, q: groups.Ball,
-                            bessel_bound: float | None = None) -> dict:
+def bessel_separation_bound(lam: PointSet, q: groups.Ball, bessel_bound: float) -> dict:
     """Check Rel_Q(Lambda) <= 4 n B ||g||^{-2} and its invariance under g -> 2g
-    for the Gaussian window g; B defaults to the upper bound of
-    frame_operator_spectrum's default section."""
-    if bessel_bound is None:
-        bessel_bound = frame_operator_spectrum(lam).upper
+    for the Gaussian window g and a Bessel bound B of it over lam."""
     cover = lemma_cover_constant(q)
     # |V_{2g} 2g| = 4 |V_g g| and the level 4||g||^2/2 scale together
     return _bessel_report(relative_separation(lam, q), cover, cover, bessel_bound,
@@ -672,7 +661,7 @@ def canonical_dual(phi: np.ndarray, seed: int = 0, trials: int = 10) -> DualRepo
     eigs = _hermitian_eigs(s, "frame operator")
     b_up = float(eigs[-1])
     a_low = float(eigs[0])
-    if a_low <= 1e-12 * max(b_up, 1.0):
+    if _classify(a_low, b_up) != "frame":
         raise ValueError("frame operator is singular (A = 0); no canonical dual")
     bounds = FrameBounds(a_low, b_up, "frame", "exact_spectrum", eigs)
     duals = np.linalg.solve((s + s.conj().T) / 2.0, phi)
@@ -738,17 +727,3 @@ def amalgam_check(lam: PointSet, q: groups.Ball, k_radius: float) -> dict:
     integral = prof.mass_outside(rho, 0.0) - prof.mass_outside(rho, k_radius + rho)
     mu_q = math.pi * rho * rho
     return _amalgam_report(lhs, sep.rel_sep / mu_q * integral, sep, mu_q, k_radius)
-
-
-# -- Audit dumps --------------------------------------------------------------------
-
-
-def dump_matrix_csv(mat: np.ndarray, path: str) -> None:
-    mat = np.asarray(mat)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "real", "imag"])
-        for i in range(mat.shape[0]):
-            for j in range(mat.shape[1]):
-                v = complex(mat[i, j])
-                writer.writerow([i, j, f"{v.real:.12g}", f"{v.imag:.12g}"])

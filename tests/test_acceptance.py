@@ -86,8 +86,13 @@ def test_acceptance_3_bessel_separation_bound():
         rep = reps.finite_weyl_heisenberg(n)
         g = random_vec(rng, n, normalize=False)
         lam = frames.finite_subset(n, pts)
-        out = bessel = frames.finite_bessel_separation_bound(rep, g, lam, 1.0)
-        doubled = frames.finite_bessel_separation_bound(rep, 2.0 * g, lam, 1.0)
+        # B of each window: its exact frame-operator spectrum's upper bound
+        out = bessel = frames.finite_bessel_separation_bound(
+            rep, g, lam, 1.0, frames.finite_frame_operator_spectrum(
+                frames.finite_synthesis(rep, g, lam)).upper)
+        doubled = frames.finite_bessel_separation_bound(
+            rep, 2.0 * g, lam, 1.0, frames.finite_frame_operator_spectrum(
+                frames.finite_synthesis(rep, 2.0 * g, lam)).upper)
         ok &= bessel["passed"]
         ok &= bessel["rel_sep"] <= bessel["bound"] + 1e-9
         ok &= doubled["n_cover"] == out["n_cover"]

@@ -1,5 +1,5 @@
 """Command-line interface: config parsing and validation, deterministic
-report emission, exit codes, console summary lines, and audit-matrix dumps."""
+report emission, exit codes and console summary lines."""
 
 import configparser
 import json
@@ -13,7 +13,7 @@ import pytest
 
 import numpy as np
 
-from coherentlab import cli, frames, groups, reporting, reps
+from coherentlab import cli, frames, groups, reporting
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -32,7 +32,7 @@ def test_load_config_defaults_and_overrides(tmp_path):
     assert cfg["seed"] == 7
     assert cfg["trials"] == 20  # schema default
     assert cfg["tol"] == 1e-10
-    assert cfg["window"] == "random_unit"
+    assert sorted(cfg) == ["n", "seed", "tol", "trials"]
 
 
 def test_load_config_errors_name_the_offending_key(tmp_path):
@@ -122,25 +122,32 @@ def test_section_and_gram_budgets_name_the_radius(tmp_path, capsys):
     assert cli.load_config(big, "frame")["section_radius"] == 16
 
 
-def test_tiny_grid_spacing_exits_2_naming_the_key(tmp_path, monkeypatch, capsys):
-    # 1e-4 on 0.5Z^2 asks for 25M centres: rejected while the config loads,
-    # before any centre is built
-    path = write_ini(tmp_path, "d.ini", "density", {"grid_spacing": 1e-4})
+def test_centre_grid_budget_exits_2_naming_the_lattice_spacings(tmp_path, monkeypatch,
+                                                                capsys):
+    # the centre grid of spacing min(a, b) / 8 over one cell holds
+    # 8 x 800,000 centres on 0.001 x 100: rejected while the config loads,
+    # before any centre is built, naming the two spacings that set its size
+    path = write_ini(tmp_path, "d.ini", "density", {
+        "side": "riesz", "lattice_a": 0.001, "lattice_b": 100, "radii": "0.01,0.02",
+        "restriction_radius": 0.5})
     assert cli.main(["density", "--config", path, "--out", str(tmp_path / "out")]) == 2
     out, err = capsys.readouterr()
     assert "overall" not in out
-    assert re.search(r"\bgrid_spacing\b", err.split(": ", 1)[1]), err
+    assert re.match(r"lattice_a = 0.001, lattice_b = 100 gives ~6.4e\+06 centres, "
+                    r"over the enumeration budget", err.split(": ", 1)[1]), err
     assert not (tmp_path / "out").exists()
-    # the bound is the enumeration budget: 25 x 25 centres fit in 1000, 50 x 50 do not
-    # (the riesz side with a 16 x 16 Gram keeps the spectral part under 1000 too,
-    # and Q of radius 0.1 the cover matrix)
+    # the bound is the enumeration budget: 8 x 120 centres fit in 1000, 8 x 128
+    # do not (the riesz side with one Gram point keeps the spectral part under
+    # 1000 too, radii up to 1.5 the largest ball, and Q of radius 0.1 the
+    # cover matrix)
     monkeypatch.setenv(groups.BUDGET_ENV_VAR, "1000")
-    small = {"radii": "1,2,3", "side": "riesz", "restriction_radius": 0.5,
-             "q_radius": 0.1}
-    fits = write_ini(tmp_path, "fits.ini", "density", {**small, "grid_spacing": 0.02})
-    assert cli.load_config(fits, "density")["grid_spacing"] == 0.02
-    over = write_ini(tmp_path, "over.ini", "density", {**small, "grid_spacing": 0.01})
-    with pytest.raises(cli.ConfigError, match="grid_spacing.*budget"):
+    small = {"radii": "0.5,1,1.5", "side": "riesz", "restriction_radius": 0.05,
+             "q_radius": 0.1, "lattice_a": 0.1}
+    fits = write_ini(tmp_path, "fits.ini", "density", {**small, "lattice_b": 1.5})
+    assert cli.load_config(fits, "density")["lattice_b"] == 1.5
+    over = write_ini(tmp_path, "over.ini", "density", {**small, "lattice_b": 1.6})
+    with pytest.raises(cli.ConfigError,
+                       match=r"^lattice_a = 0.1, lattice_b = 1.6 gives .* centres.*budget"):
         cli.load_config(over, "density")
 
 
@@ -171,34 +178,31 @@ def test_main_exit_codes_and_console_lines(tmp_path, capsys):
     assert "nope" in err
 
 
-def test_seed_override_lands_in_the_report(tmp_path):
-    rc = write_ini(tmp_path, "rc.ini", "rep-check", {"n": 6, "trials": 3})
-    report = cli.run_experiment("rep-check", rc, str(tmp_path / "out"), seed=99)
-    assert report.config["seed"] == 99
-    data = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert data["config"]["seed"] == 99
-    assert data["experiment"] == "rep-check"
-    assert data["overall_pass"] is True
-
-
 def test_keys_the_plane_fixes_and_unread_seeds_are_refused(tmp_path, capsys):
     # delta = 1 is exact on R^2 and C0 is a closed form; no geometry, density
-    # or hole runner reads a seed
+    # or hole runner reads a seed.  The density run's centre spacing is
+    # min(a, b) / 8 and its quadrature tolerance error_integral_I/J's own, its
+    # records all count; rep-check's window is the seeded random unit vector
+    # and its formal-degree sum runs over the whole torus; frame runs write
+    # only report.json and rows.csv
     removed = [("density", "delta"), ("hole", "delta"), ("hole", "calibration_radius"),
-               ("geometry", "seed"), ("density", "seed"), ("hole", "seed")]
+               ("geometry", "seed"), ("density", "seed"), ("hole", "seed"),
+               ("density", "diagnostic"), ("density", "tol"), ("density", "grid_spacing"),
+               ("frame", "dump_matrices"), ("rep-check", "degree_radius"),
+               ("rep-check", "window")]
     for i, (experiment, key) in enumerate(removed):
         path = write_ini(tmp_path, f"{i}.ini", experiment, {key: 1})
         assert cli.main([experiment, "--config", path, "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert f"unknown key '{key}' in [{experiment}]" in err, err
-    for i, experiment in enumerate(("geometry", "density", "hole")):
+        assert "Traceback" not in err and "overall" not in out
+    # the INI seed is the only setter of a seed
+    for i, experiment in enumerate(cli.EXPERIMENTS):
         path = write_ini(tmp_path, f"s{i}.ini", experiment, {})
         with pytest.raises(SystemExit) as exc:
             cli.main([experiment, "--config", path, "--seed", "1"])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
-        with pytest.raises(cli.ConfigError, match=f"{experiment} takes no seed"):
-            cli.run_experiment(experiment, path, str(tmp_path / "out"), seed=1)
     assert not (tmp_path / "out").exists()
 
 
@@ -236,37 +240,23 @@ def test_density_csv_shape_and_meta(tmp_path):
 
 
 def test_frame_matrix_dumps(tmp_path, capsys):
+    # a frame run writes no matrix dumps: its stage timings go to the console
+    # only, and its files are the report and the rows
     finite = write_ini(tmp_path, "ff.ini", "frame",
-                       {"model": "finite", "n": 6, "subset": "full",
-                        "dump_matrices": "true"})
+                       {"model": "finite", "n": 6, "subset": "full"})
     assert cli.main(["frame", "--config", finite,
                      "--out", str(tmp_path / "fin")]) == 0
-    # column j is pi(lam_j) g for the run's seeded window, to the 12 digits
-    # the CSV keeps
-    rng = np.random.default_rng(0)
-    g = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    g /= np.linalg.norm(g)
-    rep = reps.finite_weyl_heisenberg(6)
-    want = [[str(i), str(j), f"{v.real:.12g}", f"{v.imag:.12g}"]
-            for i, row in enumerate(np.column_stack(
-                [reps.apply_rep(rep, (k, l), g) for k in range(6) for l in range(6)]))
-            for j, v in enumerate(row.tolist())]
-    synthesis = (tmp_path / "fin" / "synthesis.csv").read_text().splitlines()
-    assert synthesis[0] == "row,col,real,imag"
-    assert [line.split(",") for line in synthesis[1:]] == want
     out = capsys.readouterr().out
     for stage in ("bounds", "dual", "bessel", "amalgam"):
         assert f"time[{stage}]" in out
     assert "timings" not in json.loads((tmp_path / "fin" / "report.json").read_text())
     gaussian = write_ini(tmp_path, "fg.ini", "frame",
                          {"model": "gaussian", "lattice_a": 0.5,
-                          "lattice_b": 0.5, "restriction_radius": 2,
-                          "dump_matrices": "true"})
+                          "lattice_b": 0.5, "restriction_radius": 2})
     assert cli.main(["frame", "--config", gaussian,
                      "--out", str(tmp_path / "gau")]) == 0
-    gram = (tmp_path / "gau" / "gram.csv").read_text().splitlines()
-    assert gram[0] == "row,col,real,imag"
-    assert len(gram) > 1
+    for run in ("fin", "gau"):
+        assert sorted(os.listdir(tmp_path / run)) == ["report.json", "rows.csv"]
 
 
 def test_malformed_budget_variable_exits_2_naming_it(tmp_path, monkeypatch, capsys):
@@ -282,12 +272,9 @@ def test_malformed_budget_variable_exits_2_naming_it(tmp_path, monkeypatch, caps
         assert cli.main(args) == 0
 
 
-def test_run_report_overall_pass_ignores_diagnostics():
+def test_run_report_overall_pass_reads_every_passed_flag():
     rep = cli.RunReport(experiment="density", config={}, records=[
-        {"name": "a", "passed": True},
-        {"name": "b", "passed": False, "diagnostic": True},
-        {"name": "c"},
-    ])
+        {"name": "a", "passed": True}, {"name": "c"}])
     assert rep.overall_pass
     rep_fail = cli.RunReport(experiment="density", config={}, records=[
         {"name": "a", "passed": True}, {"name": "b", "passed": False}])
@@ -487,7 +474,9 @@ def test_huge_and_tiny_values_exit_2_naming_the_key(tmp_path, capsys):
         ("frame", {"restriction_radius": 1e100}, "restriction_radius"),
         ("hole", {"section_radius": 1e300}, "section_radius"),
         ("density", {"radii": "6,1e300"}, "radii"),
-        ("density", {"grid_spacing": 5e-324}, "grid_spacing"),
+        # a / b past the floats: the centre count min(a, b) / 8 apart overflows
+        ("density", {"side": "riesz", "lattice_a": 1e-160, "lattice_b": 1e150,
+                     "radii": 1e-160, "restriction_radius": 1e-160}, "lattice_a"),
         ("geometry", {"growth_radii": "2,4,8,1e300"}, "growth_radii"),
         ("geometry", {"growth_radii": "2,4,8,1e120",
                       "group": "discrete_heisenberg"}, "growth_radii"),
@@ -590,8 +579,9 @@ def test_q_radius_budget_is_checked_before_anything_is_allocated(tmp_path, monke
 
 
 def test_gram_dump_is_the_diagonalised_gram(tmp_path, monkeypatch):
-    # gram.csv writes the matrix riesz_bounds built: m (m - 1) / 2 entry calls,
-    # not m^2 more, and a lower triangle that conjugates the upper one exactly
+    # riesz_bounds diagonalises the 49 x 49 Gram of the radius-2 disk of
+    # 0.5Z^2 with m (m - 1) / 2 entry calls, not m^2: the lower triangle
+    # conjugates the upper one; the frame run reports its A
     calls = []
     entry = frames.gabor_gram_entry
 
@@ -600,19 +590,16 @@ def test_gram_dump_is_the_diagonalised_gram(tmp_path, monkeypatch):
         return entry(mu, nu)
 
     monkeypatch.setattr(frames, "gabor_gram_entry", spy)
+    rb = frames.riesz_bounds(frames.lattice(0.5, 0.5), restriction_radius=2)
+    m = len(rb.spectrum)
+    assert m == 49
+    assert len(calls) == m * (m - 1) // 2
     path = write_ini(tmp_path, "fg.ini", "frame",
                      {"model": "gaussian", "lattice_a": 0.5, "lattice_b": 0.5,
-                      "restriction_radius": 2, "dump_matrices": "true"})
+                      "restriction_radius": 2})
     report = cli.run_experiment("frame", path, str(tmp_path / "out"))
-    rb = next(r for r in report.records if r["name"] == "riesz_bounds")
-    gram = report.matrices["gram.csv"]
-    m = gram.shape[0]
-    assert gram.shape == (m, m) and m == 49
-    assert len(calls) == m * (m - 1) // 2
-    assert np.array_equal(gram, gram.conj().T)
-    assert np.linalg.eigvalsh(gram)[0] == pytest.approx(rb["A"], abs=1e-12)
-    rows = (tmp_path / "out" / "gram.csv").read_text().splitlines()
-    assert len(rows) == 1 + m * m
+    record = next(r for r in report.records if r["name"] == "riesz_bounds")
+    assert rb.spectrum[0] == pytest.approx(record["A"], abs=1e-12)
 
 
 def _mutations(key, typ, default, rng):
