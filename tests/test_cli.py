@@ -180,11 +180,9 @@ def test_main_exit_codes_and_console_lines(tmp_path, capsys):
 
 def test_keys_the_plane_fixes_and_unread_seeds_are_refused(tmp_path, capsys):
     # delta = 1 is exact on R^2 and C0 is a closed form; no geometry, density
-    # or hole runner reads a seed.  The density run's centre spacing is
-    # min(a, b) / 8 and its quadrature tolerance error_integral_I/J's own, its
-    # records all count; rep-check's window is the seeded random unit vector
-    # and its formal-degree sum runs over the whole torus; frame runs write
-    # only report.json and rows.csv
+    # or hole runner reads a seed.  The density centre spacing, quadrature
+    # tolerance and diagnostic flag, the frame matrix dumps, and rep-check's
+    # window and formal-degree radius keep the one value every shipped run used
     removed = [("density", "delta"), ("hole", "delta"), ("hole", "calibration_radius"),
                ("geometry", "seed"), ("density", "seed"), ("hole", "seed"),
                ("density", "diagnostic"), ("density", "tol"), ("density", "grid_spacing"),
@@ -474,7 +472,7 @@ def test_huge_and_tiny_values_exit_2_naming_the_key(tmp_path, capsys):
         ("frame", {"restriction_radius": 1e100}, "restriction_radius"),
         ("hole", {"section_radius": 1e300}, "section_radius"),
         ("density", {"radii": "6,1e300"}, "radii"),
-        # a / b past the floats: the centre count min(a, b) / 8 apart overflows
+        # b / a past the floats: the count of centres min(a, b) / 8 apart overflows
         ("density", {"side": "riesz", "lattice_a": 1e-160, "lattice_b": 1e150,
                      "radii": 1e-160, "restriction_radius": 1e-160}, "lattice_a"),
         ("geometry", {"growth_radii": "2,4,8,1e300"}, "growth_radii"),
