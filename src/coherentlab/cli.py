@@ -34,7 +34,7 @@ class ConfigError(ValueError):
 _POSITIVE = ("> 0", lambda v: v > 0)
 _NONNEG = (">= 0", lambda v: v >= 0)
 _AT_LEAST_1 = (">= 1", lambda v: v >= 1)
-_AT_LEAST_2 = (">= 2", lambda v: v >= 2)
+_EXHAUSTIVE_N = ("in [2, 64]", lambda v: 2 <= v <= 64)  # the checks enumerate Z_n^2
 _FRACTION = ("in (0, 1]", lambda v: 0 < v <= 1)
 
 # geometry group -> the metrics it takes; the first is the default
@@ -42,7 +42,8 @@ _GROUP_METRICS = {"integer_lattice": ("word",),
                   "discrete_heisenberg": ("word", "heisenberg_gauge"),
                   "euclidean": ("euclidean",)}
 
-# key -> (type, default, choices of a str key or domain of a numeric one)
+# key -> (type, default, choices of a str key or domain of a numeric one), and
+# for a key that only some runs read, the (selector key, value) it is read under
 _SCHEMAS = {
     "geometry": {
         "group": ("str", "integer_lattice", ("integer_lattice",
@@ -58,23 +59,23 @@ _SCHEMAS = {
         "annular_c_max": ("float", "8", _POSITIVE),
     },
     "rep-check": {
-        "n": ("int", "8", _AT_LEAST_2),
+        "n": ("int", "8", _EXHAUSTIVE_N),
         "trials": ("int", "20", _AT_LEAST_1),
         "tol": ("float", "1e-10", _POSITIVE),
         "seed": ("int", "0", _NONNEG),
     },
     "frame": {
         "model": ("str", "gaussian", ("gaussian", "finite")),
-        "n": ("int", "8", _AT_LEAST_2),
-        "subset": ("str", "full", ("full", "even_shifts", "single_row")),
-        "lattice_a": ("float", "0.5", _POSITIVE),
-        "lattice_b": ("float", "0.5", _POSITIVE),
-        "section_radius": ("float", "12", _POSITIVE),
-        "margin": ("float", "3", _NONNEG),
-        "restriction_radius": ("float", "6", _POSITIVE),
+        "n": ("int", "8", _EXHAUSTIVE_N, ("model", "finite")),
+        "subset": ("str", "full", ("full", "even_shifts", "single_row"), ("model", "finite")),
+        "lattice_a": ("float", "0.5", _POSITIVE, ("model", "gaussian")),
+        "lattice_b": ("float", "0.5", _POSITIVE, ("model", "gaussian")),
+        "section_radius": ("float", "12", _POSITIVE, ("model", "gaussian")),
+        "margin": ("float", "3", _NONNEG, ("model", "gaussian")),
+        "restriction_radius": ("float", "6", _POSITIVE, ("model", "gaussian")),
         "q_radius": ("float", "0.6", _POSITIVE),
         "k_radius": ("float", "4", _NONNEG),
-        "seed": ("int", "0", _NONNEG),
+        "seed": ("int", "0", _NONNEG, ("model", "finite")),
     },
     "density": {
         "side": ("str", "frame", ("frame", "riesz")),
@@ -82,11 +83,11 @@ _SCHEMAS = {
         "lattice_b": ("float", "0.5", _POSITIVE),
         "radii": ("floats", "6,10,14", _POSITIVE),
         "q_radius": ("float", "1", _POSITIVE),
-        "section_radius": ("float", "12", _POSITIVE),
-        "margin": ("float", "3", _NONNEG),
-        "restriction_radius": ("float", "8", _POSITIVE),
+        "section_radius": ("float", "12", _POSITIVE, ("side", "frame")),
+        "margin": ("float", "3", _NONNEG, ("side", "frame")),
+        "restriction_radius": ("float", "8", _POSITIVE, ("side", "riesz")),
         "fit_exponent": ("bool", "false", None),
-        "alpha": ("float", "2", _POSITIVE),
+        "alpha": ("float", "2", _POSITIVE, ("fit_exponent", True)),
     },
     "hole": {
         "lattice_a": ("float", "0.5", _POSITIVE),
@@ -152,8 +153,13 @@ def load_config(path: str, experiment: str) -> dict:
         raise ConfigError(f"cannot read config file {path!r}")
     if not parser.has_section(experiment):
         raise ConfigError(f"config is missing the [{experiment}] section")
-    cfg = {}
-    for key, (typ, default, allowed) in schema.items():
+    cfg = {}  # each selector comes before the keys it governs
+    for key, (typ, default, allowed, *read_when) in schema.items():
+        unread = next((sel for sel, value in read_when if cfg[sel] != value), None)
+        if unread is not None:  # its selector says that this run does not read key
+            if parser.has_option(experiment, key):
+                raise ConfigError(f"key '{key}' is not read when {unread} = {cfg[unread]}")
+            continue
         try:
             raw = parser.get(experiment, key, fallback=default)
         except configparser.Error as exc:  # a stray '%' fails interpolation
@@ -216,12 +222,6 @@ def _validate(experiment: str, cfg: dict) -> None:
         if min(cfg["annular_radii"]) * min(cfg["annular_fracs"]) == 0.0:
             raise ConfigError("the smallest annular_radii entry times the smallest "
                               "annular_fracs entry rounds to an annulus of width 0")
-    elif experiment == "rep-check":
-        if cfg["n"] > 64:
-            raise ConfigError("n must be between 2 and 64 for exhaustive checks")
-    elif experiment == "frame":
-        if cfg["model"] == "finite" and cfg["n"] > 64:
-            raise ConfigError("n must be between 2 and 64 for exhaustive checks")
     elif experiment == "density":
         radii = cfg["radii"]
         if any(r1 <= r0 for r0, r1 in zip(radii, radii[1:])):
@@ -240,42 +240,42 @@ def _validate(experiment: str, cfg: dict) -> None:
                               "largest hole_radii entry")
         if math.isinf(_size(lambda: density.TAIL_FIT_RADIUS ** cfg["alpha"])):
             raise ConfigError(f"{_key_value(cfg, 'alpha')} overflows the tail fit's r^alpha")
-    _check_sizes(experiment, cfg, budget)
+    _check_sizes(cfg, budget)
 
 
-def _check_sizes(experiment: str, cfg: dict, budget: int) -> None:
+def _check_sizes(cfg: dict, budget: int) -> None:
     """Reject a config whose largest enumeration or matrix would exceed the
-    budget, naming the keys that set its size, before anything is built."""
+    budget, naming the keys that set its size, before anything is built;
+    cfg holds only the keys its run reads, so each size is budgeted by key."""
     a, b = cfg.get("lattice_a"), cfg.get("lattice_b")
     sizes = []  # (key, what is counted, its size as a thunk)
-    if experiment == "hole" or cfg.get("model") == "gaussian" or cfg.get("side") == "frame":
+    if "section_radius" in cfg:
         radius, margin = cfg["section_radius"], cfg["margin"]
         if radius <= margin + 1.0:
             raise ConfigError("section_radius must exceed margin + 1")
         sizes.append(("section_radius", "Hermite section entries",
                       lambda: (frames.section_mode_count(radius, margin) + 1)
                       * frames.disk_point_estimate(radius, a, b)))
-    if cfg.get("model") == "gaussian" or cfg.get("side") == "riesz":
+    if "restriction_radius" in cfg:
         sizes.append(("restriction_radius", "Gram matrix entries",
                       lambda: frames.disk_point_estimate(cfg["restriction_radius"], a, b) ** 2))
-    if experiment in ("density", "hole") or cfg.get("model") == "gaussian":
+    if "lattice_a" in cfg:
         # the cover of Q by level-set disks grows like the fourth power of its radius
-        q_key = "r0" if experiment == "hole" else "q_radius"
-        mu_q = _disk_measure(cfg[q_key])
-        if mu_q == 0.0:
+        q_key = "r0" if "r0" in cfg else "q_radius"
+        if _disk_measure(cfg[q_key]) == 0.0:
             raise ConfigError(f"{q_key} = {cfg[q_key]:g} gives Q zero measure")
-        # the counting constant C = (B / A) C(g, Q) / mu(Q) is at least 4 / mu(Q)
-        if experiment == "density" and math.isinf(4.0 / mu_q):
-            raise ConfigError(f"{q_key} = {cfg[q_key]:g} overflows the counting "
-                              "constant C >= 4 / mu(Q)")
         sizes.append((q_key, "cover matrix entries",
                       lambda: frames.cover_matrix_estimate(cfg[q_key])))
-    if cfg.get("model") == "gaussian":
+    if "lattice_a" in cfg and "k_radius" in cfg:
         sizes.append(("q_radius", "point pairs in the separation search",
                       lambda: frames.separation_pair_estimate(cfg["q_radius"], a, b)))
         sizes.append(("k_radius", "amalgam points",
                       lambda: frames.disk_point_estimate(cfg["k_radius"], a, b)))
-    if experiment == "density":
+    if "radii" in cfg:
+        # the counting constant C = (B / A) C(g, Q) / mu(Q) is at least 4 / mu(Q)
+        if math.isinf(4.0 / _disk_measure(cfg["q_radius"])):
+            raise ConfigError(f"q_radius = {cfg['q_radius']:g} overflows the counting "
+                              "constant C >= 4 / mu(Q)")
         sizes.append(("radii", "points in the largest ball",
                       lambda: (2.0 * cfg["radii"][-1] / min(a, b)) ** 2))
         # the centre grid of spacing min(a, b) / 8 over one cell: the lattice
@@ -283,7 +283,7 @@ def _check_sizes(experiment: str, cfg: dict, budget: int) -> None:
         spacing = min(a, b) / 8.0
         sizes.append((None, "centres",
                       lambda: math.ceil(a / spacing) * math.ceil(b / spacing)))
-    if experiment == "rep-check":
+    if "trials" in cfg:
         sizes.append(("trials", "coefficient entries",
                       lambda: cfg["trials"] * cfg["n"] ** 2))
     lattice = f"lattice_a = {a:g}, lattice_b = {b:g}" if a is not None else ""

@@ -204,8 +204,12 @@ def full_torus(modulus: int) -> np.ndarray:
 class FrameBounds:
     """Extremal spectral bounds of a coherent system.
 
-    ``method`` records provenance: exact spectra are certificates, truncated
-    sections are estimates.  ``spectrum`` is kept for diagnostics and is not
+    ``method`` records which matrix was diagonalised; no method is a
+    certificate, and every bound is an uncertified ``eigvalsh`` value.
+    ``exact_spectrum`` is the whole matrix of the finite model;
+    ``exact_spectrum(restriction_radius=...)`` is a lattice Gram truncated to
+    a disk and ``truncated_section`` a Hermite section, both estimates of
+    the lattice's bounds.  ``spectrum`` is kept for diagnostics and is not
     part of the serialized form.
     """
 
@@ -408,8 +412,9 @@ def riesz_bounds(lam: PointSet, restriction_radius: float) -> FrameBounds:
 class SeparationReport:
     """Rel_Q(Lambda) = sup_x #(Lambda intersect xQ).
 
-    grid_spacing 0 marks an exact arrangement-based value; positive spacing
-    marks a sampled lower bound.
+    rel_sep is a maximum over every candidate centre of the disk arrangement
+    (on a lattice) or every torus point (on the finite model), never over a
+    sampled grid: grid_spacing is always 0.0.
     """
 
     rel_sep: int

@@ -54,9 +54,13 @@ def test_load_config_errors_name_the_offending_key(tmp_path):
         cli.load_config(wrong_section, "rep-check")
     with pytest.raises(cli.ConfigError, match="no_such_file"):
         cli.load_config(str(tmp_path / "no_such_file.ini"), "rep-check")
+    # exhaustive checks enumerate Z_n^2: the schema bounds n for both runs
     n_range = write_ini(tmp_path, "f.ini", "rep-check", {"n": 128})
-    with pytest.raises(cli.ConfigError, match="n must be"):
+    with pytest.raises(cli.ConfigError, match=r"'n'.*must be in \[2, 64\]"):
         cli.load_config(n_range, "rep-check")
+    n_finite = write_ini(tmp_path, "f2.ini", "frame", {"model": "finite", "n": 65})
+    with pytest.raises(cli.ConfigError, match=r"'n'.*must be in \[2, 64\]"):
+        cli.load_config(n_finite, "frame")
     fitcfg = write_ini(tmp_path, "g.ini", "density",
                        {"fit_exponent": "true", "radii": "6,10,14"})
     with pytest.raises(cli.ConfigError, match="fit_exponent"):
@@ -103,17 +107,20 @@ def test_section_and_gram_budgets_name_the_radius(tmp_path, capsys):
             cli.load_config(path, experiment)
         assert cli.main([experiment, "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+    # a radius that the run does not read is refused, not budgeted: the
+    # finite model has no Gram restriction and no section, the riesz side no
+    # section
+    unread = [("frame", {"model": "finite", "section_radius": 200}, "section_radius"),
+              ("frame", {"model": "finite", "restriction_radius": 60}, "restriction_radius"),
+              ("density", {"side": "riesz", "lattice_a": 2, "lattice_b": 1,
+                           "section_radius": 200}, "section_radius")]
+    for i, (experiment, body, key) in enumerate(unread):
+        path = write_ini(tmp_path, f"unread{i}.ini", experiment, body)
+        with pytest.raises(cli.ConfigError, match=rf"^key '{key}' is not read when"):
+            cli.load_config(path, experiment)
+        assert cli.main([experiment, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert re.search(rf"\b{key}\b", capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
-    # unused radii are not checked: the finite model has no Gram restriction,
-    # the riesz side no section
-    finite = write_ini(tmp_path, "ff.ini", "frame", {"model": "finite",
-                                                     "section_radius": 200,
-                                                     "restriction_radius": 60})
-    assert cli.load_config(finite, "frame")["model"] == "finite"
-    riesz = write_ini(tmp_path, "dr.ini", "density", {"side": "riesz", "lattice_a": 2,
-                                                      "lattice_b": 1,
-                                                      "section_radius": 200})
-    assert cli.load_config(riesz, "density")["section_radius"] == 200
     # the largest section in use (R = 16, 513 modes on a 0.48 x 0.52 lattice,
     # ~2.2e6 entries) and a 7-radius Gram load under the default budget
     big = write_ini(tmp_path, "big.ini", "frame", {
@@ -202,6 +209,52 @@ def test_keys_the_plane_fixes_and_unread_seeds_are_refused(tmp_path, capsys):
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+FRAME_READS = {"model", "q_radius", "k_radius"}
+DENSITY_READS = {"side", "lattice_a", "lattice_b", "radii", "q_radius", "fit_exponent"}
+
+
+# (section, base INI body, the shipped config of the variant or None, the
+# keys the variant reads, the keys that only another variant reads)
+@pytest.mark.parametrize("experiment, base, shipped, reads, unread", [
+    ("frame", {"model": "gaussian"}, "frame_gaussian.ini",
+     FRAME_READS | {"lattice_a", "lattice_b", "section_radius", "margin",
+                    "restriction_radius"},
+     ("n", "subset", "seed")),
+    ("frame", {"model": "finite"}, "frame_finite.ini",
+     FRAME_READS | {"n", "subset", "seed"},
+     ("lattice_a", "lattice_b", "section_radius", "margin", "restriction_radius")),
+    ("density", {"side": "frame"}, "density_frame.ini",
+     DENSITY_READS | {"section_radius", "margin"}, ("restriction_radius",)),
+    ("density", {"side": "riesz", "lattice_a": 2, "lattice_b": 1}, "density_riesz.ini",
+     DENSITY_READS | {"restriction_radius"}, ("section_radius", "margin")),
+    # alpha is the T4.3 fit's exponent: read only with fit_exponent = true
+    ("density", {}, None, DENSITY_READS | {"section_radius", "margin"}, ("alpha",)),
+    ("density", {"radii": "6,10,14,28", "fit_exponent": "true"}, None,
+     DENSITY_READS | {"section_radius", "margin", "alpha"}, ()),
+], ids=["frame-gaussian", "frame-finite", "density-frame", "density-riesz",
+        "density-no-fit", "density-fit"])
+def test_each_variant_reads_and_echoes_only_its_own_keys(tmp_path, capsys, experiment,
+                                                          base, shipped, reads, unread):
+    assert set(cli.load_config(write_ini(tmp_path, "base.ini", experiment, base),
+                               experiment)) == reads
+    # a key that this variant does not read exits 2 naming it, even at the
+    # value that another variant takes by default, before any report is written
+    for key in unread:
+        default = cli._SCHEMAS[experiment][key][1]
+        path = write_ini(tmp_path, f"{key}.ini", experiment, {**base, key: default})
+        assert cli.main([experiment, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert f"config error: key '{key}' is not read when " in err, err
+        assert "Traceback" not in err and "overall" not in out
+    assert not (tmp_path / "out").exists()
+    # the report's config echo lists only the settings the run used
+    if shipped is not None:
+        assert cli.main([experiment, "--config", os.path.join(CONFIG_DIR, shipped),
+                         "--out", str(tmp_path / "shipped")]) == 0
+        report = json.loads((tmp_path / "shipped" / "report.json").read_text())
+        assert set(report["config"]) == reads
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -632,7 +685,7 @@ def test_seeded_ini_mutation_sweep_never_raises(tmp_path, capsys, experiment, ba
     # and an exit 2 names the mutated key; the refused configs exit 2
     rng = random.Random(14)
     cases = [(key, base, lines, (0, 1, 2))
-             for key, (typ, default, _) in cli._SCHEMAS[experiment].items()
+             for key, (typ, default, *_) in cli._SCHEMAS[experiment].items()
              for lines in _mutations(key, typ, default, rng)]
     cases += [(key, {}, lines, (2,)) for key, lines in SWEEP_REFUSED.get(experiment, ())]
     for i, (key, keys, lines, codes) in enumerate(cases):
