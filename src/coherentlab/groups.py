@@ -4,11 +4,12 @@ Three desk-scale models are shipped: Euclidean R^d with Lebesgue measure, and
 the integer lattice Z^d and the discrete Heisenberg group H3(Z) in normal
 form, each with counting measure.  On top of them sit metric balls about the
 identity (word and gauge balls alike one interval of the last coordinate per
-column, sized exactly from their columns before any element is built),
-growth-exponent and annular-decay diagnostics, and Folner ratios.  Translates
-x K are the callers' business: the counting code moves its centres, not its
-balls, and no element is ever measured on its own.  The finite model's torus
-Z_N x Z_N keeps its word balls in reps.torus_ball.
+column, sized exactly from their columns before any element is built, and
+kept as those columns), growth-exponent and annular-decay diagnostics, and
+Folner ratios.  Translates x K are the callers' business: the counting code
+moves its centres, not its balls, and no element is ever measured on its
+own.  The finite model's torus Z_N x Z_N keeps its word balls in
+reps.torus_ball.
 """
 
 from __future__ import annotations
@@ -293,20 +294,41 @@ def _unit_ball_volume(dim: int) -> float:
 class Ball:
     """Metric ball about the identity.
 
-    A discrete ball carries its elements as a sorted int64 key array (see
-    ``_keys``), laid out column by column from ``_columns`` or
-    ``_gauge_columns``: on Z^d and H3 each column is a run of consecutive
-    keys, which is all the Folner count reads of it.  ``points`` decodes the
-    keys into tuples, in key order, on first use.  A continuous ball has no
-    keys.
+    A discrete ball built by ``ball`` carries the columns that ``_columns``
+    or ``_gauge_columns`` lay out, as its runs: on Z^d and H3 each column is
+    a run of consecutive keys (see ``_keys``), stored as the (m, dim) int64
+    coordinates of each run's first element and the m run lengths, and its
+    measure is their sum.  The runs are all the Folner count reads of it;
+    ``keys``, the sorted int64 key array, and ``points``, its tuples in key
+    order, are decoded from them on first read.  A ball may instead be made
+    from any sorted key array, with no runs: ``runs`` then splits the keys.
+    A continuous ball has neither keys nor runs.
     """
 
     metric: PeriodicMetric
     radius: float
     closed: bool
-    keys: np.ndarray | None
+    _stored_keys: np.ndarray | None = field(repr=False)
     measure: float
+    _stored_runs: tuple | None = field(default=None, repr=False)
     _points: tuple | None = field(default=None, init=False, repr=False)
+
+    @property
+    def keys(self) -> np.ndarray | None:
+        if self._stored_keys is None and self._stored_runs is not None:
+            first, n = self._stored_runs
+            self._stored_keys = _runs(_keys(self.metric.group, first), n)
+        return self._stored_keys
+
+    @property
+    def runs(self) -> tuple | None:
+        """(first, n): the coordinates of each run's first element and the
+        run lengths; the maximal runs of the keys if the ball has no runs."""
+        keys = self._stored_keys
+        if self._stored_runs is not None or keys is None:
+            return self._stored_runs
+        heads = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 2) != 1)
+        return _coords(self.metric.group, keys[heads]), np.diff(heads, append=len(keys))
 
     @property
     def points(self) -> tuple | None:
@@ -365,16 +387,6 @@ def _gauge_layout(radius: float, closed: bool) -> tuple:
     return [x[keep], y[keep], lo[keep]], hi[keep] - lo[keep] + 1
 
 
-def _ball_keys(group: GroupModel, first: list, n: np.ndarray) -> np.ndarray:
-    """Sorted keys of the ball with these columns: the runs from each
-    column's first key, once its last element, first + n - 1, has passed the
-    key range."""
-    if not len(n):
-        return np.zeros(0, dtype=np.int64)
-    _keys(group, np.stack(first[:-1] + [first[-1] + n - 1], axis=1))  # raises outside the range
-    return _runs(_keys(group, np.stack(first, axis=1)), n)
-
-
 def _effective_word_radius(radius: float, closed: bool) -> int:
     # word distances are integers, so open/closed balls reduce to int radii
     return int(math.floor(radius)) if closed else int(math.ceil(radius)) - 1
@@ -388,8 +400,10 @@ def _check_radius(metric: PeriodicMetric, radius: float) -> None:
 
 
 def ball(metric: PeriodicMetric, radius: float, closed: bool = True) -> Ball:
-    """Metric ball about the identity; enumerated when discrete."""
+    """Metric ball about the identity; its columns when discrete, each of
+    whose first and last elements has passed the key range."""
     _check_radius(metric, radius)
+    group = metric.group
     if metric.kind == EUCLIDEAN_NORM:
         return Ball(metric, radius, closed, None,
                     _unit_ball_volume(metric.group.dim) * radius ** metric.group.dim)
@@ -397,10 +411,15 @@ def ball(metric: PeriodicMetric, radius: float, closed: bool = True) -> Ball:
         first, n = _gauge_columns(metric, radius, closed)
     else:
         word_radius = _effective_word_radius(radius, closed)
-        first, n = (_columns(metric.group, word_radius)
-                    if _word_ball_size(metric, word_radius) else ([], []))
-    keys = _ball_keys(metric.group, first, n)
-    return Ball(metric, radius, closed, keys, float(len(keys)))
+        empty = np.zeros(0, dtype=np.int64)
+        first, n = (_columns(group, word_radius)
+                    if _word_ball_size(metric, word_radius) else ([empty] * group.dim, empty))
+    first = np.stack(first, axis=1)
+    last = first.copy()
+    last[:, -1] += n - 1
+    for ends in (first, last):
+        _keys(group, ends)  # raises outside the range
+    return Ball(metric, radius, closed, None, float(n.sum()), (first, n))
 
 
 def ball_measure(metric: PeriodicMetric, radius: float, closed: bool = True) -> float:
@@ -537,15 +556,16 @@ def folner_ratio(metric: PeriodicMetric, k_n: Ball, k: Ball) -> float:
     K_n must not be empty.  An x in K_n K lies outside K_n^c K when x q^-1
     is in K_n for every q in K; K is a ball about the identity, so it is
     symmetric, and that is when x q is.  Z^d and H3 count exactly on the
-    runs of consecutive keys of K_n, decoding only each run's first element
-    and K.  The last coordinate is the last key field, and p q moves it by
-    q_z (plus x q_y on H3, x being fixed along a run), so a run's right
-    translate by q is a run of the same length from first q.  Each K_n q is
-    a bijective image of K_n, so its runs are disjoint, and the runs over
-    all q that cover x number the q with x q^-1 in K_n: K_n K is where that
-    coverage is at least 1, the x above are where it is |K|, and one sort
-    of the runs' ends sweeps both.  The euclidean kind has the closed
-    annulus form.
+    runs of consecutive keys of K_n, decoding only K: a K_n from ``ball``
+    carries its columns as runs and expands no keys, and one made from keys
+    is split into its runs here.  The last coordinate is the last key field,
+    and p q moves it by q_z (plus x q_y on H3, x being fixed along a run),
+    so a run's right translate by q is a run of the same length from first
+    q.  Each K_n q is a bijective image of K_n, so its runs are disjoint,
+    and the runs over all q that cover x number the q with x q^-1 in K_n:
+    K_n K is where that coverage is at least 1, the x above are where it is
+    |K|, and one sort of the runs' ends sweeps both.  The euclidean kind has
+    the closed annulus form.
     """
     group = metric.group
     if not k_n.measure:
@@ -557,15 +577,14 @@ def folner_ratio(metric: PeriodicMetric, k_n: Ball, k: Ball) -> float:
         outer = vd * (rn + rk) ** d
         inner = vd * max(rn - rk, 0.0) ** d
         return (outer - inner) / (vd * rn ** d)
-    if k_n.keys is None or k.keys is None:
+    # the stored arrays, not the keys property, which would expand the runs
+    if any(b._stored_keys is None and b._stored_runs is None for b in (k_n, k)):
         raise ValueError("discrete Folner ratio needs enumerated balls")
     if k_n.measure * k.measure > ball_budget():
         raise BudgetExceededError("Folner product set exceeds budget")
     if not k.measure:
         return 0.0  # K_n K is empty
-    heads = np.flatnonzero(np.concatenate([[True], np.diff(k_n.keys) != 1]))
-    n = np.diff(heads, append=len(k_n.keys))
-    p = _coords(group, k_n.keys[heads])
+    p, n = k_n.runs
     qs = _coords(group, k.keys)[:, None]
     first = p + qs  # one row per q, one column per run
     if group.kind == DISCRETE_HEISENBERG:
@@ -573,10 +592,13 @@ def folner_ratio(metric: PeriodicMetric, k_n: Ball, k: Ball) -> float:
     lo = _keys(group, first.reshape(-1, group.dim))  # each raises outside the range
     first[..., -1] += n - 1
     hi = _keys(group, first.reshape(-1, group.dim))
-    # a run ends one past its last key, up to 2^63, which uint64 holds
-    at = np.concatenate([lo.view(np.uint64), hi.view(np.uint64) + np.uint64(1)])
-    order = np.argsort(at)
-    coverage = np.cumsum(np.where(order < len(lo), 1, -1))[:-1]
+    # a run ends one past its last key, up to 2^63, which uint64 holds.  Each
+    # start is followed by its end; right translation keeps the key order, so
+    # one q's starts and ends ascend, and the stable sort (a timsort) merges
+    # |K| ascending runs
+    at = np.stack([lo.view(np.uint64), hi.view(np.uint64) + np.uint64(1)], axis=1).ravel()
+    order = np.argsort(at, kind="stable")
+    coverage = np.cumsum(1 - 2 * (order & 1))[:-1]
     gaps = np.diff(at[order])
     product = int(gaps[coverage > 0].sum())
     interior = int(gaps[coverage == len(qs)].sum())

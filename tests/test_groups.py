@@ -73,8 +73,9 @@ def folner_ratio_reference(mul, kn_points, k_points):
 
 
 def hand_made_ball(metric, points, radius=0.0):
-    """A Ball over these elements of the metric's group, which need not be a
-    ball about the identity: the Folner count takes any finite K_n."""
+    """A Ball made from the sorted keys of these elements of the metric's
+    group, with no runs, which need not be a ball about the identity: the
+    Folner count takes any finite K_n, and splits its keys into runs."""
     group = metric.group
     pts = np.array(points, dtype=np.int64).reshape(-1, group.dim)
     keys = np.sort(groups._keys(group, pts))
@@ -419,6 +420,70 @@ def test_folner_ratio_of_random_subsets_matches_set_reference(metric, radius):
                 mul, kn.points, k.points), (k_radius, keep, x)
 
 
+def length_scan(metric, radius, closed):
+    """The elements of the ball, by one reference length per element of the
+    box |x_i| <= r, and |z| <= r^2 on H3, which holds the word and the gauge
+    ball alike."""
+    m = math.floor(radius)
+    spans = [range(-m, m + 1)] * metric.group.dim
+    if metric.group.kind == groups.DISCRETE_HEISENBERG:
+        spans[-1] = range(-m * m, m * m + 1)
+    inside = (lambda d: d <= radius) if closed else (lambda d: d < radius)
+    return [el for el in itertools.product(*spans) if inside(length(metric, el))]
+
+
+@pytest.mark.parametrize("metric, radii", [
+    (groups.word_metric(groups.integer_lattice(2)), (0.0, 1.0, 2.5, 6.0)),
+    (groups.word_metric(groups.integer_lattice(3)), (0.0, 1.0, 3.0)),
+    (groups.word_metric(groups.discrete_heisenberg()), (0.0, 1.0, 3.0, 5.5)),
+    (groups.heisenberg_gauge_metric(), (0.0, 1.0, 2.0, 3.5)),
+], ids=["Z2", "Z3", "H3-word", "H3-gauge"])
+def test_ball_runs_decode_to_the_scanned_ball_and_count_as_its_keys_do(metric, radii):
+    # a ball carries its columns as runs.  The keys decoded from them are the
+    # elements a length scan finds, open and closed, the radius 0 open ball's
+    # none among them; the measure counts them; the runs are the maximal runs
+    # of those keys; and the Folner count on the runs, as K_n, translated or
+    # not, and as K, equals the count on a ball made from the decoded elements
+    group = metric.group
+    k = groups.ball(metric, 1.0)
+    x = (3, -2, 5)[:group.dim]
+    for r in radii:
+        for closed in (True, False):
+            b = groups.ball(metric, r, closed)
+            assert np.array_equal(b.keys, tuple_keys(group, length_scan(metric, r, closed)))
+            assert b.measure == len(b.keys), (r, closed)
+            twin = hand_made_ball(metric, b.points, r)
+            for ours, theirs in zip(b.runs, twin.runs):
+                assert np.array_equal(ours, theirs), (r, closed)
+            assert groups.folner_ratio(metric, k, b) == groups.folner_ratio(metric, k, twin)
+            if not b.measure:
+                assert (r, closed) == (0.0, False)
+                continue
+            ratio = groups.folner_ratio(metric, b, k)
+            assert ratio == groups.folner_ratio(metric, twin, k), (r, closed)
+            assert ratio == groups.folner_ratio(metric, translated(metric, b, x), k), (r, closed)
+
+
+@pytest.mark.parametrize("name", ["geometry_heisenberg", "geometry_gauge"])
+def test_geometry_run_expands_no_folner_ball_into_keys(name, tmp_path, monkeypatch):
+    # the Folner count reads each K_n's runs and decodes only K, so K is the
+    # one ball of the run whose keys are expanded from its runs; a check on
+    # the keys property in place of the stored arrays would expand every K_n
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.ini")
+    keys = groups.Ball.keys
+    expanded = []
+
+    def spied(self):
+        if self._stored_keys is None and self._stored_runs is not None:
+            expanded.append(self.radius)
+        return keys.fget(self)
+
+    monkeypatch.setattr(groups.Ball, "keys", property(spied))
+    report = cli.run_experiment("geometry", config, str(tmp_path))
+    assert report.overall_pass
+    assert expanded == [report.config["folner_k_radius"]]
+
+
 def test_geometry_run_never_decodes_ball_points(tmp_path, monkeypatch):
     config = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                           "geometry_heisenberg.ini")
@@ -539,9 +604,10 @@ def test_bfs_and_folner_ratio_never_decode_spheres_or_balls(group, runs, monkeyp
     k = groups.ball(metric, 2.0)
     kn = groups.ball(metric, 6.0)
     assert groups.folner_ratio(metric, kn, k) == groups.folner_ratio(metric, far, k) > 0
-    # one row per run of K_n (a radius 6 ball's columns, and as many for its
-    # left translate), then the rows of K
-    assert decoded == [runs, k.measure, runs, k.measure]
+    # the rows of K, then one row per run of the translate, which is made from
+    # keys (as many runs as the radius 6 ball has columns), then the rows of
+    # K: the ball K_n carries its runs and decodes nothing
+    assert decoded == [k.measure, runs, k.measure]
 
 
 def test_right_translates_raise_when_a_product_field_leaves_the_key_range():
