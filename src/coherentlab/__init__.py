@@ -42,7 +42,6 @@ from .frames import (
     PointSet,
     amalgam_check,
     bessel_separation_bound,
-    canonical_dual,
     finite_amalgam_check,
     finite_bessel_separation_bound,
     finite_frame_operator_spectrum,

@@ -499,9 +499,8 @@ def run_rep_check(cfg: dict) -> RunReport:
 
 def run_frame(cfg: dict) -> RunReport:
     report = RunReport("frame", cfg)
-    finite = cfg["model"] == "finite"
     t0 = time.perf_counter()
-    if finite:
+    if cfg["model"] == "finite":
         n = cfg["n"]
         rep = reps.finite_weyl_heisenberg(n)
         rng = np.random.default_rng(cfg["seed"])
@@ -530,22 +529,13 @@ def run_frame(cfg: dict) -> RunReport:
     report.timings["bounds"] = time.perf_counter() - t0
     report.records.append(_record("frame_bounds", fb.to_json(), passed=True))
     report.records.append(_record("riesz_bounds", rb.to_json(), passed=True))
-    if finite and fb.kind == "frame":
-        t0 = time.perf_counter()
-        dual = frames.canonical_dual(phi, seed=cfg["seed"])
-        report.records.append(_record(
-            "canonical_dual", passed=dual.passed,
-            reconstruction_error=dual.reconstruction_error,
-            dual_bounds=dual.dual_bounds.to_json()))
-        report.timings["dual"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     bessel = bessel_fn(*args, bessel_bound=fb.upper)
     report.timings["bessel"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     amalgam = amalgam_fn(*args, cfg["k_radius"])
     report.timings["amalgam"] = time.perf_counter() - t0
-    report.records.append(_record("bessel_separation", bessel,
-                                  passed=bessel["passed"] and bessel["scale_invariant"]))
+    report.records.append(_record("bessel_separation", bessel))
     report.records.append(_record("amalgam", amalgam))
     report.csv_header = ("experiment", "n", "check", "lhs", "rhs", "passed")
     report.csv_rows = [

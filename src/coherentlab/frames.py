@@ -7,15 +7,15 @@ Gram estimates, relative separation, cover-based Bessel bounds and the amalgam
 inequality check, all read from reps.GAUSSIAN_PROFILE.  On the finite model's
 torus Z_N x Z_N, Lambda is the boolean (N, N) mask that finite_subset and
 full_torus build.  The finite_* functions take the model and a window vector;
-their exact spectra and canonical dual read the synthesis matrix that
-finite_synthesis builds once, and their separation, cover and amalgam checks
-take Q and K by radius and compute on the (N, N) masks of reps.torus_ball.
+their exact spectra read the synthesis matrix that finite_synthesis builds
+once, and their separation, cover and amalgam checks take Q and K by radius
+and compute on the (N, N) masks of reps.torus_ball.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 import numpy as np
@@ -26,8 +26,6 @@ from .reps import RepModel
 _TIE = 1e-12  # closed-ball membership slack on squared distances
 
 SECTION_MODE_CAP = 512  # highest Hermite index a truncated section keeps
-
-DUAL_TOL = 1e-8  # canonical-dual reconstruction and dual-bound tolerance
 
 _BLOCK_CELLS = 1 << 20  # (centre, column) cells per block of a batched count
 
@@ -101,6 +99,7 @@ class PointSet:
         """(x, y) arrays of the lattice points within `radius` of (cx, cy),
         the hole removed, column by column in increasing k and then l; that is
         lexicographic order."""
+        _check_disk_radius(radius)
         k, lo, hi = self._columns([cx], [cy], radius, closed)
         lo, hi = lo[0], hi[0]
         per_col = np.maximum(hi - lo + 1, 0)
@@ -136,6 +135,7 @@ class PointSet:
         xs, ys, rs = (np.ravel(v) for v in np.broadcast_arrays(
             np.asarray(cx, dtype=float), np.asarray(cy, dtype=float),
             np.asarray(radius, dtype=float)))
+        _check_disk_radius(rs)  # before grouping by radius, which no NaN joins
         counts = np.zeros(xs.size, dtype=np.int64)
         for r in np.unique(rs):  # centres of one radius share their columns
             rows = np.flatnonzero(rs == r)
@@ -150,14 +150,20 @@ class PointSet:
         return int(counts[0]) if scalar else counts
 
     def restrict(self, b: groups.Ball) -> tuple:
-        """Exactly the points of Lambda inside the disk b about the origin,
-        sorted.  Raises ValueError, naming the metric's kind, for a ball that
-        is not a disk of the plane's euclidean_norm."""
+        """Exactly the points of Lambda inside the disk b about the origin, in
+        lexicographic order.  Raises ValueError, naming the metric's kind, for
+        a ball that is not a disk of the plane's euclidean_norm."""
         metric = b.metric
         if metric.kind != groups.EUCLIDEAN_NORM or metric.group.dim != 2:
             raise ValueError(f"restrict takes a disk of the plane's {groups.EUCLIDEAN_NORM}, "
                              f"not a {metric.kind} ball in dimension {metric.group.dim}")
-        return tuple(sorted(self.lattice_points_near(0.0, 0.0, b.radius, b.closed)))
+        return tuple(self.lattice_points_near(0.0, 0.0, b.radius, b.closed))
+
+
+def _check_disk_radius(radius) -> None:
+    r = np.asarray(radius, dtype=float)
+    if not (r >= 0).all():  # NaN too
+        raise ValueError(f"disk radius must be >= 0, got {r[~(r >= 0)][0]}")
 
 
 def disk_point_estimate(radius: float, a: float, b: float) -> float:
@@ -414,20 +420,17 @@ class SeparationReport:
 
     rel_sep is a maximum over every candidate centre of the disk arrangement
     (on a lattice) or every torus point (on the finite model), never over a
-    sampled grid: grid_spacing is always 0.0.
+    sampled grid.
     """
 
     rel_sep: int
     q_radius: float
     q_kind: str
-    grid_spacing: float
     witness: tuple
     n_candidates: int
 
     def to_json(self) -> dict:
-        return {"rel_sep": self.rel_sep, "q_radius": self.q_radius,
-                "q_kind": self.q_kind, "grid_spacing": self.grid_spacing,
-                "witness": list(self.witness), "n_candidates": self.n_candidates}
+        return asdict(self)
 
 
 def _disk_candidates(pts: list, rho: float) -> list:
@@ -461,7 +464,7 @@ def finite_relative_separation(lam: np.ndarray, q_radius: float) -> SeparationRe
     for dk, dl in np.argwhere(reps.torus_ball(n, q_radius)):
         counts += np.roll(lam, (-dk, -dl), axis=(0, 1))
     best = int(np.argmax(counts))
-    return SeparationReport(int(counts.flat[best]), q_radius, "word_ball", 0.0,
+    return SeparationReport(int(counts.flat[best]), q_radius, "word_ball",
                             divmod(best, n), n * n)
 
 
@@ -478,7 +481,7 @@ def relative_separation(lam: PointSet, q: groups.Ball) -> SeparationReport:
     cx, cy = np.array(cands, dtype=float).T
     counts = base.lattice_count_near(cx, cy, rho)
     best = int(np.argmax(counts))  # the first maximum, as a strict > scan finds it
-    return SeparationReport(int(counts[best]), rho, "euclidean_ball", 0.0,
+    return SeparationReport(int(counts[best]), rho, "euclidean_ball",
                             cands[best], len(cands))
 
 
@@ -611,81 +614,33 @@ def lemma_cover_constant(q: groups.Ball) -> CoverReport:
                        tuple(centers), True, cell)
 
 
-def _bessel_report(sep: SeparationReport, cover: CoverReport, cover2: CoverReport,
-                   bessel_bound: float, norm_sq: float) -> dict:
-    """Rel_Q(Lambda) <= 4 n B ||g||^{-2}, and the same bound for 2g, whose
-    cover is cover2 and whose Bessel bound and squared norm are 4 times g's."""
-    bound2 = cover2.constant * (4.0 * bessel_bound) / (4.0 * norm_sq)
+def _bessel_report(sep: SeparationReport, cover: CoverReport, bessel_bound: float,
+                   norm_sq: float) -> dict:
+    """The Bessel-separation lemma Rel_Q(Lambda) <= 4 n B ||g||^{-2}, with n
+    the cover's count, B the Bessel bound and ||g||^2 = norm_sq."""
     bound = cover.constant * bessel_bound / norm_sq
     return {"rel_sep": sep.rel_sep, "n_cover": cover.n_cover,
             "cover_constant": cover.constant, "bessel_bound": bessel_bound,
             "bound": bound, "passed": sep.rel_sep <= bound + 1e-9,
-            "scale_invariant": abs(bound2 - bound) <= 1e-9 * max(bound, 1.0),
             "separation": sep.to_json(), "cover": cover.to_json()}
 
 
 def finite_bessel_separation_bound(rep: RepModel, g: np.ndarray, lam: np.ndarray,
                                    q_radius: float, bessel_bound: float) -> dict:
-    """Check Rel_Q(Lambda) <= 4 n B ||g||^{-2} and its invariance under g -> 2g,
-    for a Bessel bound B of g over lam."""
+    """Check Rel_Q(Lambda) <= 4 n B ||g||^{-2} for a Bessel bound B of g over
+    lam."""
     _check_same_torus(rep.n, lam)
     gv = np.asarray(g, dtype=complex)
     return _bessel_report(finite_relative_separation(lam, q_radius),
                           finite_lemma_cover_constant(rep, gv, q_radius),
-                          finite_lemma_cover_constant(rep, 2.0 * gv, q_radius),
                           bessel_bound, float(np.linalg.norm(gv)) ** 2)
 
 
 def bessel_separation_bound(lam: PointSet, q: groups.Ball, bessel_bound: float) -> dict:
-    """Check Rel_Q(Lambda) <= 4 n B ||g||^{-2} and its invariance under g -> 2g
-    for the Gaussian window g and a Bessel bound B of it over lam."""
-    cover = lemma_cover_constant(q)
-    # |V_{2g} 2g| = 4 |V_g g| and the level 4||g||^2/2 scale together
-    return _bessel_report(relative_separation(lam, q), cover, cover, bessel_bound,
-                          reps.GAUSSIAN_PROFILE.norm_sq)
-
-
-@dataclass(frozen=True, eq=False)
-class DualReport:
-    """Canonical dual family S^{-1} pi(lambda) g with its verification data."""
-
-    dual_vectors: tuple
-    bounds: FrameBounds
-    dual_bounds: FrameBounds
-    reconstruction_error: float
-    trials: int
-    seed: int
-    passed: bool
-
-
-def canonical_dual(phi: np.ndarray, seed: int = 0, trials: int = 10) -> DualReport:
-    """Solve S d_lambda = pi(lambda) g for the synthesis matrix phi of the
-    finite model and verify perfect reconstruction."""
-    n = phi.shape[0]
-    s = phi @ phi.conj().T
-    eigs = _hermitian_eigs(s, "frame operator")
-    b_up = float(eigs[-1])
-    a_low = float(eigs[0])
-    if _classify(a_low, b_up) != "frame":
-        raise ValueError("frame operator is singular (A = 0); no canonical dual")
-    bounds = FrameBounds(a_low, b_up, "frame", "exact_spectrum", eigs)
-    duals = np.linalg.solve((s + s.conj().T) / 2.0, phi)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        rec = duals @ (phi.conj().T @ f)
-        rec2 = phi @ (duals.conj().T @ f)
-        err = max(np.linalg.norm(rec - f), np.linalg.norm(rec2 - f))
-        worst = max(worst, float(err / np.linalg.norm(f)))
-    dual_eigs = _hermitian_eigs(duals @ duals.conj().T, "dual frame operator")
-    dual_bounds = FrameBounds(max(float(dual_eigs[0]), 0.0), float(dual_eigs[-1]),
-                              "frame", "exact_spectrum", dual_eigs)
-    bound_dev = max(abs(dual_bounds.lower - 1.0 / b_up),
-                    abs(dual_bounds.upper - 1.0 / a_low))
-    passed = worst <= DUAL_TOL and bound_dev <= DUAL_TOL * max(1.0, 1.0 / a_low)
-    return DualReport(tuple(duals[:, j].copy() for j in range(duals.shape[1])),
-                      bounds, dual_bounds, worst, trials, seed, passed)
+    """Check Rel_Q(Lambda) <= 4 n B ||g||^{-2} for the Gaussian window g and a
+    Bessel bound B of it over lam."""
+    return _bessel_report(relative_separation(lam, q), lemma_cover_constant(q),
+                          bessel_bound, reps.GAUSSIAN_PROFILE.norm_sq)
 
 
 def _amalgam_report(lhs: float, rhs: float, sep: SeparationReport, mu_q: float,

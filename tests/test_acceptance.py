@@ -96,6 +96,7 @@ def test_acceptance_3_bessel_separation_bound():
         ok &= bessel["passed"]
         ok &= bessel["rel_sep"] <= bessel["bound"] + 1e-9
         ok &= doubled["n_cover"] == out["n_cover"]
+        ok &= abs(doubled["bound"] - out["bound"]) <= 1e-9 * out["bound"]
         ok &= doubled["passed"] == out["passed"]
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 10.0

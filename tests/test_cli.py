@@ -298,7 +298,7 @@ def test_frame_matrix_dumps(tmp_path, capsys):
     assert cli.main(["frame", "--config", finite,
                      "--out", str(tmp_path / "fin")]) == 0
     out = capsys.readouterr().out
-    for stage in ("bounds", "dual", "bessel", "amalgam"):
+    for stage in ("bounds", "bessel", "amalgam"):
         assert f"time[{stage}]" in out
     assert "timings" not in json.loads((tmp_path / "fin" / "report.json").read_text())
     gaussian = write_ini(tmp_path, "fg.ini", "frame",
@@ -308,6 +308,25 @@ def test_frame_matrix_dumps(tmp_path, capsys):
                      "--out", str(tmp_path / "gau")]) == 0
     for run in ("fin", "gau"):
         assert sorted(os.listdir(tmp_path / run)) == ["report.json", "rows.csv"]
+
+
+@pytest.mark.parametrize("model", ["finite", "gaussian"])
+def test_frame_run_records_the_bounds_and_the_two_lemmas_only(tmp_path, monkeypatch, model):
+    # a frame run checks the frame and Riesz bounds, the Bessel-separation
+    # lemma and the amalgam inequality; the finite run covers Q once, for g
+    calls = []
+    cover = frames.finite_lemma_cover_constant
+
+    def spy(*args):
+        calls.append(args)
+        return cover(*args)
+
+    monkeypatch.setattr(frames, "finite_lemma_cover_constant", spy)
+    path = write_ini(tmp_path, "f.ini", "frame", {"model": model})
+    report = cli.run_experiment("frame", path, str(tmp_path / "out"))
+    assert [r["name"] for r in report.records] == [
+        "frame_bounds", "riesz_bounds", "bessel_separation", "amalgam"]
+    assert len(calls) == (1 if model == "finite" else 0)
 
 
 def test_malformed_budget_variable_exits_2_naming_it(tmp_path, monkeypatch, capsys):

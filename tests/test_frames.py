@@ -1,5 +1,5 @@
 """Frame and Riesz bounds, relative separation, greedy covers, dimension
-counts, canonical duals, and the amalgam inequality.
+counts, and the amalgam inequality.
 
 The finite-model oracle builds the synthesis matrix from scratch with np.roll
 and explicit modulation phases, then takes singular values; the package route
@@ -528,7 +528,6 @@ def test_bessel_separation_bound_gaussian_and_scale_invariance():
     assert out["passed"]
     assert out["rel_sep"] == 6
     assert out["n_cover"] == 3
-    assert out["scale_invariant"]
     assert out["bound"] == pytest.approx(
         out["cover_constant"] * out["bessel_bound"], rel=1e-12)
     assert out["rel_sep"] <= out["bound"]
@@ -549,7 +548,6 @@ def test_bessel_separation_bound_finite_scale_invariance():
     assert out["passed"] and out2["passed"]
     assert out2["n_cover"] == out["n_cover"]
     assert out2["bound"] == pytest.approx(out["bound"], rel=1e-9)
-    assert out["scale_invariant"] and out2["scale_invariant"]
 
 
 def test_dimension_lemma_exhaustive_dims():
@@ -568,41 +566,6 @@ def test_dimension_lemma_exhaustive_dims():
         assert out["deviation"] <= 1e-8 * max(1.0, out["rhs"])
     with pytest.raises(ValueError):
         dimension_lemma_check(rep, g, [qmat[:, 0] * 2.0])
-
-
-def test_canonical_dual_tight_case_and_reconstruction():
-    n = 8
-    rep = reps.finite_weyl_heisenberg(n)
-    rng = np.random.default_rng(14)
-    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    lam = full_torus(n)
-    report = frames.canonical_dual(frames.finite_synthesis(rep, g, lam), seed=5)
-    assert report.passed
-    assert report.reconstruction_error <= 1e-8
-    # tight frame: S = N ||g||^2 I, so duals are scaled originals
-    scale = 1.0 / (n * float(np.linalg.norm(g)) ** 2)
-    for x, d in zip([(k, l) for k in range(n) for l in range(n)], report.dual_vectors):
-        assert np.allclose(d, scale * reps.apply_rep(rep, x, g), atol=1e-10)
-    assert report.dual_bounds.lower == pytest.approx(1.0 / report.bounds.upper,
-                                                     abs=1e-10)
-    assert report.dual_bounds.upper == pytest.approx(1.0 / report.bounds.lower,
-                                                     abs=1e-10)
-    delta = np.zeros(4, dtype=complex)
-    delta[0] = 1.0
-    with pytest.raises(ValueError):
-        frames.canonical_dual(frames.finite_synthesis(
-            reps.finite_weyl_heisenberg(4), delta, finite_subset(4, [(0, l) for l in range(4)])))
-
-
-def test_canonical_dual_generic_subset():
-    n = 8
-    rep = reps.finite_weyl_heisenberg(n)
-    rng = np.random.default_rng(17)
-    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    lam = finite_subset(n, [(k, l) for k in range(n) for l in range(0, n, 2)])
-    report = frames.canonical_dual(frames.finite_synthesis(rep, g, lam), seed=2, trials=6)
-    assert report.passed and report.reconstruction_error <= 1e-8
-    assert report.bounds.kind == "frame"
 
 
 def test_amalgam_check_finite_and_gaussian():
@@ -935,6 +898,19 @@ def test_restrict_refuses_balls_other_than_plane_disks():
         with pytest.raises(ValueError, match=metric.kind):
             lam.restrict(groups.ball(metric, 2.0 if metric.group.dim == 3 else 3.0))
     assert len(lam.restrict(euclid_ball(3.0))) == 29
+
+
+def test_negative_and_nan_disk_radii_are_refused_naming_the_radius():
+    # the disk of radius -1 about a lattice point held that point, and a NaN
+    # in an array of radii failed inside a numpy reduction
+    lam = lattice(1.0, 1.0)
+    for call in (lambda: lam.lattice_count_near(0.0, 0.0, -1.0),
+                 lambda: lam.lattice_points_near(0.0, 0.0, -1.0)):
+        with pytest.raises(ValueError, match=r"radius must be >= 0, got -1\.0"):
+            call()
+    with pytest.raises(ValueError, match="radius must be >= 0, got nan"):
+        lam.lattice_count_near(np.zeros(3), np.zeros(3), np.array([1.0, np.nan, 2.0]))
+    assert lam.lattice_count_near(0.0, 0.0, 0.0) == 1
 
 
 def test_lattice_count_near_with_a_radius_per_centre(monkeypatch):

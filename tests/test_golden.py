@@ -5,11 +5,10 @@ configs/<config>.ini writes.  A rerun must match them exactly on every
 string, int, bool and null, and on floats to 1e-9 relative: another numpy
 or BLAS build may move the last of the 12 written digits, but no change of
 the code's numbers passes unnoticed.  Floats below 1e-12 on both sides are
-rounding noise (the orthogonality and reconstruction deviations of the
-finite model, which a different summation order changes in every digit) and
-match each other.  After an intended change of a report, write its golden
-anew with ``coherentlab <kind> --config configs/<config>.ini --out
-tests/golden/<config>``.
+rounding noise (the orthogonality deviations of the finite model, which a
+different summation order changes in every digit) and match each other.
+After an intended change of a report, write its golden anew with
+``coherentlab <kind> --config configs/<config>.ini --out tests/golden/<config>``.
 """
 
 import configparser
